@@ -79,7 +79,13 @@ def _grid(text: str) -> list[float]:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="output file path (default: out dir / <command>.<format>)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance recorded and enforced per row")
+    sp.add_argument(
+        "--tol",
+        type=float,
+        default=1e-9,
+        help="numeric tolerance recorded and enforced per row; "
+        "blowup --verify accepts |check_tbar - tbar| <= tol * max(1, tbar)",
+    )
     sp.add_argument("--jobs", type=int, default=1, help="worker processes for row-parallel commands")
     sp.add_argument("--seed", type=int, default=42, help="seed for randomized content")
     sp.add_argument("--verify", action="store_true", help="enforce the per-row comparisons; exit 1 on failure")
@@ -226,7 +232,7 @@ def _blowup_row_kab(idx: int, ka: float, kb: float, args) -> dict:
             hit = wedge_first_zero(a_I, b_I, Q, 1.05 * tbar.time + 0.1)
             row["check_tbar"] = hit.time
             row["check_err"] = abs(hit.time - tbar.time)
-            row["check_ok"] = row["check_err"] <= args.tol
+            row["check_ok"] = row["check_err"] <= args.tol * max(1.0, tbar.time)
         else:
             changes, _ = wedge_det_sign_changes(a_I, b_I, Q, args.tmax)
             row["check_tbar"] = None
@@ -255,7 +261,7 @@ def _blowup_row_kc(idx: int, kc: float, args) -> dict:
             hit = first_blowup(sol, t_min=0.01 * sol.t_max, tol=1e-12)
             row["check_tbar"] = hit.time
             row["check_err"] = abs(hit.time - tbar.time)
-            row["check_ok"] = row["check_err"] <= args.tol
+            row["check_ok"] = row["check_err"] <= args.tol * max(1.0, tbar.time)
         else:
             # keep the hyperbolic mode below the overflow threshold
             horizon = min(args.tmax, 300.0 / max(1.0, math.sqrt(abs(kc))))

@@ -201,17 +201,22 @@ class CurvatureBlocks:
         return self._E(t) @ self._ABU_rot
 
     def assemble(self, t: float) -> np.ndarray:
+        """The full matrix at t, with one rotation E(t) shared by all blocks.
+
+        Equal bit for bit to the matrix built from ``R_aa`` ... ``R_bc``.
+        """
         dims = self.dims
+        E = self._E(t)
         R = np.zeros((dims.n, dims.n))
         a, b, c = dims.sl_a, dims.sl_b, dims.sl_c
-        R[a, a] = self.R_aa(t)
-        R[b, b] = self.R_bb(t)
+        R[a, a] = E @ self._base_aa @ E.T
+        R[b, b] = E @ self._base_bb @ E.T
         R[c, c] = self.R_cc
-        Rab = self.R_ab(t)
+        Rab = E @ self._base_ab @ E.T
         R[a, b], R[b, a] = Rab, Rab.T
-        Rac = self.R_ac(t)
+        Rac = E @ self._boldV @ self._ABU_rot
         R[a, c], R[c, a] = Rac, Rac.T
-        Rbc = self.R_bc(t)
+        Rbc = E @ self._ABU_rot
         R[b, c], R[c, b] = Rbc, Rbc.T
         return R
 

@@ -391,8 +391,12 @@ def diameter_certificate(v_norm: float, K: float) -> DiameterCertificate:
     base with sectional curvature at least ``K >= -1``, the effective
     constants are kappa_a = v^2*(3/2*K - 7/2 - 15/8*v^2) and
     kappa_b = 4 + 5*v^2. ``chi_at_pi`` is the factored blow-up function
-    sinc(tm*pi)**2 - sinc(tp*pi)**2 whose sign at pi certifies the small
-    ``v_norm`` regime; ``passes`` records tbar <= pi.
+    chi(pi) = sinc(tm*pi)**2 - sinc(tp*pi)**2 whose sign at pi certifies
+    the small ``v_norm`` regime; ``passes`` records tbar <= pi. Where
+    kappa_a > 0 (K > 7/3 + 1.25*v^2) tp and tm are a conjugate pair, chi
+    is purely imaginary, and ``chi_at_pi`` is Im chi(pi) instead. Like chi
+    on the real branch it is positive before tbar and changes sign at
+    tbar: (0.25, 2.9) gives -7.73e-3 with tbar = 3.0146.
     """
     if v_norm < 0.0:
         raise DomainError("v_norm must be nonnegative")
@@ -404,6 +408,8 @@ def diameter_certificate(v_norm: float, K: float) -> DiameterCertificate:
     tbar = blowup_time_kab(kappa_a, kappa_b)
     th = theta_from_kappas(kappa_a, kappa_b)
     chi = _csinc(th.theta_minus * math.pi) ** 2 - _csinc(th.theta_plus * math.pi) ** 2
+    if kappa_a > 0.0:
+        chi = -1j * chi  # Re(-i chi) = Im chi; _real checks that Re chi vanishes
     return DiameterCertificate(
         kappa_a=kappa_a,
         kappa_b=kappa_b,

@@ -106,6 +106,15 @@ class TestBlowup:
         assert [r["check_ok"] for r in rows] == ["true"] * 3
         assert "verification passed" in capsys.readouterr().out
 
+    def test_verify_tolerance_is_relative_to_tbar(self, tmp_path, capsys):
+        # tbar ~ 22.6: the wedge time is 1.08e-9 off, 4.8e-11 relative
+        argv = ["blowup", "--ka=-1.4809188885826128", "--kb", "2.510734369691354",
+                "--verify", "--out", str(tmp_path / "b.csv")]
+        assert run_cli(argv) == 0
+        assert "verification passed" in capsys.readouterr().out
+        assert run_cli(argv + ["--tol", "1e-14"]) == 1
+        assert "verification FAILED" in capsys.readouterr().err
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["blowup", "--sweep=-3:3:7", "--kb", "5", "--kc", "2.5"]

@@ -236,6 +236,27 @@ class TestCurvatureBlocks:
             assert R.shape == (11, 11)
             assert np.abs(R - R.T).max() < 1e-12, f"asymmetric at t = {t}"
 
+    def test_assemble_equals_the_separate_blocks_exactly(self):
+        # nonzero ABdotA and ABU so that every block is exercised
+        rng = np.random.default_rng(3)
+        d, v = 2, np.array([0.6, -0.2, 0.9])
+        qhf = qhf_curvature_inputs(d, v)
+        S = rng.standard_normal((3, 3))
+        inputs = CurvatureInputs(
+            d=d, ABA=S + S.T, ABdotA=rng.standard_normal((3, 3)),
+            ABU=rng.standard_normal((3, 4 * d - 3)), UBU=qhf.UBU, w=qhf.w,
+            rho_a=qhf.rho_a,
+        )
+        blocks = curvature_blocks(v, inputs)
+        a, b, c = blocks.dims.sl_a, blocks.dims.sl_b, blocks.dims.sl_c
+        for t in (0.0, 1e-9, 0.37, 1.1, 2.9):
+            R = np.zeros((blocks.dims.n, blocks.dims.n))
+            R[a, a], R[b, b], R[c, c] = blocks.R_aa(t), blocks.R_bb(t), blocks.R_cc
+            R[a, b], R[b, a] = blocks.R_ab(t), blocks.R_ab(t).T
+            R[a, c], R[c, a] = blocks.R_ac(t), blocks.R_ac(t).T
+            R[b, c], R[c, b] = blocks.R_bc(t), blocks.R_bc(t).T
+            assert blocks.assemble(t).tobytes() == R.tobytes(), f"differs at t = {t}"
+
     def test_zero_momentum_blocks_are_constant(self):
         blocks = curvature_blocks(np.zeros(3), qhf_curvature_inputs(1, np.zeros(3)))
         assert np.abs(blocks.R_aa(1.0)).max() == 0.0

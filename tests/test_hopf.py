@@ -33,7 +33,7 @@ from fatcomp.hopf import (
     sublaplacian_along,
 )
 from fatcomp.models import blowup_time_kab, eval_s_kc
-from fatcomp.riccati import integrate_jacobi, riccati_solution
+from fatcomp.riccati import JacobiSolution, integrate_jacobi, riccati_solution
 from fatcomp.structure import (
     FatDims,
     build_structural,
@@ -217,6 +217,25 @@ class TestConjugateTime:
     def test_reported_kappas(self):
         res = conjugate_time(1, [0.5, 0.0, 0.0])
         assert res.kappas == qhf_kappas([0.5, 0.0, 0.0])
+
+    def test_dense_output_evaluations_are_few(self, monkeypatch):
+        # the 2048-point scan is batched; only the refinement evaluates
+        # N(t) point by point (~110 calls, against ~8300 unbatched)
+        calls = []
+
+        def counted(name):
+            original = getattr(JacobiSolution, name)
+
+            def wrapper(self, t):
+                calls.append(name)
+                return original(self, t)
+
+            return wrapper
+
+        for name in ("N", "det_N", "sigma_min_N"):
+            monkeypatch.setattr(JacobiSolution, name, counted(name))
+        conjugate_time(2, [0.5, 0.0, 0.0])
+        assert 0 < len(calls) < 500, f"{len(calls)} pointwise evaluations"
 
 
 # ----------------------------------------------------------------------

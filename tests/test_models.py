@@ -357,6 +357,16 @@ class TestDiameterCertificate:
             f"tbar = {cert.tbar.time}"
         )
 
+    @pytest.mark.parametrize("v_norm, K", [(0.25, 2.9), (0.5, 2.8)])
+    def test_conjugate_frequency_branch(self, v_norm, K):
+        # kappa_a > 0: chi(pi) is purely imaginary and chi_at_pi is its
+        # imaginary part, negative because tbar < pi
+        cert = diameter_certificate(v_norm, K)
+        assert cert.kappa_a > 0.0
+        assert cert.passes
+        assert cert.tbar.time < math.pi
+        assert cert.chi_at_pi < 0.0
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             diameter_certificate(-0.1, 1.0)

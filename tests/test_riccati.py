@@ -13,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
 from fatcomp.models import blowup_time_kab, finiteness_predicate
 from fatcomp.riccati import (
+    _scan_sigma_det,
     comparison_harness,
     finite_blowup_constant,
     first_blowup,
@@ -25,7 +27,7 @@ from fatcomp.riccati import (
     wedge_det_sign_changes,
     wedge_first_zero,
 )
-from fatcomp.structure import typeI_pair
+from fatcomp.structure import build_structural, typeI_pair
 
 A_STEP, B_STEP = typeI_pair()
 
@@ -128,6 +130,29 @@ class TestFirstBlowup:
             np.zeros((2, 2)), np.eye(2), -np.eye(2), t_max=30.0
         )
         assert not first_blowup(sol).is_finite
+
+
+def _qhf_d2_solution():
+    v = np.array([0.5, -0.3, 0.8])
+    blocks = curvature_blocks(v, qhf_curvature_inputs(2, v))
+    pair = build_structural(blocks.dims)
+    return integrate_jacobi(pair.A, pair.B, blocks.assemble, t_max=2.5)
+
+
+class TestBlockScan:
+    """The batched scan of first_blowup gives the pointwise bits."""
+
+    @pytest.mark.parametrize("n_scan", [2048, 1001])
+    @pytest.mark.parametrize("system", ["typeI", "qhf-d2"])
+    def test_matches_pointwise_bit_for_bit(self, system, n_scan):
+        if system == "typeI":
+            sol = integrate_jacobi(A_STEP, B_STEP, np.diag([-3.0, 4.0]), t_max=9.0)
+        else:
+            sol = _qhf_d2_solution()
+        ts = np.linspace(1e-2 * sol.t_max, sol.t_max, n_scan)
+        sig, det = _scan_sigma_det(sol, ts)
+        assert sig.tobytes() == np.array([sol.sigma_min_N(t) for t in ts]).tobytes()
+        assert det.tobytes() == np.array([sol.det_N(t) for t in ts]).tobytes()
 
 
 # ----------------------------------------------------------------------
