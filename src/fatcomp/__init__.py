@@ -25,6 +25,7 @@ from .riccati import (
     ComparisonReport,
     JacobiSolution,
     RiccatiSolution,
+    UnverifiableError,
     comparison_harness,
     finite_blowup_constant,
     first_blowup,

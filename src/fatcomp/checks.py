@@ -515,10 +515,20 @@ def _child_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def run_check(index: int, seed: int) -> CheckResult:
-    """Run one check by registry index with its derived child seed."""
+    """Run one check by registry index with its derived child seed.
+
+    A check that raises is reported as failed, with the exception's type
+    and message as its detail, so that the rest of the suite still runs.
+    """
     name, fn = CHECKS[index]
     t0 = time.perf_counter()
-    result = fn(_child_rng(seed, index))
+    try:
+        result = fn(_child_rng(seed, index))
+    except Exception as exc:  # one check must not end the suite
+        result = CheckResult(
+            name=name, passed=False, worst=math.nan, tol=math.nan, n_cases=0,
+            detail=f"raised {type(exc).__name__}: {exc}",
+        )
     result = replace(result, elapsed=time.perf_counter() - t0)
     if result.name != name:
         raise RuntimeError(f"check {name!r} returned result named {result.name!r}")

@@ -17,7 +17,12 @@ floats are written with repr so identical runs produce identical bytes,
 and every row carries the tolerance it was computed with. Timing is
 printed to stdout only, never serialized. Exit status: 0 on success, 1
 when a --verify comparison or a verification check fails, 2 on usage
-errors.
+errors and on NaN, infinite or out-of-domain input (a kappa, --tol,
+--jobs, --tmax), 3 when no --verify row failed but some could not be
+decided: ``blowup --verify`` writes ``check_ok`` as ``unverifiable``
+where the wedge route cannot reach the model blow-up time (a step
+overflows), and lists those rows on stderr. A verify-all check that
+raises is a failed row whose detail names the exception.
 """
 
 from __future__ import annotations
@@ -41,10 +46,18 @@ from .models import (
     blowup_time_kc,
     upper_bound_kab,
 )
-from .riccati import first_blowup, integrate_jacobi, wedge_det_sign_changes, wedge_first_zero
+from .riccati import (
+    UnverifiableError,
+    first_blowup,
+    integrate_jacobi,
+    wedge_det_sign_changes,
+    wedge_first_zero,
+)
 from .structure import typeI_pair
 
 OUT_DIR_ENV = "FATCOMP_OUT_DIR"
+#: check_ok of a --verify row that the cross-check cannot decide
+UNVERIFIABLE = "unverifiable"
 
 
 # ----------------------------------------------------------------------
@@ -228,16 +241,18 @@ def _blowup_row_kab(idx: int, ka: float, kb: float, args) -> dict:
     if args.verify:
         a_I, b_I = typeI_pair()
         Q = np.diag([ka, kb])
-        if tbar.is_finite:
-            hit = wedge_first_zero(a_I, b_I, Q, 1.05 * tbar.time + 0.1)
-            row["check_tbar"] = hit.time
-            row["check_err"] = abs(hit.time - tbar.time)
-            row["check_ok"] = row["check_err"] <= args.tol * max(1.0, tbar.time)
-        else:
-            changes, _ = wedge_det_sign_changes(a_I, b_I, Q, args.tmax)
-            row["check_tbar"] = None
-            row["check_err"] = None
-            row["check_ok"] = changes == 0
+        row["check_tbar"] = row["check_err"] = None
+        try:
+            if tbar.is_finite:
+                hit = wedge_first_zero(a_I, b_I, Q, 1.05 * tbar.time + 0.1)
+                row["check_tbar"] = hit.time
+                row["check_err"] = abs(hit.time - tbar.time)
+                row["check_ok"] = row["check_err"] <= args.tol * max(1.0, tbar.time)
+            else:
+                changes, _ = wedge_det_sign_changes(a_I, b_I, Q, args.tmax)
+                row["check_ok"] = changes == 0
+        except UnverifiableError:
+            row["check_ok"] = UNVERIFIABLE
     return row
 
 
@@ -274,6 +289,8 @@ def _blowup_row_kc(idx: int, kc: float, args) -> dict:
 
 
 def cmd_blowup(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if not 0.0 < args.tmax < math.inf:
+        raise DomainError(f"--tmax must be finite positive, got {args.tmax}")
     rows: list[dict] = []
     if args.sweep is not None:
         if args.kb is None:
@@ -303,10 +320,17 @@ def cmd_blowup(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     path = _write_rows(args, header, rows)
     print(f"wrote {len(rows)} rows to {path}")
     if args.verify:
-        bad = [r["index"] for r in rows if not r["check_ok"]]
+        bad = [r["index"] for r in rows if r["check_ok"] is False]
         if bad:
             print(f"verification FAILED on rows {bad}", file=sys.stderr)
             return 1
+        undecided = [r["index"] for r in rows if r["check_ok"] == UNVERIFIABLE]
+        if undecided:
+            print(
+                f"verification undecided on rows {undecided}: beyond the wedge route's range",
+                file=sys.stderr,
+            )
+            return 3
         print("verification passed on all rows")
     return 0
 
@@ -436,7 +460,7 @@ def cmd_laplacian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 # ----------------------------------------------------------------------
 
 def cmd_verify_all(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    results: list[CheckResult] = run_all(seed=args.seed, jobs=max(1, args.jobs))
+    results: list[CheckResult] = run_all(seed=args.seed, jobs=args.jobs)
     rows = [
         {
             "index": i,
@@ -468,6 +492,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 < args.tol < math.inf:
+            raise DomainError(f"--tol must be finite positive, got {args.tol}")
+        if args.jobs < 1:
+            raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args, parser)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

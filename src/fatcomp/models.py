@@ -148,8 +148,11 @@ class BlowUpTime:
 def blowup_time_kc(kappa_c: float) -> BlowUpTime:
     """First blow-up time of the single-frequency model.
 
-    pi/sqrt(kappa_c) for positive curvature bound, infinite otherwise.
+    pi/sqrt(kappa_c) for positive curvature bound, infinite otherwise;
+    ``DomainError`` when kappa_c is NaN or infinite.
     """
+    if not math.isfinite(kappa_c):
+        raise DomainError(f"kappa_c must be finite, got {kappa_c}")
     if kappa_c > 0.0:
         return BlowUpTime.finite(math.pi / math.sqrt(kappa_c))
     return BlowUpTime.infinite()
@@ -246,35 +249,34 @@ def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
 def _scan_first_root(g, lo: float, hi: float, steps: int = 1024) -> float | None:
     """First root of g on [lo, hi]: sign-change scan, bisection refinement.
 
-    Tangential (even-multiplicity) touches are caught by a local-minimum
-    fallback on |g|, needed at frequency resonances where one factor grazes
-    zero without crossing.
+    g takes an array for the scan, which is one call on the grid, and a
+    float in the refinement. Tangential (even-multiplicity) touches are
+    caught by a local-minimum fallback on |g|, needed at frequency
+    resonances where one factor grazes zero without crossing.
     """
     ts = np.linspace(lo, hi, steps + 1)
-    vals = np.array([g(t) for t in ts])
+    vals = g(ts)
     scale = np.abs(vals).max()
     crossing = None
-    for i in range(steps):
-        if vals[i] == 0.0:
-            crossing = ts[i]
-            break
-        if vals[i] * vals[i + 1] < 0.0:
-            crossing = brentq(g, ts[i], ts[i + 1], xtol=1e-12)
-            break
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    if hits.size:
+        i = hits[0]
+        crossing = ts[i] if vals[i] == 0.0 else brentq(g, ts[i], ts[i + 1], xtol=1e-12)
+    mag = np.abs(vals)
+    minima = 1 + np.flatnonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:]))
+    if crossing is not None:
+        minima = minima[ts[minima] < crossing]
     touch = None
-    for i in range(1, steps):
-        if crossing is not None and ts[i] >= crossing:
+    for i in minima:
+        res = minimize_scalar(
+            lambda t: abs(g(t)),
+            bounds=(ts[i - 1], ts[i + 1]),
+            method="bounded",
+            options={"xatol": 1e-13},
+        )
+        if res.fun < 1e-12 * scale:
+            touch = float(res.x)
             break
-        if abs(vals[i]) <= abs(vals[i - 1]) and abs(vals[i]) <= abs(vals[i + 1]):
-            res = minimize_scalar(
-                lambda t: abs(g(t)),
-                bounds=(ts[i - 1], ts[i + 1]),
-                method="bounded",
-                options={"xatol": 1e-13},
-            )
-            if res.fun < 1e-12 * scale:
-                touch = float(res.x)
-                break
     candidates = [c for c in (crossing, touch) if c is not None]
     return min(candidates) if candidates else None
 
@@ -291,8 +293,11 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
     conjugate pair alpha +- i*beta and the blow-up is the unique root of
     alpha*tan(alpha*t) + beta*tanh(beta*t) on (pi/(2*alpha), pi/alpha),
     evaluated in the pole-free rescaled form
-    alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t).
+    alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t). Raises
+    ``DomainError`` when kappa_a or kappa_b is NaN or infinite.
     """
+    if not (math.isfinite(kappa_a) and math.isfinite(kappa_b)):
+        raise DomainError(f"kappa_a, kappa_b must be finite, got ({kappa_a}, {kappa_b})")
     if not finiteness_predicate(kappa_a, kappa_b):
         return BlowUpTime.infinite()
     if kappa_a == 0.0:
@@ -305,11 +310,11 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
         tpr, tmr = tp.real, tm.real
         lo, hi = math.pi / tpr, math.pi / tmr
 
-        def g_minus(t: float) -> float:
-            return math.sin(tpr * t) / tpr - math.sin(tmr * t) / tmr
+        def g_minus(t):
+            return np.sin(tpr * t) / tpr - np.sin(tmr * t) / tmr
 
-        def g_plus(t: float) -> float:
-            return math.sin(tpr * t) / tpr + math.sin(tmr * t) / tmr
+        def g_plus(t):
+            return np.sin(tpr * t) / tpr + np.sin(tmr * t) / tmr
 
         roots = []
         for g in (g_minus, g_plus):

@@ -20,15 +20,15 @@ Provided here:
 * ``finite_blowup_constant``, the exact finiteness classification for
   constant coefficients via the Jordan structure of the Hamiltonian on
   its imaginary spectrum;
-* ``wedge_det_sign_changes``, a cancellation-free long-horizon sign
-  tracker for det N built on the second compound matrix.
+* ``wedge_det_sign_changes`` and ``wedge_first_zero``, a long-horizon
+  det N sign tracker for 2x2 systems: blocked powers of expm(h H2), H2 the
+  additive compound of H, guarded against growth; ``UnverifiableError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
-from .models import BlowUpTime, finiteness_predicate
+from .models import BlowUpTime, DomainError, finiteness_predicate
 
 __all__ = [
     "JacobiSolution",
@@ -51,6 +51,7 @@ __all__ = [
     "finite_blowup_constant",
     "wedge_det_sign_changes",
     "wedge_first_zero",
+    "UnverifiableError",
 ]
 
 _QFun = Callable[[float], np.ndarray]
@@ -423,15 +424,6 @@ def comparison_harness(
 # constant-coefficient finiteness classification
 # ----------------------------------------------------------------------
 
-def _rank(X: np.ndarray) -> int:
-    if X.size == 0:
-        return 0
-    s = np.linalg.svd(X, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > s[0] * 1e-8))
-
-
 def _is_typeI_pair(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> bool:
     if A.shape != (2, 2):
         return False
@@ -502,7 +494,7 @@ def finite_blowup_constant(A, B, Q) -> bool:
         power = ident.astype(complex)
         for _ in range(mult + 1):
             power = power @ P
-            ranks.append(_rank(power))
+            ranks.append(_svd_rank(power, 1e-8))
             if ranks[-1] == ranks[-2]:
                 break
         while len(ranks) < mult + 2:
@@ -518,61 +510,90 @@ def finite_blowup_constant(A, B, Q) -> bool:
 # long-horizon sign tracking
 # ----------------------------------------------------------------------
 
-def _wedge2(E: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Second compound matrix: action of E on decomposable 2-vectors."""
-    m = len(pairs)
-    W = np.empty((m, m))
-    for r, (i, j) in enumerate(pairs):
-        for s, (k, l) in enumerate(pairs):
-            W[r, s] = E[i, k] * E[j, l] - E[i, l] * E[j, k]
-    return W
+#: Steps per block: the powers E2^1..E2^K are built once per call.
+_WEDGE_BLOCK = 64
+#: Bound on log ||E2^K||_inf, far below the overflow at exp(709).
+_WEDGE_LOG_GROWTH = 300.0
+#: Pluecker coordinates (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of 2-planes
+#: in R^4: M(0) = I spans (0, 1), and det N is (2, 3).
+_PAIR_I, _PAIR_J = np.triu_indices(4, 1)
+_DET_N = 5
 
 
-def _wedge_setup(A, B, Q, t_max: float, steps: int):
-    A = _as_matrix(A, name="A")
-    if A.shape[0] != 2:
-        raise ValueError("wedge tracking is implemented for 2x2 systems only")
-    B = _as_matrix(B, 2, name="B")
-    Q = _as_matrix(Q, 2, name="Q")
+class UnverifiableError(FloatingPointError):
+    """A step of the wedge route overflows: t_max is beyond its reach."""
+
+
+def _additive_compound(H: np.ndarray) -> np.ndarray:
+    """The 6x6 H2 with expm(t H2) the second compound of expm(t H)."""
+    i, j, k, l = _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J
+    d = np.eye(4)
+    return H[i, k] * d[j, l] - H[i, l] * d[j, k] + d[i, k] * H[j, l] - d[i, l] * H[j, k]
+
+
+def _wedge_pass(A, B, Q, t_max: float, steps: int, xtol: float):
+    """(sign changes, min_rel, first zero) of det N for the wedge functions."""
+    A, B, Q = (_as_matrix(X, 2, name=nm) for X, nm in ((A, "A"), (B, "B"), (Q, "Q")))
+    if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(Q).all()):
+        raise DomainError("wedge tracking needs finite A, B and Q")
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite positive, got {t_max}")
-    H = np.block([[-A.T, -Q], [B, A]])
-    pairs = list(combinations(range(4), 2))
-    w = np.zeros(len(pairs))
-    w[pairs.index((0, 1))] = 1.0  # M(0) = I spans rows 0, 1
-    return H, pairs, pairs.index((2, 3)), t_max / steps, w
+    h = t_max / steps
+    H2 = _additive_compound(np.block([[-A.T, -Q], [B, A]]))
+    with np.errstate(all="ignore"):
+        E2 = expm(h * H2)
+    if not np.isfinite(E2).all():
+        raise UnverifiableError(f"expm(h H2) overflows at h = {h:.3e}, t_max = {t_max:.3e}")
+    # ||E2^m||_inf <= ||E2||_inf^m <= exp(_WEDGE_LOG_GROWTH) for every m <= K
+    growth = math.log(max(math.e, float(np.abs(E2).sum(axis=1).max())))
+    K = max(1, min(_WEDGE_BLOCK, int(_WEDGE_LOG_GROWTH / growth)))
+    powers = [E2]
+    for _ in range(1, K):
+        powers.append(E2 @ powers[-1])
+    n_blocks = -(-steps // K)
+    starts = np.zeros((n_blocks, 6))
+    starts[0, 0] = 1.0
+    for b in range(1, n_blocks):
+        w = powers[-1] @ starts[b - 1]
+        starts[b] = w / np.abs(w).max()
+    rel = np.empty(n_blocks * K)  # rel[k]: det N / max coordinate after step k + 1
+    per = max(1, 256 // K)  # blocks per product, for 12 KB temporaries
+    stacked = np.reshape(powers, (6 * K, 6))
+    for b in range(0, n_blocks, per):
+        W = (stacked @ starts[b : b + per].T).reshape(K, 6, -1)  # (step, coordinate, block)
+        rel[b * K : (b + W.shape[2]) * K] = (W[:, _DET_N] / np.abs(W).max(axis=1)).T.ravel()
+    rel = rel[:steps]
+    nonzero = np.flatnonzero(rel)  # a zero coordinate keeps the previous sign
+    signs = rel[nonzero] > 0.0
+    flips = nonzero[1:][signs[1:] != signs[:-1]]
+    min_rel = float(np.abs(rel[np.arange(1, steps + 1) * h > 1.0]).min(initial=math.inf))
+    if not flips.size:
+        return 0, min_rel, BlowUpTime.infinite()
+    k = int(flips[0])  # the step before the first change
+    b, m = divmod(k, K)
+    w0 = starts[b] if m == 0 else powers[m - 1] @ starts[b]
+    w0 = w0 / np.abs(w0).max()
+    g = lambda dt: float((expm(dt * H2) @ w0)[_DET_N])
+    g0, g1 = g(0.0), g(h)  # they may disagree with the scan in the last bits
+    dt = brentq(g, 0.0, h, xtol=xtol) if g0 * g1 < 0.0 else (0.0 if abs(g0) <= abs(g1) else h)
+    return int(flips.size), min_rel, BlowUpTime.finite(k * h + dt)
 
 
-def wedge_det_sign_changes(
-    A, B, Q, t_max: float, steps: int = 4000
-) -> tuple[int, float]:
+def wedge_det_sign_changes(A, B, Q, t_max: float, steps: int = 4000) -> tuple[int, float]:
     """Count sign changes of det N up to t_max for a 2x2 constant system.
 
-    The column span of [M; N] is a 2-plane in R^4; its Pluecker vector is
-    propagated by the second compound of the per-step transition matrix
-    expm(h H), with a max-norm rescale after every step. det N is the
-    single Pluecker coordinate on the N rows, so its sign is tracked
-    without the catastrophic cancellation that direct integration suffers
-    once the hyperbolic modes dominate. Returns (sign changes, smallest
-    |det N| relative to the largest coordinate over steps with t > 1).
+    The Pluecker vector of the column span of [M; N] is stepped by
+    E2 = expm(h H2), H2 the 6x6 additive compound of H (the 2x2 minors of
+    expm(h H) cancel at large |Q|), in blocks of K = 64 steps: the block
+    starts by E2^K with a max-norm rescale, the steps inside from the
+    powers E2^1..E2^K, each read against its own largest coordinate; a
+    growth guard lowers K to keep ||E2||^K below exp(300). det N, the N-row
+    coordinate, escapes the cancellation of direct integration. Returns
+    (sign changes, min over t > 1 of |det N| over the largest coordinate).
+    Raises ``DomainError`` on non-finite input, ``UnverifiableError`` when
+    E2 overflows.
     """
-    H, pairs, idx_nn, h, w = _wedge_setup(A, B, Q, t_max, steps)
-    E2 = _wedge2(expm(h * H), pairs)
-    sign_changes = 0
-    prev_sign = 0
-    min_rel = math.inf
-    for k in range(1, steps + 1):
-        w = E2 @ w
-        w /= np.abs(w).max()
-        d = w[idx_nn]
-        s = 0 if d == 0.0 else (1 if d > 0.0 else -1)
-        if prev_sign != 0 and s != 0 and s != prev_sign:
-            sign_changes += 1
-        if s != 0:
-            prev_sign = s
-        if k * h > 1.0:
-            min_rel = min(min_rel, abs(d))
-    return sign_changes, min_rel
+    return _wedge_pass(A, B, Q, t_max, steps, 1e-12)[:2]
 
 
 def wedge_first_zero(
@@ -580,31 +601,10 @@ def wedge_first_zero(
 ) -> BlowUpTime:
     """First sign change of det N for a 2x2 constant system, refined.
 
-    Same renormalized Pluecker propagation as ``wedge_det_sign_changes``;
-    once a step straddles a sign change, the crossing is refined by
-    bisection in continuous time from the pre-crossing renormalized
-    vector. Because the vector is rescaled every step, the coordinate
-    stays order one and the zero stays resolvable even when the direct
-    (M, N) integration has lost it to the eps * |N|^2 cancellation floor
-    of hyperbolic growth. Even-multiplicity (tangential) zeros produce no
-    sign change and are not reported.
+    Same pass and errors as ``wedge_det_sign_changes``; the first change is
+    refined by Brent's method on (expm(dt H2) w)[det N] from the rescaled
+    vector w of the step before, where direct (M, N) integration has lost
+    the zero to the eps * |N|^2 floor of hyperbolic growth. Tangential
+    (even-multiplicity) zeros produce no sign change and are not reported.
     """
-    H, pairs, idx_nn, h, w = _wedge_setup(A, B, Q, t_max, steps)
-    E2 = _wedge2(expm(h * H), pairs)
-    prev_sign = 0
-    for k in range(1, steps + 1):
-        w_next = E2 @ w
-        w_next /= np.abs(w_next).max()
-        d = w_next[idx_nn]
-        s = 0 if d == 0.0 else (1 if d > 0.0 else -1)
-        if prev_sign != 0 and s != 0 and s != prev_sign:
-
-            def g(dt: float, w0=w) -> float:
-                return float((_wedge2(expm(dt * H), pairs) @ w0)[idx_nn])
-
-            dt = 0.0 if g(0.0) == 0.0 else brentq(g, 0.0, h, xtol=xtol)
-            return BlowUpTime.finite((k - 1) * h + dt)
-        if s != 0:
-            prev_sign = s
-        w = w_next
-    return BlowUpTime.infinite()
+    return _wedge_pass(A, B, Q, t_max, steps, xtol)[2]

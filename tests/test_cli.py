@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from fatcomp import checks
 from fatcomp.cli import main
 
 
@@ -58,6 +59,27 @@ class TestUsageErrors:
     def test_bad_arguments_exit_2(self, argv, tmp_path, capsys):
         code = run_cli(argv + ["--out", str(tmp_path / "x.csv")] if argv[0] != "no-such-command" else argv)
         assert code == 2, f"{argv} gave exit code {code}"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["blowup", "--ka", "nan", "--kb", "1"],
+            ["blowup", "--ka", "inf", "--kb", "1"],
+            ["blowup", "--ka=-3", "--kb=-inf"],
+            ["blowup", "--kc", "nan"],
+            ["blowup", "--kc", "inf"],
+            ["blowup", "--kc", "1", "--tol", "0"],
+            ["blowup", "--kc", "1", "--tol=-1"],
+            ["blowup", "--kc", "1", "--jobs", "0"],
+            ["blowup", "--ka=-1", "--kb=-1", "--verify", "--tmax=-5"],
+            ["verify-all", "--jobs", "0"],
+        ],
+    )
+    def test_non_finite_or_nonpositive_input_is_a_domain_error(self, argv, tmp_path, capsys):
+        code = run_cli(argv + ["--out", str(tmp_path / "x.csv")])
+        assert code == 2, f"{argv} gave exit code {code}"
+        assert "domain error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_out_of_range_radius_is_a_domain_error(self, tmp_path, capsys):
@@ -114,6 +136,29 @@ class TestBlowup:
         assert "verification passed" in capsys.readouterr().out
         assert run_cli(argv + ["--tol", "1e-14"]) == 1
         assert "verification FAILED" in capsys.readouterr().err
+
+    def test_large_kappa_infinite_row_verifies(self, tmp_path, capsys):
+        # the 2x2 minors of the step matrix cancelled here: a false FAILED
+        out = tmp_path / "b.csv"
+        assert run_cli(["blowup", "--ka=-1", "--kb=-1e5", "--verify", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows[0]["finite"] == "false" and rows[0]["check_ok"] == "true"
+
+    def test_out_of_reach_row_is_unverifiable(self, tmp_path, capsys):
+        # tbar = 3.1e150 is beyond the wedge route: undecided, not FAILED
+        out = tmp_path / "b.csv"
+        argv = ["blowup", "--ka=1e-300", "--kb=-1", "--verify", "--out", str(out)]
+        assert run_cli(argv) == 3
+        assert "undecided on rows [0]" in capsys.readouterr().err
+        _, _, rows = read_csv(out)
+        assert rows[0]["check_ok"] == "unverifiable"
+        assert rows[0]["check_tbar"] == "" and rows[0]["check_err"] == ""
+        # beside a failed row, the exit code is 1
+        argv = ["blowup", "--sweep=1e-300:1:2", "--kb=-1", "--verify", "--tol", "1e-16",
+                "--out", str(out)]
+        assert run_cli(argv) == 1
+        _, _, rows = read_csv(out)
+        assert [r["check_ok"] for r in rows] == ["unverifiable", "false"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -204,3 +249,25 @@ class TestOutputPaths:
         out = tmp_path / "deep" / "nested" / "b.csv"
         assert run_cli(["blowup", "--kc", "1.0", "--out", str(out)]) == 0
         assert out.exists()
+
+
+# ----------------------------------------------------------------------
+# Test Class: verify-all
+# ----------------------------------------------------------------------
+
+class TestVerifyAll:
+
+    def test_a_raising_check_is_a_failed_row(self, tmp_path, monkeypatch, capsys):
+        # under the curvature fault qhf-conjugate-d1 raises; the others still report
+        names = ("model-blowup-times", "qhf-conjugate-d1", "ricci-traces")
+        monkeypatch.setattr(checks, "CHECKS", [c for c in checks.CHECKS if c[0] in names])
+        monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")
+        out = tmp_path / "v.csv"
+        assert run_cli(["verify-all", "--seed", "7", "--out", str(out)]) == 1
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+        assert [r.split(",")[1:3] for r in rows] == [
+            ["model-blowup-times", "true"],
+            ["qhf-conjugate-d1", "false"],
+            ["ricci-traces", "false"],
+        ]
+        assert '"raised RuntimeError: no conjugate point found' in rows[1]

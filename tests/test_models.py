@@ -56,6 +56,32 @@ TBAR_1_0 = 4.7300407448627055  # kappa_a = 1, kappa_b = 0, conjugate frequency p
 UB_NEG3_4 = 8.582990746292447  # 2*pi / (sqrt(3) - 1)
 S_KAB_NEG3_4_AT_1 = 3.4688650317091563  # direct sinc-quotient evaluation
 
+# float.hex of tbar as the pointwise 1025-point scan gave it: the resonances
+# tp/tm = 2..7 at tm = 1 and tp/tm = 2 at tm = 1.5, then a near-resonance
+# pair (-8.99999, 10) and generic pairs with |kappa| up to 500
+TBAR_BITS = [
+    (-9.0, 10.0, '0x1.921fb54442d18p+1'),
+    (-64.0, 20.0, '0x1.921fb544414dbp+1'),
+    (-225.0, 34.0, '0x1.921fb54442d18p+1'),
+    (-576.0, 52.0, '0x1.921fb54442d18p+1'),
+    (-1225.0, 74.0, '0x1.921fb54442d18p+1'),
+    (-2304.0, 100.0, '0x1.921fb54442d18p+1'),
+    (-45.5625, 22.5, '0x1.0c152382d7366p+1'),
+    (-3.0, 4.0, '0x1.f766c2b624ae5p+2'),
+    (-0.24, 1.0, '0x1.56bbfca067bf9p+5'),
+    (-0.75, 2.0, '0x1.63f56382926bcp+3'),
+    (-0.001, 0.1, '0x1.ff07d272c851cp+4'),
+    (-4.9, 4.5, '0x1.73570c59f1d13p+4'),
+    (-100.0, 30.0, '0x1.e20e3e10a4c76p+0'),
+    (-500.0, 50.0, '0x1.546765e615bcbp+1'),
+    (-250.0, 500.0, '0x1.202b949fb5cb4p-2'),
+    (-2.0, 3.0, '0x1.cac65fb8781dbp+3'),
+    (-1e-09, 1.0, '0x1.921fb54e617b6p+2'),
+    (-8.99999, 10.0, '0x1.90393c3445958p+1'),
+    (-0.2, 0.9, '0x1.4b87a8801acc1p+6'),
+    (-37.0, 12.5, '0x1.50c816d205994p+3'),
+]
+
 
 # ----------------------------------------------------------------------
 # Test Class: single-frequency model
@@ -78,6 +104,11 @@ class TestSingleFrequencyModel:
             tbar = blowup_time_kc(k)
             assert not tbar.is_finite, f"blowup_time_kc({k}) should be infinite"
             assert tbar.time == math.inf
+
+    @pytest.mark.parametrize("kc", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kappa_c_is_a_domain_error(self, kc):
+        with pytest.raises(DomainError):
+            blowup_time_kc(kc)
 
     def test_cotangent_branch(self):
         got = eval_s_kc(1.0, 1.0)
@@ -249,6 +280,18 @@ class TestBlowupTimeTwoFrequency:
         assert abs(scaled.time - tbar.time / a) < 1e-9 * tbar.time, (
             f"tbar({a}^4 ka, {a}^2 kb) = {scaled.time} != {tbar.time / a}"
         )
+
+    @pytest.mark.parametrize("ka,kb,bits", TBAR_BITS)
+    def test_frozen_bits(self, ka, kb, bits):
+        # the batched scan of the factored function must keep every bit
+        assert blowup_time_kab(ka, kb).time.hex() == bits
+
+    @pytest.mark.parametrize(
+        "ka,kb", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 4.0), (-3.0, math.inf)]
+    )
+    def test_non_finite_input_is_a_domain_error(self, ka, kb):
+        with pytest.raises(DomainError):
+            blowup_time_kab(ka, kb)
 
     def test_marker_type(self):
         assert float(BlowUpTime.finite(2.0)) == 2.0

@@ -9,13 +9,18 @@ so det N = t^4/12 and V = M N^{-1} = [[12/t^3, -6/t^2], [-6/t^2, 4/t]].
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
-from fatcomp.models import blowup_time_kab, finiteness_predicate
+from fatcomp.models import DomainError, blowup_time_kab, finiteness_predicate
 from fatcomp.riccati import (
+    UnverifiableError,
+    _additive_compound,
     _scan_sigma_det,
     comparison_harness,
     finite_blowup_constant,
@@ -297,3 +302,103 @@ class TestWedgePropagation:
     def test_infinite_marker_when_no_zero_in_window(self):
         hit = wedge_first_zero(A_STEP, B_STEP, np.zeros((2, 2)), t_max=10.0)
         assert not hit.is_finite
+
+
+# ----------------------------------------------------------------------
+# Test Class: blocked additive-compound pass
+# ----------------------------------------------------------------------
+
+def _minors(E):
+    """Second compound of a 4x4 matrix: its 2x2 minors, pairs in lexicographic order."""
+    pairs = list(combinations(range(4), 2))
+    return np.array(
+        [[E[i, k] * E[j, l] - E[i, l] * E[j, k] for k, l in pairs] for i, j in pairs]
+    )
+
+
+def _pointwise_wedge(Q, t_max, steps=4000):
+    """The route stepped one step at a time: (first zero, sign changes).
+
+    E2 is the minors of expm(h H), the vector is rescaled after every step,
+    and the first sign change is refined by Brent's method from the vector
+    of the step before.
+    """
+    H = np.block([[-A_STEP.T, -Q], [B_STEP, A_STEP]])
+    h = t_max / steps
+    E2 = _minors(expm(h * H))
+    w = np.eye(6)[0]
+    first, changes, prev = math.inf, 0, 0.0
+    for k in range(1, steps + 1):
+        w_next = E2 @ w
+        w_next /= np.abs(w_next).max()
+        s = np.sign(w_next[5])
+        if prev and s and s != prev:
+            changes += 1
+            if changes == 1:
+                w0 = w
+                first = (k - 1) * h + brentq(
+                    lambda dt: (_minors(expm(dt * H)) @ w0)[5], 0.0, h, xtol=1e-12
+                )
+        if s:
+            prev = s
+        w = w_next
+    return first, changes
+
+
+class TestBlockedWedgePass:
+    """The blocked additive-compound pass against the pointwise route."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("t", [0.05, 0.1, 0.25])
+    def test_additive_compound_generates_the_minors(self, seed, t):
+        H = np.random.default_rng(seed).normal(size=(4, 4))
+        C = _minors(expm(t * H))
+        E2 = expm(t * _additive_compound(H))
+        assert np.abs(E2 - C).max() < 1e-14 * np.abs(C).max()
+
+    def test_agrees_with_pointwise_stepping_on_a_grid(self):
+        grid = np.linspace(-4.75, 4.75, 6)
+        n_finite = 0
+        for ka in grid:
+            for kb in grid:
+                Q = np.diag([ka, kb])
+                tbar = blowup_time_kab(ka, kb)
+                t_max = 1.05 * tbar.time + 0.1 if tbar.is_finite else 1000.0
+                first, changes = _pointwise_wedge(Q, t_max)
+                hit = wedge_first_zero(A_STEP, B_STEP, Q, t_max)
+                got, _ = wedge_det_sign_changes(A_STEP, B_STEP, Q, t_max)
+                assert got == changes, f"sign changes at ({ka}, {kb})"
+                if tbar.is_finite:
+                    n_finite += 1
+                    assert abs(hit.time - first) < 1e-9 * first, f"zero at ({ka}, {kb})"
+                else:
+                    assert not hit.is_finite and changes == 0
+        assert 0 < n_finite < grid.size**2
+
+    def test_growth_guard_lowers_the_block(self):
+        # log ||E2||_inf ~ 29 per step of 0.25: 64 steps would reach exp(1860)
+        Q = np.diag([-1.0, -1e4])
+        H2 = _additive_compound(np.block([[-A_STEP.T, -Q], [B_STEP, A_STEP]]))
+        growth = math.log(np.abs(expm(0.25 * H2)).sum(axis=1).max())
+        assert 8 <= int(300.0 / growth) <= 12
+        changes, min_rel = wedge_det_sign_changes(A_STEP, B_STEP, Q, t_max=1000.0)
+        assert changes == 0
+        assert 0.0 < min_rel < math.inf
+
+    def test_large_kappa_minors_cancellation_is_gone(self):
+        # the minors of expm(h H) reported sign changes here
+        changes, _ = wedge_det_sign_changes(
+            A_STEP, B_STEP, np.diag([-1.0, -1e5]), t_max=1000.0
+        )
+        assert changes == 0
+
+    def test_step_overflow_is_unverifiable(self):
+        # tbar = 3.1e150: one step of the route overflows
+        with pytest.raises(UnverifiableError):
+            wedge_first_zero(A_STEP, B_STEP, np.diag([1e-300, -1.0]), t_max=3.3e150)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_is_a_domain_error(self, bad):
+        for fn in (wedge_first_zero, wedge_det_sign_changes):
+            with pytest.raises(DomainError):
+                fn(A_STEP, B_STEP, np.diag([bad, 1.0]), t_max=10.0)
