@@ -246,13 +246,23 @@ def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
     return _real((2.0 / t) * num / den, "s_kab")
 
 
-def _scan_first_root(g, lo: float, hi: float, steps: int = 1024) -> float | None:
+def _scan_first_root(
+    g, lo: float, hi: float, curv: float, size: float, steps: int = 1024
+) -> float | None:
     """First root of g on [lo, hi]: sign-change scan, bisection refinement.
 
     g takes an array for the scan, which is one call on the grid, and a
     float in the refinement. Tangential (even-multiplicity) touches are
     caught by a local-minimum fallback on |g|, needed at frequency
-    resonances where one factor grazes zero without crossing.
+    resonances where one factor grazes zero without crossing. ``curv``
+    bounds |g''| and ``size`` bounds |g| on [lo, hi]. Between the
+    neighbours of a grid minimum g_i, Taylor gives |g| >= |g_i| - d - b and
+    |g'| dt >= d - 1.5 b, with d = |g_(i+1) - g_(i-1)|/2 and b = curv dt^2.
+    A minimum is not minimized where the first bound stays above 1e-9 * size
+    (no touch there), nor in the cell of the first crossing where the second
+    does (g monotone: its one zero is the crossing). Neither minimization
+    could change the root; the crossing cell's alone ran whenever the zero
+    sat in the left half of its grid cell.
     """
     ts = np.linspace(lo, hi, steps + 1)
     vals = g(ts)
@@ -260,12 +270,16 @@ def _scan_first_root(g, lo: float, hi: float, steps: int = 1024) -> float | None
     crossing = None
     hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
     if hits.size:
-        i = hits[0]
-        crossing = ts[i] if vals[i] == 0.0 else brentq(g, ts[i], ts[i + 1], xtol=1e-12)
+        first = hits[0]
+        crossing = ts[first] if vals[first] == 0.0 else brentq(g, ts[first], ts[first + 1], xtol=1e-12)
     mag = np.abs(vals)
-    minima = 1 + np.flatnonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:]))
+    d, b = 0.5 * np.abs(vals[2:] - vals[:-2]), curv * (ts[1] - ts[0]) ** 2
+    minima = 1 + np.flatnonzero(
+        (mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:]) & (mag[1:-1] - d - b <= 1e-9 * size)
+    )
     if crossing is not None:
-        minima = minima[ts[minima] < crossing]
+        monotone = (minima == first) & (d[minima - 1] - 1.5 * b > 1e-9 * size)
+        minima = minima[(ts[minima] < crossing) & ~monotone]
     touch = None
     for i in minima:
         res = minimize_scalar(
@@ -318,7 +332,9 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
 
         roots = []
         for g in (g_minus, g_plus):
-            r = _scan_first_root(g, lo * (1.0 - 1e-12), hi * (1.0 + 1e-12))
+            r = _scan_first_root(
+                g, lo * (1.0 - 1e-12), hi * (1.0 + 1e-12), tpr + tmr, 1.0 / tpr + 1.0 / tmr
+            )
             if r is not None:
                 roots.append(r)
         if not roots:

@@ -27,13 +27,13 @@ Provided here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
 from .models import BlowUpTime, DomainError, finiteness_predicate
@@ -518,10 +518,35 @@ _WEDGE_LOG_GROWTH = 300.0
 #: in R^4: M(0) = I spans (0, 1), and det N is (2, 3).
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
 _DET_N = 5
+#: 1/(4j + i)! up to degree 16: row j weighs X^0..X^3 in the X^(4j) block of _expm.
+_TAYLOR = np.array([[1.0 / math.factorial(4 * j + i) * (4 * j + i <= 16) for i in range(4)] for j in range(5)])
 
 
 class UnverifiableError(FloatingPointError):
     """A step of the wedge route overflows: t_max is beyond its reach."""
+
+
+def _expm(X: np.ndarray) -> np.ndarray:
+    """exp(X) of a small matrix by products alone: degree-16 Taylor (Paterson-
+    Stockmeyer) on X / 2^s with ||X / 2^s||_1 <= 1/2, then s squarings; NaN if
+    ||X|| is not finite. scipy.linalg.expm solves through a LAPACK call that
+    OpenBLAS threads even at 6x6: its helper thread spins after each call, and
+    while the other core is busy each call waits a scheduler tick for it
+    (4 ms instead of 25 us on a 2-vCPU VM).
+    """
+    norm = float(np.abs(X).sum(axis=0).max())
+    if not math.isfinite(norm):
+        return np.full_like(X, np.nan)
+    s = max(0, math.frexp(norm)[1] + 1)
+    X = X * math.ldexp(1.0, -s)
+    X2 = X @ X
+    B = (_TAYLOR @ np.stack((np.eye(len(X)), X, X2, X2 @ X)).reshape(4, -1)).reshape(5, *X.shape)
+    X4, E = X2 @ X2, B[4]
+    for j in (3, 2, 1, 0):
+        E = B[j] + X4 @ E
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def _additive_compound(H: np.ndarray) -> np.ndarray:
@@ -541,7 +566,7 @@ def _wedge_pass(A, B, Q, t_max: float, steps: int, xtol: float):
     h = t_max / steps
     H2 = _additive_compound(np.block([[-A.T, -Q], [B, A]]))
     with np.errstate(all="ignore"):
-        E2 = expm(h * H2)
+        E2 = _expm(h * H2)
     if not np.isfinite(E2).all():
         raise UnverifiableError(f"expm(h H2) overflows at h = {h:.3e}, t_max = {t_max:.3e}")
     # ||E2^m||_inf <= ||E2||_inf^m <= exp(_WEDGE_LOG_GROWTH) for every m <= K
@@ -571,27 +596,37 @@ def _wedge_pass(A, B, Q, t_max: float, steps: int, xtol: float):
         return 0, min_rel, BlowUpTime.infinite()
     k = int(flips[0])  # the step before the first change
     b, m = divmod(k, K)
-    w0 = starts[b] if m == 0 else powers[m - 1] @ starts[b]
-    w0 = w0 / np.abs(w0).max()
-    g = lambda dt: float((expm(dt * H2) @ w0)[_DET_N])
-    g0, g1 = g(0.0), g(h)  # they may disagree with the scan in the last bits
-    dt = brentq(g, 0.0, h, xtol=xtol) if g0 * g1 < 0.0 else (0.0 if abs(g0) <= abs(g1) else h)
-    return int(flips.size), min_rel, BlowUpTime.finite(k * h + dt)
+    w = starts[b] if m == 0 else powers[m - 1] @ starts[b]
+    # halve the step, keeping the half with the change, until ||span H2||_inf
+    # <= 1/2; there det N is its degree-16 Taylor polynomial in dt to 1e-19
+    t0, span, norm = 0.0, h, float(np.abs(H2).sum(axis=1).max())
+    while span * norm > 0.5:
+        span *= 0.5
+        mid = _expm(span * H2) @ w
+        if (mid[_DET_N] > 0.0) == (w[_DET_N] > 0.0):
+            t0, w = t0 + span, mid
+    coef, w = [], w / np.abs(w).max()
+    for j in range(1, 18):
+        coef.insert(0, float(w[_DET_N]))
+        w = (H2 @ w) / j
+    g = lambda dt: functools.reduce(lambda acc, c: acc * dt + c, coef, 0.0)
+    g0, g1 = g(0.0), g(span)  # they may disagree with the scan in the last bits
+    dt = brentq(g, 0.0, span, xtol=xtol) if g0 * g1 < 0.0 else (0.0 if abs(g0) <= abs(g1) else span)
+    return int(flips.size), min_rel, BlowUpTime.finite(k * h + (t0 + dt))
 
 
 def wedge_det_sign_changes(A, B, Q, t_max: float, steps: int = 4000) -> tuple[int, float]:
     """Count sign changes of det N up to t_max for a 2x2 constant system.
 
-    The Pluecker vector of the column span of [M; N] is stepped by
-    E2 = expm(h H2), H2 the 6x6 additive compound of H (the 2x2 minors of
-    expm(h H) cancel at large |Q|), in blocks of K = 64 steps: the block
-    starts by E2^K with a max-norm rescale, the steps inside from the
-    powers E2^1..E2^K, each read against its own largest coordinate; a
-    growth guard lowers K to keep ||E2||^K below exp(300). det N, the N-row
-    coordinate, escapes the cancellation of direct integration. Returns
-    (sign changes, min over t > 1 of |det N| over the largest coordinate).
-    Raises ``DomainError`` on non-finite input, ``UnverifiableError`` when
-    E2 overflows.
+    The Pluecker vector of the column span of [M; N] is stepped by E2 =
+    expm(h H2), H2 the 6x6 additive compound of H (the 2x2 minors of expm(h H)
+    cancel at large |Q|), in blocks of K = 64 steps (fewer when ||E2||^64
+    would pass exp(300)): block starts by E2^K with a
+    max-norm rescale, the steps inside from E2^1..E2^K, each read against its
+    own largest coordinate. det N, one coordinate, escapes the cancellation
+    of direct integration. Returns (sign changes, min over t > 1 of |det N|
+    over the largest coordinate). Raises ``DomainError`` on non-finite input,
+    ``UnverifiableError`` when E2 overflows.
     """
     return _wedge_pass(A, B, Q, t_max, steps, 1e-12)[:2]
 
@@ -602,8 +637,9 @@ def wedge_first_zero(
     """First sign change of det N for a 2x2 constant system, refined.
 
     Same pass and errors as ``wedge_det_sign_changes``; the first change is
-    refined by Brent's method on (expm(dt H2) w)[det N] from the rescaled
-    vector w of the step before, where direct (M, N) integration has lost
+    refined by Brent's method on the Taylor polynomial of (expm(dt H2) w)[det N]
+    from the rescaled vector w of the step before (on a half, quarter, ... of
+    the step while ||h H2|| > 1/2), where direct (M, N) integration has lost
     the zero to the eps * |N|^2 floor of hyperbolic growth. Tangential
     (even-multiplicity) zeros produce no sign change and are not reported.
     """

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fatcomp import models
 from fatcomp.models import (
     DIAMETER_THRESHOLD,
     BlowUpTime,
@@ -285,6 +286,24 @@ class TestBlowupTimeTwoFrequency:
     def test_frozen_bits(self, ka, kb, bits):
         # the batched scan of the factored function must keep every bit
         assert blowup_time_kab(ka, kb).time.hex() == bits
+
+    def test_minimizes_only_where_a_touch_can_hide(self, monkeypatch):
+        # generic rows: the grid minima are far from zero or sit in the
+        # monotone cell of the crossing; near resonance one is minimized
+        calls = []
+        real = models.minimize_scalar
+        monkeypatch.setattr(
+            models, "minimize_scalar", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        finite = sum(
+            blowup_time_kab(ka, kb).is_finite
+            for ka in np.linspace(-4.9, -0.1, 7)
+            for kb in np.linspace(0.5, 4.9, 7)
+        )
+        assert finite >= 20
+        assert not calls
+        assert blowup_time_kab(-8.99999, 10.0).time.hex() == "0x1.90393c3445958p+1"
+        assert calls
 
     @pytest.mark.parametrize(
         "ka,kb", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 4.0), (-3.0, math.inf)]

@@ -21,6 +21,7 @@ from fatcomp.models import DomainError, blowup_time_kab, finiteness_predicate
 from fatcomp.riccati import (
     UnverifiableError,
     _additive_compound,
+    _expm,
     _scan_sigma_det,
     comparison_harness,
     finite_blowup_constant,
@@ -374,6 +375,26 @@ class TestBlockedWedgePass:
                 else:
                     assert not hit.is_finite and changes == 0
         assert 0 < n_finite < grid.size**2
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 10.0])
+    def test_product_exponential_matches_scipy(self, scale):
+        for seed in range(20):
+            X = scale * np.random.default_rng(seed).normal(size=(6, 6))
+            ref = expm(X)
+            # both carry rounding of order eps * ||X|| * cond; they agree far inside it
+            tol = 1e-13 * max(1.0, np.abs(X).sum(axis=0).max())
+            assert np.abs(_expm(X) - ref).max() < tol * np.abs(ref).max(), f"seed {seed}"
+
+    def test_product_exponential_of_non_finite_is_nan(self):
+        assert np.isnan(_expm(np.full((6, 6), math.inf))).all()
+
+    @pytest.mark.parametrize("ka,kb,t_max,steps", [(-1.0, 5.0, 1000.0, 4000), (-3.0, 4.0, 500.0, 400)])
+    def test_refinement_on_halved_steps(self, ka, kb, t_max, steps):
+        # ||h H2||_inf is 1.75 and 8.75: the Taylor polynomial is taken on a
+        # quarter and a thirty-second of the step holding the change
+        tbar = blowup_time_kab(ka, kb).time
+        hit = wedge_first_zero(A_STEP, B_STEP, np.diag([ka, kb]), t_max, steps)
+        assert abs(hit.time - tbar) < 1e-12 * tbar
 
     def test_growth_guard_lowers_the_block(self):
         # log ||E2||_inf ~ 29 per step of 0.25: 64 steps would reach exp(1860)
