@@ -1,14 +1,13 @@
 """Comparison machinery for fat sub-Riemannian structures.
 
 Scalar model functions and their blow-up times, matrix Jacobi/Riccati
-integration with conjugate-point detection, structural reductions for
+propagation with conjugate-point detection, structural reductions for
 fat distributions, canonical curvature of 3-Sasakian spheres, and the
 quaternionic Hopf fibration as the worked example tying them together.
 """
 
 from .models import (
     BlowUpTime,
-    ComparisonConstants,
     DiameterCertificate,
     DomainError,
     ThetaPair,

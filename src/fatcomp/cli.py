@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .checks import CheckResult, run_all
+from .checks import CheckResult, map_tasks, run_all
 from .hopf import conjugate_time, sublaplacian_along
 from .models import (
     DomainError,
@@ -272,7 +272,7 @@ def _blowup_row_kc(idx: int, kc: float, args) -> dict:
     if args.verify:
         A, B, Q = np.zeros((1, 1)), np.eye(1), np.array([[kc]])
         if tbar.is_finite:
-            sol = integrate_jacobi(A, B, Q, 1.1 * tbar.time, tol=1e-12)
+            sol = integrate_jacobi(A, B, Q, 1.1 * tbar.time)
             hit = first_blowup(sol, t_min=0.01 * sol.t_max, tol=1e-12)
             row["check_tbar"] = hit.time
             row["check_err"] = abs(hit.time - tbar.time)
@@ -280,7 +280,7 @@ def _blowup_row_kc(idx: int, kc: float, args) -> dict:
         else:
             # keep the hyperbolic mode below the overflow threshold
             horizon = min(args.tmax, 300.0 / max(1.0, math.sqrt(abs(kc))))
-            sol = integrate_jacobi(A, B, Q, horizon, tol=1e-12)
+            sol = integrate_jacobi(A, B, Q, horizon)
             hit = first_blowup(sol, t_min=0.01 * sol.t_max, tol=1e-12)
             row["check_tbar"] = None
             row["check_err"] = None
@@ -339,8 +339,7 @@ def cmd_blowup(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 # conjugate
 # ----------------------------------------------------------------------
 
-def _conjugate_worker(task: tuple[int, int, tuple[float, float, float], float]) -> dict:
-    idx, d, v, tol = task
+def _conjugate_worker(idx: int, d: int, v: tuple[float, float, float], tol: float) -> dict:
     res = conjugate_time(d, np.array(v), tol=tol)
     row = {
         "index": idx,
@@ -378,13 +377,7 @@ def cmd_conjugate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error("--d must be >= 1")
     momenta = _momenta_from_args(args, parser)
     tasks = [(i, args.d, v, args.tol) for i, v in enumerate(momenta)]
-    if args.jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            rows = list(ex.map(_conjugate_worker, tasks))
-    else:
-        rows = [_conjugate_worker(t) for t in tasks]
+    rows = map_tasks(_conjugate_worker, tasks, args.jobs)
 
     header = [
         "index", "d", "v_I", "v_J", "v_K", "v_norm",

@@ -15,8 +15,10 @@ structure contractions, collected in ``CurvatureInputs``:
 ``curvature_blocks`` assembles the time-dependent blocks, conjugated by
 the one-parameter rotation exp(1.5 t V) where V = vee(v), and re-expresses
 the c block in a basis with the motion direction last (the convention the
-rest of the package relies on). For the quaternionic Hopf fibration the
-contractions take the constant values produced by
+rest of the package relies on). The whole matrix is R(t) = exp(tW) R(0)
+exp(tW)^T with W = ``CurvatureBlocks.rotation_generator``: in the frame
+rotating with exp(tW) the curvature is constant. For the quaternionic
+Hopf fibration the contractions take the constant values produced by
 ``qhf_curvature_inputs``, and the three Ricci traces have the closed
 forms in ``ricci_scalars``.
 """
@@ -199,6 +201,19 @@ class CurvatureBlocks:
 
     def R_bc(self, t: float) -> np.ndarray:
         return self._E(t) @ self._ABU_rot
+
+    @property
+    def rotation_generator(self) -> np.ndarray:
+        """W with assemble(t) = exp(tW) assemble(0) exp(tW)^T.
+
+        W = diag(1.5 vee(v), 1.5 vee(v), 0) in (a, b, c) order: exp(tW)
+        turns the a and b groups by E(t) and fixes the c group, so it
+        commutes with the structural pair (A, B).
+        """
+        dims = self.dims
+        W = np.zeros((dims.n, dims.n))
+        W[dims.sl_a, dims.sl_a] = W[dims.sl_b, dims.sl_b] = self._boldV
+        return W
 
     def assemble(self, t: float) -> np.ndarray:
         """The full matrix at t, with one rotation E(t) shared by all blocks.

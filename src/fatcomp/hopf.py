@@ -15,11 +15,15 @@ momenta v_alpha = p . K_alpha q are first integrals; their drift is the
 reported integration error.
 
 Conjugate times are not obtained by differentiating the exponential map:
-the canonical Jacobi system for the fat pair (k, n) = (4d, 4d + 3) with
-the curvature blocks of ``fatcomp.curvature`` is integrated instead, and
-the first zero of det N is refined. The same machinery evaluates the
-radial sub-Laplacian through the trace formula and compares it against
-the scalar models.
+the first zero of det N of the canonical Jacobi system for the fat pair
+(k, n) = (4d, 4d + 3) is refined instead. Its curvature R(t) = P R0 P^T,
+P = exp(tW), comes from ``fatcomp.curvature``, and P commutes with the
+structural pair (A, B). So (P^T M, P^T N) solve the constant system with
+A - W and R0, whose N has the singular values and det of the lab-frame
+N; ``fatcomp.riccati`` propagates it with exp(tH). The same solution
+evaluates the radial sub-Laplacian through the trace formula, since
+trace(B V) is the same in both frames, and compares it against the
+scalar models.
 """
 
 from __future__ import annotations
@@ -336,33 +340,37 @@ class ConjugateResult:
 
 
 def _qhf_jacobi(d: int, v, t_max: float):
+    """The QHF Jacobi system in the frame rotating with its curvature."""
     blocks: CurvatureBlocks = curvature_blocks(v, qhf_curvature_inputs(d, v))
     pair = build_structural(blocks.dims)
-    return integrate_jacobi(pair.A, pair.B, blocks.assemble, t_max, tol=1e-10)
+    return integrate_jacobi(pair.A - blocks.rotation_generator, pair.B, blocks.assemble(0.0), t_max)
 
 
 def conjugate_time(d: int, v, tol: float = 1e-9) -> ConjugateResult:
     """First conjugate time from the canonical Jacobi system.
 
-    Integrates the (4d + 3)-dimensional system to 10% beyond the smaller
-    of the two model bounds; a missing det N zero within that horizon
-    would contradict the bounds and raises RuntimeError.
+    Scans the (4d + 3)-dimensional system to 10% beyond the smaller of the
+    two model bounds; a missing det N zero within that horizon would
+    contradict the bounds and raises RuntimeError. Raises ``DomainError``
+    on a non-finite v.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     v = np.asarray(v, dtype=float).ravel()
     if v.shape != (3,):
         raise ValueError(f"v must have three components, got shape {v.shape}")
-    s = float(v @ v)
+    if not np.isfinite(v).all():
+        raise DomainError(f"v must be finite, got {v}")
     kappa_a, kappa_b, kappa_c = qhf_kappas(v)
     bound_kab = blowup_time_kab(kappa_a, kappa_b)
     bound_kc = blowup_time_kc(kappa_c).time if d >= 2 else None
     finite_bounds = [b for b in (bound_kc, bound_kab.time) if b is not None]
     t_max = 1.1 * min(finite_bounds)
     sol = _qhf_jacobi(d, v, t_max)
-    # det N grows like t**17 near 0; starting the scan at 1% of the
-    # horizon keeps its sign clear of the interpolant noise floor while
-    # staying far below any conjugate time the bounds allow.
+    # det N grows like t**17 near 0, and N carries a rounding error of
+    # eps |exp(tH)|; starting the scan at 1% of the horizon keeps the sign
+    # of det N clear of it while staying far below any conjugate time the
+    # bounds allow.
     hit = first_blowup(sol, t_min=0.01 * t_max, tol=min(tol, 1e-12))
     if not hit.is_finite:
         raise RuntimeError(
@@ -449,12 +457,15 @@ def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
     The grid must sit strictly inside (0, t_star): at and beyond the
     conjugate time the distance is no longer smooth and the trace
     formula is meaningless. The volume-derivative term vanishes for
-    these structures, so no extra scalar enters the comparison.
+    these structures, so no extra scalar enters the comparison. Raises
+    ``DomainError`` on an empty or non-finite grid and a non-finite v.
     """
     v = np.asarray(v, dtype=float).ravel()
     r = np.asarray(list(r_grid), dtype=float)
     if r.size == 0:
         raise DomainError("r_grid must be nonempty")
+    if not np.isfinite(r).all():
+        raise DomainError(f"r_grid must be finite, got {r}")
     conj = conjugate_time(d, v)
     if r.min() <= 0.0 or r.max() >= conj.t_star:
         raise DomainError(

@@ -30,7 +30,6 @@ from scipy.optimize import brentq, minimize_scalar
 
 __all__ = [
     "DomainError",
-    "ComparisonConstants",
     "ThetaPair",
     "BlowUpTime",
     "eval_s_kc",
@@ -59,26 +58,6 @@ def _real(z: complex, what: str) -> float:
     if abs(z.imag) > _IM_TOL * max(1.0, abs(z.real)):
         raise FloatingPointError(f"{what}: unexpected imaginary part {z.imag:.3e}")
     return z.real
-
-
-@dataclass(frozen=True)
-class ComparisonConstants:
-    """Curvature bound scalars entering the comparison statements.
-
-    Units: kappa_a is 1/length**4, kappa_b and kappa_c are 1/length**2,
-    kappa_omega is 1/length. Any real value is allowed; bounds may be
-    negative.
-    """
-
-    kappa_a: float = 0.0
-    kappa_b: float = 0.0
-    kappa_c: float = 0.0
-    kappa_omega: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("kappa_a", "kappa_b", "kappa_c", "kappa_omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite real")
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,24 @@
 
 The linear system is
 
-    d/dt [M; N] = [[-A^T, -Q(t)], [B, A]] [M; N],   M(0) = I, N(0) = 0,
+    d/dt [M; N] = H [M; N],   H = [[-A^T, -Q], [B, A]],   M(0) = I, N(0) = 0,
 
-whose quotient V = M N^{-1} solves the matrix Riccati equation
-V' + A^T V + V A + Q + V B V = 0 with a +infinity initial datum. Blow-up
-of V backwards in regularity is a zero of det N, and every comparison
-statement in this package reduces to locating or excluding such zeros.
+with constant A, B and symmetric Q, whose quotient V = M N^{-1} solves the
+matrix Riccati equation V' + A^T V + V A + Q + V B V = 0 with a +infinity
+initial datum. Blow-up of V backwards in regularity is a zero of det N,
+and every comparison statement in this package reduces to locating or
+excluding such zeros. Every system the package builds has constant
+coefficients (the Hopf system in the frame rotating with its curvature,
+see ``fatcomp.hopf``), so [M; N](t) is the first n columns of exp(tH),
+computed by one products-only exponential, ``_expm``, and no ODE is solved.
 
 Provided here:
 
 * ``integrate_jacobi`` and the ``JacobiSolution`` / ``RiccatiSolution``
-  wrappers (dense output, symplectic and Riccati residual diagnostics);
-* ``first_blowup``, a det-sign scan with bisection plus a smallest-
-  singular-value refinement that also catches even-multiplicity zeros;
+  wrappers (exp(tH) at any t, symplectic and Riccati residual diagnostics);
+* ``first_blowup``, a det-sign scan on a grid stepped by exp(dt H), with
+  bisection plus a smallest-singular-value refinement that also catches
+  even-multiplicity zeros;
 * ``kalman_check``, the controllability-step count of the pair (A, B);
 * ``comparison_harness``, eigenvalue-ordered comparison of two solutions;
 * ``finite_blowup_constant``, the exact finiteness classification for
@@ -30,10 +35,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
 from .models import BlowUpTime, DomainError, finiteness_predicate
@@ -53,8 +57,6 @@ __all__ = [
     "wedge_first_zero",
     "UnverifiableError",
 ]
-
-_QFun = Callable[[float], np.ndarray]
 
 
 def _as_matrix(X, n: int | None = None, name: str = "matrix") -> np.ndarray:
@@ -102,19 +104,45 @@ def kalman_check(A, B, m_max: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# integration
+# propagation
 # ----------------------------------------------------------------------
+
+#: 1/(4j + i)! up to degree 16: row j weighs X^0..X^3 in the X^(4j) block of _expm.
+_TAYLOR = np.array([[1.0 / math.factorial(4 * j + i) * (4 * j + i <= 16) for i in range(4)] for j in range(5)])
+
+
+def _expm(X: np.ndarray) -> np.ndarray:
+    """exp(X) of a small matrix by products alone: degree-16 Taylor (Paterson-
+    Stockmeyer) on X / 2^s with ||X / 2^s||_1 <= 1/2, then s squarings; NaN if
+    ||X|| is not finite. scipy.linalg.expm solves through a LAPACK call that
+    OpenBLAS threads even at 6x6: its helper thread spins after each call, and
+    while the other core is busy each call waits a scheduler tick for it
+    (4 ms instead of 25 us on a 2-vCPU VM).
+    """
+    norm = float(np.abs(X).sum(axis=0).max())
+    if not math.isfinite(norm):
+        return np.full_like(X, np.nan)
+    s = max(0, math.frexp(norm)[1] + 1)
+    X = X * math.ldexp(1.0, -s)
+    X2 = X @ X
+    B = (_TAYLOR @ np.stack((np.eye(len(X)), X, X2, X2 @ X)).reshape(4, -1)).reshape(5, *X.shape)
+    X4, E = X2 @ X2, B[4]
+    for j in (3, 2, 1, 0):
+        E = B[j] + X4 @ E
+    for _ in range(s):
+        E = E @ E
+    return E
+
 
 @dataclass
 class JacobiSolution:
-    """Dense solution of the linear Jacobi system on [0, t_max]."""
+    """Solution [M; N](t) = exp(tH)[:, :n] of a constant Jacobi system on [0, t_max]."""
 
     A: np.ndarray
     B: np.ndarray
-    Q: _QFun
+    Q: np.ndarray
     t_max: float
-    tol: float
-    _sol: object = field(repr=False)
+    H: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -122,13 +150,13 @@ class JacobiSolution:
 
     @property
     def t_grid(self) -> np.ndarray:
-        """Internal solver steps, strictly increasing from 0."""
-        return self._sol.t
+        """The propagator's grid: exp(tH) needs no inner steps, so just 0 and t_max."""
+        return np.array([0.0, self.t_max])
 
     def _blocks(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         n = self.n
-        y = self._sol.sol(t)
-        return y[: n * n].reshape(n, n), y[n * n :].reshape(n, n)
+        Y = _expm(t * self.H)[:, :n]
+        return Y[:n], Y[n:]
 
     def M(self, t: float) -> np.ndarray:
         return self._blocks(t)[0]
@@ -148,100 +176,61 @@ class JacobiSolution:
         return float(np.linalg.norm(M.T @ N - N.T @ M))
 
 
-def integrate_jacobi(A, B, Q, t_max: float, tol: float = 1e-10) -> JacobiSolution:
-    """Integrate the Jacobi system with dense output.
+def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
+    """The Jacobi system with constant symmetric Q on [0, t_max].
 
-    Q may be a constant matrix or a callable t -> matrix. The integrator
-    is an explicit Runge-Kutta of order 8 (DOP853) with rtol = tol and
-    atol = tol * 1e-2, and the returned object evaluates M, N anywhere in
-    [0, t_max] through the dense interpolant.
+    No ODE is solved: H = [[-A^T, -Q], [B, A]] is built once, and the
+    returned object evaluates M, N anywhere in [0, t_max] as blocks of
+    exp(tH) by ``_expm``. Raises ``DomainError`` on non-finite A, B or Q.
     """
     A = _as_matrix(A, name="A")
     n = A.shape[0]
     B = _as_matrix(B, n, name="B")
-    if callable(Q):
-        qfun: _QFun = lambda t: _as_matrix(Q(t), n, name="Q(t)")
-    else:
-        Q0 = _as_matrix(Q, n, name="Q")
-        qfun = lambda t: Q0
+    Q = _as_matrix(Q, n, name="Q")
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite positive, got {t_max}")
-    for ts in (0.0, 0.5 * t_max, t_max):
-        Qs = qfun(ts)
-        if np.abs(Qs - Qs.T).max() > 1e-10 * max(1.0, np.abs(Qs).max()):
-            raise ValueError(f"Q({ts}) is not symmetric to 1e-10")
-
-    AT = A.T
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        M = y[: n * n].reshape(n, n)
-        N = y[n * n :].reshape(n, n)
-        dM = -AT @ M - qfun(t) @ N
-        dN = B @ M + A @ N
-        return np.concatenate([dM.ravel(), dN.ravel()])
-
-    y0 = np.concatenate([np.eye(n).ravel(), np.zeros((n, n)).ravel()])
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        y0,
-        method="DOP853",
-        dense_output=True,
-        rtol=tol,
-        atol=tol * 1e-2,
-    )
-    if not sol.success:
-        last_good = sol.t[-1] if sol.t.size else 0.0
-        raise RuntimeError(
-            f"Jacobi integration failed at t = {last_good}: {sol.message}"
-        )
-    return JacobiSolution(A=A, B=B, Q=qfun, t_max=float(t_max), tol=tol, _sol=sol)
+    H = np.block([[-A.T, -Q], [B, A]])
+    if not np.isfinite(H).all():
+        raise DomainError("the Jacobi system needs finite A, B and Q")
+    if np.abs(Q - Q.T).max() > 1e-10 * max(1.0, np.abs(Q).max()):
+        raise ValueError("Q is not symmetric to 1e-10")
+    return JacobiSolution(A=A, B=B, Q=Q, t_max=float(t_max), H=H)
 
 
 # ----------------------------------------------------------------------
 # blow-up detection
 # ----------------------------------------------------------------------
 
-#: Scan points evaluated per batched interpolant, svd and det call. Larger
-#: blocks are no faster and hold more memory.
-_SCAN_BLOCK = 32
+#: Points of the first_blowup scan grid.
+_N_SCAN = 2048
 
 
-def _scan_sigma_det(sol: JacobiSolution, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigma_min N and det N on the grid ts, a block of points at a time.
-
-    Bit for bit the values of ``sol.sigma_min_N`` and ``sol.det_N`` at each
-    point: the dense interpolant is elementwise in t, and the stacked svd
-    and det run the same LAPACK routine once per matrix.
-    """
+def _scan_N(sol: JacobiSolution, ts: np.ndarray) -> np.ndarray:
+    """N on the uniform grid ts, stepped from ts[0] by products with exp(dt H)."""
     n = sol.n
-    sig = np.empty(ts.size)
-    det = np.empty(ts.size)
-    for start in range(0, ts.size, _SCAN_BLOCK):
-        block = ts[start : start + _SCAN_BLOCK]
-        N = sol._sol.sol(block)[n * n :].T.reshape(block.size, n, n)
-        sig[start : start + block.size] = np.linalg.svd(N, compute_uv=False)[:, -1]
-        det[start : start + block.size] = np.linalg.det(N)
-    return sig, det
+    E = _expm((ts[1] - ts[0]) * sol.H)
+    Y = np.empty((ts.size, 2 * n, n))
+    Y[0] = _expm(ts[0] * sol.H)[:, :n]
+    for k in range(1, ts.size):
+        np.matmul(E, Y[k - 1], out=Y[k])
+    return Y[:, n:]
 
 
 def first_blowup(
     sol: JacobiSolution,
     t_min: float | None = None,
     tol: float = 1e-9,
-    n_scan: int = 2048,
 ) -> BlowUpTime:
     """First zero of det N on (t_min, t_max], or the infinite marker.
 
     det N vanishes identically to high order at t = 0 (order n plus twice
     the corank of B), so the scan starts at t_min, default 1e-4 * t_max.
-    Candidate brackets come from two scans over n_scan evenly spaced
-    points: sign changes of det N and local minima of the smallest
-    singular value of N. The scan is block-batched: each block of
-    ``_SCAN_BLOCK`` points takes one dense-output call, one stacked svd
-    and one stacked det, and gives the same bits as the pointwise
-    ``sigma_min_N`` and ``det_N``; the refinement evaluates pointwise.
-    Every bracket is refined by minimizing the smallest singular value,
+    The scan takes N on 2048 evenly spaced points by stepping with one
+    exp(dt H) from t_min, then one stacked svd and one stacked det.
+    Candidate brackets are the sign changes of det N and the local minima
+    of the smallest singular value of N; a minimum whose two cells hold a
+    det sign change carries that crossing. Every bracket is refined
+    pointwise by minimizing the smallest singular value,
     and the number of singular values collapsing at the refined point
     (below 1e-7 of the local scale of N over the bracket) decides how the
     zero is localized: a single collapsing
@@ -259,33 +248,33 @@ def first_blowup(
         t_min = 1e-4 * sol.t_max
     if not 0.0 < t_min < sol.t_max:
         raise ValueError(f"t_min={t_min} outside (0, {sol.t_max})")
-    if sol.det_N(t_min) <= 0.0:
+    ts = np.linspace(t_min, sol.t_max, _N_SCAN)
+    N = _scan_N(sol, ts)
+    svals = np.linalg.svd(N, compute_uv=False)
+    sig, det = svals[:, -1], np.linalg.det(N)
+    if det[0] <= 0.0:
         raise ValueError(
-            f"det N(t_min) = {sol.det_N(t_min):.3e} <= 0 at t_min = {t_min}; "
+            f"det N(t_min) = {det[0]:.3e} <= 0 at t_min = {t_min}; "
             "scan must start strictly before the first zero"
         )
-    ts = np.linspace(t_min, sol.t_max, n_scan)
-    sig, det = _scan_sigma_det(sol, ts)
     if sig.max() == 0.0:
         raise RuntimeError("N vanished on the whole scan range")
 
-    # (lo, hi, det-crossing pair or None), ordered by onset
-    brackets: list[tuple[float, float, tuple[float, float] | None]] = []
-    for i in range(n_scan - 1):
-        if det[i] * det[i + 1] <= 0.0:
-            brackets.append(
-                (ts[max(i - 1, 0)], ts[min(i + 2, n_scan - 1)], (ts[i], ts[i + 1]))
-            )
-    for i in range(1, n_scan - 1):
-        if sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]:
-            brackets.append((ts[i - 1], ts[i + 1], None))
+    # (lo, hi, first cell of a det crossing or None) as grid indices; a
+    # minimum of sigma_min sorts before a crossing with the same onset, so
+    # it must carry the crossing: its slope polish cannot beat svd noise
+    changes = det[:-1] * det[1:] <= 0.0
+    last = _N_SCAN - 1
+    brackets = [(max(i - 1, 0), min(i + 2, last), i) for i in np.flatnonzero(changes)]
+    for i in np.flatnonzero((sig[1:-1] <= sig[:-2]) & (sig[1:-1] <= sig[2:])) + 1:
+        cells = [c for c in (i - 1, i) if changes[c]]
+        brackets.append((i - 1, i + 1, cells[0] if cells else None))
     brackets.sort(key=lambda b: b[:2])
-    for lo, hi, crossing in brackets:
+    xtol = min(tol, 1e-12)
+    for i_lo, i_hi, crossing in brackets:
+        lo, hi = ts[i_lo], ts[i_hi]
         res = minimize_scalar(
-            sol.sigma_min_N,
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": min(tol, 1e-12)},
+            sol.sigma_min_N, bounds=(lo, hi), method="bounded", options={"xatol": xtol}
         )
         x_star = float(res.x)
         # The bounded minimizer stalls at sqrt(eps)*|x| on the V-shaped
@@ -295,22 +284,16 @@ def first_blowup(
         slope = lambda t: sol.sigma_min_N(t + delta) - sol.sigma_min_N(t - delta)
         a, b = max(lo, t_min + delta), min(hi, sol.t_max - delta)
         if a < b and slope(a) < 0.0 < slope(b):
-            x_star = float(brentq(slope, a, b, xtol=min(tol, 1e-12)))
-        svals = np.linalg.svd(sol.N(x_star), compute_uv=False)
+            x_star = float(brentq(slope, a, b, xtol=xtol))
+        s_star = np.linalg.svd(sol.N(x_star), compute_uv=False)
         # Collapse is judged against the local scale of N, not against
-        # svals[0] alone: at a full-rank-drop touch (isotropic even
+        # s_star[0] alone: at a full-rank-drop touch (isotropic even
         # dimension) every singular value vanishes at once and the
         # refined point carries no scale of its own.
-        scale_ref = max(
-            float(svals[0]),
-            float(np.linalg.svd(sol.N(lo), compute_uv=False)[0]),
-            float(np.linalg.svd(sol.N(hi), compute_uv=False)[0]),
-        )
-        n_collapsed = int(np.sum(svals < 1e-7 * scale_ref))
+        scale_ref = max(float(s_star[0]), svals[i_lo, 0], svals[i_hi, 0])
+        n_collapsed = int(np.sum(s_star < 1e-7 * scale_ref))
         if crossing is not None and n_collapsed <= 1:
-            return BlowUpTime.finite(
-                float(brentq(sol.det_N, *crossing, xtol=min(tol, 1e-12)))
-            )
+            return BlowUpTime.finite(float(brentq(sol.det_N, ts[crossing], ts[crossing + 1], xtol=xtol)))
         if n_collapsed >= 1:
             return BlowUpTime.finite(x_star)
     return BlowUpTime.infinite()
@@ -344,7 +327,7 @@ class RiccatiSolution:
         jac = self.jacobi
         V = self.V(t)
         dV = (self.V(t + h) - self.V(t - h)) / (2.0 * h)
-        R = dV + jac.A.T @ V + V @ jac.A + jac.Q(t) + V @ jac.B @ V
+        R = dV + jac.A.T @ V + V @ jac.A + jac.Q + V @ jac.B @ V
         return float(np.linalg.norm(R))
 
 
@@ -518,35 +501,8 @@ _WEDGE_LOG_GROWTH = 300.0
 #: in R^4: M(0) = I spans (0, 1), and det N is (2, 3).
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
 _DET_N = 5
-#: 1/(4j + i)! up to degree 16: row j weighs X^0..X^3 in the X^(4j) block of _expm.
-_TAYLOR = np.array([[1.0 / math.factorial(4 * j + i) * (4 * j + i <= 16) for i in range(4)] for j in range(5)])
-
-
 class UnverifiableError(FloatingPointError):
     """A step of the wedge route overflows: t_max is beyond its reach."""
-
-
-def _expm(X: np.ndarray) -> np.ndarray:
-    """exp(X) of a small matrix by products alone: degree-16 Taylor (Paterson-
-    Stockmeyer) on X / 2^s with ||X / 2^s||_1 <= 1/2, then s squarings; NaN if
-    ||X|| is not finite. scipy.linalg.expm solves through a LAPACK call that
-    OpenBLAS threads even at 6x6: its helper thread spins after each call, and
-    while the other core is busy each call waits a scheduler tick for it
-    (4 ms instead of 25 us on a 2-vCPU VM).
-    """
-    norm = float(np.abs(X).sum(axis=0).max())
-    if not math.isfinite(norm):
-        return np.full_like(X, np.nan)
-    s = max(0, math.frexp(norm)[1] + 1)
-    X = X * math.ldexp(1.0, -s)
-    X2 = X @ X
-    B = (_TAYLOR @ np.stack((np.eye(len(X)), X, X2, X2 @ X)).reshape(4, -1)).reshape(5, *X.shape)
-    X4, E = X2 @ X2, B[4]
-    for j in (3, 2, 1, 0):
-        E = B[j] + X4 @ E
-    for _ in range(s):
-        E = E @ E
-    return E
 
 
 def _additive_compound(H: np.ndarray) -> np.ndarray:
@@ -624,7 +580,7 @@ def wedge_det_sign_changes(A, B, Q, t_max: float, steps: int = 4000) -> tuple[in
     would pass exp(300)): block starts by E2^K with a
     max-norm rescale, the steps inside from E2^1..E2^K, each read against its
     own largest coordinate. det N, one coordinate, escapes the cancellation
-    of direct integration. Returns (sign changes, min over t > 1 of |det N|
+    of direct propagation. Returns (sign changes, min over t > 1 of |det N|
     over the largest coordinate). Raises ``DomainError`` on non-finite input,
     ``UnverifiableError`` when E2 overflows.
     """
@@ -639,7 +595,7 @@ def wedge_first_zero(
     Same pass and errors as ``wedge_det_sign_changes``; the first change is
     refined by Brent's method on the Taylor polynomial of (expm(dt H2) w)[det N]
     from the rescaled vector w of the step before (on a half, quarter, ... of
-    the step while ||h H2|| > 1/2), where direct (M, N) integration has lost
+    the step while ||h H2|| > 1/2), where direct (M, N) propagation has lost
     the zero to the eps * |N|^2 floor of hyperbolic growth. Tangential
     (even-multiplicity) zeros produce no sign change and are not reported.
     """

@@ -82,6 +82,21 @@ class TestUsageErrors:
         assert "domain error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["conjugate", "--v", "0,0,nan"], "v must be finite"),
+            (["conjugate", "--vnorm", "inf"], "v must be finite"),
+            (["laplacian", "--d", "2", "--rgrid=0.1:nan:3"], "r_grid must be finite"),
+            (["laplacian", "--d", "2", "--v", "nan,0,0"], "v must be finite"),
+        ],
+    )
+    def test_non_finite_hopf_input_is_a_domain_error(self, argv, name, tmp_path, capsys):
+        code = run_cli(argv + ["--out", str(tmp_path / "x.csv")])
+        assert code == 2, f"{argv} gave exit code {code}"
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_out_of_range_radius_is_a_domain_error(self, tmp_path, capsys):
         code = run_cli(
             ["laplacian", "--d", "2", "--rgrid", "0.5:5.0:4", "--out", str(tmp_path / "x.csv")]

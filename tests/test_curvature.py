@@ -31,6 +31,7 @@ from fatcomp.curvature import (
     vee,
     z_vectors,
 )
+from fatcomp.structure import build_structural
 
 momentum_triple = st.tuples(
     st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
@@ -269,6 +270,21 @@ class TestCurvatureBlocks:
         t = 1.1
         E = rodrigues(vee(v), 1.5 * t)
         assert np.abs(blocks.R_bb(t) - E @ blocks.R_bb(0.0) @ E.T).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_whole_matrix_rotates_with_the_generator(self, d):
+        # R(t) = exp(tW) R(0) exp(tW)^T, and exp(tW) commutes with the
+        # structural pair: the rotating frame of the Jacobi system
+        v = np.array([0.7, -0.3, 0.2])
+        blocks = curvature_blocks(v, qhf_curvature_inputs(d, v))
+        W = blocks.rotation_generator
+        pair = build_structural(blocks.dims)
+        for X in (pair.A, pair.B):
+            assert np.abs(W @ X - X @ W).max() == 0.0
+        for t in (0.3, 1.1, 2.9):
+            P = expm(t * W)
+            R = blocks.assemble(t)
+            assert np.abs(R - P @ blocks.assemble(0.0) @ P.T).max() < 1e-12 * np.abs(R).max()
 
     def test_rejects_curvature_on_motion_direction(self):
         v = np.array([0.2, 0.0, 0.0])

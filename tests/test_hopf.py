@@ -19,10 +19,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
 from fatcomp.hopf import (
     DomainError,
+    _qhf_jacobi,
     build_frames,
     canonical_splitting,
     conjugate_time,
@@ -33,7 +36,7 @@ from fatcomp.hopf import (
     sublaplacian_along,
 )
 from fatcomp.models import blowup_time_kab, eval_s_kc
-from fatcomp.riccati import JacobiSolution, integrate_jacobi, riccati_solution
+from fatcomp.riccati import JacobiSolution, riccati_solution
 from fatcomp.structure import (
     FatDims,
     build_structural,
@@ -50,14 +53,38 @@ def random_unit(rng, m):
 
 
 def qhf_jacobi_quotient(d, v, t_max):
-    """Riccati quotient of the structural Jacobi system for momentum v."""
+    """Lab-frame Riccati quotient t -> V(t) of the structural Jacobi system.
+
+    The package propagates in the frame rotating with the curvature; the
+    lab-frame quotient, the one solving the Riccati equation with
+    Q(t) = blocks.assemble(t), is P V P^T with P = exp(tW).
+    """
     dims = FatDims(k=4 * d, n=4 * d + 3)
-    pair = build_structural(dims)
     blocks = curvature_blocks(np.asarray(v, dtype=float), qhf_curvature_inputs(d, v))
-    sol = integrate_jacobi(
-        pair.A, pair.B, lambda t: blocks.assemble(t), t_max=t_max, tol=1e-11
-    )
-    return dims, blocks, riccati_solution(sol)
+    ric = riccati_solution(_qhf_jacobi(d, v, t_max))
+    W = blocks.rotation_generator
+
+    def V(t):
+        P = expm(t * W)
+        return P @ ric.V(t) @ P.T
+
+    return dims, blocks, V
+
+
+def lab_frame_N(d, v, ts):
+    """N(t) of the lab-frame system with Q(t) = blocks.assemble(t), by DOP853."""
+    blocks = curvature_blocks(np.asarray(v, dtype=float), qhf_curvature_inputs(d, v))
+    pair = build_structural(blocks.dims)
+    A, B, n = pair.A, pair.B, blocks.dims.n
+
+    def rhs(t, y):
+        M, N = y[: n * n].reshape(n, n), y[n * n :].reshape(n, n)
+        return np.concatenate([(-A.T @ M - blocks.assemble(t) @ N).ravel(), (B @ M + A @ N).ravel()])
+
+    y0 = np.concatenate([np.eye(n).ravel(), np.zeros(n * n)])
+    sol = solve_ivp(rhs, (0.0, ts[-1]), y0, method="DOP853", t_eval=ts, rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    return sol.y[n * n :].T.reshape(len(ts), n, n)
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +245,37 @@ class TestConjugateTime:
         res = conjugate_time(1, [0.5, 0.0, 0.0])
         assert res.kappas == qhf_kappas([0.5, 0.0, 0.0])
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_closed_form_conjugate_time(self, d):
+        # t* = pi/sqrt(1 + |v|^2) for every d, whose c' pairs and traced
+        # (a, b) system both first turn conjugate there
+        rng = np.random.default_rng(100 + d)
+        worst = 0.0
+        for nv in np.linspace(0.0, 3.0, 10):
+            u = rng.standard_normal(3)
+            v = nv * u / np.linalg.norm(u)
+            res = conjugate_time(d, v)
+            worst = max(worst, abs(res.t_star - math.pi / math.sqrt(1.0 + nv * nv)))
+        assert worst < 1e-12, f"worst |t* - pi/sqrt(1 + |v|^2)| = {worst:.3e}"
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rotating_frame_matches_lab_frame_oracle(self, d):
+        # the lab-frame system, integrated by DOP853 with Q(t) =
+        # blocks.assemble(t), shares the singular values and det of N
+        v = np.array([0.6, -0.3, 0.2]) * d
+        ts = np.linspace(0.25, 0.95 * math.pi / math.sqrt(1.0 + v @ v), 8)
+        lab = lab_frame_N(d, v, ts)
+        sol = _qhf_jacobi(d, v, ts[-1])
+        for t, N_lab in zip(ts, lab):
+            s_lab = np.linalg.svd(N_lab, compute_uv=False)
+            s_rot = np.linalg.svd(sol.N(t), compute_uv=False)
+            assert np.abs(s_rot - s_lab).max() < 1e-10 * s_lab[0], f"singular values at t={t}"
+            assert abs(sol.det_N(t) - np.linalg.det(N_lab)) < 1e-10 * np.prod(s_lab), f"det N at t={t}"
+
     def test_dense_output_evaluations_are_few(self, monkeypatch):
-        # the 2048-point scan is batched; only the refinement evaluates
-        # N(t) point by point (~110 calls, against ~8300 unbatched)
+        # the 2048-point scan is stepped by exp(dt H); only the refinement
+        # evaluates N(t) point by point (~100 calls, against ~8300 before
+        # the scan was batched)
         calls = []
 
         def counted(name):
@@ -273,29 +328,29 @@ class TestReductionsAlongGeodesic:
     """Exactness of the traced reductions on the assembled system."""
 
     def test_motion_row_is_exact(self):
-        dims, _, ric = qhf_jacobi_quotient(2, [0.6, -0.3, 0.2], t_max=1.5)
-        worst = max(motion_row_residual(ric.V(t), dims, t) for t in (0.4, 0.9, 1.4))
+        dims, _, V = qhf_jacobi_quotient(2, [0.6, -0.3, 0.2], t_max=1.5)
+        worst = max(motion_row_residual(V(t), dims, t) for t in (0.4, 0.9, 1.4))
         assert worst < 1e-10, f"motion row residual {worst}"
 
     def test_traced_typeII_equals_single_frequency_model(self):
         # the c' pairs decouple: their trace average IS the scalar model
         v = [0.6, -0.3, 0.2]
-        dims, _, ric = qhf_jacobi_quotient(2, v, t_max=1.5)
+        dims, _, V = qhf_jacobi_quotient(2, v, t_max=1.5)
         kc = 1.0 + float(np.dot(v, v))
         for t in (0.5, 1.0):
-            got = traced_typeII(ric.V(t)[dims.sl_cprime, dims.sl_cprime], dims)
+            got = traced_typeII(V(t)[dims.sl_cprime, dims.sl_cprime], dims)
             assert abs(got - eval_s_kc(kc, t)) < 1e-9, f"decoupling broken at t={t}"
 
     def test_typeI_reduction_residual(self):
         v = [0.6, -0.3, 0.2]
-        dims, blocks, ric = qhf_jacobi_quotient(2, v, t_max=1.2)
-        res = typeI_residual(ric.V, lambda t: blocks.assemble(t), 0.8, dims)
+        dims, blocks, V = qhf_jacobi_quotient(2, v, t_max=1.2)
+        res = typeI_residual(V, blocks.assemble, 0.8, dims)
         assert res < 1e-6, f"type-I residual {res}"
 
     def test_typeII_reduction_residual(self):
         v = [0.6, -0.3, 0.2]
-        dims, blocks, ric = qhf_jacobi_quotient(2, v, t_max=1.2)
-        res = typeII_residual(ric.V, lambda t: blocks.assemble(t), 0.8, dims)
+        dims, blocks, V = qhf_jacobi_quotient(2, v, t_max=1.2)
+        res = typeII_residual(V, blocks.assemble, 0.8, dims)
         assert res < 1e-8, f"type-II residual {res}"
 
 
@@ -323,3 +378,7 @@ class TestSublaplacian:
             sublaplacian_along(2, [0, 0, 0], [5.0])
         with pytest.raises(DomainError):
             sublaplacian_along(2, [0, 0, 0], [-0.5, 0.5])
+        with pytest.raises(DomainError, match="r_grid must be finite"):
+            sublaplacian_along(2, [0, 0, 0], [0.1, math.nan, 0.5])
+        with pytest.raises(DomainError, match="v must be finite"):
+            sublaplacian_along(2, [0, 0, math.nan], [0.5])

@@ -27,7 +27,6 @@ from fatcomp import models
 from fatcomp.models import (
     DIAMETER_THRESHOLD,
     BlowUpTime,
-    ComparisonConstants,
     DomainError,
     ThetaPair,
     blowup_time_kab,
@@ -187,14 +186,6 @@ class TestThetaPair:
         assert abs(th.kappa_b - kb) < 1e-9 * max(1.0, abs(kb)), (
             f"kappa_b round trip: {th.kappa_b} != {kb}"
         )
-
-    def test_constants_reject_non_finite(self):
-        with pytest.raises(ValueError):
-            ComparisonConstants(kappa_a=math.nan)
-        with pytest.raises(ValueError):
-            ComparisonConstants(kappa_c=math.inf)
-        c = ComparisonConstants(kappa_a=-3.0, kappa_b=4.0)
-        assert c.kappa_omega == 0.0
 
 
 # ----------------------------------------------------------------------
