@@ -1,8 +1,8 @@
 """Comparison machinery for fat sub-Riemannian structures.
 
 Scalar model functions and their blow-up times, matrix Jacobi/Riccati
-propagation with conjugate-point detection, structural reductions for
-fat distributions, canonical curvature of 3-Sasakian spheres, and the
+propagation with conjugate-point detection, the structural pair of fat
+distributions, canonical curvature of 3-Sasakian spheres, and the
 quaternionic Hopf fibration as the worked example tying them together.
 """
 
@@ -21,29 +21,21 @@ from .models import (
     upper_bound_kab,
 )
 from .riccati import (
-    ComparisonReport,
     JacobiSolution,
     RiccatiSolution,
     UnverifiableError,
-    comparison_harness,
     finite_blowup_constant,
     first_blowup,
     integrate_jacobi,
-    kalman_check,
-    kalman_steps,
     riccati_solution,
     wedge_det_sign_changes,
     wedge_first_zero,
 )
 from .structure import (
-    BlockMatrix,
     FatDims,
     StructuralPair,
     build_structural,
-    split_I_II,
     trace_inequality_check,
-    traced_typeI,
-    traced_typeII,
     typeI_pair,
 )
 from .curvature import (
@@ -54,17 +46,14 @@ from .curvature import (
     ricci_scalars,
     rodrigues,
     vee,
-    z_vectors,
 )
 from .hopf import (
     ConjugateResult,
     ExtremalState,
     FrameBundle,
     GeodesicResult,
-    SplittingFrame,
     SublaplacianReport,
     build_frames,
-    canonical_splitting,
     conjugate_time,
     initial_state,
     integrate_extremal,

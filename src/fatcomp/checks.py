@@ -331,7 +331,7 @@ def check_extremal_conservation(rng: np.random.Generator) -> CheckResult:
             q = _unit(rng, 4 * (d + 1))
             seed_dir = rng.normal(size=4 * (d + 1))
             st = initial_state(d, v, q=q, seed_direction=seed_dir)
-            g = integrate_extremal(st, 2.0 * math.pi, tol=1e-11)
+            g = integrate_extremal(st, 2.0 * math.pi)
             worst = max(worst, g.h_drift, g.v_drift, g.norm_drift, g.gauge_drift)
     return CheckResult(
         name="extremal-conservation",

@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .models import DomainError
 from .structure import FatDims
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "qhf_curvature_inputs",
     "CurvatureBlocks",
     "curvature_blocks",
-    "z_vectors",
 ]
 
 
@@ -85,9 +85,12 @@ def ricci_scalars(v, rho_a: float, d: int) -> tuple[float, float, float]:
     With s = |v|^2: the a trace is 3*(0.75*rho_a - 3.5*s - 1.875*s^2),
     the b trace 3*(4 + 5*s), and the c trace (4d - 4)*(1 + s) (the motion
     direction carries no curvature). All are constant along the extremal.
+    Raises ``DomainError`` on a non-finite v or rho_a.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    if not (np.isfinite(v).all() and math.isfinite(rho_a)):
+        raise DomainError(f"v and rho_a must be finite, got {v}, {rho_a}")
     s = float(np.dot(np.asarray(v).ravel(), np.asarray(v).ravel()))
     ric_a = 3.0 * (0.75 * rho_a - 3.5 * s - 1.875 * s * s)
     ric_b = 3.0 * (4.0 + 5.0 * s)
@@ -297,24 +300,3 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
         _boldV=1.5 * V,
     )
 
-
-def z_vectors(v, phi_action: np.ndarray) -> np.ndarray:
-    """Commutator fields Z_alpha from the phi images of the velocity.
-
-    phi_action has rows (phi_I gdot, phi_J gdot, phi_K gdot); the result
-    rows are Z_I = v_J phi_K gdot - v_K phi_J gdot and cyclic. When the
-    phi images are orthonormal, the total squared norm is 2 |v|^2.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    phi_action = np.asarray(phi_action, dtype=float)
-    if phi_action.ndim != 2 or phi_action.shape[0] != 3:
-        raise ValueError(f"phi_action must have three rows, got {phi_action.shape}")
-    vI, vJ, vK = v
-    pI, pJ, pK = phi_action
-    return np.vstack(
-        [
-            vJ * pK - vK * pJ,
-            vK * pI - vI * pK,
-            vI * pJ - vJ * pI,
-        ]
-    )

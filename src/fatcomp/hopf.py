@@ -7,12 +7,13 @@ xi_alpha(q) = K_alpha q with K_alpha = -J_alpha, and the horizontal
 distribution is the orthogonal complement of the xi's inside the tangent
 space. The sub-Riemannian Hamiltonian of a covector p at q is
 
-    H = 1/2 (|p|^2 - <p, q>^2 - sum_alpha (p . K_alpha q)^2),
+    H = 1/2 (|p|^2 - <p, q>^2 - sum_alpha (p . K_alpha q)^2).
 
-whose flow is integrated here in ambient coordinates with the gauge
-<p, q> = 0 enforced by an exact Lagrange-multiplier term. The vertical
-momenta v_alpha = p . K_alpha q are first integrals; their drift is the
-reported integration error.
+With the gauge <p, q> = 0, the vertical momenta v_alpha = p . K_alpha q
+and c = |p| are first integrals of its flow, so the flow is linear with
+constant coefficients: ``integrate_extremal`` evaluates it in closed
+form in ambient coordinates, and the drift of the first integrals it
+reports is rounding error only.
 
 Conjugate times are not obtained by differentiating the exponential map:
 the first zero of det N of the canonical Jacobi system for the fat pair
@@ -33,10 +34,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import block_diag, null_space
+from scipy.linalg import block_diag
 
-from .curvature import CurvatureBlocks, curvature_blocks, qhf_curvature_inputs, z_vectors
+from .curvature import CurvatureBlocks, curvature_blocks, qhf_curvature_inputs
 from .models import (
     BlowUpTime,
     DomainError,
@@ -53,7 +53,6 @@ __all__ = [
     "ExtremalState",
     "GeodesicResult",
     "ConjugateResult",
-    "SplittingFrame",
     "SublaplacianReport",
     "reeb_generators",
     "build_frames",
@@ -61,7 +60,6 @@ __all__ = [
     "integrate_extremal",
     "qhf_kappas",
     "conjugate_time",
-    "canonical_splitting",
     "sublaplacian_along",
 ]
 
@@ -91,9 +89,6 @@ _J4_K = np.array(
     ]
 )
 
-_ALPHA_INDEX = {"I": 0, "J": 1, "K": 2, 0: 0, 1: 1, 2: 2}
-
-
 @lru_cache(maxsize=8)
 def _complex_structures(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(
@@ -110,9 +105,19 @@ def reeb_generators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _check_unit(q: np.ndarray, what: str = "q") -> np.ndarray:
     q = np.asarray(q, dtype=float).ravel()
-    if abs(np.linalg.norm(q) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(q) - 1.0) <= 1e-10:
         raise DomainError(f"{what} must be a unit vector, |{what}| = {np.linalg.norm(q)}")
     return q
+
+
+def _momentum(v) -> np.ndarray:
+    """v as a finite 3-vector; ``DomainError`` when it is not finite."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.shape != (3,):
+        raise ValueError(f"v must have three components, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise DomainError(f"v must be finite, got {v}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -139,14 +144,9 @@ class FrameBundle:
         X = X - self.q * (self.q @ X)
         return X - self.xis.T @ (self.xis @ X)
 
-    def phi(self, alpha, X) -> np.ndarray:
-        """phi_alpha X: the horizontal part of J_alpha X."""
-        J = _complex_structures(self.d)[_ALPHA_INDEX[alpha]]
-        return self.pr(J @ np.asarray(X, dtype=float))
-
 
 def build_frames(q, d: int) -> FrameBundle:
-    """Reeb fields and the eta/phi evaluators at a unit point q."""
+    """Reeb fields and the eta/pr evaluators at a unit point q."""
     q = _check_unit(q)
     if q.shape != (4 * (d + 1),):
         raise ValueError(f"q must have length {4 * (d + 1)} for d = {d}")
@@ -196,9 +196,12 @@ def initial_state(d: int, v, q=None, seed_direction=None) -> ExtremalState:
     The seed is projected horizontally at q and normalized, so the
     resulting state has H = 1/2 exactly up to roundoff; the vertical
     momenta come out as requested because the Reeb frame is orthonormal.
+    Raises ``DomainError`` on a non-finite v or a seed without horizontal
+    component.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    v = _momentum(v)
     dim = 4 * (d + 1)
     if q is None:
         q = np.zeros(dim)
@@ -210,12 +213,9 @@ def initial_state(d: int, v, q=None, seed_direction=None) -> ExtremalState:
     frames = build_frames(q, d)
     X = frames.pr(seed_direction)
     nrm = np.linalg.norm(X)
-    if nrm < 1e-12:
+    if not nrm >= 1e-12:
         raise DomainError("seed direction has no horizontal component")
     X = X / nrm
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape != (3,):
-        raise ValueError(f"v must have three components, got shape {v.shape}")
     p = X + frames.xis.T @ v
     return ExtremalState(d=d, q=q, p=p)
 
@@ -232,65 +232,50 @@ class GeodesicResult:
     gauge_drift: float
 
 
-def integrate_extremal(
-    state0: ExtremalState, t_max: float, tol: float = 1e-11, n_samples: int = 257
-) -> GeodesicResult:
-    """Integrate the Hamiltonian flow of a unit covector.
+def integrate_extremal(state0: ExtremalState, t_max: float, n_samples: int = 257) -> GeodesicResult:
+    """Sample the Hamiltonian flow of a unit covector on [0, t_max].
 
-    The right-hand side uses the gauge-fixed form: with v_alpha evaluated
-    from the current state,
+    With K_v = sum v_alpha K_alpha, the flow in the gauge <p, q> = 0 is
 
-        dq/dt = p - sum v_alpha K_alpha q,
-        dp/dt = - sum v_alpha K_alpha p - |p|^2 q,
+        dq/dt = p - K_v q,   dp/dt = -K_v p - |p|^2 q.
 
-    where the last term is the exact multiplier keeping <p, q> = 0 and
-    |q| = 1 invariant; their drift, together with the drift of H and
-    v_alpha, is reported (all are zero in exact arithmetic, so drift
-    measures integration error only). Sampled states are renormalized.
+    v and c = |p| are constant along it, and K_v^2 = -w^2 I with w = |v|,
+    so the flow is exact in closed form: with R(t) = exp(-t K_v) =
+    cos(wt) I - sin(wt)/w K_v (R = I at w = 0),
+
+        q(t) = R(t) (cos(ct) q0 + sin(ct)/c p0),
+        p(t) = R(t) (-c sin(ct) q0 + cos(ct) p0).
+
+    The drift of H, v, |q| and <p, q> over the samples is reported; it
+    is rounding error only. Raises ``DomainError`` unless t_max is finite
+    positive and state0 has H = 1/2, |q| = 1 and <p, q> = 0.
     """
-    if abs(state0.H - 0.5) > 1e-10:
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"t_max must be finite positive, got {t_max}")
+    d, q0, p0 = state0.d, _check_unit(state0.q), state0.p
+    if not abs(float(p0 @ q0)) <= 1e-10:
+        raise DomainError(f"state0 must satisfy <p, q> = 0, got {float(p0 @ q0)}")
+    if not abs(state0.H - 0.5) <= 1e-10:
         raise DomainError(f"state0 must be a unit covector, H = {state0.H}")
-    d = state0.d
-    Ks = reeb_generators(d)
-    dim = 4 * (d + 1)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        q, p = y[:dim], y[dim:]
-        vs = [float(p @ (K @ q)) for K in Ks]
-        dq = p.copy()
-        dp = -float(p @ p) * q
-        for v_a, K in zip(vs, Ks):
-            dq -= v_a * (K @ q)
-            dp -= v_a * (K @ p)
-        return np.concatenate([dq, dp])
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        np.concatenate([state0.q, state0.p]),
-        method="DOP853",
-        dense_output=True,
-        rtol=tol,
-        atol=tol * 1e-2,
-    )
-    if not sol.success:
-        raise RuntimeError(f"extremal integration failed: {sol.message}")
-
-    ts = np.linspace(0.0, t_max, n_samples)
     v0 = state0.v
+    K_v = sum(v_a * K for v_a, K in zip(v0, reeb_generators(d)))
+    c, w = float(np.linalg.norm(p0)), float(np.linalg.norm(v0))
+    ts = np.linspace(0.0, t_max, n_samples)
+    cos_c, sin_c = np.cos(c * ts)[:, None], np.sin(c * ts)[:, None]
+    # sin(wt)/w = t sinc(wt/pi), which is t at w = 0
+    cos_w, sinc_w = np.cos(w * ts)[:, None], (ts * np.sinc(w * ts / np.pi))[:, None]
+    qs, ps = cos_c * q0 + sin_c / c * p0, -c * sin_c * q0 + cos_c * p0
+    qs, ps = cos_w * qs - sinc_w * (qs @ K_v.T), cos_w * ps - sinc_w * (ps @ K_v.T)
+
     states: list[ExtremalState] = []
     h_drift = v_drift = norm_drift = gauge_drift = 0.0
-    for t in ts:
-        y = sol.sol(t)
-        q, p = y[:dim], y[dim:]
-        raw = ExtremalState(d=d, q=q, p=p)
-        h_drift = max(h_drift, abs(raw.H - 0.5))
-        v_drift = max(v_drift, float(np.abs(raw.v - v0).max()))
+    for q, p in zip(qs, ps):
+        st = ExtremalState(d=d, q=q, p=p)
+        h_drift = max(h_drift, abs(st.H - 0.5))
+        v_drift = max(v_drift, float(np.abs(st.v - v0).max()))
         norm_drift = max(norm_drift, abs(float(np.linalg.norm(q)) - 1.0))
         gauge_drift = max(gauge_drift, abs(float(p @ q)))
-        qn = q / np.linalg.norm(q)
-        pn = p - qn * float(p @ qn)
-        states.append(ExtremalState(d=d, q=qn, p=pn))
+        states.append(st)
     return GeodesicResult(
         ts=ts,
         states=states,
@@ -310,8 +295,9 @@ def qhf_kappas(v) -> tuple[float, float, float]:
 
     With s = |v|^2 and unit ambient sectional curvature:
     kappa_a = s (-2 - 1.875 s), kappa_b = 4 + 5 s, kappa_c = 1 + s.
+    Raises ``DomainError`` on a non-finite v.
     """
-    v = np.asarray(v, dtype=float).ravel()
+    v = _momentum(v)
     s = float(v @ v)
     return s * (-2.0 - 1.875 * s), 4.0 + 5.0 * s, 1.0 + s
 
@@ -356,11 +342,7 @@ def conjugate_time(d: int, v, tol: float = 1e-9) -> ConjugateResult:
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape != (3,):
-        raise ValueError(f"v must have three components, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise DomainError(f"v must be finite, got {v}")
+    v = _momentum(v)
     kappa_a, kappa_b, kappa_c = qhf_kappas(v)
     bound_kab = blowup_time_kab(kappa_a, kappa_b)
     bound_kc = blowup_time_kc(kappa_c).time if d >= 2 else None
@@ -387,44 +369,6 @@ def conjugate_time(d: int, v, tol: float = 1e-9) -> ConjugateResult:
         margin_kc=None if bound_kc is None else bound_kc - t_star,
         margin_kab=bound_kab.time - t_star,
     )
-
-
-# ----------------------------------------------------------------------
-# canonical splitting
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplittingFrame:
-    """Canonical splitting directions at a point of an extremal.
-
-    f_b rows are the phi images of the velocity (orthonormal); f_a rows
-    are 2 xi_alpha - 2 v_alpha gdot + 1.5 Z_alpha; f_c rows complete the
-    horizontal space orthogonally to f_b, with the motion direction gdot
-    as the last row (dimension forces gdot into this group: the
-    horizontal complement of the phi images has size 4d - 3 including
-    the velocity).
-    """
-
-    f_a: np.ndarray
-    f_b: np.ndarray
-    f_c: np.ndarray
-    gdot: np.ndarray
-
-
-def canonical_splitting(state: ExtremalState) -> SplittingFrame:
-    if abs(state.H - 0.5) > 1e-8:
-        raise DomainError(f"state must be a unit covector, H = {state.H}")
-    frames = build_frames(state.q, state.d)
-    gdot = state.gdot
-    v = state.v
-    phis = np.vstack([frames.phi(alpha, gdot) for alpha in range(3)])
-    Z = z_vectors(v, phis)
-    f_b = phis
-    f_a = 2.0 * frames.xis - 2.0 * np.outer(v, gdot) + 1.5 * Z
-    constraints = np.vstack([state.q[None, :], frames.xis, phis, gdot[None, :]])
-    complement = null_space(constraints).T
-    f_c = np.vstack([complement, gdot[None, :]])
-    return SplittingFrame(f_a=f_a, f_b=f_b, f_c=f_c, gdot=gdot)
 
 
 # ----------------------------------------------------------------------

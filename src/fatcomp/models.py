@@ -187,8 +187,15 @@ def _s_kab_limit(alpha: complex, t: float) -> complex:
     return alpha * (alpha * t / (1.0 - z * cot) + cot)
 
 
+def _check_kappas(kappa_a: float, kappa_b: float) -> None:
+    if not (math.isfinite(kappa_a) and math.isfinite(kappa_b)):
+        raise DomainError(f"kappa_a, kappa_b must be finite, got ({kappa_a}, {kappa_b})")
+
+
 def finiteness_predicate(kappa_a: float, kappa_b: float) -> bool:
-    """Sign conditions equivalent to a finite two-frequency blow-up time."""
+    """Sign conditions equivalent to a finite two-frequency blow-up time;
+    ``DomainError`` when kappa_a or kappa_b is NaN or infinite."""
+    _check_kappas(kappa_a, kappa_b)
     disc = kappa_b * kappa_b + 4.0 * kappa_a
     return (kappa_b >= 0.0 and disc > 0.0) or (kappa_b < 0.0 and kappa_a > 0.0)
 
@@ -289,8 +296,6 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
     alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t). Raises
     ``DomainError`` when kappa_a or kappa_b is NaN or infinite.
     """
-    if not (math.isfinite(kappa_a) and math.isfinite(kappa_b)):
-        raise DomainError(f"kappa_a, kappa_b must be finite, got ({kappa_a}, {kappa_b})")
     if not finiteness_predicate(kappa_a, kappa_b):
         return BlowUpTime.infinite()
     if kappa_a == 0.0:
@@ -358,8 +363,9 @@ def upper_bound_kab(kappa_a: float, kappa_b: float) -> float:
     """Upper bound 2*pi / Re(sqrt(x+y) - sqrt(x-y)) for the blow-up time.
 
     Returns +inf when the denominator vanishes. The bound is attained
-    exactly when kappa_a = 0.
+    exactly when kappa_a = 0. ``DomainError`` on NaN or infinite input.
     """
+    _check_kappas(kappa_a, kappa_b)
     th = theta_from_kappas(kappa_a, kappa_b)
     denom = 2.0 * th.theta_minus.real  # sqrt(x+y) - sqrt(x-y) = 2*theta_minus
     if denom <= 0.0:

@@ -20,14 +20,13 @@ Provided here:
 * ``first_blowup``, a det-sign scan on a grid stepped by exp(dt H), with
   bisection plus a smallest-singular-value refinement that also catches
   even-multiplicity zeros;
-* ``kalman_check``, the controllability-step count of the pair (A, B);
-* ``comparison_harness``, eigenvalue-ordered comparison of two solutions;
 * ``finite_blowup_constant``, the exact finiteness classification for
   constant coefficients via the Jordan structure of the Hamiltonian on
   its imaginary spectrum;
 * ``wedge_det_sign_changes`` and ``wedge_first_zero``, a long-horizon
   det N sign tracker for 2x2 systems: blocked powers of expm(h H2), H2 the
-  additive compound of H, guarded against growth; ``UnverifiableError``.
+  additive compound of H, with a step short enough for its oscillation
+  and guarded against growth; ``UnverifiableError``.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -45,13 +43,9 @@ from .models import BlowUpTime, DomainError, finiteness_predicate
 __all__ = [
     "JacobiSolution",
     "RiccatiSolution",
-    "ComparisonReport",
-    "kalman_steps",
-    "kalman_check",
     "integrate_jacobi",
     "first_blowup",
     "riccati_solution",
-    "comparison_harness",
     "finite_blowup_constant",
     "wedge_det_sign_changes",
     "wedge_first_zero",
@@ -73,34 +67,6 @@ def _svd_rank(X: np.ndarray, rel_tol: float = 1e-10) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rel_tol * s[0]))
-
-
-def kalman_steps(A, B, m_max: int | None = None) -> int:
-    """Smallest m with span{B, AB, ..., A^m B} full, or -1 if none.
-
-    m = 0 means the columns of B alone already span. Ranks use an SVD
-    cutoff of 1e-10 relative to the largest singular value.
-    """
-    A = _as_matrix(A, name="A")
-    n = A.shape[0]
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != n:
-        raise ValueError(f"B must have {n} rows, got shape {B.shape}")
-    if m_max is None:
-        m_max = n - 1
-    blocks = []
-    term = B.copy()
-    for m in range(0, m_max + 1):
-        blocks.append(term)
-        if _svd_rank(np.hstack(blocks)) == n:
-            return m
-        term = A @ term
-    return -1
-
-
-def kalman_check(A, B, m_max: int) -> bool:
-    """Controllability of (A, B) within m_max multiplications by A."""
-    return kalman_steps(A, B, m_max) >= 0
 
 
 # ----------------------------------------------------------------------
@@ -262,8 +228,10 @@ def first_blowup(
 
     # (lo, hi, first cell of a det crossing or None) as grid indices; a
     # minimum of sigma_min sorts before a crossing with the same onset, so
-    # it must carry the crossing: its slope polish cannot beat svd noise
-    changes = det[:-1] * det[1:] <= 0.0
+    # it must carry the crossing: its slope polish cannot beat svd noise.
+    # Signs are compared bit by bit: at large n, det N near a zero is so
+    # small that the product of two cell ends underflows to 0.0
+    changes = np.signbit(det[:-1]) != np.signbit(det[1:])
     last = _N_SCAN - 1
     brackets = [(max(i - 1, 0), min(i + 2, last), i) for i in np.flatnonzero(changes)]
     for i in np.flatnonzero((sig[1:-1] <= sig[:-2]) & (sig[1:-1] <= sig[2:])) + 1:
@@ -337,73 +305,6 @@ def riccati_solution(sol: JacobiSolution) -> RiccatiSolution:
 
 
 # ----------------------------------------------------------------------
-# comparison
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Eigenvalue ordering of two Riccati solutions along a grid.
-
-    min_gap[i] is the smallest eigenvalue of V2(t_i) - V1(t_i), expected
-    nonnegative when Q1 >= Q2; ordered records min_gap >= -1e-7
-    everywhere. tbar_1, tbar_2 are the first blow-ups within the scanned
-    horizon, and blowup_ordered records tbar_1 <= tbar_2.
-    """
-
-    t_grid: np.ndarray
-    min_gap: np.ndarray
-    ordered: bool
-    tbar_1: BlowUpTime
-    tbar_2: BlowUpTime
-    blowup_ordered: bool
-
-
-def comparison_harness(
-    A, B, Q1, Q2, t_grid: Sequence[float], blowup_horizon: float | None = None
-) -> ComparisonReport:
-    """Check V1 <= V2 (Loewner order) given constant Q1 >= Q2.
-
-    The hypothesis Q1 - Q2 >= -1e-10 is verified first and a ValueError
-    raised when it fails. Each grid point must precede both blow-ups
-    (det N positive there), otherwise the quotient is meaningless and a
-    RuntimeError is raised. Blow-up ordering tbar_1 <= tbar_2 is scanned
-    up to blowup_horizon, default 10x the last grid point.
-    """
-    Q1 = _as_matrix(Q1, name="Q1")
-    Q2 = _as_matrix(Q2, Q1.shape[0], name="Q2")
-    gap_hyp = float(np.linalg.eigvalsh(Q1 - Q2).min())
-    if gap_hyp < -1e-10:
-        raise ValueError(
-            f"hypothesis Q1 >= Q2 violated: min eig(Q1-Q2) = {gap_hyp:.3e}"
-        )
-    t_grid = np.asarray(list(t_grid), dtype=float)
-    if t_grid.size == 0 or t_grid.min() <= 0.0:
-        raise ValueError("t_grid must be nonempty with positive entries")
-    if blowup_horizon is None:
-        blowup_horizon = 10.0 * float(t_grid.max())
-    sols = [integrate_jacobi(A, B, Q, blowup_horizon) for Q in (Q1, Q2)]
-    vs = [riccati_solution(s) for s in sols]
-    min_gap = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        for s in sols:
-            if s.det_N(t) <= 0.0:
-                raise RuntimeError(f"grid point t={t} is at or past a blow-up")
-        D = vs[1].V(t) - vs[0].V(t)
-        min_gap[i] = float(np.linalg.eigvalsh(0.5 * (D + D.T)).min())
-    ordered = bool(min_gap.min() >= -1e-7)
-    tbar_1, tbar_2 = (first_blowup(s) for s in sols)
-    blowup_ordered = bool(tbar_1.time <= tbar_2.time * (1.0 + 1e-9))
-    return ComparisonReport(
-        t_grid=t_grid,
-        min_gap=min_gap,
-        ordered=ordered,
-        tbar_1=tbar_1,
-        tbar_2=tbar_2,
-        blowup_ordered=blowup_ordered,
-    )
-
-
-# ----------------------------------------------------------------------
 # constant-coefficient finiteness classification
 # ----------------------------------------------------------------------
 
@@ -436,15 +337,17 @@ def finite_blowup_constant(A, B, Q) -> bool:
     predicate on (q_a, q_b) instead: there the quartic spectrum is
     explicit, and the Jordan structure is numerically undecidable near
     the degenerate boundaries (discriminant zero, q_a zero) while the
-    predicate stays exact.
+    predicate stays exact. Raises ``DomainError`` on non-finite A, B or Q.
     """
     A = _as_matrix(A, name="A")
     n = A.shape[0]
     B = _as_matrix(B, n, name="B")
     Q = _as_matrix(Q, n, name="Q")
+    H = np.block([[-A.T, -Q], [B, A]])
+    if not np.isfinite(H).all():
+        raise DomainError("the finiteness classification needs finite A, B and Q")
     if _is_typeI_pair(A, B, Q):
         return finiteness_predicate(Q[0, 0], Q[1, 1])
-    H = np.block([[-A.T, -Q], [B, A]])
     eigs = np.linalg.eigvals(H)
     scale = max(1.0, float(np.abs(eigs).max()))
     band = max(1e-9, 1e-9 * scale)
@@ -497,12 +400,15 @@ def finite_blowup_constant(A, B, Q) -> bool:
 _WEDGE_BLOCK = 64
 #: Bound on log ||E2^K||_inf, far below the overflow at exp(709).
 _WEDGE_LOG_GROWTH = 300.0
+#: Most steps a pass may take (8 MB of det N coordinates).
+_WEDGE_MAX_STEPS = 2**20
 #: Pluecker coordinates (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of 2-planes
 #: in R^4: M(0) = I spans (0, 1), and det N is (2, 3).
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
 _DET_N = 5
 class UnverifiableError(FloatingPointError):
-    """A step of the wedge route overflows: t_max is beyond its reach."""
+    """t_max is beyond the wedge route's reach: a step overflows, or the
+    oscillation of det N needs more than ``_WEDGE_MAX_STEPS`` steps."""
 
 
 def _additive_compound(H: np.ndarray) -> np.ndarray:
@@ -519,8 +425,15 @@ def _wedge_pass(A, B, Q, t_max: float, steps: int, xtol: float):
         raise DomainError("wedge tracking needs finite A, B and Q")
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite positive, got {t_max}")
-    h = t_max / steps
     H2 = _additive_compound(np.block([[-A.T, -Q], [B, A]]))
+    # each oscillating mode turns by h max|Im spec(H2)| in a step; at pi/2
+    # two sign changes of det N cannot hide in one step (a bound of pi let
+    # 38 of 300 random finite cases report a later zero, pi/2 none)
+    need = t_max * float(np.abs(np.linalg.eigvals(H2).imag).max()) / (0.5 * math.pi)
+    if need > _WEDGE_MAX_STEPS:
+        raise UnverifiableError(f"t_max = {t_max:.3e} needs {need:.3e} steps, above {_WEDGE_MAX_STEPS}")
+    steps = max(steps, math.ceil(need))
+    h = t_max / steps
     with np.errstate(all="ignore"):
         E2 = _expm(h * H2)
     if not np.isfinite(E2).all():
@@ -580,9 +493,11 @@ def wedge_det_sign_changes(A, B, Q, t_max: float, steps: int = 4000) -> tuple[in
     would pass exp(300)): block starts by E2^K with a
     max-norm rescale, the steps inside from E2^1..E2^K, each read against its
     own largest coordinate. det N, one coordinate, escapes the cancellation
-    of direct propagation. Returns (sign changes, min over t > 1 of |det N|
-    over the largest coordinate). Raises ``DomainError`` on non-finite input,
-    ``UnverifiableError`` when E2 overflows.
+    of direct propagation. ``steps`` is raised where needed so that h times
+    the largest imaginary part of spec(H2) is at most pi/2. Returns (sign
+    changes, min over t > 1 of |det N| over the largest coordinate). Raises
+    ``DomainError`` on non-finite input, ``UnverifiableError`` when E2
+    overflows or more than 2^20 steps are needed.
     """
     return _wedge_pass(A, B, Q, t_max, steps, 1e-12)[:2]
 

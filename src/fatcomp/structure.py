@@ -1,23 +1,17 @@
-"""Block structure of fat distributions and traced reductions.
+"""Block structure of fat distributions.
 
 A fat structure of rank k in dimension n splits a frame along an extremal
 into three groups: a and b of size n - k each, and c of size 2k - n. The
 constant structural pair (A, B) has A the identity shift from b into a
 and B the orthogonal projector onto the (b, c) directions; A^2 = 0,
-B = B^2 = B^T, and (A, B) is controllable in one Kalman step.
-
-The full matrix Riccati solution V for this pair admits two exact traced
-reductions, used to compare against the scalar models:
-
-* type I: the 2x2 average over the (a, b) trace pairs, with an effective
-  potential built from the traced curvature plus two PSD corrections (a
-  Gram term from the c-coupling columns and a covariance term from the
-  in-block fluctuations);
-* type II: the scalar average over the c block with the motion direction
-  removed, with its own Gram and variance corrections.
+B = B^2 = B^T, and (A, B) is controllable in one Kalman step: rank B < n
+and rank [B, AB] = n. ``typeI_pair`` is the 2x2 pair of the same shape
+that governs the two-frequency model.
 
 The motion direction is kept LAST inside the c block everywhere in this
 package; along an extremal, V on that direction is exactly 1/t.
+``trace_inequality_check`` is the symmetric-pair trace inequality behind
+the paper's traced type-I reduction.
 """
 
 from __future__ import annotations
@@ -28,18 +22,9 @@ import numpy as np
 
 __all__ = [
     "FatDims",
-    "BlockMatrix",
     "StructuralPair",
     "build_structural",
     "typeI_pair",
-    "split_I_II",
-    "traced_typeI",
-    "traced_typeII",
-    "effective_potential_typeI",
-    "effective_potential_typeII",
-    "typeI_residual",
-    "typeII_residual",
-    "motion_row_residual",
     "trace_inequality_check",
 ]
 
@@ -72,11 +57,6 @@ class FatDims:
         return 2 * self.k - self.n
 
     @property
-    def m2(self) -> int:
-        """Size of the c block with the motion direction removed."""
-        return self.nc - 1
-
-    @property
     def sl_a(self) -> slice:
         return slice(0, self.na)
 
@@ -87,47 +67,6 @@ class FatDims:
     @property
     def sl_c(self) -> slice:
         return slice(2 * self.na, self.n)
-
-    @property
-    def sl_cprime(self) -> slice:
-        return slice(2 * self.na, self.n - 1)
-
-    @property
-    def idx_motion(self) -> int:
-        return self.n - 1
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """An n x n matrix carrying its (a, b, c) partition explicitly.
-
-    Block accessors go through the named groups so that varying (k, n)
-    across experiments cannot silently misalign indices.
-    """
-
-    M: np.ndarray
-    dims: FatDims
-
-    def __post_init__(self) -> None:
-        if np.asarray(self.M).shape != (self.dims.n, self.dims.n):
-            raise ValueError(
-                f"matrix shape {np.asarray(self.M).shape} does not match "
-                f"n = {self.dims.n}"
-            )
-
-    def _slice(self, group: str) -> slice:
-        try:
-            return {
-                "a": self.dims.sl_a,
-                "b": self.dims.sl_b,
-                "c": self.dims.sl_c,
-                "cprime": self.dims.sl_cprime,
-            }[group]
-        except KeyError:
-            raise ValueError(f"unknown block group {group!r}") from None
-
-    def block(self, rows: str, cols: str) -> np.ndarray:
-        return np.asarray(self.M)[self._slice(rows), self._slice(cols)]
 
 
 @dataclass(frozen=True)
@@ -155,144 +94,6 @@ def typeI_pair() -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def split_I_II(
-    M: np.ndarray | BlockMatrix, dims: FatDims | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal blocks of M on the (a, b) and c invariant subspaces."""
-    if isinstance(M, BlockMatrix):
-        dims = M.dims
-        M = M.M
-    if dims is None:
-        raise ValueError("dims required when M is a plain array")
-    M = np.asarray(M, dtype=float)
-    if M.shape != (dims.n, dims.n):
-        raise ValueError(f"expected {dims.n}x{dims.n}, got {M.shape}")
-    nab = 2 * dims.na
-    return M[:nab, :nab].copy(), M[dims.sl_c, dims.sl_c].copy()
-
-
-def _trace_blocks(M: np.ndarray, dims: FatDims) -> np.ndarray:
-    a, b = dims.sl_a, dims.sl_b
-    return np.array(
-        [
-            [np.trace(M[a, a]), np.trace(M[a, b])],
-            [np.trace(M[b, a]), np.trace(M[b, b])],
-        ]
-    )
-
-
-def traced_typeI(V_I: np.ndarray, dims: FatDims) -> np.ndarray:
-    """2x2 trace average of the (a, b) part of V."""
-    V_I = np.asarray(V_I, dtype=float)
-    nab = 2 * dims.na
-    if V_I.shape != (nab, nab):
-        raise ValueError(f"expected {nab}x{nab}, got {V_I.shape}")
-    return _trace_blocks(V_I, dims) / dims.na
-
-
-def traced_typeII(V_cc_prime: np.ndarray, dims: FatDims) -> float:
-    """Scalar trace average over the c block without the motion direction."""
-    if dims.m2 == 0:
-        raise ValueError("type-II reduction is empty when 2k - n = 1")
-    V_cc_prime = np.asarray(V_cc_prime, dtype=float)
-    if V_cc_prime.shape != (dims.m2, dims.m2):
-        raise ValueError(f"expected {dims.m2}x{dims.m2}, got {V_cc_prime.shape}")
-    return float(np.trace(V_cc_prime)) / dims.m2
-
-
-def effective_potential_typeI(
-    V: np.ndarray, R: np.ndarray, dims: FatDims
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Effective 2x2 potential for the traced type-I Riccati equation.
-
-    Returns (r_I, gram, cov): the traced curvature blocks of R plus the
-    two corrections, already divided by the block size. Both corrections
-    are Gram matrices of traceless parts, hence PSD; their presence makes
-    the traced reduction an exact Riccati solution rather than an
-    inequality.
-    """
-    na = dims.na
-    a, b, c = dims.sl_a, dims.sl_b, dims.sl_c
-    base = _trace_blocks(R, dims)
-    Vac, Vbc = V[a, c], V[b, c]
-    gram = np.array(
-        [
-            [np.sum(Vac * Vac), np.sum(Vac * Vbc)],
-            [np.sum(Vbc * Vac), np.sum(Vbc * Vbc)],
-        ]
-    )
-    Vab, Vbb = V[a, b], V[b, b]
-    tab, tbb = np.trace(Vab), np.trace(Vbb)
-    raw = np.array(
-        [
-            [np.sum(Vab * Vab), np.sum(Vab * Vbb.T)],
-            [np.sum(Vbb * Vab.T), np.sum(Vbb * Vbb)],
-        ]
-    )
-    cov = raw - np.array([[tab * tab, tab * tbb], [tbb * tab, tbb * tbb]]) / na
-    return (base + gram + cov) / na, gram / na, cov / na
-
-
-def effective_potential_typeII(V: np.ndarray, R: np.ndarray, dims: FatDims) -> float:
-    """Effective scalar potential for the traced type-II Riccati equation."""
-    if dims.m2 == 0:
-        raise ValueError("type-II reduction is empty when 2k - n = 1")
-    m2 = dims.m2
-    cp, b = dims.sl_cprime, dims.sl_b
-    Vp = V[cp, cp]
-    Vcb = V[cp, b]
-    base = (np.trace(R[cp, cp]) + np.sum(Vcb * Vcb)) / m2
-    var = (m2 * np.trace(Vp @ Vp) - np.trace(Vp) ** 2) / (m2 * m2)
-    return float(base + var)
-
-
-# ----------------------------------------------------------------------
-# residual checks (exactness of the reductions)
-# ----------------------------------------------------------------------
-
-def typeI_residual(Vfun, Rfun, t: float, dims: FatDims, h: float = 1e-5) -> float:
-    """Residual of the traced type-I Riccati equation at time t.
-
-    Vfun and Rfun return the full n x n solution and curvature at a given
-    time; the derivative of the traced reduction is taken by centered
-    difference. Exactness of the reduction means this residual is zero up
-    to differencing error.
-    """
-    a_I, b_I = typeI_pair()
-
-    def v_of(s: float) -> np.ndarray:
-        return traced_typeI(split_I_II(Vfun(s), dims)[0], dims)
-
-    v = v_of(t)
-    dv = (v_of(t + h) - v_of(t - h)) / (2.0 * h)
-    r_I, _, _ = effective_potential_typeI(Vfun(t), Rfun(t), dims)
-    res = dv + a_I.T @ v + v @ a_I + r_I + v @ b_I @ v
-    return float(np.linalg.norm(res))
-
-
-def typeII_residual(Vfun, Rfun, t: float, dims: FatDims, h: float = 1e-5) -> float:
-    """Residual of the traced type-II Riccati equation at time t."""
-
-    def v_of(s: float) -> float:
-        return traced_typeII(Vfun(s)[dims.sl_cprime, dims.sl_cprime], dims)
-
-    v = v_of(t)
-    dv = (v_of(t + h) - v_of(t - h)) / (2.0 * h)
-    r = effective_potential_typeII(Vfun(t), Rfun(t), dims)
-    return abs(dv + r + v * v)
-
-
-def motion_row_residual(V: np.ndarray, dims: FatDims, t: float) -> float:
-    """Deviation of V on the motion direction from the exact value 1/t.
-
-    When the curvature has zero row and column on the motion direction,
-    that direction decouples and V e_motion = e_motion / t exactly.
-    """
-    e = np.zeros(dims.n)
-    e[dims.idx_motion] = 1.0
-    return float(np.linalg.norm(np.asarray(V) @ e - e / t))
-
-
 # ----------------------------------------------------------------------
 # trace inequality
 # ----------------------------------------------------------------------
@@ -307,7 +108,8 @@ def trace_inequality_check(X, Y, tol: float = 1e-9) -> tuple[float, bool]:
 
     with <X,Y> = tr(XY) and |X|^2 = <X,X>. Equality holds when Y is a
     multiple of the identity or Y = X. This is the inequality certifying
-    that the covariance correction of the traced type-I reduction is PSD.
+    that the covariance correction of the paper's traced type-I reduction
+    is PSD.
     Returns (slack, slack >= -tol * scale) with scale the magnitude of
     the largest term.
     """

