@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import curvature_blocks, qhf_curvature_inputs, ricci_scalars, vee
-from .hopf import conjugate_time, initial_state, integrate_extremal, sublaplacian_along
+from .hopf import _qhf_jacobi, conjugate_time, initial_state, integrate_extremal, sublaplacian_along
 from .models import (
     blowup_time_kab,
     blowup_time_kc,
@@ -269,14 +269,16 @@ def check_isotropic_conjugate(rng: np.random.Generator) -> CheckResult:
 # quaternionic Hopf fibration checks
 # ----------------------------------------------------------------------
 
-def _conjugate_grid(rng: np.random.Generator, d: int) -> tuple[float, float]:
-    """Worst bound margin and the v = 0 conjugate-time error at pi."""
+def _conjugate_grid(rng: np.random.Generator, d: int) -> tuple[float, float, float]:
+    """Worst bound margin, v = 0 error at pi, and largest gap to the full-system scan."""
     norms = np.linspace(0.0, 3.0, 30)
-    worst_margin = math.inf
-    pi_err = math.nan
+    worst_margin, pi_err, gap = math.inf, math.nan, 0.0
     for nv in norms:
         v = nv * _unit(rng, 3)
         res = conjugate_time(d, v)
+        t_max = 1.1 * min(res.bound_kab.time, res.bound_kc or math.inf)
+        full = first_blowup(_qhf_jacobi(d, v, t_max), t_min=0.01 * t_max, tol=1e-12)
+        gap = max(gap, abs(res.t_star - full.time))
         margins = [res.margin_kab]
         if res.margin_kc is not None:
             margins.append(res.margin_kc)
@@ -285,13 +287,13 @@ def _conjugate_grid(rng: np.random.Generator, d: int) -> tuple[float, float]:
         worst_margin = min(worst_margin, min(margins))
         if nv == 0.0:
             pi_err = abs(res.t_star - math.pi)
-    return worst_margin, pi_err
+    return worst_margin, pi_err, gap
 
 
 def check_qhf_conjugate_d2(rng: np.random.Generator) -> CheckResult:
     """d = 2 conjugate times against both model bounds on a norm grid."""
-    worst_margin, pi_err = _conjugate_grid(rng, 2)
-    ok = worst_margin >= -1e-6 and pi_err < 1e-6
+    worst_margin, pi_err, gap = _conjugate_grid(rng, 2)
+    ok = worst_margin >= -1e-6 and pi_err < 1e-6 and gap <= 1e-10
     return CheckResult(
         name="qhf-conjugate-d2",
         passed=bool(ok),
@@ -300,15 +302,15 @@ def check_qhf_conjugate_d2(rng: np.random.Generator) -> CheckResult:
         n_cases=30,
         detail=(
             f"min bound margin over |v| grid on [0, 3]; v=0 conjugate time "
-            f"off pi by {pi_err:.3e}"
+            f"off pi by {pi_err:.3e}; split blocks vs full-system scan {gap:.3e}"
         ),
     )
 
 
 def check_qhf_conjugate_d1(rng: np.random.Generator) -> CheckResult:
     """d = 1 conjugate times: at most pi, and below the two-frequency bound."""
-    worst_margin, pi_err = _conjugate_grid(rng, 1)
-    ok = worst_margin >= -1e-6 and pi_err < 1e-6
+    worst_margin, pi_err, gap = _conjugate_grid(rng, 1)
+    ok = worst_margin >= -1e-6 and pi_err < 1e-6 and gap <= 1e-10
     return CheckResult(
         name="qhf-conjugate-d1",
         passed=bool(ok),
@@ -317,7 +319,7 @@ def check_qhf_conjugate_d1(rng: np.random.Generator) -> CheckResult:
         n_cases=30,
         detail=(
             f"min margin over |v| grid on [0, 3] (pi bound and two-frequency "
-            f"bound); v=0 conjugate time off pi by {pi_err:.3e}"
+            f"bound); v=0 conjugate time off pi by {pi_err:.3e}; split blocks vs full-system scan {gap:.3e}"
         ),
     )
 

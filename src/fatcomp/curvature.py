@@ -144,6 +144,8 @@ def qhf_curvature_inputs(d: int, v) -> CurvatureInputs:
     w = np.zeros(nc)
     w[0] = 1.0
     s = float(np.dot(np.asarray(v).ravel(), np.asarray(v).ravel()))
+    if not math.isfinite(s):
+        raise DomainError(f"v must be finite, got {v}")
     return CurvatureInputs(
         d=d,
         ABA=4.0 * np.eye(3),
@@ -155,17 +157,9 @@ def qhf_curvature_inputs(d: int, v) -> CurvatureInputs:
     )
 
 
-def _motion_last_rotation(w: np.ndarray) -> np.ndarray:
-    """Orthogonal map sending the motion coordinates w to the last axis."""
-    nc = w.shape[0]
-    e_last = np.zeros(nc)
-    e_last[-1] = 1.0
-    diff = w - e_last
-    nrm = np.linalg.norm(diff)
-    if nrm < 1e-14:
-        return np.eye(nc)
-    u = diff / nrm
-    return np.eye(nc) - 2.0 * np.outer(u, u)
+def _reflect(X: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """X P^T for the reflection P = I - 2 u u^T, as a rank-one update."""
+    return X - 2.0 * np.outer(X @ u, u)
 
 
 @dataclass
@@ -256,6 +250,8 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     v = np.asarray(v, dtype=float).ravel()
     if v.shape != (3,):
         raise ValueError(f"v must have three components, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise DomainError(f"v must be finite, got {v}")
     s = float(v @ v)
     V = vee(v)
     V2 = V @ V
@@ -273,11 +269,11 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     if os.environ.get("FATCOMP_FAULT") == "curvature-sign":
         base_bb = -base_bb
 
-    P = _motion_last_rotation(np.asarray(inputs.w, dtype=float))
-    R_cc = P @ (
-        np.asarray(inputs.UBU, dtype=float)
-        + s * (np.eye(P.shape[0]) - np.outer(inputs.w, inputs.w))
-    ) @ P.T
+    w = np.asarray(inputs.w, dtype=float)
+    u = w - np.eye(w.size)[-1]  # P = I - 2 u u^T sends w to the last axis; P = I if w is there
+    u = u / np.linalg.norm(u) if np.linalg.norm(u) >= 1e-14 else 0.0 * u
+    X = np.asarray(inputs.UBU, dtype=float) + s * (np.eye(w.size) - np.outer(w, w))
+    R_cc = _reflect(_reflect(X, u).T, u).T  # P X P^T
     edge = max(
         float(np.abs(R_cc[-1, :]).max()), float(np.abs(R_cc[:, -1]).max())
     )
@@ -286,7 +282,7 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
             f"motion direction carries curvature (residual {edge:.3e}); "
             "inputs are inconsistent"
         )
-    ABU_rot = np.asarray(inputs.ABU, dtype=float) @ P.T
+    ABU_rot = _reflect(np.asarray(inputs.ABU, dtype=float), u)
     dims = FatDims(k=4 * inputs.d, n=4 * inputs.d + 3)
     return CurvatureBlocks(
         dims=dims,

@@ -16,15 +16,15 @@ form in ambient coordinates, and the drift of the first integrals it
 reports is rounding error only.
 
 Conjugate times are not obtained by differentiating the exponential map:
-the first zero of det N of the canonical Jacobi system for the fat pair
-(k, n) = (4d, 4d + 3) is refined instead. Its curvature R(t) = P R0 P^T,
-P = exp(tW), comes from ``fatcomp.curvature``, and P commutes with the
+they are the first zero of det N of the canonical Jacobi system for the
+fat pair (k, n) = (4d, 4d + 3). Its curvature R(t) = P R0 P^T, P =
+exp(tW), comes from ``fatcomp.curvature``, and P commutes with the
 structural pair (A, B). So (P^T M, P^T N) solve the constant system with
-A - W and R0, whose N has the singular values and det of the lab-frame
-N; ``fatcomp.riccati`` propagates it with exp(tH). The same solution
-evaluates the radial sub-Laplacian through the trace formula, since
-trace(B V) is the same in both frames, and compares it against the
-scalar models.
+A - W and R0 (``_qhf_jacobi``), whose N has the singular values and det
+of the lab-frame N. It is block diagonal (``_qhf_blocks``): a real and a
+complex type-I pair, the c block with Q = kappa_c I, and the motion row.
+``conjugate_time`` takes the first det N zero over the blocks, and
+``sublaplacian_along`` sums their trace(B V), the same in both frames.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .models import (
     eval_s_kab,
     eval_s_kc,
 )
-from .riccati import first_blowup, integrate_jacobi, riccati_solution
-from .structure import FatDims, build_structural
+from .riccati import UnverifiableError, integrate_jacobi, riccati_solution, wedge_first_zero
+from .structure import build_structural, typeI_pair
 
 __all__ = [
     "FrameBundle",
@@ -332,13 +332,50 @@ def _qhf_jacobi(d: int, v, t_max: float):
     return integrate_jacobi(pair.A - blocks.rotation_generator, pair.B, blocks.assemble(0.0), t_max)
 
 
-def conjugate_time(d: int, v, tol: float = 1e-9) -> ConjugateResult:
-    """First conjugate time from the canonical Jacobi system.
+#: a/b coordinates after diag(R, R): (a1, b1), and (a2, a3, b2, b3) for a2 + i a3, b2 + i b3
+_REAL, _CPLX = [0, 3], [1, 2, 4, 5]
+_J_PAIR = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])  # i on (a2, a3) and on (b2, b3)
 
-    Scans the (4d + 3)-dimensional system to 10% beyond the smaller of the
-    two model bounds; a missing det N zero within that horizon would
-    contradict the bounds and raises RuntimeError. Raises ``DomainError``
-    on a non-finite v.
+
+def _qhf_blocks(d: int, v):
+    """``_qhf_jacobi``'s system on its blocks, read off (A - W, assemble(0)):
+    the a/b 6x6, the c block (A = 0, B = I, Q = kappa_c I, d >= 2) and the
+    free motion row. diag(R, R), R e1 = +-v/|v|, splits the a/b block into the
+    real type-I pair on (a1, b1) and the complex pair (A_I + i mu I, B_I, Q_c)
+    on (a2 + i a3, b2 + i b3), Q_c Hermitian; the shift only turns det N by
+    exp(2 i mu t) and is dropped. Returns the a/b (A, B, Q), the two pairs and
+    kappa_c (None at d = 1); ``UnverifiableError`` if a coupling, the J
+    commutator or a non-scalar shift or c block passes 1e-12 max|Q|."""
+    blocks = curvature_blocks(v, qhf_curvature_inputs(d, v))
+    Q = blocks.assemble(0.0)
+    ab = (build_structural(blocks.dims).A - blocks.rotation_generator)[:6, :6], np.diag([0.0] * 3 + [1.0] * 3), Q[:6, :6]
+    R = np.linalg.qr(np.column_stack([v, np.eye(3)]))[0] if v.any() else np.eye(3)  # R e1 = +-v/|v|
+    kappa_c = float(Q[6, 6]) if d >= 2 else None
+    residual = max(np.abs(Q[:6, 6:]).max(), np.abs(Q[6:, 6:] - np.diag([kappa_c or 0.0] * (4 * d - 4) + [0.0])).max())
+    real, cplx = [], []
+    for X in (ab[0], ab[2]):
+        X = np.kron(np.eye(2), R.T) @ X @ np.kron(np.eye(2), R)
+        Xc = X[np.ix_(_CPLX, _CPLX)]
+        coupling = max(np.abs(X[np.ix_(_REAL, _CPLX)]).max(), np.abs(X[np.ix_(_CPLX, _REAL)]).max())
+        residual = max(residual, coupling, np.abs(Xc @ _J_PAIR - _J_PAIR @ Xc).max())
+        real.append(X[np.ix_(_REAL, _REAL)])
+        cplx.append(Xc[0::2, 0::2] + 1j * Xc[1::2, 0::2])
+    (A_c, Q_c), B_I = cplx, typeI_pair()[1]
+    residual = max(residual, np.abs(A_c.imag - A_c.imag[0, 0] * np.eye(2)).max())
+    if not residual <= 1e-12 * np.abs(Q).max():
+        raise UnverifiableError(f"the QHF system does not split into its blocks: residual {residual:.3e}")
+    return ab, [(real[0], B_I, real[1]), (A_c.real, B_I, Q_c)], kappa_c
+
+
+def conjugate_time(d: int, v, tol: float = 1e-9) -> ConjugateResult:
+    """First conjugate time: the first det N zero over the ``_qhf_blocks``.
+
+    t_star is the smallest of the ``wedge_first_zero`` times of the real and
+    the complex type-I pair, scanned to 10% beyond the smaller model bound,
+    and pi/sqrt(kappa_c), exact for the c block's N = sin(sqrt(kappa_c) t) /
+    sqrt(kappa_c) I; the cost does not depend on d. No zero within that
+    horizon contradicts the bounds and raises RuntimeError. Raises
+    ``DomainError`` on a non-finite v.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -346,20 +383,14 @@ def conjugate_time(d: int, v, tol: float = 1e-9) -> ConjugateResult:
     kappa_a, kappa_b, kappa_c = qhf_kappas(v)
     bound_kab = blowup_time_kab(kappa_a, kappa_b)
     bound_kc = blowup_time_kc(kappa_c).time if d >= 2 else None
-    finite_bounds = [b for b in (bound_kc, bound_kab.time) if b is not None]
-    t_max = 1.1 * min(finite_bounds)
-    sol = _qhf_jacobi(d, v, t_max)
-    # det N grows like t**17 near 0, and N carries a rounding error of
-    # eps |exp(tH)|; starting the scan at 1% of the horizon keeps the sign
-    # of det N clear of it while staying far below any conjugate time the
-    # bounds allow.
-    hit = first_blowup(sol, t_min=0.01 * t_max, tol=min(tol, 1e-12))
-    if not hit.is_finite:
-        raise RuntimeError(
-            f"no conjugate point found below {t_max} for d={d}, v={v}; "
-            "inconsistent with the model bounds"
-        )
-    t_star = hit.time
+    t_max = 1.1 * min(bound_kab.time, bound_kc or math.inf)
+    _, pairs, kappa_c = _qhf_blocks(d, v)
+    times = [wedge_first_zero(*pair, t_max, steps=256, xtol=min(tol, 1e-12)).time for pair in pairs]
+    if kappa_c is not None and kappa_c > 0.0:
+        times.append(math.pi / math.sqrt(kappa_c))
+    t_star = min(times)
+    if not t_star <= t_max:
+        raise RuntimeError(f"no conjugate point found below {t_max} for d={d}, v={v}; inconsistent with the model bounds")
     return ConjugateResult(
         d=d,
         v=v,
@@ -398,11 +429,13 @@ class SublaplacianReport:
 def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
     """Evaluate the radial sub-Laplacian trace formula on a grid.
 
-    The grid must sit strictly inside (0, t_star): at and beyond the
-    conjugate time the distance is no longer smooth and the trace
-    formula is meaningless. The volume-derivative term vanishes for
-    these structures, so no extra scalar enters the comparison. Raises
-    ``DomainError`` on an empty or non-finite grid and a non-finite v.
+    trace(B V) sums the blocks of ``_qhf_blocks``: the a/b 6x6 by its
+    Riccati quotient, (4d - 4) sqrt(kappa_c) cot(sqrt(kappa_c) r) and the
+    motion row's 1/r, which the formula subtracts. The grid must sit
+    strictly inside (0, t_star), where the distance is smooth. The
+    volume-derivative term vanishes for these structures, so no extra
+    scalar enters the comparison. Raises ``DomainError`` on an empty or
+    non-finite grid and a non-finite v.
     """
     v = np.asarray(v, dtype=float).ravel()
     r = np.asarray(list(r_grid), dtype=float)
@@ -417,15 +450,14 @@ def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
             f"got [{r.min()}, {r.max()}]"
         )
     kappa_a, kappa_b, kappa_c = qhf_kappas(v)
-    sol = _qhf_jacobi(d, v, float(r.max()) * (1.0 + 1e-9))
-    ric = riccati_solution(sol)
-    B = build_structural(FatDims(k=4 * d, n=4 * d + 3)).B
-    lhs = np.empty_like(r)
-    rhs = np.empty_like(r)
+    (A, B, Q), _, kappa_cc = _qhf_blocks(d, v)
+    ric = riccati_solution(integrate_jacobi(A, B, Q, float(r.max()) * (1.0 + 1e-9)))
+    lhs, rhs = np.empty_like(r), np.empty_like(r)
     for i, ri in enumerate(r):
-        lhs[i] = float(np.trace(B @ ric.V(ri))) - 1.0 / ri
+        lhs[i] = float(np.trace(B @ ric.V(ri)))
         rhs[i] = 3.0 * eval_s_kab(kappa_a, kappa_b, ri)
         if d >= 2:
+            lhs[i] += (4.0 * d - 4.0) * math.sqrt(kappa_cc) / math.tan(math.sqrt(kappa_cc) * ri)
             rhs[i] += (4.0 * d - 4.0) * eval_s_kc(kappa_c, ri)
     return SublaplacianReport(
         d=d,

@@ -24,9 +24,9 @@ Provided here:
   constant coefficients via the Jordan structure of the Hamiltonian on
   its imaginary spectrum;
 * ``wedge_det_sign_changes`` and ``wedge_first_zero``, a long-horizon
-  det N sign tracker for 2x2 systems: blocked powers of expm(h H2), H2 the
-  additive compound of H, with a step short enough for its oscillation
-  and guarded against growth; ``UnverifiableError``.
+  det N sign tracker for 2x2 systems, Q real or Hermitian: blocked powers
+  of expm(h H2), H2 the additive compound of H, with a step short enough
+  for its oscillation and guarded against growth; ``UnverifiableError``.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ __all__ = [
 ]
 
 
-def _as_matrix(X, n: int | None = None, name: str = "matrix") -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+def _as_matrix(X, n: int | None = None, name: str = "matrix", dtype=float) -> np.ndarray:
+    X = np.asarray(X, dtype=dtype)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError(f"{name} must be square, got shape {X.shape}")
     if n is not None and X.shape[0] != n:
@@ -154,7 +154,7 @@ def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
     B = _as_matrix(B, n, name="B")
     Q = _as_matrix(Q, n, name="Q")
     if not (t_max > 0.0 and math.isfinite(t_max)):
-        raise ValueError(f"t_max must be finite positive, got {t_max}")
+        raise DomainError(f"t_max must be finite positive, got {t_max}")
     H = np.block([[-A.T, -Q], [B, A]])
     if not np.isfinite(H).all():
         raise DomainError("the Jacobi system needs finite A, B and Q")
@@ -261,7 +261,10 @@ def first_blowup(
         scale_ref = max(float(s_star[0]), svals[i_lo, 0], svals[i_hi, 0])
         n_collapsed = int(np.sum(s_star < 1e-7 * scale_ref))
         if crossing is not None and n_collapsed <= 1:
-            return BlowUpTime.finite(float(brentq(sol.det_N, ts[crossing], ts[crossing + 1], xtol=xtol)))
+            a, b = ts[crossing], ts[crossing + 1]
+            if np.signbit(sol.det_N(a)) == np.signbit(sol.det_N(b)):
+                raise UnverifiableError(f"the scan sees det N change sign on [{a:.17g}, {b:.17g}], pointwise det N does not")
+            return BlowUpTime.finite(float(brentq(sol.det_N, a, b, xtol=xtol)))
         if n_collapsed >= 1:
             return BlowUpTime.finite(x_star)
     return BlowUpTime.infinite()
@@ -420,11 +423,14 @@ def _additive_compound(H: np.ndarray) -> np.ndarray:
 
 def _wedge_pass(A, B, Q, t_max: float, steps: int, xtol: float):
     """(sign changes, min_rel, first zero) of det N for the wedge functions."""
-    A, B, Q = (_as_matrix(X, 2, name=nm) for X, nm in ((A, "A"), (B, "B"), (Q, "Q")))
+    A, B = _as_matrix(A, 2, name="A"), _as_matrix(B, 2, name="B")
+    Q = _as_matrix(Q, 2, name="Q", dtype=complex if np.iscomplexobj(Q) else float)
     if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(Q).all()):
         raise DomainError("wedge tracking needs finite A, B and Q")
     if not (t_max > 0.0 and math.isfinite(t_max)):
-        raise ValueError(f"t_max must be finite positive, got {t_max}")
+        raise DomainError(f"t_max must be finite positive, got {t_max}")
+    if np.iscomplexobj(Q) and np.abs(Q - Q.conj().T).max() > 1e-10 * max(1.0, np.abs(Q).max()):
+        raise ValueError("Q is not Hermitian to 1e-10")
     H2 = _additive_compound(np.block([[-A.T, -Q], [B, A]]))
     # each oscillating mode turns by h max|Im spec(H2)| in a step; at pi/2
     # two sign changes of det N cannot hide in one step (a bound of pi let
@@ -445,18 +451,21 @@ def _wedge_pass(A, B, Q, t_max: float, steps: int, xtol: float):
     for _ in range(1, K):
         powers.append(E2 @ powers[-1])
     n_blocks = -(-steps // K)
-    starts = np.zeros((n_blocks, 6))
+    starts = np.zeros((n_blocks, 6), H2.dtype)
     starts[0, 0] = 1.0
     for b in range(1, n_blocks):
         w = powers[-1] @ starts[b - 1]
         starts[b] = w / np.abs(w).max()
-    rel = np.empty(n_blocks * K)  # rel[k]: det N / max coordinate after step k + 1
+    rel = np.empty(n_blocks * K, H2.dtype)  # rel[k]: det N / max coordinate after step k + 1
     per = max(1, 256 // K)  # blocks per product, for 12 KB temporaries
     stacked = np.reshape(powers, (6 * K, 6))
     for b in range(0, n_blocks, per):
         W = (stacked @ starts[b : b + per].T).reshape(K, 6, -1)  # (step, coordinate, block)
         rel[b * K : (b + W.shape[2]) * K] = (W[:, _DET_N] / np.abs(W).max(axis=1)).T.ravel()
     rel = rel[:steps]
+    if np.iscomplexobj(rel) and np.abs(rel.imag).max() > 1e-10:  # Hermitian Q: det N is real
+        raise UnverifiableError(f"det N is not real: imaginary part {np.abs(rel.imag).max():.3e} of the largest coordinate")
+    rel = rel.real
     nonzero = np.flatnonzero(rel)  # a zero coordinate keeps the previous sign
     signs = rel[nonzero] > 0.0
     flips = nonzero[1:][signs[1:] != signs[:-1]]
@@ -472,11 +481,11 @@ def _wedge_pass(A, B, Q, t_max: float, steps: int, xtol: float):
     while span * norm > 0.5:
         span *= 0.5
         mid = _expm(span * H2) @ w
-        if (mid[_DET_N] > 0.0) == (w[_DET_N] > 0.0):
+        if (mid[_DET_N].real > 0.0) == (w[_DET_N].real > 0.0):
             t0, w = t0 + span, mid
     coef, w = [], w / np.abs(w).max()
     for j in range(1, 18):
-        coef.insert(0, float(w[_DET_N]))
+        coef.insert(0, float(w[_DET_N].real))
         w = (H2 @ w) / j
     g = lambda dt: functools.reduce(lambda acc, c: acc * dt + c, coef, 0.0)
     g0, g1 = g(0.0), g(span)  # they may disagree with the scan in the last bits
@@ -493,8 +502,9 @@ def wedge_det_sign_changes(A, B, Q, t_max: float, steps: int = 4000) -> tuple[in
     would pass exp(300)): block starts by E2^K with a
     max-norm rescale, the steps inside from E2^1..E2^K, each read against its
     own largest coordinate. det N, one coordinate, escapes the cancellation
-    of direct propagation. ``steps`` is raised where needed so that h times
-    the largest imaginary part of spec(H2) is at most pi/2. Returns (sign
+    of direct propagation; with a Hermitian Q it is real (an imaginary part
+    above 1e-10 of the largest coordinate is unverifiable). ``steps`` is
+    raised so that h max|Im spec(H2)| <= pi/2. Returns (sign
     changes, min over t > 1 of |det N| over the largest coordinate). Raises
     ``DomainError`` on non-finite input, ``UnverifiableError`` when E2
     overflows or more than 2^20 steps are needed.

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 import fatcomp
-from fatcomp.curvature import ricci_scalars
+from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs, ricci_scalars
 from fatcomp.hopf import ExtremalState, initial_state, integrate_extremal, qhf_kappas
 from fatcomp.models import DomainError, finiteness_predicate, upper_bound_kab
-from fatcomp.riccati import finite_blowup_constant
+from fatcomp.riccati import finite_blowup_constant, integrate_jacobi, wedge_det_sign_changes, wedge_first_zero
 from fatcomp.structure import typeI_pair
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fatcomp.__path__))
@@ -78,6 +78,11 @@ BAD_INPUT = {
     "initial_state-seed-nan": (lambda: initial_state(1, [0.0, 0.0, 0.0], seed_direction=np.full(8, math.nan)), "horizontal"),
     "finite_blowup_constant-typeI-Q-nan": (lambda: finite_blowup_constant(A_I, B_I, np.diag([math.nan, 1.0])), "finite"),
     "finite_blowup_constant-generic-Q-nan": (lambda: finite_blowup_constant(np.zeros((3, 3)), np.eye(3), np.full((3, 3), math.nan)), "finite"),
+    "integrate_jacobi-t_max-nan": (lambda: integrate_jacobi(A_I, B_I, np.eye(2), math.nan), "t_max"),
+    "wedge_first_zero-t_max-inf": (lambda: wedge_first_zero(A_I, B_I, np.eye(2), math.inf), "t_max"),
+    "wedge_det_sign_changes-t_max-nan": (lambda: wedge_det_sign_changes(A_I, B_I, np.eye(2), math.nan), "t_max"),
+    "curvature_blocks-v-nan": (lambda: curvature_blocks([math.nan, 0.0, 0.0], qhf_curvature_inputs(1, [0.0, 0.0, 0.0])), "v must be finite"),
+    "qhf_curvature_inputs-v-inf": (lambda: qhf_curvature_inputs(2, [0.0, math.inf, 0.0]), "v must be finite"),
 }
 
 

@@ -286,6 +286,26 @@ class TestCurvatureBlocks:
             R = blocks.assemble(t)
             assert np.abs(R - P @ blocks.assemble(0.0) @ P.T).max() < 1e-12 * np.abs(R).max()
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_rank_one_reflection_matches_the_dense_product(self, d):
+        # the motion-last Householder reflection P is applied as rank-one
+        # updates; the dense P X P^T and ABU P^T are the reference
+        rng = np.random.default_rng(d)
+        nc = 4 * d - 3
+        for w in (np.eye(nc)[0], np.eye(nc)[-1], rng.standard_normal(nc)):
+            w = w / np.linalg.norm(w)
+            proj = np.eye(nc) - np.outer(w, w)
+            S = rng.standard_normal((nc, nc))
+            UBU, ABU = proj @ (S + S.T) @ proj, rng.standard_normal((3, nc))
+            inputs = CurvatureInputs(d=d, ABA=4.0 * np.eye(3), ABdotA=np.zeros((3, 3)), ABU=ABU, UBU=UBU, w=w, rho_a=0.0)
+            v = rng.standard_normal(3)
+            blocks = curvature_blocks(v, inputs)
+            u = w - np.eye(nc)[-1]
+            P = np.eye(nc) - 2.0 * np.outer(u, u) / (u @ u) if u.any() else np.eye(nc)
+            dense_cc = P @ (UBU + (v @ v) * proj) @ P.T
+            assert np.abs(blocks.R_cc - dense_cc).max() <= 1e-15 * max(1.0, np.abs(dense_cc).max())
+            assert np.abs(blocks.R_bc(0.0) - ABU @ P.T).max() <= 1e-15 * max(1.0, np.abs(ABU).max())
+
     def test_rejects_curvature_on_motion_direction(self):
         v = np.array([0.2, 0.0, 0.0])
         good = qhf_curvature_inputs(2, v)

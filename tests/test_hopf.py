@@ -25,6 +25,7 @@ from scipy.linalg import expm
 from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
 from fatcomp.hopf import (
     DomainError,
+    _qhf_blocks,
     _qhf_jacobi,
     build_frames,
     conjugate_time,
@@ -35,7 +36,7 @@ from fatcomp.hopf import (
     sublaplacian_along,
 )
 from fatcomp.models import blowup_time_kab, eval_s_kc
-from fatcomp.riccati import JacobiSolution, riccati_solution
+from fatcomp.riccati import JacobiSolution, first_blowup, riccati_solution
 from fatcomp.structure import FatDims, build_structural
 
 
@@ -272,25 +273,51 @@ class TestConjugateTime:
         res = conjugate_time(1, [0.5, 0.0, 0.0])
         assert res.kappas == qhf_kappas([0.5, 0.0, 0.0])
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 64])
     def test_closed_form_conjugate_time(self, d):
         # t* = pi/sqrt(1 + |v|^2) for every d, whose c' pairs and traced
-        # (a, b) system both first turn conjugate there
+        # (a, b) system both first turn conjugate there: at v = 0, on each
+        # axis and at 9 seeded covectors
         rng = np.random.default_rng(100 + d)
-        worst = 0.0
+        vs = [(0.4 + i) * e for i, e in enumerate(np.eye(3))]
         for nv in np.linspace(0.0, 3.0, 10):
             u = rng.standard_normal(3)
-            v = nv * u / np.linalg.norm(u)
-            res = conjugate_time(d, v)
-            worst = max(worst, abs(res.t_star - math.pi / math.sqrt(1.0 + nv * nv)))
+            vs.append(nv * u / np.linalg.norm(u))
+        worst = max(abs(conjugate_time(d, v).t_star - math.pi / math.sqrt(1.0 + v @ v)) for v in vs)
         assert worst < 1e-12, f"worst |t* - pi/sqrt(1 + |v|^2)| = {worst:.3e}"
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_dets_multiply_to_the_full_det(self, d):
+        # det N = det N_real |det N_c|^2 (sin(sqrt(kc) t)/sqrt(kc))^(4d-4) t,
+        # the motion row contributing t
+        v = np.array([0.6, -0.3, 0.2]) * d
+        _, pairs, kappa_c = _qhf_blocks(d, v)
+        full = _qhf_jacobi(d, v, 3.0)
+        Hs = [np.block([[-A.T, -Q], [B, A]]) for A, B, Q in pairs]
+        for t in (0.4, 1.1, 1.9, 2.6):
+            det_real, det_c = (np.linalg.det(expm(t * H)[2:, :2]) for H in Hs)
+            c = (math.sin(math.sqrt(kappa_c) * t) / math.sqrt(kappa_c)) ** (4 * d - 4) if d >= 2 else 1.0
+            expected = det_real * abs(det_c) ** 2 * c * t
+            assert abs(full.det_N(t) - expected) <= 1e-10 * abs(expected), f"t = {t}"
+
+    def test_fault_keeps_the_c_block_time_and_loses_d1(self, monkeypatch):
+        # the sign fault flips the b block: d = 1 loses its conjugate point,
+        # d >= 2 keeps the c block's, and the blocks still split exactly
+        v = np.array([0.3, -0.7, 1.1])
+        clean = conjugate_time(2, v).t_star
+        monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")
+        assert conjugate_time(2, v).t_star == pytest.approx(clean, abs=1e-12)
+        with pytest.raises(RuntimeError, match="no conjugate point found"):
+            conjugate_time(1, v)
 
     def test_large_dimension_has_no_underflow_crossings(self):
         # det N near t* is 1e-154 to 1e-191 at d = 16: the products of
-        # neighbouring scan values underflowed to 0.0 and read as crossings
+        # neighbouring scan values of the full-system oracle underflowed to
+        # 0.0 and read as crossings
         v = np.array([0.3, -0.7, 1.1])
-        res = conjugate_time(16, v)
-        assert abs(res.t_star - math.pi / math.sqrt(1.0 + v @ v)) < 1e-12
+        t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
+        hit = first_blowup(_qhf_jacobi(16, v, t_max), t_min=0.01 * t_max, tol=1e-12)
+        assert abs(hit.time - math.pi / math.sqrt(1.0 + v @ v)) < 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rotating_frame_matches_lab_frame_oracle(self, d):
@@ -307,9 +334,9 @@ class TestConjugateTime:
             assert abs(sol.det_N(t) - np.linalg.det(N_lab)) < 1e-10 * np.prod(s_lab), f"det N at t={t}"
 
     def test_dense_output_evaluations_are_few(self, monkeypatch):
-        # the 2048-point scan is stepped by exp(dt H); only the refinement
-        # evaluates N(t) point by point (~100 calls, against ~8300 before
-        # the scan was batched)
+        # the 2048-point scan of the full-system oracle is stepped by
+        # exp(dt H); only the refinement evaluates N(t) point by point
+        # (~100 calls, against ~8300 before the scan was batched)
         calls = []
 
         def counted(name):
@@ -323,7 +350,8 @@ class TestConjugateTime:
 
         for name in ("N", "det_N", "sigma_min_N"):
             monkeypatch.setattr(JacobiSolution, name, counted(name))
-        conjugate_time(2, [0.5, 0.0, 0.0])
+        t_max = 1.1 * math.pi / math.sqrt(1.25)
+        first_blowup(_qhf_jacobi(2, [0.5, 0.0, 0.0], t_max), t_min=0.01 * t_max, tol=1e-12)
         assert 0 < len(calls) < 500, f"{len(calls)} pointwise evaluations"
 
 
@@ -364,6 +392,18 @@ class TestSublaplacian:
         assert np.abs(rep.margin).max() < 1e-4, "comparison should be near-Exact at v=0"
         small = sublaplacian_along(2, [0.0, 0.0, 0.0], [1e-3])
         assert abs(small.r_times_lhs[0] - 16.0) < 1e-3
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_trace_matches_the_full_system(self, d):
+        # trace(B V) on the (4d + 3)-dimensional system, minus the motion
+        # row's 1/r, against the a/b block plus the c block in closed form
+        v = np.array([0.6, -0.3, 0.2])
+        r = np.linspace(0.2, 2.0, 6)
+        rep = sublaplacian_along(d, v, r)
+        ric = riccati_solution(_qhf_jacobi(d, v, 2.0 * (1.0 + 1e-9)))
+        B = build_structural(FatDims(k=4 * d, n=4 * d + 3)).B
+        full = np.array([np.trace(B @ ric.V(ri)) - 1.0 / ri for ri in r])
+        assert np.abs(rep.lhs - full).max() <= 1e-10 * np.abs(full).max()
 
     def test_nonzero_momentum_margin(self):
         rep = sublaplacian_along(2, [0.5, 0.0, 0.0], np.linspace(0.3, 2.0, 5))

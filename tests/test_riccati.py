@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 from fatcomp.hopf import _qhf_jacobi
 from fatcomp.models import DomainError, blowup_time_kab, finiteness_predicate
 from fatcomp.riccati import (
+    JacobiSolution,
     UnverifiableError,
     _additive_compound,
     _expm,
@@ -121,6 +122,18 @@ class TestFirstBlowup:
         sol = integrate_jacobi(A_STEP, B_STEP, np.diag([ka, kb]), t_max)
         hit = first_blowup(sol, t_min=0.01 * t_max, tol=1e-12)
         assert abs(hit.time - tbar) < 1e-5, f"{hit.time} vs {tbar}"
+
+    def test_pointwise_det_without_the_scanned_crossing_is_unverifiable(self):
+        # the stepped scan sees det N = sin(t) change sign near pi, a
+        # pointwise det N that never does must not reach brentq
+        class Disagreeing(JacobiSolution):
+            def det_N(self, t):
+                return 1.0
+
+        sol = integrate_jacobi(np.zeros((1, 1)), np.eye(1), np.eye(1), t_max=4.0)
+        stub = Disagreeing(A=sol.A, B=sol.B, Q=sol.Q, t_max=sol.t_max, H=sol.H)
+        with pytest.raises(UnverifiableError, match=r"det N change sign on \[3\.14"):
+            first_blowup(stub, t_min=0.1, tol=1e-12)
 
 
 class TestSteppedScan:
@@ -255,6 +268,23 @@ class TestWedgePropagation:
         hit = wedge_first_zero(A_STEP, B_STEP, np.diag([2.0, 30.0]), t_max=300.0, steps=100)
         assert abs(hit.time - 1.14336639324) < 1e-9
         assert abs(hit.time - blowup_time_kab(2.0, 30.0).time) < 1e-9
+
+    @pytest.mark.parametrize("qa,qb,beta", [(-14.38, 13.85, 6.27), (-2.0, 5.0, 1.5), (3.0, 3.0, 0.0)])
+    def test_hermitian_q_matches_its_real_4x4_equivalent(self, qa, qb, beta):
+        # the complex pair on (a2 + i a3, b2 + i b3) of the QHF system: as a
+        # real 4x4 system its det N is |det N_c|^2, a double zero the
+        # singular-value route of first_blowup finds
+        Q_c = np.array([[qa, 1j * beta], [-1j * beta, qb]])
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        Q_r = np.kron(Q_c.real, np.eye(2)) + np.kron(Q_c.imag, J)
+        A_r, B_r = np.kron(A_STEP, np.eye(2)), np.kron(B_STEP, np.eye(2))
+        hit = wedge_first_zero(A_STEP, B_STEP, Q_c, t_max=4.0)
+        oracle = first_blowup(integrate_jacobi(A_r, B_r, Q_r, 4.0), t_min=0.04, tol=1e-12)
+        assert hit.is_finite and abs(hit.time - oracle.time) < 1e-8, f"{hit.time} vs {oracle.time}"
+
+    def test_non_hermitian_complex_q_is_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            wedge_first_zero(A_STEP, B_STEP, np.array([[1.0, 1j], [1j, 1.0]]), t_max=4.0)
 
     def test_oscillation_beyond_the_step_cap_is_unverifiable(self):
         # 1e9 steps would be needed to resolve this oscillation
