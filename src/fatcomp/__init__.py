@@ -22,18 +22,15 @@ from .models import (
 )
 from .riccati import (
     JacobiSolution,
-    RiccatiSolution,
     UnverifiableError,
     finite_blowup_constant,
     first_blowup,
     integrate_jacobi,
-    riccati_solution,
     wedge_det_sign_changes,
     wedge_first_zero,
 )
 from .structure import (
     FatDims,
-    StructuralPair,
     build_structural,
     trace_inequality_check,
     typeI_pair,

@@ -12,23 +12,22 @@ structure contractions, collected in ``CurvatureInputs``:
 * the coordinates w of the motion direction in the c frame,
 * the scalar rho_a, the total squared norm of the commutator fields.
 
-``curvature_blocks`` assembles the time-dependent blocks, conjugated by
-the one-parameter rotation exp(1.5 t V) where V = vee(v), and re-expresses
-the c block in a basis with the motion direction last (the convention the
-rest of the package relies on). The whole matrix is R(t) = exp(tW) R(0)
-exp(tW)^T with W = ``CurvatureBlocks.rotation_generator``: in the frame
-rotating with exp(tW) the curvature is constant. For the quaternionic
-Hopf fibration the contractions take the constant values produced by
-``qhf_curvature_inputs``, and the three Ricci traces have the closed
-forms in ``ricci_scalars``.
+``curvature_blocks`` places the blocks into R0 = R(0) once, with the c
+block re-expressed in a basis with the motion direction last (the
+convention the rest of the package relies on). The curvature at time t
+is R(t) = exp(tW) R0 exp(tW)^T with W = ``CurvatureBlocks.rotation_generator``,
+which turns the a and b groups by E(t) = exp(1.5 t vee(v)) and fixes c:
+in the frame rotating with exp(tW) the curvature is the constant R0. For
+the quaternionic Hopf fibration the contractions take the constant values
+produced by ``qhf_curvature_inputs``, and the three Ricci traces have the
+closed forms in ``ricci_scalars``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,44 +163,25 @@ def _reflect(X: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CurvatureBlocks:
-    """Time-dependent curvature blocks in the canonical frame.
+    """The canonical curvature R0 = R(0) and its rotation.
 
-    The c block is expressed motion-last; R_cc is constant in time with
-    vanishing last row and column. ``assemble(t)`` returns the full
-    symmetric (4d + 3) x (4d + 3) matrix in (a, b, c) order.
+    R0 is the symmetric (4d + 3) x (4d + 3) matrix in (a, b, c) order, its
+    c block expressed motion-last: R_cc is constant in time with vanishing
+    last row and column. ``assemble(t)`` returns R(t).
     """
 
     dims: FatDims
     v: np.ndarray
-    R_cc: np.ndarray
-    _E: Callable[[float], np.ndarray] = field(repr=False)
-    _base_aa: np.ndarray = field(repr=False)
-    _base_ab: np.ndarray = field(repr=False)
-    _base_bb: np.ndarray = field(repr=False)
-    _ABU_rot: np.ndarray = field(repr=False)
-    _boldV: np.ndarray = field(repr=False)
+    R0: np.ndarray
 
-    def R_aa(self, t: float) -> np.ndarray:
-        E = self._E(t)
-        return E @ self._base_aa @ E.T
-
-    def R_ab(self, t: float) -> np.ndarray:
-        E = self._E(t)
-        return E @ self._base_ab @ E.T
-
-    def R_bb(self, t: float) -> np.ndarray:
-        E = self._E(t)
-        return E @ self._base_bb @ E.T
-
-    def R_ac(self, t: float) -> np.ndarray:
-        return self._E(t) @ self._boldV @ self._ABU_rot
-
-    def R_bc(self, t: float) -> np.ndarray:
-        return self._E(t) @ self._ABU_rot
+    @property
+    def R_cc(self) -> np.ndarray:
+        c = self.dims.sl_c
+        return self.R0[c, c]
 
     @property
     def rotation_generator(self) -> np.ndarray:
-        """W with assemble(t) = exp(tW) assemble(0) exp(tW)^T.
+        """W with assemble(t) = exp(tW) R0 exp(tW)^T.
 
         W = diag(1.5 vee(v), 1.5 vee(v), 0) in (a, b, c) order: exp(tW)
         turns the a and b groups by E(t) and fixes the c group, so it
@@ -209,39 +189,34 @@ class CurvatureBlocks:
         """
         dims = self.dims
         W = np.zeros((dims.n, dims.n))
-        W[dims.sl_a, dims.sl_a] = W[dims.sl_b, dims.sl_b] = self._boldV
+        W[dims.sl_a, dims.sl_a] = W[dims.sl_b, dims.sl_b] = 1.5 * vee(self.v)
         return W
 
     def assemble(self, t: float) -> np.ndarray:
-        """The full matrix at t, with one rotation E(t) shared by all blocks.
+        """R(t): the a and b rows and columns of R0 turned by E(t) = exp(1.5 t vee(v)).
 
-        Equal bit for bit to the matrix built from ``R_aa`` ... ``R_bc``.
+        Each block off the diagonal is turned once and mirrored; at t = 0,
+        E is the identity and R(t) = R0.
         """
-        dims = self.dims
-        E = self._E(t)
-        R = np.zeros((dims.n, dims.n))
-        a, b, c = dims.sl_a, dims.sl_b, dims.sl_c
-        R[a, a] = E @ self._base_aa @ E.T
-        R[b, b] = E @ self._base_bb @ E.T
-        R[c, c] = self.R_cc
-        Rab = E @ self._base_ab @ E.T
-        R[a, b], R[b, a] = Rab, Rab.T
-        Rac = E @ self._boldV @ self._ABU_rot
-        R[a, c], R[c, a] = Rac, Rac.T
-        Rbc = E @ self._ABU_rot
-        R[b, c], R[c, b] = Rbc, Rbc.T
+        a, b, c = self.dims.sl_a, self.dims.sl_b, self.dims.sl_c
+        E = rodrigues(vee(self.v), 1.5 * t)
+        R = self.R0.copy()
+        for X, Y in ((a, a), (b, b), (a, b)):
+            R[X, Y] = E @ R[X, Y] @ E.T
+        for X in (a, b):
+            R[X, c] = E @ R[X, c]
+        R[b, a], R[c, a], R[c, b] = R[a, b].T, R[a, c].T, R[b, c].T
         return R
 
 
 def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
-    """Assemble the canonical curvature blocks from the contractions.
+    """Place the canonical curvature blocks into R0 = R(0).
 
-    The in-plane blocks are constant matrices conjugated by the rotation
-    E(t) = expm(1.5 t vee(v)); the mixed a-c and b-c blocks carry E(t) on
-    the left only. The supplied c basis is rotated so the motion
-    direction sits last, and the resulting R_cc must then have last row
-    and column below 1e-8, otherwise the inputs are inconsistent with a
-    curvature-free motion direction and a ValueError is raised.
+    The supplied c basis is rotated so the motion direction sits last,
+    and the resulting R_cc must then have last row and column below
+    1e-8 max(1, max|R_cc|), otherwise the inputs are inconsistent with a
+    curvature-free motion direction and a ValueError is raised. The test
+    is relative because R_cc grows like |v|^2.
 
     Setting the environment variable FATCOMP_FAULT=curvature-sign flips
     the sign of the b block; this is a fault-injection hook for
@@ -277,22 +252,16 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     edge = max(
         float(np.abs(R_cc[-1, :]).max()), float(np.abs(R_cc[:, -1]).max())
     )
-    if edge > 1e-8:
+    if edge > 1e-8 * max(1.0, float(np.abs(R_cc).max())):
         raise ValueError(
             f"motion direction carries curvature (residual {edge:.3e}); "
             "inputs are inconsistent"
         )
     ABU_rot = _reflect(np.asarray(inputs.ABU, dtype=float), u)
     dims = FatDims(k=4 * inputs.d, n=4 * inputs.d + 3)
-    return CurvatureBlocks(
-        dims=dims,
-        v=v,
-        R_cc=R_cc,
-        _E=lambda t: rodrigues(V, 1.5 * t),
-        _base_aa=base_aa,
-        _base_ab=base_ab,
-        _base_bb=base_bb,
-        _ABU_rot=ABU_rot,
-        _boldV=1.5 * V,
-    )
-
+    a, b, c = dims.sl_a, dims.sl_b, dims.sl_c
+    R0 = np.zeros((dims.n, dims.n))
+    R0[a, a], R0[b, b], R0[c, c] = base_aa, base_bb, R_cc
+    R0[a, b], R0[a, c], R0[b, c] = base_ab, 1.5 * V @ ABU_rot, ABU_rot
+    R0[b, a], R0[c, a], R0[c, b] = R0[a, b].T, R0[a, c].T, R0[b, c].T
+    return CurvatureBlocks(dims=dims, v=v, R0=R0)

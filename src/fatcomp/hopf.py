@@ -19,9 +19,9 @@ Conjugate times are not obtained by differentiating the exponential map:
 they are the first zero of det N of the canonical Jacobi system for the
 fat pair (k, n) = (4d, 4d + 3). Its curvature R(t) = P R0 P^T, P =
 exp(tW), comes from ``fatcomp.curvature``, and P commutes with the
-structural pair (A, B). So (P^T M, P^T N) solve the constant system with
-A - W and R0 (``_qhf_jacobi``), whose N has the singular values and det
-of the lab-frame N. It is block diagonal (``_qhf_blocks``): a real and a
+structural pair (A, B). So (P^T M, P^T N) solve the constant system
+(A - W, B, R0) of ``_qhf_system``, whose N has the singular values and
+det of the lab-frame N. It is block diagonal (``_qhf_blocks``): a real and a
 complex type-I pair, the c block with Q = kappa_c I, and the motion row.
 ``conjugate_time`` takes the first det N zero over the blocks, and
 ``sublaplacian_along`` sums their trace(B V), the same in both frames.
@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import block_diag
 
-from .curvature import CurvatureBlocks, curvature_blocks, qhf_curvature_inputs
+from .curvature import curvature_blocks, qhf_curvature_inputs
 from .models import (
     BlowUpTime,
     DomainError,
@@ -45,7 +45,7 @@ from .models import (
     eval_s_kab,
     eval_s_kc,
 )
-from .riccati import UnverifiableError, integrate_jacobi, riccati_solution, wedge_first_zero
+from .riccati import UnverifiableError, integrate_jacobi, wedge_first_zero
 from .structure import build_structural, typeI_pair
 
 __all__ = [
@@ -324,12 +324,23 @@ class ConjugateResult:
     def kappas(self) -> tuple[float, float, float]:
         return qhf_kappas(self.v)
 
+    @property
+    def margins(self) -> tuple[float, float]:
+        """The margins t_star must keep nonnegative: to bound_kab, and to
+        bound_kc for d >= 2 or to pi for d = 1, where the c block is empty."""
+        return self.margin_kab, math.pi - self.t_star if self.margin_kc is None else self.margin_kc
+
+
+def _qhf_system(d: int, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A - W, B, R0): the QHF Jacobi system in the frame rotating with its curvature."""
+    blocks = curvature_blocks(v, qhf_curvature_inputs(d, v))
+    A, B = build_structural(blocks.dims)
+    return A - blocks.rotation_generator, B, blocks.R0
+
 
 def _qhf_jacobi(d: int, v, t_max: float):
-    """The QHF Jacobi system in the frame rotating with its curvature."""
-    blocks: CurvatureBlocks = curvature_blocks(v, qhf_curvature_inputs(d, v))
-    pair = build_structural(blocks.dims)
-    return integrate_jacobi(pair.A - blocks.rotation_generator, pair.B, blocks.assemble(0.0), t_max)
+    """The QHF Jacobi system of ``_qhf_system`` on [0, t_max]."""
+    return integrate_jacobi(*_qhf_system(d, v), t_max)
 
 
 #: a/b coordinates after diag(R, R): (a1, b1), and (a2, a3, b2, b3) for a2 + i a3, b2 + i b3
@@ -338,7 +349,7 @@ _J_PAIR = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])  # i on (a2, a3) and on 
 
 
 def _qhf_blocks(d: int, v):
-    """``_qhf_jacobi``'s system on its blocks, read off (A - W, assemble(0)):
+    """``_qhf_system`` on its blocks, read off (A - W, B, R0):
     the a/b 6x6, the c block (A = 0, B = I, Q = kappa_c I, d >= 2) and the
     free motion row. diag(R, R), R e1 = +-v/|v|, splits the a/b block into the
     real type-I pair on (a1, b1) and the complex pair (A_I + i mu I, B_I, Q_c)
@@ -346,9 +357,8 @@ def _qhf_blocks(d: int, v):
     exp(2 i mu t) and is dropped. Returns the a/b (A, B, Q), the two pairs and
     kappa_c (None at d = 1); ``UnverifiableError`` if a coupling, the J
     commutator or a non-scalar shift or c block passes 1e-12 max|Q|."""
-    blocks = curvature_blocks(v, qhf_curvature_inputs(d, v))
-    Q = blocks.assemble(0.0)
-    ab = (build_structural(blocks.dims).A - blocks.rotation_generator)[:6, :6], np.diag([0.0] * 3 + [1.0] * 3), Q[:6, :6]
+    A, B, Q = _qhf_system(d, v)
+    ab = A[:6, :6], B[:6, :6], Q[:6, :6]
     R = np.linalg.qr(np.column_stack([v, np.eye(3)]))[0] if v.any() else np.eye(3)  # R e1 = +-v/|v|
     kappa_c = float(Q[6, 6]) if d >= 2 else None
     residual = max(np.abs(Q[:6, 6:]).max(), np.abs(Q[6:, 6:] - np.diag([kappa_c or 0.0] * (4 * d - 4) + [0.0])).max())
@@ -367,7 +377,7 @@ def _qhf_blocks(d: int, v):
     return ab, [(real[0], B_I, real[1]), (A_c.real, B_I, Q_c)], kappa_c
 
 
-def conjugate_time(d: int, v, tol: float = 1e-9) -> ConjugateResult:
+def conjugate_time(d: int, v) -> ConjugateResult:
     """First conjugate time: the first det N zero over the ``_qhf_blocks``.
 
     t_star is the smallest of the ``wedge_first_zero`` times of the real and
@@ -385,7 +395,7 @@ def conjugate_time(d: int, v, tol: float = 1e-9) -> ConjugateResult:
     bound_kc = blowup_time_kc(kappa_c).time if d >= 2 else None
     t_max = 1.1 * min(bound_kab.time, bound_kc or math.inf)
     _, pairs, kappa_c = _qhf_blocks(d, v)
-    times = [wedge_first_zero(*pair, t_max, steps=256, xtol=min(tol, 1e-12)).time for pair in pairs]
+    times = [wedge_first_zero(*pair, t_max, steps=256).time for pair in pairs]
     if kappa_c is not None and kappa_c > 0.0:
         times.append(math.pi / math.sqrt(kappa_c))
     t_star = min(times)
@@ -451,10 +461,10 @@ def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
         )
     kappa_a, kappa_b, kappa_c = qhf_kappas(v)
     (A, B, Q), _, kappa_cc = _qhf_blocks(d, v)
-    ric = riccati_solution(integrate_jacobi(A, B, Q, float(r.max()) * (1.0 + 1e-9)))
+    sol = integrate_jacobi(A, B, Q, float(r.max()) * (1.0 + 1e-9))
     lhs, rhs = np.empty_like(r), np.empty_like(r)
     for i, ri in enumerate(r):
-        lhs[i] = float(np.trace(B @ ric.V(ri)))
+        lhs[i] = float(np.trace(B @ sol.V(ri)))
         rhs[i] = 3.0 * eval_s_kab(kappa_a, kappa_b, ri)
         if d >= 2:
             lhs[i] += (4.0 * d - 4.0) * math.sqrt(kappa_cc) / math.tan(math.sqrt(kappa_cc) * ri)

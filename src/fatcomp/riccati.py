@@ -15,8 +15,8 @@ computed by one products-only exponential, ``_expm``, and no ODE is solved.
 
 Provided here:
 
-* ``integrate_jacobi`` and the ``JacobiSolution`` / ``RiccatiSolution``
-  wrappers (exp(tH) at any t, symplectic and Riccati residual diagnostics);
+* ``integrate_jacobi`` and ``JacobiSolution``: exp(tH) at any t, the
+  Riccati quotient V, and symplectic and Riccati residual diagnostics;
 * ``first_blowup``, a det-sign scan on a grid stepped by exp(dt H), with
   bisection plus a smallest-singular-value refinement that also catches
   even-multiplicity zeros;
@@ -27,6 +27,8 @@ Provided here:
   det N sign tracker for 2x2 systems, Q real or Hermitian: blocked powers
   of expm(h H2), H2 the additive compound of H, with a step short enough
   for its oscillation and guarded against growth; ``UnverifiableError``.
+
+Every refinement of a det N zero is to ``_XTOL`` = 1e-12 in t.
 """
 
 from __future__ import annotations
@@ -42,10 +44,8 @@ from .models import BlowUpTime, DomainError, finiteness_predicate
 
 __all__ = [
     "JacobiSolution",
-    "RiccatiSolution",
     "integrate_jacobi",
     "first_blowup",
-    "riccati_solution",
     "finite_blowup_constant",
     "wedge_det_sign_changes",
     "wedge_first_zero",
@@ -62,11 +62,11 @@ def _as_matrix(X, n: int | None = None, name: str = "matrix", dtype=float) -> np
     return X
 
 
-def _svd_rank(X: np.ndarray, rel_tol: float = 1e-10) -> int:
+def _svd_rank(X: np.ndarray) -> int:
     s = np.linalg.svd(X, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > 1e-8 * s[0]))
 
 
 # ----------------------------------------------------------------------
@@ -141,6 +141,31 @@ class JacobiSolution:
         M, N = self._blocks(t)
         return float(np.linalg.norm(M.T @ N - N.T @ M))
 
+    def V(self, t: float) -> np.ndarray:
+        """The Riccati quotient V = M N^{-1}."""
+        M, N = self._blocks(t)
+        return np.linalg.solve(N.T, M.T).T
+
+    def symmetry_residual(self, t: float) -> float:
+        V = self.V(t)
+        return float(np.linalg.norm(V - V.T))
+
+    def inverse_norm(self, t: float) -> float:
+        """Norm of V(t)^{-1} = N(t) M(t)^{-1}, which tends to 0 as t -> 0.
+
+        Computed from the (M, N) pair directly, so it stays finite and
+        meaningful arbitrarily close to t = 0 where V itself diverges.
+        """
+        M, N = self._blocks(t)
+        return float(np.linalg.norm(np.linalg.solve(M.T, N.T).T))
+
+    def riccati_residual(self, t: float, h: float = 1e-5) -> float:
+        """Norm of V' + A^T V + V A + Q + V B V, V' by centered difference."""
+        V = self.V(t)
+        dV = (self.V(t + h) - self.V(t - h)) / (2.0 * h)
+        R = dV + self.A.T @ V + V @ self.A + self.Q + V @ self.B @ V
+        return float(np.linalg.norm(R))
+
 
 def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
     """The Jacobi system with constant symmetric Q on [0, t_max].
@@ -169,6 +194,8 @@ def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
 
 #: Points of the first_blowup scan grid.
 _N_SCAN = 2048
+#: Absolute time tolerance of every refinement of a det N zero.
+_XTOL = 1e-12
 
 
 def _scan_N(sol: JacobiSolution, ts: np.ndarray) -> np.ndarray:
@@ -182,11 +209,7 @@ def _scan_N(sol: JacobiSolution, ts: np.ndarray) -> np.ndarray:
     return Y[:, n:]
 
 
-def first_blowup(
-    sol: JacobiSolution,
-    t_min: float | None = None,
-    tol: float = 1e-9,
-) -> BlowUpTime:
+def first_blowup(sol: JacobiSolution, t_min: float | None = None) -> BlowUpTime:
     """First zero of det N on (t_min, t_max], or the infinite marker.
 
     det N vanishes identically to high order at t = 0 (order n plus twice
@@ -207,8 +230,7 @@ def first_blowup(
     its noise plateau and the singular-value minimizer is the accurate
     one. A sign-change bracket is accepted even if the singular floor
     stays high, since the sign flip alone certifies a zero. The earliest
-    accepted time wins; tol is the absolute time tolerance of the
-    refinement.
+    accepted time wins; the refinement is to 1e-12 in t.
     """
     if t_min is None:
         t_min = 1e-4 * sol.t_max
@@ -238,11 +260,10 @@ def first_blowup(
         cells = [c for c in (i - 1, i) if changes[c]]
         brackets.append((i - 1, i + 1, cells[0] if cells else None))
     brackets.sort(key=lambda b: b[:2])
-    xtol = min(tol, 1e-12)
     for i_lo, i_hi, crossing in brackets:
         lo, hi = ts[i_lo], ts[i_hi]
         res = minimize_scalar(
-            sol.sigma_min_N, bounds=(lo, hi), method="bounded", options={"xatol": xtol}
+            sol.sigma_min_N, bounds=(lo, hi), method="bounded", options={"xatol": _XTOL}
         )
         x_star = float(res.x)
         # The bounded minimizer stalls at sqrt(eps)*|x| on the V-shaped
@@ -252,7 +273,7 @@ def first_blowup(
         slope = lambda t: sol.sigma_min_N(t + delta) - sol.sigma_min_N(t - delta)
         a, b = max(lo, t_min + delta), min(hi, sol.t_max - delta)
         if a < b and slope(a) < 0.0 < slope(b):
-            x_star = float(brentq(slope, a, b, xtol=xtol))
+            x_star = float(brentq(slope, a, b, xtol=_XTOL))
         s_star = np.linalg.svd(sol.N(x_star), compute_uv=False)
         # Collapse is judged against the local scale of N, not against
         # s_star[0] alone: at a full-rank-drop touch (isotropic even
@@ -264,47 +285,10 @@ def first_blowup(
             a, b = ts[crossing], ts[crossing + 1]
             if np.signbit(sol.det_N(a)) == np.signbit(sol.det_N(b)):
                 raise UnverifiableError(f"the scan sees det N change sign on [{a:.17g}, {b:.17g}], pointwise det N does not")
-            return BlowUpTime.finite(float(brentq(sol.det_N, a, b, xtol=xtol)))
+            return BlowUpTime.finite(float(brentq(sol.det_N, a, b, xtol=_XTOL)))
         if n_collapsed >= 1:
             return BlowUpTime.finite(x_star)
     return BlowUpTime.infinite()
-
-
-@dataclass
-class RiccatiSolution:
-    """Riccati quotient V = M N^{-1} of a Jacobi solution."""
-
-    jacobi: JacobiSolution
-
-    def V(self, t: float) -> np.ndarray:
-        M, N = self.jacobi._blocks(t)
-        return np.linalg.solve(N.T, M.T).T
-
-    def symmetry_residual(self, t: float) -> float:
-        V = self.V(t)
-        return float(np.linalg.norm(V - V.T))
-
-    def inverse_norm(self, t: float) -> float:
-        """Norm of V(t)^{-1} = N(t) M(t)^{-1}, which tends to 0 as t -> 0.
-
-        Computed from the (M, N) pair directly, so it stays finite and
-        meaningful arbitrarily close to t = 0 where V itself diverges.
-        """
-        M, N = self.jacobi._blocks(t)
-        return float(np.linalg.norm(np.linalg.solve(M.T, N.T).T))
-
-    def riccati_residual(self, t: float, h: float = 1e-5) -> float:
-        """Norm of V' + A^T V + V A + Q + V B V, V' by centered difference."""
-        jac = self.jacobi
-        V = self.V(t)
-        dV = (self.V(t + h) - self.V(t - h)) / (2.0 * h)
-        R = dV + jac.A.T @ V + V @ jac.A + jac.Q + V @ jac.B @ V
-        return float(np.linalg.norm(R))
-
-
-def riccati_solution(sol: JacobiSolution) -> RiccatiSolution:
-    """Wrap a Jacobi solution as its Riccati quotient."""
-    return RiccatiSolution(jacobi=sol)
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +367,7 @@ def finite_blowup_constant(A, B, Q) -> bool:
         power = ident.astype(complex)
         for _ in range(mult + 1):
             power = power @ P
-            ranks.append(_svd_rank(power, 1e-8))
+            ranks.append(_svd_rank(power))
             if ranks[-1] == ranks[-2]:
                 break
         while len(ranks) < mult + 2:
@@ -421,7 +405,7 @@ def _additive_compound(H: np.ndarray) -> np.ndarray:
     return H[i, k] * d[j, l] - H[i, l] * d[j, k] + d[i, k] * H[j, l] - d[i, l] * H[j, k]
 
 
-def _wedge_pass(A, B, Q, t_max: float, steps: int, xtol: float):
+def _wedge_pass(A, B, Q, t_max: float, steps: int):
     """(sign changes, min_rel, first zero) of det N for the wedge functions."""
     A, B = _as_matrix(A, 2, name="A"), _as_matrix(B, 2, name="B")
     Q = _as_matrix(Q, 2, name="Q", dtype=complex if np.iscomplexobj(Q) else float)
@@ -489,7 +473,7 @@ def _wedge_pass(A, B, Q, t_max: float, steps: int, xtol: float):
         w = (H2 @ w) / j
     g = lambda dt: functools.reduce(lambda acc, c: acc * dt + c, coef, 0.0)
     g0, g1 = g(0.0), g(span)  # they may disagree with the scan in the last bits
-    dt = brentq(g, 0.0, span, xtol=xtol) if g0 * g1 < 0.0 else (0.0 if abs(g0) <= abs(g1) else span)
+    dt = brentq(g, 0.0, span, xtol=_XTOL) if g0 * g1 < 0.0 else (0.0 if abs(g0) <= abs(g1) else span)
     return int(flips.size), min_rel, BlowUpTime.finite(k * h + (t0 + dt))
 
 
@@ -509,12 +493,10 @@ def wedge_det_sign_changes(A, B, Q, t_max: float, steps: int = 4000) -> tuple[in
     ``DomainError`` on non-finite input, ``UnverifiableError`` when E2
     overflows or more than 2^20 steps are needed.
     """
-    return _wedge_pass(A, B, Q, t_max, steps, 1e-12)[:2]
+    return _wedge_pass(A, B, Q, t_max, steps)[:2]
 
 
-def wedge_first_zero(
-    A, B, Q, t_max: float, steps: int = 4000, xtol: float = 1e-12
-) -> BlowUpTime:
+def wedge_first_zero(A, B, Q, t_max: float, steps: int = 4000) -> BlowUpTime:
     """First sign change of det N for a 2x2 constant system, refined.
 
     Same pass and errors as ``wedge_det_sign_changes``; the first change is
@@ -524,4 +506,4 @@ def wedge_first_zero(
     the zero to the eps * |N|^2 floor of hyperbolic growth. Tangential
     (even-multiplicity) zeros produce no sign change and are not reported.
     """
-    return _wedge_pass(A, B, Q, t_max, steps, xtol)[2]
+    return _wedge_pass(A, B, Q, t_max, steps)[2]

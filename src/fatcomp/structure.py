@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "FatDims",
-    "StructuralPair",
     "build_structural",
     "typeI_pair",
     "trace_inequality_check",
@@ -69,14 +68,7 @@ class FatDims:
         return slice(2 * self.na, self.n)
 
 
-@dataclass(frozen=True)
-class StructuralPair:
-    dims: FatDims
-    A: np.ndarray
-    B: np.ndarray
-
-
-def build_structural(dims: FatDims) -> StructuralPair:
+def build_structural(dims: FatDims) -> tuple[np.ndarray, np.ndarray]:
     """Constant structural pair (A, B) in the (a, b, c) block order."""
     n = dims.n
     A = np.zeros((n, n))
@@ -84,7 +76,7 @@ def build_structural(dims: FatDims) -> StructuralPair:
     B = np.zeros((n, n))
     B[dims.sl_b, dims.sl_b] = np.eye(dims.nb)
     B[dims.sl_c, dims.sl_c] = np.eye(dims.nc)
-    return StructuralPair(dims=dims, A=A, B=B)
+    return A, B
 
 
 def typeI_pair() -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +90,7 @@ def typeI_pair() -> tuple[np.ndarray, np.ndarray]:
 # trace inequality
 # ----------------------------------------------------------------------
 
-def trace_inequality_check(X, Y, tol: float = 1e-9) -> tuple[float, bool]:
+def trace_inequality_check(X, Y) -> tuple[float, bool]:
     """Slack of the symmetric-pair trace inequality, and whether it holds.
 
     For symmetric m x m matrices X, Y:
@@ -110,7 +102,7 @@ def trace_inequality_check(X, Y, tol: float = 1e-9) -> tuple[float, bool]:
     multiple of the identity or Y = X. This is the inequality certifying
     that the covariance correction of the paper's traced type-I reduction
     is PSD.
-    Returns (slack, slack >= -tol * scale) with scale the magnitude of
+    Returns (slack, slack >= -1e-9 * scale) with scale the magnitude of
     the largest term.
     """
     X = np.asarray(X, dtype=float)
@@ -130,4 +122,4 @@ def trace_inequality_check(X, Y, tol: float = 1e-9) -> tuple[float, bool]:
     rhs = (ty * ty * nx2 + tx * tx * ny2) / m
     slack = lhs - rhs
     scale = max(1.0, abs(lhs), abs(rhs))
-    return slack, bool(slack >= -tol * scale)
+    return slack, bool(slack >= -1e-9 * scale)

@@ -224,6 +224,16 @@ class TestConjugate:
         _, _, rows = read_csv(out)
         assert abs(float(rows[0]["t_star"]) - math.pi / math.sqrt(1.0 + 0.09 + 0.49 + 1.21)) < 1e-12
 
+    def test_large_momentum_verifies(self, tmp_path):
+        # R_cc ~ |v|^2 = 1e8: its motion-row rounding tripped an absolute
+        # 1e-8 guard and ended in a bare ValueError
+        out = tmp_path / "c.csv"
+        assert run_cli(["conjugate", "--d", "2", "--vnorm", "1e4", "--verify", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert "worst_margin" not in header
+        t_star = math.pi / math.sqrt(1.0 + 1e8)
+        assert abs(float(rows[0]["t_star"]) - t_star) <= 3e-9 * t_star
+
     def test_sweep_rows_are_ordered(self, tmp_path):
         out = tmp_path / "c.csv"
         assert run_cli(
@@ -254,6 +264,20 @@ class TestLaplacian:
         assert float(rows[0]["r_times_laplacian"]) == pytest.approx(16.0, abs=1e-3)
         assert all(float(r["margin"]) >= -1e-6 for r in rows)
         assert float(rows[0]["t_star"]) == pytest.approx(math.pi, abs=1e-6)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_default_tol_is_relative_to_the_model(self, d, tmp_path, capsys):
+        # at r = 1e-3 the values are ~1e4 and the margin, 0 in exact
+        # arithmetic, rounds to ~-8e-7: below an absolute -1e-9
+        out = tmp_path / "l.csv"
+        assert run_cli(["laplacian", "--d", str(d), "--rgrid", "0.001:2.0:8", "--verify", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert float(rows[0]["model_rhs"]) > 1e4
+
+    def test_wrong_curvature_still_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")
+        assert run_cli(["laplacian", "--d", "2", "--verify", "--out", str(tmp_path / "l.csv")]) == 1
+        assert "margin verification FAILED" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

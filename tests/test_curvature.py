@@ -30,6 +30,7 @@ from fatcomp.curvature import (
     rodrigues,
     vee,
 )
+from fatcomp.hopf import conjugate_time
 from fatcomp.structure import build_structural
 
 momentum_triple = st.tuples(
@@ -211,8 +212,9 @@ class TestRicciScalars:
         inputs = qhf_curvature_inputs(2, v)
         blocks = curvature_blocks(v, inputs)
         ric_a, ric_b, ric_c = ricci_scalars(v, inputs.rho_a, 2)
-        assert abs(np.trace(blocks.R_aa(t)) - ric_a) < 1e-10 * max(1.0, abs(ric_a))
-        assert abs(np.trace(blocks.R_bb(t)) - ric_b) < 1e-10 * ric_b
+        R, dims = blocks.assemble(t), blocks.dims
+        assert abs(np.trace(R[dims.sl_a, dims.sl_a]) - ric_a) < 1e-10 * max(1.0, abs(ric_a))
+        assert abs(np.trace(R[dims.sl_b, dims.sl_b]) - ric_b) < 1e-10 * ric_b
         assert abs(np.trace(blocks.R_cc) - ric_c) < 1e-10 * ric_c
 
 
@@ -237,54 +239,46 @@ class TestCurvatureBlocks:
             assert R.shape == (11, 11)
             assert np.abs(R - R.T).max() < 1e-12, f"asymmetric at t = {t}"
 
-    def test_assemble_equals_the_separate_blocks_exactly(self):
-        # nonzero ABdotA and ABU so that every block is exercised
-        rng = np.random.default_rng(3)
-        d, v = 2, np.array([0.6, -0.2, 0.9])
-        qhf = qhf_curvature_inputs(d, v)
-        S = rng.standard_normal((3, 3))
-        inputs = CurvatureInputs(
-            d=d, ABA=S + S.T, ABdotA=rng.standard_normal((3, 3)),
-            ABU=rng.standard_normal((3, 4 * d - 3)), UBU=qhf.UBU, w=qhf.w,
-            rho_a=qhf.rho_a,
-        )
-        blocks = curvature_blocks(v, inputs)
-        a, b, c = blocks.dims.sl_a, blocks.dims.sl_b, blocks.dims.sl_c
-        for t in (0.0, 1e-9, 0.37, 1.1, 2.9):
-            R = np.zeros((blocks.dims.n, blocks.dims.n))
-            R[a, a], R[b, b], R[c, c] = blocks.R_aa(t), blocks.R_bb(t), blocks.R_cc
-            R[a, b], R[b, a] = blocks.R_ab(t), blocks.R_ab(t).T
-            R[a, c], R[c, a] = blocks.R_ac(t), blocks.R_ac(t).T
-            R[b, c], R[c, b] = blocks.R_bc(t), blocks.R_bc(t).T
-            assert blocks.assemble(t).tobytes() == R.tobytes(), f"differs at t = {t}"
-
     def test_zero_momentum_blocks_are_constant(self):
         blocks = curvature_blocks(np.zeros(3), qhf_curvature_inputs(1, np.zeros(3)))
-        assert np.abs(blocks.R_aa(1.0)).max() == 0.0
-        assert np.abs(blocks.R_bb(2.0) - 4.0 * np.eye(3)).max() < 1e-14
-        assert np.abs(blocks.R_ab(1.5)).max() == 0.0
+        a, b = blocks.dims.sl_a, blocks.dims.sl_b
+        assert np.abs(blocks.assemble(1.0)[a, a]).max() == 0.0
+        assert np.abs(blocks.assemble(2.0)[b, b] - 4.0 * np.eye(3)).max() < 1e-14
+        assert np.abs(blocks.assemble(1.5)[a, b]).max() == 0.0
 
     def test_blocks_rotate_by_conjugation(self):
         v = np.array([0.7, -0.3, 0.2])
         blocks = curvature_blocks(v, qhf_curvature_inputs(2, v))
-        t = 1.1
+        b, t = blocks.dims.sl_b, 1.1
         E = rodrigues(vee(v), 1.5 * t)
-        assert np.abs(blocks.R_bb(t) - E @ blocks.R_bb(0.0) @ E.T).max() < 1e-12
+        assert np.abs(blocks.assemble(t)[b, b] - E @ blocks.R0[b, b] @ E.T).max() < 1e-12
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_whole_matrix_rotates_with_the_generator(self, d):
-        # R(t) = exp(tW) R(0) exp(tW)^T, and exp(tW) commutes with the
-        # structural pair: the rotating frame of the Jacobi system
+    @pytest.mark.parametrize(
+        "d, general", [(1, False), (2, False), (3, False), (2, True)], ids=["1", "2", "3", "general-inputs"]
+    )
+    def test_whole_matrix_rotates_with_the_generator(self, d, general):
+        # R(t) = exp(tW) R0 exp(tW)^T, and exp(tW) commutes with the
+        # structural pair: the rotating frame of the Jacobi system; the
+        # general inputs (nonzero ABdotA and ABU) exercise every block
         v = np.array([0.7, -0.3, 0.2])
-        blocks = curvature_blocks(v, qhf_curvature_inputs(d, v))
+        inputs = qhf_curvature_inputs(d, v)
+        if general:
+            rng = np.random.default_rng(3)
+            S = rng.standard_normal((3, 3))
+            inputs = CurvatureInputs(
+                d=d, ABA=S + S.T, ABdotA=rng.standard_normal((3, 3)),
+                ABU=rng.standard_normal((3, 4 * d - 3)), UBU=inputs.UBU, w=inputs.w,
+                rho_a=inputs.rho_a,
+            )
+        blocks = curvature_blocks(v, inputs)
         W = blocks.rotation_generator
-        pair = build_structural(blocks.dims)
-        for X in (pair.A, pair.B):
+        for X in build_structural(blocks.dims):
             assert np.abs(W @ X - X @ W).max() == 0.0
-        for t in (0.3, 1.1, 2.9):
+        assert blocks.assemble(0.0).tobytes() == blocks.R0.tobytes()
+        for t in (1e-9, 0.37, 1.1, 2.9):
             P = expm(t * W)
             R = blocks.assemble(t)
-            assert np.abs(R - P @ blocks.assemble(0.0) @ P.T).max() < 1e-12 * np.abs(R).max()
+            assert np.abs(R - P @ blocks.R0 @ P.T).max() < 1e-12 * np.abs(R).max()
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_rank_one_reflection_matches_the_dense_product(self, d):
@@ -304,7 +298,8 @@ class TestCurvatureBlocks:
             P = np.eye(nc) - 2.0 * np.outer(u, u) / (u @ u) if u.any() else np.eye(nc)
             dense_cc = P @ (UBU + (v @ v) * proj) @ P.T
             assert np.abs(blocks.R_cc - dense_cc).max() <= 1e-15 * max(1.0, np.abs(dense_cc).max())
-            assert np.abs(blocks.R_bc(0.0) - ABU @ P.T).max() <= 1e-15 * max(1.0, np.abs(ABU).max())
+            R0_bc = blocks.assemble(0.0)[blocks.dims.sl_b, blocks.dims.sl_c]
+            assert np.abs(R0_bc - ABU @ P.T).max() <= 1e-15 * max(1.0, np.abs(ABU).max())
 
     def test_rejects_curvature_on_motion_direction(self):
         v = np.array([0.2, 0.0, 0.0])
@@ -315,6 +310,17 @@ class TestCurvatureBlocks:
         )
         with pytest.raises(ValueError, match="motion direction"):
             curvature_blocks(v, bad)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("vnorm", [1e4, 1e5, 1e6])
+    def test_large_momentum_is_not_read_as_motion_curvature(self, d, vnorm):
+        # R_cc grows like |v|^2, and so does the rounding on its motion
+        # row: an absolute 1e-8 guard rejected |v| = 1e4
+        v = vnorm * np.array([0.6, -0.48, 0.64])
+        blocks = curvature_blocks(v, qhf_curvature_inputs(d, v))
+        assert np.abs(blocks.R_cc[-1]).max() <= 1e-8 * np.abs(blocks.R_cc).max()
+        t_star = math.pi / math.sqrt(1.0 + v @ v)
+        assert abs(conjugate_time(d, v).t_star - t_star) <= 3e-9 * t_star
 
     def test_input_shape_guards(self):
         with pytest.raises(ValueError, match="unit"):
@@ -336,6 +342,8 @@ class TestCurvatureBlocks:
         clean = curvature_blocks(v, inputs)
         monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")
         faulty = curvature_blocks(v, inputs)
-        assert np.abs(faulty.R_bb(0.7) + clean.R_bb(0.7)).max() < 1e-14
-        assert np.abs(faulty.R_aa(0.7) - clean.R_aa(0.7)).max() == 0.0
+        a, b = clean.dims.sl_a, clean.dims.sl_b
+        R_clean, R_faulty = clean.assemble(0.7), faulty.assemble(0.7)
+        assert np.abs(R_faulty[b, b] + R_clean[b, b]).max() < 1e-14
+        assert np.abs(R_faulty[a, a] - R_clean[a, a]).max() == 0.0
 

@@ -36,7 +36,7 @@ from fatcomp.hopf import (
     sublaplacian_along,
 )
 from fatcomp.models import blowup_time_kab, eval_s_kc
-from fatcomp.riccati import JacobiSolution, first_blowup, riccati_solution
+from fatcomp.riccati import JacobiSolution, first_blowup
 from fatcomp.structure import FatDims, build_structural
 
 
@@ -54,12 +54,12 @@ def qhf_jacobi_quotient(d, v, t_max):
     """
     dims = FatDims(k=4 * d, n=4 * d + 3)
     blocks = curvature_blocks(np.asarray(v, dtype=float), qhf_curvature_inputs(d, v))
-    ric = riccati_solution(_qhf_jacobi(d, v, t_max))
+    sol = _qhf_jacobi(d, v, t_max)
     W = blocks.rotation_generator
 
     def V(t):
         P = expm(t * W)
-        return P @ ric.V(t) @ P.T
+        return P @ sol.V(t) @ P.T
 
     return dims, blocks, V
 
@@ -87,8 +87,7 @@ def dop853_extremal(state0, ts):
 def lab_frame_N(d, v, ts):
     """N(t) of the lab-frame system with Q(t) = blocks.assemble(t), by DOP853."""
     blocks = curvature_blocks(np.asarray(v, dtype=float), qhf_curvature_inputs(d, v))
-    pair = build_structural(blocks.dims)
-    A, B, n = pair.A, pair.B, blocks.dims.n
+    (A, B), n = build_structural(blocks.dims), blocks.dims.n
 
     def rhs(t, y):
         M, N = y[: n * n].reshape(n, n), y[n * n :].reshape(n, n)
@@ -269,6 +268,13 @@ class TestConjugateTime:
         assert res.margin_kab >= -1e-6
         assert res.bound_kab.is_finite
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_margins_name_every_bound(self, d):
+        # kappa_ab always; kappa_c for d >= 2, pi for d = 1
+        res = conjugate_time(d, [0.5, 0.2, 0.0])
+        other = math.pi - res.t_star if d == 1 else res.margin_kc
+        assert res.margins == (res.margin_kab, other)
+
     def test_reported_kappas(self):
         res = conjugate_time(1, [0.5, 0.0, 0.0])
         assert res.kappas == qhf_kappas([0.5, 0.0, 0.0])
@@ -316,7 +322,7 @@ class TestConjugateTime:
         # 0.0 and read as crossings
         v = np.array([0.3, -0.7, 1.1])
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
-        hit = first_blowup(_qhf_jacobi(16, v, t_max), t_min=0.01 * t_max, tol=1e-12)
+        hit = first_blowup(_qhf_jacobi(16, v, t_max), t_min=0.01 * t_max)
         assert abs(hit.time - math.pi / math.sqrt(1.0 + v @ v)) < 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -351,7 +357,7 @@ class TestConjugateTime:
         for name in ("N", "det_N", "sigma_min_N"):
             monkeypatch.setattr(JacobiSolution, name, counted(name))
         t_max = 1.1 * math.pi / math.sqrt(1.25)
-        first_blowup(_qhf_jacobi(2, [0.5, 0.0, 0.0], t_max), t_min=0.01 * t_max, tol=1e-12)
+        first_blowup(_qhf_jacobi(2, [0.5, 0.0, 0.0], t_max), t_min=0.01 * t_max)
         assert 0 < len(calls) < 500, f"{len(calls)} pointwise evaluations"
 
 
@@ -400,9 +406,8 @@ class TestSublaplacian:
         v = np.array([0.6, -0.3, 0.2])
         r = np.linspace(0.2, 2.0, 6)
         rep = sublaplacian_along(d, v, r)
-        ric = riccati_solution(_qhf_jacobi(d, v, 2.0 * (1.0 + 1e-9)))
-        B = build_structural(FatDims(k=4 * d, n=4 * d + 3)).B
-        full = np.array([np.trace(B @ ric.V(ri)) - 1.0 / ri for ri in r])
+        sol = _qhf_jacobi(d, v, 2.0 * (1.0 + 1e-9))
+        full = np.array([np.trace(sol.B @ sol.V(ri)) - 1.0 / ri for ri in r])
         assert np.abs(rep.lhs - full).max() <= 1e-10 * np.abs(full).max()
 
     def test_nonzero_momentum_margin(self):

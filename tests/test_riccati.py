@@ -27,7 +27,6 @@ from fatcomp.riccati import (
     finite_blowup_constant,
     first_blowup,
     integrate_jacobi,
-    riccati_solution,
     wedge_det_sign_changes,
     wedge_first_zero,
 )
@@ -90,7 +89,7 @@ class TestFirstBlowup:
         # three singular values collapse together at pi/sqrt(k)
         k = 2.0
         sol = integrate_jacobi(np.zeros((3, 3)), np.eye(3), k * np.eye(3), t_max=3.0)
-        hit = first_blowup(sol, tol=1e-12)
+        hit = first_blowup(sol)
         expected = math.pi / math.sqrt(k)
         assert hit.is_finite
         assert abs(hit.time - expected) < 1e-8, f"triple zero at {hit.time}"
@@ -98,7 +97,7 @@ class TestFirstBlowup:
     def test_simple_zero_matches_scalar_model(self):
         ka, kb = -3.0, 4.0
         sol = integrate_jacobi(A_STEP, B_STEP, np.diag([ka, kb]), t_max=9.0)
-        hit = first_blowup(sol, tol=1e-12)
+        hit = first_blowup(sol)
         assert hit.is_finite
         assert abs(hit.time - blowup_time_kab(ka, kb).time) < 1e-7
 
@@ -120,7 +119,7 @@ class TestFirstBlowup:
         tbar = blowup_time_kab(ka, kb).time
         t_max = 1.05 * tbar + 0.1
         sol = integrate_jacobi(A_STEP, B_STEP, np.diag([ka, kb]), t_max)
-        hit = first_blowup(sol, t_min=0.01 * t_max, tol=1e-12)
+        hit = first_blowup(sol, t_min=0.01 * t_max)
         assert abs(hit.time - tbar) < 1e-5, f"{hit.time} vs {tbar}"
 
     def test_pointwise_det_without_the_scanned_crossing_is_unverifiable(self):
@@ -133,7 +132,7 @@ class TestFirstBlowup:
         sol = integrate_jacobi(np.zeros((1, 1)), np.eye(1), np.eye(1), t_max=4.0)
         stub = Disagreeing(A=sol.A, B=sol.B, Q=sol.Q, t_max=sol.t_max, H=sol.H)
         with pytest.raises(UnverifiableError, match=r"det N change sign on \[3\.14"):
-            first_blowup(stub, t_min=0.1, tol=1e-12)
+            first_blowup(stub, t_min=0.1)
 
 
 class TestSteppedScan:
@@ -160,34 +159,30 @@ class TestRiccatiSolution:
 
     def test_flat_quotient_closed_form(self):
         sol = integrate_jacobi(A_STEP, B_STEP, np.zeros((2, 2)), t_max=3.0)
-        ric = riccati_solution(sol)
         for t in (0.5, 1.5, 2.5):
             Vref = np.array(
                 [[12.0 / t**3, -6.0 / t**2], [-6.0 / t**2, 4.0 / t]]
             )
-            assert np.abs(ric.V(t) - Vref).max() < 1e-7, f"V({t}) off"
+            assert np.abs(sol.V(t) - Vref).max() < 1e-7, f"V({t}) off"
         # trace against the b-block is the scalar comparison quantity
         t = 2.0
-        assert abs(np.trace(B_STEP @ ric.V(t)) - 4.0 / t) < 1e-9
+        assert abs(np.trace(B_STEP @ sol.V(t)) - 4.0 / t) < 1e-9
 
     def test_quotient_is_symmetric(self):
         # start past the 1/t^3 spike at the origin, where the absolute
         # residual measures interpolation error against huge entries
         sol = integrate_jacobi(A_STEP, B_STEP, np.diag([1.0, 2.0]), t_max=2.0)
-        ric = riccati_solution(sol)
-        worst = max(ric.symmetry_residual(t) for t in np.linspace(0.8, 2.0, 10))
+        worst = max(sol.symmetry_residual(t) for t in np.linspace(0.8, 2.0, 10))
         assert worst < 1e-8, f"symmetry residual {worst}"
 
     def test_differential_equation_residual(self):
         sol = integrate_jacobi(A_STEP, B_STEP, np.diag([-1.0, 3.0]), t_max=2.0)
-        ric = riccati_solution(sol)
-        worst = max(ric.riccati_residual(t) for t in (0.5, 1.0, 1.5))
+        worst = max(sol.riccati_residual(t) for t in (0.5, 1.0, 1.5))
         assert worst < 1e-5, f"Riccati residual {worst}"
 
     def test_inverse_norm_vanishes_at_origin(self):
         sol = integrate_jacobi(A_STEP, B_STEP, np.diag([1.0, 1.0]), t_max=1.0)
-        ric = riccati_solution(sol)
-        norms = [ric.inverse_norm(t) for t in (0.5, 0.1, 0.02)]
+        norms = [sol.inverse_norm(t) for t in (0.5, 0.1, 0.02)]
         assert norms[0] > norms[1] > norms[2], f"inverse norms {norms}"
         assert norms[2] < 0.1
 
@@ -279,7 +274,7 @@ class TestWedgePropagation:
         Q_r = np.kron(Q_c.real, np.eye(2)) + np.kron(Q_c.imag, J)
         A_r, B_r = np.kron(A_STEP, np.eye(2)), np.kron(B_STEP, np.eye(2))
         hit = wedge_first_zero(A_STEP, B_STEP, Q_c, t_max=4.0)
-        oracle = first_blowup(integrate_jacobi(A_r, B_r, Q_r, 4.0), t_min=0.04, tol=1e-12)
+        oracle = first_blowup(integrate_jacobi(A_r, B_r, Q_r, 4.0), t_min=0.04)
         assert hit.is_finite and abs(hit.time - oracle.time) < 1e-8, f"{hit.time} vs {oracle.time}"
 
     def test_non_hermitian_complex_q_is_rejected(self):

@@ -66,24 +66,22 @@ class TestFatDims:
 class TestStructuralPair:
 
     def test_shapes_and_sparsity(self):
-        pair = build_structural(DIMS_D2)
-        A, B = pair.A, pair.B
+        A, B = build_structural(DIMS_D2)
         assert A.shape == B.shape == (11, 11)
         # A maps the b group into the a group and nothing else
         assert np.array_equal(A[DIMS_D2.sl_a, DIMS_D2.sl_b], np.eye(3))
         assert np.count_nonzero(A) == 3
 
     def test_a_is_nilpotent_b_is_projection(self):
-        pair = build_structural(DIMS_D1)
-        assert np.array_equal(pair.A @ pair.A, np.zeros((7, 7)))
-        assert np.array_equal(pair.B @ pair.B, pair.B)
-        assert np.array_equal(pair.B, pair.B.T)
-        assert np.trace(pair.B) == DIMS_D1.nb + DIMS_D1.nc
+        A, B = build_structural(DIMS_D1)
+        assert np.array_equal(A @ A, np.zeros((7, 7)))
+        assert np.array_equal(B @ B, B)
+        assert np.array_equal(B, B.T)
+        assert np.trace(B) == DIMS_D1.nb + DIMS_D1.nc
 
     @pytest.mark.parametrize("dims", [DIMS_D1, DIMS_D2])
     def test_controllable_in_one_bracket(self, dims):
-        pair = build_structural(dims)
-        assert controllable_in_one_step(pair.A, pair.B)
+        assert controllable_in_one_step(*build_structural(dims))
 
     def test_scalar_pair_mirrors_structure(self):
         a, b = typeI_pair()
