@@ -64,7 +64,10 @@ def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + X.T)
+    # halved in place: one temporary fewer on a stack of matrices
+    S = X + np.swapaxes(X, -1, -2)
+    S *= 0.5
+    return S
 
 
 # ----------------------------------------------------------------------
@@ -341,40 +344,32 @@ def check_extremal_conservation(rng: np.random.Generator) -> CheckResult:
 
 
 def check_vertical_identities(rng: np.random.Generator) -> CheckResult:
-    """Algebra of the vertical skew matrix, and the trace inequality."""
-    worst = 0.0
-    for _ in range(1000):
-        v = rng.uniform(-2.0, 2.0, size=3)
-        V = vee(v)
-        s = float(v @ v)
-        worst = max(worst, float(np.abs(V @ V @ V + s * V).max()))
-        worst = max(
-            worst, float(np.abs(np.outer(v, v) - (V @ V + s * np.eye(3))).max())
-        )
-        worst = max(worst, float(np.abs(V @ v).max()))
+    """Algebra of the vertical skew matrix, and the trace inequality.
+
+    Both run on stacks drawn in the order of one draw per case; every dot
+    product is a stacked matmul, so each residual equals its 2-D value bit
+    for bit."""
+    v = rng.uniform(-2.0, 2.0, size=(1000, 3))
+    V = vee(v)
+    s = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    worst = max(
+        float(np.abs(V @ V @ V + s[:, None, None] * V).max()),
+        float(np.abs(v[:, :, None] * v[:, None, :] - (V @ V + s[:, None, None] * np.eye(3))).max()),
+        float(np.abs(V @ v[:, :, None]).max()),
+    )
     alg_ok = worst < 1e-12
 
-    failures = 0
-    pairs = 0
-    min_slack = math.inf
-    for m in (2, 3, 5):
-        for _ in range(3334):
-            X = _sym(rng.normal(size=(m, m)))
-            Y = _sym(rng.normal(size=(m, m)))
-            slack, ok = trace_inequality_check(X, Y)
-            pairs += 1
-            min_slack = min(min_slack, slack)
-            if not ok:
-                failures += 1
+    stacks = (_sym(rng.normal(size=(3334, 2, m, m))).transpose(1, 0, 2, 3) for m in (2, 3, 5))
+    slack, ok = (np.concatenate(z) for z in zip(*(trace_inequality_check(X, Y) for X, Y in stacks)))
     return CheckResult(
         name="vertical-identities",
-        passed=bool(alg_ok and failures == 0),
+        passed=bool(alg_ok and ok.all()),
         worst=worst,
         tol=1e-12,
-        n_cases=1000 + pairs,
+        n_cases=1000 + ok.size,
         detail=(
             f"max identity residual over 1000 draws; trace inequality "
-            f"{pairs - failures}/{pairs}, min slack {min_slack:.3e}"
+            f"{np.count_nonzero(ok)}/{ok.size}, min slack {slack.min():.3e}"
         ),
     )
 

@@ -46,19 +46,19 @@ __all__ = [
 
 
 def vee(v) -> np.ndarray:
-    """Skew 3x3 matrix of a vertical momentum triple.
+    """Skew 3x3 matrix of a vertical momentum triple, or a stack of them.
 
-    Rows and columns follow the (I, J, K) order; vee(v) @ v = 0 and
-    vee(v) ** 3 = -|v|^2 vee(v).
+    v has shape (..., 3) and the result (..., 3, 3). Rows and columns
+    follow the (I, J, K) order; vee(v) @ v = 0 and vee(v) ** 3 = -|v|^2 vee(v).
     """
-    vI, vJ, vK = (float(x) for x in np.asarray(v).ravel())
-    return np.array(
-        [
-            [0.0, vK, -vJ],
-            [-vK, 0.0, vI],
-            [vJ, -vI, 0.0],
-        ]
-    )
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"v must have three components on its last axis, got shape {v.shape}")
+    vI, vJ, vK = v[..., 0], v[..., 1], v[..., 2]
+    W = np.zeros(v.shape + (3,))
+    W[..., 0, 1], W[..., 0, 2], W[..., 1, 2] = vK, -vJ, vI
+    W[..., 1, 0], W[..., 2, 0], W[..., 2, 1] = -vK, vJ, -vI
+    return W
 
 
 def rodrigues(W: np.ndarray, s: float) -> np.ndarray:

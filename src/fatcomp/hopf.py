@@ -247,11 +247,13 @@ def integrate_extremal(state0: ExtremalState, t_max: float, n_samples: int = 257
         p(t) = R(t) (-c sin(ct) q0 + cos(ct) p0).
 
     The drift of H, v, |q| and <p, q> over the samples is reported; it
-    is rounding error only. Raises ``DomainError`` unless t_max is finite
-    positive and state0 has H = 1/2, |q| = 1 and <p, q> = 0.
+    is rounding error only. It is taken over all samples at once and is
+    bit for bit the drift of the ``states``' own H and v. Raises
+    ``DomainError`` unless t_max is finite positive, n_samples >= 1 and
+    state0 has H = 1/2, |q| = 1 and <p, q> = 0.
     """
-    if not 0.0 < t_max < math.inf:
-        raise DomainError(f"t_max must be finite positive, got {t_max}")
+    if not (0.0 < t_max < math.inf and n_samples >= 1):
+        raise DomainError(f"t_max must be finite positive and n_samples >= 1, got {t_max}, {n_samples}")
     d, q0, p0 = state0.d, _check_unit(state0.q), state0.p
     if not abs(float(p0 @ q0)) <= 1e-10:
         raise DomainError(f"state0 must satisfy <p, q> = 0, got {float(p0 @ q0)}")
@@ -267,22 +269,19 @@ def integrate_extremal(state0: ExtremalState, t_max: float, n_samples: int = 257
     qs, ps = cos_c * q0 + sin_c / c * p0, -c * sin_c * q0 + cos_c * p0
     qs, ps = cos_w * qs - sinc_w * (qs @ K_v.T), cos_w * ps - sinc_w * (ps @ K_v.T)
 
-    states: list[ExtremalState] = []
-    h_drift = v_drift = norm_drift = gauge_drift = 0.0
-    for q, p in zip(qs, ps):
-        st = ExtremalState(d=d, q=q, p=p)
-        h_drift = max(h_drift, abs(st.H - 0.5))
-        v_drift = max(v_drift, float(np.abs(st.v - v0).max()))
-        norm_drift = max(norm_drift, abs(float(np.linalg.norm(q)) - 1.0))
-        gauge_drift = max(gauge_drift, abs(float(p @ q)))
-        states.append(st)
+    # each dot product is a stacked (1 x n) @ (n x 1) matmul: the BLAS dot
+    # of ExtremalState's 1-D products, where einsum or sum() round otherwise
+    dot = lambda x, y: (x[..., None, :] @ y[..., None])[..., 0, 0]
+    vs = np.stack([dot(ps, qs @ K.T) for K in reeb_generators(d)], axis=-1)
+    pq = dot(ps, qs)
+    H = 0.5 * (dot(ps, ps) - pq * pq - dot(vs, vs))
     return GeodesicResult(
         ts=ts,
-        states=states,
-        h_drift=h_drift,
-        v_drift=v_drift,
-        norm_drift=norm_drift,
-        gauge_drift=gauge_drift,
+        states=[ExtremalState(d=d, q=q, p=p) for q, p in zip(qs, ps)],
+        h_drift=float(np.abs(H - 0.5).max()),
+        v_drift=float(np.abs(vs - v0).max()),
+        norm_drift=float(np.abs(np.sqrt(dot(qs, qs)) - 1.0).max()),
+        gauge_drift=float(np.abs(pq).max()),
     )
 
 
@@ -387,6 +386,11 @@ def conjugate_time(d: int, v) -> ConjugateResult:
     horizon contradicts the bounds and raises RuntimeError. Raises
     ``DomainError`` on a non-finite v.
     """
+    return _conjugate_time(d, v)[0]
+
+
+def _conjugate_time(d: int, v):
+    """``conjugate_time`` and the ``_qhf_blocks`` split it was found on."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     v = _momentum(v)
@@ -394,7 +398,7 @@ def conjugate_time(d: int, v) -> ConjugateResult:
     bound_kab = blowup_time_kab(kappa_a, kappa_b)
     bound_kc = blowup_time_kc(kappa_c).time if d >= 2 else None
     t_max = 1.1 * min(bound_kab.time, bound_kc or math.inf)
-    _, pairs, kappa_c = _qhf_blocks(d, v)
+    _, pairs, kappa_c = blocks = _qhf_blocks(d, v)
     times = [wedge_first_zero(*pair, t_max, steps=256).time for pair in pairs]
     if kappa_c is not None and kappa_c > 0.0:
         times.append(math.pi / math.sqrt(kappa_c))
@@ -409,7 +413,7 @@ def conjugate_time(d: int, v) -> ConjugateResult:
         bound_kab=bound_kab,
         margin_kc=None if bound_kc is None else bound_kc - t_star,
         margin_kab=bound_kab.time - t_star,
-    )
+    ), blocks
 
 
 # ----------------------------------------------------------------------
@@ -453,14 +457,13 @@ def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
         raise DomainError("r_grid must be nonempty")
     if not np.isfinite(r).all():
         raise DomainError(f"r_grid must be finite, got {r}")
-    conj = conjugate_time(d, v)
+    conj, ((A, B, Q), _, kappa_cc) = _conjugate_time(d, v)
     if r.min() <= 0.0 or r.max() >= conj.t_star:
         raise DomainError(
             f"r_grid must lie strictly inside (0, t_star = {conj.t_star}); "
             f"got [{r.min()}, {r.max()}]"
         )
     kappa_a, kappa_b, kappa_c = qhf_kappas(v)
-    (A, B, Q), _, kappa_cc = _qhf_blocks(d, v)
     sol = integrate_jacobi(A, B, Q, float(r.max()) * (1.0 + 1e-9))
     lhs, rhs = np.empty_like(r), np.empty_like(r)
     for i, ri in enumerate(r):

@@ -230,21 +230,21 @@ def first_blowup(sol: JacobiSolution, t_min: float | None = None) -> BlowUpTime:
     its noise plateau and the singular-value minimizer is the accurate
     one. A sign-change bracket is accepted even if the singular floor
     stays high, since the sign flip alone certifies a zero. The earliest
-    accepted time wins; the refinement is to 1e-12 in t.
+    accepted time wins; the refinement is to 1e-12 in t. det N(t_min) is
+    evaluated first: unless it is positive (it underflows to 0.0 at large
+    n), ``UnverifiableError`` is raised before the scan is allocated.
     """
     if t_min is None:
         t_min = 1e-4 * sol.t_max
     if not 0.0 < t_min < sol.t_max:
         raise ValueError(f"t_min={t_min} outside (0, {sol.t_max})")
+    det_min = sol.det_N(t_min)
+    if not det_min > 0.0:
+        raise UnverifiableError(f"det N(t_min) = {det_min:.3e} at t_min = {t_min}: the scan must start where det N is positive")
     ts = np.linspace(t_min, sol.t_max, _N_SCAN)
     N = _scan_N(sol, ts)
     svals = np.linalg.svd(N, compute_uv=False)
     sig, det = svals[:, -1], np.linalg.det(N)
-    if det[0] <= 0.0:
-        raise ValueError(
-            f"det N(t_min) = {det[0]:.3e} <= 0 at t_min = {t_min}; "
-            "scan must start strictly before the first zero"
-        )
     if sig.max() == 0.0:
         raise RuntimeError("N vanished on the whole scan range")
 
@@ -394,8 +394,8 @@ _WEDGE_MAX_STEPS = 2**20
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
 _DET_N = 5
 class UnverifiableError(FloatingPointError):
-    """t_max is beyond the wedge route's reach: a step overflows, or the
-    oscillation of det N needs more than ``_WEDGE_MAX_STEPS`` steps."""
+    """A route cannot decide: a wedge step overflows or needs more than
+    ``_WEDGE_MAX_STEPS`` steps, or det N at the scan start is not positive."""
 
 
 def _additive_compound(H: np.ndarray) -> np.ndarray:

@@ -90,7 +90,7 @@ def typeI_pair() -> tuple[np.ndarray, np.ndarray]:
 # trace inequality
 # ----------------------------------------------------------------------
 
-def trace_inequality_check(X, Y) -> tuple[float, bool]:
+def trace_inequality_check(X, Y):
     """Slack of the symmetric-pair trace inequality, and whether it holds.
 
     For symmetric m x m matrices X, Y:
@@ -102,24 +102,25 @@ def trace_inequality_check(X, Y) -> tuple[float, bool]:
     multiple of the identity or Y = X. This is the inequality certifying
     that the covariance correction of the paper's traced type-I reduction
     is PSD.
-    Returns (slack, slack >= -1e-9 * scale) with scale the magnitude of
-    the largest term.
+    X and Y are m x m matrices or equal-shape stacks (..., m, m), each
+    member symmetric to 1e-12 of its own max(1, max|entry|). Returns
+    (slack, slack >= -1e-9 * scale) with scale the magnitude of the
+    largest term: (float, bool) for a pair, arrays of the stack shape
+    for stacks.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
+    if X.shape != Y.shape or X.ndim < 2 or X.shape[-2] != X.shape[-1]:
         raise ValueError(f"X, Y must be square of equal size, got {X.shape}, {Y.shape}")
-    if not (np.allclose(X, X.T, atol=1e-12 * max(1.0, np.abs(X).max()))
-            and np.allclose(Y, Y.T, atol=1e-12 * max(1.0, np.abs(Y).max()))):
-        raise ValueError("X and Y must be symmetric")
-    m = X.shape[0]
-    nx2 = float(np.sum(X * X))
-    ny2 = float(np.sum(Y * Y))
-    ip = float(np.sum(X * Y))
-    tx = float(np.trace(X))
-    ty = float(np.trace(Y))
+    for Z in (X, Y):
+        atol = 1e-12 * np.maximum(1.0, np.abs(Z).max(axis=(-2, -1), initial=0.0))
+        if not np.isclose(Z, np.swapaxes(Z, -1, -2), atol=atol[..., None, None]).all():
+            raise ValueError("X and Y must be symmetric")
+    m = X.shape[-1]
+    nx2, ny2, ip = (np.sum(P * Q, axis=(-2, -1)) for P, Q in ((X, X), (Y, Y), (X, Y)))
+    tx, ty = np.trace(X, axis1=-2, axis2=-1), np.trace(Y, axis1=-2, axis2=-1)
     lhs = nx2 * ny2 - ip * ip + (2.0 / m) * tx * ty * ip
     rhs = (ty * ty * nx2 + tx * tx * ny2) / m
     slack = lhs - rhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return slack, bool(slack >= -1e-9 * scale)
+    ok = slack >= -1e-9 * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+    return (float(slack), bool(ok)) if X.ndim == 2 else (slack, ok)

@@ -66,11 +66,13 @@ def test_fibration_conjugate_times_d1_stay_below_half_circle():
 def test_extremal_flow_conserves_energy_and_vertical_momenta():
     r = run_check(by_name("extremal-conservation"), SEED)
     assert r.passed, r.detail
+    assert r.elapsed < 0.25, f"extremal-conservation took {r.elapsed:.3f}s"
 
 
 def test_vertical_algebra_and_trace_inequality():
     r = run_check(by_name("vertical-identities"), SEED)
     assert r.passed, r.detail
+    assert r.elapsed < 0.25, f"vertical-identities took {r.elapsed:.3f}s"
 
 
 def test_curvature_block_traces_match_ricci_scalars():

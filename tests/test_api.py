@@ -68,6 +68,7 @@ BAD_INPUT = {
     "extremal-q-not-unit": (lambda: integrate_extremal(_state(scale_q=1.1), 1.0), "unit vector"),
     "extremal-p-not-normal-to-q": (lambda: integrate_extremal(_state(gauge=0.1), 1.0), "<p, q> = 0"),
     "extremal-q-nan": (lambda: integrate_extremal(_state(scale_q=math.nan), 1.0), "unit vector"),
+    "extremal-no-samples": (lambda: integrate_extremal(_state(), 1.0, n_samples=0), "n_samples"),
     "upper_bound_kab-kappa_a-nan": (lambda: upper_bound_kab(math.nan, 1.0), "finite"),
     "upper_bound_kab-kappa_b-inf": (lambda: upper_bound_kab(1.0, math.inf), "finite"),
     "finiteness_predicate-kappa_a-nan": (lambda: finiteness_predicate(math.nan, 1.0), "finite"),

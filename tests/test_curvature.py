@@ -170,6 +170,14 @@ class TestSkewHelpers:
         assert np.abs(W @ v).max() < 1e-15, "v is not in the kernel"
         assert np.abs(W @ W @ W + s * W).max() < 1e-12 * max(1.0, s**1.5)
 
+    def test_vee_of_a_stack_is_vee_row_by_row(self):
+        v = np.random.default_rng(5).uniform(-2.0, 2.0, size=(4, 6, 3))
+        W = vee(v)
+        assert W.shape == (4, 6, 3, 3)
+        assert all(np.array_equal(W[i, j], vee(v[i, j])) for i in range(4) for j in range(6))
+        with pytest.raises(ValueError, match="three components"):
+            vee(np.zeros((3, 2)))
+
     @given(momentum_triple, st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
     @settings(max_examples=80)
     def test_rodrigues_matches_expm(self, v, s):

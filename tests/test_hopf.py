@@ -36,7 +36,7 @@ from fatcomp.hopf import (
     sublaplacian_along,
 )
 from fatcomp.models import blowup_time_kab, eval_s_kc
-from fatcomp.riccati import JacobiSolution, first_blowup
+from fatcomp.riccati import JacobiSolution, UnverifiableError, first_blowup
 from fatcomp.structure import FatDims, build_structural
 
 
@@ -197,6 +197,20 @@ class TestExtremalFlow:
         assert res.norm_drift < 1e-8
         assert res.gauge_drift < 1e-8
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_drifts_match_the_sampled_states(self, d):
+        rng = np.random.default_rng(d)
+        dim = 4 * (d + 1)
+        st0 = initial_state(d, 1.7 * random_unit(rng, 3), q=random_unit(rng, dim), seed_direction=rng.standard_normal(dim))
+        res = integrate_extremal(st0, 2.0 * math.pi)
+        assert len(res.states) == res.ts.size == 257
+        h = max(abs(st.H - 0.5) for st in res.states)
+        v = max(float(np.abs(st.v - st0.v).max()) for st in res.states)
+        norm = max(abs(float(np.linalg.norm(st.q)) - 1.0) for st in res.states)
+        gauge = max(abs(float(st.p @ st.q)) for st in res.states)
+        for got, want in zip((res.h_drift, res.v_drift, res.norm_drift, res.gauge_drift), (h, v, norm, gauge)):
+            assert abs(got - want) <= 1e-15
+
     def test_rejects_non_unit_covector(self):
         st0 = initial_state(1, [0.3, 0.0, 0.0])
         bad = type(st0)(d=st0.d, q=st0.q, p=2.0 * st0.p)
@@ -324,6 +338,14 @@ class TestConjugateTime:
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
         hit = first_blowup(_qhf_jacobi(16, v, t_max), t_min=0.01 * t_max)
         assert abs(hit.time - math.pi / math.sqrt(1.0 + v @ v)) < 1e-12
+
+    def test_underflowing_start_is_unverifiable_before_the_scan(self):
+        # det N(t_min) underflows to 0.0 at d = 64; the 2048-point scan of
+        # this system would hold 2.2 GB, so the start is checked first
+        v = np.array([0.3, -0.7, 1.1])
+        t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
+        with pytest.raises(UnverifiableError, match=r"det N\(t_min\) = 0\.000e\+00 at t_min = 0\.0206"):
+            first_blowup(_qhf_jacobi(64, v, t_max), t_min=0.01 * t_max)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rotating_frame_matches_lab_frame_oracle(self, d):

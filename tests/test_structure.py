@@ -127,3 +127,20 @@ class TestTraceInequality:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             trace_inequality_check(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_stack_equals_the_pair_loop_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        X = np.array([random_symmetric(rng, m, scale=3.0) for _ in range(200)])
+        Y = np.array([random_symmetric(rng, m) for _ in range(200)])
+        slack, ok = trace_inequality_check(X.reshape(10, 20, m, m), Y.reshape(10, 20, m, m))
+        assert slack.shape == ok.shape == (10, 20)
+        pairs = [trace_inequality_check(x, y) for x, y in zip(X, Y)]
+        assert slack.ravel().tolist() == [p[0] for p in pairs]
+        assert ok.ravel().tolist() == [p[1] for p in pairs]
+
+    def test_rejects_one_asymmetric_member_of_a_stack(self):
+        X = np.array([random_symmetric(np.random.default_rng(k), 3) for k in range(5)])
+        X[3, 0, 1] += 0.1
+        with pytest.raises(ValueError, match="symmetric"):
+            trace_inequality_check(X, np.broadcast_to(np.eye(3), X.shape))
