@@ -9,6 +9,7 @@ decision or of the serialized output.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -288,36 +289,23 @@ def _conjugate_grid(rng: np.random.Generator, d: int) -> tuple[float, float, flo
     return worst_margin, pi_err, gap
 
 
-def check_qhf_conjugate_d2(rng: np.random.Generator) -> CheckResult:
-    """d = 2 conjugate times against both model bounds on a norm grid."""
-    worst_margin, pi_err, gap = _conjugate_grid(rng, 2)
+def check_qhf_conjugate(d: int, rng: np.random.Generator) -> CheckResult:
+    """Conjugate times on a norm grid against the model bounds: kappa_ab and
+    kappa_c for d >= 2; pi and the two-frequency bound for d = 1."""
+    worst_margin, pi_err, gap = _conjugate_grid(rng, d)
     ok = worst_margin >= -1e-6 and pi_err < 1e-6 and gap <= 1e-10
-    return CheckResult(
-        name="qhf-conjugate-d2",
-        passed=bool(ok),
-        worst=worst_margin,
-        tol=1e-6,
-        n_cases=30,
-        detail=(
-            f"min bound margin over |v| grid on [0, 3]; v=0 conjugate time "
-            f"off pi by {pi_err:.3e}; split blocks vs full-system scan {gap:.3e}"
-        ),
+    margin = "bound margin over |v| grid on [0, 3]" if d >= 2 else (
+        "margin over |v| grid on [0, 3] (pi bound and two-frequency bound)"
     )
-
-
-def check_qhf_conjugate_d1(rng: np.random.Generator) -> CheckResult:
-    """d = 1 conjugate times: at most pi, and below the two-frequency bound."""
-    worst_margin, pi_err, gap = _conjugate_grid(rng, 1)
-    ok = worst_margin >= -1e-6 and pi_err < 1e-6 and gap <= 1e-10
     return CheckResult(
-        name="qhf-conjugate-d1",
+        name=f"qhf-conjugate-d{d}",
         passed=bool(ok),
         worst=worst_margin,
         tol=1e-6,
         n_cases=30,
         detail=(
-            f"min margin over |v| grid on [0, 3] (pi bound and two-frequency "
-            f"bound); v=0 conjugate time off pi by {pi_err:.3e}; split blocks vs full-system scan {gap:.3e}"
+            f"min {margin}; v=0 conjugate time off pi by {pi_err:.3e}; "
+            f"split blocks vs full-system scan {gap:.3e}"
         ),
     )
 
@@ -482,8 +470,8 @@ CHECKS: list[tuple[str, Callable[[np.random.Generator], CheckResult]]] = [
     ("scalar-vs-jacobi", check_scalar_vs_jacobi),
     ("blowup-upper-bound", check_blowup_upper_bound),
     ("isotropic-conjugate", check_isotropic_conjugate),
-    ("qhf-conjugate-d2", check_qhf_conjugate_d2),
-    ("qhf-conjugate-d1", check_qhf_conjugate_d1),
+    ("qhf-conjugate-d2", functools.partial(check_qhf_conjugate, 2)),
+    ("qhf-conjugate-d1", functools.partial(check_qhf_conjugate, 1)),
     ("extremal-conservation", check_extremal_conservation),
     ("vertical-identities", check_vertical_identities),
     ("ricci-traces", check_ricci_traces),

@@ -411,8 +411,7 @@ def cmd_laplacian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if len(momenta) != 1:
         parser.error("laplacian takes a single vertical momentum")
     v = np.array(momenta[0])
-    rgrid = args.rgrid if isinstance(args.rgrid, list) else _grid(args.rgrid)
-    rep = sublaplacian_along(args.d, v, rgrid)
+    rep = sublaplacian_along(args.d, v, args.rgrid)
     rows = [
         {
             "index": i,

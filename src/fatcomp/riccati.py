@@ -17,9 +17,10 @@ Provided here:
 
 * ``integrate_jacobi`` and ``JacobiSolution``: exp(tH) at any t, the
   Riccati quotient V, and symplectic and Riccati residual diagnostics;
-* ``first_blowup``, a det-sign scan on a grid stepped by exp(dt H), with
-  bisection plus a smallest-singular-value refinement that also catches
-  even-multiplicity zeros;
+* ``first_blowup``, with one zero rule on a grid stepped by exp(dt H): a
+  zero is a sign change of det N, refined by Brent's method on the sign of
+  det N read without underflow; the smallest singular value serves only the
+  zeros of even order (touches), which change no sign;
 * ``finite_blowup_constant``, the exact finiteness classification for
   constant coefficients via the Jordan structure of the Hamiltonian on
   its imaginary spectrum;
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .models import BlowUpTime, DomainError, finiteness_predicate
 
@@ -53,13 +54,35 @@ __all__ = [
 ]
 
 
-def _as_matrix(X, n: int | None = None, name: str = "matrix", dtype=float) -> np.ndarray:
-    X = np.asarray(X, dtype=dtype)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {X.shape}")
-    if n is not None and X.shape[0] != n:
-        raise ValueError(f"{name} must be {n}x{n}, got {X.shape[0]}x{X.shape[0]}")
-    return X
+def _jacobi_system(A, B, Q, t_max: float | None = None, n: int | None = None, hermitian: bool = False):
+    """Validated (A, B, Q, H) of a Jacobi system, H = [[-A^T, -Q], [B, A]].
+
+    A, B and Q are square of one size (n where given, else that of A); A
+    and B are real, Q real symmetric, or Hermitian where ``hermitian``
+    allows a complex Q, to 1e-10 of max(1, max|Q|). Raises ``DomainError``
+    on a non-finite entry or a t_max that is not finite positive, and
+    ``ValueError`` on any other breach.
+    """
+    mats = []
+    for name, X in (("A", A), ("B", B), ("Q", Q)):
+        X = np.asarray(X)
+        if np.iscomplexobj(X) and not (hermitian and name == "Q"):
+            raise ValueError(f"{name} must be real")
+        X = X.astype(complex if np.iscomplexobj(X) else float, copy=False)
+        if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] != (n or X.shape[0]):
+            raise ValueError(f"{name} must be square" + (f", {n}x{n}" if n else "") + f", got shape {X.shape}")
+        n = X.shape[0]
+        mats.append(X)
+    A, B, Q = mats
+    if t_max is not None and not (t_max > 0.0 and math.isfinite(t_max)):
+        raise DomainError(f"t_max must be finite positive, got {t_max}")
+    H = np.empty((2 * n, 2 * n), Q.dtype)  # np.block costs 20 us at 4x4
+    H[:n, :n], H[:n, n:], H[n:, :n], H[n:, n:] = -A.T, -Q, B, A
+    if not np.isfinite(H).all():
+        raise DomainError("the Jacobi system needs finite A, B and Q")
+    if np.abs(Q - Q.T.conj()).max() > 1e-10 * max(1.0, np.abs(Q).max()):
+        raise ValueError(f"Q is not {'Hermitian' if np.iscomplexobj(Q) else 'symmetric'} to 1e-10")
+    return A, B, Q, H
 
 
 def _svd_rank(X: np.ndarray) -> int:
@@ -174,17 +197,7 @@ def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
     returned object evaluates M, N anywhere in [0, t_max] as blocks of
     exp(tH) by ``_expm``. Raises ``DomainError`` on non-finite A, B or Q.
     """
-    A = _as_matrix(A, name="A")
-    n = A.shape[0]
-    B = _as_matrix(B, n, name="B")
-    Q = _as_matrix(Q, n, name="Q")
-    if not (t_max > 0.0 and math.isfinite(t_max)):
-        raise DomainError(f"t_max must be finite positive, got {t_max}")
-    H = np.block([[-A.T, -Q], [B, A]])
-    if not np.isfinite(H).all():
-        raise DomainError("the Jacobi system needs finite A, B and Q")
-    if np.abs(Q - Q.T).max() > 1e-10 * max(1.0, np.abs(Q).max()):
-        raise ValueError("Q is not symmetric to 1e-10")
+    A, B, Q, H = _jacobi_system(A, B, Q, t_max)
     return JacobiSolution(A=A, B=B, Q=Q, t_max=float(t_max), H=H)
 
 
@@ -212,27 +225,24 @@ def _scan_N(sol: JacobiSolution, ts: np.ndarray) -> np.ndarray:
 def first_blowup(sol: JacobiSolution, t_min: float | None = None) -> BlowUpTime:
     """First zero of det N on (t_min, t_max], or the infinite marker.
 
-    det N vanishes identically to high order at t = 0 (order n plus twice
-    the corank of B), so the scan starts at t_min, default 1e-4 * t_max.
-    The scan takes N on 2048 evenly spaced points by stepping with one
-    exp(dt H) from t_min, then one stacked svd and one stacked det.
-    Candidate brackets are the sign changes of det N and the local minima
-    of the smallest singular value of N; a minimum whose two cells hold a
-    det sign change carries that crossing. Every bracket is refined
-    pointwise by minimizing the smallest singular value,
-    and the number of singular values collapsing at the refined point
-    (below 1e-7 of the local scale of N over the bracket) decides how the
-    zero is localized: a single collapsing
-    direction across a det sign change is a simple zero, where bisection
-    on det N is sharpest (the det slope beats its cancellation noise even
-    when hyperbolic modes inflate the matrix norm), while several
-    collapsing directions mean a multiple zero, where det N flattens into
-    its noise plateau and the singular-value minimizer is the accurate
-    one. A sign-change bracket is accepted even if the singular floor
-    stays high, since the sign flip alone certifies a zero. The earliest
-    accepted time wins; the refinement is to 1e-12 in t. det N(t_min) is
-    evaluated first: unless it is positive (it underflows to 0.0 at large
-    n), ``UnverifiableError`` is raised before the scan is allocated.
+    One rule finds every zero of odd order: a zero is a sign change of det N,
+    refined by Brent's method to 1e-12 in t. The scan starts at t_min,
+    default 1e-4 * t_max, since det N vanishes to high order at t = 0 (order
+    n plus twice the corank of B). It steps N over 2048 even points with one
+    exp(dt H) and takes one stacked det, whose signs are compared bit by bit
+    (near a zero of high order det N underflows). The first sign change is
+    refined on sign(det N) |det N|^(1/n) from the pointwise slogdet, which
+    keeps the sign without underflow: LU's det has the true sign wherever
+    sigma_min(N) exceeds its backward error. ``UnverifiableError`` names the
+    cell if the pointwise signs at its ends agree.
+
+    Singular values serve only the zeros of even order (touches), which
+    change no sign: each local minimum of the scan's sigma_min before the
+    first sign change is refined by Brent's method on the sign of a centred
+    slope, and is a zero if sigma_min collapses there below 1e-7 of the
+    local scale of N. The first touch wins. det N(t_min) is evaluated first:
+    unless it is positive (it underflows to 0.0 at large n),
+    ``UnverifiableError`` is raised before the scan is allocated.
     """
     if t_min is None:
         t_min = 1e-4 * sol.t_max
@@ -243,52 +253,36 @@ def first_blowup(sol: JacobiSolution, t_min: float | None = None) -> BlowUpTime:
         raise UnverifiableError(f"det N(t_min) = {det_min:.3e} at t_min = {t_min}: the scan must start where det N is positive")
     ts = np.linspace(t_min, sol.t_max, _N_SCAN)
     N = _scan_N(sol, ts)
-    svals = np.linalg.svd(N, compute_uv=False)
-    sig, det = svals[:, -1], np.linalg.det(N)
-    if sig.max() == 0.0:
-        raise RuntimeError("N vanished on the whole scan range")
+    det = np.linalg.det(N)
+    changes = np.flatnonzero(np.signbit(det[:-1]) != np.signbit(det[1:]))
+    stop = int(changes[0]) if changes.size else _N_SCAN - 1
 
-    # (lo, hi, first cell of a det crossing or None) as grid indices; a
-    # minimum of sigma_min sorts before a crossing with the same onset, so
-    # it must carry the crossing: its slope polish cannot beat svd noise.
-    # Signs are compared bit by bit: at large n, det N near a zero is so
-    # small that the product of two cell ends underflows to 0.0
-    changes = np.signbit(det[:-1]) != np.signbit(det[1:])
-    last = _N_SCAN - 1
-    brackets = [(max(i - 1, 0), min(i + 2, last), i) for i in np.flatnonzero(changes)]
+    svals = np.linalg.svd(N[: stop + 1], compute_uv=False)
+    sig = svals[:, -1]
     for i in np.flatnonzero((sig[1:-1] <= sig[:-2]) & (sig[1:-1] <= sig[2:])) + 1:
-        cells = [c for c in (i - 1, i) if changes[c]]
-        brackets.append((i - 1, i + 1, cells[0] if cells else None))
-    brackets.sort(key=lambda b: b[:2])
-    for i_lo, i_hi, crossing in brackets:
-        lo, hi = ts[i_lo], ts[i_hi]
-        res = minimize_scalar(
-            sol.sigma_min_N, bounds=(lo, hi), method="bounded", options={"xatol": _XTOL}
-        )
-        x_star = float(res.x)
-        # The bounded minimizer stalls at sqrt(eps)*|x| on the V-shaped
-        # profile of a multiple zero; polish by bisecting the sign of a
-        # centered slope of sigma_min, which flips at the minimum.
-        delta = 1e-7 * max(1.0, x_star)
+        # sigma_min is V-shaped at a touch, so its centred slope changes sign there
+        delta = 1e-7 * max(1.0, ts[i])
         slope = lambda t: sol.sigma_min_N(t + delta) - sol.sigma_min_N(t - delta)
-        a, b = max(lo, t_min + delta), min(hi, sol.t_max - delta)
-        if a < b and slope(a) < 0.0 < slope(b):
-            x_star = float(brentq(slope, a, b, xtol=_XTOL))
-        s_star = np.linalg.svd(sol.N(x_star), compute_uv=False)
-        # Collapse is judged against the local scale of N, not against
-        # s_star[0] alone: at a full-rank-drop touch (isotropic even
-        # dimension) every singular value vanishes at once and the
-        # refined point carries no scale of its own.
-        scale_ref = max(float(s_star[0]), svals[i_lo, 0], svals[i_hi, 0])
-        n_collapsed = int(np.sum(s_star < 1e-7 * scale_ref))
-        if crossing is not None and n_collapsed <= 1:
-            a, b = ts[crossing], ts[crossing + 1]
-            if np.signbit(sol.det_N(a)) == np.signbit(sol.det_N(b)):
-                raise UnverifiableError(f"the scan sees det N change sign on [{a:.17g}, {b:.17g}], pointwise det N does not")
-            return BlowUpTime.finite(float(brentq(sol.det_N, a, b, xtol=_XTOL)))
-        if n_collapsed >= 1:
-            return BlowUpTime.finite(x_star)
-    return BlowUpTime.infinite()
+        a, b = ts[i - 1], ts[i + 1]
+        if not slope(a) < 0.0 < slope(b):
+            continue
+        x = float(brentq(slope, a, b, xtol=_XTOL))
+        s = np.linalg.svd(sol.N(x), compute_uv=False)
+        # the local scale, not s[0] alone: at a full-rank touch (isotropic
+        # even dimension) every singular value vanishes at once
+        if s[-1] < 1e-7 * max(s[0], svals[i - 1, 0], svals[i + 1, 0]):
+            return BlowUpTime.finite(x)
+    if not changes.size:
+        return BlowUpTime.infinite()
+
+    def signed_root(t: float) -> float:
+        sign, logabs = np.linalg.slogdet(sol.N(t))
+        return float(sign * math.exp(logabs / sol.n))
+
+    a, b = ts[stop], ts[stop + 1]
+    if np.sign(signed_root(a)) == np.sign(signed_root(b)):
+        raise UnverifiableError(f"the scan sees det N change sign on [{a:.17g}, {b:.17g}], pointwise det N does not")
+    return BlowUpTime.finite(float(brentq(signed_root, a, b, xtol=_XTOL)))
 
 
 # ----------------------------------------------------------------------
@@ -326,13 +320,7 @@ def finite_blowup_constant(A, B, Q) -> bool:
     the degenerate boundaries (discriminant zero, q_a zero) while the
     predicate stays exact. Raises ``DomainError`` on non-finite A, B or Q.
     """
-    A = _as_matrix(A, name="A")
-    n = A.shape[0]
-    B = _as_matrix(B, n, name="B")
-    Q = _as_matrix(Q, n, name="Q")
-    H = np.block([[-A.T, -Q], [B, A]])
-    if not np.isfinite(H).all():
-        raise DomainError("the finiteness classification needs finite A, B and Q")
+    A, B, Q, H = _jacobi_system(A, B, Q)
     if _is_typeI_pair(A, B, Q):
         return finiteness_predicate(Q[0, 0], Q[1, 1])
     eigs = np.linalg.eigvals(H)
@@ -354,7 +342,7 @@ def finite_blowup_constant(A, B, Q) -> bool:
                     changed = True
         clusters.append(cluster)
 
-    dim = 2 * n
+    dim = len(H)
     ident = np.eye(dim)
     for cluster in clusters:
         mu = complex(np.mean(cluster))
@@ -407,15 +395,7 @@ def _additive_compound(H: np.ndarray) -> np.ndarray:
 
 def _wedge_pass(A, B, Q, t_max: float, steps: int):
     """(sign changes, min_rel, first zero) of det N for the wedge functions."""
-    A, B = _as_matrix(A, 2, name="A"), _as_matrix(B, 2, name="B")
-    Q = _as_matrix(Q, 2, name="Q", dtype=complex if np.iscomplexobj(Q) else float)
-    if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(Q).all()):
-        raise DomainError("wedge tracking needs finite A, B and Q")
-    if not (t_max > 0.0 and math.isfinite(t_max)):
-        raise DomainError(f"t_max must be finite positive, got {t_max}")
-    if np.iscomplexobj(Q) and np.abs(Q - Q.conj().T).max() > 1e-10 * max(1.0, np.abs(Q).max()):
-        raise ValueError("Q is not Hermitian to 1e-10")
-    H2 = _additive_compound(np.block([[-A.T, -Q], [B, A]]))
+    H2 = _additive_compound(_jacobi_system(A, B, Q, t_max, n=2, hermitian=True)[3])
     # each oscillating mode turns by h max|Im spec(H2)| in a step; at pi/2
     # two sign changes of det N cannot hide in one step (a bound of pi let
     # 38 of 300 random finite cases report a later zero, pi/2 none)

@@ -114,7 +114,7 @@ def trace_inequality_check(X, Y):
         raise ValueError(f"X, Y must be square of equal size, got {X.shape}, {Y.shape}")
     for Z in (X, Y):
         atol = 1e-12 * np.maximum(1.0, np.abs(Z).max(axis=(-2, -1), initial=0.0))
-        if not np.isclose(Z, np.swapaxes(Z, -1, -2), atol=atol[..., None, None]).all():
+        if not (np.abs(Z - np.swapaxes(Z, -1, -2)) <= atol[..., None, None]).all():
             raise ValueError("X and Y must be symmetric")
     m = X.shape[-1]
     nx2, ny2, ip = (np.sum(P * Q, axis=(-2, -1)) for P, Q in ((X, X), (Y, Y), (X, Y)))

@@ -66,6 +66,19 @@ class TestIntegrateJacobi:
         with pytest.raises(ValueError, match="symmetric"):
             integrate_jacobi(A_STEP, B_STEP, Q, t_max=1.0)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda Q: integrate_jacobi(A_STEP, B_STEP, Q, 2.0), "Q must be real"),
+            (lambda Q: finite_blowup_constant(A_STEP, B_STEP, Q), "Q must be real"),
+        ],
+        ids=["integrate_jacobi", "finite_blowup_constant"],
+    )
+    def test_rejects_complex_coefficient(self, call, message):
+        # a Hermitian Q was cast to its real part with only a ComplexWarning
+        with pytest.raises(ValueError, match=message):
+            call(np.array([[1.0, 2j], [-2j, 3.0]]))
+
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             integrate_jacobi(A_STEP, B_STEP, np.zeros((2, 2)), t_max=0.0)
@@ -83,6 +96,15 @@ class TestIntegrateJacobi:
 # ----------------------------------------------------------------------
 
 class TestFirstBlowup:
+
+    @pytest.mark.parametrize("n", [2, 4, 5, 16])
+    def test_isotropic_zero_of_order_n(self, n):
+        # N(t) = sin(sqrt(k) t)/sqrt(k) I: even n is a touch, found by the
+        # singular values, odd n a crossing of order n, refined on det N
+        k = 2.0
+        sol = integrate_jacobi(np.zeros((n, n)), np.eye(n), k * np.eye(n), t_max=3.0)
+        hit = first_blowup(sol, t_min=0.03)
+        assert abs(hit.time - math.pi / math.sqrt(k)) < 1e-12, f"order-{n} zero at {hit.time}"
 
     def test_isotropic_triple_zero(self):
         # A = 0, B = I, Q = k I: N(t) = sin(sqrt(k) t)/sqrt(k) I, so all
@@ -124,10 +146,10 @@ class TestFirstBlowup:
 
     def test_pointwise_det_without_the_scanned_crossing_is_unverifiable(self):
         # the stepped scan sees det N = sin(t) change sign near pi, a
-        # pointwise det N that never does must not reach brentq
+        # pointwise N whose det never does must not reach brentq
         class Disagreeing(JacobiSolution):
-            def det_N(self, t):
-                return 1.0
+            def N(self, t):
+                return np.eye(1)
 
         sol = integrate_jacobi(np.zeros((1, 1)), np.eye(1), np.eye(1), t_max=4.0)
         stub = Disagreeing(A=sol.A, B=sol.B, Q=sol.Q, t_max=sol.t_max, H=sol.H)
@@ -276,6 +298,11 @@ class TestWedgePropagation:
         hit = wedge_first_zero(A_STEP, B_STEP, Q_c, t_max=4.0)
         oracle = first_blowup(integrate_jacobi(A_r, B_r, Q_r, 4.0), t_min=0.04)
         assert hit.is_finite and abs(hit.time - oracle.time) < 1e-8, f"{hit.time} vs {oracle.time}"
+
+    def test_asymmetric_real_q_is_rejected(self):
+        # it was propagated as given and reported no zero
+        with pytest.raises(ValueError, match="Q is not symmetric"):
+            wedge_first_zero(A_STEP, B_STEP, np.array([[1.0, 0.5], [0.0, 1.0]]), t_max=4.0)
 
     def test_non_hermitian_complex_q_is_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):

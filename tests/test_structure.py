@@ -144,3 +144,11 @@ class TestTraceInequality:
         X[3, 0, 1] += 0.1
         with pytest.raises(ValueError, match="symmetric"):
             trace_inequality_check(X, np.broadcast_to(np.eye(3), X.shape))
+
+    def test_rejects_an_asymmetry_above_the_documented_tolerance(self):
+        # 1e-6 is far above 1e-12 max(1, max|X|), but within the 1e-5
+        # relative tolerance np.isclose would add
+        X = np.array([random_symmetric(np.random.default_rng(k), 3) for k in range(5)])
+        X[3, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            trace_inequality_check(X, np.broadcast_to(np.eye(3), X.shape))
