@@ -17,10 +17,9 @@ Provided here:
 
 * ``integrate_jacobi`` and ``JacobiSolution``: exp(tH) at any t, the
   Riccati quotient V, and symplectic and Riccati residual diagnostics;
-* ``first_blowup``, with one zero rule on a grid stepped by exp(dt H): a
-  zero is a sign change of det N, refined by Brent's method on the sign of
-  det N read without underflow; the smallest singular value serves only the
-  zeros of even order (touches), which change no sign;
+* ``first_blowup``, with one zero rule for every multiplicity: det N
+  vanishes when an eigenphase of the Lagrangian plane [M; N] reaches pi
+  (the Maslov view), and the phases are stepped by exp(h H) and never decrease;
 * ``finite_blowup_constant``, the exact finiteness classification for
   constant coefficients via the Jordan structure of the Hamiltonian on
   its imaginary spectrum;
@@ -205,84 +204,84 @@ def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
 # blow-up detection
 # ----------------------------------------------------------------------
 
-#: Points of the first_blowup scan grid.
-_N_SCAN = 2048
+#: Most an eigenphase of the plane may turn in one step of first_blowup.
+_TURN = 0.25 * math.pi
 #: Absolute time tolerance of every refinement of a det N zero.
 _XTOL = 1e-12
 
 
-def _scan_N(sol: JacobiSolution, ts: np.ndarray) -> np.ndarray:
-    """N on the uniform grid ts, stepped from ts[0] by products with exp(dt H)."""
-    n = sol.n
-    E = _expm((ts[1] - ts[0]) * sol.H)
-    Y = np.empty((ts.size, 2 * n, n))
-    Y[0] = _expm(ts[0] * sol.H)[:, :n]
-    for k in range(1, ts.size):
-        np.matmul(E, Y[k - 1], out=Y[k])
-    return Y[:, n:]
+def _phases(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(orthonormal frame [M; N], eigenphases phi_j in [0, pi)) of the plane of Y: W = M + iN is
+    unitary, W W^T has the eigenvalues exp(2i phi_j), and det N = 0 exactly when a phi_j is 0."""
+    Y = np.linalg.qr(Y)[0]
+    W = Y[: len(Y) // 2] + 1j * Y[len(Y) // 2 :]
+    return Y, np.angle(np.linalg.eigvals(W @ W.T)) / 2.0 % math.pi
 
 
-def first_blowup(sol: JacobiSolution, t_min: float | None = None) -> BlowUpTime:
-    """First zero of det N on (t_min, t_max], or the infinite marker.
+def _scaled(sol: JacobiSolution) -> tuple[np.ndarray, float]:
+    """(H_c, rate): H conjugated by the symplectic diag(I / c, c I), c^4 = ||Q|| / ||B||,
+    which keeps every zero of det N, and the top eigenvalue of S_c = J^T H_c. In an
+    orthonormal frame Y the phases move at the eigenvalues of Y^T S_c Y, congruent
+    to B: forward, no faster than rate. ``ValueError`` unless B is symmetric >= 0."""
+    b = np.linalg.eigvalsh(sol.B)
+    if np.abs(sol.B - sol.B.T).max() > 1e-12 * b[-1] or b[0] < -1e-12 * b[-1]:
+        raise ValueError(f"B must be symmetric positive semidefinite to 1e-12, its eigenvalues span [{b[0]:.3e}, {b[-1]:.3e}]")
+    q = np.abs(np.linalg.eigvalsh(sol.Q)).max()
+    c4 = q / b[-1] if q > 0.0 and b[-1] > 0.0 else 1.0
+    d = np.repeat([c4**-0.25, c4**0.25], sol.n)
+    Hc = sol.H * np.outer(d, 1.0 / d)
+    return Hc, float(np.linalg.eigvalsh(np.concatenate((Hc[sol.n :], -Hc[: sol.n])))[-1])
 
-    One rule finds every zero of odd order: a zero is a sign change of det N,
-    refined by Brent's method to 1e-12 in t. The scan starts at t_min,
-    default 1e-4 * t_max, since det N vanishes to high order at t = 0 (order
-    n plus twice the corank of B). It steps N over 2048 even points with one
-    exp(dt H) and takes one stacked det, whose signs are compared bit by bit
-    (near a zero of high order det N underflows). The first sign change is
-    refined on sign(det N) |det N|^(1/n) from the pointwise slogdet, which
-    keeps the sign without underflow: LU's det has the true sign wherever
-    sigma_min(N) exceeds its backward error. ``UnverifiableError`` names the
-    cell if the pointwise signs at its ends agree.
 
-    Singular values serve only the zeros of even order (touches), which
-    change no sign: each local minimum of the scan's sigma_min before the
-    first sign change is refined by Brent's method on the sign of a centred
-    slope, and is a zero if sigma_min collapses there below 1e-7 of the
-    local scale of N. The first touch wins. det N(t_min) is evaluated first:
-    unless it is positive (it underflows to 0.0 at large n),
-    ``UnverifiableError`` is raised before the scan is allocated.
+def _steps(Hc: np.ndarray, rate: float, t_max: float):
+    """Steps of the phase pass: yields (t, h, z, Y, phi, phi1), Y the orthonormal frame
+    at t, phi and phi1 the phases at t and t + h. A step is t_max / ceil(t_max rate /
+    (pi/4)), halved until the widest cyclic gap of phi is wider than 2 h rate, so no
+    phase passes its midpoint, the cut; z is pi seen from the cut. n phases leave a
+    gap of pi/n, so a step that needs more halvings is ``UnverifiableError``."""
+    n = len(Hc) // 2
+    steps = max(1, math.ceil(t_max * rate / _TURN))
+    h0 = t_max / steps
+    expm = functools.cache(lambda du: _expm(du * h0 * Hc))
+    u, Y, phi = 0.0, np.eye(2 * n, n), np.zeros(n)  # u: steps of h0 taken, exact in binary
+    while u < steps:
+        p = np.sort(phi)
+        gaps = np.diff(p, append=p[0] + math.pi)
+        j, du = int(gaps.argmax()), 1.0
+        while not gaps[j] > 2.0 * du * h0 * rate:
+            if 2.0 * du * h0 * rate < math.pi / n:
+                raise UnverifiableError(f"the eigenphases at t = {u * h0:.17g} leave no gap wider than {2.0 * du * h0 * rate:.3e}")
+            du *= 0.5
+        du = min(du, steps - u)
+        Y1, phi1 = _phases(expm(du) @ Y)
+        yield u * h0, du * h0, -(p[j] + 0.5 * gaps[j]) % math.pi, Y, phi, phi1
+        u, Y, phi = u + du, Y1, phi1
+
+
+def first_blowup(sol: JacobiSolution) -> BlowUpTime:
+    """First zero of det N on (0, t_max], or the infinite marker.
+
+    One rule finds every zero, whatever its multiplicity: the eigenphases of the
+    plane [M; N] start at 0 and never decrease, and the first zero is the first
+    time the largest reaches pi; until then a phase mod pi is its lift. A step
+    of ``_steps`` holds a zero when fewer phases lie between its cut and pi at
+    its end than at its start, m. Brent's method refines the zero to 1e-12 on
+    the m-th phase past the cut, less pi, as a function of the offset in the
+    step, with the pass's own values at both ends. ``ValueError`` unless B is
+    positive semidefinite; ``UnverifiableError`` if a phase stays at 0 after the
+    first step (det N vanishes to working precision) or moves back through pi,
+    or if the phases leave no gap for a cut.
     """
-    if t_min is None:
-        t_min = 1e-4 * sol.t_max
-    if not 0.0 < t_min < sol.t_max:
-        raise ValueError(f"t_min={t_min} outside (0, {sol.t_max})")
-    det_min = sol.det_N(t_min)
-    if not det_min > 0.0:
-        raise UnverifiableError(f"det N(t_min) = {det_min:.3e} at t_min = {t_min}: the scan must start where det N is positive")
-    ts = np.linspace(t_min, sol.t_max, _N_SCAN)
-    N = _scan_N(sol, ts)
-    det = np.linalg.det(N)
-    changes = np.flatnonzero(np.signbit(det[:-1]) != np.signbit(det[1:]))
-    stop = int(changes[0]) if changes.size else _N_SCAN - 1
-
-    svals = np.linalg.svd(N[: stop + 1], compute_uv=False)
-    sig = svals[:, -1]
-    for i in np.flatnonzero((sig[1:-1] <= sig[:-2]) & (sig[1:-1] <= sig[2:])) + 1:
-        # sigma_min is V-shaped at a touch, so its centred slope changes sign there
-        delta = 1e-7 * max(1.0, ts[i])
-        slope = lambda t: sol.sigma_min_N(t + delta) - sol.sigma_min_N(t - delta)
-        a, b = ts[i - 1], ts[i + 1]
-        if not slope(a) < 0.0 < slope(b):
-            continue
-        x = float(brentq(slope, a, b, xtol=_XTOL))
-        s = np.linalg.svd(sol.N(x), compute_uv=False)
-        # the local scale, not s[0] alone: at a full-rank touch (isotropic
-        # even dimension) every singular value vanishes at once
-        if s[-1] < 1e-7 * max(s[0], svals[i - 1, 0], svals[i + 1, 0]):
-            return BlowUpTime.finite(x)
-    if not changes.size:
-        return BlowUpTime.infinite()
-
-    def signed_root(t: float) -> float:
-        sign, logabs = np.linalg.slogdet(sol.N(t))
-        return float(sign * math.exp(logabs / sol.n))
-
-    a, b = ts[stop], ts[stop + 1]
-    if np.sign(signed_root(a)) == np.sign(signed_root(b)):
-        raise UnverifiableError(f"the scan sees det N change sign on [{a:.17g}, {b:.17g}], pointwise det N does not")
-    return BlowUpTime.finite(float(brentq(signed_root, a, b, xtol=_XTOL)))
+    Hc, rate = _scaled(sol)
+    for t, h, z, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
+        psi0, psi1 = (phi + z) % math.pi, (phi1 + z) % math.pi  # from the cut
+        m, m1 = int((psi0 < z).sum()), int((psi1 < z).sum())
+        if m1 > m or (t == 0.0 and np.minimum(phi1, math.pi - phi1).min() <= _XTOL):
+            raise UnverifiableError(f"an eigenphase stays at 0 or moves back through pi on [{t:.17g}, {t + h:.17g}]")
+        if m1 < m:
+            past = lambda s: np.sort(psi0 if s == 0.0 else psi1 if s == h else (_phases(_expm(s * Hc) @ Y)[1] + z) % math.pi)[m - 1] - z
+            return BlowUpTime.finite(t + float(brentq(past, 0.0, h, xtol=_XTOL)))
+    return BlowUpTime.infinite()
 
 
 # ----------------------------------------------------------------------
@@ -382,8 +381,8 @@ _WEDGE_MAX_STEPS = 2**20
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
 _DET_N = 5
 class UnverifiableError(FloatingPointError):
-    """A route cannot decide: a wedge step overflows or needs more than
-    ``_WEDGE_MAX_STEPS`` steps, or det N at the scan start is not positive."""
+    """A route cannot decide: a wedge step overflows or needs more than ``_WEDGE_MAX_STEPS``
+    steps, or the eigenphases of ``first_blowup`` stay at 0, move back or leave no gap."""
 
 
 def _additive_compound(H: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from fatcomp import riccati
 from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
 from fatcomp.hopf import (
     DomainError,
@@ -36,7 +37,7 @@ from fatcomp.hopf import (
     sublaplacian_along,
 )
 from fatcomp.models import blowup_time_kab, eval_s_kc
-from fatcomp.riccati import JacobiSolution, UnverifiableError, first_blowup
+from fatcomp.riccati import first_blowup
 from fatcomp.structure import FatDims, build_structural
 
 
@@ -332,29 +333,29 @@ class TestConjugateTime:
 
     def test_large_dimension_has_no_underflow_crossings(self):
         # det N near t* is 1e-154 to 1e-191 at d = 16: the products of
-        # neighbouring scan values of the full-system oracle underflowed to
-        # 0.0 and read as crossings
+        # neighbouring values of a det scan underflowed to 0.0 and read as
+        # crossings; the phases do not underflow
         v = np.array([0.3, -0.7, 1.1])
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
-        hit = first_blowup(_qhf_jacobi(16, v, t_max), t_min=0.01 * t_max)
+        hit = first_blowup(_qhf_jacobi(16, v, t_max))
         assert abs(hit.time - math.pi / math.sqrt(1.0 + v @ v)) < 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_full_system_zero_of_order_4d_minus_1(self, d):
-        # the oracle's zero at t* has order 4d - 1: a crossing, refined by
-        # Brent's method on the sign of det N
+        # the oracle's zero at t* has order 4d - 1: 4d - 1 phases reach pi
+        # together
         v = np.array([0.3, -0.7, 1.1])
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
-        hit = first_blowup(_qhf_jacobi(d, v, t_max), t_min=0.01 * t_max)
+        hit = first_blowup(_qhf_jacobi(d, v, t_max))
         assert abs(hit.time - math.pi / math.sqrt(1.0 + v @ v)) < 1e-12
 
-    def test_underflowing_start_is_unverifiable_before_the_scan(self):
-        # det N(t_min) underflows to 0.0 at d = 64; the 2048-point scan of
-        # this system would hold 2.2 GB, so the start is checked first
+    def test_full_system_at_d64(self):
+        # at d = 64 det N underflows to 0.0 at 1% of the horizon, where a det
+        # scan had to start; the phases start at 0 exactly
         v = np.array([0.3, -0.7, 1.1])
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
-        with pytest.raises(UnverifiableError, match=r"det N\(t_min\) = 0\.000e\+00 at t_min = 0\.0206"):
-            first_blowup(_qhf_jacobi(64, v, t_max), t_min=0.01 * t_max)
+        hit = first_blowup(_qhf_jacobi(64, v, t_max))
+        assert abs(hit.time - math.pi / math.sqrt(1.0 + v @ v)) < 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rotating_frame_matches_lab_frame_oracle(self, d):
@@ -371,25 +372,20 @@ class TestConjugateTime:
             assert abs(sol.det_N(t) - np.linalg.det(N_lab)) < 1e-10 * np.prod(s_lab), f"det N at t={t}"
 
     def test_dense_output_evaluations_are_few(self, monkeypatch):
-        # the 2048-point scan of the full-system oracle is stepped by
-        # exp(dt H); only the refinement evaluates N(t) point by point:
-        # about 20 calls of Brent's method on the sign of det N
+        # the phase pass on the full-system oracle builds exp(h H_c) once
+        # per step size; only the refinement evaluates exp(s H_c) point by
+        # point, once per call of Brent's method
         calls = []
+        expm = riccati._expm
 
-        def counted(name):
-            original = getattr(JacobiSolution, name)
+        def counted(X):
+            calls.append(X)
+            return expm(X)
 
-            def wrapper(self, t):
-                calls.append(name)
-                return original(self, t)
-
-            return wrapper
-
-        for name in ("N", "det_N", "sigma_min_N"):
-            monkeypatch.setattr(JacobiSolution, name, counted(name))
+        monkeypatch.setattr(riccati, "_expm", counted)
         t_max = 1.1 * math.pi / math.sqrt(1.25)
-        first_blowup(_qhf_jacobi(2, [0.5, 0.0, 0.0], t_max), t_min=0.01 * t_max)
-        assert 0 < len(calls) < 60, f"{len(calls)} pointwise evaluations"
+        first_blowup(_qhf_jacobi(2, [0.5, 0.0, 0.0], t_max))
+        assert 0 < len(calls) < 60, f"{len(calls)} exponentials"
 
 
 # ----------------------------------------------------------------------

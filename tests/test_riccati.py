@@ -16,6 +16,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
+from fatcomp import riccati
 from fatcomp.hopf import _qhf_jacobi
 from fatcomp.models import DomainError, blowup_time_kab, finiteness_predicate
 from fatcomp.riccati import (
@@ -23,7 +24,8 @@ from fatcomp.riccati import (
     UnverifiableError,
     _additive_compound,
     _expm,
-    _scan_N,
+    _scaled,
+    _steps,
     finite_blowup_constant,
     first_blowup,
     integrate_jacobi,
@@ -39,6 +41,13 @@ def flat_solution(t):
     M = np.array([[1.0, 0.0], [-t, 1.0]])
     N = np.array([[-t**3 / 6.0, t**2 / 2.0], [-t**2 / 2.0, t]])
     return M, N
+
+
+def _system(name):
+    """The type-I pair (-3, 4) to t = 9, or the QHF system at d = 2 to t = 2.5."""
+    if name == "typeI":
+        return integrate_jacobi(A_STEP, B_STEP, np.diag([-3.0, 4.0]), t_max=9.0)
+    return _qhf_jacobi(2, np.array([0.5, -0.3, 0.8]), 2.5)
 
 
 # ----------------------------------------------------------------------
@@ -99,11 +108,11 @@ class TestFirstBlowup:
 
     @pytest.mark.parametrize("n", [2, 4, 5, 16])
     def test_isotropic_zero_of_order_n(self, n):
-        # N(t) = sin(sqrt(k) t)/sqrt(k) I: even n is a touch, found by the
-        # singular values, odd n a crossing of order n, refined on det N
+        # N(t) = sin(sqrt(k) t)/sqrt(k) I: all n phases reach pi together,
+        # a touch for even n and a crossing for odd n
         k = 2.0
         sol = integrate_jacobi(np.zeros((n, n)), np.eye(n), k * np.eye(n), t_max=3.0)
-        hit = first_blowup(sol, t_min=0.03)
+        hit = first_blowup(sol)
         assert abs(hit.time - math.pi / math.sqrt(k)) < 1e-12, f"order-{n} zero at {hit.time}"
 
     def test_isotropic_triple_zero(self):
@@ -115,6 +124,25 @@ class TestFirstBlowup:
         expected = math.pi / math.sqrt(k)
         assert hit.is_finite
         assert abs(hit.time - expected) < 1e-8, f"triple zero at {hit.time}"
+
+    @pytest.mark.parametrize("delta", np.geomspace(1e-7, 1e-2, 41))
+    def test_split_pair_of_zeros(self, delta):
+        # Q = diag(1, 1 + delta): the zeros pi/sqrt(1 + delta) and pi are
+        # close enough to share a cell of a 2048-point grid, where det N
+        # changes sign twice
+        sol = integrate_jacobi(np.zeros((2, 2)), np.eye(2), np.diag([1.0, 1.0 + delta]), 1.1 * math.pi)
+        assert abs(first_blowup(sol).time - math.pi / math.sqrt(1.0 + delta)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_perturbed_cluster(self, seed):
+        # kappa I + eps P, n = 5: the zero of order 5 splits into a cluster,
+        # the first at pi/sqrt(lambda_max(Q))
+        rng = np.random.default_rng(seed)
+        P = rng.normal(size=(5, 5))
+        Q = rng.uniform(0.5, 4.0) * np.eye(5) + (1e-3, 1e-4)[seed % 2] * (P + P.T) / 2.0
+        expected = math.pi / math.sqrt(np.linalg.eigvalsh(Q)[-1])
+        sol = integrate_jacobi(np.zeros((5, 5)), np.eye(5), Q, 1.2 * expected)
+        assert abs(first_blowup(sol).time - expected) < 1e-12
 
     def test_simple_zero_matches_scalar_model(self):
         ka, kb = -3.0, 4.0
@@ -134,43 +162,65 @@ class TestFirstBlowup:
         assert not first_blowup(sol).is_finite
 
     def test_minimum_with_a_crossing_is_refined_on_det(self):
-        # the sigma_min minimum and the det crossing share their onset here;
-        # the minimum sorted first and its slope polish, below the svd noise
-        # of |N| ~ 5e9, put the zero far off the model time
+        # |N| ~ 5e9 at the zero: a sigma_min minimum and a det crossing
+        # shared their onset here, and the slope polish of the minimum put
+        # the zero far off the model time
         ka, kb = 0.3668975109466004, -4.076784912195905
         tbar = blowup_time_kab(ka, kb).time
         t_max = 1.05 * tbar + 0.1
         sol = integrate_jacobi(A_STEP, B_STEP, np.diag([ka, kb]), t_max)
-        hit = first_blowup(sol, t_min=0.01 * t_max)
+        hit = first_blowup(sol)
         assert abs(hit.time - tbar) < 1e-5, f"{hit.time} vs {tbar}"
 
-    def test_pointwise_det_without_the_scanned_crossing_is_unverifiable(self):
-        # the stepped scan sees det N = sin(t) change sign near pi, a
-        # pointwise N whose det never does must not reach brentq
-        class Disagreeing(JacobiSolution):
-            def N(self, t):
-                return np.eye(1)
+    def test_indefinite_b_is_rejected(self):
+        # the phases may move back: B = Q = -I was reported to blow up at pi
+        sol = integrate_jacobi(np.zeros((2, 2)), -np.eye(2), -np.eye(2), t_max=5.0)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            first_blowup(sol)
 
-        sol = integrate_jacobi(np.zeros((1, 1)), np.eye(1), np.eye(1), t_max=4.0)
-        stub = Disagreeing(A=sol.A, B=sol.B, Q=sol.Q, t_max=sol.t_max, H=sol.H)
-        with pytest.raises(UnverifiableError, match=r"det N change sign on \[3\.14"):
-            first_blowup(stub, t_min=0.1)
+    def test_identically_singular_n_is_unverifiable(self):
+        # N = diag(sin t, 0): det N vanishes on all of (0, t_max]
+        sol = integrate_jacobi(np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), t_max=5.0)
+        with pytest.raises(UnverifiableError, match="stays at 0"):
+            first_blowup(sol)
+
+    def test_phases_without_a_gap_are_unverifiable(self, monkeypatch):
+        # the stub spreads 64 phases over [0, pi): no gap is wider than
+        # pi/64, and no halving of the step can make 2 h rate smaller than
+        # that before it passes pi/n, the widest gap n phases must leave
+        spread = np.arange(64) * math.pi / 64
+        monkeypatch.setattr(riccati, "_phases", lambda Y: (np.linalg.qr(Y)[0], spread))
+        sol = integrate_jacobi(np.zeros((2, 2)), np.eye(2), np.eye(2), t_max=4.0)
+        steps = _steps(*_scaled(sol), sol.t_max)
+        next(steps)  # from the phases at t = 0, all 0
+        with pytest.raises(UnverifiableError, match="leave no gap"):
+            next(steps)
+
+    @pytest.mark.parametrize("system", ["typeI", "qhf-d2"])
+    def test_phase_motion_stays_below_the_turn(self, system):
+        # measured from the cut, which no phase passes, the sorted phases move
+        # no more than the phases themselves: forward by at most
+        # h lambda_max(S_c) <= h ||H_c||_2 a step
+        sol = _system(system)
+        Hc, rate = _scaled(sol)
+        assert rate <= np.linalg.norm(Hc, 2) * (1.0 + 1e-12)
+        for t, h, z, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
+            step = np.sort((phi1 + z) % math.pi) - np.sort((phi + z) % math.pi)
+            assert (step >= -1e-14).all() and (step <= h * rate + 1e-14).all(), f"step at t = {t}"
 
 
 class TestSteppedScan:
-    """N on the scan grid, stepped by exp(dt H), against exp(tH) pointwise."""
+    """Frames of the phase pass, stepped by exp(h H_c), against exp(tH) pointwise."""
 
     @pytest.mark.parametrize("system", ["typeI", "qhf-d2"])
     def test_matches_pointwise_propagator(self, system):
-        if system == "typeI":
-            sol = integrate_jacobi(A_STEP, B_STEP, np.diag([-3.0, 4.0]), t_max=9.0)
-        else:
-            sol = _qhf_jacobi(2, np.array([0.5, -0.3, 0.8]), 2.5)
-        ts = np.linspace(1e-2 * sol.t_max, sol.t_max, 2048)
-        stepped = _scan_N(sol, ts)
-        pointwise = np.array([sol.N(t) for t in ts])
-        scale = np.abs(pointwise).max(axis=(1, 2))
-        assert (np.abs(stepped - pointwise).max(axis=(1, 2)) <= 1e-12 * scale).all()
+        # H_c = D H D^-1 with D = diag(I / c, c I), c^4 = ||Q|| / ||B||, so the
+        # frames span the plane of D exp(tH)[:, :n]
+        sol = _system(system)
+        c = (np.linalg.norm(sol.Q, 2) / np.linalg.norm(sol.B, 2)) ** 0.25
+        for t, h, z, Y, phi, phi1 in _steps(*_scaled(sol), sol.t_max):
+            X = np.linalg.qr(np.vstack([sol.M(t) / c, c * sol.N(t)]))[0]
+            assert np.abs(Y @ Y.T - X @ X.T).max() <= 1e-12, f"frame at t = {t}"
 
 
 # ----------------------------------------------------------------------
@@ -289,14 +339,13 @@ class TestWedgePropagation:
     @pytest.mark.parametrize("qa,qb,beta", [(-14.38, 13.85, 6.27), (-2.0, 5.0, 1.5), (3.0, 3.0, 0.0)])
     def test_hermitian_q_matches_its_real_4x4_equivalent(self, qa, qb, beta):
         # the complex pair on (a2 + i a3, b2 + i b3) of the QHF system: as a
-        # real 4x4 system its det N is |det N_c|^2, a double zero the
-        # singular-value route of first_blowup finds
+        # real 4x4 system its det N is |det N_c|^2, a double zero
         Q_c = np.array([[qa, 1j * beta], [-1j * beta, qb]])
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
         Q_r = np.kron(Q_c.real, np.eye(2)) + np.kron(Q_c.imag, J)
         A_r, B_r = np.kron(A_STEP, np.eye(2)), np.kron(B_STEP, np.eye(2))
         hit = wedge_first_zero(A_STEP, B_STEP, Q_c, t_max=4.0)
-        oracle = first_blowup(integrate_jacobi(A_r, B_r, Q_r, 4.0), t_min=0.04)
+        oracle = first_blowup(integrate_jacobi(A_r, B_r, Q_r, 4.0))
         assert hit.is_finite and abs(hit.time - oracle.time) < 1e-8, f"{hit.time} vs {oracle.time}"
 
     def test_asymmetric_real_q_is_rejected(self):
