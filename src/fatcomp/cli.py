@@ -139,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rgrid",
         type=_grid,
         metavar="LO:HI:N",
-        default="0.1:3.0:20",
-        help="radius grid; must end below the conjugate time",
+        help="radius grid; must end below the conjugate time t* (default: 20 radii from t*/30 to 0.95 t*)",
     )
     _add_common(p_lap)
     p_lap.set_defaults(func=cmd_laplacian)
@@ -411,7 +410,11 @@ def cmd_laplacian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if len(momenta) != 1:
         parser.error("laplacian takes a single vertical momentum")
     v = np.array(momenta[0])
-    rep = sublaplacian_along(args.d, v, args.rgrid)
+    r_grid = args.rgrid
+    if r_grid is None:
+        t_star = conjugate_time(args.d, v).t_star
+        r_grid = np.linspace(t_star / 30.0, 0.95 * t_star, 20)
+    rep = sublaplacian_along(args.d, v, r_grid)
     rows = [
         {
             "index": i,

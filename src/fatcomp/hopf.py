@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .curvature import curvature_blocks, qhf_curvature_inputs
 from .models import (
@@ -91,9 +90,8 @@ _J4_K = np.array(
 
 @lru_cache(maxsize=8)
 def _complex_structures(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return tuple(
-        block_diag(*([J4] * (d + 1))) for J4 in (_J4_I, _J4_J, _J4_K)
-    )
+    # + 0.0 clears the -0.0 that kron writes for 0 * -1
+    return tuple(np.kron(np.eye(d + 1), J4) + 0.0 for J4 in (_J4_I, _J4_J, _J4_K))
 
 
 def reeb_generators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

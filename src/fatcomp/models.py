@@ -25,8 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 __all__ = [
     "DomainError",
@@ -48,6 +47,8 @@ __all__ = [
 _IM_TOL = 1e-10
 # Relative frequency coincidence threshold routing to the analytic limit.
 _THETA_COINCIDE = 1e-7
+# |g+-| <= _TOUCH pi/tm at a knot is a touch: rounding tp*t and tm*t costs a few eps t.
+_TOUCH = 8.0 * 2.0**-52
 
 
 class DomainError(ValueError):
@@ -232,93 +233,61 @@ def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
     return _real((2.0 / t) * num / den, "s_kab")
 
 
-def _scan_first_root(
-    g, lo: float, hi: float, curv: float, size: float, steps: int = 1024
-) -> float | None:
-    """First root of g on [lo, hi]: sign-change scan, bisection refinement.
+def _first_zero(g, knots: list[float], tol: float) -> float | None:
+    """First zero of g on [knots[0], knots[-1]], g monotone between neighbouring knots.
 
-    g takes an array for the scan, which is one call on the grid, and a
-    float in the refinement. Tangential (even-multiplicity) touches are
-    caught by a local-minimum fallback on |g|, needed at frequency
-    resonances where one factor grazes zero without crossing. ``curv``
-    bounds |g''| and ``size`` bounds |g| on [lo, hi]. Between the
-    neighbours of a grid minimum g_i, Taylor gives |g| >= |g_i| - d - b and
-    |g'| dt >= d - 1.5 b, with d = |g_(i+1) - g_(i-1)|/2 and b = curv dt^2.
-    A minimum is not minimized where the first bound stays above 1e-9 * size
-    (no touch there), nor in the cell of the first crossing where the second
-    does (g monotone: its one zero is the crossing). Neither minimization
-    could change the root; the crossing cell's alone ran whenever the zero
-    sat in the left half of its grid cell.
+    In order: a knot where |g| <= tol is a touch, and it is the zero; else the
+    first neighbour pair across which g changes sign holds it, refined by
+    Brent's method to 4 eps relative, scipy's floor.
     """
-    ts = np.linspace(lo, hi, steps + 1)
-    vals = g(ts)
-    scale = np.abs(vals).max()
-    crossing = None
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    if hits.size:
-        first = hits[0]
-        crossing = ts[first] if vals[first] == 0.0 else brentq(g, ts[first], ts[first + 1], xtol=1e-12)
-    mag = np.abs(vals)
-    d, b = 0.5 * np.abs(vals[2:] - vals[:-2]), curv * (ts[1] - ts[0]) ** 2
-    minima = 1 + np.flatnonzero(
-        (mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:]) & (mag[1:-1] - d - b <= 1e-9 * size)
-    )
-    if crossing is not None:
-        monotone = (minima == first) & (d[minima - 1] - 1.5 * b > 1e-9 * size)
-        minima = minima[(ts[minima] < crossing) & ~monotone]
-    touch = None
-    for i in minima:
-        res = minimize_scalar(
-            lambda t: abs(g(t)),
-            bounds=(ts[i - 1], ts[i + 1]),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        if res.fun < 1e-12 * scale:
-            touch = float(res.x)
-            break
-    candidates = [c for c in (crossing, touch) if c is not None]
-    return min(candidates) if candidates else None
+    vals = [g(t) for t in knots]
+    for i, (t, v) in enumerate(zip(knots, vals)):
+        if abs(v) <= tol:
+            return t
+        if i + 1 < len(knots) and abs(vals[i + 1]) > tol and (v < 0.0) != (vals[i + 1] < 0.0):
+            return brentq(g, t, knots[i + 1], xtol=4.0 * 2.0**-52 * t)
+    return None
 
 
 def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
     """First blow-up time of the two-frequency model.
 
     Infinite exactly when the finiteness predicate fails. kappa_a = 0
-    gives exactly 2*pi/sqrt(kappa_b). For kappa_a < 0 both frequencies
-    are real and the first root of sinc(tp*t)**2 = sinc(tm*t)**2 lies in
-    (pi/tp, pi/tm]; the difference of squares is factored and each factor
-    scanned, because the squared form has a tangential double zero at
-    resonances tp/tm integer. For kappa_a > 0 the frequencies are a
-    conjugate pair alpha +- i*beta and the blow-up is the unique root of
-    alpha*tan(alpha*t) + beta*tanh(beta*t) on (pi/(2*alpha), pi/alpha),
-    evaluated in the pole-free rescaled form
-    alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t). Raises
-    ``DomainError`` when kappa_a or kappa_b is NaN or infinite.
+    gives exactly 2*pi/sqrt(kappa_b). For kappa_a < 0, tp > tm > 0 are
+    real and the first root of sinc(tp*t)**2 = sinc(tm*t)**2 lies in
+    (pi/tp, pi/tm]: the first zero of g+- = sin(tp*t)/tp +- sin(tm*t)/tm
+    (the squared form has a double zero at resonances, tp/tm integer).
+    Such a zero needs sin(tm*t)/tm <= 1/tp, which on the bracket holds
+    only on the window [max(pi/tp, (pi - asin(tm/tp))/tm), pi/tm], since
+    asin(x) <= pi*x/2 < pi*x. There both factors are monotone between the
+    multiples of pi/(tp +- tm), where g-' = -2 sin((tp+tm)t/2)
+    sin((tp-tm)t/2) and g+' = 2 cos((tp+tm)t/2) cos((tp-tm)t/2) vanish: a
+    few knots, with ``_first_zero`` at touch tolerance 8 eps pi/tm. For
+    kappa_a > 0 the frequencies are a conjugate pair alpha +- i*beta and
+    the blow-up is the unique root of alpha*tan(alpha*t) +
+    beta*tanh(beta*t) on (pi/(2*alpha), pi/alpha), evaluated in the
+    pole-free form alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t).
+    Raises ``DomainError`` when kappa_a or kappa_b is NaN or infinite.
     """
     if not finiteness_predicate(kappa_a, kappa_b):
         return BlowUpTime.infinite()
     if kappa_a == 0.0:
         # predicate enforced kappa_b > 0 here (disc = kappa_b**2 > 0)
         return BlowUpTime.finite(2.0 * math.pi / math.sqrt(kappa_b))
-    th = theta_from_kappas(kappa_a, kappa_b)
-    tp, tm = th.theta_plus, th.theta_minus
     if kappa_a < 0.0:
-        # both frequencies real, tp > tm > 0
-        tpr, tmr = tp.real, tm.real
-        lo, hi = math.pi / tpr, math.pi / tmr
-
-        def g_minus(t):
-            return np.sin(tpr * t) / tpr - np.sin(tmr * t) / tmr
-
-        def g_plus(t):
-            return np.sin(tpr * t) / tpr + np.sin(tmr * t) / tmr
-
+        th = theta_from_kappas(kappa_a, kappa_b)
+        tp, tm = th.theta_plus.real, th.theta_minus.real  # both real, tp > tm > 0
+        lo, hi = math.pi / tp, math.pi / tm
+        start = max(lo, (math.pi - math.asin(tm / tp)) / tm)
+        knots = sorted({start, hi}.union(
+            k * math.pi / w
+            for w in (tp + tm, tp - tm)
+            for k in range(math.ceil(start * w / math.pi), math.ceil(hi * w / math.pi))
+        )) if math.isfinite(hi) else []  # NaN where kappa_b**2 overflows
         roots = []
-        for g in (g_minus, g_plus):
-            r = _scan_first_root(
-                g, lo * (1.0 - 1e-12), hi * (1.0 + 1e-12), tpr + tmr, 1.0 / tpr + 1.0 / tmr
-            )
+        for sign in (-1.0, 1.0):
+            g = lambda t, sign=sign: math.sin(tp * t) / tp + sign * math.sin(tm * t) / tm
+            r = _first_zero(g, knots, _TOUCH * hi)
             if r is not None:
                 roots.append(r)
         if not roots:

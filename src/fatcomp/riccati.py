@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .models import BlowUpTime, DomainError, finiteness_predicate
+from .models import BlowUpTime, DomainError
 
 __all__ = [
     "JacobiSolution",
@@ -84,11 +84,9 @@ def _jacobi_system(A, B, Q, t_max: float | None = None, n: int | None = None, he
     return A, B, Q, H
 
 
-def _svd_rank(X: np.ndarray) -> int:
-    s = np.linalg.svd(X, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > 1e-8 * s[0]))
+def _svd_rank(X: np.ndarray, scale: float) -> int:
+    """Number of singular values of X above 1e-8 scale."""
+    return int(np.sum(np.linalg.svd(X, compute_uv=False) > 1e-8 * scale))
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +206,9 @@ def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
 _TURN = 0.25 * math.pi
 #: Absolute time tolerance of every refinement of a det N zero.
 _XTOL = 1e-12
+#: Most steps a pass of first_blowup or of the wedge route may take (the
+#: wedge keeps 8 MB of det N coordinates there).
+_MAX_STEPS = 2**20
 
 
 def _phases(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,9 +239,12 @@ def _steps(Hc: np.ndarray, rate: float, t_max: float):
     at t, phi and phi1 the phases at t and t + h. A step is t_max / ceil(t_max rate /
     (pi/4)), halved until the widest cyclic gap of phi is wider than 2 h rate, so no
     phase passes its midpoint, the cut; z is pi seen from the cut. n phases leave a
-    gap of pi/n, so a step that needs more halvings is ``UnverifiableError``."""
+    gap of pi/n, so a step that needs more halvings is ``UnverifiableError``, and so
+    is a pass of more than ``_MAX_STEPS`` steps, before the first."""
     n = len(Hc) // 2
     steps = max(1, math.ceil(t_max * rate / _TURN))
+    if steps > _MAX_STEPS:
+        raise UnverifiableError(f"t_max = {t_max:.3e} needs {steps:.3e} steps, above {_MAX_STEPS}")
     h0 = t_max / steps
     expm = functools.cache(lambda du: _expm(du * h0 * Hc))
     u, Y, phi = 0.0, np.eye(2 * n, n), np.zeros(n)  # u: steps of h0 taken, exact in binary
@@ -270,7 +274,7 @@ def first_blowup(sol: JacobiSolution) -> BlowUpTime:
     step, with the pass's own values at both ends. ``ValueError`` unless B is
     positive semidefinite; ``UnverifiableError`` if a phase stays at 0 after the
     first step (det N vanishes to working precision) or moves back through pi,
-    or if the phases leave no gap for a cut.
+    if the phases leave no gap for a cut, or if the pass needs more than 2^20 steps.
     """
     Hc, rate = _scaled(sol)
     for t, h, z, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
@@ -288,19 +292,6 @@ def first_blowup(sol: JacobiSolution) -> BlowUpTime:
 # constant-coefficient finiteness classification
 # ----------------------------------------------------------------------
 
-def _is_typeI_pair(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> bool:
-    if A.shape != (2, 2):
-        return False
-    a_I = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b_I = np.diag([0.0, 1.0])
-    return (
-        np.array_equal(A, a_I)
-        and np.array_equal(B, b_I)
-        and Q[0, 1] == 0.0
-        and Q[1, 0] == 0.0
-    )
-
-
 def finite_blowup_constant(A, B, Q) -> bool:
     """Whether det N has a positive zero for constant (A, B, Q).
 
@@ -311,17 +302,13 @@ def finite_blowup_constant(A, B, Q) -> bool:
     tolerance 1e-6; a cluster counts as imaginary when the mean real
     part sits inside a 1e-9 band (relative to the spectral scale). Block
     sizes come from the rank sequence r_j of (H - mu I)^j: the number of
-    blocks of size j is r_{j-1} - 2 r_j + r_{j+1}.
-
-    The 2x2 pair with diagonal Q = diag(q_a, q_b) is routed to the sign
-    predicate on (q_a, q_b) instead: there the quartic spectrum is
-    explicit, and the Jordan structure is numerically undecidable near
-    the degenerate boundaries (discriminant zero, q_a zero) while the
-    predicate stays exact. Raises ``DomainError`` on non-finite A, B or Q.
+    blocks of size j is r_{j-1} - 2 r_j + r_{j+1}; a singular value of
+    (H - mu I)^j counts when it is above 1e-8 ||H - mu I||_2^j, not 1e-8
+    of the power's own largest one, which rounding makes meaningless once
+    the power is nearly nilpotent. Raises ``DomainError`` on non-finite A,
+    B or Q.
     """
     A, B, Q, H = _jacobi_system(A, B, Q)
-    if _is_typeI_pair(A, B, Q):
-        return finiteness_predicate(Q[0, 0], Q[1, 1])
     eigs = np.linalg.eigvals(H)
     scale = max(1.0, float(np.abs(eigs).max()))
     band = max(1e-9, 1e-9 * scale)
@@ -350,11 +337,12 @@ def finite_blowup_constant(A, B, Q) -> bool:
         mu = 1j * mu.imag
         mult = len(cluster)
         P = H - mu * ident
+        norm = float(np.linalg.norm(P, 2))
         ranks = [dim]
         power = ident.astype(complex)
-        for _ in range(mult + 1):
+        for j in range(1, mult + 2):
             power = power @ P
-            ranks.append(_svd_rank(power))
+            ranks.append(_svd_rank(power, norm**j))
             if ranks[-1] == ranks[-2]:
                 break
         while len(ranks) < mult + 2:
@@ -374,15 +362,13 @@ def finite_blowup_constant(A, B, Q) -> bool:
 _WEDGE_BLOCK = 64
 #: Bound on log ||E2^K||_inf, far below the overflow at exp(709).
 _WEDGE_LOG_GROWTH = 300.0
-#: Most steps a pass may take (8 MB of det N coordinates).
-_WEDGE_MAX_STEPS = 2**20
 #: Pluecker coordinates (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of 2-planes
 #: in R^4: M(0) = I spans (0, 1), and det N is (2, 3).
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
 _DET_N = 5
 class UnverifiableError(FloatingPointError):
-    """A route cannot decide: a wedge step overflows or needs more than ``_WEDGE_MAX_STEPS``
-    steps, or the eigenphases of ``first_blowup`` stay at 0, move back or leave no gap."""
+    """A route cannot decide: a pass needs more than ``_MAX_STEPS`` steps, a wedge step
+    overflows, or the eigenphases of ``first_blowup`` stay at 0, move back or leave no gap."""
 
 
 def _additive_compound(H: np.ndarray) -> np.ndarray:
@@ -399,8 +385,8 @@ def _wedge_pass(A, B, Q, t_max: float, steps: int):
     # two sign changes of det N cannot hide in one step (a bound of pi let
     # 38 of 300 random finite cases report a later zero, pi/2 none)
     need = t_max * float(np.abs(np.linalg.eigvals(H2).imag).max()) / (0.5 * math.pi)
-    if need > _WEDGE_MAX_STEPS:
-        raise UnverifiableError(f"t_max = {t_max:.3e} needs {need:.3e} steps, above {_WEDGE_MAX_STEPS}")
+    if need > _MAX_STEPS:
+        raise UnverifiableError(f"t_max = {t_max:.3e} needs {need:.3e} steps, above {_MAX_STEPS}")
     steps = max(steps, math.ceil(need))
     h = t_max / steps
     with np.errstate(all="ignore"):

@@ -274,6 +274,17 @@ class TestLaplacian:
         _, _, rows = read_csv(out)
         assert float(rows[0]["model_rhs"]) > 1e4
 
+    @pytest.mark.parametrize("vnorm", ["0.4", "3"])
+    def test_default_grid_lies_inside_the_conjugate_time(self, vnorm, tmp_path, capsys):
+        # t* = pi/sqrt(1 + |v|^2) is below 3 for |v| above 0.31
+        out = tmp_path / "l.csv"
+        assert run_cli(["laplacian", "--d", "2", "--vnorm", vnorm, "--verify", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        t_star = float(rows[0]["t_star"])
+        assert len(rows) == 20
+        assert float(rows[0]["r"]) == pytest.approx(t_star / 30.0)
+        assert float(rows[-1]["r"]) == pytest.approx(0.95 * t_star)
+
     def test_wrong_curvature_still_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")
         assert run_cli(["laplacian", "--d", "2", "--verify", "--out", str(tmp_path / "l.csv")]) == 1

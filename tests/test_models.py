@@ -13,7 +13,8 @@ Frozen reference values were computed from formulas independent of this
 package: pi/sqrt(k) for the single-frequency zero, and the first zero of
 the closed-form determinant (sin^2(tp*t)/tp^2 - sin^2(tm*t)/tm^2) /
 (4*(tm^2 - tp^2)) located by bisection at xtol 1e-13 for the
-two-frequency case.
+two-frequency case; TBAR_REF and the near-resonance reproducer come from
+tools/tbar_reference.py (mpmath, 50 digits, every knot of the bracket).
 """
 
 import math
@@ -23,7 +24,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fatcomp import models
 from fatcomp.models import (
     DIAMETER_THRESHOLD,
     BlowUpTime,
@@ -38,6 +38,10 @@ from fatcomp.models import (
     theta_from_kappas,
     upper_bound_kab,
 )
+from fatcomp.riccati import first_blowup, integrate_jacobi
+from fatcomp.structure import typeI_pair
+
+A_STEP, B_STEP = typeI_pair()
 
 # Strategies shared across classes. Magnitudes are capped so that
 # intermediate squares stay far from overflow; subnormals are excluded
@@ -56,31 +60,60 @@ TBAR_1_0 = 4.7300407448627055  # kappa_a = 1, kappa_b = 0, conjugate frequency p
 UB_NEG3_4 = 8.582990746292447  # 2*pi / (sqrt(3) - 1)
 S_KAB_NEG3_4_AT_1 = 3.4688650317091563  # direct sinc-quotient evaluation
 
-# float.hex of tbar as the pointwise 1025-point scan gave it: the resonances
-# tp/tm = 2..7 at tm = 1 and tp/tm = 2 at tm = 1.5, then a near-resonance
-# pair (-8.99999, 10) and generic pairs with |kappa| up to 500
+# float.hex of tbar: the resonances tp/tm = 2..7 at tm = 1 and tp/tm = 2 at
+# tm = 1.5, then a near-resonance pair (-8.99999, 10) and generic pairs with
+# |kappa| up to 500
 TBAR_BITS = [
     (-9.0, 10.0, '0x1.921fb54442d18p+1'),
-    (-64.0, 20.0, '0x1.921fb544414dbp+1'),
+    (-64.0, 20.0, '0x1.921fb54442d18p+1'),
     (-225.0, 34.0, '0x1.921fb54442d18p+1'),
     (-576.0, 52.0, '0x1.921fb54442d18p+1'),
     (-1225.0, 74.0, '0x1.921fb54442d18p+1'),
     (-2304.0, 100.0, '0x1.921fb54442d18p+1'),
-    (-45.5625, 22.5, '0x1.0c152382d7366p+1'),
-    (-3.0, 4.0, '0x1.f766c2b624ae5p+2'),
-    (-0.24, 1.0, '0x1.56bbfca067bf9p+5'),
+    (-45.5625, 22.5, '0x1.0c152382d7365p+1'),
+    (-3.0, 4.0, '0x1.f766c2b624ae4p+2'),
+    (-0.24, 1.0, '0x1.56bbfca067beap+5'),
     (-0.75, 2.0, '0x1.63f56382926bcp+3'),
-    (-0.001, 0.1, '0x1.ff07d272c851cp+4'),
+    (-0.001, 0.1, '0x1.ff07d272c851bp+4'),
     (-4.9, 4.5, '0x1.73570c59f1d13p+4'),
     (-100.0, 30.0, '0x1.e20e3e10a4c76p+0'),
     (-500.0, 50.0, '0x1.546765e615bcbp+1'),
     (-250.0, 500.0, '0x1.202b949fb5cb4p-2'),
-    (-2.0, 3.0, '0x1.cac65fb8781dbp+3'),
-    (-1e-09, 1.0, '0x1.921fb54e617b6p+2'),
-    (-8.99999, 10.0, '0x1.90393c3445958p+1'),
-    (-0.2, 0.9, '0x1.4b87a8801acc1p+6'),
-    (-37.0, 12.5, '0x1.50c816d205994p+3'),
+    (-2.0, 3.0, '0x1.cac65fb8781dap+3'),
+    (-1e-09, 1.0, '0x1.921fb54e617b5p+2'),
+    (-8.99999, 10.0, '0x1.90393c3445b49p+1'),
+    (-0.2, 0.9, '0x1.4b87a8801acbfp+6'),
+    (-37.0, 12.5, '0x1.50c816d205993p+3'),
 ]
+
+# The TBAR_BITS rows from tools/tbar_reference.py (50 digits, rounded to
+# float), and the relative distance each must keep from it: 2e-14, but
+# 1e-12 at (-8.99999, 10), where the rounding of the float frequency pair
+# alone moves the root by 7.5e-13 (the zero of g with those tp, tm,
+# found at 50 digits).
+TBAR_REF = {
+    (-9.0, 10.0): 3.141592653589793,
+    (-64.0, 20.0): 3.141592653589793,
+    (-225.0, 34.0): 3.141592653589793,
+    (-576.0, 52.0): 3.141592653589793,
+    (-1225.0, 74.0): 3.141592653589793,
+    (-2304.0, 100.0): 3.141592653589793,
+    (-45.5625, 22.5): 2.0943951023931957,
+    (-3.0, 4.0): 7.865647008775997,
+    (-0.24, 1.0): 42.84179044071771,
+    (-0.75, 2.0): 11.123704676650382,
+    (-0.001, 0.1): 31.939409683579566,
+    (-4.9, 4.5): 23.20875201353653,
+    (-100.0, 30.0): 1.8830298224100073,
+    (-500.0, 50.0): 2.6594054578267547,
+    (-250.0, 500.0): 0.2814162466506318,
+    (-2.0, 3.0): 14.336715565005699,
+    (-1e-09, 1.0): 6.2831853166043645,
+    (-8.99999, 10.0): 3.1267466788538565,
+    (-0.2, 0.9): 82.88247871554915,
+    (-37.0, 12.5): 10.524424944113695,
+}
+TBAR_REF_TOL = {(-8.99999, 10.0): 1e-12}
 
 
 # ----------------------------------------------------------------------
@@ -275,26 +308,39 @@ class TestBlowupTimeTwoFrequency:
 
     @pytest.mark.parametrize("ka,kb,bits", TBAR_BITS)
     def test_frozen_bits(self, ka, kb, bits):
-        # the batched scan of the factored function must keep every bit
         assert blowup_time_kab(ka, kb).time.hex() == bits
 
-    def test_minimizes_only_where_a_touch_can_hide(self, monkeypatch):
-        # generic rows: the grid minima are far from zero or sit in the
-        # monotone cell of the crossing; near resonance one is minimized
-        calls = []
-        real = models.minimize_scalar
-        monkeypatch.setattr(
-            models, "minimize_scalar", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
-        finite = sum(
-            blowup_time_kab(ka, kb).is_finite
-            for ka in np.linspace(-4.9, -0.1, 7)
-            for kb in np.linspace(0.5, 4.9, 7)
-        )
-        assert finite >= 20
-        assert not calls
-        assert blowup_time_kab(-8.99999, 10.0).time.hex() == "0x1.90393c3445958p+1"
-        assert calls
+    @pytest.mark.parametrize("ka,kb", list(TBAR_REF))
+    def test_within_the_reference(self, ka, kb):
+        ref = TBAR_REF[ka, kb]
+        assert abs(blowup_time_kab(ka, kb).time - ref) <= TBAR_REF_TOL.get((ka, kb), 2e-14) * ref
+
+    def test_near_resonance_reproducer(self):
+        # tp/tm = 2 - 5.3e-9: the grid scan of the whole bracket was early
+        # here by 7.8e-9 relative
+        ref = 3.1390393980338005  # tools/tbar_reference.py
+        assert abs(blowup_time_kab(-8.999999872840394, 9.999999957613465).time - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_resonance_sweep_matches_the_phase_rule(self, k):
+        # tp/tm = k +- delta at tm = 1: the first zero of det N of the
+        # type-I pair, from the eigenphases of first_blowup
+        for delta in np.geomspace(1e-9, 1e-2, 30):
+            for tp in (k + delta, k - delta):
+                ka, kb = -((tp * tp - 1.0) ** 2), 2.0 * (tp * tp + 1.0)
+                tbar = blowup_time_kab(ka, kb).time
+                sol = integrate_jacobi(A_STEP, B_STEP, np.diag([ka, kb]), 1.1 * math.pi)
+                phase = first_blowup(sol).time
+                assert abs(tbar - phase) <= 1e-9 * phase, f"tp = {tp!r}: {tbar!r} vs {phase!r}"
+
+    def test_coincident_frequencies_touch_at_the_kappa_a_zero_limit(self):
+        # kappa_a below the rounding of kappa_b**2: tp = tm, and g- vanishes
+        # identically; the touch at the window start is 2 pi/sqrt(kappa_b)
+        assert blowup_time_kab(-1e-300, 1.0).time == 2.0 * math.pi
+
+    def test_frequencies_past_overflow_raise(self):
+        with pytest.raises(FloatingPointError, match="no root"):
+            blowup_time_kab(-1e300, 1e160)
 
     @pytest.mark.parametrize(
         "ka,kb", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 4.0), (-3.0, math.inf)]

@@ -9,6 +9,7 @@ so det N = t^4/12 and V = M N^{-1} = [[12/t^3, -6/t^2], [-6/t^2, 4/t]].
 """
 
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -172,6 +173,14 @@ class TestFirstBlowup:
         hit = first_blowup(sol)
         assert abs(hit.time - tbar) < 1e-5, f"{hit.time} vs {tbar}"
 
+    def test_step_cap_raises_before_the_first_step(self):
+        # 1.3e7 steps of pi/4 turn: about 18 minutes without the cap
+        sol = integrate_jacobi(np.zeros((1, 1)), np.eye(1), -1e8 * np.eye(1), t_max=1000.0)
+        start = time.perf_counter()
+        with pytest.raises(UnverifiableError, match="steps"):
+            first_blowup(sol)
+        assert time.perf_counter() - start < 0.1
+
     def test_indefinite_b_is_rejected(self):
         # the phases may move back: B = Q = -I was reported to blow up at pi
         sol = integrate_jacobi(np.zeros((2, 2)), -np.eye(2), -np.eye(2), t_max=5.0)
@@ -268,13 +277,21 @@ class TestFiniteBlowupConstant:
     @pytest.mark.parametrize(
         "ka,kb",
         [(-3.0, 4.0), (1.0, 0.0), (0.5, -3.0), (2.0, 2.0),
-         (-1.0, -1.0), (-0.5, 1.0), (0.0, -4.0), (0.0, 4.0)],
+         (-1.0, -1.0), (-0.5, 1.0), (0.0, -4.0), (0.0, 4.0),
+         (0.0, 0.0), (-1.0, 2.0), (-4.0, 4.0)],
     )
     def test_matches_predicate_on_diagonal_pairs(self, ka, kb):
         got = finite_blowup_constant(A_STEP, B_STEP, np.diag([ka, kb]))
         assert got == finiteness_predicate(ka, kb), (
             f"classification at ({ka}, {kb}): {got}"
         )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rotated_flat_pair_never_blows_up(self, seed):
+        # Q = 0: det N = t^4/12, and H is nilpotent with one 4x4 block; the
+        # fourth power of H is rounding noise of order 1e-19 (seed 7)
+        S, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(2, 2)))
+        assert not finite_blowup_constant(S @ A_STEP @ S.T, S @ B_STEP @ S.T, np.zeros((2, 2)))
 
     def test_isotropic_cases(self):
         assert finite_blowup_constant(np.zeros((3, 3)), np.eye(3), np.eye(3))
