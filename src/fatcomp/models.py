@@ -25,8 +25,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 __all__ = [
     "DomainError",
     "ThetaPair",
@@ -49,6 +47,9 @@ _IM_TOL = 1e-10
 _THETA_COINCIDE = 1e-7
 # |g+-| <= _TOUCH pi/tm at a knot is a touch: rounding tp*t and tm*t costs a few eps t.
 _TOUCH = 8.0 * 2.0**-52
+# scipy brentq's defaults: its floor for the relative tolerance, and its iteration cap.
+_RTOL = 4.0 * 2.0**-52
+_MAXITER = 100
 
 
 class DomainError(ValueError):
@@ -233,19 +234,74 @@ def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
     return _real((2.0 / t) * num / den, "s_kab")
 
 
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """Zero of f on [a, b] by Brent's method: scipy's ``Zeros/brentq.c``, line for line.
+
+    At scipy's defaults, rtol = 4 eps and 100 iterations, it returns the bits of
+    ``scipy.optimize.brentq(f, a, b, xtol=xtol)`` and raises its ``ValueError``
+    (f(a) and f(b) of one sign, or f NaN) and ``RuntimeError`` (out of iterations).
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gives inf or NaN, so stry is inf or NaN: bisect
+                stry = math.nan
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after {_MAXITER} iterations, value is {xcur}")
+
+
 def _first_zero(g, knots: list[float], tol: float) -> float | None:
     """First zero of g on [knots[0], knots[-1]], g monotone between neighbouring knots.
 
     In order: a knot where |g| <= tol is a touch, and it is the zero; else the
     first neighbour pair across which g changes sign holds it, refined by
-    Brent's method to 4 eps relative, scipy's floor.
+    ``_brentq`` to 4 eps relative, the floor of its relative tolerance.
     """
     vals = [g(t) for t in knots]
     for i, (t, v) in enumerate(zip(knots, vals)):
         if abs(v) <= tol:
             return t
         if i + 1 < len(knots) and abs(vals[i + 1]) > tol and (v < 0.0) != (vals[i + 1] < 0.0):
-            return brentq(g, t, knots[i + 1], xtol=4.0 * 2.0**-52 * t)
+            return _brentq(g, t, knots[i + 1], xtol=_RTOL * t)
     return None
 
 
@@ -266,7 +322,8 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
     kappa_a > 0 the frequencies are a conjugate pair alpha +- i*beta and
     the blow-up is the unique root of alpha*tan(alpha*t) +
     beta*tanh(beta*t) on (pi/(2*alpha), pi/alpha), evaluated in the
-    pole-free form alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t).
+    pole-free form alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t)
+    and found by ``_brentq`` to 1e-12.
     Raises ``DomainError`` when kappa_a or kappa_b is NaN or infinite.
     """
     if not finiteness_predicate(kappa_a, kappa_b):
@@ -325,7 +382,7 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
         return BlowUpTime.finite(lo)
     if g(hi) >= 0.0:
         return BlowUpTime.finite(hi)
-    return BlowUpTime.finite(brentq(g, lo, hi, xtol=1e-12))
+    return BlowUpTime.finite(_brentq(g, lo, hi, xtol=1e-12))
 
 
 def upper_bound_kab(kappa_a: float, kappa_b: float) -> float:

@@ -28,7 +28,7 @@ Provided here:
   of expm(h H2), H2 the additive compound of H, with a step short enough
   for its oscillation and guarded against growth; ``UnverifiableError``.
 
-Every refinement of a det N zero is to ``_XTOL`` = 1e-12 in t.
+Every det N zero is refined by ``models._brentq`` to ``_XTOL`` = 1e-12 in t.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .models import BlowUpTime, DomainError
+from .models import BlowUpTime, DomainError, _brentq
 
 __all__ = [
     "JacobiSolution",
@@ -269,7 +268,7 @@ def first_blowup(sol: JacobiSolution) -> BlowUpTime:
     plane [M; N] start at 0 and never decrease, and the first zero is the first
     time the largest reaches pi; until then a phase mod pi is its lift. A step
     of ``_steps`` holds a zero when fewer phases lie between its cut and pi at
-    its end than at its start, m. Brent's method refines the zero to 1e-12 on
+    its end than at its start, m. ``_brentq`` refines the zero to 1e-12 on
     the m-th phase past the cut, less pi, as a function of the offset in the
     step, with the pass's own values at both ends. ``ValueError`` unless B is
     positive semidefinite; ``UnverifiableError`` if a phase stays at 0 after the
@@ -284,7 +283,7 @@ def first_blowup(sol: JacobiSolution) -> BlowUpTime:
             raise UnverifiableError(f"an eigenphase stays at 0 or moves back through pi on [{t:.17g}, {t + h:.17g}]")
         if m1 < m:
             past = lambda s: np.sort(psi0 if s == 0.0 else psi1 if s == h else (_phases(_expm(s * Hc) @ Y)[1] + z) % math.pi)[m - 1] - z
-            return BlowUpTime.finite(t + float(brentq(past, 0.0, h, xtol=_XTOL)))
+            return BlowUpTime.finite(t + _brentq(past, 0.0, h, xtol=_XTOL))
     return BlowUpTime.infinite()
 
 
@@ -438,7 +437,7 @@ def _wedge_pass(A, B, Q, t_max: float, steps: int):
         w = (H2 @ w) / j
     g = lambda dt: functools.reduce(lambda acc, c: acc * dt + c, coef, 0.0)
     g0, g1 = g(0.0), g(span)  # they may disagree with the scan in the last bits
-    dt = brentq(g, 0.0, span, xtol=_XTOL) if g0 * g1 < 0.0 else (0.0 if abs(g0) <= abs(g1) else span)
+    dt = _brentq(g, 0.0, span, xtol=_XTOL) if g0 * g1 < 0.0 else (0.0 if abs(g0) <= abs(g1) else span)
     return int(flips.size), min_rel, BlowUpTime.finite(k * h + (t0 + dt))
 
 
@@ -465,7 +464,7 @@ def wedge_first_zero(A, B, Q, t_max: float, steps: int = 4000) -> BlowUpTime:
     """First sign change of det N for a 2x2 constant system, refined.
 
     Same pass and errors as ``wedge_det_sign_changes``; the first change is
-    refined by Brent's method on the Taylor polynomial of (expm(dt H2) w)[det N]
+    refined by ``_brentq`` on the Taylor polynomial of (expm(dt H2) w)[det N]
     from the rescaled vector w of the step before (on a half, quarter, ... of
     the step while ||h H2|| > 1/2), where direct (M, N) propagation has lost
     the zero to the eps * |N|^2 floor of hyperbolic growth. Tangential

@@ -8,6 +8,7 @@ Test categories:
   5. Upper bound and its equality case
   6. Scaling covariance
   7. Diameter-type certificate
+  8. The Brent root finder against scipy.optimize.brentq, bit for bit
 
 Frozen reference values were computed from formulas independent of this
 package: pi/sqrt(k) for the single-frequency zero, and the first zero of
@@ -23,7 +24,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from fatcomp import models, riccati
 from fatcomp.models import (
     DIAMETER_THRESHOLD,
     BlowUpTime,
@@ -38,7 +41,7 @@ from fatcomp.models import (
     theta_from_kappas,
     upper_bound_kab,
 )
-from fatcomp.riccati import first_blowup, integrate_jacobi
+from fatcomp.riccati import first_blowup, integrate_jacobi, wedge_first_zero
 from fatcomp.structure import typeI_pair
 
 A_STEP, B_STEP = typeI_pair()
@@ -471,3 +474,124 @@ class TestDiameterCertificate:
             diameter_certificate(-0.1, 1.0)
         with pytest.raises(DomainError):
             diameter_certificate(1.0, -1.5)
+
+
+# ----------------------------------------------------------------------
+# Test Class: the Brent port against scipy
+# ----------------------------------------------------------------------
+
+def _scipy_brentq(f, a, b, xtol):
+    return brentq(f, a, b, xtol=xtol)
+
+
+def _outcome(solve, *args):
+    """float.hex of the root, or the class name of the exception raised."""
+    try:
+        return float(solve(*args)).hex()
+    except (ValueError, RuntimeError, FloatingPointError) as err:
+        return type(err).__name__
+
+
+def _brackets(family: str, n: int):
+    """n seeded (f, a, b, xtol) of one family, endpoints in either order.
+
+    The abscissae are scaled by 1, 1e-150 or 1e+-300, and the "scaled"
+    family scales its values by 1e+-200 or 1e+-300 too.
+    """
+    rng = np.random.default_rng(["smooth", "flat", "staircase", "scaled"].index(family))
+    out = []
+    for _ in range(n):
+        r = float(rng.uniform(-1.0, 1.0))
+        a, b = float(rng.uniform(-2.0, r)), float(rng.uniform(r, 2.0))
+        xtol = float(rng.choice([2e-12, 1e-300, 5e-324, 1e-3]))
+        w, p = float(rng.uniform(0.1, 20.0)), int(rng.integers(1, 8))
+        xs = float(rng.choice([1.0, 1.0, 1e-150, 1e-300, 1e300]))
+        if family == "smooth":
+            g = [
+                lambda x, p=p: x**p,
+                lambda x, w=w: math.sin(w * x),
+                lambda x, r=r: math.exp(x + r) - math.exp(r),
+                lambda x, w=w: np.tanh(w**3 * x),
+            ][int(rng.integers(4))]
+        elif family == "flat":
+            g = lambda x, w=w: 0.0 if abs(x) < 0.05 * w else x**3
+        elif family == "staircase":
+            g = lambda x, p=p: math.floor(x * 10**p) + 0.5
+        else:
+            fs = float(rng.choice([1e-300, 1e-200, 1e200, 1e300]))
+            g = lambda x, p=p, fs=fs: fs * x**p
+        f = lambda x, g=g, r=r, xs=xs: g(x / xs - r)
+        a, b = a * xs, b * xs
+        out.append((f, *((a, b) if rng.random() < 0.5 else (b, a)), xtol))
+    return out
+
+
+class TestBrentPort:
+    """models._brentq returns scipy brentq's bits, or raises its exception class."""
+
+    @pytest.mark.parametrize("family", ["smooth", "flat", "staircase", "scaled"])
+    def test_bits_match_scipy(self, family):
+        # 4 x 2500 brackets; 126 to 422 per family divide by zero in the
+        # interpolation step, where C's inf or NaN makes the step bisect
+        cases = _brackets(family, 2500)
+        bad = [(a, b, xtol) for f, a, b, xtol in cases
+               if _outcome(models._brentq, f, a, b, xtol) != _outcome(_scipy_brentq, f, a, b, xtol)]
+        assert not bad, f"{len(bad)} of {len(cases)} differ, first {bad[0]}"
+
+    def test_maxiter_exhaustion_raises_as_scipy(self, monkeypatch):
+        monkeypatch.setattr(models, "_MAXITER", 5)
+        cases = _brackets("smooth", 500)
+        mine = [_outcome(models._brentq, *c) for c in cases]
+        assert mine == [_outcome(lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol, maxiter=5), *c) for c in cases]
+        assert "RuntimeError" in mine
+
+    def test_runs_out_on_a_step_function(self):
+        # every step bisects, and 100 halvings of 2e300 stay far from zero
+        step = lambda x: math.copysign(1.0, x)
+        for solve in (models._brentq, _scipy_brentq):
+            with pytest.raises(RuntimeError):
+                solve(step, -1e300, 1e300, 5e-324)
+
+    @pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: math.nan if x > 0.5 else x - 0.75])
+    def test_same_sign_or_nan_is_a_value_error(self, f):
+        for solve in (models._brentq, _scipy_brentq):
+            with pytest.raises(ValueError):
+                solve(f, 0.0, 1.0, 2e-12)
+
+    def test_hypothesis_falsifier_of_a_python_divide(self, monkeypatch):
+        # kappa_a > 0 tiny: the extrapolation denominator underflows to 0,
+        # where Python's divide raises ZeroDivisionError; C's gives inf or
+        # NaN, and the step bisects
+        ka, kb = 1.5684445943827328e-254, 0.0
+        mine = blowup_time_kab(ka, kb)
+        assert mine.is_finite == finiteness_predicate(ka, kb)
+        monkeypatch.setattr(models, "_brentq", _scipy_brentq)
+        assert mine.time.hex() == blowup_time_kab(ka, kb).time.hex()
+
+    def test_blowup_time_keeps_the_scipy_bits(self, monkeypatch):
+        # 2000 pairs on [-5, 5]^2, 1000 on [-500, 500]^2, 400 on [-0.01,
+        # 0.01]^2, and 96 resonant or near-resonant pairs tp/tm = 2..7
+        rng = np.random.default_rng(13)
+        pairs = [*rng.uniform(-5.0, 5.0, (2000, 2)), *rng.uniform(-500.0, 500.0, (1000, 2)),
+                 *rng.uniform(-0.01, 0.01, (400, 2))]
+        for k in range(2, 8):
+            for tm in (1.0, 0.37):
+                for e in (0.0, 1e-4, -1e-4, 1e-8, -1e-8, 1e-12, -1e-12, 2.0**-52):
+                    tp = k * tm * (1.0 + e)
+                    pairs.append((-((tp * tp - tm * tm) ** 2), 2.0 * (tp * tp + tm * tm)))
+        pairs = [(float(ka), float(kb)) for ka, kb in pairs]
+        tbar = lambda ka, kb: blowup_time_kab(ka, kb).time
+        mine = [_outcome(tbar, ka, kb) for ka, kb in pairs]
+        monkeypatch.setattr(models, "_brentq", _scipy_brentq)
+        bad = [pair for pair, bits in zip(pairs, mine) if _outcome(tbar, *pair) != bits]
+        assert len(pairs) == 3496 and not bad, f"{len(bad)} differ, first {bad[:1]}"
+
+    @pytest.mark.parametrize("ka,kb", [(-3.0, 4.0), (-8.99999, 10.0), (-0.75, 2.0), (-37.0, 12.5), (1.0, 0.0)])
+    def test_riccati_refinements_keep_the_scipy_bits(self, ka, kb, monkeypatch):
+        t_max = 1.1 * blowup_time_kab(ka, kb).time
+        Q = np.diag([ka, kb])
+        run = lambda: (first_blowup(integrate_jacobi(A_STEP, B_STEP, Q, t_max)).time.hex(),
+                       wedge_first_zero(A_STEP, B_STEP, Q, t_max).time.hex())
+        mine = run()
+        monkeypatch.setattr(riccati, "_brentq", _scipy_brentq)
+        assert mine == run()
