@@ -324,7 +324,8 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
     beta*tanh(beta*t) on (pi/(2*alpha), pi/alpha), evaluated in the
     pole-free form alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t)
     and found by ``_brentq`` to 1e-12.
-    Raises ``DomainError`` when kappa_a or kappa_b is NaN or infinite.
+    Raises ``DomainError`` when kappa_a or kappa_b is NaN or infinite, and
+    ``FloatingPointError`` when a frequency overflows or alpha^2 underflows.
     """
     if not finiteness_predicate(kappa_a, kappa_b):
         return BlowUpTime.infinite()
@@ -366,6 +367,8 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
         sm2 = y - x
         sp2 = kappa_a / sm2
     alpha, beta = math.sqrt(sp2) / 2.0, math.sqrt(sm2) / 2.0
+    if alpha == 0.0:
+        raise FloatingPointError(f"alpha^2 = kappa_a / sm2 underflows to 0 for ({kappa_a}, {kappa_b})")
 
     def g(t: float) -> float:
         return alpha * math.sin(alpha * t) + beta * math.cos(alpha * t) * math.tanh(

@@ -29,6 +29,10 @@ Provided here:
   for its oscillation and guarded against growth; ``UnverifiableError``.
 
 Every det N zero is refined by ``models._brentq`` to ``_XTOL`` = 1e-12 in t.
+On the wedge route that is the root of a Taylor polynomial taken from the
+rescaled vector of the step before, which carries the rounding of every
+step up to it; the zero is as accurate as that vector (7.9e-10 at
+(kappa_a, kappa_b) = (-2.28, 3.07), tbar = 26.8).
 """
 
 from __future__ import annotations
@@ -359,6 +363,9 @@ def finite_blowup_constant(A, B, Q) -> bool:
 
 #: Steps per block: the powers E2^1..E2^K are built once per call.
 _WEDGE_BLOCK = 64
+#: Steps per product of the sweep, which bounds its temporaries (about 0.5 MB
+#: for a real Q) whatever the length of the pass.
+_WEDGE_CHUNK = 4096
 #: Bound on log ||E2^K||_inf, far below the overflow at exp(709).
 _WEDGE_LOG_GROWTH = 300.0
 #: Pluecker coordinates (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of 2-planes
@@ -375,6 +382,37 @@ def _additive_compound(H: np.ndarray) -> np.ndarray:
     i, j, k, l = _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J
     d = np.eye(4)
     return H[i, k] * d[j, l] - H[i, l] * d[j, k] + d[i, k] * H[j, l] - d[i, l] * H[j, k]
+
+
+def _wedge_sweep(E2: np.ndarray, K: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E2^1..E2^K as a (K, 6, 6) array, block starts, rel) of ``steps`` steps of E2.
+
+    Block b starts from E2^(bK) applied to the Pluecker vector of M(0) = I,
+    carried forward block by block with a max-norm rescale; rel[k] is the det
+    N coordinate over the largest coordinate after step k + 1, from one
+    product of the powers with the starts per ``_WEDGE_CHUNK`` steps.
+    """
+    # ndarray.dot with out makes the BLAS call of np.matmul at a third of its
+    # dispatch cost, which dominates at 6x6
+    powers = np.empty((K, 6, 6), E2.dtype)
+    powers[0] = E2
+    for m in range(1, K):
+        E2.dot(powers[m - 1], powers[m])
+    n_blocks = -(-steps // K)
+    starts = np.zeros((n_blocks, 6), E2.dtype)
+    w, EK, real = starts[0], powers[-1], E2.dtype == float
+    w[0] = 1.0
+    for b in range(1, n_blocks):
+        w = EK.dot(w, starts[b])
+        # Python's abs of a complex can differ from np.abs in the last bit
+        np.divide(w, max(map(abs, w.tolist())) if real else np.abs(w).max(), out=w)
+    rel = np.empty(n_blocks * K, E2.dtype)
+    per = max(1, _WEDGE_CHUNK // K)  # blocks per product
+    stacked = powers.reshape(6 * K, 6)
+    for b in range(0, n_blocks, per):
+        W = (stacked @ starts[b : b + per].T).reshape(K, 6, -1)  # (step, coordinate, block)
+        rel[b * K : (b + W.shape[2]) * K] = (W[:, _DET_N] / np.abs(W).max(axis=1)).T.ravel()
+    return powers, starts, rel[:steps]
 
 
 def _wedge_pass(A, B, Q, t_max: float, steps: int):
@@ -395,29 +433,15 @@ def _wedge_pass(A, B, Q, t_max: float, steps: int):
     # ||E2^m||_inf <= ||E2||_inf^m <= exp(_WEDGE_LOG_GROWTH) for every m <= K
     growth = math.log(max(math.e, float(np.abs(E2).sum(axis=1).max())))
     K = max(1, min(_WEDGE_BLOCK, int(_WEDGE_LOG_GROWTH / growth)))
-    powers = [E2]
-    for _ in range(1, K):
-        powers.append(E2 @ powers[-1])
-    n_blocks = -(-steps // K)
-    starts = np.zeros((n_blocks, 6), H2.dtype)
-    starts[0, 0] = 1.0
-    for b in range(1, n_blocks):
-        w = powers[-1] @ starts[b - 1]
-        starts[b] = w / np.abs(w).max()
-    rel = np.empty(n_blocks * K, H2.dtype)  # rel[k]: det N / max coordinate after step k + 1
-    per = max(1, 256 // K)  # blocks per product, for 12 KB temporaries
-    stacked = np.reshape(powers, (6 * K, 6))
-    for b in range(0, n_blocks, per):
-        W = (stacked @ starts[b : b + per].T).reshape(K, 6, -1)  # (step, coordinate, block)
-        rel[b * K : (b + W.shape[2]) * K] = (W[:, _DET_N] / np.abs(W).max(axis=1)).T.ravel()
-    rel = rel[:steps]
+    powers, starts, rel = _wedge_sweep(E2, K, steps)
     if np.iscomplexobj(rel) and np.abs(rel.imag).max() > 1e-10:  # Hermitian Q: det N is real
         raise UnverifiableError(f"det N is not real: imaginary part {np.abs(rel.imag).max():.3e} of the largest coordinate")
     rel = rel.real
+    # min_rel first: its temporaries are freed before those of the sign scan
+    min_rel = float(np.abs(rel[np.arange(1, steps + 1) * h > 1.0]).min(initial=math.inf))
     nonzero = np.flatnonzero(rel)  # a zero coordinate keeps the previous sign
     signs = rel[nonzero] > 0.0
     flips = nonzero[1:][signs[1:] != signs[:-1]]
-    min_rel = float(np.abs(rel[np.arange(1, steps + 1) * h > 1.0]).min(initial=math.inf))
     if not flips.size:
         return 0, min_rel, BlowUpTime.infinite()
     k = int(flips[0])  # the step before the first change
@@ -467,7 +491,11 @@ def wedge_first_zero(A, B, Q, t_max: float, steps: int = 4000) -> BlowUpTime:
     refined by ``_brentq`` on the Taylor polynomial of (expm(dt H2) w)[det N]
     from the rescaled vector w of the step before (on a half, quarter, ... of
     the step while ||h H2|| > 1/2), where direct (M, N) propagation has lost
-    the zero to the eps * |N|^2 floor of hyperbolic growth. Tangential
-    (even-multiplicity) zeros produce no sign change and are not reported.
+    the zero to the eps * |N|^2 floor of hyperbolic growth. The root of the
+    polynomial is found to 1e-12, but w carries the rounding of the pass up
+    to it, and that sets the error: 7.9e-10 at (-2.275768649837373,
+    3.0690415149607126) with t_max = 1.05 tbar + 0.1, and another value at
+    another t_max, whose steps differ. Tangential (even-multiplicity) zeros
+    produce no sign change and are not reported.
     """
     return _wedge_pass(A, B, Q, t_max, steps)[2]

@@ -175,6 +175,13 @@ class TestBlowup:
         _, _, rows = read_csv(out)
         assert [r["check_ok"] for r in rows] == ["unverifiable", "false"]
 
+    def test_underflowing_frequency_is_a_failed_computation(self, tmp_path, capsys):
+        # it ended in a ZeroDivisionError traceback
+        argv = ["blowup", "--ka", "1.7934847258413677e-236", "--kb=-2.1545907295567397e+115",
+                "--out", str(tmp_path / "b.csv")]
+        assert run_cli(argv) == 1
+        assert "computation failed" in capsys.readouterr().err
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["blowup", "--sweep=-3:3:7", "--kb", "5", "--kc", "2.5"]

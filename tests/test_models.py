@@ -345,6 +345,12 @@ class TestBlowupTimeTwoFrequency:
         with pytest.raises(FloatingPointError, match="no root"):
             blowup_time_kab(-1e300, 1e160)
 
+    def test_frequency_underflow_raises(self):
+        # kappa_a > 0: alpha^2 = kappa_a / sm2 underflows to 0, and pi/alpha
+        # divided by zero
+        with pytest.raises(FloatingPointError, match="underflows"):
+            blowup_time_kab(1.7934847258413677e-236, -2.1545907295567397e115)
+
     @pytest.mark.parametrize(
         "ka,kb", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 4.0), (-3.0, math.inf)]
     )

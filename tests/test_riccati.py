@@ -10,6 +10,7 @@ so det N = t^4/12 and V = M N^{-1} = [[12/t^3, -6/t^2], [-6/t^2, 4/t]].
 
 import math
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -335,6 +336,15 @@ class TestWedgePropagation:
         hit = wedge_first_zero(A_STEP, B_STEP, np.diag([ka, kb]), t_max=1.1 * tbar)
         assert abs(hit.time - tbar) < 1e-6 * tbar
 
+    def test_zero_is_as_accurate_as_its_start_vector(self):
+        # the Taylor root is found to 1e-12, but the rescaled vector it starts
+        # from carries the rounding of ~4000 steps: 7.9e-10 here, against the
+        # 50-digit tools/tbar_reference.py value
+        ka, kb = -2.275768649837373, 3.0690415149607126
+        ref = 26.765601149130595169238496444094401156136934163393
+        hit = wedge_first_zero(A_STEP, B_STEP, np.diag([ka, kb]), 1.05 * blowup_time_kab(ka, kb).time + 0.1)
+        assert abs(hit.time - ref) <= 1e-9
+
     def test_no_sign_change_without_blowup(self):
         changes, min_rel = wedge_det_sign_changes(
             A_STEP, B_STEP, np.diag([-1.0, -1.0]), t_max=50.0
@@ -421,6 +431,77 @@ def _pointwise_wedge(Q, t_max, steps=4000):
     return first, changes
 
 
+def _chunked_wedge_sweep(E2, K, steps):
+    """The blocked sweep in small pieces: a new array per block start, rescaled
+    by np.abs, and products of the stacked powers with the starts of at most
+    256 steps (four blocks of 64); the arithmetic of ``riccati._wedge_sweep``.
+    """
+    powers = [E2]
+    for _ in range(1, K):
+        powers.append(E2 @ powers[-1])
+    n_blocks = -(-steps // K)
+    starts = np.zeros((n_blocks, 6), E2.dtype)
+    starts[0, 0] = 1.0
+    for b in range(1, n_blocks):
+        w = powers[-1] @ starts[b - 1]
+        starts[b] = w / np.abs(w).max()
+    rel = np.empty(n_blocks * K, E2.dtype)
+    per = max(1, 256 // K)
+    stacked = np.reshape(powers, (6 * K, 6))
+    for b in range(0, n_blocks, per):
+        W = (stacked @ starts[b : b + per].T).reshape(K, 6, -1)
+        rel[b * K : (b + W.shape[2]) * K] = (W[:, 5] / np.abs(W).max(axis=1)).T.ravel()
+    return np.array(powers), starts, rel[:steps]
+
+
+def _pass_with(sweep, Q, t_max, steps):
+    """(``_wedge_pass`` result or its exception class, what ``sweep`` returned) with
+    ``sweep`` in place of ``riccati._wedge_sweep``."""
+    seen = []
+
+    def spy(*args):
+        seen.append(sweep(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riccati, "_wedge_sweep", spy)
+        try:
+            result = riccati._wedge_pass(A_STEP, B_STEP, Q, t_max, steps)
+        except FloatingPointError as exc:
+            result = type(exc)
+    return result, (seen or [None])[0]
+
+
+def _bits(x):
+    """The bytes of x: equal exactly when every entry has the same float.hex."""
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _wedge_cases(family, n, rng):
+    """n seeded (Q, t_max, steps) of one family of bit-identity cases."""
+    for _ in range(n):
+        ka, kb = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-2.0, 3.0, 2)
+        steps = 4000
+        if family == "horizon-1000":
+            ka, kb = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-2.0, 1.5, 2)
+            t_max = 1000.0
+        elif family == "growth-limited":
+            # log ||E2|| per step of 1000/4000 is about 2 sqrt(|kb|) / 4, above 300/64
+            ka, kb = rng.uniform(-5.0, 5.0), -(10.0 ** rng.uniform(2.3, 3.0))
+            t_max = 1000.0
+        elif family == "hermitian":
+            c = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-2.0, 1.0)
+            Q = np.array([[ka, c], [c.conjugate(), kb]]) / 10.0 ** rng.uniform(0.0, 2.0)
+            yield Q, float(rng.uniform(0.5, 60.0)), steps
+            continue
+        else:
+            tbar = blowup_time_kab(ka, kb)
+            t_max = 1.05 * tbar.time + 0.1 if tbar.is_finite else 1000.0
+            if family == "odd-steps":
+                steps = int(rng.integers(40, 5000))
+        yield np.diag([ka, kb]), t_max, steps
+
+
 class TestBlockedWedgePass:
     """The blocked additive-compound pass against the pointwise route."""
 
@@ -450,6 +531,53 @@ class TestBlockedWedgePass:
                 else:
                     assert not hit.is_finite and changes == 0
         assert 0 < n_finite < grid.size**2
+
+    @pytest.mark.parametrize("family,n,seed", [("random", 600, 0), ("horizon-1000", 400, 1), ("growth-limited", 300, 2),
+                                               ("odd-steps", 300, 3), ("hermitian", 400, 4)])
+    def test_sweep_is_bit_identical_to_the_chunked_loop(self, family, n, seed):
+        # 2000 passes in all: the same powers, block starts, sign counts and
+        # first zeros to the bit. rel comes from products of another shape
+        # (one block alone is a matrix-vector product, whose rounding differs
+        # from the matrix product's), so min_rel may move by rounding: by
+        # eps of the largest coordinate, the unit of rel, which is up to 1e-13
+        # of a min_rel near a zero of det N
+        short, ragged = 0, 0
+        for Q, t_max, steps in _wedge_cases(family, n, np.random.default_rng(seed)):
+            got, blocks = _pass_with(riccati._wedge_sweep, Q, t_max, steps)
+            want, oracle = _pass_with(_chunked_wedge_sweep, Q, t_max, steps)
+            where = f"Q={Q.tolist()} t_max={t_max!r} steps={steps}"
+            if isinstance(want, type):
+                assert got is want, where
+                continue
+            assert _bits(blocks[1]) == _bits(oracle[1]), where
+            assert _bits(blocks[0]) == _bits(oracle[0]), where
+            assert got[0] == want[0], where
+            assert got[2].is_finite == want[2].is_finite, where
+            if want[2].is_finite:
+                assert got[2].time.hex() == want[2].time.hex(), where
+            assert got[1] == want[1] or abs(got[1] - want[1]) <= 1e-15, where
+            K = len(blocks[0])
+            short += K < 64
+            ragged += len(blocks[2]) % K != 0
+        if family == "growth-limited":
+            assert short == n
+        if family == "odd-steps":
+            assert ragged >= 0.9 * n
+
+    def test_sweep_memory_is_bounded(self):
+        # 2^19 steps: 26 bytes a step (rel and the temporaries of the sign
+        # scan), against 34, the bound, for the loop of a product per four
+        # blocks; one product over the whole pass held 100
+        Q, steps = np.diag([-3.0, 4.0]), 2**19
+        wedge_det_sign_changes(A_STEP, B_STEP, Q, t_max=10.0)
+        tracemalloc.start()
+        try:
+            changes, _ = wedge_det_sign_changes(A_STEP, B_STEP, Q, t_max=1000.0, steps=steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert changes > 0
+        assert peak <= 34 * steps + 2**18, f"{peak / steps:.1f} bytes a step"
 
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 10.0])
     def test_product_exponential_matches_scipy(self, scale):

@@ -1,0 +1,75 @@
+"""Compare the output files and exit codes of 18 CLI calls in two checkouts.
+
+    python3 tools/compare_cli.py --parent DIR --change DIR
+
+DIR is a checkout (with ``src/``) of each commit. Every call in ``CALLS``
+runs as ``python -m fatcomp.cli ARGS`` once in each checkout, in a
+temporary directory of its own that receives the default output file and
+is removed afterwards. The script prints every call whose exit code or
+output files (names and bytes) differ between the two sides, then how many
+calls differ; it exits 1 if any call differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+CALLS = [
+    ["blowup", "--kc", "0.01", "--verify"],
+    ["blowup", "--kc", "1", "--verify"],
+    ["blowup", "--kc", "100", "--verify"],
+    ["blowup", "--kc", "1", "--ka", "-1", "--kb", "2", "--verify"],
+    ["blowup", "--kc", "4", "--ka", "-1", "--kb", "2", "--verify"],
+    ["blowup", "--sweep=-5:5:41", "--kb", "3", "--verify"],
+    ["blowup", "--sweep=-5:5:41", "--kb", "4", "--tol", "1e-6", "--verify"],
+    ["blowup", "--sweep=-3:3:25", "--kb", "0.5", "--format", "json"],
+    # near resonance: the wedge route is late by 7.1e-6 and the call exits 1
+    ["blowup", "--ka=-8.999999872840394", "--kb", "9.999999957613465", "--verify"],
+    # a zero divisor in the interpolation step of the Brent port
+    ["blowup", "--ka", "1.5684445943827328e-254", "--kb", "0", "--verify"],
+    ["conjugate", "--d", "1", "--sweep", "0:3:30", "--verify"],
+    ["conjugate", "--d", "2", "--sweep", "0:3:30", "--verify"],
+    ["conjugate", "--d", "16", "--sweep", "0:3:30", "--verify"],
+    ["conjugate", "--d", "2", "--vnorm", "0.5"],
+    ["laplacian", "--d", "1", "--verify"],
+    ["laplacian", "--d", "2", "--verify"],
+    ["laplacian", "--d", "3", "--vnorm", "3", "--verify"],
+    ["laplacian", "--d", "2", "--vnorm", "100", "--verify"],
+]
+
+
+def run(checkout: str, call: list[str]) -> tuple[int, dict[str, bytes]]:
+    """(exit code, file name -> bytes of every file the call wrote)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    env.pop("FATCOMP_OUT_DIR", None)  # the output file goes to the working directory
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([sys.executable, "-m", "fatcomp.cli", *call], cwd=tmp, env=env, capture_output=True)
+        files = {}
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name), "rb") as f:
+                files[name] = f.read()
+    return proc.returncode, files
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True)
+    p.add_argument("--change", required=True)
+    args = p.parse_args()
+    differ = 0
+    for call in CALLS:
+        (code0, files0), (code1, files1) = run(args.parent, call), run(args.change, call)
+        if code0 != code1 or files0 != files1:
+            differ += 1
+            moved = sorted(n for n in files0.keys() | files1.keys() if files0.get(n) != files1.get(n))
+            print(f"{' '.join(call)}: exit {code0} -> {code1}, files differ: {moved or 'none'}")
+    print(f"{differ} of {len(CALLS)} calls differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
