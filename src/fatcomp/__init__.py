@@ -10,7 +10,6 @@ from .models import (
     BlowUpTime,
     DiameterCertificate,
     DomainError,
-    ThetaPair,
     blowup_time_kab,
     blowup_time_kc,
     diameter_certificate,
@@ -47,10 +46,8 @@ from .curvature import (
 from .hopf import (
     ConjugateResult,
     ExtremalState,
-    FrameBundle,
     GeodesicResult,
     SublaplacianReport,
-    build_frames,
     conjugate_time,
     initial_state,
     integrate_extremal,

@@ -356,8 +356,10 @@ def check_ricci_traces(rng: np.random.Generator) -> CheckResult:
 def check_sublaplacian_margin(rng: np.random.Generator) -> CheckResult:
     """Radial sub-Laplacian against the model sum at v = 0, d = 2.
 
-    The trace formula and the model right-hand side coincide there (the
-    traced reductions are exact at zero vertical momentum), so the margin
+    The trace formula and the model right-hand side coincide there: at
+    zero vertical momentum the a/b block is three copies of the type-I pair
+    with Q = diag(kappa_a, kappa_b) and the c block has Q = kappa_c I, the
+    very systems whose quotients the models are, so the margin
     must be nonnegative up to 1e-6 and small in absolute value; the
     r -> 0 limit of r times the sub-Laplacian is the effective dimension
     4d + 8.

@@ -292,25 +292,20 @@ def _blowup_row_kc(idx: int, kc: float, args) -> dict:
 def cmd_blowup(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not 0.0 < args.tmax < math.inf:
         raise DomainError(f"--tmax must be finite positive, got {args.tmax}")
-    rows: list[dict] = []
     if args.sweep is not None:
         if args.kb is None:
             parser.error("--sweep sweeps kappa_a and requires --kb")
         if args.ka is not None:
             parser.error("--sweep replaces --ka")
-        for idx, ka in enumerate(args.sweep):
-            rows.append(_blowup_row_kab(idx, ka, args.kb, args))
-    else:
-        if (args.ka is None) != (args.kb is None):
-            parser.error("--ka and --kb must be given together")
-        if args.ka is None and args.kc is None:
-            parser.error("nothing to compute: give --ka/--kb, --kc, or --sweep")
-        idx = 0
-        if args.ka is not None:
-            rows.append(_blowup_row_kab(idx, args.ka, args.kb, args))
-            idx += 1
-        if args.kc is not None:
-            rows.append(_blowup_row_kc(idx, args.kc, args))
+    elif (args.ka is None) != (args.kb is None):
+        parser.error("--ka and --kb must be given together")
+    elif args.ka is None and args.kc is None:
+        parser.error("nothing to compute: give --ka/--kb, --kc, or --sweep")
+    # the kab rows, from --sweep or --ka, then the kc row
+    kas = args.sweep if args.sweep is not None else [] if args.ka is None else [args.ka]
+    rows = [_blowup_row_kab(idx, ka, args.kb, args) for idx, ka in enumerate(kas)]
+    if args.kc is not None:
+        rows.append(_blowup_row_kc(len(rows), args.kc, args))
 
     header = [
         "index", "model", "kappa_a", "kappa_b", "kappa_c",

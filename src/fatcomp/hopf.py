@@ -1,4 +1,4 @@
-"""Quaternionic Hopf fibration: frames, extremal flow, conjugate times.
+"""Quaternionic Hopf fibration: Reeb fields, extremal flow, conjugate times.
 
 The sphere S^{4d+3} sits in R^{4(d+1)}, viewed as d+1 quaternionic slots
 with coordinates (x, y, z, w) each. Right multiplication by the imaginary
@@ -48,13 +48,11 @@ from .riccati import UnverifiableError, integrate_jacobi, wedge_first_zero
 from .structure import build_structural, typeI_pair
 
 __all__ = [
-    "FrameBundle",
     "ExtremalState",
     "GeodesicResult",
     "ConjugateResult",
     "SublaplacianReport",
     "reeb_generators",
-    "build_frames",
     "initial_state",
     "integrate_extremal",
     "qhf_kappas",
@@ -101,10 +99,10 @@ def reeb_generators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(-J for J in _complex_structures(d))
 
 
-def _check_unit(q: np.ndarray, what: str = "q") -> np.ndarray:
+def _check_unit(q) -> np.ndarray:
     q = np.asarray(q, dtype=float).ravel()
     if not abs(np.linalg.norm(q) - 1.0) <= 1e-10:
-        raise DomainError(f"{what} must be a unit vector, |{what}| = {np.linalg.norm(q)}")
+        raise DomainError(f"q must be a unit vector, |q| = {np.linalg.norm(q)}")
     return q
 
 
@@ -116,40 +114,6 @@ def _momentum(v) -> np.ndarray:
     if not np.isfinite(v).all():
         raise DomainError(f"v must be finite, got {v}")
     return v
-
-
-@dataclass(frozen=True)
-class FrameBundle:
-    """Reeb frame and structure tensors at a point of the sphere."""
-
-    d: int
-    q: np.ndarray
-    xi_I: np.ndarray
-    xi_J: np.ndarray
-    xi_K: np.ndarray
-
-    @property
-    def xis(self) -> np.ndarray:
-        return np.vstack([self.xi_I, self.xi_J, self.xi_K])
-
-    def eta(self, X) -> np.ndarray:
-        """The three vertical components <xi_alpha, X>."""
-        return self.xis @ np.asarray(X, dtype=float)
-
-    def pr(self, X) -> np.ndarray:
-        """Projection onto the horizontal space at q."""
-        X = np.asarray(X, dtype=float)
-        X = X - self.q * (self.q @ X)
-        return X - self.xis.T @ (self.xis @ X)
-
-
-def build_frames(q, d: int) -> FrameBundle:
-    """Reeb fields and the eta/pr evaluators at a unit point q."""
-    q = _check_unit(q)
-    if q.shape != (4 * (d + 1),):
-        raise ValueError(f"q must have length {4 * (d + 1)} for d = {d}")
-    KI, KJ, KK = reeb_generators(d)
-    return FrameBundle(d=d, q=q, xi_I=KI @ q, xi_J=KJ @ q, xi_K=KK @ q)
 
 
 # ----------------------------------------------------------------------
@@ -178,15 +142,6 @@ class ExtremalState:
         pq = float(self.p @ self.q)
         return 0.5 * (float(self.p @ self.p) - pq * pq - float(self.v @ self.v))
 
-    @property
-    def gdot(self) -> np.ndarray:
-        """Horizontal velocity: the momentum minus its vertical part."""
-        Ks = reeb_generators(self.d)
-        out = self.p - self.q * float(self.p @ self.q)
-        for v_a, K in zip(self.v, Ks):
-            out = out - v_a * (K @ self.q)
-        return out
-
 
 def initial_state(d: int, v, q=None, seed_direction=None) -> ExtremalState:
     """Complete vertical momenta and a horizontal seed to a unit covector.
@@ -194,8 +149,9 @@ def initial_state(d: int, v, q=None, seed_direction=None) -> ExtremalState:
     The seed is projected horizontally at q and normalized, so the
     resulting state has H = 1/2 exactly up to roundoff; the vertical
     momenta come out as requested because the Reeb frame is orthonormal.
-    Raises ``DomainError`` on a non-finite v or a seed without horizontal
-    component.
+    Raises ``DomainError`` on a non-finite v, a q off the unit sphere or a
+    seed without horizontal component, and ``ValueError`` on a q of the
+    wrong length.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -205,25 +161,31 @@ def initial_state(d: int, v, q=None, seed_direction=None) -> ExtremalState:
         q = np.zeros(dim)
         q[0] = 1.0
     q = _check_unit(q)
+    if q.shape != (dim,):
+        raise ValueError(f"q must have length {dim} for d = {d}")
     if seed_direction is None:
         seed_direction = np.zeros(dim)
         seed_direction[4] = 1.0
-    frames = build_frames(q, d)
-    X = frames.pr(seed_direction)
+    xis = np.vstack([K @ q for K in reeb_generators(d)])
+    X = np.asarray(seed_direction, dtype=float)
+    X = X - q * (q @ X)
+    X = X - xis.T @ (xis @ X)  # the horizontal part
     nrm = np.linalg.norm(X)
     if not nrm >= 1e-12:
         raise DomainError("seed direction has no horizontal component")
     X = X / nrm
-    p = X + frames.xis.T @ v
+    p = X + xis.T @ v
     return ExtremalState(d=d, q=q, p=p)
 
 
 @dataclass(frozen=True)
 class GeodesicResult:
-    """Sampled extremal flow with conservation drift metrics."""
+    """Sampled extremal flow with conservation drift metrics: q[i] and p[i]
+    are the state at ts[i], arrays of shape (n_samples, 4d + 4)."""
 
     ts: np.ndarray
-    states: list[ExtremalState]
+    q: np.ndarray
+    p: np.ndarray
     h_drift: float
     v_drift: float
     norm_drift: float
@@ -246,9 +208,9 @@ def integrate_extremal(state0: ExtremalState, t_max: float, n_samples: int = 257
 
     The drift of H, v, |q| and <p, q> over the samples is reported; it
     is rounding error only. It is taken over all samples at once and is
-    bit for bit the drift of the ``states``' own H and v. Raises
-    ``DomainError`` unless t_max is finite positive, n_samples >= 1 and
-    state0 has H = 1/2, |q| = 1 and <p, q> = 0.
+    bit for bit the drift of each ``ExtremalState(d, q[i], p[i])``'s own H
+    and v. Raises ``DomainError`` unless t_max is finite positive,
+    n_samples >= 1 and state0 has H = 1/2, |q| = 1 and <p, q> = 0.
     """
     if not (0.0 < t_max < math.inf and n_samples >= 1):
         raise DomainError(f"t_max must be finite positive and n_samples >= 1, got {t_max}, {n_samples}")
@@ -275,7 +237,8 @@ def integrate_extremal(state0: ExtremalState, t_max: float, n_samples: int = 257
     H = 0.5 * (dot(ps, ps) - pq * pq - dot(vs, vs))
     return GeodesicResult(
         ts=ts,
-        states=[ExtremalState(d=d, q=q, p=p) for q, p in zip(qs, ps)],
+        q=qs,
+        p=ps,
         h_drift=float(np.abs(H - 0.5).max()),
         v_drift=float(np.abs(vs - v0).max()),
         norm_drift=float(np.abs(np.sqrt(dot(qs, qs)) - 1.0).max()),
@@ -316,10 +279,6 @@ class ConjugateResult:
     bound_kab: BlowUpTime
     margin_kc: float | None
     margin_kab: float
-
-    @property
-    def kappas(self) -> tuple[float, float, float]:
-        return qhf_kappas(self.v)
 
     @property
     def margins(self) -> tuple[float, float]:
@@ -380,9 +339,10 @@ def conjugate_time(d: int, v) -> ConjugateResult:
     t_star is the smallest of the ``wedge_first_zero`` times of the real and
     the complex type-I pair, scanned to 10% beyond the smaller model bound,
     and pi/sqrt(kappa_c), exact for the c block's N = sin(sqrt(kappa_c) t) /
-    sqrt(kappa_c) I; the cost does not depend on d. No zero within that
-    horizon contradicts the bounds and raises RuntimeError. Raises
-    ``DomainError`` on a non-finite v.
+    sqrt(kappa_c) I. The wedge passes do not depend on d, but ``_qhf_blocks``
+    builds and checks the full (4d + 3)-square system, so the cost grows
+    with d. No zero within that horizon contradicts the bounds and raises
+    RuntimeError. Raises ``DomainError`` on a non-finite v.
     """
     return _conjugate_time(d, v)[0]
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "DomainError",
-    "ThetaPair",
     "BlowUpTime",
     "eval_s_kc",
     "blowup_time_kc",
@@ -38,7 +37,6 @@ __all__ = [
     "upper_bound_kab",
     "DiameterCertificate",
     "diameter_certificate",
-    "DIAMETER_THRESHOLD",
 ]
 
 # Imaginary parts above this are a bug, not roundoff.
@@ -60,34 +58,6 @@ def _real(z: complex, what: str) -> float:
     if abs(z.imag) > _IM_TOL * max(1.0, abs(z.real)):
         raise FloatingPointError(f"{what}: unexpected imaginary part {z.imag:.3e}")
     return z.real
-
-
-@dataclass(frozen=True)
-class ThetaPair:
-    """Frequency pair of the two-frequency model.
-
-    x = kappa_b/2 and y = sqrt(kappa_b**2 + 4*kappa_a)/2 with the principal
-    square root; theta_pm = (sqrt(x+y) +- sqrt(x-y))/2. The map is inverted
-    by kappa_b = 2*(tp**2 + tm**2) and kappa_a = -(tp**2 - tm**2)**2.
-    """
-
-    x: complex
-    y: complex
-    theta_plus: complex
-    theta_minus: complex
-
-    @property
-    def kappa_a(self) -> float:
-        return _real(-((self.theta_plus**2 - self.theta_minus**2) ** 2), "kappa_a")
-
-    @property
-    def kappa_b(self) -> float:
-        return _real(2 * (self.theta_plus**2 + self.theta_minus**2), "kappa_b")
-
-    def coincident(self) -> bool:
-        """True when the two frequencies agree to relative tolerance."""
-        scale = max(abs(self.theta_plus), 1.0)
-        return abs(self.theta_plus - self.theta_minus) < _THETA_COINCIDE * scale
 
 
 @dataclass(frozen=True)
@@ -160,13 +130,18 @@ def eval_s_kc(kappa_c: float, t: float) -> float:
 # two-frequency model
 # ----------------------------------------------------------------------
 
-def theta_from_kappas(kappa_a: float, kappa_b: float) -> ThetaPair:
-    """Frequency pair for the two-frequency model, principal branches."""
+def theta_from_kappas(kappa_a: float, kappa_b: float) -> tuple[complex, complex]:
+    """(theta_plus, theta_minus) of the two-frequency model, principal branches.
+
+    With x = kappa_b/2 and y = sqrt(kappa_b**2 + 4*kappa_a)/2, theta_pm =
+    (sqrt(x+y) +- sqrt(x-y))/2. The map is inverted by kappa_b = 2*(tp**2 +
+    tm**2) and kappa_a = -(tp**2 - tm**2)**2.
+    """
     x = complex(kappa_b) / 2.0
     y = cmath.sqrt(complex(kappa_b * kappa_b + 4.0 * kappa_a)) / 2.0
     sp = cmath.sqrt(x + y)
     sm = cmath.sqrt(x - y)
-    return ThetaPair(x=x, y=y, theta_plus=(sp + sm) / 2.0, theta_minus=(sp - sm) / 2.0)
+    return (sp + sm) / 2.0, (sp - sm) / 2.0
 
 
 def _csinc(z: complex) -> complex:
@@ -215,8 +190,7 @@ def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
             f"t={t} outside (0, {tbar.time}) for (kappa_a, kappa_b)="
             f"({kappa_a}, {kappa_b})"
         )
-    th = theta_from_kappas(kappa_a, kappa_b)
-    tp, tm = th.theta_plus, th.theta_minus
+    tp, tm = theta_from_kappas(kappa_a, kappa_b)
     tp2, tm2 = tp * tp, tm * tm
     # The quotient depends on the frequencies only through their squares,
     # and degenerates to 0/0 in three situations: coincident frequencies,
@@ -224,7 +198,7 @@ def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
     # and sinc arguments too small to resolve the difference. All three
     # are served by the analytic limit at the root-mean-square frequency.
     if (
-        th.coincident()
+        abs(tp - tm) < _THETA_COINCIDE * max(abs(tp), 1.0)
         or abs(tp2 - tm2) < _THETA_COINCIDE * max(abs(tp2), 1.0)
         or max(abs(tp), abs(tm)) * t < 1e-4
     ):
@@ -323,7 +297,8 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
     the blow-up is the unique root of alpha*tan(alpha*t) +
     beta*tanh(beta*t) on (pi/(2*alpha), pi/alpha), evaluated in the
     pole-free form alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t)
-    and found by ``_brentq`` to 1e-12.
+    and found by ``_brentq`` to 1e-12 min(1, pi/(2*alpha)) in t, so that
+    the tolerance is relative on short time scales.
     Raises ``DomainError`` when kappa_a or kappa_b is NaN or infinite, and
     ``FloatingPointError`` when a frequency overflows or alpha^2 underflows.
     """
@@ -333,8 +308,7 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
         # predicate enforced kappa_b > 0 here (disc = kappa_b**2 > 0)
         return BlowUpTime.finite(2.0 * math.pi / math.sqrt(kappa_b))
     if kappa_a < 0.0:
-        th = theta_from_kappas(kappa_a, kappa_b)
-        tp, tm = th.theta_plus.real, th.theta_minus.real  # both real, tp > tm > 0
+        tp, tm = (th.real for th in theta_from_kappas(kappa_a, kappa_b))  # both real, tp > tm > 0
         lo, hi = math.pi / tp, math.pi / tm
         start = max(lo, (math.pi - math.asin(tm / tp)) / tm)
         knots = sorted({start, hi}.union(
@@ -385,7 +359,7 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
         return BlowUpTime.finite(lo)
     if g(hi) >= 0.0:
         return BlowUpTime.finite(hi)
-    return BlowUpTime.finite(_brentq(g, lo, hi, xtol=1e-12))
+    return BlowUpTime.finite(_brentq(g, lo, hi, xtol=1e-12 * min(1.0, lo)))
 
 
 def upper_bound_kab(kappa_a: float, kappa_b: float) -> float:
@@ -395,8 +369,7 @@ def upper_bound_kab(kappa_a: float, kappa_b: float) -> float:
     exactly when kappa_a = 0. ``DomainError`` on NaN or infinite input.
     """
     _check_kappas(kappa_a, kappa_b)
-    th = theta_from_kappas(kappa_a, kappa_b)
-    denom = 2.0 * th.theta_minus.real  # sqrt(x+y) - sqrt(x-y) = 2*theta_minus
+    denom = 2.0 * theta_from_kappas(kappa_a, kappa_b)[1].real  # sqrt(x+y) - sqrt(x-y) = 2*theta_minus
     if denom <= 0.0:
         return math.inf
     return 2.0 * math.pi / denom
@@ -405,10 +378,6 @@ def upper_bound_kab(kappa_a: float, kappa_b: float) -> float:
 # ----------------------------------------------------------------------
 # diameter-type certificate
 # ----------------------------------------------------------------------
-
-#: Vertical-momentum threshold above which Re(theta_minus) > 1 directly.
-DIAMETER_THRESHOLD = math.sqrt(8.0 / 7.0)
-
 
 @dataclass(frozen=True)
 class DiameterCertificate:
@@ -441,8 +410,8 @@ def diameter_certificate(v_norm: float, K: float) -> DiameterCertificate:
     kappa_a = s * (1.5 * K - 3.5 - 1.875 * s)
     kappa_b = 4.0 + 5.0 * s
     tbar = blowup_time_kab(kappa_a, kappa_b)
-    th = theta_from_kappas(kappa_a, kappa_b)
-    chi = _csinc(th.theta_minus * math.pi) ** 2 - _csinc(th.theta_plus * math.pi) ** 2
+    tp, tm = theta_from_kappas(kappa_a, kappa_b)
+    chi = _csinc(tm * math.pi) ** 2 - _csinc(tp * math.pi) ** 2
     if kappa_a > 0.0:
         chi = -1j * chi  # Re(-i chi) = Im chi; _real checks that Re chi vanishes
     return DiameterCertificate(

@@ -16,7 +16,7 @@ computed by one products-only exponential, ``_expm``, and no ODE is solved.
 Provided here:
 
 * ``integrate_jacobi`` and ``JacobiSolution``: exp(tH) at any t, the
-  Riccati quotient V, and symplectic and Riccati residual diagnostics;
+  Riccati quotient V and the symplectic residual;
 * ``first_blowup``, with one zero rule for every multiplicity: det N
   vanishes when an eigenphase of the Lagrangian plane [M; N] reaches pi
   (the Maslov view), and the phases are stepped by exp(h H) and never decrease;
@@ -28,10 +28,11 @@ Provided here:
   of expm(h H2), H2 the additive compound of H, with a step short enough
   for its oscillation and guarded against growth; ``UnverifiableError``.
 
-Every det N zero is refined by ``models._brentq`` to ``_XTOL`` = 1e-12 in t.
-On the wedge route that is the root of a Taylor polynomial taken from the
-rescaled vector of the step before, which carries the rounding of every
-step up to it; the zero is as accurate as that vector (7.9e-10 at
+Every det N zero is refined by ``models._brentq``: in ``first_blowup`` to
+``_XTOL`` = 1e-12 in t, relative below t_max = 1; on the wedge route to
+1e-12 in the offset into a step, as the root of a Taylor polynomial taken
+from the rescaled vector of the step before, which carries the rounding of
+every step up to it. That zero is as accurate as that vector (7.9e-10 at
 (kappa_a, kappa_b) = (-2.28, 3.07), tbar = 26.8).
 """
 
@@ -169,26 +170,6 @@ class JacobiSolution:
         M, N = self._blocks(t)
         return np.linalg.solve(N.T, M.T).T
 
-    def symmetry_residual(self, t: float) -> float:
-        V = self.V(t)
-        return float(np.linalg.norm(V - V.T))
-
-    def inverse_norm(self, t: float) -> float:
-        """Norm of V(t)^{-1} = N(t) M(t)^{-1}, which tends to 0 as t -> 0.
-
-        Computed from the (M, N) pair directly, so it stays finite and
-        meaningful arbitrarily close to t = 0 where V itself diverges.
-        """
-        M, N = self._blocks(t)
-        return float(np.linalg.norm(np.linalg.solve(M.T, N.T).T))
-
-    def riccati_residual(self, t: float, h: float = 1e-5) -> float:
-        """Norm of V' + A^T V + V A + Q + V B V, V' by centered difference."""
-        V = self.V(t)
-        dV = (self.V(t + h) - self.V(t - h)) / (2.0 * h)
-        R = dV + self.A.T @ V + V @ self.A + self.Q + V @ self.B @ V
-        return float(np.linalg.norm(R))
-
 
 def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
     """The Jacobi system with constant symmetric Q on [0, t_max].
@@ -207,7 +188,7 @@ def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
 
 #: Most an eigenphase of the plane may turn in one step of first_blowup.
 _TURN = 0.25 * math.pi
-#: Absolute time tolerance of every refinement of a det N zero.
+#: Time tolerance of a refinement of a det N zero, scaled by min(1, t_max) in first_blowup.
 _XTOL = 1e-12
 #: Most steps a pass of first_blowup or of the wedge route may take (the
 #: wedge keeps 8 MB of det N coordinates there).
@@ -272,12 +253,13 @@ def first_blowup(sol: JacobiSolution) -> BlowUpTime:
     plane [M; N] start at 0 and never decrease, and the first zero is the first
     time the largest reaches pi; until then a phase mod pi is its lift. A step
     of ``_steps`` holds a zero when fewer phases lie between its cut and pi at
-    its end than at its start, m. ``_brentq`` refines the zero to 1e-12 on
-    the m-th phase past the cut, less pi, as a function of the offset in the
-    step, with the pass's own values at both ends. ``ValueError`` unless B is
-    positive semidefinite; ``UnverifiableError`` if a phase stays at 0 after the
-    first step (det N vanishes to working precision) or moves back through pi,
-    if the phases leave no gap for a cut, or if the pass needs more than 2^20 steps.
+    its end than at its start, m. ``_brentq`` refines the zero to 1e-12
+    min(1, t_max) on the m-th phase past the cut, less pi, as a function of
+    the offset in the step, with the pass's own values at both ends.
+    ``ValueError`` unless B is positive semidefinite; ``UnverifiableError``
+    if a phase stays at 0 after the first step (det N vanishes to working
+    precision) or moves back through pi, if the phases leave no gap for a
+    cut, or if the pass needs more than 2^20 steps.
     """
     Hc, rate = _scaled(sol)
     for t, h, z, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
@@ -287,7 +269,7 @@ def first_blowup(sol: JacobiSolution) -> BlowUpTime:
             raise UnverifiableError(f"an eigenphase stays at 0 or moves back through pi on [{t:.17g}, {t + h:.17g}]")
         if m1 < m:
             past = lambda s: np.sort(psi0 if s == 0.0 else psi1 if s == h else (_phases(_expm(s * Hc) @ Y)[1] + z) % math.pi)[m - 1] - z
-            return BlowUpTime.finite(t + _brentq(past, 0.0, h, xtol=_XTOL))
+            return BlowUpTime.finite(t + _brentq(past, 0.0, h, xtol=_XTOL * min(1.0, sol.t_max)))
     return BlowUpTime.infinite()
 
 

@@ -143,6 +143,15 @@ class TestBlowup:
         assert [r["check_ok"] for r in rows] == ["true"] * 3
         assert "verification passed" in capsys.readouterr().out
 
+    def test_sweep_keeps_the_kc_row(self, tmp_path):
+        # beside --sweep, the kc row was dropped without an error
+        out = tmp_path / "b.csv"
+        assert run_cli(["blowup", "--sweep=-1:1:3", "--kb", "2", "--kc", "4", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [r["model"] for r in rows] == ["two-frequency"] * 3 + ["single-frequency"]
+        assert [r["index"] for r in rows] == ["0", "1", "2", "3"]
+        assert float(rows[-1]["tbar"]) == pytest.approx(math.pi / 2.0)
+
     def test_verify_tolerance_is_relative_to_tbar(self, tmp_path, capsys):
         # tbar ~ 22.6: the wedge time is 1.08e-9 off, 4.8e-11 relative
         argv = ["blowup", "--ka=-1.4809188885826128", "--kb", "2.510734369691354",

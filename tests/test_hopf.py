@@ -26,9 +26,9 @@ from fatcomp import riccati
 from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
 from fatcomp.hopf import (
     DomainError,
+    ExtremalState,
     _qhf_blocks,
     _qhf_jacobi,
-    build_frames,
     conjugate_time,
     initial_state,
     integrate_extremal,
@@ -44,6 +44,18 @@ from fatcomp.structure import FatDims, build_structural
 def random_unit(rng, m):
     q = rng.standard_normal(m)
     return q / np.linalg.norm(q)
+
+
+def reeb_frame(q, d):
+    """(xis, pr): the Reeb fields K_alpha q at q as rows, and the projection
+    onto the horizontal space, the complement of q and the xis."""
+    xis = np.vstack([K @ q for K in reeb_generators(d)])
+
+    def pr(X):
+        X = X - q * (q @ X)
+        return X - xis.T @ (xis @ X)
+
+    return xis, pr
 
 
 def qhf_jacobi_quotient(d, v, t_max):
@@ -111,38 +123,39 @@ class TestFrames:
         assert np.abs(KI @ KJ - KJ @ KI + 2.0 * KK).max() == 0.0
 
     def test_reeb_frame_is_orthonormal(self):
-        fr = build_frames(random_unit(np.random.default_rng(4), 12), 2)
-        G = np.vstack([fr.q, fr.xis]) @ np.vstack([fr.q, fr.xis]).T
+        q = random_unit(np.random.default_rng(4), 12)
+        xis, _ = reeb_frame(q, 2)
+        G = np.vstack([q, xis]) @ np.vstack([q, xis]).T
         assert np.abs(G - np.eye(4)).max() < 1e-12
 
     def test_phi_squares_to_minus_identity_on_horizontal(self):
         # phi_alpha X, the horizontal part of J_alpha X = -K_alpha X
         rng = np.random.default_rng(9)
-        fr = build_frames(random_unit(rng, 8), 1)
-        X = fr.pr(rng.standard_normal(8))
+        _, pr = reeb_frame(random_unit(rng, 8), 1)
+        X = pr(rng.standard_normal(8))
         for K in reeb_generators(1):
-            assert np.abs(fr.pr(K @ fr.pr(K @ X)) + X).max() < 1e-12
+            assert np.abs(pr(K @ pr(K @ X)) + X).max() < 1e-12
 
     def test_phi_composition_is_quaternionic(self):
         rng = np.random.default_rng(10)
-        fr = build_frames(random_unit(rng, 12), 2)
-        X = fr.pr(rng.standard_normal(12))
-        phi_I, phi_J, phi_K = (lambda Y, K=K: fr.pr(-K @ Y) for K in reeb_generators(2))
+        _, pr = reeb_frame(random_unit(rng, 12), 2)
+        X = pr(rng.standard_normal(12))
+        phi_I, phi_J, phi_K = (lambda Y, K=K: pr(-K @ Y) for K in reeb_generators(2))
         assert np.abs(phi_I(phi_J(X)) - phi_K(X)).max() < 1e-12
 
     def test_projection_is_idempotent(self):
         rng = np.random.default_rng(11)
-        fr = build_frames(random_unit(rng, 8), 1)
+        xis, pr = reeb_frame(random_unit(rng, 8), 1)
         X = rng.standard_normal(8)
-        assert np.abs(fr.pr(fr.pr(X)) - fr.pr(X)).max() < 1e-12
-        assert np.abs(fr.pr(fr.xi_J)).max() < 1e-12
-        assert np.abs(fr.eta(fr.xi_K) - np.array([0.0, 0.0, 1.0])).max() < 1e-12
+        assert np.abs(pr(pr(X)) - pr(X)).max() < 1e-12
+        assert np.abs(pr(xis[1])).max() < 1e-12
+        assert np.abs(xis @ xis[2] - np.array([0.0, 0.0, 1.0])).max() < 1e-12
 
     def test_rejects_bad_points(self):
         with pytest.raises(DomainError):
-            build_frames(np.ones(8), 1)
-        with pytest.raises(ValueError):
-            build_frames(random_unit(np.random.default_rng(0), 8), 2)
+            initial_state(1, [0.0, 0.0, 0.0], q=np.ones(8))
+        with pytest.raises(ValueError, match="length 12"):
+            initial_state(2, [0.0, 0.0, 0.0], q=random_unit(np.random.default_rng(0), 8))
 
 
 # ----------------------------------------------------------------------
@@ -156,10 +169,10 @@ class TestInitialState:
             st0 = initial_state(d, v)
             assert abs(st0.H - 0.5) < 1e-12, f"H = {st0.H}"
             assert np.abs(st0.v - np.asarray(v)).max() < 1e-12
-            gd = st0.gdot
+            xis, pr = reeb_frame(st0.q, d)
+            gd = pr(st0.p)  # the horizontal velocity
             assert abs(gd @ gd - 1.0) < 1e-12
-            fr = build_frames(st0.q, d)
-            assert np.abs(fr.eta(gd)).max() < 1e-12, "velocity not horizontal"
+            assert np.abs(xis @ gd).max() < 1e-12, "velocity not horizontal"
 
     def test_custom_footpoint(self):
         rng = np.random.default_rng(21)
@@ -185,10 +198,9 @@ class TestExtremalFlow:
 
     def test_zero_momentum_traces_a_great_circle(self):
         res = integrate_extremal(initial_state(1, [0, 0, 0]), 2.0 * math.pi)
-        assert np.abs(res.states[-1].q - res.states[0].q).max() < 1e-7
+        assert np.abs(res.q[-1] - res.q[0]).max() < 1e-7
         # halfway around, the point is antipodal
-        mid = res.states[len(res.states) // 2]
-        assert np.abs(mid.q + res.states[0].q).max() < 1e-6
+        assert np.abs(res.q[len(res.q) // 2] + res.q[0]).max() < 1e-6
 
     def test_conserved_quantities(self):
         st0 = initial_state(2, [0.5, -0.2, 0.3], seed_direction=np.arange(12.0) + 1.0)
@@ -204,11 +216,12 @@ class TestExtremalFlow:
         dim = 4 * (d + 1)
         st0 = initial_state(d, 1.7 * random_unit(rng, 3), q=random_unit(rng, dim), seed_direction=rng.standard_normal(dim))
         res = integrate_extremal(st0, 2.0 * math.pi)
-        assert len(res.states) == res.ts.size == 257
-        h = max(abs(st.H - 0.5) for st in res.states)
-        v = max(float(np.abs(st.v - st0.v).max()) for st in res.states)
-        norm = max(abs(float(np.linalg.norm(st.q)) - 1.0) for st in res.states)
-        gauge = max(abs(float(st.p @ st.q)) for st in res.states)
+        assert res.q.shape == res.p.shape == (res.ts.size, dim) == (257, dim)
+        states = [ExtremalState(d, q, p) for q, p in zip(res.q, res.p)]
+        h = max(abs(st.H - 0.5) for st in states)
+        v = max(float(np.abs(st.v - st0.v).max()) for st in states)
+        norm = max(abs(float(np.linalg.norm(st.q)) - 1.0) for st in states)
+        gauge = max(abs(float(st.p @ st.q)) for st in states)
         for got, want in zip((res.h_drift, res.v_drift, res.norm_drift, res.gauge_drift), (h, v, norm, gauge)):
             assert abs(got - want) <= 1e-15
 
@@ -226,7 +239,7 @@ class TestExtremalFlow:
             v = nv * random_unit(rng, 3)
             st0 = initial_state(d, v, q=random_unit(rng, dim), seed_direction=rng.standard_normal(dim))
             res = integrate_extremal(st0, 5.0, n_samples=41)
-            got = np.array([np.concatenate([st.q, st.p]) for st in res.states])
+            got = np.hstack([res.q, res.p])
             err = np.abs(got - dop853_extremal(st0, res.ts)).max()
             assert err < 1e-9, f"|v| = {nv}: closed form off the DOP853 flow by {err:.3e}"
             drift = max(res.h_drift, res.v_drift, res.norm_drift, res.gauge_drift)
@@ -291,8 +304,10 @@ class TestConjugateTime:
         assert res.margins == (res.margin_kab, other)
 
     def test_reported_kappas(self):
+        # the bound is the model time of the fibration's own constants
         res = conjugate_time(1, [0.5, 0.0, 0.0])
-        assert res.kappas == qhf_kappas([0.5, 0.0, 0.0])
+        kappa_a, kappa_b, _ = qhf_kappas([0.5, 0.0, 0.0])
+        assert res.bound_kab == blowup_time_kab(kappa_a, kappa_b)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 16, 64])
     def test_closed_form_conjugate_time(self, d):

@@ -28,10 +28,8 @@ from scipy.optimize import brentq
 
 from fatcomp import models, riccati
 from fatcomp.models import (
-    DIAMETER_THRESHOLD,
     BlowUpTime,
     DomainError,
-    ThetaPair,
     blowup_time_kab,
     blowup_time_kc,
     diameter_certificate,
@@ -192,35 +190,42 @@ class TestSingleFrequencyModel:
 # Test Class: frequency-pair algebra
 # ----------------------------------------------------------------------
 
+def coincident(tp: complex, tm: complex) -> bool:
+    """The frequencies agree to the relative tolerance of the limit route."""
+    return abs(tp - tm) < models._THETA_COINCIDE * max(abs(tp), 1.0)
+
+
 class TestThetaPair:
     """The two-frequency map and its inverse."""
 
     def test_degenerate_pair_is_coincident(self):
-        th = theta_from_kappas(0.0, 4.0)
-        assert abs(th.theta_plus - 1.0) < 1e-15
-        assert abs(th.theta_minus - 1.0) < 1e-15
-        assert th.coincident()
+        tp, tm = theta_from_kappas(0.0, 4.0)
+        assert abs(tp - 1.0) < 1e-15
+        assert abs(tm - 1.0) < 1e-15
+        assert coincident(tp, tm)
 
     def test_conjugate_pair(self):
-        th = theta_from_kappas(1.0, 0.0)
-        assert abs(th.theta_plus - (0.5 + 0.5j)) < 1e-15
-        assert abs(th.theta_minus - (0.5 - 0.5j)) < 1e-15
-        assert not th.coincident()
+        tp, tm = theta_from_kappas(1.0, 0.0)
+        assert abs(tp - (0.5 + 0.5j)) < 1e-15
+        assert abs(tm - (0.5 - 0.5j)) < 1e-15
+        assert not coincident(tp, tm)
 
     def test_real_pair(self):
-        th = theta_from_kappas(-3.0, 4.0)
-        assert abs(th.theta_plus - (math.sqrt(3) + 1) / 2) < 1e-15
-        assert abs(th.theta_minus - (math.sqrt(3) - 1) / 2) < 1e-15
+        tp, tm = theta_from_kappas(-3.0, 4.0)
+        assert abs(tp - (math.sqrt(3) + 1) / 2) < 1e-15
+        assert abs(tm - (math.sqrt(3) - 1) / 2) < 1e-15
 
     @given(kappa_any, kappa_any)
     @settings(max_examples=300)
     def test_kappa_round_trip(self, ka, kb):
-        th = theta_from_kappas(ka, kb)
-        assert abs(th.kappa_a - ka) < 1e-9 * max(1.0, abs(ka)), (
-            f"kappa_a round trip: {th.kappa_a} != {ka}"
+        # the inverse map: kappa_a = -(tp^2 - tm^2)^2, kappa_b = 2 (tp^2 + tm^2)
+        tp, tm = theta_from_kappas(ka, kb)
+        ka_back, kb_back = -((tp**2 - tm**2) ** 2), 2 * (tp**2 + tm**2)
+        assert abs(ka_back - ka) < 1e-9 * max(1.0, abs(ka)), (
+            f"kappa_a round trip: {ka_back} != {ka}"
         )
-        assert abs(th.kappa_b - kb) < 1e-9 * max(1.0, abs(kb)), (
-            f"kappa_b round trip: {th.kappa_b} != {kb}"
+        assert abs(kb_back - kb) < 1e-9 * max(1.0, abs(kb)), (
+            f"kappa_b round trip: {kb_back} != {kb}"
         )
 
 
@@ -308,6 +313,15 @@ class TestBlowupTimeTwoFrequency:
         assert abs(scaled.time - tbar.time / a) < 1e-9 * tbar.time, (
             f"tbar({a}^4 ka, {a}^2 kb) = {scaled.time} != {tbar.time / a}"
         )
+
+    @pytest.mark.parametrize("ka,kb", [(1.0, 0.0), (1.0, 2.0), (2.0, -1.0)])
+    def test_conjugate_pair_scales_down_to_tiny_times(self, ka, kb):
+        # s tbar(s^4 ka, s^2 kb) = tbar(ka, kb): an absolute tolerance of
+        # 1e-12 returned the bracket end pi/alpha from s = 1e50
+        tbar = blowup_time_kab(ka, kb).time
+        for s in np.geomspace(1e-3, 1e75, 79):
+            scaled = s * blowup_time_kab(s**4 * ka, s**2 * kb).time
+            assert abs(scaled - tbar) <= 1e-12 * tbar, f"s = {s:.3e}: {scaled!r} vs {tbar!r}"
 
     @pytest.mark.parametrize("ka,kb,bits", TBAR_BITS)
     def test_frozen_bits(self, ka, kb, bits):
@@ -443,8 +457,9 @@ class TestDiameterCertificate:
         assert cert.passes
 
     def test_momentum_above_threshold(self):
+        # above |v| = sqrt(8/7), Re(theta_minus) > 1 and so upper_bound_kab < pi
         cert = diameter_certificate(1.2, 1.0)
-        assert 1.2 > DIAMETER_THRESHOLD
+        assert theta_from_kappas(cert.kappa_a, cert.kappa_b)[1].real > 1.0
         assert cert.tbar.time < math.pi
         assert cert.passes
 

@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 18 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 20 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -31,6 +31,10 @@ CALLS = [
     ["blowup", "--ka=-8.999999872840394", "--kb", "9.999999957613465", "--verify"],
     # a zero divisor in the interpolation step of the Brent port
     ["blowup", "--ka", "1.5684445943827328e-254", "--kb", "0", "--verify"],
+    # the kc row follows the sweep rows
+    ["blowup", "--sweep=-1:1:3", "--kb", "2", "--kc", "4", "--verify"],
+    # tbar = 3.1e-150: first_blowup refines to a relative tolerance
+    ["blowup", "--kc", "1e300", "--verify"],
     ["conjugate", "--d", "1", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "2", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "16", "--sweep", "0:3:30", "--verify"],
