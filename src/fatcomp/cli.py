@@ -97,7 +97,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
         type=float,
         default=1e-9,
         help="numeric tolerance recorded and enforced per row: blowup --verify "
-        "accepts |check_tbar - tbar| <= tol * max(1, tbar), laplacian --verify "
+        "accepts |check_tbar - tbar| <= tol * tbar, laplacian --verify "
         "margin >= -tol * max(1, |model_rhs|), conjugate --verify every bound "
         "margin >= -tol",
     )
@@ -248,7 +248,7 @@ def _blowup_row_kab(idx: int, ka: float, kb: float, args) -> dict:
                 hit = wedge_first_zero(a_I, b_I, Q, 1.05 * tbar.time + 0.1)
                 row["check_tbar"] = hit.time
                 row["check_err"] = abs(hit.time - tbar.time)
-                row["check_ok"] = row["check_err"] <= args.tol * max(1.0, tbar.time)
+                row["check_ok"] = row["check_err"] <= args.tol * tbar.time
             else:
                 changes, _ = wedge_det_sign_changes(a_I, b_I, Q, args.tmax)
                 row["check_ok"] = changes == 0
@@ -277,7 +277,7 @@ def _blowup_row_kc(idx: int, kc: float, args) -> dict:
             hit = first_blowup(sol)
             row["check_tbar"] = hit.time
             row["check_err"] = abs(hit.time - tbar.time)
-            row["check_ok"] = row["check_err"] <= args.tol * max(1.0, tbar.time)
+            row["check_ok"] = row["check_err"] <= args.tol * tbar.time
         else:
             # first_blowup steps horizon * sqrt|kc| / (pi/4) times; the cap keeps that below 400
             horizon = min(args.tmax, 300.0 / max(1.0, math.sqrt(abs(kc))))

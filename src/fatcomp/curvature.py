@@ -209,29 +209,22 @@ class CurvatureBlocks:
         return R
 
 
-def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
-    """Place the canonical curvature blocks into R0 = R(0).
+def _b_sign() -> float:
+    """-1.0 when the environment variable FATCOMP_FAULT=curvature-sign, else
+    1.0: the sign of the b block of R0 wherever it is built. This is a
+    fault-injection hook for exercising the verification pipeline and
+    must stay off otherwise."""
+    return -1.0 if os.environ.get("FATCOMP_FAULT") == "curvature-sign" else 1.0
 
-    The supplied c basis is rotated so the motion direction sits last,
-    and the resulting R_cc must then have last row and column below
-    1e-8 max(1, max|R_cc|), otherwise the inputs are inconsistent with a
-    curvature-free motion direction and a ValueError is raised. The test
-    is relative because R_cc grows like |v|^2.
 
-    Setting the environment variable FATCOMP_FAULT=curvature-sign flips
-    the sign of the b block; this is a fault-injection hook for
-    exercising the verification pipeline and must stay off otherwise.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape != (3,):
-        raise ValueError(f"v must have three components, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise DomainError(f"v must be finite, got {v}")
+def _ab_curvature(v: np.ndarray, ABA, ABdotA) -> np.ndarray:
+    """R0 on the a and b groups, the 6x6 [[R_aa, R_ab], [R_ab^T, R_bb]]: a
+    function of v, ABA and ABdotA alone, whatever d is."""
     s = float(v @ v)
     V = vee(v)
     V2 = V @ V
-    ABA = np.asarray(inputs.ABA, dtype=float)
-    ABdotA = np.asarray(inputs.ABdotA, dtype=float)
+    ABA = np.asarray(ABA, dtype=float)
+    ABdotA = np.asarray(ABdotA, dtype=float)
 
     base_aa = (
         0.75 * (ABdotA @ V + V.T @ ABdotA)
@@ -240,9 +233,29 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
         + (12.0 + (45.0 / 16.0) * s) * V2
     )
     base_ab = 0.75 * (V @ ABA + ABA @ V) + (1.5 * s - 4.0) * V
-    base_bb = ABA + 4.0 * s * np.eye(3) - 1.5 * V2
-    if os.environ.get("FATCOMP_FAULT") == "curvature-sign":
-        base_bb = -base_bb
+    base_bb = _b_sign() * (ABA + 4.0 * s * np.eye(3) - 1.5 * V2)
+    R = np.empty((6, 6))
+    R[:3, :3], R[:3, 3:], R[3:, :3], R[3:, 3:] = base_aa, base_ab, base_ab.T, base_bb
+    return R
+
+
+def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
+    """Place the canonical curvature blocks into R0 = R(0).
+
+    The a/b rows and columns are ``_ab_curvature``, whose b block takes
+    the sign of the FATCOMP_FAULT hook ``_b_sign``. The supplied c basis
+    is rotated so the motion direction sits last, and the resulting R_cc
+    must then have last row and column below 1e-8 max(1, max|R_cc|),
+    otherwise the inputs are inconsistent with a curvature-free motion
+    direction and a ValueError is raised. The test is relative because
+    R_cc grows like |v|^2.
+    """
+    v = np.asarray(v, dtype=float).ravel()
+    if v.shape != (3,):
+        raise ValueError(f"v must have three components, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise DomainError(f"v must be finite, got {v}")
+    s = float(v @ v)
 
     w = np.asarray(inputs.w, dtype=float)
     u = w - np.eye(w.size)[-1]  # P = I - 2 u u^T sends w to the last axis; P = I if w is there
@@ -261,7 +274,8 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     dims = FatDims(k=4 * inputs.d, n=4 * inputs.d + 3)
     a, b, c = dims.sl_a, dims.sl_b, dims.sl_c
     R0 = np.zeros((dims.n, dims.n))
-    R0[a, a], R0[b, b], R0[c, c] = base_aa, base_bb, R_cc
-    R0[a, b], R0[a, c], R0[b, c] = base_ab, 1.5 * V @ ABU_rot, ABU_rot
-    R0[b, a], R0[c, a], R0[c, b] = R0[a, b].T, R0[a, c].T, R0[b, c].T
+    R0[c, c] = R_cc
+    R0[: c.start, : c.start] = _ab_curvature(v, inputs.ABA, inputs.ABdotA)
+    R0[a, c], R0[b, c] = 1.5 * vee(v) @ ABU_rot, ABU_rot
+    R0[c, a], R0[c, b] = R0[a, c].T, R0[b, c].T
     return CurvatureBlocks(dims=dims, v=v, R0=R0)

@@ -21,10 +21,13 @@ fat pair (k, n) = (4d, 4d + 3). Its curvature R(t) = P R0 P^T, P =
 exp(tW), comes from ``fatcomp.curvature``, and P commutes with the
 structural pair (A, B). So (P^T M, P^T N) solve the constant system
 (A - W, B, R0) of ``_qhf_system``, whose N has the singular values and
-det of the lab-frame N. It is block diagonal (``_qhf_blocks``): a real and a
-complex type-I pair, the c block with Q = kappa_c I, and the motion row.
-``conjugate_time`` takes the first det N zero over the blocks, and
-``sublaplacian_along`` sums their trace(B V), the same in both frames.
+det of the lab-frame N. It is block diagonal, and each block follows from
+v alone: the a/b 6x6 (``_ab_system``), which the frame v = |v| e1 splits into
+a real and a complex type-I pair (``_qhf_pairs``); the c block, Q = kappa_c I;
+and the motion row. ``conjugate_time`` takes the first det N zero over the
+blocks and ``sublaplacian_along`` sums their trace(B V), the same in both
+frames, so neither cost depends on d. The (4d + 3)-square system is the
+oracle of the tests and of the qhf-conjugate checks.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import curvature_blocks, qhf_curvature_inputs
+from .curvature import _ab_curvature, _b_sign, curvature_blocks, qhf_curvature_inputs, vee
 from .models import (
     BlowUpTime,
     DomainError,
@@ -44,7 +47,7 @@ from .models import (
     eval_s_kab,
     eval_s_kc,
 )
-from .riccati import UnverifiableError, integrate_jacobi, wedge_first_zero
+from .riccati import integrate_jacobi, wedge_first_zero
 from .structure import build_structural, typeI_pair
 
 __all__ = [
@@ -299,56 +302,44 @@ def _qhf_jacobi(d: int, v, t_max: float):
     return integrate_jacobi(*_qhf_system(d, v), t_max)
 
 
-#: a/b coordinates after diag(R, R): (a1, b1), and (a2, a3, b2, b3) for a2 + i a3, b2 + i b3
-_REAL, _CPLX = [0, 3], [1, 2, 4, 5]
-_J_PAIR = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])  # i on (a2, a3) and on (b2, b3)
+def _ab_system(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A - W, B, R0) of ``_qhf_system`` on the a and b groups: its first six
+    rows and columns, entry for entry, whatever d is."""
+    A = np.eye(6, k=3)
+    A[:3, :3] = A[3:, 3:] = -1.5 * vee(v)
+    B = np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    inputs = qhf_curvature_inputs(1, v)  # its ABA and ABdotA do not depend on d
+    return A, B, _ab_curvature(v, inputs.ABA, inputs.ABdotA)
 
 
-def _qhf_blocks(d: int, v):
-    """``_qhf_system`` on its blocks, read off (A - W, B, R0):
-    the a/b 6x6, the c block (A = 0, B = I, Q = kappa_c I, d >= 2) and the
-    free motion row. diag(R, R), R e1 = +-v/|v|, splits the a/b block into the
-    real type-I pair on (a1, b1) and the complex pair (A_I + i mu I, B_I, Q_c)
-    on (a2 + i a3, b2 + i b3), Q_c Hermitian; the shift only turns det N by
-    exp(2 i mu t) and is dropped. Returns the a/b (A, B, Q), the two pairs and
-    kappa_c (None at d = 1); ``UnverifiableError`` if a coupling, the J
-    commutator or a non-scalar shift or c block passes 1e-12 max|Q|."""
-    A, B, Q = _qhf_system(d, v)
-    ab = A[:6, :6], B[:6, :6], Q[:6, :6]
-    R = np.linalg.qr(np.column_stack([v, np.eye(3)]))[0] if v.any() else np.eye(3)  # R e1 = +-v/|v|
-    kappa_c = float(Q[6, 6]) if d >= 2 else None
-    residual = max(np.abs(Q[:6, 6:]).max(), np.abs(Q[6:, 6:] - np.diag([kappa_c or 0.0] * (4 * d - 4) + [0.0])).max())
-    real, cplx = [], []
-    for X in (ab[0], ab[2]):
-        X = np.kron(np.eye(2), R.T) @ X @ np.kron(np.eye(2), R)
-        Xc = X[np.ix_(_CPLX, _CPLX)]
-        coupling = max(np.abs(X[np.ix_(_REAL, _CPLX)]).max(), np.abs(X[np.ix_(_CPLX, _REAL)]).max())
-        residual = max(residual, coupling, np.abs(Xc @ _J_PAIR - _J_PAIR @ Xc).max())
-        real.append(X[np.ix_(_REAL, _REAL)])
-        cplx.append(Xc[0::2, 0::2] + 1j * Xc[1::2, 0::2])
-    (A_c, Q_c), B_I = cplx, typeI_pair()[1]
-    residual = max(residual, np.abs(A_c.imag - A_c.imag[0, 0] * np.eye(2)).max())
-    if not residual <= 1e-12 * np.abs(Q).max():
-        raise UnverifiableError(f"the QHF system does not split into its blocks: residual {residual:.3e}")
-    return ab, [(real[0], B_I, real[1]), (A_c.real, B_I, Q_c)], kappa_c
+def _qhf_pairs(v: np.ndarray):
+    """The real and the complex type-I pair of ``_ab_system``, as (A, B, Q).
+
+    In the frame where v = |v| e1, and with s = |v|^2, the a/b system splits
+    into the real pair on (a1, b1), Q = diag(0, 4 + 4s), and the complex pair
+    (A_I + 1.5 i |v| I, B_I, Q_c) on (a2 + i a3, b2 + i b3), with
+    Q_c = [[-s (3 + 2.8125 s), -i c], [i c, 4 + 5.5 s]], c = (2 + 1.5 s) |v|.
+    The shift only turns det N by exp(3 i |v| t) and is dropped. The b
+    entries take the sign of the fault hook ``_b_sign``, as ``_ab_system`` does.
+    """
+    s = float(v @ v)
+    b, c = _b_sign(), 1j * (2.0 + 1.5 * s) * math.sqrt(s)
+    A_I, B_I = typeI_pair()
+    Q_c = np.array([[-s * (3.0 + 2.8125 * s), -c], [c, b * (4.0 + 5.5 * s)]])
+    return (A_I, B_I, np.diag([0.0, b * (4.0 + 4.0 * s)])), (A_I, B_I, Q_c)
 
 
 def conjugate_time(d: int, v) -> ConjugateResult:
-    """First conjugate time: the first det N zero over the ``_qhf_blocks``.
+    """First conjugate time: the first det N zero over the blocks of ``_qhf_system``.
 
     t_star is the smallest of the ``wedge_first_zero`` times of the real and
-    the complex type-I pair, scanned to 10% beyond the smaller model bound,
-    and pi/sqrt(kappa_c), exact for the c block's N = sin(sqrt(kappa_c) t) /
-    sqrt(kappa_c) I. The wedge passes do not depend on d, but ``_qhf_blocks``
-    builds and checks the full (4d + 3)-square system, so the cost grows
-    with d. No zero within that horizon contradicts the bounds and raises
-    RuntimeError. Raises ``DomainError`` on a non-finite v.
+    the complex type-I pair of ``_qhf_pairs``, scanned to 10% beyond the
+    smaller model bound, and, for d >= 2, pi/sqrt(kappa_c), exact for the c
+    block's N = sin(sqrt(kappa_c) t) / sqrt(kappa_c) I. Every block is built
+    in closed form from v, so the cost does not depend on d. No zero within
+    that horizon contradicts the bounds and raises RuntimeError. Raises
+    ``DomainError`` on a non-finite v.
     """
-    return _conjugate_time(d, v)[0]
-
-
-def _conjugate_time(d: int, v):
-    """``conjugate_time`` and the ``_qhf_blocks`` split it was found on."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     v = _momentum(v)
@@ -356,9 +347,8 @@ def _conjugate_time(d: int, v):
     bound_kab = blowup_time_kab(kappa_a, kappa_b)
     bound_kc = blowup_time_kc(kappa_c).time if d >= 2 else None
     t_max = 1.1 * min(bound_kab.time, bound_kc or math.inf)
-    _, pairs, kappa_c = blocks = _qhf_blocks(d, v)
-    times = [wedge_first_zero(*pair, t_max, steps=256).time for pair in pairs]
-    if kappa_c is not None and kappa_c > 0.0:
+    times = [wedge_first_zero(*pair, t_max, steps=256).time for pair in _qhf_pairs(v)]
+    if d >= 2:
         times.append(math.pi / math.sqrt(kappa_c))
     t_star = min(times)
     if not t_star <= t_max:
@@ -371,7 +361,7 @@ def _conjugate_time(d: int, v):
         bound_kab=bound_kab,
         margin_kc=None if bound_kc is None else bound_kc - t_star,
         margin_kab=bound_kab.time - t_star,
-    ), blocks
+    )
 
 
 # ----------------------------------------------------------------------
@@ -401,38 +391,39 @@ class SublaplacianReport:
 def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
     """Evaluate the radial sub-Laplacian trace formula on a grid.
 
-    trace(B V) sums the blocks of ``_qhf_blocks``: the a/b 6x6 by its
-    Riccati quotient, (4d - 4) sqrt(kappa_c) cot(sqrt(kappa_c) r) and the
-    motion row's 1/r, which the formula subtracts. The grid must sit
+    trace(B V) sums the blocks of ``_qhf_system``: the a/b 6x6 of
+    ``_ab_system`` by its Riccati quotient, (4d - 4) sqrt(kappa_c)
+    cot(sqrt(kappa_c) r) and the motion row's 1/r, which the formula
+    subtracts. Its cost does not depend on d. The grid must sit
     strictly inside (0, t_star), where the distance is smooth. The
     volume-derivative term vanishes for these structures, so no extra
     scalar enters the comparison. Raises ``DomainError`` on an empty or
     non-finite grid and a non-finite v.
     """
-    v = np.asarray(v, dtype=float).ravel()
     r = np.asarray(list(r_grid), dtype=float)
     if r.size == 0:
         raise DomainError("r_grid must be nonempty")
     if not np.isfinite(r).all():
         raise DomainError(f"r_grid must be finite, got {r}")
-    conj, ((A, B, Q), _, kappa_cc) = _conjugate_time(d, v)
+    conj = conjugate_time(d, v)
     if r.min() <= 0.0 or r.max() >= conj.t_star:
         raise DomainError(
             f"r_grid must lie strictly inside (0, t_star = {conj.t_star}); "
             f"got [{r.min()}, {r.max()}]"
         )
-    kappa_a, kappa_b, kappa_c = qhf_kappas(v)
+    kappa_a, kappa_b, kappa_c = qhf_kappas(conj.v)
+    A, B, Q = _ab_system(conj.v)
     sol = integrate_jacobi(A, B, Q, float(r.max()) * (1.0 + 1e-9))
     lhs, rhs = np.empty_like(r), np.empty_like(r)
     for i, ri in enumerate(r):
         lhs[i] = float(np.trace(B @ sol.V(ri)))
         rhs[i] = 3.0 * eval_s_kab(kappa_a, kappa_b, ri)
         if d >= 2:
-            lhs[i] += (4.0 * d - 4.0) * math.sqrt(kappa_cc) / math.tan(math.sqrt(kappa_cc) * ri)
+            lhs[i] += (4.0 * d - 4.0) * math.sqrt(kappa_c) / math.tan(math.sqrt(kappa_c) * ri)
             rhs[i] += (4.0 * d - 4.0) * eval_s_kc(kappa_c, ri)
     return SublaplacianReport(
         d=d,
-        v=v,
+        v=conj.v,
         t_star=conj.t_star,
         r=r,
         lhs=lhs,

@@ -14,6 +14,7 @@ import sys
 import time
 
 from fatcomp.checks import check_names, run_check
+from fatcomp.cli import main
 from fatcomp.models import blowup_time_kab, blowup_time_kc
 
 SEED = 42
@@ -56,6 +57,15 @@ def test_fibration_conjugate_times_d2_respect_both_bounds():
     r = run_check(by_name("qhf-conjugate-d2"), SEED)
     assert r.passed, r.detail
     assert r.elapsed < 60.0, f"d=2 sweep took {r.elapsed:.1f}s"
+
+
+def test_fibration_conjugate_times_cost_the_same_at_every_d(tmp_path):
+    # the blocks are built from v alone: 30 verified rows at d = 512
+    t0 = time.perf_counter()
+    code = main(["conjugate", "--d", "512", "--sweep", "0:3:30", "--verify", "--out", str(tmp_path / "c.csv")])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert elapsed < 1.0, f"30 rows at d = 512 took {elapsed:.2f}s"
 
 
 def test_fibration_conjugate_times_d1_stay_below_half_circle():

@@ -7,10 +7,11 @@ verify-all path is exercised by the acceptance suite instead.
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from fatcomp import checks
+from fatcomp import checks, cli
 from fatcomp.cli import main
 
 
@@ -161,6 +162,22 @@ class TestBlowup:
         assert run_cli(argv + ["--tol", "1e-14"]) == 1
         assert "verification FAILED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, route", [(["--ka=-1", "--kb", "400"], "wedge_first_zero"), (["--kc", "100"], "first_blowup")]
+    )
+    def test_verify_tolerance_is_relative_below_tbar_one(self, argv, route, tmp_path, capsys, monkeypatch):
+        # a check off by 2 tol tbar fails on a row with tbar < 1/2, which the
+        # absolute tol max(1, tbar) let pass; one off by tol tbar / 2 passes
+        out = tmp_path / "b.csv"
+        assert run_cli(["blowup", *argv, "--out", str(out)]) == 0
+        tbar = float(read_csv(out)[2][0]["tbar"])
+        assert tbar < 0.5
+        for off, code in ((2e-9, 1), (0.5e-9, 0)):
+            monkeypatch.setattr(cli, route, lambda *a, off=off, **k: SimpleNamespace(time=tbar * (1.0 + off)))
+            assert run_cli(["blowup", *argv, "--verify", "--out", str(out)]) == code
+            assert [r["check_ok"] for r in read_csv(out)[2]] == [str(code == 0).lower()]
+        assert "verification FAILED on rows [0]" in capsys.readouterr().err
+
     def test_large_kappa_infinite_row_verifies(self, tmp_path, capsys):
         # the 2x2 minors of the step matrix cancelled here: a false FAILED
         out = tmp_path / "b.csv"
@@ -289,6 +306,13 @@ class TestLaplacian:
         assert run_cli(["laplacian", "--d", str(d), "--rgrid", "0.001:2.0:8", "--verify", "--out", str(out)]) == 0
         _, _, rows = read_csv(out)
         assert float(rows[0]["model_rhs"]) > 1e4
+
+    def test_large_dimension_verifies(self, tmp_path, capsys):
+        # the c block enters in closed form: d = 512 costs what d = 2 does
+        out = tmp_path / "l.csv"
+        assert run_cli(["laplacian", "--d", "512", "--verify", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 20 and float(rows[0]["t_star"]) == pytest.approx(math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("vnorm", ["0.4", "3"])
     def test_default_grid_lies_inside_the_conjugate_time(self, vnorm, tmp_path, capsys):

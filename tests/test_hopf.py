@@ -27,8 +27,10 @@ from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
 from fatcomp.hopf import (
     DomainError,
     ExtremalState,
-    _qhf_blocks,
+    _ab_system,
     _qhf_jacobi,
+    _qhf_pairs,
+    _qhf_system,
     conjugate_time,
     initial_state,
     integrate_extremal,
@@ -38,7 +40,7 @@ from fatcomp.hopf import (
 )
 from fatcomp.models import blowup_time_kab, eval_s_kc
 from fatcomp.riccati import first_blowup
-from fatcomp.structure import FatDims, build_structural
+from fatcomp.structure import FatDims, build_structural, typeI_pair
 
 
 def random_unit(rng, m):
@@ -75,6 +77,39 @@ def qhf_jacobi_quotient(d, v, t_max):
         return P @ sol.V(t) @ P.T
 
     return dims, blocks, V
+
+
+#: a/b coordinates after diag(R, R): (a1, b1), and (a2, a3, b2, b3) for a2 + i a3, b2 + i b3
+_REAL, _CPLX = [0, 3], [1, 2, 4, 5]
+_J_PAIR = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])  # i on (a2, a3) and on (b2, b3)
+
+
+def split_full_system(d, v):
+    """The blocks of ``_qhf_system`` read off the (4d + 3)-square system.
+
+    diag(R, R), R e1 = +-v/|v| from a QR of [v, I], splits the a/b 6x6 into
+    the real type-I pair on (a1, b1) and the complex pair (A_I + i mu I, B_I,
+    Q_c) on (a2 + i a3, b2 + i b3). Returns (residual, scale, real, complex,
+    kappa_c): the largest coupling between the pairs or to the c block, J
+    commutator, non-scalar shift and departure of the c block from
+    kappa_c I + 0; max|R0|; the real (A, Q); the complex (A_c, Q_c), shift
+    included; and kappa_c, None at d = 1.
+    """
+    A, B, Q = _qhf_system(d, np.asarray(v, dtype=float))
+    R = np.linalg.qr(np.column_stack([v, np.eye(3)]))[0] if np.any(v) else np.eye(3)
+    kappa_c = float(Q[6, 6]) if d >= 2 else None
+    c_block = np.diag([kappa_c or 0.0] * (4 * d - 4) + [0.0])
+    residual = max(np.abs(Q[:6, 6:]).max(), np.abs(A[:6, 6:]).max(), np.abs(Q[6:, 6:] - c_block).max())
+    real, cplx = [], []
+    for X in (A[:6, :6], Q[:6, :6]):
+        X = np.kron(np.eye(2), R.T) @ X @ np.kron(np.eye(2), R)
+        Xc = X[np.ix_(_CPLX, _CPLX)]
+        coupling = max(np.abs(X[np.ix_(_REAL, _CPLX)]).max(), np.abs(X[np.ix_(_CPLX, _REAL)]).max())
+        residual = max(residual, coupling, np.abs(Xc @ _J_PAIR - _J_PAIR @ Xc).max())
+        real.append(X[np.ix_(_REAL, _REAL)])
+        cplx.append(Xc[0::2, 0::2] + 1j * Xc[1::2, 0::2])
+    residual = max(residual, np.abs(cplx[0].imag - cplx[0].imag[0, 0] * np.eye(2)).max())
+    return residual, np.abs(Q).max(), tuple(real), tuple(cplx), kappa_c
 
 
 def dop853_extremal(state0, ts):
@@ -327,7 +362,7 @@ class TestConjugateTime:
         # det N = det N_real |det N_c|^2 (sin(sqrt(kc) t)/sqrt(kc))^(4d-4) t,
         # the motion row contributing t
         v = np.array([0.6, -0.3, 0.2]) * d
-        _, pairs, kappa_c = _qhf_blocks(d, v)
+        pairs, kappa_c = _qhf_pairs(v), qhf_kappas(v)[2]
         full = _qhf_jacobi(d, v, 3.0)
         Hs = [np.block([[-A.T, -Q], [B, A]]) for A, B, Q in pairs]
         for t in (0.4, 1.1, 1.9, 2.6):
@@ -335,6 +370,89 @@ class TestConjugateTime:
             c = (math.sin(math.sqrt(kappa_c) * t) / math.sqrt(kappa_c)) ** (4 * d - 4) if d >= 2 else 1.0
             expected = det_real * abs(det_c) ** 2 * c * t
             assert abs(full.det_N(t) - expected) <= 1e-10 * abs(expected), f"t = {t}"
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 64])
+    def test_closed_form_pairs_match_the_full_system_split(self, d):
+        # the pairs built from |v| alone against the blocks read off the
+        # (4d + 3)-square system, up to the complex conjugation that the
+        # sign of R e1 = +-v/|v| brings: at v = 0, on an axis and at seeded
+        # covectors with |v| up to 1e3
+        rng = np.random.default_rng(400 + d)
+        vs = [np.zeros(3), np.array([0.0, -1.3, 0.0])]
+        for nv in (1e-3, 0.7, 3.0, 40.0, 1e3):
+            vs.append(nv * random_unit(rng, 3))
+        for v in vs:
+            residual, scale, (A_r, Q_r), (A_c, Q_c), kappa_c = split_full_system(d, v)
+            assert residual <= 1e-12 * scale, f"|v| = {np.linalg.norm(v)}: split residual {residual:.3e}"
+            real, cplx = _qhf_pairs(v)
+            A_I, B_I = typeI_pair()
+            assert all(np.array_equal(P[0], A_I) and np.array_equal(P[1], B_I) for P in (real, cplx))
+            if A_c.imag[0, 0] < 0.0:  # R e1 = -v/|v|: the frame of the conjugate pair
+                A_c, Q_c = A_c.conj(), Q_c.conj()
+            mu = 1.5 * np.linalg.norm(v)  # the dropped shift
+            assert np.abs(A_r - A_I).max() <= 1e-13 * max(1.0, mu)
+            assert np.abs(A_c - (A_I + 1j * mu * np.eye(2))).max() <= 1e-13 * max(1.0, mu)
+            assert np.abs(Q_r - real[2]).max() <= 1e-13 * scale
+            assert np.abs(Q_c - cplx[2]).max() <= 1e-13 * scale
+            if d >= 2:
+                assert abs(kappa_c - qhf_kappas(v)[2]) <= 1e-13 * scale
+
+    def test_closed_forms_are_the_ab_system_on_the_axis(self):
+        # Q = diag(0, 4 + 4s) and Q_c = [[-s (3 + 2.8125 s), -i c], [i c,
+        # 4 + 5.5 s]], c = (2 + 1.5 s) |v|, are the 6x6 a/b system at
+        # v = |v| e1 read off (a1, b1) and (a2 + i a3, b2 + i b3)
+        rng = np.random.default_rng(17)
+        for nv in (0.0, 1e-3, 0.5, 1.0, 3.0, 1e2, 1e3):
+            v = nv * random_unit(rng, 3)
+            Q = _ab_system(np.array([np.linalg.norm(v), 0.0, 0.0]))[2]
+            real, cplx = _qhf_pairs(v)
+            scale = max(1.0, np.abs(Q).max())
+            assert np.abs(real[2] - Q[np.ix_([0, 3], [0, 3])]).max() <= 1e-15 * scale
+            assert np.abs(cplx[2] - (Q[np.ix_([1, 4], [1, 4])] + 1j * Q[np.ix_([2, 5], [1, 4])])).max() <= 1e-15 * scale
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_ab_system_is_the_corner_of_the_full_system(self, d):
+        # the 6x6 of sublaplacian_along is the a/b corner of the
+        # (4d + 3)-square system, entry for entry
+        v = np.array([0.6, -0.3, 0.2]) * d
+        for got, full in zip(_ab_system(v), _qhf_system(d, v)):
+            assert np.array_equal(got, full[:6, :6])
+
+    def test_fault_reaches_the_closed_form_pairs(self, monkeypatch):
+        # FATCOMP_FAULT=curvature-sign flips the b block of the pairs as it
+        # does in curvature_blocks: the faulted pairs are the faulted split
+        v = np.array([0.3, -0.7, 1.1])
+        clean = _qhf_pairs(v)
+        monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")
+        faulted = _qhf_pairs(v)
+        assert faulted[0][2][1, 1] == -clean[0][2][1, 1] and faulted[1][2][1, 1] == -clean[1][2][1, 1]
+        residual, scale, (_, Q_r), (_, Q_c), _ = split_full_system(2, v)
+        assert residual <= 1e-12 * scale
+        assert np.abs(Q_r - faulted[0][2]).max() <= 1e-13 * scale
+        assert min(np.abs(Q - faulted[1][2]).max() for Q in (Q_c, Q_c.conj())) <= 1e-13 * scale
+
+    def test_time_is_invariant_under_rotations_of_v(self):
+        # t* depends on |v|^2 alone: bit for bit under the proper rotations
+        # that keep its bits (half turns about each axis, a quarter turn
+        # about the third)
+        rng = np.random.default_rng(23)
+        turns = [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0]),
+                 np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])]
+        for d in (1, 2):
+            for nv in (0.3, 1.0, 2.5):
+                v = nv * random_unit(rng, 3)
+                t = conjugate_time(d, v).t_star
+                for P in turns:
+                    w = P @ v
+                    assert np.linalg.det(P) == 1.0 and w @ w == v @ v
+                    assert conjugate_time(d, w).t_star == t
+
+    def test_time_does_not_depend_on_d_from_two_on(self):
+        rng = np.random.default_rng(29)
+        for nv in (0.0, 0.4, 1.7, 3.0):
+            v = nv * random_unit(rng, 3)
+            results = [conjugate_time(d, v) for d in (2, 3, 512)]
+            assert len({(r.t_star, r.margin_kc, r.margin_kab) for r in results}) == 1
 
     def test_fault_keeps_the_c_block_time_and_loses_d1(self, monkeypatch):
         # the sign fault flips the b block: d = 1 loses its conjugate point,
