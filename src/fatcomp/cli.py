@@ -20,8 +20,9 @@ when a --verify comparison or a verification check fails, 2 on usage
 errors and on NaN, infinite or out-of-domain input (a kappa, --tol,
 --jobs, --tmax), 3 when no --verify row failed but some could not be
 decided: ``blowup --verify`` writes ``check_ok`` as ``unverifiable``
-where the wedge route cannot reach the model blow-up time (a step
-overflows), and lists those rows on stderr. A verify-all check that
+where the 2x2 phase route cannot reach the model blow-up time (the pass
+needs more than 2^20 steps, a step overflows, or an eigenphase stays at 0
+or moves back), and lists those rows on stderr. A verify-all check that
 raises is a failed row whose detail names the exception.
 """
 
@@ -250,8 +251,8 @@ def _blowup_row_kab(idx: int, ka: float, kb: float, args) -> dict:
                 row["check_err"] = abs(hit.time - tbar.time)
                 row["check_ok"] = row["check_err"] <= args.tol * tbar.time
             else:
-                changes, _ = wedge_det_sign_changes(a_I, b_I, Q, args.tmax)
-                row["check_ok"] = changes == 0
+                zeros, _ = wedge_det_sign_changes(a_I, b_I, Q, args.tmax)
+                row["check_ok"] = zeros == 0
         except UnverifiableError:
             row["check_ok"] = UNVERIFIABLE
     return row
@@ -323,7 +324,7 @@ def cmd_blowup(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         undecided = [r["index"] for r in rows if r["check_ok"] == UNVERIFIABLE]
         if undecided:
             print(
-                f"verification undecided on rows {undecided}: beyond the wedge route's range",
+                f"verification undecided on rows {undecided}: beyond the reach of the 2x2 phase route",
                 file=sys.stderr,
             )
             return 3

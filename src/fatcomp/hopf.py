@@ -332,8 +332,9 @@ def _qhf_pairs(v: np.ndarray):
 def conjugate_time(d: int, v) -> ConjugateResult:
     """First conjugate time: the first det N zero over the blocks of ``_qhf_system``.
 
-    t_star is the smallest of the ``wedge_first_zero`` times of the real and
-    the complex type-I pair of ``_qhf_pairs``, scanned to 10% beyond the
+    t_star is the smallest of the ``wedge_first_zero`` times (the phase rule
+    of ``first_blowup`` on the compound sweep) of the real and the complex
+    type-I pair of ``_qhf_pairs``, scanned to 10% beyond the
     smaller model bound, and, for d >= 2, pi/sqrt(kappa_c), exact for the c
     block's N = sin(sqrt(kappa_c) t) / sqrt(kappa_c) I. Every block is built
     in closed form from v, so the cost does not depend on d. No zero within
@@ -347,7 +348,7 @@ def conjugate_time(d: int, v) -> ConjugateResult:
     bound_kab = blowup_time_kab(kappa_a, kappa_b)
     bound_kc = blowup_time_kc(kappa_c).time if d >= 2 else None
     t_max = 1.1 * min(bound_kab.time, bound_kc or math.inf)
-    times = [wedge_first_zero(*pair, t_max, steps=256).time for pair in _qhf_pairs(v)]
+    times = [wedge_first_zero(*pair, t_max).time for pair in _qhf_pairs(v)]
     if d >= 2:
         times.append(math.pi / math.sqrt(kappa_c))
     t_star = min(times)

@@ -6,38 +6,33 @@ The linear system is
 
 with constant A, B and symmetric Q, whose quotient V = M N^{-1} solves the
 matrix Riccati equation V' + A^T V + V A + Q + V B V = 0 with a +infinity
-initial datum. Blow-up of V backwards in regularity is a zero of det N,
-and every comparison statement in this package reduces to locating or
-excluding such zeros. Every system the package builds has constant
-coefficients (the Hopf system in the frame rotating with its curvature,
-see ``fatcomp.hopf``), so [M; N](t) is the first n columns of exp(tH),
-computed by one products-only exponential, ``_expm``, and no ODE is solved.
+initial datum. Blow-up of V is a zero of det N, and every comparison
+statement in this package reduces to locating or excluding such zeros.
+Every system the package builds has constant coefficients (the Hopf system
+in the frame rotating with its curvature, see ``fatcomp.hopf``), so [M; N](t)
+is the first n columns of exp(tH), by the products-only ``_expm``.
 
-Provided here:
+One zero rule serves every n and every multiplicity (the Maslov view): det N
+vanishes when an eigenphase of the Lagrangian plane [M; N] reaches pi, and
+with B >= 0 the first zero is the first time the largest does.
 
-* ``integrate_jacobi`` and ``JacobiSolution``: exp(tH) at any t, the
-  Riccati quotient V and the symplectic residual;
-* ``first_blowup``, with one zero rule for every multiplicity: det N
-  vanishes when an eigenphase of the Lagrangian plane [M; N] reaches pi
-  (the Maslov view), and the phases are stepped by exp(h H) and never decrease;
-* ``finite_blowup_constant``, the exact finiteness classification for
-  constant coefficients via the Jordan structure of the Hamiltonian on
-  its imaginary spectrum;
-* ``wedge_det_sign_changes`` and ``wedge_first_zero``, a long-horizon
-  det N sign tracker for 2x2 systems, Q real or Hermitian: blocked powers
-  of expm(h H2), H2 the additive compound of H, with a step short enough
-  for its oscillation and guarded against growth; ``UnverifiableError``.
+* ``integrate_jacobi`` and ``JacobiSolution``: exp(tH) at any t, V and the
+  symplectic residual;
+* ``first_blowup``: the rule on a frame stepped by exp(h H) and QR;
+* ``wedge_first_zero`` and ``wedge_det_sign_changes``: the rule for 2x2
+  systems, Q real or Hermitian, on the Pluecker vector of the plane, stepped
+  in blocks by expm(h H2), H2 the additive compound of H, which keeps the
+  plane through hyperbolic growth; the two phases follow in closed form;
+* ``finite_blowup_constant``: whether det N vanishes at all, from the
+  Jordan structure of H on its imaginary spectrum.
 
-Every det N zero is refined by ``models._brentq``: in ``first_blowup`` to
-``_XTOL`` = 1e-12 in t, relative below t_max = 1; on the wedge route to
-1e-12 in the offset into a step, as the root of a Taylor polynomial taken
-from the rescaled vector of the step before, which carries the rounding of
-every step up to it. That zero is as accurate as that vector (7.9e-10 at
-(kappa_a, kappa_b) = (-2.28, 3.07), tbar = 26.8).
+Every zero is refined by ``models._brentq`` to ``_XTOL`` = 1e-12 in t,
+relative below t_max = 1.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -46,26 +41,15 @@ import numpy as np
 
 from .models import BlowUpTime, DomainError, _brentq
 
-__all__ = [
-    "JacobiSolution",
-    "integrate_jacobi",
-    "first_blowup",
-    "finite_blowup_constant",
-    "wedge_det_sign_changes",
-    "wedge_first_zero",
-    "UnverifiableError",
-]
+__all__ = ["JacobiSolution", "integrate_jacobi", "first_blowup", "finite_blowup_constant",
+           "wedge_det_sign_changes", "wedge_first_zero", "UnverifiableError"]
 
 
 def _jacobi_system(A, B, Q, t_max: float | None = None, n: int | None = None, hermitian: bool = False):
-    """Validated (A, B, Q, H) of a Jacobi system, H = [[-A^T, -Q], [B, A]].
-
-    A, B and Q are square of one size (n where given, else that of A); A
-    and B are real, Q real symmetric, or Hermitian where ``hermitian``
-    allows a complex Q, to 1e-10 of max(1, max|Q|). Raises ``DomainError``
-    on a non-finite entry or a t_max that is not finite positive, and
-    ``ValueError`` on any other breach.
-    """
+    """Validated (A, B, Q, H) of a Jacobi system, H = [[-A^T, -Q], [B, A]]: A, B and Q
+    square of one size (n where given), A and B real, Q symmetric, or Hermitian where
+    ``hermitian`` allows a complex Q, to 1e-10 of max(1, max|Q|). ``DomainError`` on a
+    non-finite entry or t_max, ``ValueError`` on any other breach."""
     mats = []
     for name, X in (("A", A), ("B", B), ("Q", Q)):
         X = np.asarray(X)
@@ -88,11 +72,6 @@ def _jacobi_system(A, B, Q, t_max: float | None = None, n: int | None = None, he
     return A, B, Q, H
 
 
-def _svd_rank(X: np.ndarray, scale: float) -> int:
-    """Number of singular values of X above 1e-8 scale."""
-    return int(np.sum(np.linalg.svd(X, compute_uv=False) > 1e-8 * scale))
-
-
 # ----------------------------------------------------------------------
 # propagation
 # ----------------------------------------------------------------------
@@ -102,13 +81,11 @@ _TAYLOR = np.array([[1.0 / math.factorial(4 * j + i) * (4 * j + i <= 16) for i i
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
-    """exp(X) of a small matrix by products alone: degree-16 Taylor (Paterson-
-    Stockmeyer) on X / 2^s with ||X / 2^s||_1 <= 1/2, then s squarings; NaN if
-    ||X|| is not finite. scipy.linalg.expm solves through a LAPACK call that
-    OpenBLAS threads even at 6x6: its helper thread spins after each call, and
-    while the other core is busy each call waits a scheduler tick for it
-    (4 ms instead of 25 us on a 2-vCPU VM).
-    """
+    """exp(X) of a small matrix by products alone: degree-16 Taylor (Paterson-Stockmeyer)
+    on X / 2^s with ||X / 2^s||_1 <= 1/2, then s squarings; NaN if ||X|| is not finite.
+    scipy.linalg.expm solves through a LAPACK call that OpenBLAS threads even at 6x6,
+    and while the other core is busy each call waits a scheduler tick for its helper
+    thread (4 ms instead of 25 us on a 2-vCPU VM)."""
     norm = float(np.abs(X).sum(axis=0).max())
     if not math.isfinite(norm):
         return np.full_like(X, np.nan)
@@ -172,12 +149,9 @@ class JacobiSolution:
 
 
 def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
-    """The Jacobi system with constant symmetric Q on [0, t_max].
-
-    No ODE is solved: H = [[-A^T, -Q], [B, A]] is built once, and the
-    returned object evaluates M, N anywhere in [0, t_max] as blocks of
-    exp(tH) by ``_expm``. Raises ``DomainError`` on non-finite A, B or Q.
-    """
+    """The Jacobi system with constant symmetric Q on [0, t_max]: H = [[-A^T, -Q], [B, A]]
+    is built once, and M, N are blocks of exp(tH) by ``_expm``; no ODE is solved.
+    Raises ``DomainError`` on non-finite A, B or Q."""
     A, B, Q, H = _jacobi_system(A, B, Q, t_max)
     return JacobiSolution(A=A, B=B, Q=Q, t_max=float(t_max), H=H)
 
@@ -190,8 +164,7 @@ def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
 _TURN = 0.25 * math.pi
 #: Time tolerance of a refinement of a det N zero, scaled by min(1, t_max) in first_blowup.
 _XTOL = 1e-12
-#: Most steps a pass of first_blowup or of the wedge route may take (the
-#: wedge keeps 8 MB of det N coordinates there).
+#: Most steps a pass of first_blowup or of the 2x2 route may take.
 _MAX_STEPS = 2**20
 
 
@@ -247,20 +220,15 @@ def _steps(Hc: np.ndarray, rate: float, t_max: float):
 
 
 def first_blowup(sol: JacobiSolution) -> BlowUpTime:
-    """First zero of det N on (0, t_max], or the infinite marker.
-
-    One rule finds every zero, whatever its multiplicity: the eigenphases of the
-    plane [M; N] start at 0 and never decrease, and the first zero is the first
-    time the largest reaches pi; until then a phase mod pi is its lift. A step
-    of ``_steps`` holds a zero when fewer phases lie between its cut and pi at
-    its end than at its start, m. ``_brentq`` refines the zero to 1e-12
-    min(1, t_max) on the m-th phase past the cut, less pi, as a function of
-    the offset in the step, with the pass's own values at both ends.
-    ``ValueError`` unless B is positive semidefinite; ``UnverifiableError``
-    if a phase stays at 0 after the first step (det N vanishes to working
-    precision) or moves back through pi, if the phases leave no gap for a
-    cut, or if the pass needs more than 2^20 steps.
-    """
+    """First zero of det N on (0, t_max], or the infinite marker, by the phase rule: the
+    eigenphases of [M; N] start at 0, and the first zero is the first time the largest
+    reaches pi; until then a phase mod pi is its lift. A step of ``_steps`` holds a zero
+    when fewer phases lie between its cut and pi at its end than at its start, m, and
+    ``_brentq`` refines it to 1e-12 min(1, t_max) on the m-th phase past the cut, less
+    pi, with the pass's own values at both ends. ``ValueError`` unless B >= 0;
+    ``UnverifiableError`` if a phase stays at 0 after the first step (det N vanishes to
+    working precision) or moves back through pi, if the phases leave no gap for a cut,
+    or if the pass needs more than 2^20 steps."""
     Hc, rate = _scaled(sol)
     for t, h, z, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
         psi0, psi1 = (phi + z) % math.pi, (phi1 + z) % math.pi  # from the cut
@@ -280,30 +248,23 @@ def first_blowup(sol: JacobiSolution) -> BlowUpTime:
 def finite_blowup_constant(A, B, Q) -> bool:
     """Whether det N has a positive zero for constant (A, B, Q).
 
-    For constant coefficients N(t) is an entire matrix function of the
-    Hamiltonian H = [[-A^T, -Q], [B, A]], and det N vanishes at some
-    t > 0 exactly when H has a purely imaginary eigenvalue carrying a
-    Jordan block of odd size. Eigenvalues are clustered at relative
-    tolerance 1e-6; a cluster counts as imaginary when the mean real
-    part sits inside a 1e-9 band (relative to the spectral scale). Block
-    sizes come from the rank sequence r_j of (H - mu I)^j: the number of
-    blocks of size j is r_{j-1} - 2 r_j + r_{j+1}; a singular value of
-    (H - mu I)^j counts when it is above 1e-8 ||H - mu I||_2^j, not 1e-8
-    of the power's own largest one, which rounding makes meaningless once
-    the power is nearly nilpotent. Raises ``DomainError`` on non-finite A,
-    B or Q.
+    N(t) is an entire matrix function of H = [[-A^T, -Q], [B, A]], and det N
+    vanishes at some t > 0 exactly when H has a purely imaginary eigenvalue
+    carrying a Jordan block of odd size. Eigenvalues are clustered at relative
+    tolerance 1e-6; a cluster is imaginary when its mean real part is inside a
+    1e-9 band (relative to the spectral scale). There are r_{j-1} - 2 r_j +
+    r_{j+1} blocks of size j, r_j the rank of (H - mu I)^j: its singular values
+    above 1e-8 ||H - mu I||_2^j, not 1e-8 of its own largest one, which rounding
+    makes meaningless once the power is nearly nilpotent. Raises
+    ``DomainError`` on non-finite A, B or Q.
     """
     A, B, Q, H = _jacobi_system(A, B, Q)
     eigs = np.linalg.eigvals(H)
     scale = max(1.0, float(np.abs(eigs).max()))
-    band = max(1e-9, 1e-9 * scale)
-
+    band, dim = max(1e-9, 1e-9 * scale), len(H)
     remaining = list(eigs)
-    clusters: list[list[complex]] = []
     while remaining:
-        seed = remaining.pop()
-        cluster = [seed]
-        changed = True
+        cluster, changed = [remaining.pop()], True
         while changed:
             changed = False
             for lam in list(remaining):
@@ -311,173 +272,189 @@ def finite_blowup_constant(A, B, Q) -> bool:
                     cluster.append(lam)
                     remaining.remove(lam)
                     changed = True
-        clusters.append(cluster)
-
-    dim = len(H)
-    ident = np.eye(dim)
-    for cluster in clusters:
         mu = complex(np.mean(cluster))
         if abs(mu.real) > band:
             continue
-        mu = 1j * mu.imag
-        mult = len(cluster)
-        P = H - mu * ident
+        P = H - 1j * mu.imag * np.eye(dim)
         norm = float(np.linalg.norm(P, 2))
-        ranks = [dim]
-        power = ident.astype(complex)
-        for j in range(1, mult + 2):
+        ranks, power = [dim], np.eye(dim, dtype=complex)
+        for j in range(1, len(cluster) + 2):
             power = power @ P
-            ranks.append(_svd_rank(power, norm**j))
+            ranks.append(int(np.sum(np.linalg.svd(power, compute_uv=False) > 1e-8 * norm**j)))
             if ranks[-1] == ranks[-2]:
                 break
-        while len(ranks) < mult + 2:
-            ranks.append(ranks[-1])
-        for j in range(1, mult + 1):
-            b_j = ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]
-            if j % 2 == 1 and b_j > 0:
-                return True
+        ranks += [ranks[-1]] * (len(cluster) + 2 - len(ranks))
+        if any(ranks[j - 1] - 2 * ranks[j] + ranks[j + 1] > 0 for j in range(1, len(cluster) + 1, 2)):
+            return True
     return False
 
 
 # ----------------------------------------------------------------------
-# long-horizon sign tracking
+# 2x2 systems: the phase rule on the compound sweep
 # ----------------------------------------------------------------------
 
-#: Steps per block: the powers E2^1..E2^K are built once per call.
-_WEDGE_BLOCK = 64
-#: Steps per product of the sweep, which bounds its temporaries (about 0.5 MB
-#: for a real Q) whatever the length of the pass.
-_WEDGE_CHUNK = 4096
-#: Bound on log ||E2^K||_inf, far below the overflow at exp(709).
-_WEDGE_LOG_GROWTH = 300.0
-#: Pluecker coordinates (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of 2-planes
-#: in R^4: M(0) = I spans (0, 1), and det N is (2, 3).
+#: Steps per block (twice that in a pass that only counts and needs no refinement-grade vector; fewer
+#: where ||E2^K||_inf would pass exp(300)), and per run of the sweep; 1/j! of a degree-30 Taylor polynomial.
+_WEDGE_BLOCK, _WEDGE_LOG_GROWTH, _WEDGE_CHUNK = 128, 300.0, 4096
+_INV_FACTORIALS = 1.0 / np.cumprod(np.r_[1.0, 1.0:31.0])
+#: Pluecker coordinates (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of 2-planes, rows (m0, m1, n0, n1).
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
-_DET_N = 5
+#: Row i: the coefficients of (u0, u1, mu) in log|S_ij| + (x_i + x_j) - mu, x = (u, -u).
+_FIT = np.array([[1.0, 0.0, -0.5], [0.0, 1.0, -0.5], [-1.0, 0.0, -0.5], [0.0, -1.0, -0.5]])
+
+
 class UnverifiableError(FloatingPointError):
-    """A route cannot decide: a pass needs more than ``_MAX_STEPS`` steps, a wedge step
-    overflows, or the eigenphases of ``first_blowup`` stay at 0, move back or leave no gap."""
+    """A route cannot decide: a pass of over 2^20 steps, an overflowing step, or phases that stay at 0, move back or leave no gap."""
 
 
 def _additive_compound(H: np.ndarray) -> np.ndarray:
-    """The 6x6 H2 with expm(t H2) the second compound of expm(t H)."""
+    """The 6x6 H2 with expm(t H2) the second compound of expm(t H), for H of shape (..., 4, 4)."""
     i, j, k, l = _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J
     d = np.eye(4)
-    return H[i, k] * d[j, l] - H[i, l] * d[j, k] + d[i, k] * H[j, l] - d[i, l] * H[j, k]
+    return H[..., i, k] * d[j, l] - H[..., i, l] * d[j, k] + d[i, k] * H[..., j, l] - d[i, l] * H[..., j, k]
 
 
-def _wedge_sweep(E2: np.ndarray, K: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E2^1..E2^K as a (K, 6, 6) array, block starts, rel) of ``steps`` steps of E2.
+_COMPOUND = _additive_compound(np.eye(16).reshape(16, 4, 4)).reshape(16, 36).T  # H -> H2 as one product
 
-    Block b starts from E2^(bK) applied to the Pluecker vector of M(0) = I,
-    carried forward block by block with a max-norm rescale; rel[k] is the det
-    N coordinate over the largest coordinate after step k + 1, from one
-    product of the powers with the starts per ``_WEDGE_CHUNK`` steps.
-    """
-    # ndarray.dot with out makes the BLAS call of np.matmul at a third of its
-    # dispatch cost, which dominates at 6x6
+
+@functools.lru_cache(maxsize=256)
+def _fit(pattern: bytes) -> np.ndarray:
+    """Pseudo-inverse of the least-squares fit of ``_balanced`` for one nonzero pattern of S."""
+    r, c = np.nonzero(np.frombuffer(pattern, bool).reshape(4, 4))
+    return np.linalg.pinv(_FIT[r] + _FIT[c])
+
+
+def _balanced(H: np.ndarray) -> tuple[np.ndarray, float]:
+    """(H_u, rate) of a 4x4 H as ``_scaled`` gives them, for the symplectic diag(e^-u, e^u),
+    u the least-squares fit that brings every nonzero |S_ij| of S = J^T H to one size in
+    log scale: the steps do not grow with the scale of the system, as under one c."""
+    S = np.concatenate((H[2:], -H[:2]))  # S_u = S * outer(g, g), log g = (u, -u)
+    u = _fit(bytes(S != 0)) @ -np.log(np.abs(S[S != 0]))
+    g = np.exp(_FIT[:, :2] @ u[:2])
+    return H * np.outer(1.0 / g, g), float(np.linalg.eigvalsh(S * np.outer(g, g))[-1])
+
+
+def _wedge_phases(W: np.ndarray) -> np.ndarray:
+    """Eigenphases in [0, pi), on the first axis, of the planes with Pluecker vectors W:
+    those of (M + iN)(M - iN)^-1 are ((p01 + p23) +- sqrt(4 p02 p13 - (p03 + p12)^2)) /
+    ((p01 - p23) - i (p03 - p12)), halved; for a real Q, p13 = -p02: theta +- delta."""
+    p01, p02, p03, p12, p13, p23 = W
+    if np.isrealobj(W):
+        theta = np.arctan2(p03 - p12, p01 - p23)
+        delta = np.arctan2(np.sqrt((p03 + p12) ** 2 + 4.0 * p02 * p02), p01 + p23)
+        args = np.array((theta - delta, theta + delta))
+    else:
+        root = np.sqrt(4.0 * p02 * p13 - (p03 + p12) ** 2)
+        args = np.angle(np.array((p01 + p23 - root, p01 + p23 + root)) / ((p01 - p23) - 1j * (p03 - p12)))
+    args *= 0.5  # in (-pi, pi]: a branch is cheaper than np.remainder
+    args += np.where(args < 0.0, math.pi, 0.0)
+    return args - np.where(args >= math.pi, math.pi, 0.0)
+
+
+def _wedge_sweep(E2: np.ndarray, K: int, steps: int):
+    """Yield (k0, W), W[:, i] the Pluecker vector after k0 + i steps of E2, in runs that
+    share their ends and change no bit of W. A block is one product of E2^1..E2^K with
+    its start; the next start, its last vector, is rescaled and moved by a Newton step
+    onto the quadric p01 p23 - p02 p13 + p03 p12 = 0 of 2-planes, off which E2 amplifies
+    rounding that the phases misread (2e-9 at (-2.57, 3.22), t = 55)."""
     powers = np.empty((K, 6, 6), E2.dtype)
-    powers[0] = E2
-    for m in range(1, K):
-        E2.dot(powers[m - 1], powers[m])
-    n_blocks = -(-steps // K)
-    starts = np.zeros((n_blocks, 6), E2.dtype)
-    w, EK, real = starts[0], powers[-1], E2.dtype == float
-    w[0] = 1.0
-    for b in range(1, n_blocks):
-        w = EK.dot(w, starts[b])
-        # Python's abs of a complex can differ from np.abs in the last bit
-        np.divide(w, max(map(abs, w.tolist())) if real else np.abs(w).max(), out=w)
-    rel = np.empty(n_blocks * K, E2.dtype)
-    per = max(1, _WEDGE_CHUNK // K)  # blocks per product
-    stacked = powers.reshape(6 * K, 6)
-    for b in range(0, n_blocks, per):
-        W = (stacked @ starts[b : b + per].T).reshape(K, 6, -1)  # (step, coordinate, block)
-        rel[b * K : (b + W.shape[2]) * K] = (W[:, _DET_N] / np.abs(W).max(axis=1)).T.ravel()
-    return powers, starts, rel[:steps]
+    powers[0], n = E2, 1
+    while n < K:  # by doubling: E2^(n+1..2n) = E2^(1..n) E2^n
+        np.matmul(powers[: min(n, K - n)], powers[n - 1], out=powers[n : 2 * n])
+        n *= 2
+    # w @ stacked^T runs at half the cost of stacked @ w on the (6K, 6) stack
+    stacked_t, per, w = powers.reshape(6 * K, 6).T.copy(), max(1, _WEDGE_CHUNK // K), np.eye(1, 6, dtype=E2.dtype)[0]
+    for k0 in range(0, steps, per * K):
+        n_blocks = min(per, -(-(steps - k0) // K))
+        W = np.empty((n_blocks * K + 1, 6), E2.dtype)
+        W[0] = w
+        for b in range(n_blocks):
+            np.matmul(w, stacked_t, out=W[b * K + 1 : b * K + K + 1].reshape(-1))
+            v = W[b * K + K].tolist()
+            top = max(map(abs, v))
+            p01, p02, p03, p12, p13, p23 = v = [x / top for x in v]
+            c = (p01 * p23 - p02 * p13 + p03 * p12) / sum([x * x.conjugate() for x in v]).real
+            W[b * K + K] = w = np.array([x - c * y.conjugate() for x, y in zip(v, (p23, -p13, p12, p03, -p02, p01))])
+        yield k0, np.ascontiguousarray(W[: steps - k0 + 1].T)
 
 
-def _wedge_pass(A, B, Q, t_max: float, steps: int):
-    """(sign changes, min_rel, first zero) of det N for the wedge functions."""
-    H2 = _additive_compound(_jacobi_system(A, B, Q, t_max, n=2, hermitian=True)[3])
-    # each oscillating mode turns by h max|Im spec(H2)| in a step; at pi/2
-    # two sign changes of det N cannot hide in one step (a bound of pi let
-    # 38 of 300 random finite cases report a later zero, pi/2 none)
-    need = t_max * float(np.abs(np.linalg.eigvals(H2).imag).max()) / (0.5 * math.pi)
-    if need > _MAX_STEPS:
-        raise UnverifiableError(f"t_max = {t_max:.3e} needs {need:.3e} steps, above {_MAX_STEPS}")
-    steps = max(steps, math.ceil(need))
-    h = t_max / steps
+def _wedge_pass(A, B, Q, t_max: float, first: bool):
+    """(zeros, closest approach, first zero) of det N for the two wedge functions."""
+    Hc, rate = _balanced(_jacobi_system(A, B, Q, t_max, n=2, hermitian=True)[3])
+    H2, steps = (_COMPOUND @ Hc.reshape(16)).reshape(6, 6), t_max * rate / _TURN
+    if not steps <= _MAX_STEPS:
+        raise UnverifiableError(f"t_max = {t_max:.3e} needs {steps:.3e} steps, above {_MAX_STEPS}")
+    steps = max(1, math.ceil(steps))
+    h, zeros, near, hit = t_max / steps, 0, math.inf, BlowUpTime.infinite()
     with np.errstate(all="ignore"):
         E2 = _expm(h * H2)
-    if not np.isfinite(E2).all():
+    growth = math.log(max(math.e, float(np.abs(E2).sum(axis=1).max())))  # ||E2^K||_inf <= exp(K growth)
+    if not growth < math.inf:
         raise UnverifiableError(f"expm(h H2) overflows at h = {h:.3e}, t_max = {t_max:.3e}")
-    # ||E2^m||_inf <= ||E2||_inf^m <= exp(_WEDGE_LOG_GROWTH) for every m <= K
-    growth = math.log(max(math.e, float(np.abs(E2).sum(axis=1).max())))
-    K = max(1, min(_WEDGE_BLOCK, int(_WEDGE_LOG_GROWTH / growth)))
-    powers, starts, rel = _wedge_sweep(E2, K, steps)
-    if np.iscomplexobj(rel) and np.abs(rel.imag).max() > 1e-10:  # Hermitian Q: det N is real
-        raise UnverifiableError(f"det N is not real: imaginary part {np.abs(rel.imag).max():.3e} of the largest coordinate")
-    rel = rel.real
-    # min_rel first: its temporaries are freed before those of the sign scan
-    min_rel = float(np.abs(rel[np.arange(1, steps + 1) * h > 1.0]).min(initial=math.inf))
-    nonzero = np.flatnonzero(rel)  # a zero coordinate keeps the previous sign
-    signs = rel[nonzero] > 0.0
-    flips = nonzero[1:][signs[1:] != signs[:-1]]
-    if not flips.size:
-        return 0, min_rel, BlowUpTime.infinite()
-    k = int(flips[0])  # the step before the first change
-    b, m = divmod(k, K)
-    w = starts[b] if m == 0 else powers[m - 1] @ starts[b]
-    # halve the step, keeping the half with the change, until ||span H2||_inf
-    # <= 1/2; there det N is its degree-16 Taylor polynomial in dt to 1e-19
-    t0, span, norm = 0.0, h, float(np.abs(H2).sum(axis=1).max())
-    while span * norm > 0.5:
-        span *= 0.5
-        mid = _expm(span * H2) @ w
-        if (mid[_DET_N].real > 0.0) == (w[_DET_N].real > 0.0):
-            t0, w = t0 + span, mid
-    coef, w = [], w / np.abs(w).max()
-    for j in range(1, 18):
-        coef.insert(0, float(w[_DET_N].real))
-        w = (H2 @ w) / j
-    g = lambda dt: functools.reduce(lambda acc, c: acc * dt + c, coef, 0.0)
-    g0, g1 = g(0.0), g(span)  # they may disagree with the scan in the last bits
-    dt = _brentq(g, 0.0, span, xtol=_XTOL) if g0 * g1 < 0.0 else (0.0 if abs(g0) <= abs(g1) else span)
-    return int(flips.size), min_rel, BlowUpTime.finite(k * h + (t0 + dt))
+    for k0, W in _wedge_sweep(E2, max(1, min(_WEDGE_BLOCK * (1 if first else 2), steps, int(_WEDGE_LOG_GROWTH / growth))), steps):
+        phi = _wedge_phases(W)
+        # the cut: the midpoint of the wider gap of the phases at each step start,
+        # which a phase moving forward by less than pi/4 cannot reach from below
+        lo, hi = phi[:, :-1].min(axis=0), phi[:, :-1].max(axis=0)
+        cut = (lo + hi + math.pi * (hi - lo < 0.5 * math.pi)) * 0.5
+        cut -= math.pi * (cut >= math.pi)
+        m = (phi[:, :-1] >= cut).sum(axis=0)  # phases past the cut at each step start
+        turn = (phi[:, 1:] >= cut).sum(axis=0) - m  # and at its end: minus the zeros in the step
+        drops = np.flatnonzero(turn < 0)
+        turn = turn[: drops[0] + 1] if first and drops.size else turn
+        if (turn > 0).any() or (k0 == 0 and np.minimum(phi[:, 1], math.pi - phi[:, 1]).min() <= _XTOL):
+            t = (k0 + int((turn > 0).argmax())) * h
+            raise UnverifiableError(f"an eigenphase stays at 0 or moves back through pi on [{t:.17g}, {t + h:.17g}]")
+        zeros -= int(turn.sum())
+        near = min(near, math.pi - float(phi[:, max(0, int(1.0 / h) + 1 - k0) :].max(initial=-math.inf)))  # t > 1
+        if drops.size and not hit.is_finite:
+            j = int(drops[0])
+            hit = BlowUpTime.finite((k0 + j) * h + _wedge_refine(H2, W[:, j], cut[j], int(m[j]), h, t_max))
+            if first:
+                break
+    return zeros, near, hit
 
 
-def wedge_det_sign_changes(A, B, Q, t_max: float, steps: int = 4000) -> tuple[int, float]:
-    """Count sign changes of det N up to t_max for a 2x2 constant system.
+def _wedge_refine(H2: np.ndarray, w: np.ndarray, cut: float, m: int, h: float, t_max: float) -> float:
+    """Offset into a step of the zero where the m-th phase past the cut reaches pi, by
+    ``_brentq`` on the degree-30 Taylor polynomial of exp(s H2) w, w the step's start,
+    on a half, quarter, ... of the step while ||h H2||_2 > 2."""
+    t0, norm = 0.0, float(np.linalg.svd(H2, compute_uv=False)[0])
+    while h * norm > 2.0:
+        h *= 0.5
+        mid = _expm(h * H2) @ w
+        if (_wedge_phases(mid) >= cut).sum() == m:
+            t0, w = t0 + h, mid
+    C, X = (w / np.abs(w).max())[:, None], h * H2
+    while C.shape[1] < len(_INV_FACTORIALS):  # columns X^0..X^(2k-1) w from X^0..X^(k-1) w
+        C, X = np.concatenate((C, X @ C), axis=1), X @ X
+    C, z, powers = C[:, : len(_INV_FACTORIALS)] * _INV_FACTORIALS, -cut % math.pi, np.arange(len(_INV_FACTORIALS))
 
-    The Pluecker vector of the column span of [M; N] is stepped by E2 =
-    expm(h H2), H2 the 6x6 additive compound of H (the 2x2 minors of expm(h H)
-    cancel at large |Q|), in blocks of K = 64 steps (fewer when ||E2||^64
-    would pass exp(300)): block starts by E2^K with a
-    max-norm rescale, the steps inside from E2^1..E2^K, each read against its
-    own largest coordinate. det N, one coordinate, escapes the cancellation
-    of direct propagation; with a Hermitian Q it is real (an imaginary part
-    above 1e-10 of the largest coordinate is unverifiable). ``steps`` is
-    raised so that h max|Im spec(H2)| <= pi/2. Returns (sign
-    changes, min over t > 1 of |det N| over the largest coordinate). Raises
-    ``DomainError`` on non-finite input, ``UnverifiableError`` when E2
-    overflows or more than 2^20 steps are needed.
-    """
-    return _wedge_pass(A, B, Q, t_max, steps)[:2]
+    def past(s: float) -> float:  # the general form of _wedge_phases for one plane, by cmath
+        p01, p02, p03, p12, p13, p23 = (C @ (s / h) ** powers).tolist()
+        root, den = cmath.sqrt(4.0 * p02 * p13 - (p03 + p12) ** 2), complex(p01 - p23, p12 - p03)
+        a, b = ((cmath.phase((p01 + p23 + r) / den) / 2.0 + z) % math.pi for r in (-root, root))
+        return (min(a, b) if m == 1 else max(a, b)) - z
+
+    try:
+        return t0 + _brentq(past, 0.0, h, xtol=_XTOL * min(1.0, t_max))
+    except ValueError:  # the ends may disagree with the sweep in the last bits
+        return t0 + (0.0 if abs(past(0.0)) <= abs(past(h)) else h)
 
 
-def wedge_first_zero(A, B, Q, t_max: float, steps: int = 4000) -> BlowUpTime:
-    """First sign change of det N for a 2x2 constant system, refined.
+def wedge_det_sign_changes(A, B, Q, t_max: float) -> tuple[int, float]:
+    """(zeros of det N on (0, t_max] with multiplicity, closest approach of the largest
+    eigenphase to pi over t > 1) of a 2x2 constant system, Q real or Hermitian, by the
+    phase rule on the compound sweep. The name, like that of ``wedge_first_zero``, is
+    kept from the det N sign scan that this replaced. Raises ``DomainError`` on
+    non-finite input, ``UnverifiableError`` where the pass needs more than 2^20 steps,
+    a step overflows, or a phase stays at 0 after the first step or moves back."""
+    return _wedge_pass(A, B, Q, t_max, first=False)[:2]
 
-    Same pass and errors as ``wedge_det_sign_changes``; the first change is
-    refined by ``_brentq`` on the Taylor polynomial of (expm(dt H2) w)[det N]
-    from the rescaled vector w of the step before (on a half, quarter, ... of
-    the step while ||h H2|| > 1/2), where direct (M, N) propagation has lost
-    the zero to the eps * |N|^2 floor of hyperbolic growth. The root of the
-    polynomial is found to 1e-12, but w carries the rounding of the pass up
-    to it, and that sets the error: 7.9e-10 at (-2.275768649837373,
-    3.0690415149607126) with t_max = 1.05 tbar + 0.1, and another value at
-    another t_max, whose steps differ. Tangential (even-multiplicity) zeros
-    produce no sign change and are not reported.
-    """
-    return _wedge_pass(A, B, Q, t_max, steps)[2]
+
+def wedge_first_zero(A, B, Q, t_max: float) -> BlowUpTime:
+    """First zero of det N on (0, t_max] of a 2x2 constant system, of any multiplicity,
+    or the infinite marker: the pass and errors of ``wedge_det_sign_changes``, stopped
+    at its first zero, refined to 1e-12 min(1, t_max) on the compound vector, where
+    direct (M, N) propagation loses it to the eps |N|^2 floor of hyperbolic growth."""
+    return _wedge_pass(A, B, Q, t_max, first=True)[2]

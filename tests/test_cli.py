@@ -154,12 +154,13 @@ class TestBlowup:
         assert float(rows[-1]["tbar"]) == pytest.approx(math.pi / 2.0)
 
     def test_verify_tolerance_is_relative_to_tbar(self, tmp_path, capsys):
-        # tbar ~ 22.6: the wedge time is 1.08e-9 off, 4.8e-11 relative
+        # tbar ~ 22.6: the 2x2 route's time is 8.5e-14 off, 3.8e-15 relative
+        # (the det N sign scan was 1.08e-9 off, 4.8e-11 relative)
         argv = ["blowup", "--ka=-1.4809188885826128", "--kb", "2.510734369691354",
                 "--verify", "--out", str(tmp_path / "b.csv")]
         assert run_cli(argv) == 0
         assert "verification passed" in capsys.readouterr().out
-        assert run_cli(argv + ["--tol", "1e-14"]) == 1
+        assert run_cli(argv + ["--tol", "1e-16"]) == 1
         assert "verification FAILED" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

@@ -357,6 +357,16 @@ class TestConjugateTime:
         worst = max(abs(conjugate_time(d, v).t_star - math.pi / math.sqrt(1.0 + v @ v)) for v in vs)
         assert worst < 1e-12, f"worst |t* - pi/sqrt(1 + |v|^2)| = {worst:.3e}"
 
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    @pytest.mark.parametrize("nv", [0.0, 1e-3, 1.0, 1e2, 1e4, 1e6])
+    def test_conjugate_time_is_relative_at_every_norm(self, d, nv):
+        # one scale for the complex pair made the det N sign scan early by
+        # up to 1.7e-8 relative at |v| = 1e6
+        rng = np.random.default_rng(7)
+        for v in (nv * np.eye(3)[0], nv * (lambda u: u / np.linalg.norm(u))(rng.standard_normal(3))):
+            ref = math.pi / math.sqrt(1.0 + v @ v)
+            assert abs(conjugate_time(d, v).t_star - ref) <= 1e-12 * ref, f"v = {v}"
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_dets_multiply_to_the_full_det(self, d):
         # det N = det N_real |det N_c|^2 (sin(sqrt(kc) t)/sqrt(kc))^(4d-4) t,

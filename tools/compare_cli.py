@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 20 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 23 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -27,8 +27,10 @@ CALLS = [
     ["blowup", "--sweep=-5:5:41", "--kb", "3", "--verify"],
     ["blowup", "--sweep=-5:5:41", "--kb", "4", "--tol", "1e-6", "--verify"],
     ["blowup", "--sweep=-3:3:25", "--kb", "0.5", "--format", "json"],
-    # near resonance: the wedge route is late by 7.1e-6 and the call exits 1
+    # near resonance: det N has a cluster of zeros within a step; the call exits 0
     ["blowup", "--ka=-8.999999872840394", "--kb", "9.999999957613465", "--verify"],
+    # (-3 s^4, 4 s^2) at s = 1e3: the blow-up time scales as 1/s
+    ["blowup", "--ka=-3e12", "--kb", "4e6", "--verify"],
     # a zero divisor in the interpolation step of the Brent port
     ["blowup", "--ka", "1.5684445943827328e-254", "--kb", "0", "--verify"],
     # the kc row follows the sweep rows
@@ -39,6 +41,9 @@ CALLS = [
     ["conjugate", "--d", "2", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "16", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "2", "--vnorm", "0.5"],
+    # large |v|: t* = pi/sqrt(1 + |v|^2) to 1e-12 relative
+    ["conjugate", "--d", "1", "--vnorm", "10000", "--verify"],
+    ["conjugate", "--d", "2", "--vnorm", "1e6", "--verify"],
     ["laplacian", "--d", "1", "--verify"],
     ["laplacian", "--d", "2", "--verify"],
     ["laplacian", "--d", "3", "--vnorm", "3", "--verify"],
