@@ -381,10 +381,11 @@ def check_sublaplacian_margin(rng: np.random.Generator) -> CheckResult:
 
 
 def check_scaling_covariance(rng: np.random.Generator) -> CheckResult:
-    """Parabolic rescaling covariance of both scalar models."""
+    """Parabolic rescaling covariance of both scalar models. Every fourth pair is
+    near-degenerate, |kappa_a| = kappa_b^2/4 times 10^[-16, 0], at small t."""
     worst = 0.0
     tbar_worst = 0.0
-    for _ in range(100):
+    for i in range(100):
         alpha = rng.uniform(0.5, 2.0)
         u = rng.uniform(0.05, 0.9)
 
@@ -396,8 +397,12 @@ def check_scaling_covariance(rng: np.random.Generator) -> CheckResult:
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
         ka, kb = rng.uniform(-5.0, 5.0, size=2)
+        near = i % 4 == 0
+        if near:
+            ka = math.copysign(kb * kb / 4.0 * 10.0 ** rng.uniform(-16.0, 0.0), ka)
+            u *= 10.0 ** rng.uniform(-6.0, 0.0)
         tbs = blowup_time_kab(alpha**4 * ka, alpha**2 * kb)
-        t2 = u * (tbs.time if tbs.is_finite else 3.0 / alpha)
+        t2 = u * (min(tbs.time, 3.0 / alpha) if near else tbs.time if tbs.is_finite else 3.0 / alpha)
         lhs2 = eval_s_kab(alpha**4 * ka, alpha**2 * kb, t2)
         rhs2 = alpha * eval_s_kab(ka, kb, alpha * t2)
         worst = max(worst, abs(lhs2 - rhs2) / max(1.0, abs(lhs2)))

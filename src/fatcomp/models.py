@@ -14,9 +14,10 @@ datum at ``t = 0``; blow-up times, the finiteness predicate, the upper
 bound for the two-frequency blow-up, and a diameter-type certificate are
 provided alongside.
 
-All frequency arithmetic is done in complex numbers with principal square
-roots; real outputs are checked for a negligible imaginary part before
-truncation.
+``eval_s_kab`` and the certificate are real: they read divided differences
+of F(z) = sin(sqrt z)/sqrt z off a 2x2 matrix with eigenvalues (tp t)^2,
+(tm t)^2 (``_f_and_c``). ``eval_s_kc`` and ``theta_from_kappas`` take complex
+principal square roots; ``eval_s_kc`` checks that its imaginary part is negligible.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ __all__ = [
 
 # Imaginary parts above this are a bug, not roundoff.
 _IM_TOL = 1e-10
-# Relative frequency coincidence threshold routing to the analytic limit.
-_THETA_COINCIDE = 1e-7
+# Taylor coefficients of F(z) = sin(sqrt z)/sqrt z and C(z) = cos(sqrt z), degree 16 down
+# to 0: on |z| <= 16 the first omitted terms are 3e-20 and 1e-18.
+_HORNER = tuple(((-1) ** k / math.factorial(2 * k + 1), (-1) ** k / math.factorial(2 * k))
+                for k in range(16, -1, -1))
 # |g+-| <= _TOUCH pi/tm at a knot is a touch: rounding tp*t and tm*t costs a few eps t.
 _TOUCH = 8.0 * 2.0**-52
 # scipy brentq's defaults: its floor for the relative tolerance, and its iteration cap.
@@ -134,34 +137,45 @@ def theta_from_kappas(kappa_a: float, kappa_b: float) -> tuple[complex, complex]
     """(theta_plus, theta_minus) of the two-frequency model, principal branches.
 
     With x = kappa_b/2 and y = sqrt(kappa_b**2 + 4*kappa_a)/2, theta_pm =
-    (sqrt(x+y) +- sqrt(x-y))/2. The map is inverted by kappa_b = 2*(tp**2 +
-    tm**2) and kappa_a = -(tp**2 - tm**2)**2.
+    (sqrt(x+y) +- sqrt(x-y))/2, with x - y = -kappa_a/(x + y), free of
+    cancellation, where kappa_b > 0 and y is real. The map is inverted by
+    kappa_b = 2*(tp**2 + tm**2) and kappa_a = -(tp**2 - tm**2)**2.
     """
     x = complex(kappa_b) / 2.0
-    y = cmath.sqrt(complex(kappa_b * kappa_b + 4.0 * kappa_a)) / 2.0
+    disc = kappa_b * kappa_b + 4.0 * kappa_a
+    y = cmath.sqrt(complex(disc)) / 2.0
     sp = cmath.sqrt(x + y)
-    sm = cmath.sqrt(x - y)
+    sm = cmath.sqrt(complex(-kappa_a / (x + y).real) if kappa_b > 0.0 and disc >= 0.0 else x - y)
     return (sp + sm) / 2.0, (sp - sm) / 2.0
 
 
-def _csinc(z: complex) -> complex:
-    if abs(z) < 1e-8:
-        return 1.0 - z * z / 6.0
-    return cmath.sin(z) / z
+def _f_and_c(kappa_a: float, kappa_b: float, t: float) -> tuple[float, float, float, float]:
+    """(uf, wf, uc, wc): F(X) = uf + wf N and C(X) = uc + wc N, in real arithmetic.
 
-
-def _s_kab_limit(alpha: complex, t: float) -> complex:
-    """Coincident-frequency limit of the two-frequency model.
-
-    For theta_plus = theta_minus = alpha the generic quotient is 0/0; the
-    analytic limit is alpha*(alpha*t/(1 - alpha*t*cot(alpha*t)) + cot(alpha*t)).
+    F(z) = sin(sqrt z)/sqrt z, C(z) = cos(sqrt z), and X = m + N is real 2x2
+    with eigenvalues a, b = (tp t)^2, (tm t)^2: m = kappa_b t^2/4 and N^2 =
+    ((a - b)/2)^2 = -kappa_a t^4/4, so a - b is no difference of rounded
+    numbers. By the Opitz formula f(X) = u + w N has u = (f(a) + f(b))/2 and
+    w = f[a, b], the divided difference. Both series run to degree 16 by Horner
+    on Y = X/4^s, s the fewest quarterings of the spectral radius to <= 16,
+    then s doublings F(4Y) = F(Y) C(Y), C(4Y) = 2 C(Y)^2 - 1.
     """
-    z = alpha * t
-    if abs(z) < 1e-4:
-        # expansion of the limit formula; first correction at O(z^2)
-        return 4.0 / t - (8.0 / 15.0) * alpha * alpha * t
-    cot = cmath.cos(z) / cmath.sin(z)
-    return alpha * (alpha * t / (1.0 - z * cot) + cot)
+    h = t * t / 2.0
+    m, n = kappa_b * h / 2.0, math.sqrt(abs(kappa_a)) * h  # (a + b)/2 and |a - b|/2
+    r = abs(m) + n if kappa_a <= 0.0 else math.hypot(m, n)
+    s = 0
+    while 16.0 < r < math.inf:
+        r, s = r / 4.0, s + 1
+    m, nn = math.ldexp(m, -2 * s), math.ldexp(-kappa_a * h * h, -4 * s)  # nn = N^2 of Y
+    (uf, uc), wf, wc = _HORNER[0], 0.0, 0.0
+    for cf, cc in _HORNER[1:]:  # p(Y) Y + c
+        uf, wf = cf + m * uf + nn * wf, uf + m * wf
+        uc, wc = cc + m * uc + nn * wc, uc + m * wc
+    for _ in range(s):  # products in the basis N of Y, then w -> w/4 for the N of 4Y
+        uf, wf = uf * uc + nn * wf * wc, (uf * wc + uc * wf) / 4.0
+        uc, wc = 2.0 * (uc * uc + nn * wc * wc) - 1.0, uc * wc
+        nn *= 16.0
+    return uf, wf, uc, wc
 
 
 def _check_kappas(kappa_a: float, kappa_b: float) -> None:
@@ -180,32 +194,22 @@ def finiteness_predicate(kappa_a: float, kappa_b: float) -> bool:
 def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
     """Evaluate the two-frequency model at time t.
 
-    Generic form: (2/t) * (sinc(2*tm*t) - sinc(2*tp*t)) /
-    (sinc(tm*t)**2 - sinc(tp*t)**2). Near frequency coincidence the
-    expression is routed to the analytic limit.
+    The model (2/t) (sinc(2 tm t) - sinc(2 tp t)) / (sinc(tm t)^2 - sinc(tp t)^2)
+    is (8/t) F[4a, 4b] / (F[a, b] (F(a) + F(b))), a, b = (tp t)^2, (tm t)^2,
+    since (F^2)[a, b] = F[a, b] (F(a) + F(b)); F(4X) = F(X) C(X) of
+    ``_f_and_c`` carries 4 F[4a, 4b]. One real route for every pair and t.
+    ``DomainError`` outside (0, tbar); ``FloatingPointError`` where the
+    quotient is not finite, as when the hyperbolic factors overflow.
     """
     tbar = blowup_time_kab(kappa_a, kappa_b)
+    where = f"t={t} for (kappa_a, kappa_b)=({kappa_a}, {kappa_b})"
     if not 0.0 < t < tbar.time:
-        raise DomainError(
-            f"t={t} outside (0, {tbar.time}) for (kappa_a, kappa_b)="
-            f"({kappa_a}, {kappa_b})"
-        )
-    tp, tm = theta_from_kappas(kappa_a, kappa_b)
-    tp2, tm2 = tp * tp, tm * tm
-    # The quotient depends on the frequencies only through their squares,
-    # and degenerates to 0/0 in three situations: coincident frequencies,
-    # coincident squares (kappa_a = 0 with kappa_b < 0, where tp = -tm),
-    # and sinc arguments too small to resolve the difference. All three
-    # are served by the analytic limit at the root-mean-square frequency.
-    if (
-        abs(tp - tm) < _THETA_COINCIDE * max(abs(tp), 1.0)
-        or abs(tp2 - tm2) < _THETA_COINCIDE * max(abs(tp2), 1.0)
-        or max(abs(tp), abs(tm)) * t < 1e-4
-    ):
-        return _real(_s_kab_limit(cmath.sqrt((tp2 + tm2) / 2.0), t), "s_kab")
-    num = _csinc(2.0 * tm * t) - _csinc(2.0 * tp * t)
-    den = _csinc(tm * t) ** 2 - _csinc(tp * t) ** 2
-    return _real((2.0 / t) * num / den, "s_kab")
+        raise DomainError(f"{where} outside (0, {tbar.time})")
+    uf, wf, uc, wc = _f_and_c(kappa_a, kappa_b, t)
+    num, den = uf * wc + uc * wf, t * uf * wf
+    if not (math.isfinite(num) and math.isfinite(den) and den != 0.0):
+        raise FloatingPointError(f"s_kab is not finite at {where}")
+    return num / den
 
 
 def _brentq(f, a: float, b: float, xtol: float) -> float:
@@ -297,10 +301,9 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
     the blow-up is the unique root of alpha*tan(alpha*t) +
     beta*tanh(beta*t) on (pi/(2*alpha), pi/alpha), evaluated in the
     pole-free form alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t)
-    and found by ``_brentq`` to 1e-12 min(1, pi/(2*alpha)) in t, so that
-    the tolerance is relative on short time scales.
-    Raises ``DomainError`` when kappa_a or kappa_b is NaN or infinite, and
-    ``FloatingPointError`` when a frequency overflows or alpha^2 underflows.
+    and found by ``_brentq`` to 1e-12 min(1, pi/(2*alpha)) in t, relative on
+    short time scales. ``DomainError`` when kappa_a or kappa_b is NaN or
+    infinite; ``FloatingPointError`` when a frequency overflows or alpha^2 underflows.
     """
     if not finiteness_predicate(kappa_a, kappa_b):
         return BlowUpTime.infinite()
@@ -334,21 +337,12 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
     # one directly and recover the other from the product.
     x = kappa_b / 2.0
     y = math.hypot(kappa_b, 2.0 * math.sqrt(kappa_a)) / 2.0
-    if x >= 0.0:
-        sp2 = x + y
-        sm2 = kappa_a / sp2
-    else:
-        sm2 = y - x
-        sp2 = kappa_a / sm2
+    sp2 = x + y if x >= 0.0 else kappa_a / (y - x)
+    sm2 = kappa_a / sp2 if x >= 0.0 else y - x
     alpha, beta = math.sqrt(sp2) / 2.0, math.sqrt(sm2) / 2.0
     if alpha == 0.0:
         raise FloatingPointError(f"alpha^2 = kappa_a / sm2 underflows to 0 for ({kappa_a}, {kappa_b})")
-
-    def g(t: float) -> float:
-        return alpha * math.sin(alpha * t) + beta * math.cos(alpha * t) * math.tanh(
-            beta * t
-        )
-
+    g = lambda t: alpha * math.sin(alpha * t) + beta * math.cos(alpha * t) * math.tanh(beta * t)
     lo, hi = math.pi / (2.0 * alpha), math.pi / alpha
     # g decreases from g(lo) = alpha > 0 to g(hi) = -beta*tanh(beta*hi).
     # With alpha and beta many orders of magnitude apart, the smaller
@@ -395,11 +389,12 @@ def diameter_certificate(v_norm: float, K: float) -> DiameterCertificate:
     base with sectional curvature at least ``K >= -1``, the effective
     constants are kappa_a = v^2*(3/2*K - 7/2 - 15/8*v^2) and
     kappa_b = 4 + 5*v^2. ``chi_at_pi`` is the factored blow-up function
-    chi(pi) = sinc(tm*pi)**2 - sinc(tp*pi)**2 whose sign at pi certifies
-    the small ``v_norm`` regime; ``passes`` records tbar <= pi. Where
-    kappa_a > 0 (K > 7/3 + 1.25*v^2) tp and tm are a conjugate pair, chi
-    is purely imaginary, and ``chi_at_pi`` is Im chi(pi) instead. Like chi
-    on the real branch it is positive before tbar and changes sign at
+    chi(pi) = sinc(tm*pi)**2 - sinc(tp*pi)**2 = (b - a) F[a, b] (F(a) + F(b)),
+    a, b = (tp pi)^2, (tm pi)^2, whose sign certifies the small ``v_norm``
+    regime; ``passes`` records tbar <= pi. One real expression from
+    ``_f_and_c``, -sqrt|kappa_a| pi^2 F[a, b] (F(a) + F(b)), is chi(pi) for
+    kappa_a <= 0 and Im chi(pi) for kappa_a > 0 (K > 7/3 + 1.25*v^2), where
+    chi is purely imaginary. It is positive before tbar and changes sign at
     tbar: (0.25, 2.9) gives -7.73e-3 with tbar = 3.0146.
     """
     if v_norm < 0.0:
@@ -410,14 +405,11 @@ def diameter_certificate(v_norm: float, K: float) -> DiameterCertificate:
     kappa_a = s * (1.5 * K - 3.5 - 1.875 * s)
     kappa_b = 4.0 + 5.0 * s
     tbar = blowup_time_kab(kappa_a, kappa_b)
-    tp, tm = theta_from_kappas(kappa_a, kappa_b)
-    chi = _csinc(tm * math.pi) ** 2 - _csinc(tp * math.pi) ** 2
-    if kappa_a > 0.0:
-        chi = -1j * chi  # Re(-i chi) = Im chi; _real checks that Re chi vanishes
+    uf, wf, _, _ = _f_and_c(kappa_a, kappa_b, math.pi)
     return DiameterCertificate(
         kappa_a=kappa_a,
         kappa_b=kappa_b,
         tbar=tbar,
-        chi_at_pi=_real(chi, "chi_at_pi"),
+        chi_at_pi=0.0 - 2.0 * math.sqrt(abs(kappa_a)) * math.pi**2 * uf * wf,  # 0.0 - x: +0.0 at kappa_a = 0
         passes=bool(tbar.time <= math.pi * (1.0 + 1e-12)),
     )
