@@ -248,7 +248,7 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     must then have last row and column below 1e-8 max(1, max|R_cc|),
     otherwise the inputs are inconsistent with a curvature-free motion
     direction and a ValueError is raised. The test is relative because
-    R_cc grows like |v|^2.
+    R_cc grows like |v|^2. The rounding that passes it is set to exactly 0.
     """
     v = np.asarray(v, dtype=float).ravel()
     if v.shape != (3,):
@@ -270,6 +270,7 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
             f"motion direction carries curvature (residual {edge:.3e}); "
             "inputs are inconsistent"
         )
+    R_cc[-1, :] = R_cc[:, -1] = 0.0
     ABU_rot = _reflect(np.asarray(inputs.ABU, dtype=float), u)
     dims = FatDims(k=4 * inputs.d, n=4 * inputs.d + 3)
     a, b, c = dims.sl_a, dims.sl_b, dims.sl_c

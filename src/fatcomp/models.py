@@ -136,16 +136,21 @@ def eval_s_kc(kappa_c: float, t: float) -> float:
 def theta_from_kappas(kappa_a: float, kappa_b: float) -> tuple[complex, complex]:
     """(theta_plus, theta_minus) of the two-frequency model, principal branches.
 
-    With x = kappa_b/2 and y = sqrt(kappa_b**2 + 4*kappa_a)/2, theta_pm =
-    (sqrt(x+y) +- sqrt(x-y))/2, with x - y = -kappa_a/(x + y), free of
-    cancellation, where kappa_b > 0 and y is real. The map is inverted by
-    kappa_b = 2*(tp**2 + tm**2) and kappa_a = -(tp**2 - tm**2)**2.
+    With x = kappa_b/2 and y = sqrt(kappa_b**2 + 4*kappa_a)/2 (by hypot where
+    kappa_a >= 0), theta_pm = (sqrt(x+y) +- sqrt(x-y))/2. Where y is real,
+    (x + y)(x - y) = -kappa_a: the factor whose terms share a sign is taken
+    directly and the other from the product, free of cancellation. The map is
+    inverted by kappa_b = 2*(tp**2 + tm**2) and kappa_a = -(tp**2 - tm**2)**2.
     """
-    x = complex(kappa_b) / 2.0
-    disc = kappa_b * kappa_b + 4.0 * kappa_a
-    y = cmath.sqrt(complex(disc)) / 2.0
-    sp = cmath.sqrt(x + y)
-    sm = cmath.sqrt(complex(-kappa_a / (x + y).real) if kappa_b > 0.0 and disc >= 0.0 else x - y)
+    x = kappa_b / 2.0
+    y = math.hypot(kappa_b, 2.0 * math.sqrt(kappa_a)) if kappa_a >= 0.0 else cmath.sqrt(kappa_b * kappa_b + 4.0 * kappa_a)
+    y /= 2.0
+    if kappa_a and not y.imag:
+        y = y.real
+        xp, xm = (x + y, -kappa_a / (x + y)) if x >= 0.0 else (-kappa_a / (x - y), x - y)
+    else:
+        xp, xm = x + y, x - y
+    sp, sm = cmath.sqrt(xp), cmath.sqrt(xm)
     return (sp + sm) / 2.0, (sp - sm) / 2.0
 
 
@@ -331,17 +336,10 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
                 f"({kappa_a}, {kappa_b})"
             )
         return BlowUpTime.finite(min(roots))
-    # kappa_a > 0: conjugate pair alpha +- i*beta with alpha, beta > 0
-    # and (2*alpha)^2 * (2*beta)^2 = 4*kappa_a. One of the two squares
-    # suffers cancellation when kappa_a << kappa_b**2; compute the safe
-    # one directly and recover the other from the product.
-    x = kappa_b / 2.0
-    y = math.hypot(kappa_b, 2.0 * math.sqrt(kappa_a)) / 2.0
-    sp2 = x + y if x >= 0.0 else kappa_a / (y - x)
-    sm2 = kappa_a / sp2 if x >= 0.0 else y - x
-    alpha, beta = math.sqrt(sp2) / 2.0, math.sqrt(sm2) / 2.0
+    tp = theta_from_kappas(kappa_a, kappa_b)[0]  # kappa_a > 0: alpha + i*beta, alpha, beta > 0
+    alpha, beta = tp.real, tp.imag
     if alpha == 0.0:
-        raise FloatingPointError(f"alpha^2 = kappa_a / sm2 underflows to 0 for ({kappa_a}, {kappa_b})")
+        raise FloatingPointError(f"alpha^2 = kappa_a / (16 beta^2) underflows to 0 for ({kappa_a}, {kappa_b})")
     g = lambda t: alpha * math.sin(alpha * t) + beta * math.cos(alpha * t) * math.tanh(beta * t)
     lo, hi = math.pi / (2.0 * alpha), math.pi / alpha
     # g decreases from g(lo) = alpha > 0 to g(hi) = -beta*tanh(beta*hi).

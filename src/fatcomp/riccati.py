@@ -14,11 +14,14 @@ is the first n columns of exp(tH), by the products-only ``_expm``.
 
 One zero rule serves every n and every multiplicity (the Maslov view): det N
 vanishes when an eigenphase of the Lagrangian plane [M; N] reaches pi, and
-with B >= 0 the first zero is the first time the largest does.
+with B >= 0 the first zero is the first time the largest does. It is written
+once, for two frames: both passes step H scaled by ``_balanced``, the same
+steps at every scale of the system; ``_step_count``, ``_cut`` and ``_turns``
+cap the steps, cut the phases and count those that pass pi.
 
 * ``integrate_jacobi`` and ``JacobiSolution``: exp(tH) at any t, V and the
   symplectic residual;
-* ``first_blowup``: the rule on a frame stepped by exp(h H) and QR;
+* ``first_blowup``: the rule on an orthonormal frame stepped by exp(h H) and QR;
 * ``wedge_first_zero`` and ``wedge_det_sign_changes``: the rule for 2x2
   systems, Q real or Hermitian, on the Pluecker vector of the plane, stepped
   in blocks by expm(h H2), H2 the additive compound of H, which keeps the
@@ -160,12 +163,95 @@ def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:
 # blow-up detection
 # ----------------------------------------------------------------------
 
-#: Most an eigenphase of the plane may turn in one step of first_blowup.
+#: Most an eigenphase of the plane may turn in one step of a phase pass.
 _TURN = 0.25 * math.pi
-#: Time tolerance of a refinement of a det N zero, scaled by min(1, t_max) in first_blowup.
+#: Time tolerance of a refinement of a det N zero, scaled by min(1, t_max).
 _XTOL = 1e-12
-#: Most steps a pass of first_blowup or of the 2x2 route may take.
+#: Most steps a phase pass may take.
 _MAX_STEPS = 2**20
+#: How far below the level of the fit of _balanced, in log scale, a diagonal of Q may drag it.
+_FAR_BELOW = math.log(10.0)
+
+
+class UnverifiableError(FloatingPointError):
+    """A route cannot decide: a pass of over 2^20 steps, an overflowing step, or phases that stay at 0, move back or leave no gap."""
+
+
+@functools.lru_cache(maxsize=256)
+def _fit(pattern: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(design, pseudo-inverse, diagonals of Q) of the least-squares fit of ``_balanced`` for one pattern of S."""
+    n = math.isqrt(len(pattern)) // 2
+    x = np.hstack((np.vstack((np.eye(n), -np.eye(n))), np.full((2 * n, 1), -0.5)))  # (u, mu) in x_i - mu/2
+    r, c = np.nonzero(np.frombuffer(pattern, bool).reshape(2 * n, 2 * n))
+    return x[r] + x[c], np.linalg.pinv(x[r] + x[c]), (r == c) & (r >= n)
+
+
+def _balanced(H: np.ndarray) -> tuple[np.ndarray, float]:
+    """(H_u, rate): H conjugated by the symplectic diag(e^-u, e^u), which keeps every zero
+    of det N, and the top eigenvalue of S_u = J^T H_u = [[B_u, A_u], [A_u^T, Q_u]], which
+    bounds the forward speed of the phases when B >= 0 (else ``ValueError``). u is the
+    least-squares fit of the diagonals of B and Q and the nonzero entries of A to one
+    level mu in log scale; small off-diagonals would drive it, and so does a diagonal of
+    Q far below mu (1e-45 next to 1): a refit without the diagonals of Q ``_FAR_BELOW``
+    below mu wins if its rate is lower."""
+    n = len(H) // 2
+    S = np.concatenate((H[n:], -H[:n]))  # S_u = S * outer(g, g), log g = (u, -u)
+    b = np.linalg.eigvalsh(S[:n, :n].real)
+    if np.abs(S[:n, :n] - S[:n, :n].T).max() > 1e-12 * b[-1] or b[0] < -1e-12 * b[-1]:
+        raise ValueError(f"B must be symmetric positive semidefinite to 1e-12, its eigenvalues span [{b[0]:.3e}, {b[-1]:.3e}]")
+    keep, diagonal = S != 0, np.eye(n, dtype=bool)
+    keep[:n, :n] &= diagonal
+    keep[n:, n:] &= diagonal
+    design, fit, q = _fit(keep.tobytes())
+    log = np.log(np.abs(S[keep]))
+    fits = [fit @ -log]
+    r = log + design @ fits[0]  # log size over mu
+    below = (r < -_FAR_BELOW) & q
+    if below.any():
+        keep[keep] = ~below
+        fits.append(fits[0] - _fit(keep.tobytes())[1] @ r[~below])  # the least change: scale-free
+
+    def scaled(z):
+        g = np.exp(np.concatenate((z[:n], -z[:n])))
+        return H * np.outer(1.0 / g, g), float(np.linalg.eigvalsh(S * np.outer(g, g))[-1])
+
+    return min(map(scaled, fits), key=lambda pair: pair[1])
+
+
+def _step_count(t_max: float, rate: float) -> int:
+    """Steps of a phase pass, pi/4 of turn each; ``UnverifiableError`` above ``_MAX_STEPS``."""
+    steps = t_max * rate / _TURN
+    if not steps <= _MAX_STEPS:
+        raise UnverifiableError(f"t_max = {t_max:.3e} needs {steps:.3e} steps, above {_MAX_STEPS}")
+    return max(1, math.ceil(steps))
+
+
+def _cut(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cut, gap): the middle and width of the widest cyclic gap of the phases phi in [0, pi)
+    on the first axis, which no phase reaches in a step that turns it by less than gap/2."""
+    # min and max sort two phases a column 20 times faster than np.sort on a 4096-step run
+    p = np.stack((phi.min(axis=0), phi.max(axis=0))) if len(phi) == 2 else np.sort(phi, axis=0)
+    gaps = np.concatenate((p[1:], p[:1] + math.pi)) - p
+    gap = gaps.max(axis=0)
+    cut = np.where(gaps == gap, p, math.inf).min(axis=0) + 0.5 * gap
+    return cut - math.pi * (cut >= math.pi), gap
+
+
+def _turns(phi: np.ndarray, phi1: np.ndarray, cut, t: float, h: float, first: bool):
+    """(m, turn, drops) of steps of h from t with phases phi and phi1 (first axis) at their
+    ends: m counts the phases in [cut, pi) at each start, turn its change, less the zeros
+    of det N in the step, drops the steps with a zero. ``UnverifiableError`` if a phase
+    stays at 0 after the first step or moves back through pi, up to the first zero where
+    ``first``."""
+    m = (phi >= cut).sum(axis=0)
+    turn = (phi1 >= cut).sum(axis=0) - m
+    drops = np.nonzero(turn < 0)[0]
+    turn = turn[: drops[0] + 1] if first and drops.size else turn
+    back = np.nonzero(turn > 0)[0]
+    if back.size or (t == 0.0 and np.minimum(phi1[:, 0], math.pi - phi1[:, 0]).min() <= _XTOL):
+        t += h * int(back[0] if back.size else 0)
+        raise UnverifiableError(f"an eigenphase stays at 0 or moves back through pi on [{t:.17g}, {t + h:.17g}]")
+    return m, turn, drops
 
 
 def _phases(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,67 +262,41 @@ def _phases(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Y, np.angle(np.linalg.eigvals(W @ W.T)) / 2.0 % math.pi
 
 
-def _scaled(sol: JacobiSolution) -> tuple[np.ndarray, float]:
-    """(H_c, rate): H conjugated by the symplectic diag(I / c, c I), c^4 = ||Q|| / ||B||,
-    which keeps every zero of det N, and the top eigenvalue of S_c = J^T H_c. In an
-    orthonormal frame Y the phases move at the eigenvalues of Y^T S_c Y, congruent
-    to B: forward, no faster than rate. ``ValueError`` unless B is symmetric >= 0."""
-    b = np.linalg.eigvalsh(sol.B)
-    if np.abs(sol.B - sol.B.T).max() > 1e-12 * b[-1] or b[0] < -1e-12 * b[-1]:
-        raise ValueError(f"B must be symmetric positive semidefinite to 1e-12, its eigenvalues span [{b[0]:.3e}, {b[-1]:.3e}]")
-    q = np.abs(np.linalg.eigvalsh(sol.Q)).max()
-    c4 = q / b[-1] if q > 0.0 and b[-1] > 0.0 else 1.0
-    d = np.repeat([c4**-0.25, c4**0.25], sol.n)
-    Hc = sol.H * np.outer(d, 1.0 / d)
-    return Hc, float(np.linalg.eigvalsh(np.concatenate((Hc[sol.n :], -Hc[: sol.n])))[-1])
-
-
 def _steps(Hc: np.ndarray, rate: float, t_max: float):
-    """Steps of the phase pass: yields (t, h, z, Y, phi, phi1), Y the orthonormal frame
-    at t, phi and phi1 the phases at t and t + h. A step is t_max / ceil(t_max rate /
-    (pi/4)), halved until the widest cyclic gap of phi is wider than 2 h rate, so no
-    phase passes its midpoint, the cut; z is pi seen from the cut. n phases leave a
-    gap of pi/n, so a step that needs more halvings is ``UnverifiableError``, and so
-    is a pass of more than ``_MAX_STEPS`` steps, before the first."""
+    """Steps of ``first_blowup``: yields (t, h, cut, Y, phi, phi1), Y the orthonormal frame
+    at t, phi and phi1 the phases at t and t + h. A step of ``_step_count`` is halved until
+    the gap of ``_cut`` is wider than 2 h rate; n phases leave a gap of pi/n, so a step
+    that needs more halvings is ``UnverifiableError``."""
     n = len(Hc) // 2
-    steps = max(1, math.ceil(t_max * rate / _TURN))
-    if steps > _MAX_STEPS:
-        raise UnverifiableError(f"t_max = {t_max:.3e} needs {steps:.3e} steps, above {_MAX_STEPS}")
+    steps = _step_count(t_max, rate)
     h0 = t_max / steps
     expm = functools.cache(lambda du: _expm(du * h0 * Hc))
     u, Y, phi = 0.0, np.eye(2 * n, n), np.zeros(n)  # u: steps of h0 taken, exact in binary
     while u < steps:
-        p = np.sort(phi)
-        gaps = np.diff(p, append=p[0] + math.pi)
-        j, du = int(gaps.argmax()), 1.0
-        while not gaps[j] > 2.0 * du * h0 * rate:
+        (cut, gap), du = _cut(phi), 1.0
+        while not gap > 2.0 * du * h0 * rate:
             if 2.0 * du * h0 * rate < math.pi / n:
                 raise UnverifiableError(f"the eigenphases at t = {u * h0:.17g} leave no gap wider than {2.0 * du * h0 * rate:.3e}")
             du *= 0.5
         du = min(du, steps - u)
         Y1, phi1 = _phases(expm(du) @ Y)
-        yield u * h0, du * h0, -(p[j] + 0.5 * gaps[j]) % math.pi, Y, phi, phi1
+        yield u * h0, du * h0, cut, Y, phi, phi1
         u, Y, phi = u + du, Y1, phi1
 
 
 def first_blowup(sol: JacobiSolution) -> BlowUpTime:
-    """First zero of det N on (0, t_max], or the infinite marker, by the phase rule: the
-    eigenphases of [M; N] start at 0, and the first zero is the first time the largest
-    reaches pi; until then a phase mod pi is its lift. A step of ``_steps`` holds a zero
-    when fewer phases lie between its cut and pi at its end than at its start, m, and
-    ``_brentq`` refines it to 1e-12 min(1, t_max) on the m-th phase past the cut, less
-    pi, with the pass's own values at both ends. ``ValueError`` unless B >= 0;
-    ``UnverifiableError`` if a phase stays at 0 after the first step (det N vanishes to
-    working precision) or moves back through pi, if the phases leave no gap for a cut,
-    or if the pass needs more than 2^20 steps."""
-    Hc, rate = _scaled(sol)
-    for t, h, z, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
-        psi0, psi1 = (phi + z) % math.pi, (phi1 + z) % math.pi  # from the cut
-        m, m1 = int((psi0 < z).sum()), int((psi1 < z).sum())
-        if m1 > m or (t == 0.0 and np.minimum(phi1, math.pi - phi1).min() <= _XTOL):
-            raise UnverifiableError(f"an eigenphase stays at 0 or moves back through pi on [{t:.17g}, {t + h:.17g}]")
-        if m1 < m:
-            past = lambda s: np.sort(psi0 if s == 0.0 else psi1 if s == h else (_phases(_expm(s * Hc) @ Y)[1] + z) % math.pi)[m - 1] - z
+    """First zero of det N on (0, t_max], or the infinite marker: the first time the largest
+    eigenphase of [M; N] reaches pi on the steps of ``_steps``, refined by ``_brentq`` to
+    1e-12 min(1, t_max) on the m-th phase past the cut, less pi, with the pass's own values
+    at both ends of the step. ``ValueError`` unless B >= 0; ``UnverifiableError`` if a phase
+    stays at 0 after the first step (det N vanishes to working precision) or moves back
+    through pi, if the phases leave no gap for a cut, or beyond 2^20 steps."""
+    Hc, rate = _balanced(sol.H)
+    for t, h, cut, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
+        m, _, drops = _turns(phi[:, None], phi1[:, None], cut, t, h, first=True)
+        if drops.size:
+            z, m = -cut % math.pi, int(m[0])  # z: pi seen from the cut
+            past = lambda s: np.sort(((phi if s == 0.0 else phi1 if s == h else _phases(_expm(s * Hc) @ Y)[1]) + z) % math.pi)[m - 1] - z
             return BlowUpTime.finite(t + _brentq(past, 0.0, h, xtol=_XTOL * min(1.0, sol.t_max)))
     return BlowUpTime.infinite()
 
@@ -299,12 +359,6 @@ _WEDGE_BLOCK, _WEDGE_LOG_GROWTH, _WEDGE_CHUNK = 128, 300.0, 4096
 _INV_FACTORIALS = 1.0 / np.cumprod(np.r_[1.0, 1.0:31.0])
 #: Pluecker coordinates (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of 2-planes, rows (m0, m1, n0, n1).
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
-#: Row i: the coefficients of (u0, u1, mu) in log|S_ij| + (x_i + x_j) - mu, x = (u, -u).
-_FIT = np.array([[1.0, 0.0, -0.5], [0.0, 1.0, -0.5], [-1.0, 0.0, -0.5], [0.0, -1.0, -0.5]])
-
-
-class UnverifiableError(FloatingPointError):
-    """A route cannot decide: a pass of over 2^20 steps, an overflowing step, or phases that stay at 0, move back or leave no gap."""
 
 
 def _additive_compound(H: np.ndarray) -> np.ndarray:
@@ -315,23 +369,6 @@ def _additive_compound(H: np.ndarray) -> np.ndarray:
 
 
 _COMPOUND = _additive_compound(np.eye(16).reshape(16, 4, 4)).reshape(16, 36).T  # H -> H2 as one product
-
-
-@functools.lru_cache(maxsize=256)
-def _fit(pattern: bytes) -> np.ndarray:
-    """Pseudo-inverse of the least-squares fit of ``_balanced`` for one nonzero pattern of S."""
-    r, c = np.nonzero(np.frombuffer(pattern, bool).reshape(4, 4))
-    return np.linalg.pinv(_FIT[r] + _FIT[c])
-
-
-def _balanced(H: np.ndarray) -> tuple[np.ndarray, float]:
-    """(H_u, rate) of a 4x4 H as ``_scaled`` gives them, for the symplectic diag(e^-u, e^u),
-    u the least-squares fit that brings every nonzero |S_ij| of S = J^T H to one size in
-    log scale: the steps do not grow with the scale of the system, as under one c."""
-    S = np.concatenate((H[2:], -H[:2]))  # S_u = S * outer(g, g), log g = (u, -u)
-    u = _fit(bytes(S != 0)) @ -np.log(np.abs(S[S != 0]))
-    g = np.exp(_FIT[:, :2] @ u[:2])
-    return H * np.outer(1.0 / g, g), float(np.linalg.eigvalsh(S * np.outer(g, g))[-1])
 
 
 def _wedge_phases(W: np.ndarray) -> np.ndarray:
@@ -381,10 +418,7 @@ def _wedge_sweep(E2: np.ndarray, K: int, steps: int):
 def _wedge_pass(A, B, Q, t_max: float, first: bool):
     """(zeros, closest approach, first zero) of det N for the two wedge functions."""
     Hc, rate = _balanced(_jacobi_system(A, B, Q, t_max, n=2, hermitian=True)[3])
-    H2, steps = (_COMPOUND @ Hc.reshape(16)).reshape(6, 6), t_max * rate / _TURN
-    if not steps <= _MAX_STEPS:
-        raise UnverifiableError(f"t_max = {t_max:.3e} needs {steps:.3e} steps, above {_MAX_STEPS}")
-    steps = max(1, math.ceil(steps))
+    H2, steps = (_COMPOUND @ Hc.reshape(16)).reshape(6, 6), _step_count(t_max, rate)
     h, zeros, near, hit = t_max / steps, 0, math.inf, BlowUpTime.infinite()
     with np.errstate(all="ignore"):
         E2 = _expm(h * H2)
@@ -393,18 +427,8 @@ def _wedge_pass(A, B, Q, t_max: float, first: bool):
         raise UnverifiableError(f"expm(h H2) overflows at h = {h:.3e}, t_max = {t_max:.3e}")
     for k0, W in _wedge_sweep(E2, max(1, min(_WEDGE_BLOCK * (1 if first else 2), steps, int(_WEDGE_LOG_GROWTH / growth))), steps):
         phi = _wedge_phases(W)
-        # the cut: the midpoint of the wider gap of the phases at each step start,
-        # which a phase moving forward by less than pi/4 cannot reach from below
-        lo, hi = phi[:, :-1].min(axis=0), phi[:, :-1].max(axis=0)
-        cut = (lo + hi + math.pi * (hi - lo < 0.5 * math.pi)) * 0.5
-        cut -= math.pi * (cut >= math.pi)
-        m = (phi[:, :-1] >= cut).sum(axis=0)  # phases past the cut at each step start
-        turn = (phi[:, 1:] >= cut).sum(axis=0) - m  # and at its end: minus the zeros in the step
-        drops = np.flatnonzero(turn < 0)
-        turn = turn[: drops[0] + 1] if first and drops.size else turn
-        if (turn > 0).any() or (k0 == 0 and np.minimum(phi[:, 1], math.pi - phi[:, 1]).min() <= _XTOL):
-            t = (k0 + int((turn > 0).argmax())) * h
-            raise UnverifiableError(f"an eigenphase stays at 0 or moves back through pi on [{t:.17g}, {t + h:.17g}]")
+        cut = _cut(phi[:, :-1])[0]
+        m, turn, drops = _turns(phi[:, :-1], phi[:, 1:], cut, k0 * h, h, first)
         zeros -= int(turn.sum())
         near = min(near, math.pi - float(phi[:, max(0, int(1.0 / h) + 1 - k0) :].max(initial=-math.inf)))  # t > 1
         if drops.size and not hit.is_finite:
@@ -447,8 +471,8 @@ def wedge_det_sign_changes(A, B, Q, t_max: float) -> tuple[int, float]:
     eigenphase to pi over t > 1) of a 2x2 constant system, Q real or Hermitian, by the
     phase rule on the compound sweep. The name, like that of ``wedge_first_zero``, is
     kept from the det N sign scan that this replaced. Raises ``DomainError`` on
-    non-finite input, ``UnverifiableError`` where the pass needs more than 2^20 steps,
-    a step overflows, or a phase stays at 0 after the first step or moves back."""
+    non-finite input, ``ValueError`` unless B >= 0, and ``UnverifiableError`` as
+    ``first_blowup`` does, or where a step overflows."""
     return _wedge_pass(A, B, Q, t_max, first=False)[:2]
 
 

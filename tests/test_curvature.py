@@ -239,6 +239,15 @@ class TestCurvatureBlocks:
         assert np.abs(R_cc[-1, :]).max() < 1e-8
         assert np.abs(R_cc[:, -1]).max() < 1e-8
 
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_motion_row_is_exactly_zero(self, d):
+        # the reflection left rounding there (9.9e-32 on the diagonal at
+        # d = 2), which a per-coordinate balancing of the Jacobi system reads
+        # as a scale
+        v = np.array([0.5, -0.3, 0.8])
+        R_cc = curvature_blocks(v, qhf_curvature_inputs(d, v)).R_cc
+        assert not R_cc[-1, :].any() and not R_cc[:, -1].any()
+
     def test_assembled_matrix_is_symmetric(self):
         v = np.array([0.5, 0.1, -0.4])
         blocks = curvature_blocks(v, qhf_curvature_inputs(2, v))

@@ -457,6 +457,17 @@ class TestUpperBound:
     def test_infinite_when_slow_frequency_imaginary(self):
         assert upper_bound_kab(-3.0, -4.0) == math.inf
 
+    @pytest.mark.parametrize("ka,kb,ref", [
+        (1e-14, -2.0, 88857658.763167436065),
+        (3e-13, -0.5, 8111557.3519520909464),
+        (1e-10, -1.0, 628318.53074937456278),
+    ])
+    def test_small_kappa_a_against_negative_kappa_b(self, ka, kb, ref):
+        # 2 pi / Re(sqrt(x + y) - sqrt(x - y)) at 50 digits with mpmath: x + y
+        # is the difference of y and |x| = -kappa_b/2, which cancelled, 1.2e-2
+        # off at (1e-14, -2); kappa_a / (y - x) does not
+        assert abs(upper_bound_kab(ka, kb) - ref) <= 1e-12 * ref
+
     @given(kappa_any, kappa_any)
     @settings(max_examples=200)
     def test_bound_dominates_blowup(self, ka, kb):

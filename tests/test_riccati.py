@@ -15,6 +15,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
@@ -25,8 +27,8 @@ from fatcomp.riccati import (
     JacobiSolution,
     UnverifiableError,
     _additive_compound,
+    _balanced,
     _expm,
-    _scaled,
     _steps,
     finite_blowup_constant,
     first_blowup,
@@ -155,6 +157,21 @@ class TestFirstBlowup:
         sol = integrate_jacobi(np.zeros((5, 5)), np.eye(5), Q, 1.2 * expected)
         assert abs(first_blowup(sol).time - expected) < 1e-12
 
+    @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-3.0, 6.0))
+    @settings(max_examples=60, deadline=None)
+    def test_is_scale_free(self, ka, kb, p):
+        # s t(s^4 kappa_a, s^2 kappa_b) = t(kappa_a, kappa_b): the balanced H
+        # of the scaled system is s times that of the first
+        try:
+            tbar = blowup_time_kab(ka, kb)
+        except FloatingPointError:  # alpha^2 underflows: (5e-324, -2)
+            reject()
+        assume(tbar.is_finite and tbar.time < 100.0)
+        s, t_max = 10.0**p, 1.05 * tbar.time + 0.1
+        want = first_blowup(integrate_jacobi(A_STEP, B_STEP, np.diag([ka, kb]), t_max)).time
+        got = first_blowup(integrate_jacobi(A_STEP, B_STEP, np.diag([ka * s**4, kb * s**2]), t_max / s)).time
+        assert abs(s * got - want) <= 1e-12 * want, f"s = {s!r}: {s * got!r} vs {want!r}"
+
     def test_simple_zero_matches_scalar_model(self):
         ka, kb = -3.0, 4.0
         sol = integrate_jacobi(A_STEP, B_STEP, np.diag([ka, kb]), t_max=9.0)
@@ -210,7 +227,7 @@ class TestFirstBlowup:
         spread = np.arange(64) * math.pi / 64
         monkeypatch.setattr(riccati, "_phases", lambda Y: (np.linalg.qr(Y)[0], spread))
         sol = integrate_jacobi(np.zeros((2, 2)), np.eye(2), np.eye(2), t_max=4.0)
-        steps = _steps(*_scaled(sol), sol.t_max)
+        steps = _steps(*_balanced(sol.H), sol.t_max)
         next(steps)  # from the phases at t = 0, all 0
         with pytest.raises(UnverifiableError, match="leave no gap"):
             next(steps)
@@ -219,26 +236,31 @@ class TestFirstBlowup:
     def test_phase_motion_stays_below_the_turn(self, system):
         # measured from the cut, which no phase passes, the sorted phases move
         # no more than the phases themselves: forward by at most
-        # h lambda_max(S_c) <= h ||H_c||_2 a step
+        # h lambda_max(S_u) <= h ||H_u||_2 a step
         sol = _system(system)
-        Hc, rate = _scaled(sol)
+        Hc, rate = _balanced(sol.H)
         assert rate <= np.linalg.norm(Hc, 2) * (1.0 + 1e-12)
-        for t, h, z, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
-            step = np.sort((phi1 + z) % math.pi) - np.sort((phi + z) % math.pi)
+        for t, h, cut, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
+            step = np.sort((phi1 - cut) % math.pi) - np.sort((phi - cut) % math.pi)
             assert (step >= -1e-14).all() and (step <= h * rate + 1e-14).all(), f"step at t = {t}"
 
 
 class TestSteppedScan:
-    """Frames of the phase pass, stepped by exp(h H_c), against exp(tH) pointwise."""
+    """Frames of the phase pass, stepped by exp(h H_u), against exp(tH) pointwise."""
 
     @pytest.mark.parametrize("system", ["typeI", "qhf-d2"])
     def test_matches_pointwise_propagator(self, system):
-        # H_c = D H D^-1 with D = diag(I / c, c I), c^4 = ||Q|| / ||B||, so the
-        # frames span the plane of D exp(tH)[:, :n]
+        # H_u = D H D^-1 for the diagonal D of _balanced, read off the ratios
+        # H_u[i, j] / H[i, j] = d_i / d_j (to a factor on each coupled set of
+        # coordinates, which keeps the plane), so the frames span the plane of
+        # D exp(tH)[:, :n]
         sol = _system(system)
-        c = (np.linalg.norm(sol.Q, 2) / np.linalg.norm(sol.B, 2)) ** 0.25
-        for t, h, z, Y, phi, phi1 in _steps(*_scaled(sol), sol.t_max):
-            X = np.linalg.qr(np.vstack([sol.M(t) / c, c * sol.N(t)]))[0]
+        Hc, rate = _balanced(sol.H)
+        i, j = np.nonzero(sol.H)
+        e = np.eye(len(sol.H))
+        D = np.diag(np.exp(np.linalg.lstsq(e[i] - e[j], np.log(Hc[i, j] / sol.H[i, j]), rcond=None)[0]))
+        for t, h, cut, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
+            X = np.linalg.qr(D @ np.vstack([sol.M(t), sol.N(t)]))[0]
             assert np.abs(Y @ Y.T - X @ X.T).max() <= 1e-12, f"frame at t = {t}"
 
 
@@ -461,10 +483,12 @@ class TestWedgePropagation:
     @pytest.mark.parametrize("s", [1.0, 1e2, 1e3, 1e4, 1e6])
     def test_scaled_pair_is_relative(self, s):
         # (-3 s^4, 4 s^2) blows up at tbar(-3, 4) / s; one scale c for H made
-        # the sign scan early by 4.2e-8 from s = 1e3 on
+        # the sign scan early by 4.2e-8 from s = 1e3 on, and first_blowup
+        # raised UnverifiableError there
         tbar = blowup_time_kab(-3.0, 4.0).time / s
-        hit = wedge_first_zero(A_STEP, B_STEP, np.diag([-3.0 * s**4, 4.0 * s**2]), 1.05 * tbar + 0.1 / s)
-        assert abs(hit.time - tbar) <= 1e-12 * tbar
+        Q, t_max = np.diag([-3.0 * s**4, 4.0 * s**2]), 1.05 * tbar + 0.1 / s
+        for hit in (wedge_first_zero(A_STEP, B_STEP, Q, t_max), first_blowup(integrate_jacobi(A_STEP, B_STEP, Q, t_max))):
+            assert abs(hit.time - tbar) <= 1e-12 * tbar
 
     @pytest.mark.parametrize("hermitian", [False, True])
     def test_closed_form_phases_match_the_frame_eigenphases(self, hermitian):
@@ -498,6 +522,13 @@ class TestWedgePropagation:
         # it was propagated as given and reported no zero
         with pytest.raises(ValueError, match="Q is not symmetric"):
             wedge_first_zero(A_STEP, B_STEP, np.array([[1.0, 0.5], [0.0, 1.0]]), t_max=4.0)
+
+    @pytest.mark.parametrize("route", [wedge_first_zero, wedge_det_sign_changes])
+    def test_indefinite_b_is_rejected(self, route):
+        # as in first_blowup: the phases may move back, which the 2x2 route
+        # reported as "stays at 0 or moves back"
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            route(np.zeros((2, 2)), np.diag([1.0, -1.0]), np.eye(2), t_max=5.0)
 
     def test_non_hermitian_complex_q_is_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):

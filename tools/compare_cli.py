@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 23 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 24 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -31,6 +31,8 @@ CALLS = [
     ["blowup", "--ka=-8.999999872840394", "--kb", "9.999999957613465", "--verify"],
     # (-3 s^4, 4 s^2) at s = 1e3: the blow-up time scales as 1/s
     ["blowup", "--ka=-3e12", "--kb", "4e6", "--verify"],
+    # kappa_b < 0 < kappa_a << kappa_b^2: the upper_bound column, where x + y cancelled
+    ["blowup", "--ka", "1e-14", "--kb", "-2"],
     # a zero divisor in the interpolation step of the Brent port
     ["blowup", "--ka", "1.5684445943827328e-254", "--kb", "0", "--verify"],
     # the kc row follows the sweep rows
