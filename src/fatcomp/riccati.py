@@ -56,9 +56,9 @@ def _jacobi_system(A, B, Q, t_max: float | None = None, n: int | None = None, he
     mats = []
     for name, X in (("A", A), ("B", B), ("Q", Q)):
         X = np.asarray(X)
-        if np.iscomplexobj(X) and not (hermitian and name == "Q"):
+        if X.dtype.kind == "c" and not (hermitian and name == "Q"):
             raise ValueError(f"{name} must be real")
-        X = X.astype(complex if np.iscomplexobj(X) else float, copy=False)
+        X = X.astype(complex if X.dtype.kind == "c" else float, copy=False)
         if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] != (n or X.shape[0]):
             raise ValueError(f"{name} must be square" + (f", {n}x{n}" if n else "") + f", got shape {X.shape}")
         n = X.shape[0]
@@ -94,13 +94,13 @@ def _expm(X: np.ndarray) -> np.ndarray:
         return np.full_like(X, np.nan)
     s = max(0, math.frexp(norm)[1] + 1)
     X = X * math.ldexp(1.0, -s)
-    X2 = X @ X
-    B = (_TAYLOR @ np.stack((np.eye(len(X)), X, X2, X2 @ X)).reshape(4, -1)).reshape(5, *X.shape)
-    X4, E = X2 @ X2, B[4]
+    X2 = X.dot(X)  # ndarray.dot: the BLAS call of @, less its set-up; np.array: np.stack, less its own
+    B = _TAYLOR.dot(np.array((np.eye(len(X)), X, X2, X2.dot(X))).reshape(4, -1)).reshape(5, *X.shape)
+    X4, E = X2.dot(X2), B[4]
     for j in (3, 2, 1, 0):
-        E = B[j] + X4 @ E
+        E = B[j] + X4.dot(E)
     for _ in range(s):
-        E = E @ E
+        E = E.dot(E)
     return E
 
 
@@ -178,44 +178,47 @@ class UnverifiableError(FloatingPointError):
 
 
 @functools.lru_cache(maxsize=256)
-def _fit(pattern: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(design, pseudo-inverse, diagonals of Q) of the least-squares fit of ``_balanced`` for one pattern of S."""
+def _fit(pattern: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(fitted entries: all of A, the diagonals of B and Q; design; pseudo-inverse; diagonals of Q) of ``_balanced`` for one pattern of S != 0."""
     n = math.isqrt(len(pattern)) // 2
+    keep = np.frombuffer(pattern, bool).reshape(2 * n, 2 * n) & ~np.kron(np.eye(2, dtype=bool), ~np.eye(n, dtype=bool))
     x = np.hstack((np.vstack((np.eye(n), -np.eye(n))), np.full((2 * n, 1), -0.5)))  # (u, mu) in x_i - mu/2
-    r, c = np.nonzero(np.frombuffer(pattern, bool).reshape(2 * n, 2 * n))
-    return x[r] + x[c], np.linalg.pinv(x[r] + x[c]), (r == c) & (r >= n)
+    r, c = np.nonzero(keep)
+    return keep, x[r] + x[c], np.linalg.pinv(x[r] + x[c]), (r == c) & (r >= n)
+
+
+@functools.lru_cache(maxsize=32)
+def _check_b(data: bytes, shape: tuple[int, ...], dtype: str) -> None:
+    """``ValueError`` unless B, by its bytes, shape and dtype, is symmetric positive semidefinite to 1e-12: once per B that passes."""
+    B = np.frombuffer(data, dtype).reshape(shape)
+    b = np.linalg.eigvalsh(B.real)
+    if np.abs(B - B.T).max() > 1e-12 * b[-1] or b[0] < -1e-12 * b[-1]:
+        raise ValueError(f"B must be symmetric positive semidefinite to 1e-12, its eigenvalues span [{b[0]:.3e}, {b[-1]:.3e}]")
 
 
 def _balanced(H: np.ndarray) -> tuple[np.ndarray, float]:
-    """(H_u, rate): H conjugated by the symplectic diag(e^-u, e^u), which keeps every zero
-    of det N, and the top eigenvalue of S_u = J^T H_u = [[B_u, A_u], [A_u^T, Q_u]], which
-    bounds the forward speed of the phases when B >= 0 (else ``ValueError``). u is the
-    least-squares fit of the diagonals of B and Q and the nonzero entries of A to one
-    level mu in log scale; small off-diagonals would drive it, and so does a diagonal of
-    Q far below mu (1e-45 next to 1): a refit without the diagonals of Q ``_FAR_BELOW``
-    below mu wins if its rate is lower."""
+    """(H_u, rate): H conjugated by the symplectic diag(e^-u, e^u), which keeps every zero of det N,
+    and the top eigenvalue of S_u = J^T H_u = [[B_u, A_u], [A_u^T, Q_u]], which bounds the forward
+    speed of the phases when B >= 0 (else ``ValueError``; ``_check_b`` runs once per B). u is the
+    least-squares fit of the diagonals of B and Q and the nonzero entries of A to one level mu in
+    log scale; small off-diagonals would drive it, and so does a diagonal of Q far below mu (1e-45
+    next to 1): a refit without the diagonals of Q ``_FAR_BELOW`` below mu wins if its rate is lower."""
     n = len(H) // 2
+    _check_b(H[n:, :n].tobytes(), (n, n), H.dtype.str)
     S = np.concatenate((H[n:], -H[:n]))  # S_u = S * outer(g, g), log g = (u, -u)
-    b = np.linalg.eigvalsh(S[:n, :n].real)
-    if np.abs(S[:n, :n] - S[:n, :n].T).max() > 1e-12 * b[-1] or b[0] < -1e-12 * b[-1]:
-        raise ValueError(f"B must be symmetric positive semidefinite to 1e-12, its eigenvalues span [{b[0]:.3e}, {b[-1]:.3e}]")
-    keep, diagonal = S != 0, np.eye(n, dtype=bool)
-    keep[:n, :n] &= diagonal
-    keep[n:, n:] &= diagonal
-    design, fit, q = _fit(keep.tobytes())
+    keep, design, fit, q = _fit((S != 0).tobytes())
     log = np.log(np.abs(S[keep]))
-    fits = [fit @ -log]
-    r = log + design @ fits[0]  # log size over mu
+    fits = [fit.dot(-log)]
+    r = log + design.dot(fits[0])  # log size over mu
     below = (r < -_FAR_BELOW) & q
     if below.any():
-        keep[keep] = ~below
-        fits.append(fits[0] - _fit(keep.tobytes())[1] @ r[~below])  # the least change: scale-free
-
-    def scaled(z):
-        g = np.exp(np.concatenate((z[:n], -z[:n])))
-        return H * np.outer(1.0 / g, g), float(np.linalg.eigvalsh(S * np.outer(g, g))[-1])
-
-    return min(map(scaled, fits), key=lambda pair: pair[1])
+        refit = keep.copy()
+        refit[keep] = ~below
+        fits.append(fits[0] - _fit(refit.tobytes())[2].dot(r[~below]))  # the least change: scale-free
+    gs = [np.exp(np.concatenate((z[:n], -z[:n]))) for z in fits]
+    rates = [float(np.linalg.eigvalsh(S * (g[:, None] * g))[-1]) for g in gs]
+    i = rates.index(min(rates))
+    return H * ((1.0 / gs[i])[:, None] * gs[i]), rates[i]
 
 
 def _step_count(t_max: float, rate: float) -> int:
@@ -229,11 +232,15 @@ def _step_count(t_max: float, rate: float) -> int:
 def _cut(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cut, gap): the middle and width of the widest cyclic gap of the phases phi in [0, pi)
     on the first axis, which no phase reaches in a step that turns it by less than gap/2."""
-    # min and max sort two phases a column 20 times faster than np.sort on a 4096-step run
-    p = np.stack((phi.min(axis=0), phi.max(axis=0))) if len(phi) == 2 else np.sort(phi, axis=0)
-    gaps = np.concatenate((p[1:], p[:1] + math.pi)) - p
-    gap = gaps.max(axis=0)
-    cut = np.where(gaps == gap, p, math.inf).min(axis=0) + 0.5 * gap
+    if len(phi) == 2:  # the sorted rule below in closed form, bit for bit: a tie takes the gap above lo
+        lo, hi = np.minimum(phi[0], phi[1]), np.maximum(phi[0], phi[1])
+        gap = np.maximum(hi - lo, (lo + math.pi) - hi)
+        cut = np.where(hi - lo == gap, lo, hi) + 0.5 * gap
+    else:
+        p = np.sort(phi, axis=0)
+        gaps = np.concatenate((p[1:], p[:1] + math.pi)) - p
+        gap = gaps.max(axis=0)
+        cut = np.where(gaps == gap, p, math.inf).min(axis=0) + 0.5 * gap
     return cut - math.pi * (cut >= math.pi), gap
 
 
@@ -246,8 +253,7 @@ def _turns(phi: np.ndarray, phi1: np.ndarray, cut, t: float, h: float, first: bo
     m = (phi >= cut).sum(axis=0)
     turn = (phi1 >= cut).sum(axis=0) - m
     drops = np.nonzero(turn < 0)[0]
-    turn = turn[: drops[0] + 1] if first and drops.size else turn
-    back = np.nonzero(turn > 0)[0]
+    back = np.nonzero(turn[: drops[0] + 1 if first and drops.size else None] > 0)[0]
     if back.size or (t == 0.0 and np.minimum(phi1[:, 0], math.pi - phi1[:, 0]).min() <= _XTOL):
         t += h * int(back[0] if back.size else 0)
         raise UnverifiableError(f"an eigenphase stays at 0 or moves back through pi on [{t:.17g}, {t + h:.17g}]")
@@ -418,8 +424,8 @@ def _wedge_sweep(E2: np.ndarray, K: int, steps: int):
 def _wedge_pass(A, B, Q, t_max: float, first: bool):
     """(zeros, closest approach, first zero) of det N for the two wedge functions."""
     Hc, rate = _balanced(_jacobi_system(A, B, Q, t_max, n=2, hermitian=True)[3])
-    H2, steps = (_COMPOUND @ Hc.reshape(16)).reshape(6, 6), _step_count(t_max, rate)
-    h, zeros, near, hit = t_max / steps, 0, math.inf, BlowUpTime.infinite()
+    H2, steps = _COMPOUND.dot(Hc.reshape(16)).reshape(6, 6), _step_count(t_max, rate)
+    h, zeros, near = t_max / steps, 0, math.inf
     with np.errstate(all="ignore"):
         E2 = _expm(h * H2)
     growth = math.log(max(math.e, float(np.abs(E2).sum(axis=1).max())))  # ||E2^K||_inf <= exp(K growth)
@@ -429,35 +435,35 @@ def _wedge_pass(A, B, Q, t_max: float, first: bool):
         phi = _wedge_phases(W)
         cut = _cut(phi[:, :-1])[0]
         m, turn, drops = _turns(phi[:, :-1], phi[:, 1:], cut, k0 * h, h, first)
-        zeros -= int(turn.sum())
-        near = min(near, math.pi - float(phi[:, max(0, int(1.0 / h) + 1 - k0) :].max(initial=-math.inf)))  # t > 1
-        if drops.size and not hit.is_finite:
+        if not first:  # a first-zero pass reads neither the count nor the closest approach
+            zeros -= int(turn.sum())
+            near = min(near, math.pi - float(phi[:, max(0, int(1.0 / h) + 1 - k0) :].max(initial=-math.inf)))  # t > 1
+        elif drops.size:
             j = int(drops[0])
-            hit = BlowUpTime.finite((k0 + j) * h + _wedge_refine(H2, W[:, j], cut[j], int(m[j]), h, t_max))
-            if first:
-                break
-    return zeros, near, hit
+            return 0, near, BlowUpTime.finite((k0 + j) * h + _wedge_refine(H2, W[:, j], cut[j], int(m[j]), h, t_max))
+    return zeros, near, BlowUpTime.infinite()
 
 
 def _wedge_refine(H2: np.ndarray, w: np.ndarray, cut: float, m: int, h: float, t_max: float) -> float:
-    """Offset into a step of the zero where the m-th phase past the cut reaches pi, by
-    ``_brentq`` on the degree-30 Taylor polynomial of exp(s H2) w, w the step's start,
-    on a half, quarter, ... of the step while ||h H2||_2 > 2."""
-    t0, norm = 0.0, float(np.linalg.svd(H2, compute_uv=False)[0])
+    """Offset into a step of the zero where the m-th phase past the cut reaches pi, by ``_brentq``
+    on the degree-30 Taylor polynomial of exp(s H2) w, w the step's start, on a half, quarter, ...
+    of the step while ||h H2||_2 > 2: never, and with no svd, where h ||H2||_F <= 2 - 1e-9."""
+    t0, norm = 0.0, 0.0 if h * math.sqrt(np.vdot(H2, H2).real) <= 2.0 - 1e-9 else float(np.linalg.svd(H2, compute_uv=False)[0])
     while h * norm > 2.0:
         h *= 0.5
         mid = _expm(h * H2) @ w
         if (_wedge_phases(mid) >= cut).sum() == m:
             t0, w = t0 + h, mid
-    C, X = (w / np.abs(w).max())[:, None], h * H2
-    while C.shape[1] < len(_INV_FACTORIALS):  # columns X^0..X^(2k-1) w from X^0..X^(k-1) w
-        C, X = np.concatenate((C, X @ C), axis=1), X @ X
+    C, X = np.empty((6, 32), w.dtype), h * H2
+    C[:, 0] = w / np.abs(w).max()
+    for k in (1, 2, 4, 8, 16):  # columns X^k..X^(2k-1) w from X^0..X^(k-1) w, X = (h H2)^k
+        C[:, k : 2 * k], X = X.dot(C[:, :k]), X.dot(X)
     C, z, powers = C[:, : len(_INV_FACTORIALS)] * _INV_FACTORIALS, -cut % math.pi, np.arange(len(_INV_FACTORIALS))
 
     def past(s: float) -> float:  # the general form of _wedge_phases for one plane, by cmath
-        p01, p02, p03, p12, p13, p23 = (C @ (s / h) ** powers).tolist()
-        root, den = cmath.sqrt(4.0 * p02 * p13 - (p03 + p12) ** 2), complex(p01 - p23, p12 - p03)
-        a, b = ((cmath.phase((p01 + p23 + r) / den) / 2.0 + z) % math.pi for r in (-root, root))
+        p01, p02, p03, p12, p13, p23 = C.dot((s / h) ** powers).tolist()
+        root, u, den = cmath.sqrt(4.0 * p02 * p13 - (p03 + p12) ** 2), p01 + p23, complex(p01 - p23, p12 - p03)
+        a, b = (cmath.phase((u - root) / den) / 2.0 + z) % math.pi, (cmath.phase((u + root) / den) / 2.0 + z) % math.pi
         return (min(a, b) if m == 1 else max(a, b)) - z
 
     try:

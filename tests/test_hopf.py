@@ -307,7 +307,25 @@ class TestEffectiveConstants:
 # Test Class: conjugate time
 # ----------------------------------------------------------------------
 
+# conjugate_time(d, v).t_star, frozen as float.hex: the two 2x2 phase passes
+# behind it may get cheaper, never different.
+CONJUGATE_BITS = [
+    (1, (0.0, 0.0, 0.0), '0x1.921fb54442d14p+1'),
+    (1, (0.6, -0.2, 0.3), '0x1.496ec58c27dadp+1'),
+    (1, (1.2, 0.3, -0.5), '0x1.e25b10fb5dde6p+0'),
+    (1, (-2.1, 1.4, 0.7), '0x1.1edd9bfabd0a5p+0'),
+    (2, (0.0, 0.0, 0.0), '0x1.921fb54442d14p+1'),
+    (2, (0.6, -0.2, 0.3), '0x1.496ec58c27db8p+1'),
+    (2, (1.2, 0.3, -0.5), '0x1.e25b10fb5dcc0p+0'),
+    (2, (-2.1, 1.4, 0.7), '0x1.1edd9bfabd0a7p+0'),
+]
+
+
 class TestConjugateTime:
+
+    @pytest.mark.parametrize("d,v,bits", CONJUGATE_BITS)
+    def test_frozen_bits(self, d, v, bits):
+        assert conjugate_time(d, v).t_star.hex() == bits
 
     def test_zero_momentum_gives_half_circle(self):
         res = conjugate_time(2, [0.0, 0.0, 0.0])

@@ -21,7 +21,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from fatcomp import riccati
-from fatcomp.hopf import _qhf_jacobi
+from fatcomp.hopf import _qhf_jacobi, _qhf_pairs
 from fatcomp.models import DomainError, blowup_time_kab, finiteness_predicate
 from fatcomp.riccati import (
     JacobiSolution,
@@ -787,3 +787,116 @@ class TestBlockedWedgePass:
         for fn in (wedge_first_zero, wedge_det_sign_changes):
             with pytest.raises(DomainError):
                 fn(A_STEP, B_STEP, np.diag([bad, 1.0]), t_max=10.0)
+
+
+# ----------------------------------------------------------------------
+# Test Class: the 2x2 phase pass, bit for bit
+# ----------------------------------------------------------------------
+
+# wedge_first_zero as `blowup --verify` calls it (t_max = 1.05 tbar + 0.1) on
+# the finite blowup-verify rows of seed 1 and a near-resonant pair, frozen
+# as float.hex; the set-up of the pass may get cheaper, never different.
+WEDGE_BITS = [
+    (-3.492973782650387, 4.230238855365464, '0x1.1dbafc058553bp+3'),
+    (-2.0296180511367297, 4.967895333002064, '0x1.ce233bc748a6fp+1'),
+    (0.923314387327574, -3.792016765377444, '0x1.e2459a3c6fc97p+2'),
+    (0.08245371109486843, -2.8718479932577154, '0x1.3cd837636dbd7p+4'),
+    (0.032137171095757644, 0.19310935411795072, '0x1.34654e747f8a4p+3'),
+    (0.2469795110750006, 2.9611385239038297, '0x1.c2046bae7b945p+1'),
+    (0.22600660210608048, 4.862162841318172, '0x1.67be249d76d81p+1'),
+    (1.0791857533284057, -4.119017894566631, '0x1.d08f3e2290fbap+2'),
+    (-8.999999872840394, 9.999999957613465, '0x1.91cc0b01f4ad2p+1'),
+]
+# (count, closest approach) of wedge_det_sign_changes to t = 1000 on the
+# first three infinite blowup-verify rows of seed 1.
+WEDGE_COUNT_BITS = [
+    (-3.9763567505994866, -3.415893839456775, 0, '0x1.1ff348f4d51e9p+1'),
+    (-4.711680774560732, -1.752250921437927, 0, '0x1.1846eefe6aaaap+1'),
+    (-4.376337095979029, -0.9611225850457066, 0, '0x1.15f350cfe9bc3p+1'),
+]
+
+
+def _sorted_cut(phi):
+    """The widest-gap rule of ``_cut`` by sorting the phases, for any number of them."""
+    p = np.sort(phi, axis=0)
+    gaps = np.concatenate((p[1:], p[:1] + math.pi)) - p
+    gap = gaps.max(axis=0)
+    cut = np.where(gaps == gap, p, math.inf).min(axis=0) + 0.5 * gap
+    return cut - math.pi * (cut >= math.pi), gap
+
+
+class TestFrozenWedgeBits:
+
+    @pytest.mark.parametrize("ka,kb,bits", WEDGE_BITS)
+    def test_first_zero(self, ka, kb, bits):
+        t_max = 1.05 * blowup_time_kab(ka, kb).time + 0.1
+        assert wedge_first_zero(A_STEP, B_STEP, np.diag([ka, kb]), t_max).time.hex() == bits
+
+    def test_first_zero_of_a_hermitian_hopf_pair(self):
+        v = np.array([1.2, 0.3, -0.5])
+        t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
+        assert wedge_first_zero(*_qhf_pairs(v)[1], t_max).time.hex() == "0x1.e25b10fb5dcc0p+0"
+
+    @pytest.mark.parametrize("ka,kb,zeros,bits", WEDGE_COUNT_BITS)
+    def test_sign_changes(self, ka, kb, zeros, bits):
+        count, closest = wedge_det_sign_changes(A_STEP, B_STEP, np.diag([ka, kb]), 1000.0)
+        assert (count, closest.hex()) == (zeros, bits)
+
+
+class TestTwoPhaseCut:
+    """The closed-form cut of two phases against the sorted rule, bit for bit."""
+
+    @staticmethod
+    def _same_bits(phi):
+        for got, want in zip(riccati._cut(phi), _sorted_cut(phi)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_random_phases(self):
+        self._same_bits(np.random.default_rng(0).uniform(0.0, math.pi, (2, 1000)))
+
+    def test_exact_ties(self):
+        # hi = lo + pi/2 leaves two gaps of pi/2; where they round alike, the
+        # sorted rule takes the gap above lo
+        lo = np.random.default_rng(1).uniform(0.0, 0.5 * math.pi, 4000)
+        hi = lo + 0.5 * math.pi
+        tie = (hi - lo == (lo + math.pi) - hi) & (hi < math.pi)
+        assert tie.sum() >= 100
+        for phi in (np.stack((lo, hi))[:, tie], np.stack((hi, lo))[:, tie]):
+            self._same_bits(phi)
+
+    def test_ends_of_the_range(self):
+        ends = [0.0, 5e-324, 1e-300, 0.5 * math.pi, np.nextafter(math.pi, 0.0), np.nextafter(np.nextafter(math.pi, 0.0), 0.0)]
+        self._same_bits(np.array([(a, b) for a in ends for b in ends]).T)
+
+    def test_a_full_run(self):
+        # a run of the sweep is 4096 steps; every eighth column a double phase
+        phi = np.random.default_rng(2).uniform(0.0, math.pi, (2, 4096))
+        phi[1, ::8] = phi[0, ::8]
+        self._same_bits(phi)
+
+
+class TestCachedBCheck:
+    """The B >= 0 check runs once per B, and a B that fails it fails on every call."""
+
+    ROUTES = {
+        "wedge_first_zero": lambda B: wedge_first_zero(A_STEP, B, np.diag([-3.0, 4.0]), 9.0),
+        "wedge_det_sign_changes": lambda B: wedge_det_sign_changes(A_STEP, B, np.diag([-3.0, 4.0]), 9.0),
+        "first_blowup": lambda B: first_blowup(integrate_jacobi(A_STEP, B, np.diag([-3.0, 4.0]), 9.0)),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("B", [np.diag([1.0, -1.0]), np.array([[1.0, 0.5], [0.0, 1.0]])], ids=["indefinite", "asymmetric"])
+    def test_a_bad_b_is_rejected_on_every_call(self, route, B):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                self.ROUTES[route](B)
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_one_ulp_from_a_passing_b_is_checked_afresh(self, route):
+        # an eigenvalue of -1e-12 |B| is the floor: B passes, one ulp lower fails
+        edge = np.diag([-1e-12, 1.0])
+        below = np.diag([np.nextafter(-1e-12, -1.0), 1.0])
+        for _ in range(2):
+            self.ROUTES[route](edge)
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                self.ROUTES[route](below)
