@@ -272,21 +272,12 @@ def _blowup_row_kc(idx: int, kc: float, args) -> dict:
         "tol": args.tol,
     }
     if args.verify:
-        A, B, Q = np.zeros((1, 1)), np.eye(1), np.array([[kc]])
-        if tbar.is_finite:
-            sol = integrate_jacobi(A, B, Q, 1.1 * tbar.time)
-            hit = first_blowup(sol)
-            row["check_tbar"] = hit.time
-            row["check_err"] = abs(hit.time - tbar.time)
-            row["check_ok"] = row["check_err"] <= args.tol * tbar.time
-        else:
-            # first_blowup steps horizon * sqrt|kc| / (pi/4) times; the cap keeps that below 400
-            horizon = min(args.tmax, 300.0 / max(1.0, math.sqrt(abs(kc))))
-            sol = integrate_jacobi(A, B, Q, horizon)
-            hit = first_blowup(sol)
-            row["check_tbar"] = None
-            row["check_err"] = None
-            row["check_ok"] = not hit.is_finite
+        # first_blowup steps horizon * sqrt|kc| / (pi/4) times; on an infinite row the cap keeps that below 400
+        horizon = 1.1 * tbar.time if tbar.is_finite else min(args.tmax, 300.0 / max(1.0, math.sqrt(abs(kc))))
+        hit = first_blowup(integrate_jacobi(np.zeros((1, 1)), np.eye(1), np.array([[kc]]), horizon))
+        row["check_tbar"] = hit.time if tbar.is_finite else None
+        row["check_err"] = abs(hit.time - tbar.time) if tbar.is_finite else None
+        row["check_ok"] = row["check_err"] <= args.tol * tbar.time if tbar.is_finite else not hit.is_finite
     return row
 
 

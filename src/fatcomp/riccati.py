@@ -14,23 +14,17 @@ is the first n columns of exp(tH), by the products-only ``_expm``.
 
 One zero rule serves every n and every multiplicity (the Maslov view): det N
 vanishes when an eigenphase of the Lagrangian plane [M; N] reaches pi, and
-with B >= 0 the first zero is the first time the largest does. It is written
-once, for two frames: both passes step H scaled by ``_balanced``, the same
-steps at every scale of the system; ``_step_count``, ``_cut`` and ``_turns``
-cap the steps, cut the phases and count those that pass pi.
-
-* ``integrate_jacobi`` and ``JacobiSolution``: exp(tH) at any t, V and the
-  symplectic residual;
-* ``first_blowup``: the rule on an orthonormal frame stepped by exp(h H) and QR;
-* ``wedge_first_zero`` and ``wedge_det_sign_changes``: the rule for 2x2
-  systems, Q real or Hermitian, on the Pluecker vector of the plane, stepped
-  in blocks by expm(h H2), H2 the additive compound of H, which keeps the
-  plane through hyperbolic growth; the two phases follow in closed form;
-* ``finite_blowup_constant``: whether det N vanishes at all, from the
-  Jordan structure of H on its imaginary spectrum.
-
-Every zero is refined by ``models._brentq`` to ``_XTOL`` = 1e-12 in t,
-relative below t_max = 1.
+with B >= 0 the first zero is the first time the largest does (Beck & Malham,
+"Computing the Maslov index for large systems", Proc. AMS 143, 2015). Both
+passes step H, scaled by ``_balanced``, in the blocks of one sweep, ``_sweep``,
+and read the phases a block at a time with ``_cut`` and ``_turns``:
+``first_blowup`` on an orthonormal frame, re-anchored by QR, and
+``wedge_first_zero`` and ``wedge_det_sign_changes`` (2x2, Q real or Hermitian)
+on the Pluecker vector under expm(h H2), H2 the additive compound of H, which
+keeps the plane through hyperbolic growth, with its two phases in closed form.
+``finite_blowup_constant`` tells whether det N vanishes at all, from the Jordan
+structure of H on its imaginary spectrum. Every zero is refined by
+``models._brentq`` to ``_XTOL`` = 1e-12 in t, relative below t_max = 1.
 """
 
 from __future__ import annotations
@@ -124,9 +118,8 @@ class JacobiSolution:
         return np.array([0.0, self.t_max])
 
     def _blocks(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n
-        Y = _expm(t * self.H)[:, :n]
-        return Y[:n], Y[n:]
+        Y = _expm(t * self.H)[:, : self.n]
+        return Y[: self.n], Y[self.n :]
 
     def M(self, t: float) -> np.ndarray:
         return self._blocks(t)[0]
@@ -171,10 +164,13 @@ _XTOL = 1e-12
 _MAX_STEPS = 2**20
 #: How far below the level of the fit of _balanced, in log scale, a diagonal of Q may drag it.
 _FAR_BELOW = math.log(10.0)
+#: Most steps in a block of ``_sweep`` (twice that where a 2x2 pass only counts), most log growth of a block of a
+#: Pluecker vector and of a frame, whose QR needs columns far from parallel, most numbers in a run (4096 vectors).
+_WEDGE_BLOCK, _WEDGE_LOG_GROWTH, _FRAME_LOG_GROWTH, _CHUNK = 128, 300.0, 6.0, 6 * 4096
 
 
 class UnverifiableError(FloatingPointError):
-    """A route cannot decide: a pass of over 2^20 steps, an overflowing step, or phases that stay at 0, move back or leave no gap."""
+    """A route cannot decide: a pass of over 2^20 steps, a balancing or step that is not finite, or phases that stay at 0, move back or leave no gap."""
 
 
 @functools.lru_cache(maxsize=256)
@@ -216,7 +212,10 @@ def _balanced(H: np.ndarray) -> tuple[np.ndarray, float]:
         refit[keep] = ~below
         fits.append(fits[0] - _fit(refit.tobytes())[2].dot(r[~below]))  # the least change: scale-free
     gs = [np.exp(np.concatenate((z[:n], -z[:n]))) for z in fits]
-    rates = [float(np.linalg.eigvalsh(S * (g[:, None] * g))[-1]) for g in gs]
+    try:
+        rates = [float(np.linalg.eigvalsh(S * (g[:, None] * g))[-1]) for g in gs]
+    except np.linalg.LinAlgError:  # S_u overflows
+        raise UnverifiableError("the balancing of H is not finite") from None
     i = rates.index(min(rates))
     return H * ((1.0 / gs[i])[:, None] * gs[i]), rates[i]
 
@@ -260,51 +259,86 @@ def _turns(phi: np.ndarray, phi1: np.ndarray, cut, t: float, h: float, first: bo
     return m, turn, drops
 
 
-def _phases(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(orthonormal frame [M; N], eigenphases phi_j in [0, pi)) of the plane of Y: W = M + iN is
-    unitary, W W^T has the eigenvalues exp(2i phi_j), and det N = 0 exactly when a phi_j is 0."""
-    Y = np.linalg.qr(Y)[0]
-    W = Y[: len(Y) // 2] + 1j * Y[len(Y) // 2 :]
-    return Y, np.angle(np.linalg.eigvals(W @ W.T)) / 2.0 % math.pi
+def _phases(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(orthonormal frames [M; N], eigenphases phi_j in [0, pi) on the first axis) of the planes of the
+    frames F, of shape (..., 2n, n): W = M + iN is unitary, W W^T has the eigenvalues exp(2i phi_j),
+    and det N = 0 exactly when a phi_j is 0."""
+    F = np.linalg.qr(F)[0]
+    n = F.shape[-1]
+    W = F[..., :n, :] + 1j * F[..., n:, :]
+    return F, (np.angle(np.linalg.eigvals(W @ np.swapaxes(W, -1, -2))) / 2.0 % math.pi).T
 
 
-def _steps(Hc: np.ndarray, rate: float, t_max: float):
-    """Steps of ``first_blowup``: yields (t, h, cut, Y, phi, phi1), Y the orthonormal frame
-    at t, phi and phi1 the phases at t and t + h. A step of ``_step_count`` is halved until
-    the gap of ``_cut`` is wider than 2 h rate; n phases leave a gap of pi/n, so a step
-    that needs more halvings is ``UnverifiableError``."""
-    n = len(Hc) // 2
-    steps = _step_count(t_max, rate)
-    h0 = t_max / steps
-    expm = functools.cache(lambda du: _expm(du * h0 * Hc))
-    u, Y, phi = 0.0, np.eye(2 * n, n), np.zeros(n)  # u: steps of h0 taken, exact in binary
-    while u < steps:
-        (cut, gap), du = _cut(phi), 1.0
-        while not gap > 2.0 * du * h0 * rate:
-            if 2.0 * du * h0 * rate < math.pi / n:
-                raise UnverifiableError(f"the eigenphases at t = {u * h0:.17g} leave no gap wider than {2.0 * du * h0 * rate:.3e}")
-            du *= 0.5
-        du = min(du, steps - u)
-        Y1, phi1 = _phases(expm(du) @ Y)
-        yield u * h0, du * h0, cut, Y, phi, phi1
-        u, Y, phi = u + du, Y1, phi1
+def _sweep(X: np.ndarray, h: float, steps: int, y: np.ndarray, log_growth: float, block: int):
+    """Yield (k0, Y), Y[i] the state y, a Pluecker vector (6,) or a frame (2n, n), after k0 + i
+    steps of E = exp(hX), in runs of at most ``_CHUNK`` numbers that share their ends. A block
+    is one product of E^1..E^K (by doubling; K <= block, ||E^K||_inf <= exp(log_growth)) with
+    its start, and its last state starts the next, re-anchored: a frame by QR, a Pluecker vector
+    rescaled and moved by a Newton step onto the quadric p01 p23 - p02 p13 + p03 p12 = 0 of
+    2-planes, off which E amplifies rounding that the phases misread (2e-9 at (-2.57, 3.22),
+    t = 55). ``UnverifiableError`` unless E is finite."""
+    with np.errstate(all="ignore"):
+        E = _expm(h * X)
+        norm = float(np.abs(E).sum(axis=1).max())
+    if not norm < math.inf:  # NaN too
+        raise UnverifiableError(f"exp(h H) is not finite at h = {h:.3e}")
+    K = max(1, min(block, steps, int(log_growth / math.log(max(math.e, norm)))))
+    powers = np.empty((K, *E.shape), E.dtype)
+    powers[0], k = E, 1
+    while k < K:  # by doubling: E^(k+1..2k) = E^(1..k) E^k
+        np.matmul(powers[: min(k, K - k)], powers[k - 1], out=powers[k : 2 * k])
+        k *= 2
+    stacked, per = powers.reshape(K * len(E), len(E)), max(1, _CHUNK // (K * y.size))
+    if y.ndim == 1:  # w @ stacked^T runs at half the cost of stacked @ w on the (6K, 6) stack
+        stacked = stacked.T.copy()
+    for k0 in range(0, steps, per * K):
+        n_blocks = min(per, -(-(steps - k0) // K))
+        Y = np.empty((n_blocks * K + 1, *y.shape), E.dtype)
+        Y[0] = y
+        for b in range(n_blocks):
+            if y.ndim == 2:
+                np.matmul(stacked, y, out=Y[b * K + 1 : b * K + K + 1].reshape(-1, y.shape[1]))
+                Y[b * K + K] = y = np.linalg.qr(Y[b * K + K])[0]
+                continue
+            np.matmul(y, stacked, out=Y[b * K + 1 : b * K + K + 1].reshape(-1))
+            v = Y[b * K + K].tolist()
+            top = max(map(abs, v))
+            p01, p02, p03, p12, p13, p23 = v = [x / top for x in v]
+            c = (p01 * p23 - p02 * p13 + p03 * p12) / sum([x * x.conjugate() for x in v]).real
+            Y[b * K + K] = y = np.array([x - c * q.conjugate() for x, q in zip(v, (p23, -p13, p12, p03, -p02, p01))])
+        yield k0, Y[: steps - k0 + 1]
 
 
 def first_blowup(sol: JacobiSolution) -> BlowUpTime:
     """First zero of det N on (0, t_max], or the infinite marker: the first time the largest
-    eigenphase of [M; N] reaches pi on the steps of ``_steps``, refined by ``_brentq`` to
-    1e-12 min(1, t_max) on the m-th phase past the cut, less pi, with the pass's own values
-    at both ends of the step. ``ValueError`` unless B >= 0; ``UnverifiableError`` if a phase
-    stays at 0 after the first step (det N vanishes to working precision) or moves back
-    through pi, if the phases leave no gap for a cut, or beyond 2^20 steps."""
+    eigenphase of [M; N] reaches pi, on frames stepped by ``_sweep``, read a block at a time.
+    From the first step whose phases leave no gap wider than 2 h rate the pass goes on at h/2
+    from that step's frame, which ends: n phases leave a gap of pi/n. The zero is refined by
+    ``_brentq`` to 1e-12 min(1, t_max) on the m-th phase past the cut, less pi, with the pass's
+    own values at both ends of the step. ``ValueError`` unless B >= 0; ``UnverifiableError`` if
+    a phase stays at 0 after the first step (det N vanishes to working precision) or moves back
+    through pi, if the phases leave no gap, if H_u or a step is not finite, or beyond 2^20 steps."""
     Hc, rate = _balanced(sol.H)
-    for t, h, cut, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
-        m, _, drops = _turns(phi[:, None], phi1[:, None], cut, t, h, first=True)
-        if drops.size:
-            z, m = -cut % math.pi, int(m[0])  # z: pi seen from the cut
-            past = lambda s: np.sort(((phi if s == 0.0 else phi1 if s == h else _phases(_expm(s * Hc) @ Y)[1]) + z) % math.pi)[m - 1] - z
-            return BlowUpTime.finite(t + _brentq(past, 0.0, h, xtol=_XTOL * min(1.0, sol.t_max)))
-    return BlowUpTime.infinite()
+    n, steps = sol.n, _step_count(sol.t_max, rate)
+    u, h, Y = 0, sol.t_max / steps, np.eye(2 * n, n)  # u: steps of h taken
+    while True:
+        for k0, F in _sweep(Hc, h, steps - u, Y, _FRAME_LOG_GROWTH, _WEDGE_BLOCK):
+            (F, phi), t = _phases(F), (u + k0) * h
+            cut, gap = _cut(phi[:, :-1])
+            j = int(np.append(gap > 2.0 * h * rate, False).argmin())  # the first step without a gap, or len(gap)
+            if j < len(gap) and 2.0 * h * rate < math.pi / n:  # n phases always leave a gap of pi/n
+                raise UnverifiableError(f"the eigenphases at t = {(u + k0 + j) * h:.17g} leave no gap wider than {2.0 * h * rate:.3e}")
+            m, _, drops = _turns(phi[:, :j], phi[:, 1 : j + 1], cut[:j], t, h, first=True)
+            if drops.size:
+                i = int(drops[0])
+                z, m, Y, phi = -cut[i] % math.pi, int(m[i]), F[i], phi[:, i : i + 2]  # z: pi seen from the cut
+                past = lambda s: np.sort(((phi[:, 0] if s == 0.0 else phi[:, 1] if s == h else _phases(_expm(s * Hc) @ Y)[1]) + z) % math.pi)[m - 1] - z
+                return BlowUpTime.finite((u + k0 + i) * h + _brentq(past, 0.0, h, xtol=_XTOL * min(1.0, sol.t_max)))
+            if j < len(gap):  # on at h/2 from the frame of step j
+                u, h, steps, Y = 2 * (u + k0 + j), 0.5 * h, 2 * steps, F[j]
+                break
+        else:
+            return BlowUpTime.infinite()
 
 
 # ----------------------------------------------------------------------
@@ -359,9 +393,7 @@ def finite_blowup_constant(A, B, Q) -> bool:
 # 2x2 systems: the phase rule on the compound sweep
 # ----------------------------------------------------------------------
 
-#: Steps per block (twice that in a pass that only counts and needs no refinement-grade vector; fewer
-#: where ||E2^K||_inf would pass exp(300)), and per run of the sweep; 1/j! of a degree-30 Taylor polynomial.
-_WEDGE_BLOCK, _WEDGE_LOG_GROWTH, _WEDGE_CHUNK = 128, 300.0, 4096
+#: 1/j! of a degree-30 Taylor polynomial.
 _INV_FACTORIALS = 1.0 / np.cumprod(np.r_[1.0, 1.0:31.0])
 #: Pluecker coordinates (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of 2-planes, rows (m0, m1, n0, n1).
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
@@ -394,45 +426,13 @@ def _wedge_phases(W: np.ndarray) -> np.ndarray:
     return args - np.where(args >= math.pi, math.pi, 0.0)
 
 
-def _wedge_sweep(E2: np.ndarray, K: int, steps: int):
-    """Yield (k0, W), W[:, i] the Pluecker vector after k0 + i steps of E2, in runs that
-    share their ends and change no bit of W. A block is one product of E2^1..E2^K with
-    its start; the next start, its last vector, is rescaled and moved by a Newton step
-    onto the quadric p01 p23 - p02 p13 + p03 p12 = 0 of 2-planes, off which E2 amplifies
-    rounding that the phases misread (2e-9 at (-2.57, 3.22), t = 55)."""
-    powers = np.empty((K, 6, 6), E2.dtype)
-    powers[0], n = E2, 1
-    while n < K:  # by doubling: E2^(n+1..2n) = E2^(1..n) E2^n
-        np.matmul(powers[: min(n, K - n)], powers[n - 1], out=powers[n : 2 * n])
-        n *= 2
-    # w @ stacked^T runs at half the cost of stacked @ w on the (6K, 6) stack
-    stacked_t, per, w = powers.reshape(6 * K, 6).T.copy(), max(1, _WEDGE_CHUNK // K), np.eye(1, 6, dtype=E2.dtype)[0]
-    for k0 in range(0, steps, per * K):
-        n_blocks = min(per, -(-(steps - k0) // K))
-        W = np.empty((n_blocks * K + 1, 6), E2.dtype)
-        W[0] = w
-        for b in range(n_blocks):
-            np.matmul(w, stacked_t, out=W[b * K + 1 : b * K + K + 1].reshape(-1))
-            v = W[b * K + K].tolist()
-            top = max(map(abs, v))
-            p01, p02, p03, p12, p13, p23 = v = [x / top for x in v]
-            c = (p01 * p23 - p02 * p13 + p03 * p12) / sum([x * x.conjugate() for x in v]).real
-            W[b * K + K] = w = np.array([x - c * y.conjugate() for x, y in zip(v, (p23, -p13, p12, p03, -p02, p01))])
-        yield k0, np.ascontiguousarray(W[: steps - k0 + 1].T)
-
-
 def _wedge_pass(A, B, Q, t_max: float, first: bool):
     """(zeros, closest approach, first zero) of det N for the two wedge functions."""
     Hc, rate = _balanced(_jacobi_system(A, B, Q, t_max, n=2, hermitian=True)[3])
     H2, steps = _COMPOUND.dot(Hc.reshape(16)).reshape(6, 6), _step_count(t_max, rate)
     h, zeros, near = t_max / steps, 0, math.inf
-    with np.errstate(all="ignore"):
-        E2 = _expm(h * H2)
-    growth = math.log(max(math.e, float(np.abs(E2).sum(axis=1).max())))  # ||E2^K||_inf <= exp(K growth)
-    if not growth < math.inf:
-        raise UnverifiableError(f"expm(h H2) overflows at h = {h:.3e}, t_max = {t_max:.3e}")
-    for k0, W in _wedge_sweep(E2, max(1, min(_WEDGE_BLOCK * (1 if first else 2), steps, int(_WEDGE_LOG_GROWTH / growth))), steps):
-        phi = _wedge_phases(W)
+    for k0, W in _sweep(H2, h, steps, np.eye(1, 6, dtype=H2.dtype)[0], _WEDGE_LOG_GROWTH, _WEDGE_BLOCK * (1 if first else 2)):
+        phi = _wedge_phases(np.ascontiguousarray(W.T))
         cut = _cut(phi[:, :-1])[0]
         m, turn, drops = _turns(phi[:, :-1], phi[:, 1:], cut, k0 * h, h, first)
         if not first:  # a first-zero pass reads neither the count nor the closest approach
@@ -440,7 +440,7 @@ def _wedge_pass(A, B, Q, t_max: float, first: bool):
             near = min(near, math.pi - float(phi[:, max(0, int(1.0 / h) + 1 - k0) :].max(initial=-math.inf)))  # t > 1
         elif drops.size:
             j = int(drops[0])
-            return 0, near, BlowUpTime.finite((k0 + j) * h + _wedge_refine(H2, W[:, j], cut[j], int(m[j]), h, t_max))
+            return 0, near, BlowUpTime.finite((k0 + j) * h + _wedge_refine(H2, W[j], cut[j], int(m[j]), h, t_max))
     return zeros, near, BlowUpTime.infinite()
 
 

@@ -202,6 +202,15 @@ class TestBlowup:
         _, _, rows = read_csv(out)
         assert [r["check_ok"] for r in rows] == ["unverifiable", "false"]
 
+    @pytest.mark.parametrize("ka,kb", [("1.4325205914417532e118", "-2.82884475485708e278"),
+                                       ("3.7615057244563964e-230", "4.687033938596471e280")])
+    def test_non_finite_step_or_balancing_is_undecided(self, tmp_path, ka, kb):
+        # a NaN step read FAILED (exit 1), and an overflowing balancing ended
+        # in a LinAlgError traceback
+        out = tmp_path / "b.csv"
+        assert run_cli(["blowup", f"--ka={ka}", f"--kb={kb}", "--verify", "--out", str(out)]) == 3
+        assert read_csv(out)[2][0]["check_ok"] == "unverifiable"
+
     def test_underflowing_frequency_is_a_failed_computation(self, tmp_path, capsys):
         # it ended in a ZeroDivisionError traceback
         argv = ["blowup", "--ka", "1.7934847258413677e-236", "--kb=-2.1545907295567397e+115",

@@ -29,7 +29,6 @@ from fatcomp.riccati import (
     _additive_compound,
     _balanced,
     _expm,
-    _steps,
     finite_blowup_constant,
     first_blowup,
     integrate_jacobi,
@@ -221,16 +220,29 @@ class TestFirstBlowup:
             first_blowup(sol)
 
     def test_phases_without_a_gap_are_unverifiable(self, monkeypatch):
-        # the stub spreads 64 phases over [0, pi): no gap is wider than
-        # pi/64, and no halving of the step can make 2 h rate smaller than
-        # that before it passes pi/n, the widest gap n phases must leave
+        # the stub spreads 64 phases over [0, pi) at every frame: no gap is
+        # wider than pi/64, and no halving of the step can make 2 h rate
+        # smaller than that before it passes pi/n, the widest gap n phases
+        # must leave
         spread = np.arange(64) * math.pi / 64
-        monkeypatch.setattr(riccati, "_phases", lambda Y: (np.linalg.qr(Y)[0], spread))
+        monkeypatch.setattr(riccati, "_phases", lambda F: (np.linalg.qr(F)[0], np.repeat(spread[:, None], len(F), axis=1)))
         sol = integrate_jacobi(np.zeros((2, 2)), np.eye(2), np.eye(2), t_max=4.0)
-        steps = _steps(*_balanced(sol.H), sol.t_max)
-        next(steps)  # from the phases at t = 0, all 0
         with pytest.raises(UnverifiableError, match="leave no gap"):
-            next(steps)
+            first_blowup(sol)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_repeated_halving(self, n):
+        # Q = diag(j^2), j = 1..n: the phases at t are j t mod pi, which
+        # near t = pi/n spread over [0, pi) with no gap much wider than pi/n,
+        # below 2 h rate; the pass halves its step there, more than once,
+        # and the first zero is the top frequency's, at pi/n
+        Q = np.diag(np.arange(1.0, n + 1.0) ** 2)
+        sweeps, sweep = [], riccati._sweep
+        with pytest.MonkeyPatch.context() as mp:  # one sweep per step size
+            mp.setattr(riccati, "_sweep", lambda X, h, *a: sweeps.append(h) or sweep(X, h, *a))
+            hit = first_blowup(integrate_jacobi(np.zeros((n, n)), np.eye(n), Q, t_max=1.0))
+        assert abs(hit.time - math.pi / n) <= 1e-12 * math.pi / n
+        assert len(sweeps) - 1 >= math.log2(n) - 1, f"{len(sweeps) - 1} halvings"
 
     @pytest.mark.parametrize("system", ["typeI", "qhf-d2"])
     def test_phase_motion_stays_below_the_turn(self, system):
@@ -240,8 +252,12 @@ class TestFirstBlowup:
         sol = _system(system)
         Hc, rate = _balanced(sol.H)
         assert rate <= np.linalg.norm(Hc, 2) * (1.0 + 1e-12)
-        for t, h, cut, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
-            step = np.sort((phi1 - cut) % math.pi) - np.sort((phi - cut) % math.pi)
+        blocks, turns = [], riccati._turns
+        with pytest.MonkeyPatch.context() as mp:  # each block of steps the pass reads
+            mp.setattr(riccati, "_turns", lambda phi, phi1, cut, t, h, first: blocks.append((phi, phi1, cut, t, h)) or turns(phi, phi1, cut, t, h, first))
+            first_blowup(sol)
+        for phi, phi1, cut, t, h in blocks:
+            step = np.sort((phi1 - cut) % math.pi, axis=0) - np.sort((phi - cut) % math.pi, axis=0)
             assert (step >= -1e-14).all() and (step <= h * rate + 1e-14).all(), f"step at t = {t}"
 
 
@@ -259,9 +275,12 @@ class TestSteppedScan:
         i, j = np.nonzero(sol.H)
         e = np.eye(len(sol.H))
         D = np.diag(np.exp(np.linalg.lstsq(e[i] - e[j], np.log(Hc[i, j] / sol.H[i, j]), rcond=None)[0]))
-        for t, h, cut, Y, phi, phi1 in _steps(Hc, rate, sol.t_max):
-            X = np.linalg.qr(D @ np.vstack([sol.M(t), sol.N(t)]))[0]
-            assert np.abs(Y @ Y.T - X @ X.T).max() <= 1e-12, f"frame at t = {t}"
+        steps = riccati._step_count(sol.t_max, rate)
+        h = sol.t_max / steps
+        for k0, F in riccati._sweep(Hc, h, steps, np.eye(2 * sol.n, sol.n), riccati._FRAME_LOG_GROWTH, riccati._WEDGE_BLOCK):
+            for t, Y in zip((k0 + np.arange(len(F))) * h, riccati._phases(F)[0]):
+                X = np.linalg.qr(D @ np.vstack([sol.M(t), sol.N(t)]))[0]
+                assert np.abs(Y @ Y.T - X @ X.T).max() <= 1e-12, f"frame at t = {t}"
 
 
 # ----------------------------------------------------------------------
@@ -582,8 +601,9 @@ def _pointwise_wedge(Q, t_max, steps=4000):
 
 
 def _stepwise_sweep(E2, K, steps):
-    """``riccati._wedge_sweep`` one step at a time: each vector is E2 times the one
-    before, rescaled by its largest entry, in runs of 256 steps; no blocks."""
+    """``riccati._sweep`` of a Pluecker vector one step at a time: each vector is E2
+    times the one before, rescaled by its largest entry, in runs of 256 steps; no
+    blocks."""
     w = np.eye(6, dtype=E2.dtype)[0]
     for k0 in range(0, steps, 256):
         n = min(256, steps - k0)
@@ -592,14 +612,14 @@ def _stepwise_sweep(E2, K, steps):
         for i in range(n):
             v = E2 @ W[:, i]
             W[:, i + 1] = v / np.abs(v).max()
-        yield k0, W
+        yield k0, W.T
         w = W[:, -1]
 
 
 def _chunked_wedge_sweep(E2, K, steps):
     """The blocked sweep in runs of one block: powers by doubling, a new array per
     block, each start moved onto the Pluecker quadric by its Newton step; the
-    arithmetic of ``riccati._wedge_sweep``."""
+    arithmetic of ``riccati._sweep`` on a Pluecker vector."""
     powers = [E2]
     while len(powers) < K:
         n = len(powers)
@@ -613,20 +633,25 @@ def _chunked_wedge_sweep(E2, K, steps):
         g = [v[5], -v[4], v[3], v[2], -v[1], v[0]]
         c = (v[0] * v[5] - v[1] * v[4] + v[2] * v[3]) / sum([x * x.conjugate() for x in v]).real
         W[K] = w = np.array([x - c * y.conjugate() for x, y in zip(v, g)])
-        yield k0, W[: steps - k0 + 1].T.copy()
+        yield k0, W[: steps - k0 + 1].copy()
 
 
 def _pass_with(sweep, Q, t_max):
     """(``_wedge_pass`` result or its exception class, (K, steps) of the sweep) with
-    ``sweep`` in place of ``riccati._wedge_sweep``."""
-    shape = []
+    ``riccati._sweep``, or with ``sweep(E2, K, steps)`` in its place: E2 = exp(h H2)
+    and K the block length that ``riccati._sweep`` takes."""
+    shape, real = [], riccati._sweep
 
-    def spy(E2, K, steps):
+    def spy(X, h, steps, y, log_growth, block):
+        with np.errstate(all="ignore"):
+            E2 = _expm(h * X)
+        K = max(1, min(block, steps, int(log_growth / math.log(max(math.e, np.abs(E2).sum(axis=1).max())))))
         shape.append((K, steps))
-        return sweep(E2, K, steps)
+        # the real sweep raises on a non-finite E2
+        return real(X, h, steps, y, log_growth, block) if sweep is real or not np.isfinite(E2).all() else sweep(E2, K, steps)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(riccati, "_wedge_sweep", spy)
+        mp.setattr(riccati, "_sweep", spy)
         try:
             result = riccati._wedge_pass(A_STEP, B_STEP, Q, t_max, first=False)
         except FloatingPointError as exc:
@@ -693,13 +718,13 @@ class TestBlockedWedgePass:
         # same zeros, closest approach and first zero to the bit
         runs, short, ragged = 0, 0, 0
         for Q, t_max in _wedge_cases(family, n, np.random.default_rng(seed)):
-            (got, (K, steps)), (want, _) = _pass_with(riccati._wedge_sweep, Q, t_max), _pass_with(_chunked_wedge_sweep, Q, t_max)
+            (got, (K, steps)), (want, _) = _pass_with(riccati._sweep, Q, t_max), _pass_with(_chunked_wedge_sweep, Q, t_max)
             where = f"Q={Q.tolist()} t_max={t_max!r}"
             if isinstance(want, type):
                 assert got is want, where
                 continue
             assert got[:2] == want[:2] and got[2].time.hex() == want[2].time.hex(), where
-            runs += steps > riccati._WEDGE_CHUNK
+            runs += steps > riccati._CHUNK // 6
             short += K < riccati._WEDGE_BLOCK
             ragged += steps > K and steps % K != 0
         if family == "horizon-1000":
@@ -715,7 +740,7 @@ class TestBlockedWedgePass:
         # product and one rescale a step: the same zeros, and the same first
         # zero and closest approach up to the rounding of the stepwise vectors
         for Q, t_max in _wedge_cases(family, n, np.random.default_rng(seed)):
-            (got, _), (want, _) = _pass_with(riccati._wedge_sweep, Q, t_max), _pass_with(_stepwise_sweep, Q, t_max)
+            (got, _), (want, _) = _pass_with(riccati._sweep, Q, t_max), _pass_with(_stepwise_sweep, Q, t_max)
             where = f"Q={Q.tolist()} t_max={t_max!r}"
             if isinstance(want, type):
                 assert got is want, where
@@ -778,7 +803,9 @@ class TestBlockedWedgePass:
         assert zeros == 0
 
     def test_step_overflow_is_unverifiable(self):
-        # tbar = 3.1e150: far beyond the 2^20 steps of a pass
+        # tbar = 3.1e150: the pass stops at the step cap (7.5e56 steps, far
+        # above 2^20), before any step is built; the guard on a step that is
+        # not finite is reached by TestNonFiniteSteps
         with pytest.raises(UnverifiableError):
             wedge_first_zero(A_STEP, B_STEP, np.diag([1e-300, -1.0]), t_max=3.3e150)
 
@@ -787,6 +814,40 @@ class TestBlockedWedgePass:
         for fn in (wedge_first_zero, wedge_det_sign_changes):
             with pytest.raises(DomainError):
                 fn(A_STEP, B_STEP, np.diag([bad, 1.0]), t_max=10.0)
+
+
+class TestNonFiniteSteps:
+    """Systems whose balancing or step exp(h H) is not finite are unverifiable on every route."""
+
+    ROUTES = {
+        "wedge_first_zero": lambda Q, t_max: wedge_first_zero(A_STEP, B_STEP, Q, t_max),
+        "wedge_det_sign_changes": lambda Q, t_max: wedge_det_sign_changes(A_STEP, B_STEP, Q, t_max),
+        "first_blowup": lambda Q, t_max: first_blowup(integrate_jacobi(A_STEP, B_STEP, Q, t_max)),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_nan_step_is_unverifiable(self, route):
+        # the balanced rate reads 0 here, so one step spans the horizon and
+        # exp(h H) is NaN; a guard on log(max(e, norm)) let it through, and
+        # the 2x2 pass found no zero before tbar = 4.4e80
+        ka, kb = 1.4325205914417532e118, -2.82884475485708e278
+        t_max = 1.05 * blowup_time_kab(ka, kb).time + 0.1
+        with np.errstate(all="ignore"), pytest.raises(UnverifiableError, match="not finite"):
+            self.ROUTES[route](np.diag([ka, kb]), t_max)
+
+    def test_overflowing_step_is_unverifiable_for_first_blowup(self):
+        # the 2x2 route raised here already; first_blowup ended in LinAlgError
+        with np.errstate(all="ignore"), pytest.raises(UnverifiableError, match="not finite"):
+            self.ROUTES["first_blowup"](np.diag([-2.3694569153331225e102, -2.059239899919286e88]), 3.0475045779697216e-38)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_overflowing_balancing_is_unverifiable(self, route):
+        # S_u = S * outer(g, g) of the refit overflows to NaN, and eigvalsh
+        # does not converge
+        ka, kb = 3.7615057244563964e-230, 4.687033938596471e280
+        t_max = 1.05 * blowup_time_kab(ka, kb).time + 0.1
+        with np.errstate(all="ignore"), pytest.raises(UnverifiableError, match="balancing"):
+            self.ROUTES[route](np.diag([ka, kb]), t_max)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 24 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 26 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -39,6 +39,10 @@ CALLS = [
     ["blowup", "--sweep=-1:1:3", "--kb", "2", "--kc", "4", "--verify"],
     # tbar = 3.1e-150: first_blowup refines to a relative tolerance
     ["blowup", "--kc", "1e300", "--verify"],
+    # exp(h H) of the balanced system is not finite: the row reads unverifiable, exit 3
+    ["blowup", "--ka", "1.4325205914417532e118", "--kb=-2.82884475485708e278", "--verify"],
+    # S_u of the balancing overflows before its eigenvalues: unverifiable, exit 3
+    ["blowup", "--ka", "3.7615057244563964e-230", "--kb", "4.687033938596471e280", "--verify"],
     ["conjugate", "--d", "1", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "2", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "16", "--sweep", "0:3:30", "--verify"],
