@@ -51,6 +51,7 @@ _TOUCH = 8.0 * 2.0**-52
 # scipy brentq's defaults: its floor for the relative tolerance, and its iteration cap.
 _RTOL = 4.0 * 2.0**-52
 _MAXITER = 100
+_NAN = "the function value at x={} is NaN; solver cannot continue"
 
 
 class DomainError(ValueError):
@@ -196,24 +197,39 @@ def finiteness_predicate(kappa_a: float, kappa_b: float) -> bool:
     return (kappa_b >= 0.0 and disc > 0.0) or (kappa_b < 0.0 and kappa_a > 0.0)
 
 
+def _tbar_floor(kappa_a: float, kappa_b: float) -> float:
+    """A floor of tbar where ``blowup_time_kab`` neither raises nor returns the infinite
+    marker or the closed form, else 0: (1 - 2^-40) max(pi/tp, (pi - asin(tm/tp))/tm),
+    the first knot up to the rounding of k pi/w, for kappa_a < 0; pi/(2 alpha) for kappa_a > 0."""
+    if not (math.isfinite(kappa_a) and math.isfinite(kappa_b)) or kappa_a == 0.0 or not finiteness_predicate(kappa_a, kappa_b):
+        return 0.0
+    tp, tm = theta_from_kappas(kappa_a, kappa_b)
+    if not (cmath.isfinite(tp) and cmath.isfinite(tm) and tm.real > 0.0):
+        return 0.0
+    tp, tm = tp.real, tm.real  # both alpha for kappa_a > 0
+    return math.pi / (2.0 * tp) if kappa_a > 0.0 else (1.0 - 2.0**-40) * max(math.pi / tp, (math.pi - math.asin(tm / tp)) / tm)
+
+
 def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
     """Evaluate the two-frequency model at time t.
 
     The model (2/t) (sinc(2 tm t) - sinc(2 tp t)) / (sinc(tm t)^2 - sinc(tp t)^2)
     is (8/t) F[4a, 4b] / (F[a, b] (F(a) + F(b))), a, b = (tp t)^2, (tm t)^2,
     since (F^2)[a, b] = F[a, b] (F(a) + F(b)); F(4X) = F(X) C(X) of
-    ``_f_and_c`` carries 4 F[4a, 4b]. One real route for every pair and t.
-    ``DomainError`` outside (0, tbar); ``FloatingPointError`` where the
-    quotient is not finite, as when the hyperbolic factors overflow.
+    ``_f_and_c`` carries 4 F[4a, 4b]. One real route for every pair and t. tbar is
+    solved only where t is not below ``_tbar_floor``, which lies below every root,
+    since the root search of ``blowup_time_kab`` starts there. ``DomainError``
+    outside (0, tbar); ``FloatingPointError`` where the quotient is not finite, as
+    when the hyperbolic factors overflow.
     """
-    tbar = blowup_time_kab(kappa_a, kappa_b)
-    where = f"t={t} for (kappa_a, kappa_b)=({kappa_a}, {kappa_b})"
-    if not 0.0 < t < tbar.time:
-        raise DomainError(f"{where} outside (0, {tbar.time})")
+    if not 0.0 < t < _tbar_floor(kappa_a, kappa_b):
+        tbar = blowup_time_kab(kappa_a, kappa_b).time
+        if not 0.0 < t < tbar:
+            raise DomainError(f"t={t} for (kappa_a, kappa_b)=({kappa_a}, {kappa_b}) outside (0, {tbar})")
     uf, wf, uc, wc = _f_and_c(kappa_a, kappa_b, t)
     num, den = uf * wc + uc * wf, t * uf * wf
     if not (math.isfinite(num) and math.isfinite(den) and den != 0.0):
-        raise FloatingPointError(f"s_kab is not finite at {where}")
+        raise FloatingPointError(f"s_kab is not finite at t={t} for (kappa_a, kappa_b)=({kappa_a}, {kappa_b})")
     return num / den
 
 
@@ -224,14 +240,13 @@ def _brentq(f, a: float, b: float, xtol: float) -> float:
     ``scipy.optimize.brentq(f, a, b, xtol=xtol)`` and raises its ``ValueError``
     (f(a) and f(b) of one sign, or f NaN) and ``RuntimeError`` (out of iterations).
     """
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
-        return fx
-
     xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = float(f(xpre))
+    if fpre != fpre:
+        raise ValueError(_NAN.format(xpre))
+    fcur = float(f(xcur))
+    if fcur != fcur:
+        raise ValueError(_NAN.format(xcur))
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -268,24 +283,10 @@ def _brentq(f, a: float, b: float, xtol: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = call(xcur)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise ValueError(_NAN.format(xcur))
     raise RuntimeError(f"failed to converge after {_MAXITER} iterations, value is {xcur}")
-
-
-def _first_zero(g, knots: list[float], tol: float) -> float | None:
-    """First zero of g on [knots[0], knots[-1]], g monotone between neighbouring knots.
-
-    In order: a knot where |g| <= tol is a touch, and it is the zero; else the
-    first neighbour pair across which g changes sign holds it, refined by
-    ``_brentq`` to 4 eps relative, the floor of its relative tolerance.
-    """
-    vals = [g(t) for t in knots]
-    for i, (t, v) in enumerate(zip(knots, vals)):
-        if abs(v) <= tol:
-            return t
-        if i + 1 < len(knots) and abs(vals[i + 1]) > tol and (v < 0.0) != (vals[i + 1] < 0.0):
-            return _brentq(g, t, knots[i + 1], xtol=_RTOL * t)
-    return None
 
 
 def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
@@ -301,11 +302,12 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
     asin(x) <= pi*x/2 < pi*x. There both factors are monotone between the
     multiples of pi/(tp +- tm), where g-' = -2 sin((tp+tm)t/2)
     sin((tp-tm)t/2) and g+' = 2 cos((tp+tm)t/2) cos((tp-tm)t/2) vanish: a
-    few knots, with ``_first_zero`` at touch tolerance 8 eps pi/tm. For
-    kappa_a > 0 the frequencies are a conjugate pair alpha +- i*beta and
-    the blow-up is the unique root of alpha*tan(alpha*t) +
-    beta*tanh(beta*t) on (pi/(2*alpha), pi/alpha), evaluated in the
-    pole-free form alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t)
+    few knots, scanned inline for each sign: the first knot with |g| <= 8 eps
+    pi/tm is a touch, else the first sign change is refined by ``_brentq`` to
+    4 eps relative. For kappa_a > 0 the frequencies
+    are a conjugate pair alpha +- i*beta and the blow-up is the unique root of
+    alpha*tan(alpha*t) + beta*tanh(beta*t) on (pi/(2*alpha), pi/alpha),
+    evaluated in the pole-free form alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t)
     and found by ``_brentq`` to 1e-12 min(1, pi/(2*alpha)) in t, relative on
     short time scales. ``DomainError`` when kappa_a or kappa_b is NaN or
     infinite; ``FloatingPointError`` when a frequency overflows or alpha^2 underflows.
@@ -324,17 +326,19 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
             for w in (tp + tm, tp - tm)
             for k in range(math.ceil(start * w / math.pi), math.ceil(hi * w / math.pi))
         )) if math.isfinite(hi) else []  # NaN where kappa_b**2 overflows
-        roots = []
-        for sign in (-1.0, 1.0):
-            g = lambda t, sign=sign: math.sin(tp * t) / tp + sign * math.sin(tm * t) / tm
-            r = _first_zero(g, knots, _TOUCH * hi)
-            if r is not None:
-                roots.append(r)
+        tol, roots = _TOUCH * hi, []
+        for sign in (-1.0, 1.0):  # the first knot with |g| <= tol, else the first sign change
+            vals = [math.sin(tp * t) / tp + sign * math.sin(tm * t) / tm for t in knots]
+            for i, (t, v) in enumerate(zip(knots, vals)):
+                if abs(v) <= tol:
+                    roots.append(t)
+                    break
+                if i + 1 < len(knots) and abs(vals[i + 1]) > tol and (v < 0.0) != (vals[i + 1] < 0.0):
+                    g = lambda t, sign=sign: math.sin(tp * t) / tp + sign * math.sin(tm * t) / tm
+                    roots.append(_brentq(g, t, knots[i + 1], xtol=_RTOL * t))
+                    break
         if not roots:
-            raise FloatingPointError(
-                f"no root in the proven bracket ({lo}, {hi}] for "
-                f"({kappa_a}, {kappa_b})"
-            )
+            raise FloatingPointError(f"no root in the proven bracket ({lo}, {hi}] for ({kappa_a}, {kappa_b})")
         return BlowUpTime.finite(min(roots))
     tp = theta_from_kappas(kappa_a, kappa_b)[0]  # kappa_a > 0: alpha + i*beta, alpha, beta > 0
     alpha, beta = tp.real, tp.imag
@@ -362,9 +366,7 @@ def upper_bound_kab(kappa_a: float, kappa_b: float) -> float:
     """
     _check_kappas(kappa_a, kappa_b)
     denom = 2.0 * theta_from_kappas(kappa_a, kappa_b)[1].real  # sqrt(x+y) - sqrt(x-y) = 2*theta_minus
-    if denom <= 0.0:
-        return math.inf
-    return 2.0 * math.pi / denom
+    return math.inf if denom <= 0.0 else 2.0 * math.pi / denom
 
 
 # ----------------------------------------------------------------------
@@ -404,10 +406,5 @@ def diameter_certificate(v_norm: float, K: float) -> DiameterCertificate:
     kappa_b = 4.0 + 5.0 * s
     tbar = blowup_time_kab(kappa_a, kappa_b)
     uf, wf, _, _ = _f_and_c(kappa_a, kappa_b, math.pi)
-    return DiameterCertificate(
-        kappa_a=kappa_a,
-        kappa_b=kappa_b,
-        tbar=tbar,
-        chi_at_pi=0.0 - 2.0 * math.sqrt(abs(kappa_a)) * math.pi**2 * uf * wf,  # 0.0 - x: +0.0 at kappa_a = 0
-        passes=bool(tbar.time <= math.pi * (1.0 + 1e-12)),
-    )
+    chi = 0.0 - 2.0 * math.sqrt(abs(kappa_a)) * math.pi**2 * uf * wf  # 0.0 - x: +0.0 at kappa_a = 0
+    return DiameterCertificate(kappa_a, kappa_b, tbar, chi, passes=bool(tbar.time <= math.pi * (1.0 + 1e-12)))

@@ -393,8 +393,8 @@ def finite_blowup_constant(A, B, Q) -> bool:
 # 2x2 systems: the phase rule on the compound sweep
 # ----------------------------------------------------------------------
 
-#: 1/j! of a degree-30 Taylor polynomial.
-_INV_FACTORIALS = 1.0 / np.cumprod(np.r_[1.0, 1.0:31.0])
+#: 1/j! of a degree-30 Taylor polynomial, and its powers j.
+_INV_FACTORIALS, _POWERS = 1.0 / np.cumprod(np.r_[1.0, 1.0:31.0]), np.arange(31)
 #: Pluecker coordinates (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of 2-planes, rows (m0, m1, n0, n1).
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
 
@@ -456,12 +456,12 @@ def _wedge_refine(H2: np.ndarray, w: np.ndarray, cut: float, m: int, h: float, t
             t0, w = t0 + h, mid
     C, X = np.empty((6, 32), w.dtype), h * H2
     C[:, 0] = w / np.abs(w).max()
-    for k in (1, 2, 4, 8, 16):  # columns X^k..X^(2k-1) w from X^0..X^(k-1) w, X = (h H2)^k
-        C[:, k : 2 * k], X = X.dot(C[:, :k]), X.dot(X)
-    C, z, powers = C[:, : len(_INV_FACTORIALS)] * _INV_FACTORIALS, -cut % math.pi, np.arange(len(_INV_FACTORIALS))
+    for k in (1, 2, 4, 8, 16):  # columns X^k..X^(2k-1) w from X^0..X^(k-1) w, X = (h H2)^k; X^32 is not needed
+        C[:, k : 2 * k], X = X.dot(C[:, :k]), X.dot(X) if k < 16 else X
+    C, z = C[:, : len(_INV_FACTORIALS)] * _INV_FACTORIALS, -cut % math.pi
 
     def past(s: float) -> float:  # the general form of _wedge_phases for one plane, by cmath
-        p01, p02, p03, p12, p13, p23 = C.dot((s / h) ** powers).tolist()
+        p01, p02, p03, p12, p13, p23 = C.dot((s / h) ** _POWERS).tolist()
         root, u, den = cmath.sqrt(4.0 * p02 * p13 - (p03 + p12) ** 2), p01 + p23, complex(p01 - p23, p12 - p03)
         a, b = (cmath.phase((u - root) / den) / 2.0 + z) % math.pi, (cmath.phase((u + root) / den) / 2.0 + z) % math.pi
         return (min(a, b) if m == 1 else max(a, b)) - z

@@ -9,6 +9,8 @@ Test categories:
   6. Scaling covariance
   7. Diameter-type certificate
   8. The Brent root finder against scipy.optimize.brentq, bit for bit
+  9. Frozen bits of tbar and s_kab over every branch, and the floor of tbar
+     below which s_kab solves no root
 
 Frozen reference values were computed from formulas independent of this
 package: pi/sqrt(k) for the single-frequency zero, and the first zero of
@@ -20,6 +22,7 @@ S_KAB_WIDE and S_KAB_NEAR_TBAR from tools/skab_reference.py (mpmath, the
 complex sinc quotient at a precision that grows with its cancellation).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -28,7 +31,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from fatcomp import models, riccati
+from fatcomp import checks, models, riccati
 from fatcomp.models import (
     BlowUpTime,
     DomainError,
@@ -689,6 +692,140 @@ class TestBrentPort:
         mine = run()
         monkeypatch.setattr(riccati, "_brentq", _scipy_brentq)
         assert mine == run()
+
+
+# ----------------------------------------------------------------------
+# Test Class: frozen bits of the scalar layer, and the floor of tbar
+# ----------------------------------------------------------------------
+
+def _scalar_pairs(n: int, seed: int = 22) -> list[tuple[float, float]]:
+    """9 n seeded (kappa_a, kappa_b) over every branch of ``blowup_time_kab``.
+
+    Per draw: a generic pair on [-5, 5]^2 (half of them infinite); kappa_a < 0,
+    = 0 and > 0 against the same kappa_b; near-degenerate pairs |kappa_a| =
+    kappa_b^2/4 10^[-16, 0] of both signs, and one just past kappa_b^2/4, which
+    is infinite; the real pair of frequencies tp, tm on [0.01, 5]; and a pair of
+    magnitudes 10^[-300, 300] and any signs.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        ka, kb = (float(x) for x in rng.uniform(-5.0, 5.0, 2))
+        near = kb * kb / 4.0 * 10.0 ** float(rng.uniform(-16.0, 0.0))
+        e = rng.uniform(-300.0, 300.0, 2)
+        s = rng.choice([-1.0, 1.0], 2)
+        tp, tm = (float(x) for x in rng.uniform(0.01, 5.0, 2))
+        pairs += [(ka, kb), (-abs(ka), abs(kb)), (0.0, kb), (abs(ka), kb), (-near, abs(kb)), (near, kb),
+                  (-(1.0 + 2.0**-30) * kb * kb / 4.0, abs(kb)), (-((tp * tp - tm * tm) ** 2), 2.0 * (tp * tp + tm * tm)),
+                  (float(s[0] * 10.0 ** e[0]), float(s[1] * 10.0 ** e[1]))]
+    return pairs
+
+
+def _scalar_times(ka: float, kb: float) -> list[float]:
+    """t = 0, NaN, and below, at, next to and beyond tbar; where the frequencies are finite,
+    also at, next to and 2^-40 and 2^-39 below pi/(2 Re tp), pi/tp and, for a real pair,
+    the start of the knot scan of ``blowup_time_kab``, max(pi/tp, (pi - asin(tm/tp))/tm)."""
+    ts = [0.0, math.nan]
+    try:
+        tbar = blowup_time_kab(ka, kb).time
+    except (ValueError, FloatingPointError):
+        tbar = math.nan
+    if math.isfinite(tbar):
+        ts += [0.5 * tbar, math.nextafter(tbar, 0.0), tbar, math.nextafter(tbar, math.inf), 1.5 * tbar]
+    else:
+        ts += [1e-160, 1.0, 1e10]
+    tp, tm = theta_from_kappas(ka, kb)
+    marks = []
+    if math.isfinite(abs(tp)) and math.isfinite(abs(tm)) and tm.real > 0.0:
+        tp, tm = tp.real, tm.real
+        marks = [math.pi / (2.0 * tp), math.pi / tp]
+        if tm <= tp and ka < 0.0:
+            marks.append(max(math.pi / tp, (math.pi - math.asin(tm / tp)) / tm))
+    for mark in marks:
+        below = (1.0 - 2.0**-40) * mark
+        ts += [mark, math.nextafter(mark, 0.0), math.nextafter(mark, math.inf),
+               below, math.nextafter(below, 0.0), (1.0 - 2.0**-39) * mark]
+    return ts
+
+
+def _scalar_outcome(fn, *args) -> str:
+    """float.hex of the value, or the exception's class and message."""
+    try:
+        return float(fn(*args)).hex()
+    except Exception as err:  # every class counts: the bits include what is raised
+        return f"{type(err).__name__}: {err}"
+
+
+def _scalar_digest(pairs) -> tuple[int, str]:
+    """(rows, SHA-256) of tbar for every pair and s_kab on every row (kappa_a, kappa_b, t)."""
+    lines = []
+    for ka, kb in pairs:
+        lines.append(f"{ka.hex()} {kb.hex()} tbar {_scalar_outcome(lambda: blowup_time_kab(ka, kb).time)}")
+        for t in _scalar_times(ka, kb):
+            lines.append(f"{ka.hex()} {kb.hex()} {t.hex()} {_scalar_outcome(eval_s_kab, ka, kb, t)}")
+    return len(lines) - len(pairs), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# _scalar_digest(_scalar_pairs(SCALAR_DRAWS)), frozen from an eval_s_kab that solved
+# tbar on every call; and explicit rows of its three exceptions: alpha underflows,
+# no root in the bracket (kappa_b^2 overflows), and t at tbar (-3, 4) itself.
+SCALAR_DRAWS, SCALAR_ROWS = 25, 3559
+SCALAR_DIGEST = "d107ca419f29f09bac40604129c27501391abe6444bb7232345600883b92d277"
+SCALAR_EXPLICIT = [
+    (1e-300, -1e300, 1.0,
+     "FloatingPointError: alpha^2 = kappa_a / (16 beta^2) underflows to 0 for (1e-300, -1e+300)"),
+    (-1e300, 1e300, 1e-160, "FloatingPointError: no root in the proven bracket (nan, nan] for (-1e+300, 1e+300)"),
+    (-3.0, 4.0, 7.865647008775998,
+     "DomainError: t=7.865647008775998 for (kappa_a, kappa_b)=(-3.0, 4.0) outside (0, 7.865647008775998)"),
+]
+
+
+class TestScalarLayerBits:
+    """tbar and s_kab on a seeded set over every branch, against the digest of an earlier,
+    tbar-for-every-call ``eval_s_kab``, and explicit rows of each exception."""
+
+    def test_frozen_digest(self):
+        rows, digest = _scalar_digest(_scalar_pairs(SCALAR_DRAWS))
+        assert (rows, digest) == (SCALAR_ROWS, SCALAR_DIGEST)
+
+    @pytest.mark.parametrize("ka,kb,t,outcome", SCALAR_EXPLICIT)
+    def test_explicit_rows(self, ka, kb, t, outcome):
+        assert _scalar_outcome(eval_s_kab, ka, kb, t) == outcome
+
+
+class TestTbarFloor:
+    """``eval_s_kab`` solves tbar only where t is not below ``models._tbar_floor``."""
+
+    def test_floor_is_below_tbar(self):
+        finite = 0
+        for ka, kb in _scalar_pairs(SCALAR_DRAWS):
+            try:
+                tbar = blowup_time_kab(ka, kb).time
+            except (ValueError, FloatingPointError):
+                continue
+            floor = models._tbar_floor(ka, kb)
+            assert floor <= tbar, (ka, kb, floor, tbar)
+            finite += math.isfinite(tbar) and floor > 0.0
+        assert finite > 100
+
+    def test_no_solve_below_the_floor(self, monkeypatch):
+        rows = [(ka, kb, t) for ka, kb in _scalar_pairs(40) if (floor := models._tbar_floor(ka, kb)) > 0.0
+                for t in (0.5 * floor, math.nextafter(floor, 0.0))]
+        want = [_scalar_outcome(eval_s_kab, *row) for row in rows]
+
+        def solve(*args, **kwargs):
+            raise AssertionError("_brentq called below the floor")
+
+        monkeypatch.setattr(models, "_brentq", solve)
+        assert len(rows) > 100 and [_scalar_outcome(eval_s_kab, *row) for row in rows] == want
+
+    @pytest.mark.parametrize("seed,calls_before", [(1, 284), (7, 268)])
+    def test_scaling_covariance_solves_two_thirds(self, seed, calls_before, monkeypatch):
+        # calls_before: the _brentq calls of one run when every s_kab solved tbar
+        calls, solve = [], models._brentq
+        monkeypatch.setattr(models, "_brentq", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+        assert checks.run_check(checks.check_names().index("scaling-covariance"), seed).passed
+        assert len(calls) <= calls_before * 2 // 3, len(calls)
 
 
 # ----------------------------------------------------------------------
