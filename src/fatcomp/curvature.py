@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,9 @@ __all__ = [
     "CurvatureBlocks",
     "curvature_blocks",
 ]
+
+_I3 = np.eye(3)
+_I3.flags.writeable = False
 
 
 def vee(v) -> np.ndarray:
@@ -68,14 +72,22 @@ def rodrigues(W: np.ndarray, s: float) -> np.ndarray:
     norm; the omega -> 0 limit is the quadratic Taylor polynomial, exact
     there since W^3 = 0.
     """
-    W = np.asarray(W, dtype=float)
+    return _rodrigues(_skew_powers(np.asarray(W, dtype=float)), s)
+
+
+def _skew_powers(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(W, W @ W, omega^2, omega): the part of ``rodrigues`` that does not depend on s."""
     omega2 = 0.5 * float(np.sum(W * W))
-    omega = math.sqrt(omega2)
+    return W, W @ W, omega2, math.sqrt(omega2)
+
+
+def _rodrigues(powers: tuple[np.ndarray, np.ndarray, float, float], s: float) -> np.ndarray:
+    W, W2, omega2, omega = powers
     if omega * abs(s) < 1e-8:
-        return np.eye(3) + s * W + 0.5 * s * s * (W @ W)
+        return _I3 + s * W + 0.5 * s * s * W2
     a = math.sin(omega * s) / omega
     b = (1.0 - math.cos(omega * s)) / omega2
-    return np.eye(3) + a * W + b * (W @ W)
+    return _I3 + a * W + b * W2
 
 
 def ricci_scalars(v, rho_a: float, d: int) -> tuple[float, float, float]:
@@ -114,19 +126,17 @@ class CurvatureInputs:
     rho_a: float
 
     def __post_init__(self) -> None:
+        # every array field is stored as a float array, so no later reader converts it
         nc = 4 * self.d - 3
-        if np.asarray(self.ABA).shape != (3, 3):
-            raise ValueError("ABA must be 3x3")
-        if np.asarray(self.ABdotA).shape != (3, 3):
-            raise ValueError("ABdotA must be 3x3")
-        if np.asarray(self.ABU).shape != (3, nc):
-            raise ValueError(f"ABU must be 3x{nc}")
-        if np.asarray(self.UBU).shape != (nc, nc):
-            raise ValueError(f"UBU must be {nc}x{nc}")
-        w = np.asarray(self.w)
-        if w.shape != (nc,):
+        for name, (rows, cols) in (("ABA", (3, 3)), ("ABdotA", (3, 3)), ("ABU", (3, nc)), ("UBU", (nc, nc))):
+            X = np.asarray(getattr(self, name), dtype=float)
+            if X.shape != (rows, cols):
+                raise ValueError(f"{name} must be {rows}x{cols}")
+            object.__setattr__(self, name, X)
+        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
+        if self.w.shape != (nc,):
             raise ValueError(f"w must have length {nc}")
-        if abs(np.linalg.norm(w) - 1.0) > 1e-10:
+        if abs(np.linalg.norm(self.w) - 1.0) > 1e-10:
             raise ValueError("w must be a unit vector")
 
 
@@ -140,28 +150,21 @@ def qhf_curvature_inputs(d: int, v) -> CurvatureInputs:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     nc = 4 * d - 3
-    w = np.zeros(nc)
-    w[0] = 1.0
-    s = float(np.dot(np.asarray(v).ravel(), np.asarray(v).ravel()))
+    w, UBU = np.zeros(nc), np.eye(nc)
+    w[0], UBU[0, 0] = 1.0, 0.0  # I - w w^T
+    vr = np.asarray(v).ravel()
+    s = float(np.dot(vr, vr))
     if not math.isfinite(s):
         raise DomainError(f"v must be finite, got {v}")
-    return CurvatureInputs(
-        d=d,
-        ABA=4.0 * np.eye(3),
-        ABdotA=np.zeros((3, 3)),
-        ABU=np.zeros((3, nc)),
-        UBU=np.eye(nc) - np.outer(w, w),
-        w=w,
-        rho_a=2.0 * s,
-    )
+    return CurvatureInputs(d=d, ABA=4.0 * _I3, ABdotA=np.zeros((3, 3)), ABU=np.zeros((3, nc)), UBU=UBU, w=w, rho_a=2.0 * s)
 
 
 def _reflect(X: np.ndarray, u: np.ndarray) -> np.ndarray:
     """X P^T for the reflection P = I - 2 u u^T, as a rank-one update."""
-    return X - 2.0 * np.outer(X @ u, u)
+    return X - 2.0 * ((X @ u)[:, None] * u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurvatureBlocks:
     """The canonical curvature R0 = R(0) and its rotation.
 
@@ -192,20 +195,24 @@ class CurvatureBlocks:
         W[dims.sl_a, dims.sl_a] = W[dims.sl_b, dims.sl_b] = 1.5 * vee(self.v)
         return W
 
+    @cached_property
+    def _turn(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        return _skew_powers(vee(self.v))
+
     def assemble(self, t: float) -> np.ndarray:
         """R(t): the a and b rows and columns of R0 turned by E(t) = exp(1.5 t vee(v)).
 
-        Each block off the diagonal is turned once and mirrored; at t = 0,
-        E is the identity and R(t) = R0.
+        E(t) is ``rodrigues(vee(v), 1.5 t)``, its vee(v), W @ W and omega^2 built
+        once per blocks object. The a/b blocks are turned as one stack, E X E^T,
+        and the a/c and b/c blocks as another, E X, by the same 3x3 products a
+        loop over blocks makes; those below the diagonal are then mirrored.
+        At t = 0, E is the identity and R(t) = R0.
         """
-        a, b, c = self.dims.sl_a, self.dims.sl_b, self.dims.sl_c
-        E = rodrigues(vee(self.v), 1.5 * t)
+        E = _rodrigues(self._turn, 1.5 * t)
         R = self.R0.copy()
-        for X, Y in ((a, a), (b, b), (a, b)):
-            R[X, Y] = E @ R[X, Y] @ E.T
-        for X in (a, b):
-            R[X, c] = E @ R[X, c]
-        R[b, a], R[c, a], R[c, b] = R[a, b].T, R[a, c].T, R[b, c].T
+        ab, ac = R[:6, :6].reshape(2, 3, 2, 3).swapaxes(1, 2), R[:6, 6:].reshape(2, 3, -1)
+        ab[...], ac[...] = E @ ab @ E.T, E @ ac
+        R[3:6, :3], R[6:, :6] = R[:3, 3:6].T, R[:6, 6:].T
         return R
 
 
@@ -217,23 +224,18 @@ def _b_sign() -> float:
     return -1.0 if os.environ.get("FATCOMP_FAULT") == "curvature-sign" else 1.0
 
 
-def _ab_curvature(v: np.ndarray, ABA, ABdotA) -> np.ndarray:
-    """R0 on the a and b groups, the 6x6 [[R_aa, R_ab], [R_ab^T, R_bb]]: a
-    function of v, ABA and ABdotA alone, whatever d is."""
-    s = float(v @ v)
-    V = vee(v)
-    V2 = V @ V
-    ABA = np.asarray(ABA, dtype=float)
-    ABdotA = np.asarray(ABdotA, dtype=float)
-
+def _ab_curvature(s: float, V: np.ndarray, ABA: np.ndarray, ABdotA: np.ndarray) -> np.ndarray:
+    """R0 on the a and b groups, the 6x6 [[R_aa, R_ab], [R_ab^T, R_bb]]: a function of
+    s = |v|^2, V = vee(v) and the float arrays ABA and ABdotA alone, whatever d is."""
+    V2, VA = V @ V, V @ ABA
     base_aa = (
         0.75 * (ABdotA @ V + V.T @ ABdotA)
         + 0.375 * (ABA @ V2 + V2 @ ABA)
-        + 3.0 * (V @ ABA @ V.T)
+        + 3.0 * (VA @ V.T)
         + (12.0 + (45.0 / 16.0) * s) * V2
     )
-    base_ab = 0.75 * (V @ ABA + ABA @ V) + (1.5 * s - 4.0) * V
-    base_bb = _b_sign() * (ABA + 4.0 * s * np.eye(3) - 1.5 * V2)
+    base_ab = 0.75 * (VA + ABA @ V) + (1.5 * s - 4.0) * V
+    base_bb = _b_sign() * (ABA + 4.0 * s * _I3 - 1.5 * V2)
     R = np.empty((6, 6))
     R[:3, :3], R[:3, 3:], R[3:, :3], R[3:, 3:] = base_aa, base_ab, base_ab.T, base_bb
     return R
@@ -243,7 +245,8 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     """Place the canonical curvature blocks into R0 = R(0).
 
     The a/b rows and columns are ``_ab_curvature``, whose b block takes
-    the sign of the FATCOMP_FAULT hook ``_b_sign``. The supplied c basis
+    the sign of the FATCOMP_FAULT hook ``_b_sign``; vee(v) and |v|^2 are
+    computed once for them and the a/c rows. The supplied c basis
     is rotated so the motion direction sits last, and the resulting R_cc
     must then have last row and column below 1e-8 max(1, max|R_cc|),
     otherwise the inputs are inconsistent with a curvature-free motion
@@ -255,28 +258,25 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
         raise ValueError(f"v must have three components, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise DomainError(f"v must be finite, got {v}")
-    s = float(v @ v)
+    s, V = float(v @ v), vee(v)
 
-    w = np.asarray(inputs.w, dtype=float)
-    u = w - np.eye(w.size)[-1]  # P = I - 2 u u^T sends w to the last axis; P = I if w is there
-    u = u / np.linalg.norm(u) if np.linalg.norm(u) >= 1e-14 else 0.0 * u
-    X = np.asarray(inputs.UBU, dtype=float) + s * (np.eye(w.size) - np.outer(w, w))
+    w, u = inputs.w, inputs.w.copy()
+    u[-1] -= 1.0  # P = I - 2 u u^T sends w to the last axis; P = I if w is there
+    norm_u = np.linalg.norm(u)
+    u = u / norm_u if norm_u >= 1e-14 else 0.0 * u
+    X = inputs.UBU + s * (np.eye(w.size) - w[:, None] * w)
     R_cc = _reflect(_reflect(X, u).T, u).T  # P X P^T
-    edge = max(
-        float(np.abs(R_cc[-1, :]).max()), float(np.abs(R_cc[:, -1]).max())
-    )
-    if edge > 1e-8 * max(1.0, float(np.abs(R_cc).max())):
-        raise ValueError(
-            f"motion direction carries curvature (residual {edge:.3e}); "
-            "inputs are inconsistent"
-        )
+    abs_cc = np.abs(R_cc)
+    edge = max(float(abs_cc[-1, :].max()), float(abs_cc[:, -1].max()))
+    if edge > 1e-8 * max(1.0, float(abs_cc.max())):
+        raise ValueError(f"motion direction carries curvature (residual {edge:.3e}); inputs are inconsistent")
     R_cc[-1, :] = R_cc[:, -1] = 0.0
-    ABU_rot = _reflect(np.asarray(inputs.ABU, dtype=float), u)
+    ABU_rot = _reflect(inputs.ABU, u)
     dims = FatDims(k=4 * inputs.d, n=4 * inputs.d + 3)
     a, b, c = dims.sl_a, dims.sl_b, dims.sl_c
     R0 = np.zeros((dims.n, dims.n))
     R0[c, c] = R_cc
-    R0[: c.start, : c.start] = _ab_curvature(v, inputs.ABA, inputs.ABdotA)
-    R0[a, c], R0[b, c] = 1.5 * vee(v) @ ABU_rot, ABU_rot
+    R0[: c.start, : c.start] = _ab_curvature(s, V, inputs.ABA, inputs.ABdotA)
+    R0[a, c], R0[b, c] = 1.5 * V @ ABU_rot, ABU_rot
     R0[c, a], R0[c, b] = R0[a, c].T, R0[b, c].T
     return CurvatureBlocks(dims=dims, v=v, R0=R0)

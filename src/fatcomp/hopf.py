@@ -33,6 +33,7 @@ oracle of the tests and of the qhf-conjugate checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,16 +91,16 @@ _J4_K = np.array(
 )
 
 @lru_cache(maxsize=8)
-def _complex_structures(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # + 0.0 clears the -0.0 that kron writes for 0 * -1
-    return tuple(np.kron(np.eye(d + 1), J4) + 0.0 for J4 in (_J4_I, _J4_J, _J4_K))
-
-
 def reeb_generators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The skew matrices K_I, K_J, K_K with xi_alpha(q) = K_alpha q."""
+    """The skew matrices K_I, K_J, K_K with xi_alpha(q) = K_alpha q, built
+    once per d and returned as the same read-only arrays on every call."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    return tuple(-J for J in _complex_structures(d))
+    # + 0.0 clears the -0.0 that kron writes for 0 * -1
+    Ks = tuple(-(np.kron(np.eye(d + 1), J4) + 0.0) for J4 in (_J4_I, _J4_J, _J4_K))
+    for K in Ks:
+        K.flags.writeable = False
+    return Ks
 
 
 def _check_unit(q) -> np.ndarray:
@@ -137,8 +138,7 @@ class ExtremalState:
 
     @property
     def v(self) -> np.ndarray:
-        Ks = reeb_generators(self.d)
-        return np.array([float(self.p @ (K @ self.q)) for K in Ks])
+        return np.array([float(self.p @ (K @ self.q)) for K in reeb_generators(self.d)])
 
     @property
     def H(self) -> float:
@@ -169,7 +169,7 @@ def initial_state(d: int, v, q=None, seed_direction=None) -> ExtremalState:
     if seed_direction is None:
         seed_direction = np.zeros(dim)
         seed_direction[4] = 1.0
-    xis = np.vstack([K @ q for K in reeb_generators(d)])
+    xis = np.array([K @ q for K in reeb_generators(d)])
     X = np.asarray(seed_direction, dtype=float)
     X = X - q * (q @ X)
     X = X - xis.T @ (xis @ X)  # the horizontal part
@@ -209,42 +209,60 @@ def integrate_extremal(state0: ExtremalState, t_max: float, n_samples: int = 257
         q(t) = R(t) (cos(ct) q0 + sin(ct)/c p0),
         p(t) = R(t) (-c sin(ct) q0 + cos(ct) p0).
 
-    The drift of H, v, |q| and <p, q> over the samples is reported; it
-    is rounding error only. It is taken over all samples at once and is
-    bit for bit the drift of each ``ExtremalState(d, q[i], p[i])``'s own H
-    and v. Raises ``DomainError`` unless t_max is finite positive,
-    n_samples >= 1 and state0 has H = 1/2, |q| = 1 and <p, q> = 0.
+    state0's v, H, c and w are read once, by the products ``ExtremalState``
+    and ``np.linalg.norm`` use, and ts is ``np.linspace``'s grid, bit for bit.
+    The drift of H, v, |q| and <p, q> over the samples is reported; it is
+    rounding error only. It is taken over all samples at once and is bit for
+    bit the drift of each ``ExtremalState(d, q[i], p[i])``'s own H and v.
+    Raises ``DomainError`` unless t_max is finite positive, n_samples >= 1
+    and state0 has H = 1/2, |q| = 1 and <p, q> = 0.
     """
     if not (0.0 < t_max < math.inf and n_samples >= 1):
         raise DomainError(f"t_max must be finite positive and n_samples >= 1, got {t_max}, {n_samples}")
     d, q0, p0 = state0.d, _check_unit(state0.q), state0.p
-    if not abs(float(p0 @ q0)) <= 1e-10:
-        raise DomainError(f"state0 must satisfy <p, q> = 0, got {float(p0 @ q0)}")
-    if not abs(state0.H - 0.5) <= 1e-10:
-        raise DomainError(f"state0 must be a unit covector, H = {state0.H}")
-    v0 = state0.v
-    K_v = sum(v_a * K for v_a, K in zip(v0, reeb_generators(d)))
-    c, w = float(np.linalg.norm(p0)), float(np.linalg.norm(v0))
-    ts = np.linspace(0.0, t_max, n_samples)
+    pq0 = float(p0 @ q0)
+    if not abs(pq0) <= 1e-10:
+        raise DomainError(f"state0 must satisfy <p, q> = 0, got {pq0}")
+    Ks = reeb_generators(d)
+    v0 = np.array([float(p0 @ (K @ q0)) for K in Ks])
+    pp0, vv0 = float(p0 @ p0), float(v0 @ v0)
+    H0 = 0.5 * (pp0 - pq0 * pq0 - vv0)
+    if not abs(H0 - 0.5) <= 1e-10:
+        raise DomainError(f"state0 must be a unit covector, H = {H0}")
+    K_v = sum(v_a * K for v_a, K in zip(v0, Ks))
+    c, w = math.sqrt(pp0), math.sqrt(vv0)
+    ts = np.arange(operator.index(n_samples), dtype=float)  # np.linspace(0.0, t_max, n_samples), bit for bit
+    if n_samples > 1:
+        step = t_max / (n_samples - 1)
+        ts = ts * step if step else ts / (n_samples - 1) * t_max
+        ts[-1] = t_max
     cos_c, sin_c = np.cos(c * ts)[:, None], np.sin(c * ts)[:, None]
     # sin(wt)/w = t sinc(wt/pi), which is t at w = 0
     cos_w, sinc_w = np.cos(w * ts)[:, None], (ts * np.sinc(w * ts / np.pi))[:, None]
-    qs, ps = cos_c * q0 + sin_c / c * p0, -c * sin_c * q0 + cos_c * p0
-    qs, ps = cos_w * qs - sinc_w * (qs @ K_v.T), cos_w * ps - sinc_w * (ps @ K_v.T)
+    qs, ps = cos_c * q0, -c * sin_c * q0
+    qs += sin_c / c * p0
+    ps += cos_c * p0
+    for x in (qs, ps):
+        xK = x @ K_v.T
+        x *= cos_w
+        x -= sinc_w * xK
 
-    # each dot product is a stacked (1 x n) @ (n x 1) matmul: the BLAS dot
-    # of ExtremalState's 1-D products, where einsum or sum() round otherwise
-    dot = lambda x, y: (x[..., None, :] @ y[..., None])[..., 0, 0]
-    vs = np.stack([dot(ps, qs @ K.T) for K in reeb_generators(d)], axis=-1)
-    pq = dot(ps, qs)
-    H = 0.5 * (dot(ps, ps) - pq * pq - dot(vs, vs))
+    # each dot product is a stacked (1 x n) @ (n x 1) matmul, rows P = ps[:, None, :] shared: the
+    # BLAS dot of ExtremalState's 1-D products, where einsum or sum() round otherwise
+    dot = lambda x, y: (x @ y[..., None])[..., 0, 0]
+    P = ps[:, None, :]
+    vs = np.empty((len(ts), 3))
+    for i, K in enumerate(Ks):
+        vs[:, i] = dot(P, qs @ K.T)
+    pq = dot(P, qs)
+    H = 0.5 * (dot(P, ps) - pq * pq - dot(vs[:, None, :], vs))
     return GeodesicResult(
         ts=ts,
         q=qs,
         p=ps,
         h_drift=float(np.abs(H - 0.5).max()),
         v_drift=float(np.abs(vs - v0).max()),
-        norm_drift=float(np.abs(np.sqrt(dot(qs, qs)) - 1.0).max()),
+        norm_drift=float(np.abs(np.sqrt(dot(qs[:, None, :], qs)) - 1.0).max()),
         gauge_drift=float(np.abs(pq).max()),
     )
 
@@ -305,11 +323,12 @@ def _qhf_jacobi(d: int, v, t_max: float):
 def _ab_system(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A - W, B, R0) of ``_qhf_system`` on the a and b groups: its first six
     rows and columns, entry for entry, whatever d is."""
+    V = vee(v)
     A = np.eye(6, k=3)
-    A[:3, :3] = A[3:, 3:] = -1.5 * vee(v)
+    A[:3, :3] = A[3:, 3:] = -1.5 * V
     B = np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     inputs = qhf_curvature_inputs(1, v)  # its ABA and ABdotA do not depend on d
-    return A, B, _ab_curvature(v, inputs.ABA, inputs.ABdotA)
+    return A, B, _ab_curvature(float(v @ v), V, inputs.ABA, inputs.ABdotA)
 
 
 def _qhf_pairs(v: np.ndarray):

@@ -13,6 +13,7 @@ used by the package. Everything here is plain numpy on explicit
 matrices; no package internals are reused for the oracle side.
 """
 
+import hashlib
 import math
 import os
 
@@ -224,6 +225,35 @@ class TestRicciScalars:
         assert abs(np.trace(R[dims.sl_a, dims.sl_a]) - ric_a) < 1e-10 * max(1.0, abs(ric_a))
         assert abs(np.trace(R[dims.sl_b, dims.sl_b]) - ric_b) < 1e-10 * ric_b
         assert abs(np.trace(blocks.R_cc) - ric_c) < 1e-10 * ric_c
+
+
+def _curvature_digest() -> tuple[int, str]:
+    """(rows, SHA-256) of R0, ``assemble(t)`` and ``ricci_scalars`` on a seeded set:
+    d in {1, 2, 3, 8}, |v| from 0 to 30 with seeded directions, t in {0, +-0.7, 40}."""
+    rng = np.random.default_rng(23)
+    lines = []
+    for d in (1, 2, 3, 8):
+        for nv in (0.0, 1e-8, 0.5, 1.5, 30.0):
+            u = rng.standard_normal(3)
+            v = nv * u / np.linalg.norm(u)
+            inputs = qhf_curvature_inputs(d, v)
+            blocks = curvature_blocks(v, inputs)
+            ric = " ".join(x.hex() for x in ricci_scalars(v, inputs.rho_a, d))
+            lines.append(f"{d} {v.tobytes().hex()} R0 {blocks.R0.tobytes().hex()} {ric}")
+            for t in (0.0, 0.7, -0.7, 40.0):
+                lines.append(f"{d} {v.tobytes().hex()} {t!r} {blocks.assemble(t).tobytes().hex()}")
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# _curvature_digest(), frozen from an assembly that rebuilt vee(v), W @ W and
+# omega^2 on every call
+CURVATURE_ROWS, CURVATURE_DIGEST = 100, "bd73e71e90f196be2e2809a7bb44f1340a3122318df0465832d20dc0b47cbc4d"
+
+
+class TestCurvatureBits:
+
+    def test_frozen_digest(self):
+        assert _curvature_digest() == (CURVATURE_ROWS, CURVATURE_DIGEST)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ lab-frame system: both oracles are independent of the closed forms and
 the propagator the package ships.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -186,6 +187,25 @@ class TestFrames:
         assert np.abs(pr(xis[1])).max() < 1e-12
         assert np.abs(xis @ xis[2] - np.array([0.0, 0.0, 1.0])).max() < 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_generators_are_one_read_only_tuple(self, d):
+        def hamilton(a, b):
+            (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+            return np.array([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3, a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                             a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1, a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0])
+
+        # the units i, j, k acting on one (x, y, z, w) slot by the Hamilton product u q
+        J4s = [np.column_stack([hamilton(u, e) for e in np.eye(4)]) for u in np.eye(4)[1:]]
+        Ks = reeb_generators(d)
+        assert reeb_generators(d) is Ks
+        for K, J4 in zip(Ks, J4s):
+            assert np.array_equal(K, -np.kron(np.eye(d + 1), J4))
+            with pytest.raises(ValueError, match="read-only"):
+                K[0, 1] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                K *= 2.0
+        assert np.array_equal(reeb_generators(d)[0], -np.kron(np.eye(d + 1), J4s[0]))
+
     def test_rejects_bad_points(self):
         with pytest.raises(DomainError):
             initial_state(1, [0.0, 0.0, 0.0], q=np.ones(8))
@@ -279,6 +299,56 @@ class TestExtremalFlow:
             assert err < 1e-9, f"|v| = {nv}: closed form off the DOP853 flow by {err:.3e}"
             drift = max(res.h_drift, res.v_drift, res.norm_drift, res.gauge_drift)
             assert drift < 1e-13, f"|v| = {nv}: first-integral drift {drift:.3e}"
+
+
+def _flow_digest() -> tuple[int, str]:
+    """(rows, SHA-256) of ``initial_state``'s p and ``integrate_extremal``'s ts,
+    q, p and drifts on a seeded set, or the exception class and message.
+
+    d in {1, 2, 3}, |v| from 0 to 1e3, t_max from 1e-3 to 1e3 and n_samples in
+    {1, 2, 3, 257}; each (d, |v|) gets its own seeded footpoint, seed and v
+    direction."""
+    rng = np.random.default_rng(23)
+    lines = []
+    for d in (1, 2, 3):
+        dim = 4 * (d + 1)
+        for nv in (0.0, 1e-8, 1e-4, 0.1, 1.0, 3.0, 1e3):
+            v = nv * random_unit(rng, 3)
+            st0 = initial_state(d, v, q=random_unit(rng, dim), seed_direction=rng.standard_normal(dim))
+            lines.append(f"{d} {nv!r} p0 {st0.p.tobytes().hex()}")
+            for t_max in (1e-3, 0.7, 2.0 * math.pi, 1e3):
+                for n in (1, 2, 3, 257):
+                    try:
+                        g = integrate_extremal(st0, t_max, n_samples=n)
+                        out = b"".join(x.tobytes() for x in (g.ts, g.q, g.p)).hex() + " " + " ".join(
+                            x.hex() for x in (g.h_drift, g.v_drift, g.norm_drift, g.gauge_drift))
+                    except DomainError as e:
+                        out = f"DomainError: {e}"
+                    lines.append(f"{d} {nv!r} {t_max!r} {n} {out}")
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# _flow_digest(), frozen from an integrate_extremal that re-read v, H and the
+# Reeb generators on every use; and the messages of its three domain errors.
+FLOW_ROWS, FLOW_DIGEST = 357, "e4c4bc7c17f4ee13141e6b44bb234ba48716dcbf26dc0877d94b9fecf83e3fab"
+FLOW_GAUGE = "state0 must satisfy <p, q> = 0, got 1e-06"
+FLOW_SHELL = "state0 must be a unit covector, H = 1.1249999999999998"
+FLOW_NAN = "t_max must be finite positive and n_samples >= 1, got nan, 257"
+
+
+class TestExtremalFlowBits:
+
+    def test_frozen_digest(self):
+        assert _flow_digest() == (FLOW_ROWS, FLOW_DIGEST)
+
+    def test_domain_messages(self):
+        st0 = initial_state(2, [0.4, -0.3, 0.2], seed_direction=np.arange(12.0) + 1.0)
+        off_gauge = ExtremalState(2, st0.q, st0.p + 1e-6 * st0.q)
+        off_shell = ExtremalState(2, st0.q, 1.5 * st0.p)
+        for state, t_max, want in ((off_gauge, 1.0, FLOW_GAUGE), (off_shell, 1.0, FLOW_SHELL), (st0, math.nan, FLOW_NAN)):
+            with pytest.raises(DomainError) as err:
+                integrate_extremal(state, t_max)
+            assert str(err.value) == want
 
 
 # ----------------------------------------------------------------------
