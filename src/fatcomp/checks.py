@@ -20,6 +20,7 @@ import numpy as np
 from .curvature import curvature_blocks, qhf_curvature_inputs, ricci_scalars, vee
 from .hopf import _qhf_jacobi, conjugate_time, initial_state, integrate_extremal, sublaplacian_along
 from .models import (
+    DomainError,
     blowup_time_kab,
     blowup_time_kc,
     eval_s_kab,
@@ -472,7 +473,10 @@ def run_check(index: int, seed: int) -> CheckResult:
 def map_tasks(fn: Callable, tasks: list[tuple], jobs: int) -> list:
     """[fn(*task) for task in tasks], in a pool of ``jobs`` processes when
     jobs > 1 and there is more than one task; results keep the task order.
+    ``DomainError`` when jobs < 1.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1,24 +1,31 @@
 """Command-line experiments: blow-up tables, conjugate times, sub-Laplacian.
 
-Four subcommands:
+Four subcommands, each taking only the options it reads:
 
 * ``blowup``: scalar model blow-up times and upper bounds, optionally
-  swept over kappa_a and cross-checked against the 2x2 Jacobi system;
+  swept over kappa_a and cross-checked against the 2x2 Jacobi system
+  (``--ka --kb --kc --tmax``, and ``--sweep`` in place of ``--ka``);
 * ``conjugate``: quaternionic Hopf conjugate times against both model
-  bounds, single covector or a sweep over the vertical momentum norm;
+  bounds, single covector or a sweep over the vertical momentum norm
+  (``--d``, one of ``--v --vnorm --sweep``, and ``--jobs``);
 * ``laplacian``: the radial sub-Laplacian trace formula against the
-  model right-hand side on a radius grid;
-* ``verify-all``: the full deterministic verification suite.
+  model right-hand side on a radius grid (``--d``, one of ``--v --vnorm``,
+  and ``--rgrid``);
+* ``verify-all``: the full deterministic verification suite (``--seed``
+  and ``--jobs``).
+
+All four take ``--out`` and ``--format``; ``blowup``, ``conjugate`` and
+``laplacian`` also take ``--tol`` and ``--verify``.
 
 Output goes to CSV (default) or JSON. CSV files start with ``#`` metadata
-lines (tool version, command, configuration echo, seed) followed by a
-single header; rows are ordered by input index regardless of --jobs, all
-floats are written with repr so identical runs produce identical bytes,
-and every row carries the tolerance it was checked against. Timing is
-printed to stdout only, never serialized. Exit status: 0 on success, 1
-when a --verify comparison or a verification check fails, 2 on usage
-errors and on NaN, infinite or out-of-domain input (a kappa, --tol,
---jobs, --tmax), 3 when no --verify row failed but some could not be
+lines (tool version, command, configuration echo) followed by a single
+header; rows are ordered by input index regardless of --jobs, all floats
+are written with repr so identical runs produce identical bytes, and the
+rows of a command with --tol carry the tolerance they were checked
+against. Timing is printed to stdout only, never serialized. Exit status:
+0 on success, 1 when a --verify comparison or a verification check fails,
+2 on usage errors and on NaN, infinite or out-of-domain input (a kappa,
+--d, --tol, --jobs, --tmax), 3 when no row failed but some could not be
 decided: ``blowup --verify`` writes ``check_ok`` as ``unverifiable``
 where the 2x2 phase route cannot reach the model blow-up time (the pass
 needs more than 2^20 steps, a step overflows, or an eigenphase stays at 0
@@ -39,21 +46,10 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .checks import CheckResult, map_tasks, run_all
+from .checks import map_tasks, run_all
 from .hopf import conjugate_time, sublaplacian_along
-from .models import (
-    DomainError,
-    blowup_time_kab,
-    blowup_time_kc,
-    upper_bound_kab,
-)
-from .riccati import (
-    UnverifiableError,
-    first_blowup,
-    integrate_jacobi,
-    wedge_det_sign_changes,
-    wedge_first_zero,
-)
+from .models import DomainError, blowup_time_kab, blowup_time_kc, upper_bound_kab
+from .riccati import UnverifiableError, first_blowup, integrate_jacobi, wedge_det_sign_changes, wedge_first_zero
 from .structure import typeI_pair
 
 OUT_DIR_ENV = "FATCOMP_OUT_DIR"
@@ -90,21 +86,33 @@ def _grid(text: str) -> list[float]:
     return [float(x) for x in np.linspace(lo, hi, n)]
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, func, summary: str, checked: bool) -> argparse.ArgumentParser:
+    """A subcommand with --out and --format, and with --tol and --verify if checked."""
+    sp = sub.add_parser(name, help=summary)
     sp.add_argument("--out", help="output file path (default: out dir / <command>.<format>)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument(
-        "--tol",
-        type=float,
-        default=1e-9,
-        help="numeric tolerance recorded and enforced per row: blowup --verify "
-        "accepts |check_tbar - tbar| <= tol * tbar, laplacian --verify "
-        "margin >= -tol * max(1, |model_rhs|), conjugate --verify every bound "
-        "margin >= -tol",
-    )
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes for row-parallel commands")
-    sp.add_argument("--seed", type=int, default=42, help="seed for randomized content")
-    sp.add_argument("--verify", action="store_true", help="enforce the per-row comparisons; exit 1 on failure")
+    if checked:
+        sp.add_argument(
+            "--tol",
+            type=float,
+            default=1e-9,
+            help="numeric tolerance recorded and enforced per row: blowup --verify "
+            "accepts |check_tbar - tbar| <= tol * tbar, laplacian --verify "
+            "margin >= -tol * max(1, |model_rhs|), conjugate --verify every bound "
+            "margin >= -tol",
+        )
+        sp.add_argument("--verify", action="store_true", help="enforce the per-row comparisons; exit 1 on failure")
+    sp.set_defaults(func=func)
+    return sp
+
+
+def _add_momentum(sp: argparse.ArgumentParser):
+    """--d, then --v and --vnorm in an exclusive group, returned so that conjugate can add --sweep."""
+    sp.add_argument("--d", type=int, default=2, help="quaternionic dimension of the base")
+    group = sp.add_mutually_exclusive_group()
+    group.add_argument("--v", type=_triple, metavar="VI,VJ,VK", help="vertical momentum components")
+    group.add_argument("--vnorm", type=float, help="vertical momentum norm, direction (1,0,0)")
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,45 +123,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fatcomp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_blow = sub.add_parser("blowup", help="scalar model blow-up times and bounds")
-    p_blow.add_argument("--ka", type=float, help="two-frequency constant kappa_a")
+    p_blow = _add_command(sub, "blowup", cmd_blowup, "scalar model blow-up times and bounds", checked=True)
+    kas = p_blow.add_mutually_exclusive_group()
+    kas.add_argument("--ka", type=float, help="two-frequency constant kappa_a")
+    kas.add_argument("--sweep", type=_grid, metavar="LO:HI:N", help="sweep kappa_a (requires --kb)")
     p_blow.add_argument("--kb", type=float, help="two-frequency constant kappa_b")
     p_blow.add_argument("--kc", type=float, help="single-frequency constant kappa_c")
-    p_blow.add_argument("--sweep", type=_grid, metavar="LO:HI:N", help="sweep kappa_a (requires --kb)")
     p_blow.add_argument("--tmax", type=float, default=1000.0, help="horizon for verifying the absence of a blow-up")
-    _add_common(p_blow)
-    p_blow.set_defaults(func=cmd_blowup)
 
-    p_conj = sub.add_parser("conjugate", help="quaternionic Hopf conjugate times")
-    p_conj.add_argument("--d", type=int, default=2, help="quaternionic dimension of the base")
-    p_conj.add_argument("--v", type=_triple, metavar="VI,VJ,VK", help="vertical momentum components")
-    p_conj.add_argument("--vnorm", type=float, help="vertical momentum norm, direction (1,0,0)")
-    p_conj.add_argument("--sweep", type=_grid, metavar="LO:HI:N", help="sweep the vertical momentum norm")
-    _add_common(p_conj)
-    p_conj.set_defaults(func=cmd_conjugate)
+    p_conj = _add_command(sub, "conjugate", cmd_conjugate, "quaternionic Hopf conjugate times", checked=True)
+    _add_momentum(p_conj).add_argument(
+        "--sweep", type=_grid, metavar="LO:HI:N", help="sweep the vertical momentum norm"
+    )
+    p_conj.add_argument("--jobs", type=int, default=1, help="worker processes; the rows do not depend on it")
 
-    p_lap = sub.add_parser("laplacian", help="radial sub-Laplacian against the model sum")
-    p_lap.add_argument("--d", type=int, default=2, help="quaternionic dimension of the base")
-    p_lap.add_argument("--v", type=_triple, metavar="VI,VJ,VK", help="vertical momentum components")
-    p_lap.add_argument("--vnorm", type=float, help="vertical momentum norm, direction (1,0,0)")
+    p_lap = _add_command(sub, "laplacian", cmd_laplacian, "radial sub-Laplacian against the model sum", checked=True)
+    _add_momentum(p_lap)
     p_lap.add_argument(
         "--rgrid",
         type=_grid,
         metavar="LO:HI:N",
         help="radius grid; must end below the conjugate time t* (default: 20 radii from t*/30 to 0.95 t*)",
     )
-    _add_common(p_lap)
-    p_lap.set_defaults(func=cmd_laplacian)
 
-    p_ver = sub.add_parser("verify-all", help="run the full verification suite")
-    _add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify_all)
+    p_ver = _add_command(sub, "verify-all", cmd_verify_all, "run the full verification suite", checked=False)
+    p_ver.add_argument("--seed", type=int, default=42, help="seed of the checks' random draws")
+    p_ver.add_argument("--jobs", type=int, default=1, help="worker processes; the rows do not depend on it")
 
     return parser
 
 
+def _positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite positive, got {value}")
+
+
 # ----------------------------------------------------------------------
-# serialization
+# serialization and the shared tail
 # ----------------------------------------------------------------------
 
 def _fmt(value) -> str:
@@ -181,24 +187,12 @@ def _config_echo(args: argparse.Namespace) -> str:
     return " ".join(items)
 
 
-def _out_path(args: argparse.Namespace) -> str:
-    if args.out:
-        return args.out
-    out_dir = os.environ.get(OUT_DIR_ENV, ".")
-    return os.path.join(out_dir, f"{args.command}.{args.format}")
-
-
 def _write_rows(args: argparse.Namespace, header: list[str], rows: list[dict]) -> str:
-    path = _out_path(args)
+    path = args.out or os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{args.command}.{args.format}")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    meta = {
-        "tool": f"fatcomp {__version__}",
-        "command": args.command,
-        "config": _config_echo(args),
-        "seed": args.seed,
-    }
+    meta = {"tool": f"fatcomp {__version__}", "command": args.command, "config": _config_echo(args)}
     if args.format == "csv":
         with open(path, "w", newline="") as f:
             for key, value in meta.items():
@@ -221,6 +215,26 @@ def _write_rows(args: argparse.Namespace, header: list[str], rows: list[dict]) -
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
     return path
+
+
+def _finish(args: argparse.Namespace, header: list[str], rows: list[dict], ok=None, what: str = "verification") -> int:
+    """Write the rows and say where; then the exit status. ok, when given,
+    holds each row's outcome, True, False or ``UNVERIFIABLE``: the status is
+    1 if a row failed, else 3 if a row is undecided, else 0; without ok, 0."""
+    path = _write_rows(args, header, rows)
+    print(f"wrote {len(rows)} rows to {path}")
+    if ok is None:
+        return 0
+    failed = [r["index"] for r, k in zip(rows, ok) if not k]
+    undecided = [r["index"] for r, k in zip(rows, ok) if k == UNVERIFIABLE]
+    if failed:
+        print(f"{what} FAILED on rows {failed}", file=sys.stderr)
+        return 1
+    if undecided:
+        print(f"{what} undecided on rows {undecided}: beyond the reach of the cross-check", file=sys.stderr)
+        return 3
+    print(f"{what} passed on all rows")
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -282,13 +296,11 @@ def _blowup_row_kc(idx: int, kc: float, args) -> dict:
 
 
 def cmd_blowup(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if not 0.0 < args.tmax < math.inf:
-        raise DomainError(f"--tmax must be finite positive, got {args.tmax}")
+    _positive("--tol", args.tol)
+    _positive("--tmax", args.tmax)
     if args.sweep is not None:
         if args.kb is None:
             parser.error("--sweep sweeps kappa_a and requires --kb")
-        if args.ka is not None:
-            parser.error("--sweep replaces --ka")
     elif (args.ka is None) != (args.kb is None):
         parser.error("--ka and --kb must be given together")
     elif args.ka is None and args.kc is None:
@@ -305,22 +317,7 @@ def cmd_blowup(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     ]
     if args.verify:
         header += ["check_tbar", "check_err", "check_ok"]
-    path = _write_rows(args, header, rows)
-    print(f"wrote {len(rows)} rows to {path}")
-    if args.verify:
-        bad = [r["index"] for r in rows if r["check_ok"] is False]
-        if bad:
-            print(f"verification FAILED on rows {bad}", file=sys.stderr)
-            return 1
-        undecided = [r["index"] for r in rows if r["check_ok"] == UNVERIFIABLE]
-        if undecided:
-            print(
-                f"verification undecided on rows {undecided}: beyond the reach of the 2x2 phase route",
-                file=sys.stderr,
-            )
-            return 3
-        print("verification passed on all rows")
-    return 0
+    return _finish(args, header, rows, [r["check_ok"] for r in rows] if args.verify else None)
 
 
 # ----------------------------------------------------------------------
@@ -348,23 +345,16 @@ def _conjugate_worker(idx: int, d: int, v: tuple[float, float, float], tol: floa
     return row
 
 
-def _momenta_from_args(args, parser) -> list[tuple[float, float, float]]:
-    given = [x for x in (args.v, args.vnorm, args.sweep if hasattr(args, "sweep") else None) if x is not None]
-    if len(given) > 1:
-        parser.error("give only one of --v, --vnorm, --sweep")
+def _given_momentum(args) -> tuple[float, float, float]:
+    """The vertical momentum of --v or --vnorm, 0 when neither is given."""
     if args.v is not None:
-        return [args.v]
-    if args.vnorm is not None:
-        return [(args.vnorm, 0.0, 0.0)]
-    if getattr(args, "sweep", None) is not None:
-        return [(x, 0.0, 0.0) for x in args.sweep]
-    return [(0.0, 0.0, 0.0)]
+        return args.v
+    return (0.0 if args.vnorm is None else args.vnorm, 0.0, 0.0)
 
 
 def cmd_conjugate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.d < 1:
-        parser.error("--d must be >= 1")
-    momenta = _momenta_from_args(args, parser)
+    _positive("--tol", args.tol)
+    momenta = [_given_momentum(args)] if args.sweep is None else [(x, 0.0, 0.0) for x in args.sweep]
     tasks = [(i, args.d, v, args.tol) for i, v in enumerate(momenta)]
     rows = map_tasks(_conjugate_worker, tasks, args.jobs)
 
@@ -375,15 +365,8 @@ def cmd_conjugate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if args.d >= 2:
         header += ["bound_kc", "margin_kc"]
     header += ["tol"]
-    path = _write_rows(args, header, rows)
-    print(f"wrote {len(rows)} rows to {path}")
-    if args.verify:
-        bad = [r["index"] for r in rows if r["worst_margin"] < -args.tol]
-        if bad:
-            print(f"bound verification FAILED on rows {bad}", file=sys.stderr)
-            return 1
-        print("bounds verified on all rows")
-    return 0
+    ok = [not r["worst_margin"] < -args.tol for r in rows] if args.verify else None
+    return _finish(args, header, rows, ok, "bound verification")
 
 
 # ----------------------------------------------------------------------
@@ -391,12 +374,8 @@ def cmd_conjugate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 # ----------------------------------------------------------------------
 
 def cmd_laplacian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.d < 1:
-        parser.error("--d must be >= 1")
-    momenta = _momenta_from_args(args, parser)
-    if len(momenta) != 1:
-        parser.error("laplacian takes a single vertical momentum")
-    v = np.array(momenta[0])
+    _positive("--tol", args.tol)
+    v = np.array(_given_momentum(args))
     r_grid = args.rgrid
     if r_grid is None:
         t_star = conjugate_time(args.d, v).t_star
@@ -421,15 +400,8 @@ def cmd_laplacian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "index", "d", "v_norm", "t_star", "r",
         "laplacian", "model_rhs", "margin", "r_times_laplacian", "tol",
     ]
-    path = _write_rows(args, header, rows)
-    print(f"wrote {len(rows)} rows to {path}")
-    if args.verify:
-        bad = [r["index"] for r in rows if r["margin"] < -args.tol * max(1.0, abs(r["model_rhs"]))]
-        if bad:
-            print(f"margin verification FAILED on rows {bad}", file=sys.stderr)
-            return 1
-        print("margins verified on all rows")
-    return 0
+    ok = [not r["margin"] < -args.tol * max(1.0, abs(r["model_rhs"])) for r in rows] if args.verify else None
+    return _finish(args, header, rows, ok, "margin verification")
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +409,12 @@ def cmd_laplacian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 # ----------------------------------------------------------------------
 
 def cmd_verify_all(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    results: list[CheckResult] = run_all(seed=args.seed, jobs=args.jobs)
+    results = run_all(seed=args.seed, jobs=args.jobs)
+    width = max(len(r.name) for r in results)
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        print(f"{r.name:<{width}}  {status}  worst={r.worst!r}  tol={r.tol:g}  [{r.elapsed:.2f}s]")
+    print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     rows = [
         {
             "index": i,
@@ -451,14 +428,7 @@ def cmd_verify_all(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         for i, r in enumerate(results)
     ]
     header = ["index", "name", "passed", "worst", "tol", "n_cases", "detail"]
-    path = _write_rows(args, header, rows)
-    width = max(len(r.name) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  worst={r.worst!r}  tol={r.tol:g}  [{r.elapsed:.2f}s]")
-    n_pass = sum(r.passed for r in results)
-    print(f"{n_pass}/{len(results)} checks passed; rows written to {path}")
-    return 0 if n_pass == len(results) else 1
+    return _finish(args, header, rows, [r.passed for r in results], "checks")
 
 
 # ----------------------------------------------------------------------
@@ -469,10 +439,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0.0 < args.tol < math.inf:
-            raise DomainError(f"--tol must be finite positive, got {args.tol}")
-        if args.jobs < 1:
-            raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args, parser)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

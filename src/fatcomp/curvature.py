@@ -49,6 +49,13 @@ _I3 = np.eye(3)
 _I3.flags.writeable = False
 
 
+def _check_d(d) -> None:
+    """``DomainError`` unless the quaternionic dimension d is an integer >= 1
+    (a Python or numpy integer; a bool is not one)."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise DomainError(f"d must be an integer >= 1, got {d!r}")
+
+
 def vee(v) -> np.ndarray:
     """Skew 3x3 matrix of a vertical momentum triple, or a stack of them.
 
@@ -96,10 +103,10 @@ def ricci_scalars(v, rho_a: float, d: int) -> tuple[float, float, float]:
     With s = |v|^2: the a trace is 3*(0.75*rho_a - 3.5*s - 1.875*s^2),
     the b trace 3*(4 + 5*s), and the c trace (4d - 4)*(1 + s) (the motion
     direction carries no curvature). All are constant along the extremal.
-    Raises ``DomainError`` on a non-finite v or rho_a.
+    Raises ``DomainError`` on a non-finite v or rho_a and a d that is not
+    an integer >= 1.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_d(d)
     if not (np.isfinite(v).all() and math.isfinite(rho_a)):
         raise DomainError(f"v and rho_a must be finite, got {v}, {rho_a}")
     s = float(np.dot(np.asarray(v).ravel(), np.asarray(v).ravel()))
@@ -147,8 +154,7 @@ def qhf_curvature_inputs(d: int, v) -> CurvatureInputs:
     ABA = 4 I, ABdotA = 0, ABU = 0, UBU = I - w w^T with w the first
     basis vector, and rho_a = 2 |v|^2.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_d(d)
     nc = 4 * d - 3
     w, UBU = np.zeros(nc), np.eye(nc)
     w[0], UBU[0, 0] = 1.0, 0.0  # I - w w^T

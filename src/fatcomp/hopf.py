@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import _ab_curvature, _b_sign, curvature_blocks, qhf_curvature_inputs, vee
+from .curvature import _ab_curvature, _b_sign, _check_d, curvature_blocks, qhf_curvature_inputs, vee
 from .models import (
     BlowUpTime,
     DomainError,
@@ -90,12 +90,11 @@ _J4_K = np.array(
     ]
 )
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def reeb_generators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The skew matrices K_I, K_J, K_K with xi_alpha(q) = K_alpha q, built
     once per d and returned as the same read-only arrays on every call."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_d(d)
     # + 0.0 clears the -0.0 that kron writes for 0 * -1
     Ks = tuple(-(np.kron(np.eye(d + 1), J4) + 0.0) for J4 in (_J4_I, _J4_J, _J4_K))
     for K in Ks:
@@ -152,12 +151,11 @@ def initial_state(d: int, v, q=None, seed_direction=None) -> ExtremalState:
     The seed is projected horizontally at q and normalized, so the
     resulting state has H = 1/2 exactly up to roundoff; the vertical
     momenta come out as requested because the Reeb frame is orthonormal.
-    Raises ``DomainError`` on a non-finite v, a q off the unit sphere or a
-    seed without horizontal component, and ``ValueError`` on a q of the
-    wrong length.
+    Raises ``DomainError`` on a d that is not an integer >= 1, a non-finite
+    v, a q off the unit sphere or a seed without horizontal component, and
+    ``ValueError`` on a q of the wrong length.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_d(d)
     v = _momentum(v)
     dim = 4 * (d + 1)
     if q is None:
@@ -327,8 +325,8 @@ def _ab_system(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A = np.eye(6, k=3)
     A[:3, :3] = A[3:, 3:] = -1.5 * V
     B = np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-    inputs = qhf_curvature_inputs(1, v)  # its ABA and ABdotA do not depend on d
-    return A, B, _ab_curvature(float(v @ v), V, inputs.ABA, inputs.ABdotA)
+    # ABA = 4 I and ABdotA = 0, as ``qhf_curvature_inputs`` gives them for every d
+    return A, B, _ab_curvature(float(v @ v), V, 4.0 * np.eye(3), np.zeros((3, 3)))
 
 
 def _qhf_pairs(v: np.ndarray):
@@ -358,10 +356,9 @@ def conjugate_time(d: int, v) -> ConjugateResult:
     block's N = sin(sqrt(kappa_c) t) / sqrt(kappa_c) I. Every block is built
     in closed form from v, so the cost does not depend on d. No zero within
     that horizon contradicts the bounds and raises RuntimeError. Raises
-    ``DomainError`` on a non-finite v.
+    ``DomainError`` on a non-finite v and a d that is not an integer >= 1.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_d(d)
     v = _momentum(v)
     kappa_a, kappa_b, kappa_c = qhf_kappas(v)
     bound_kab = blowup_time_kab(kappa_a, kappa_b)
@@ -418,8 +415,9 @@ def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
     strictly inside (0, t_star), where the distance is smooth. The
     volume-derivative term vanishes for these structures, so no extra
     scalar enters the comparison. Raises ``DomainError`` on an empty or
-    non-finite grid and a non-finite v.
+    non-finite grid, a non-finite v and a d that is not an integer >= 1.
     """
+    _check_d(d)
     r = np.asarray(list(r_grid), dtype=float)
     if r.size == 0:
         raise DomainError("r_grid must be nonempty")

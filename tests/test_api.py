@@ -19,7 +19,15 @@ import pytest
 
 import fatcomp
 from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs, ricci_scalars
-from fatcomp.hopf import ExtremalState, initial_state, integrate_extremal, qhf_kappas
+from fatcomp.hopf import (
+    ExtremalState,
+    conjugate_time,
+    initial_state,
+    integrate_extremal,
+    qhf_kappas,
+    reeb_generators,
+    sublaplacian_along,
+)
 from fatcomp.models import DomainError, finiteness_predicate, upper_bound_kab
 from fatcomp.riccati import finite_blowup_constant, integrate_jacobi, wedge_det_sign_changes, wedge_first_zero
 from fatcomp.structure import typeI_pair
@@ -94,3 +102,28 @@ def test_bad_input_is_a_domain_error(case):
     call, message = BAD_INPUT[case]
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
+
+
+# every entry point that takes the quaternionic dimension d
+D_TAKERS = {
+    "conjugate_time": lambda d: conjugate_time(d, [0.5, 0.0, 0.0]),
+    "sublaplacian_along": lambda d: sublaplacian_along(d, [0.5, 0.0, 0.0], [0.5, 1.0]),
+    "initial_state": lambda d: initial_state(d, [0.5, 0.0, 0.0]),
+    "reeb_generators": reeb_generators,
+    "qhf_curvature_inputs": lambda d: qhf_curvature_inputs(d, [0.5, 0.0, 0.0]),
+    "ricci_scalars": lambda d: ricci_scalars([0.5, 0.0, 0.0], 0.5, d),
+}
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, np.True_, 0, -1, np.int64(0), "2"], ids=repr)
+@pytest.mark.parametrize("name", sorted(D_TAKERS))
+def test_bad_dimension_is_a_domain_error(name, d):
+    # 2.5 ran on with 4d - 4 = 6 or raised TypeError, and 0 raised a plain ValueError
+    reeb_generators(1), reeb_generators(2)  # a cached d == True or d == 2.0 must not answer
+    with pytest.raises(DomainError, match=re.escape(f"d must be an integer >= 1, got {d!r}")):
+        D_TAKERS[name](d)
+
+
+@pytest.mark.parametrize("name", sorted(D_TAKERS))
+def test_numpy_integer_dimension_is_accepted(name):
+    D_TAKERS[name](np.int64(2))

@@ -5,6 +5,7 @@ output files can be asserted without shelling out. The expensive
 verify-all path is exercised by the acceptance suite instead.
 """
 
+import argparse
 import json
 import math
 from types import SimpleNamespace
@@ -55,6 +56,17 @@ class TestUsageErrors:
             ["conjugate", "--d", "0"],
             ["laplacian", "--d", "2", "--rgrid", "0.5:2.5"],
             ["no-such-command"],
+            # options a command does not read
+            ["blowup", "--kc", "1", "--seed", "3"],
+            ["blowup", "--kc", "1", "--jobs", "2"],
+            ["conjugate", "--seed", "3"],
+            ["laplacian", "--d", "2", "--jobs", "2"],
+            ["laplacian", "--d", "2", "--sweep", "0:1:3"],
+            ["verify-all", "--tol", "1e-6"],
+            ["verify-all", "--verify"],
+            # exclusive options
+            ["conjugate", "--vnorm", "0.5", "--sweep", "0:1:3"],
+            ["laplacian", "--v", "1,0,0", "--vnorm", "0.5"],
         ],
     )
     def test_bad_arguments_exit_2(self, argv, tmp_path, capsys):
@@ -72,7 +84,7 @@ class TestUsageErrors:
             ["blowup", "--kc", "inf"],
             ["blowup", "--kc", "1", "--tol", "0"],
             ["blowup", "--kc", "1", "--tol=-1"],
-            ["blowup", "--kc", "1", "--jobs", "0"],
+            ["conjugate", "--jobs", "0"],
             ["blowup", "--ka=-1", "--kb=-1", "--verify", "--tmax=-5"],
             ["verify-all", "--jobs", "0"],
         ],
@@ -90,6 +102,9 @@ class TestUsageErrors:
             (["conjugate", "--vnorm", "inf"], "v must be finite"),
             (["laplacian", "--d", "2", "--rgrid=0.1:nan:3"], "r_grid must be finite"),
             (["laplacian", "--d", "2", "--v", "nan,0,0"], "v must be finite"),
+            (["conjugate", "--d", "0"], "d must be an integer >= 1"),
+            (["laplacian", "--d", "0"], "d must be an integer >= 1"),
+            (["laplacian", "--d", "0", "--rgrid", "0.1:1:3"], "d must be an integer >= 1"),
         ],
     )
     def test_non_finite_hopf_input_is_a_domain_error(self, argv, name, tmp_path, capsys):
@@ -107,6 +122,37 @@ class TestUsageErrors:
 
 
 # ----------------------------------------------------------------------
+# Test Class: the options of each subcommand
+# ----------------------------------------------------------------------
+
+OPTIONS = {
+    "blowup": {"--out", "--format", "--tol", "--verify", "--ka", "--kb", "--kc", "--sweep", "--tmax"},
+    "conjugate": {"--out", "--format", "--tol", "--verify", "--jobs", "--d", "--v", "--vnorm", "--sweep"},
+    "laplacian": {"--out", "--format", "--tol", "--verify", "--d", "--v", "--vnorm", "--rgrid"},
+    "verify-all": {"--out", "--format", "--jobs", "--seed"},
+}
+
+
+class TestOptions:
+
+    def test_each_command_takes_only_the_options_it_reads(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {s for a in sp._actions for s in a.option_strings if s not in ("-h", "--help")}
+            for name, sp in sub.choices.items()
+        }
+        assert got == OPTIONS
+        assert sum(map(len, got.values())) == 30
+
+    def test_verify_all_echoes_its_seed_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(checks, "CHECKS", [c for c in checks.CHECKS if c[0] == "model-blowup-times"])
+        out = tmp_path / "v.csv"
+        assert run_cli(["verify-all", "--seed", "7", "--out", str(out)]) == 0
+        meta, _, _ = read_csv(out)
+        assert meta == {"tool": meta["tool"], "command": "verify-all", "config": "format=csv seed=7"}
+
+
+# ----------------------------------------------------------------------
 # Test Class: blowup tables
 # ----------------------------------------------------------------------
 
@@ -118,7 +164,9 @@ class TestBlowup:
         meta, header, rows = read_csv(out)
         assert meta["command"] == "blowup"
         assert meta["tool"].startswith("fatcomp ")
-        assert "seed=42" in meta["config"] and "jobs" not in meta["config"]
+        # blowup reads no seed: none is echoed
+        assert set(meta) == {"tool", "command", "config"}
+        assert "seed" not in meta["config"] and "jobs" not in meta["config"]
         assert header[:5] == ["index", "model", "kappa_a", "kappa_b", "kappa_c"]
         assert len(rows) == 1
         assert float(rows[0]["tbar"]) == pytest.approx(7.865647008775999, abs=1e-9)

@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 26 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 28 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -6,13 +6,17 @@ DIR is a checkout (with ``src/``) of each commit. Every call in ``CALLS``
 runs as ``python -m fatcomp.cli ARGS`` once in each checkout, in a
 temporary directory of its own that receives the default output file and
 is removed afterwards. The script prints every call whose exit code or
-output files (names and bytes) differ between the two sides, then how many
-calls differ; it exits 1 if any call differs, else 0.
+output files differ between the two sides, and says for each file whether
+its rows differ or only its metadata does: rows are the CSV lines not
+starting with ``#`` or the JSON ``"rows"``, metadata the ``#`` lines or the
+JSON ``"meta"``. Then it prints how many calls differ; it exits 1 if any
+call differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -47,6 +51,7 @@ CALLS = [
     ["conjugate", "--d", "2", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "16", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "2", "--vnorm", "0.5"],
+    ["conjugate", "--d", "2", "--vnorm", "0.5", "--format", "json"],
     # large |v|: t* = pi/sqrt(1 + |v|^2) to 1e-12 relative
     ["conjugate", "--d", "1", "--vnorm", "10000", "--verify"],
     ["conjugate", "--d", "2", "--vnorm", "1e6", "--verify"],
@@ -54,6 +59,7 @@ CALLS = [
     ["laplacian", "--d", "2", "--verify"],
     ["laplacian", "--d", "3", "--vnorm", "3", "--verify"],
     ["laplacian", "--d", "2", "--vnorm", "100", "--verify"],
+    ["laplacian", "--d", "2", "--format", "json"],
 ]
 
 
@@ -70,6 +76,24 @@ def run(checkout: str, call: list[str]) -> tuple[int, dict[str, bytes]]:
     return proc.returncode, files
 
 
+def split(name: str, data: bytes | None) -> tuple:
+    """(metadata, rows) of an output file; a file that is absent is (None, None)."""
+    if data is None:
+        return None, None
+    if name.endswith(".json"):
+        payload = json.loads(data)
+        return payload.get("meta"), payload.get("rows")
+    lines = data.splitlines(keepends=True)
+    return [x for x in lines if x.startswith(b"#")], [x for x in lines if not x.startswith(b"#")]
+
+
+def what_differs(name: str, old: bytes | None, new: bytes | None) -> str:
+    (meta0, rows0), (meta1, rows1) = split(name, old), split(name, new)
+    if rows0 != rows1:
+        return f"{name}: rows differ"
+    return f"{name}: metadata differs only" if meta0 != meta1 else f"{name}: bytes differ only"
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True)
@@ -81,7 +105,8 @@ def main() -> int:
         if code0 != code1 or files0 != files1:
             differ += 1
             moved = sorted(n for n in files0.keys() | files1.keys() if files0.get(n) != files1.get(n))
-            print(f"{' '.join(call)}: exit {code0} -> {code1}, files differ: {moved or 'none'}")
+            report = "; ".join(what_differs(n, files0.get(n), files1.get(n)) for n in moved) or "files equal"
+            print(f"{' '.join(call)}: exit {code0} -> {code1}, {report}")
     print(f"{differ} of {len(CALLS)} calls differ")
     return 1 if differ else 0
 
