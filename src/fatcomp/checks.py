@@ -5,6 +5,11 @@ check index), so results are identical whether checks run serially or in
 a process pool, and identical across runs with the same seed. Elapsed
 times are measured for reporting but are never part of the pass/fail
 decision or of the serialized output.
+
+Each check's stream order is fixed, and is part of its output. Each check
+draws it in as few generator calls as the stream allows, with the bits of
+one call per number: see ``_uniforms``; one ``standard_normal(k1 + k2)``
+gives those of ``normal(size=k1)`` then ``normal(size=k2)``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import curvature_blocks, qhf_curvature_inputs, ricci_scalars, vee
-from .hopf import _qhf_jacobi, conjugate_time, initial_state, integrate_extremal, sublaplacian_along
+from .hopf import _qhf_jacobi, _sublaplacian, conjugate_time, initial_state, integrate_extremal
 from .models import (
     DomainError,
     blowup_time_kab,
@@ -59,9 +64,26 @@ class CheckResult:
     elapsed: float = 0.0
 
 
-def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    x = rng.normal(size=dim)
+def _unit(x: np.ndarray) -> np.ndarray:
+    # one 1-D row at a time, as each draw of its own was: a vectorised norm
+    # need not give the same bits
     return x / np.linalg.norm(x)
+
+
+def _uniforms(rng: np.random.Generator, batch: int) -> Callable[[float, float], float]:
+    """uniform(low, high), one draw per call, with the bits of the scalar
+    ``rng.uniform(low, high)`` calls it stands for; the doubles come from
+    ``rng.random(batch)``, one generator call per ``batch`` draws. The
+    generator may then stand up to batch - 1 doubles past the last draw
+    read, so a check that leaves a batch unfilled must draw nothing after it.
+    """
+
+    def doubles():
+        while True:
+            yield from rng.random(batch).tolist()
+
+    it = doubles()
+    return lambda low, high: low + (high - low) * next(it)
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
@@ -111,16 +133,17 @@ def check_scalar_vs_jacobi(rng: np.random.Generator) -> CheckResult:
     the sign predicate away from the degenerate boundaries.
     """
     a_I, b_I = typeI_pair()
-    S = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    S = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    uniform = _uniforms(rng, 256)
     star: list[tuple[float, float]] = []
     nonstar: list[tuple[float, float]] = []
     while len(star) < 50 or len(nonstar) < 20:
-        ka, kb = rng.uniform(-5.0, 5.0, size=2)
+        ka, kb = uniform(-5.0, 5.0), uniform(-5.0, 5.0)
         if finiteness_predicate(ka, kb):
             if len(star) < 50:
-                star.append((float(ka), float(kb)))
+                star.append((ka, kb))
         elif len(nonstar) < 20:
-            nonstar.append((float(ka), float(kb)))
+            nonstar.append((ka, kb))
 
     worst_err = 0.0
     worst_direct = 0.0
@@ -180,11 +203,12 @@ def check_blowup_upper_bound(rng: np.random.Generator) -> CheckResult:
     1e-9, since their kappa_a is never zero), and kappa_a = 0 rows must
     attain it to 1e-9.
     """
+    uniform = _uniforms(rng, 256)
     samples: list[tuple[float, float]] = []
     while len(samples) < 50:
-        ka, kb = rng.uniform(-5.0, 5.0, size=2)
+        ka, kb = uniform(-5.0, 5.0), uniform(-5.0, 5.0)
         if finiteness_predicate(ka, kb):
-            samples.append((float(ka), float(kb)))
+            samples.append((ka, kb))
     worst_gap = math.inf
     violations = 0
     for ka, kb in samples:
@@ -241,8 +265,9 @@ def check_qhf_conjugate(d: int, rng: np.random.Generator) -> CheckResult:
     c block proves t* = bound_kc: |margin_kc| <= 1e-10 and margin_kab >=
     -1e-6. For d = 1, with an empty c block: margin_kab and pi - t* >= -1e-6."""
     results, gap = [], 0.0
-    for nv in np.concatenate(([0.0], 3.0 * (np.arange(29) + rng.uniform(size=29)) / 29)):
-        v = nv * _unit(rng, 3)
+    norms = np.concatenate(([0.0], 3.0 * (np.arange(29) + rng.uniform(size=29)) / 29))
+    for nv, x in zip(norms, rng.standard_normal((30, 3))):
+        v = nv * _unit(x)
         res = conjugate_time(d, v)
         t_max = 1.1 * min(res.bound_kab.time, res.bound_kc or math.inf)
         gap = max(gap, abs(res.t_star - first_blowup(_qhf_jacobi(d, v, t_max)).time))
@@ -270,11 +295,12 @@ def check_extremal_conservation(rng: np.random.Generator) -> CheckResult:
     """First integrals of the extremal flow over a full period."""
     worst = 0.0
     for d in (1, 2):
+        n = 4 * (d + 1)
         for _ in range(5):
-            v = rng.uniform(0.0, 2.0) * _unit(rng, 3)
-            q = _unit(rng, 4 * (d + 1))
-            seed_dir = rng.normal(size=4 * (d + 1))
-            st = initial_state(d, v, q=q, seed_direction=seed_dir)
+            nv = rng.uniform(0.0, 2.0)
+            z = rng.standard_normal(3 + 2 * n)
+            v = nv * _unit(z[:3])
+            st = initial_state(d, v, q=_unit(z[3:3 + n]), seed_direction=z[3 + n:])
             g = integrate_extremal(st, 2.0 * math.pi)
             worst = max(worst, g.h_drift, g.v_drift, g.norm_drift, g.gauge_drift)
     return CheckResult(
@@ -303,7 +329,7 @@ def check_vertical_identities(rng: np.random.Generator) -> CheckResult:
     )
     alg_ok = worst < 1e-12
 
-    stacks = (_sym(rng.normal(size=(3334, 2, m, m))).transpose(1, 0, 2, 3) for m in (2, 3, 5))
+    stacks = (_sym(rng.standard_normal((3334, 2, m, m))).transpose(1, 0, 2, 3) for m in (2, 3, 5))
     slack, ok = (np.concatenate(z) for z in zip(*(trace_inequality_check(X, Y) for X, Y in stacks)))
     return CheckResult(
         name="vertical-identities",
@@ -320,16 +346,18 @@ def check_vertical_identities(rng: np.random.Generator) -> CheckResult:
 
 def check_ricci_traces(rng: np.random.Generator) -> CheckResult:
     """Block traces of the curvature against the closed-form scalars."""
+    # five draws a case: v, then t1 and t2
+    uniform = _uniforms(rng, 45)
     worst = 0.0
     cases = 0
     for d in (1, 2, 3):
         for _ in range(3):
-            v = rng.uniform(-1.5, 1.5, size=3)
+            v = np.array([uniform(-1.5, 1.5) for _ in range(3)])
             inputs = qhf_curvature_inputs(d, v)
             blocks = curvature_blocks(v, inputs)
             dims = blocks.dims
             ric_a, ric_b, ric_c = ricci_scalars(v, inputs.rho_a, d)
-            t1, t2 = rng.uniform(0.05, 4.0, size=2)
+            t1, t2 = uniform(0.05, 4.0), uniform(0.05, 4.0)
             R1, R2 = blocks.assemble(t1), blocks.assemble(t2)
             for expected, sl in ((ric_a, dims.sl_a), (ric_b, dims.sl_b), (ric_c, dims.sl_c)):
                 tr1 = float(R1[sl, sl].trace())
@@ -361,7 +389,7 @@ def check_sublaplacian_margin(rng: np.random.Generator) -> CheckResult:
     res = conjugate_time(2, np.zeros(3))
     grid = np.linspace(0.1, 0.95 * res.t_star, 16)
     # the grid and the limit radius in one call: each radius's values come from exp(r H) alone
-    rep = sublaplacian_along(2, np.zeros(3), [*grid, 1e-3])
+    rep = _sublaplacian(res, np.array([*grid, 1e-3]))
     min_margin = float(rep.margin[:16].min())
     max_abs = float(np.abs(rep.margin[:16]).max())
     limit_err = abs(float(rep.r_times_lhs[16]) - 16.0)
@@ -382,24 +410,26 @@ def check_sublaplacian_margin(rng: np.random.Generator) -> CheckResult:
 def check_scaling_covariance(rng: np.random.Generator) -> CheckResult:
     """Parabolic rescaling covariance of both scalar models. Every fourth pair is
     near-degenerate, |kappa_a| = kappa_b^2/4 times 10^[-16, 0], at small t."""
+    # five draws a pair, and two more on each of the 25 near-degenerate ones
+    uniform = _uniforms(rng, 550)
     worst = 0.0
     tbar_worst = 0.0
     for i in range(100):
-        alpha = rng.uniform(0.5, 2.0)
-        u = rng.uniform(0.05, 0.9)
+        alpha = uniform(0.5, 2.0)
+        u = uniform(0.05, 0.9)
 
-        kc = rng.uniform(-5.0, 5.0)
+        kc = uniform(-5.0, 5.0)
         tb = blowup_time_kc(alpha * alpha * kc)
         t = u * (tb.time if tb.is_finite else 3.0 / alpha)
         lhs = eval_s_kc(alpha * alpha * kc, t)
         rhs = alpha * eval_s_kc(kc, alpha * t)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
-        ka, kb = rng.uniform(-5.0, 5.0, size=2)
+        ka, kb = uniform(-5.0, 5.0), uniform(-5.0, 5.0)
         near = i % 4 == 0
         if near:
-            ka = math.copysign(kb * kb / 4.0 * 10.0 ** rng.uniform(-16.0, 0.0), ka)
-            u *= 10.0 ** rng.uniform(-6.0, 0.0)
+            ka = math.copysign(kb * kb / 4.0 * 10.0 ** uniform(-16.0, 0.0), ka)
+            u *= 10.0 ** uniform(-6.0, 0.0)
         tbs = blowup_time_kab(alpha**4 * ka, alpha**2 * kb)
         t2 = u * (min(tbs.time, 3.0 / alpha) if near else tbs.time if tbs.is_finite else 3.0 / alpha)
         lhs2 = eval_s_kab(alpha**4 * ka, alpha**2 * kb, t2)

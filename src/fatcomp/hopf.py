@@ -423,7 +423,13 @@ def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
         raise DomainError("r_grid must be nonempty")
     if not np.isfinite(r).all():
         raise DomainError(f"r_grid must be finite, got {r}")
-    conj = conjugate_time(d, v)
+    return _sublaplacian(conjugate_time(d, v), r)
+
+
+def _sublaplacian(conj: ConjugateResult, r: np.ndarray) -> SublaplacianReport:
+    """``sublaplacian_along`` on a finite, nonempty float grid r, given the
+    ``conjugate_time(d, v)`` result; ``DomainError`` where r leaves (0, t_star)."""
+    d = conj.d
     if r.min() <= 0.0 or r.max() >= conj.t_star:
         raise DomainError(
             f"r_grid must lie strictly inside (0, t_star = {conj.t_star}); "

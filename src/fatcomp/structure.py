@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import DomainError
+
 __all__ = [
     "FatDims",
     "build_structural",
@@ -106,18 +108,29 @@ def trace_inequality_check(X, Y):
     member symmetric to 1e-12 of its own max(1, max|entry|). Returns
     (slack, slack >= -1e-9 * scale) with scale the magnitude of the
     largest term: (float, bool) for a pair, arrays of the stack shape
-    for stacks.
+    for stacks. A NaN or inf entry is a ``DomainError``.
+
+    The tolerance test runs only where Z - Z^T has a nonzero entry: an
+    exactly symmetric Z passes it, and a NaN, an inf or an overflow
+    always leaves a nonzero in Z - Z^T.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape != Y.shape or X.ndim < 2 or X.shape[-2] != X.shape[-1]:
         raise ValueError(f"X, Y must be square of equal size, got {X.shape}, {Y.shape}")
     for Z in (X, Y):
-        atol = 1e-12 * np.maximum(1.0, np.abs(Z).max(axis=(-2, -1), initial=0.0))
-        if not (np.abs(Z - np.swapaxes(Z, -1, -2)) <= atol[..., None, None]).all():
-            raise ValueError("X and Y must be symmetric")
+        # order F runs the loop along the stack, not along rows of length m
+        D = np.subtract(Z, np.swapaxes(Z, -1, -2), order="F")
+        if D.any():
+            if not np.isfinite(Z).all():
+                raise DomainError("X and Y must be finite, got a NaN or inf entry")
+            atol = 1e-12 * np.maximum(1.0, np.abs(Z).max(axis=(-2, -1), initial=0.0))
+            if not (np.abs(D) <= atol[..., None, None]).all():
+                raise ValueError("X and Y must be symmetric")
     m = X.shape[-1]
-    nx2, ny2, ip = (np.sum(P * Q, axis=(-2, -1)) for P, Q in ((X, X), (Y, Y), (X, Y)))
+    # one-axis sums over the flattened m*m axis: the bits of a sum over (-2, -1)
+    flat = X.shape[:-2] + (m * m,)
+    nx2, ny2, ip = ((P * Q).reshape(flat).sum(axis=-1) for P, Q in ((X, X), (Y, Y), (X, Y)))
     tx, ty = np.trace(X, axis1=-2, axis2=-1), np.trace(Y, axis1=-2, axis2=-1)
     lhs = nx2 * ny2 - ip * ip + (2.0 / m) * tx * ty * ip
     rhs = (ty * ty * nx2 + tx * tx * ny2) / m

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fatcomp.models import DomainError
 from fatcomp.structure import FatDims, build_structural, trace_inequality_check, typeI_pair
 
 # Seeds feed a local generator; matrices built this way shrink poorly but
@@ -152,3 +153,21 @@ class TestTraceInequality:
         X[3, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="symmetric"):
             trace_inequality_check(X, np.broadcast_to(np.eye(3), X.shape))
+
+    # a diagonal entry, both entries of an off-diagonal pair (inf - inf is
+    # NaN, not a nonzero difference of finite numbers) and one entry alone
+    @pytest.mark.parametrize("entries", [[(0, 0)], [(0, 1), (1, 0)], [(2, 1)]], ids=["diagonal", "pair", "single"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["X", "Y", "stack"])
+    def test_non_finite_entry_is_a_domain_error(self, where, value, entries):
+        rng = np.random.default_rng(5)
+        X = np.array([random_symmetric(rng, 3) for _ in range(5)])
+        Y = np.array([random_symmetric(rng, 3) for _ in range(5)])
+        if where != "stack":
+            X, Y = X[0], Y[0]
+        member = X[3] if where == "stack" else {"X": X, "Y": Y}[where]
+        for i, j in entries:
+            member[i, j] = value
+        with pytest.raises(DomainError, match="finite"):
+            trace_inequality_check(X, Y)
+
