@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import curvature_blocks, qhf_curvature_inputs, ricci_scalars, vee
-from .hopf import _qhf_jacobi, _sublaplacian, conjugate_time, initial_state, integrate_extremal
+from .hopf import _qhf_system, _sublaplacian, conjugate_time, initial_state, integrate_extremal
 from .models import (
     DomainError,
     blowup_time_kab,
@@ -270,7 +270,7 @@ def check_qhf_conjugate(d: int, rng: np.random.Generator) -> CheckResult:
         v = nv * _unit(x)
         res = conjugate_time(d, v)
         t_max = 1.1 * min(res.bound_kab.time, res.bound_kc or math.inf)
-        gap = max(gap, abs(res.t_star - first_blowup(_qhf_jacobi(d, v, t_max)).time))
+        gap = max(gap, abs(res.t_star - first_blowup(integrate_jacobi(*_qhf_system(d, v), t_max)).time))
         results.append(res)
     pi_err, margin_kab = abs(results[0].t_star - math.pi), min(r.margin_kab for r in results)
     if d >= 2:
@@ -502,8 +502,9 @@ def run_check(index: int, seed: int) -> CheckResult:
 
 def map_tasks(fn: Callable, tasks: list[tuple], jobs: int) -> list:
     """[fn(*task) for task in tasks], in a pool of ``jobs`` processes when
-    jobs > 1 and there is more than one task; results keep the task order.
-    ``DomainError`` when jobs < 1.
+    jobs > 1 and there is more than one task, sent in chunks of
+    max(1, len(tasks) // (4 jobs)) so that short tasks do not each pay a
+    round trip; results keep the task order. ``DomainError`` when jobs < 1.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
@@ -511,21 +512,14 @@ def map_tasks(fn: Callable, tasks: list[tuple], jobs: int) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, *zip(*tasks)))
+            return list(ex.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * jobs))))
     return [fn(*task) for task in tasks]
 
 
-def run_all(seed: int, jobs: int = 1, names: list[str] | None = None) -> list[CheckResult]:
-    """Run the whole suite (or a named subset), optionally in parallel.
+def run_all(seed: int, jobs: int = 1) -> list[CheckResult]:
+    """Run the whole suite, optionally in parallel.
 
     Child seeds depend only on (seed, registry index), so the output is
     independent of the job count and ordered by registry position.
     """
-    indices = list(range(len(CHECKS)))
-    if names is not None:
-        wanted = set(names)
-        unknown = wanted - set(check_names())
-        if unknown:
-            raise ValueError(f"unknown check names: {sorted(unknown)}")
-        indices = [i for i in indices if CHECKS[i][0] in wanted]
-    return map_tasks(run_check, [(i, seed) for i in indices], jobs)
+    return map_tasks(run_check, [(i, seed) for i in range(len(CHECKS))], jobs)

@@ -56,6 +56,17 @@ def _check_d(d) -> None:
         raise DomainError(f"d must be an integer >= 1, got {d!r}")
 
 
+def _momentum(v) -> np.ndarray:
+    """v as a finite float 3-vector: ``ValueError`` unless it has three components,
+    ``DomainError`` unless they are finite."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.shape != (3,):
+        raise ValueError(f"v must have three components, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise DomainError(f"v must be finite, got {v}")
+    return v
+
+
 def vee(v) -> np.ndarray:
     """Skew 3x3 matrix of a vertical momentum triple, or a stack of them.
 
@@ -103,13 +114,14 @@ def ricci_scalars(v, rho_a: float, d: int) -> tuple[float, float, float]:
     With s = |v|^2: the a trace is 3*(0.75*rho_a - 3.5*s - 1.875*s^2),
     the b trace 3*(4 + 5*s), and the c trace (4d - 4)*(1 + s) (the motion
     direction carries no curvature). All are constant along the extremal.
-    Raises ``DomainError`` on a non-finite v or rho_a and a d that is not
-    an integer >= 1.
+    d is checked by ``_check_d`` and v by ``_momentum``; a non-finite rho_a
+    is a ``DomainError``.
     """
     _check_d(d)
-    if not (np.isfinite(v).all() and math.isfinite(rho_a)):
-        raise DomainError(f"v and rho_a must be finite, got {v}, {rho_a}")
-    s = float(np.dot(np.asarray(v).ravel(), np.asarray(v).ravel()))
+    v = _momentum(v)
+    if not math.isfinite(rho_a):
+        raise DomainError(f"rho_a must be finite, got {rho_a}")
+    s = float(v @ v)
     ric_a = 3.0 * (0.75 * rho_a - 3.5 * s - 1.875 * s * s)
     ric_b = 3.0 * (4.0 + 5.0 * s)
     ric_c = (4.0 * d - 4.0) * (1.0 + s)
@@ -122,6 +134,8 @@ class CurvatureInputs:
 
     w holds the coordinates of the motion direction in the supplied
     c basis; the first basis vector for the standard construction.
+    ``ValueError`` on a wrong shape or a w off the unit sphere, and
+    ``DomainError`` on a NaN or inf entry or rho_a.
     """
 
     d: int
@@ -135,14 +149,15 @@ class CurvatureInputs:
     def __post_init__(self) -> None:
         # every array field is stored as a float array, so no later reader converts it
         nc = 4 * self.d - 3
-        for name, (rows, cols) in (("ABA", (3, 3)), ("ABdotA", (3, 3)), ("ABU", (3, nc)), ("UBU", (nc, nc))):
+        for name, shape in (("ABA", (3, 3)), ("ABdotA", (3, 3)), ("ABU", (3, nc)), ("UBU", (nc, nc)), ("w", (nc,))):
             X = np.asarray(getattr(self, name), dtype=float)
-            if X.shape != (rows, cols):
-                raise ValueError(f"{name} must be {rows}x{cols}")
+            if X.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {X.shape}")
+            if not np.isfinite(X).all():
+                raise DomainError(f"{name} must be finite, got a NaN or inf entry")
             object.__setattr__(self, name, X)
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        if self.w.shape != (nc,):
-            raise ValueError(f"w must have length {nc}")
+        if not math.isfinite(self.rho_a):
+            raise DomainError(f"rho_a must be finite, got {self.rho_a}")
         if abs(np.linalg.norm(self.w) - 1.0) > 1e-10:
             raise ValueError("w must be a unit vector")
 
@@ -152,16 +167,15 @@ def qhf_curvature_inputs(d: int, v) -> CurvatureInputs:
     dimension d, independent of the footpoint and of time.
 
     ABA = 4 I, ABdotA = 0, ABU = 0, UBU = I - w w^T with w the first
-    basis vector, and rho_a = 2 |v|^2.
+    basis vector, and rho_a = 2 |v|^2. d is checked by ``_check_d`` and v
+    by ``_momentum``; a |v|^2 that overflows is a ``DomainError``.
     """
     _check_d(d)
+    v = _momentum(v)
     nc = 4 * d - 3
     w, UBU = np.zeros(nc), np.eye(nc)
     w[0], UBU[0, 0] = 1.0, 0.0  # I - w w^T
-    vr = np.asarray(v).ravel()
-    s = float(np.dot(vr, vr))
-    if not math.isfinite(s):
-        raise DomainError(f"v must be finite, got {v}")
+    s = float(v @ v)
     return CurvatureInputs(d=d, ABA=4.0 * _I3, ABdotA=np.zeros((3, 3)), ABU=np.zeros((3, nc)), UBU=UBU, w=w, rho_a=2.0 * s)
 
 
@@ -230,40 +244,19 @@ def _b_sign() -> float:
     return -1.0 if os.environ.get("FATCOMP_FAULT") == "curvature-sign" else 1.0
 
 
-def _ab_curvature(s: float, V: np.ndarray, ABA: np.ndarray, ABdotA: np.ndarray) -> np.ndarray:
-    """R0 on the a and b groups, the 6x6 [[R_aa, R_ab], [R_ab^T, R_bb]]: a function of
-    s = |v|^2, V = vee(v) and the float arrays ABA and ABdotA alone, whatever d is."""
-    V2, VA = V @ V, V @ ABA
-    base_aa = (
-        0.75 * (ABdotA @ V + V.T @ ABdotA)
-        + 0.375 * (ABA @ V2 + V2 @ ABA)
-        + 3.0 * (VA @ V.T)
-        + (12.0 + (45.0 / 16.0) * s) * V2
-    )
-    base_ab = 0.75 * (VA + ABA @ V) + (1.5 * s - 4.0) * V
-    base_bb = _b_sign() * (ABA + 4.0 * s * _I3 - 1.5 * V2)
-    R = np.empty((6, 6))
-    R[:3, :3], R[:3, 3:], R[3:, :3], R[3:, 3:] = base_aa, base_ab, base_ab.T, base_bb
-    return R
-
-
 def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     """Place the canonical curvature blocks into R0 = R(0).
 
-    The a/b rows and columns are ``_ab_curvature``, whose b block takes
-    the sign of the FATCOMP_FAULT hook ``_b_sign``; vee(v) and |v|^2 are
-    computed once for them and the a/c rows. The supplied c basis
-    is rotated so the motion direction sits last, and the resulting R_cc
-    must then have last row and column below 1e-8 max(1, max|R_cc|),
-    otherwise the inputs are inconsistent with a curvature-free motion
-    direction and a ValueError is raised. The test is relative because
-    R_cc grows like |v|^2. The rounding that passes it is set to exactly 0.
+    v is checked by ``_momentum``. The a/b rows and columns are functions
+    of |v|^2, vee(v), ABA and ABdotA alone, whatever d is; the b block takes
+    the sign of the FATCOMP_FAULT hook ``_b_sign``. The supplied c basis is
+    rotated so the motion direction sits last, and the resulting R_cc must
+    then have last row and column below 1e-8 max(1, max|R_cc|), otherwise
+    the inputs are inconsistent with a curvature-free motion direction and
+    a ValueError is raised. The test is relative because R_cc grows like
+    |v|^2. The rounding that passes it is set to exactly 0.
     """
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape != (3,):
-        raise ValueError(f"v must have three components, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise DomainError(f"v must be finite, got {v}")
+    v = _momentum(v)
     s, V = float(v @ v), vee(v)
 
     w, u = inputs.w, inputs.w.copy()
@@ -281,8 +274,11 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     dims = FatDims(k=4 * inputs.d, n=4 * inputs.d + 3)
     a, b, c = dims.sl_a, dims.sl_b, dims.sl_c
     R0 = np.zeros((dims.n, dims.n))
-    R0[c, c] = R_cc
-    R0[: c.start, : c.start] = _ab_curvature(s, V, inputs.ABA, inputs.ABdotA)
-    R0[a, c], R0[b, c] = 1.5 * V @ ABU_rot, ABU_rot
-    R0[c, a], R0[c, b] = R0[a, c].T, R0[b, c].T
+    ABA, ABdotA, V2 = inputs.ABA, inputs.ABdotA, V @ V
+    VA = V @ ABA
+    R0[a, a] = (0.75 * (ABdotA @ V + V.T @ ABdotA) + 0.375 * (ABA @ V2 + V2 @ ABA) + 3.0 * (VA @ V.T)
+                + (12.0 + (45.0 / 16.0) * s) * V2)
+    R0[a, b], R0[b, b] = 0.75 * (VA + ABA @ V) + (1.5 * s - 4.0) * V, _b_sign() * (ABA + 4.0 * s * _I3 - 1.5 * V2)
+    R0[a, c], R0[b, c], R0[c, c] = 1.5 * V @ ABU_rot, ABU_rot, R_cc
+    R0[b, a], R0[c, a], R0[c, b] = R0[a, b].T, R0[a, c].T, R0[b, c].T
     return CurvatureBlocks(dims=dims, v=v, R0=R0)

@@ -22,12 +22,13 @@ exp(tW), comes from ``fatcomp.curvature``, and P commutes with the
 structural pair (A, B). So (P^T M, P^T N) solve the constant system
 (A - W, B, R0) of ``_qhf_system``, whose N has the singular values and
 det of the lab-frame N. It is block diagonal, and each block follows from
-v alone: the a/b 6x6 (``_ab_system``), which the frame v = |v| e1 splits into
-a real and a complex type-I pair (``_qhf_pairs``); the c block, Q = kappa_c I;
-and the motion row. ``conjugate_time`` takes the first det N zero over the
-blocks and ``sublaplacian_along`` sums their trace(B V), the same in both
-frames, so neither cost depends on d. The (4d + 3)-square system is the
-oracle of the tests and of the qhf-conjugate checks.
+v alone: the a/b 6x6 corner, the same for every d, which the frame
+v = |v| e1 splits into a real and a complex type-I pair (``_qhf_pairs``);
+the c block, Q = kappa_c I; and the motion row. ``conjugate_time`` takes
+the first det N zero over the blocks and ``sublaplacian_along`` sums their
+trace(B V), the same in both frames, so neither cost depends on d. The
+(4d + 3)-square system is the oracle of the tests and of the qhf-conjugate
+checks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import _ab_curvature, _b_sign, _check_d, curvature_blocks, qhf_curvature_inputs, vee
+from .curvature import _b_sign, _check_d, _momentum, curvature_blocks, qhf_curvature_inputs
 from .models import (
     BlowUpTime,
     DomainError,
@@ -107,16 +108,6 @@ def _check_unit(q) -> np.ndarray:
     if not abs(np.linalg.norm(q) - 1.0) <= 1e-10:
         raise DomainError(f"q must be a unit vector, |q| = {np.linalg.norm(q)}")
     return q
-
-
-def _momentum(v) -> np.ndarray:
-    """v as a finite 3-vector; ``DomainError`` when it is not finite."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape != (3,):
-        raise ValueError(f"v must have three components, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise DomainError(f"v must be finite, got {v}")
-    return v
 
 
 # ----------------------------------------------------------------------
@@ -307,37 +298,22 @@ class ConjugateResult:
 
 
 def _qhf_system(d: int, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A - W, B, R0): the QHF Jacobi system in the frame rotating with its curvature."""
+    """(A - W, B, R0): the QHF Jacobi system in the frame rotating with its curvature.
+    Its 6x6 a/b corner is the same for every d."""
     blocks = curvature_blocks(v, qhf_curvature_inputs(d, v))
     A, B = build_structural(blocks.dims)
     return A - blocks.rotation_generator, B, blocks.R0
 
 
-def _qhf_jacobi(d: int, v, t_max: float):
-    """The QHF Jacobi system of ``_qhf_system`` on [0, t_max]."""
-    return integrate_jacobi(*_qhf_system(d, v), t_max)
-
-
-def _ab_system(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A - W, B, R0) of ``_qhf_system`` on the a and b groups: its first six
-    rows and columns, entry for entry, whatever d is."""
-    V = vee(v)
-    A = np.eye(6, k=3)
-    A[:3, :3] = A[3:, 3:] = -1.5 * V
-    B = np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-    # ABA = 4 I and ABdotA = 0, as ``qhf_curvature_inputs`` gives them for every d
-    return A, B, _ab_curvature(float(v @ v), V, 4.0 * np.eye(3), np.zeros((3, 3)))
-
-
 def _qhf_pairs(v: np.ndarray):
-    """The real and the complex type-I pair of ``_ab_system``, as (A, B, Q).
+    """The real and the complex type-I pair of the a/b corner of ``_qhf_system``, as (A, B, Q).
 
     In the frame where v = |v| e1, and with s = |v|^2, the a/b system splits
     into the real pair on (a1, b1), Q = diag(0, 4 + 4s), and the complex pair
     (A_I + 1.5 i |v| I, B_I, Q_c) on (a2 + i a3, b2 + i b3), with
     Q_c = [[-s (3 + 2.8125 s), -i c], [i c, 4 + 5.5 s]], c = (2 + 1.5 s) |v|.
     The shift only turns det N by exp(3 i |v| t) and is dropped. The b
-    entries take the sign of the fault hook ``_b_sign``, as ``_ab_system`` does.
+    entries take the sign of the fault hook ``_b_sign``, as in ``curvature_blocks``.
     """
     s = float(v @ v)
     b, c = _b_sign(), 1j * (2.0 + 1.5 * s) * math.sqrt(s)
@@ -408,8 +384,8 @@ class SublaplacianReport:
 def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
     """Evaluate the radial sub-Laplacian trace formula on a grid.
 
-    trace(B V) sums the blocks of ``_qhf_system``: the a/b 6x6 of
-    ``_ab_system`` by its Riccati quotient, (4d - 4) sqrt(kappa_c)
+    trace(B V) sums the blocks of ``_qhf_system``: the a/b 6x6 corner,
+    that of d = 1, by its Riccati quotient, (4d - 4) sqrt(kappa_c)
     cot(sqrt(kappa_c) r) and the motion row's 1/r, which the formula
     subtracts. Its cost does not depend on d. The grid must sit
     strictly inside (0, t_star), where the distance is smooth. The
@@ -436,7 +412,7 @@ def _sublaplacian(conj: ConjugateResult, r: np.ndarray) -> SublaplacianReport:
             f"got [{r.min()}, {r.max()}]"
         )
     kappa_a, kappa_b, kappa_c = qhf_kappas(conj.v)
-    A, B, Q = _ab_system(conj.v)
+    A, B, Q = (X[:6, :6] for X in _qhf_system(1, conj.v))
     sol = integrate_jacobi(A, B, Q, float(r.max()) * (1.0 + 1e-9))
     lhs, rhs = np.empty_like(r), np.empty_like(r)
     for i, ri in enumerate(r):

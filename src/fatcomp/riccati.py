@@ -23,7 +23,7 @@ and read the phases a block at a time with ``_cut`` and ``_turns``:
 on the Pluecker vector under expm(h H2), H2 the additive compound of H, which
 keeps the plane through hyperbolic growth, with its two phases in closed form.
 ``finite_blowup_constant`` tells whether det N vanishes at all, from the Jordan
-structure of H on its imaginary spectrum. Every zero is refined by
+structure of H on its imaginary spectrum. Every zero is refined by ``_refine``,
 ``models._brentq`` to ``_XTOL`` = 1e-12 in t, relative below t_max = 1.
 """
 
@@ -309,15 +309,24 @@ def _sweep(X: np.ndarray, h: float, steps: int, y: np.ndarray, log_growth: float
         yield k0, Y[: steps - k0 + 1]
 
 
+def _refine(past, h: float, t_max: float) -> float:
+    """Offset into a step of h of the zero of ``past``, the m-th phase past the cut less pi, by ``_brentq`` to
+    1e-12 min(1, t_max); where both ends read on one side of the cut, as a zero on a step's end can, the nearer."""
+    try:
+        return _brentq(past, 0.0, h, xtol=_XTOL * min(1.0, t_max))
+    except ValueError:
+        return 0.0 if abs(past(0.0)) <= abs(past(h)) else h
+
+
 def first_blowup(sol: JacobiSolution) -> BlowUpTime:
     """First zero of det N on (0, t_max], or the infinite marker: the first time the largest
     eigenphase of [M; N] reaches pi, on frames stepped by ``_sweep``, read a block at a time.
     From the first step whose phases leave no gap wider than 2 h rate the pass goes on at h/2
     from that step's frame, which ends: n phases leave a gap of pi/n. The zero is refined by
-    ``_brentq`` to 1e-12 min(1, t_max) on the m-th phase past the cut, less pi, with the pass's
-    own values at both ends of the step. ``ValueError`` unless B >= 0; ``UnverifiableError`` if
-    a phase stays at 0 after the first step (det N vanishes to working precision) or moves back
-    through pi, if the phases leave no gap, if H_u or a step is not finite, or beyond 2^20 steps."""
+    ``_refine``, with the pass's own values at both ends of the step. ``ValueError`` unless
+    B >= 0; ``UnverifiableError`` if a phase stays at 0 after the first step (det N vanishes to
+    working precision) or moves back through pi, if the phases leave no gap, if H_u or a step is
+    not finite, or beyond 2^20 steps."""
     Hc, rate = _balanced(sol.H)
     n, steps = sol.n, _step_count(sol.t_max, rate)
     u, h, Y = 0, sol.t_max / steps, np.eye(2 * n, n)  # u: steps of h taken
@@ -333,7 +342,7 @@ def first_blowup(sol: JacobiSolution) -> BlowUpTime:
                 i = int(drops[0])
                 z, m, Y, phi = -cut[i] % math.pi, int(m[i]), F[i], phi[:, i : i + 2]  # z: pi seen from the cut
                 past = lambda s: np.sort(((phi[:, 0] if s == 0.0 else phi[:, 1] if s == h else _phases(_expm(s * Hc) @ Y)[1]) + z) % math.pi)[m - 1] - z
-                return BlowUpTime.finite((u + k0 + i) * h + _brentq(past, 0.0, h, xtol=_XTOL * min(1.0, sol.t_max)))
+                return BlowUpTime.finite((u + k0 + i) * h + _refine(past, h, sol.t_max))
             if j < len(gap):  # on at h/2 from the frame of step j
                 u, h, steps, Y = 2 * (u + k0 + j), 0.5 * h, 2 * steps, F[j]
                 break
@@ -466,10 +475,7 @@ def _wedge_refine(H2: np.ndarray, w: np.ndarray, cut: float, m: int, h: float, t
         a, b = (cmath.phase((u - root) / den) / 2.0 + z) % math.pi, (cmath.phase((u + root) / den) / 2.0 + z) % math.pi
         return (min(a, b) if m == 1 else max(a, b)) - z
 
-    try:
-        return t0 + _brentq(past, 0.0, h, xtol=_XTOL * min(1.0, t_max))
-    except ValueError:  # the ends may disagree with the sweep in the last bits
-        return t0 + (0.0 if abs(past(0.0)) <= abs(past(h)) else h)
+    return t0 + _refine(past, h, t_max)
 
 
 def wedge_det_sign_changes(A, B, Q, t_max: float) -> tuple[int, float]:

@@ -119,8 +119,10 @@ def trace_inequality_check(X, Y):
     if X.shape != Y.shape or X.ndim < 2 or X.shape[-2] != X.shape[-1]:
         raise ValueError(f"X, Y must be square of equal size, got {X.shape}, {Y.shape}")
     for Z in (X, Y):
-        # order F runs the loop along the stack, not along rows of length m
-        D = np.subtract(Z, np.swapaxes(Z, -1, -2), order="F")
+        # order F runs the loop along the stack, not along rows of length m; inf - inf is
+        # decided below, without a warning
+        with np.errstate(invalid="ignore"):
+            D = np.subtract(Z, np.swapaxes(Z, -1, -2), order="F")
         if D.any():
             if not np.isfinite(Z).all():
                 raise DomainError("X and Y must be finite, got a NaN or inf entry")

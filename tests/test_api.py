@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import fatcomp
-from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs, ricci_scalars
+from fatcomp.curvature import CurvatureInputs, curvature_blocks, qhf_curvature_inputs, ricci_scalars
 from fatcomp.hopf import (
     ExtremalState,
     conjugate_time,
@@ -71,6 +71,19 @@ def _state(scale_q=1.0, gauge=0.0):
 
 A_I, B_I = typeI_pair()
 
+
+def _inputs(**bad):
+    """The d = 2 contractions of ``qhf_curvature_inputs``, with the named fields replaced."""
+    good = qhf_curvature_inputs(2, [0.3, -0.2, 0.1])
+    fields = dict(d=2, ABA=good.ABA, ABdotA=good.ABdotA, ABU=good.ABU, UBU=good.UBU, w=good.w, rho_a=good.rho_a)
+    return CurvatureInputs(**{**fields, **bad})
+
+
+def _overflowing_inputs():
+    with np.errstate(over="ignore"):  # |v|^2 overflows in its product, which warns
+        return qhf_curvature_inputs(1, [1e200, 0.0, 0.0])
+
+
 BAD_INPUT = {
     "extremal-t_max-nan": (lambda: integrate_extremal(_state(), math.nan), "t_max"),
     "extremal-t_max-inf": (lambda: integrate_extremal(_state(), math.inf), "t_max"),
@@ -94,6 +107,15 @@ BAD_INPUT = {
     "wedge_det_sign_changes-t_max-nan": (lambda: wedge_det_sign_changes(A_I, B_I, np.eye(2), math.nan), "t_max"),
     "curvature_blocks-v-nan": (lambda: curvature_blocks([math.nan, 0.0, 0.0], qhf_curvature_inputs(1, [0.0, 0.0, 0.0])), "v must be finite"),
     "qhf_curvature_inputs-v-inf": (lambda: qhf_curvature_inputs(2, [0.0, math.inf, 0.0]), "v must be finite"),
+    "qhf_curvature_inputs-v-overflows": (_overflowing_inputs, "rho_a must be finite"),
+    # these gave a NaN or inf R0 from curvature_blocks
+    "CurvatureInputs-ABA-nan": (lambda: _inputs(ABA=np.diag([4.0, math.nan, 4.0])), "ABA must be finite"),
+    "CurvatureInputs-ABdotA-inf": (lambda: _inputs(ABdotA=np.full((3, 3), math.inf)), "ABdotA must be finite"),
+    "CurvatureInputs-ABU-nan": (lambda: _inputs(ABU=np.full((3, 5), math.nan)), "ABU must be finite"),
+    "CurvatureInputs-UBU-inf": (lambda: _inputs(UBU=np.diag([0.0, 1.0, 1.0, 1.0, -math.inf])), "UBU must be finite"),
+    "CurvatureInputs-w-nan": (lambda: _inputs(w=[math.nan, 0.0, 0.0, 0.0, 0.0]), "w must be finite"),
+    "CurvatureInputs-rho_a-nan": (lambda: _inputs(rho_a=math.nan), "rho_a must be finite"),
+    "CurvatureInputs-rho_a-inf": (lambda: _inputs(rho_a=math.inf), "rho_a must be finite"),
 }
 
 
@@ -127,3 +149,25 @@ def test_bad_dimension_is_a_domain_error(name, d):
 @pytest.mark.parametrize("name", sorted(D_TAKERS))
 def test_numpy_integer_dimension_is_accepted(name):
     D_TAKERS[name](np.int64(2))
+
+
+# every entry point that takes the vertical momentum v
+V_TAKERS = {
+    "ricci_scalars": lambda v: ricci_scalars(v, 0.0, 1),
+    "qhf_curvature_inputs": lambda v: qhf_curvature_inputs(1, v),
+    "curvature_blocks": lambda v: curvature_blocks(v, qhf_curvature_inputs(1, [0.0, 0.0, 0.0])),
+    "qhf_kappas": qhf_kappas,
+    "initial_state": lambda v: initial_state(1, v),
+    "conjugate_time": lambda v: conjugate_time(1, v),
+    "sublaplacian_along": lambda v: sublaplacian_along(1, v, [0.5]),
+}
+
+
+@pytest.mark.parametrize("v", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], 1.0], ids=["2", "4", "scalar"])
+@pytest.mark.parametrize("name", sorted(V_TAKERS))
+def test_momentum_without_three_components_is_a_value_error(name, v):
+    # ricci_scalars([1.0, 2.0], 0.0, 1) returned (-193.125, 87.0, 0.0), and
+    # qhf_curvature_inputs(1, [1.0, 2.0]) inputs with rho_a = 10.0
+    with pytest.raises(ValueError, match=re.escape("v must have three components")) as info:
+        V_TAKERS[name](v)
+    assert type(info.value) is ValueError

@@ -1,17 +1,20 @@
-"""The verification registry: every printed number of every check, and the
-generator calls each check makes.
+"""The verification registry: every printed number of every check, the
+generator calls each check makes, and the task runner of the registry and
+the CLI sweeps.
 
 The digest covers each ``CheckResult`` field that ``verify-all`` writes
 (``elapsed`` is wall time and is left out), so any change to a check's
 stream order, its draws or its arithmetic shows here.
 """
 
+import concurrent.futures
 import hashlib
+import operator
 
 import numpy as np
 import pytest
 
-from fatcomp.checks import CHECKS, _child_rng, check_names, run_check
+from fatcomp.checks import CHECKS, _child_rng, check_names, map_tasks, run_check
 
 
 def _registry_digest() -> str:
@@ -78,3 +81,39 @@ class TestRegistryBits:
         assert rng.calls <= MAX_CALLS[name]
         want = run_check(index, seed)
         assert (got.passed, float.hex(got.worst), got.detail) == (want.passed, float.hex(want.worst), want.detail)
+
+
+class _SerialPool:
+    """A stand-in for ``ProcessPoolExecutor`` that runs ``map`` in process and records its chunksize."""
+
+    chunksizes: list[int] = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunksizes.append(chunksize)
+        return map(fn, *iterables)
+
+
+class TestMapTasks:
+
+    def test_pool_keeps_the_task_order(self):
+        tasks = [(i, 3) for i in range(40)]
+        assert map_tasks(operator.mul, tasks, 2) == [3 * i for i in range(40)]
+
+    @pytest.mark.parametrize("n_tasks, jobs, chunksize", [(2000, 2, 250), (200, 2, 25), (11, 2, 1), (7, 2, 1), (30, 3, 2)])
+    def test_tasks_go_in_chunks_of_a_quarter_share(self, monkeypatch, n_tasks, jobs, chunksize):
+        # chunksize 1 paid one round trip a 1 ms conjugate row, so --jobs 2
+        # never paid off; verify-all's 11 uneven checks stay one a chunk
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "chunksizes", [])
+        tasks = [(i, 1) for i in range(n_tasks)]
+        assert map_tasks(operator.add, tasks, jobs) == list(range(1, n_tasks + 1))
+        assert _SerialPool.chunksizes == [chunksize]

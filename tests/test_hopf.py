@@ -28,8 +28,6 @@ from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
 from fatcomp.hopf import (
     DomainError,
     ExtremalState,
-    _ab_system,
-    _qhf_jacobi,
     _qhf_pairs,
     _qhf_system,
     conjugate_time,
@@ -40,7 +38,7 @@ from fatcomp.hopf import (
     sublaplacian_along,
 )
 from fatcomp.models import blowup_time_kab, eval_s_kc
-from fatcomp.riccati import first_blowup
+from fatcomp.riccati import first_blowup, integrate_jacobi
 from fatcomp.structure import FatDims, build_structural, typeI_pair
 
 
@@ -70,7 +68,7 @@ def qhf_jacobi_quotient(d, v, t_max):
     """
     dims = FatDims(k=4 * d, n=4 * d + 3)
     blocks = curvature_blocks(np.asarray(v, dtype=float), qhf_curvature_inputs(d, v))
-    sol = _qhf_jacobi(d, v, t_max)
+    sol = integrate_jacobi(*_qhf_system(d, v), t_max)
     W = blocks.rotation_generator
 
     def V(t):
@@ -461,7 +459,7 @@ class TestConjugateTime:
         # the motion row contributing t
         v = np.array([0.6, -0.3, 0.2]) * d
         pairs, kappa_c = _qhf_pairs(v), qhf_kappas(v)[2]
-        full = _qhf_jacobi(d, v, 3.0)
+        full = integrate_jacobi(*_qhf_system(d, v), 3.0)
         Hs = [np.block([[-A.T, -Q], [B, A]]) for A, B, Q in pairs]
         for t in (0.4, 1.1, 1.9, 2.6):
             det_real, det_c = (np.linalg.det(expm(t * H)[2:, :2]) for H in Hs)
@@ -497,12 +495,12 @@ class TestConjugateTime:
 
     def test_closed_forms_are_the_ab_system_on_the_axis(self):
         # Q = diag(0, 4 + 4s) and Q_c = [[-s (3 + 2.8125 s), -i c], [i c,
-        # 4 + 5.5 s]], c = (2 + 1.5 s) |v|, are the 6x6 a/b system at
-        # v = |v| e1 read off (a1, b1) and (a2 + i a3, b2 + i b3)
+        # 4 + 5.5 s]], c = (2 + 1.5 s) |v|, are the 6x6 a/b corner of the
+        # system at v = |v| e1 read off (a1, b1) and (a2 + i a3, b2 + i b3)
         rng = np.random.default_rng(17)
         for nv in (0.0, 1e-3, 0.5, 1.0, 3.0, 1e2, 1e3):
             v = nv * random_unit(rng, 3)
-            Q = _ab_system(np.array([np.linalg.norm(v), 0.0, 0.0]))[2]
+            Q = _qhf_system(1, [np.linalg.norm(v), 0.0, 0.0])[2][:6, :6]
             real, cplx = _qhf_pairs(v)
             scale = max(1.0, np.abs(Q).max())
             assert np.abs(real[2] - Q[np.ix_([0, 3], [0, 3])]).max() <= 1e-15 * scale
@@ -510,11 +508,11 @@ class TestConjugateTime:
 
     @pytest.mark.parametrize("d", [1, 2, 7])
     def test_ab_system_is_the_corner_of_the_full_system(self, d):
-        # the 6x6 of sublaplacian_along is the a/b corner of the
-        # (4d + 3)-square system, entry for entry
+        # sublaplacian_along reads the 6x6 a/b corner off the d = 1 system:
+        # that of the (4d + 3)-square system, entry for entry
         v = np.array([0.6, -0.3, 0.2]) * d
-        for got, full in zip(_ab_system(v), _qhf_system(d, v)):
-            assert np.array_equal(got, full[:6, :6])
+        for one, full in zip(_qhf_system(1, v), _qhf_system(d, v)):
+            assert np.array_equal(one[:6, :6], full[:6, :6])
 
     def test_fault_reaches_the_closed_form_pairs(self, monkeypatch):
         # FATCOMP_FAULT=curvature-sign flips the b block of the pairs as it
@@ -568,7 +566,7 @@ class TestConjugateTime:
         # crossings; the phases do not underflow
         v = np.array([0.3, -0.7, 1.1])
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
-        hit = first_blowup(_qhf_jacobi(16, v, t_max))
+        hit = first_blowup(integrate_jacobi(*_qhf_system(16, v), t_max))
         assert abs(hit.time - math.pi / math.sqrt(1.0 + v @ v)) < 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -577,7 +575,7 @@ class TestConjugateTime:
         # together
         v = np.array([0.3, -0.7, 1.1])
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
-        hit = first_blowup(_qhf_jacobi(d, v, t_max))
+        hit = first_blowup(integrate_jacobi(*_qhf_system(d, v), t_max))
         assert abs(hit.time - math.pi / math.sqrt(1.0 + v @ v)) < 1e-12
 
     def test_full_system_at_d64(self):
@@ -585,7 +583,7 @@ class TestConjugateTime:
         # scan had to start; the phases start at 0 exactly
         v = np.array([0.3, -0.7, 1.1])
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
-        hit = first_blowup(_qhf_jacobi(64, v, t_max))
+        hit = first_blowup(integrate_jacobi(*_qhf_system(64, v), t_max))
         assert abs(hit.time - math.pi / math.sqrt(1.0 + v @ v)) < 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -595,7 +593,7 @@ class TestConjugateTime:
         v = np.array([0.6, -0.3, 0.2]) * d
         ts = np.linspace(0.25, 0.95 * math.pi / math.sqrt(1.0 + v @ v), 8)
         lab = lab_frame_N(d, v, ts)
-        sol = _qhf_jacobi(d, v, ts[-1])
+        sol = integrate_jacobi(*_qhf_system(d, v), ts[-1])
         for t, N_lab in zip(ts, lab):
             s_lab = np.linalg.svd(N_lab, compute_uv=False)
             s_rot = np.linalg.svd(sol.N(t), compute_uv=False)
@@ -615,7 +613,7 @@ class TestConjugateTime:
 
         monkeypatch.setattr(riccati, "_expm", counted)
         t_max = 1.1 * math.pi / math.sqrt(1.25)
-        first_blowup(_qhf_jacobi(2, [0.5, 0.0, 0.0], t_max))
+        first_blowup(integrate_jacobi(*_qhf_system(2, [0.5, 0.0, 0.0]), t_max))
         assert 0 < len(calls) < 60, f"{len(calls)} exponentials"
 
 
@@ -664,7 +662,7 @@ class TestSublaplacian:
         v = np.array([0.6, -0.3, 0.2])
         r = np.linspace(0.2, 2.0, 6)
         rep = sublaplacian_along(d, v, r)
-        sol = _qhf_jacobi(d, v, 2.0 * (1.0 + 1e-9))
+        sol = integrate_jacobi(*_qhf_system(d, v), 2.0 * (1.0 + 1e-9))
         full = np.array([np.trace(sol.B @ sol.V(ri)) - 1.0 / ri for ri in r])
         assert np.abs(rep.lhs - full).max() <= 1e-10 * np.abs(full).max()
 

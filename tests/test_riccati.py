@@ -21,7 +21,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from fatcomp import riccati
-from fatcomp.hopf import _qhf_jacobi, _qhf_pairs
+from fatcomp.hopf import _qhf_pairs, _qhf_system
 from fatcomp.models import DomainError, blowup_time_kab, finiteness_predicate
 from fatcomp.riccati import (
     JacobiSolution,
@@ -50,7 +50,7 @@ def _system(name):
     """The type-I pair (-3, 4) to t = 9, or the QHF system at d = 2 to t = 2.5."""
     if name == "typeI":
         return integrate_jacobi(A_STEP, B_STEP, np.diag([-3.0, 4.0]), t_max=9.0)
-    return _qhf_jacobi(2, np.array([0.5, -0.3, 0.8]), 2.5)
+    return integrate_jacobi(*_qhf_system(2, np.array([0.5, -0.3, 0.8])), 2.5)
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +198,23 @@ class TestFirstBlowup:
         sol = integrate_jacobi(A_STEP, B_STEP, np.diag([ka, kb]), t_max)
         hit = first_blowup(sol)
         assert abs(hit.time - tbar) < 1e-5, f"{hit.time} vs {tbar}"
+
+    def test_zero_on_a_step_end_is_refined(self):
+        # at t_max = 2 t* the zero sits on a step's end: the pass reads the
+        # start phase, pi - 4e-16, as not past the cut, and past it on both
+        # ends of the refinement; first_blowup raised Brent's bare
+        # "f(a) and f(b) must have different signs" where the wedge route
+        # took the end nearer the zero
+        A = [[0.03824695529682801, 0.03597943410408034], [0.08605031644208315, -0.040508906764290795]]
+        B = [[1.08676461043891, 0.8212899064666306], [0.8212899064666306, 0.6980979412493531]]
+        Q = [[2.791620474364912, -0.7449672102012805], [-0.7449672102012805, 4.511870072781947]]
+        t_max = 2.885360772989057
+        assert first_blowup(integrate_jacobi(A, B, Q, t_max)).time == 1.4426803864945286
+        assert wedge_first_zero(A, B, Q, t_max).time == 1.4426803864945286
+
+    @pytest.mark.parametrize("past, end", [(lambda s: s + 1e-16, 0.0), (lambda s: s - 2.0, 0.5), (lambda s: -1e-16 - s, 0.0)])
+    def test_refinement_with_both_ends_on_one_side_takes_the_nearer(self, past, end):
+        assert riccati._refine(past, 0.5, 3.0) == end
 
     def test_step_cap_raises_before_the_first_step(self):
         # 1.3e7 steps of pi/4 turn: about 18 minutes without the cap

@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 28 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 30 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -60,6 +60,10 @@ CALLS = [
     ["laplacian", "--d", "3", "--vnorm", "3", "--verify"],
     ["laplacian", "--d", "2", "--vnorm", "100", "--verify"],
     ["laplacian", "--d", "2", "--format", "json"],
+    # v off the axis: the a/b corner of the d = 1 system
+    ["laplacian", "--d", "2", "--v", "0.6,-0.3,0.2", "--verify"],
+    # 200 rows in chunks of 25 over a pool of two
+    ["conjugate", "--d", "2", "--sweep", "0:3:200", "--jobs", "2", "--verify"],
 ]
 
 
