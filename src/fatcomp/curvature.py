@@ -175,7 +175,8 @@ def qhf_curvature_inputs(d: int, v) -> CurvatureInputs:
     nc = 4 * d - 3
     w, UBU = np.zeros(nc), np.eye(nc)
     w[0], UBU[0, 0] = 1.0, 0.0  # I - w w^T
-    s = float(v @ v)
+    with np.errstate(over="ignore"):  # an |v|^2 that overflows is the DomainError of CurvatureInputs on rho_a
+        s = float(v @ v)
     return CurvatureInputs(d=d, ABA=4.0 * _I3, ABdotA=np.zeros((3, 3)), ABU=np.zeros((3, nc)), UBU=UBU, w=w, rho_a=2.0 * s)
 
 

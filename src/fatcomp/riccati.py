@@ -22,6 +22,10 @@ and read the phases a block at a time with ``_cut`` and ``_turns``:
 ``wedge_first_zero`` and ``wedge_det_sign_changes`` (2x2, Q real or Hermitian)
 on the Pluecker vector under expm(h H2), H2 the additive compound of H, which
 keeps the plane through hyperbolic growth, with its two phases in closed form.
+Where H has no imaginary eigenvalue the plane converges to the unstable subspace
+L+ (Laub, "A Schur method for solving algebraic Riccati equations", IEEE TAC 24,
+1979), and the 2x2 pass stops at the first block end where ``_Tail`` certifies
+from H2's eigenbasis that det N keeps its sign for the rest of the horizon.
 ``finite_blowup_constant`` tells whether det N vanishes at all, from the Jordan
 structure of H on its imaginary spectrum. Every zero is refined by ``_refine``,
 ``models._brentq`` to ``_XTOL`` = 1e-12 in t, relative below t_max = 1.
@@ -170,7 +174,7 @@ _WEDGE_BLOCK, _WEDGE_LOG_GROWTH, _FRAME_LOG_GROWTH, _CHUNK = 128, 300.0, 6.0, 6 
 
 
 class UnverifiableError(FloatingPointError):
-    """A route cannot decide: a pass of over 2^20 steps, a balancing or step that is not finite, or phases that stay at 0, move back or leave no gap."""
+    """A route cannot decide: a pass of over 2^20 steps (a 2x2 pass: 2^20 steps without a certificate), a balancing or step that is not finite, or phases that stay at 0, move back or leave no gap."""
 
 
 @functools.lru_cache(maxsize=256)
@@ -276,7 +280,9 @@ def _sweep(X: np.ndarray, h: float, steps: int, y: np.ndarray, log_growth: float
     its start, and its last state starts the next, re-anchored: a frame by QR, a Pluecker vector
     rescaled and moved by a Newton step onto the quadric p01 p23 - p02 p13 + p03 p12 = 0 of
     2-planes, off which E amplifies rounding that the phases misread (2e-9 at (-2.57, 3.22),
-    t = 55). ``UnverifiableError`` unless E is finite."""
+    t = 55). The first run of a Pluecker vector is one block, so its length is K + 1 (or steps
+    + 1), and a 2x2 pass that stops at its first block end computes no more. ``UnverifiableError``
+    unless E is finite."""
     with np.errstate(all="ignore"):
         E = _expm(h * X)
         norm = float(np.abs(E).sum(axis=1).max())
@@ -288,11 +294,11 @@ def _sweep(X: np.ndarray, h: float, steps: int, y: np.ndarray, log_growth: float
     while k < K:  # by doubling: E^(k+1..2k) = E^(1..k) E^k
         np.matmul(powers[: min(k, K - k)], powers[k - 1], out=powers[k : 2 * k])
         k *= 2
-    stacked, per = powers.reshape(K * len(E), len(E)), max(1, _CHUNK // (K * y.size))
+    stacked, per, k0 = powers.reshape(K * len(E), len(E)), max(1, _CHUNK // (K * y.size)), 0
     if y.ndim == 1:  # w @ stacked^T runs at half the cost of stacked @ w on the (6K, 6) stack
         stacked = stacked.T.copy()
-    for k0 in range(0, steps, per * K):
-        n_blocks = min(per, -(-(steps - k0) // K))
+    while k0 < steps:
+        n_blocks = min(per if k0 or y.ndim == 2 else 1, -(-(steps - k0) // K))
         Y = np.empty((n_blocks * K + 1, *y.shape), E.dtype)
         Y[0] = y
         for b in range(n_blocks):
@@ -307,6 +313,7 @@ def _sweep(X: np.ndarray, h: float, steps: int, y: np.ndarray, log_growth: float
             c = (p01 * p23 - p02 * p13 + p03 * p12) / sum([x * x.conjugate() for x in v]).real
             Y[b * K + K] = y = np.array([x - c * q.conjugate() for x, q in zip(v, (p23, -p13, p12, p03, -p02, p01))])
         yield k0, Y[: steps - k0 + 1]
+        k0 += n_blocks * K
 
 
 def _refine(past, h: float, t_max: float) -> float:
@@ -435,12 +442,77 @@ def _wedge_phases(W: np.ndarray) -> np.ndarray:
     return args - np.where(args >= math.pi, math.pi, 0.0)
 
 
+#: Rounding of the certificate of ``_Tail`` per unit of cond_1(V), and the most it may lower a closest approach.
+_CERT_EPS, _NEAR_SLACK = 16.0 * np.finfo(float).eps, 2.0**-40
+
+
+@dataclass
+class _Tail:
+    """The certificate that det N keeps its sign from a block end of a 2x2 pass to any horizon.
+
+    Where H2 = V diag(lam) V^-1 has a simple eigenvalue lam+ of strictly largest real part, its
+    eigenvector v+ is the Pluecker vector of the unstable subspace L+, and a state w = V r flows
+    to w(s) = r+ e^(lam+ s) (v+ + sum_i (r_i / r+) e^((lam_i - lam+) s) v_i), i != +, whose
+    off-v+ terms never grow. So p23 = det N cannot vanish on s >= 0 where
+    sum_i |r_i / r+| |v_i,23| + rho < |v+_23|, rho = 16 eps cond_1(V) covering the rounding of V
+    and r. The unit vectors v_i keep w(s) within eps_w = sum_i |r_i / r+| + rho of v+ in direction,
+    which moves an eigenphase by at most sqrt(2) eps_w (1 + O(eps_w)), so by margin = 2 eps_w: the
+    tail's closest approach to pi is at least pi - max phase(v+) - margin, a bound the pass takes
+    only where margin < 2^-40 and v+'s phases are farther than margin from 0 and pi."""
+
+    H2: np.ndarray
+
+    @functools.cached_property
+    def basis(self):
+        """(index of lam+, V^-1, |V[5]|, rho, v+'s phases in order), or None where H2 has no eigenvalue
+        of strictly largest real part by more than the rounding rho ||H2||_1 of the eigenvalues."""
+        try:
+            lam, V = np.linalg.eig(self.H2)
+            Vi = np.linalg.inv(V)
+        except np.linalg.LinAlgError:  # a basis that is not finite, or not one
+            return None
+        p, re = int(lam.real.argmax()), lam.real
+        rho = _CERT_EPS * float(np.abs(V).sum(axis=0).max() * np.abs(Vi).sum(axis=0).max())
+        if not re[p] - np.delete(re, p).max() > rho * float(np.abs(self.H2).sum(axis=0).max()):
+            return None
+        v = V[:, p] if np.iscomplexobj(self.H2) else V[:, p].real  # lam+ of a real H2 is real
+        return p, Vi, np.abs(V[5]), rho, np.sort(_wedge_phases(v[:, None])[:, 0])
+
+    def stop(self, W: np.ndarray, K: int, last: int):
+        """(index, tail's closest approach) of the first certified block end of the run W, at
+        the indices K, 2K, ... below ``last``, or None; H2's basis is built at the first end read."""
+        ends = np.arange(K, min(len(W), last), K)
+        if not ends.size or self.basis is None:
+            return None
+        p, Vi, v5, rho, (lo, hi) = self.basis
+        r = (W[ends, None, :] * Vi).sum(axis=2)  # row by row: the bits of an end do not depend on the run
+        with np.errstate(divide="ignore", invalid="ignore"):
+            off = np.abs(r) / np.abs(r[:, p : p + 1])
+        off[:, p] = 0.0
+        margin = 2.0 * (off.sum(axis=1) + rho)
+        ok = np.nonzero((off.dot(v5) + rho < v5[p]) & (margin < min(_NEAR_SLACK, lo, math.pi - hi)))[0]
+        return (int(ends[ok[0]]), math.pi - hi - float(margin[ok[0]])) if ok.size else None
+
+
 def _wedge_pass(A, B, Q, t_max: float, first: bool):
-    """(zeros, closest approach, first zero) of det N for the two wedge functions."""
+    """(zeros, closest approach, first zero) of det N for the two wedge functions. The pass stops at
+    the first block end k K that ``_Tail`` certifies, the closest approach joined with the tail's bound;
+    a pass over the step cap begins only where H2's basis is one for the certificate, and raises the
+    cap's ``UnverifiableError`` once it has taken 2^20 steps without a certificate."""
     Hc, rate = _balanced(_jacobi_system(A, B, Q, t_max, n=2, hermitian=True)[3])
-    H2, steps = _COMPOUND.dot(Hc.reshape(16)).reshape(6, 6), _step_count(t_max, rate)
-    h, zeros, near = t_max / steps, 0, math.inf
-    for k0, W in _sweep(H2, h, steps, np.eye(1, 6, dtype=H2.dtype)[0], _WEDGE_LOG_GROWTH, _WEDGE_BLOCK * (1 if first else 2)):
+    tail, over = _Tail(_COMPOUND.dot(Hc.reshape(16)).reshape(6, 6)), None
+    try:
+        steps = _step_count(t_max, rate)
+    except UnverifiableError as exc:
+        if not (t_max * rate < math.inf and tail.basis is not None):
+            raise
+        steps, over = math.ceil(t_max * rate / _TURN), exc
+    h, zeros, near, K, swept = t_max / steps, 0, math.inf, 0, min(steps, _MAX_STEPS)
+    w0, block = np.eye(1, 6, dtype=tail.H2.dtype)[0], _WEDGE_BLOCK * (1 if first else 2)
+    for k0, W in _sweep(tail.H2, h, swept, w0, _WEDGE_LOG_GROWTH, block):
+        K = K or len(W) - 1  # the first run is one block
+        stop = tail.stop(W, K, swept - k0) if k0 else None  # past the first block, ends are read before any phase
+        W = W if stop is None else W[: stop[0] + 1]
         phi = _wedge_phases(np.ascontiguousarray(W.T))
         cut = _cut(phi[:, :-1])[0]
         m, turn, drops = _turns(phi[:, :-1], phi[:, 1:], cut, k0 * h, h, first)
@@ -449,7 +521,13 @@ def _wedge_pass(A, B, Q, t_max: float, first: bool):
             near = min(near, math.pi - float(phi[:, max(0, int(1.0 / h) + 1 - k0) :].max(initial=-math.inf)))  # t > 1
         elif drops.size:
             j = int(drops[0])
-            return 0, near, BlowUpTime.finite((k0 + j) * h + _wedge_refine(H2, W[j], cut[j], int(m[j]), h, t_max))
+            return 0, near, BlowUpTime.finite((k0 + j) * h + _wedge_refine(tail.H2, W[j], cut[j], int(m[j]), h, t_max))
+        if stop is None and not k0:
+            stop = tail.stop(W, K, swept)  # the first block's end, once its zeros are read
+        if stop is not None:
+            return zeros, min(near, stop[1]) if steps > int(1.0 / h) else near, BlowUpTime.infinite()
+    if over:
+        raise over
     return zeros, near, BlowUpTime.infinite()
 
 
@@ -481,10 +559,15 @@ def _wedge_refine(H2: np.ndarray, w: np.ndarray, cut: float, m: int, h: float, t
 def wedge_det_sign_changes(A, B, Q, t_max: float) -> tuple[int, float]:
     """(zeros of det N on (0, t_max] with multiplicity, closest approach of the largest
     eigenphase to pi over t > 1) of a 2x2 constant system, Q real or Hermitian, by the
-    phase rule on the compound sweep. The name, like that of ``wedge_first_zero``, is
-    kept from the det N sign scan that this replaced. Raises ``DomainError`` on
-    non-finite input, ``ValueError`` unless B >= 0, and ``UnverifiableError`` as
-    ``first_blowup`` does, or where a step overflows."""
+    phase rule on the compound sweep. A pass that ``_Tail`` stops on L+ counts the
+    zeros of the full pass; its closest approach joins the steps it took with a bound
+    for the rest, pi less v+'s largest phase less the certificate's margin (below
+    2^-40), and so lies at most about 1e-12 below that of the full pass. The name, like that of
+    ``wedge_first_zero``, is kept from the det N sign scan that this replaced. Raises
+    ``DomainError`` on non-finite input, ``ValueError`` unless B >= 0, and
+    ``UnverifiableError`` as ``first_blowup`` does (but that a pass of over 2^20 steps
+    may begin where the certificate can hold, and raises after 2^20 steps without
+    it), or where a step overflows."""
     return _wedge_pass(A, B, Q, t_max, first=False)[:2]
 
 

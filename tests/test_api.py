@@ -13,6 +13,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ def test_bad_input_is_a_domain_error(case):
     call, message = BAD_INPUT[case]
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
+
+
+def test_overflowing_momentum_raises_no_warning_first():
+    # "overflow encountered in matmul" came before the DomainError, and -W error
+    # turned the call into a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape("rho_a must be finite, got inf")):
+            qhf_curvature_inputs(1, [1e200, 0.0, 0.0])
 
 
 # every entry point that takes the quaternionic dimension d

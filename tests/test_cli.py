@@ -234,6 +234,14 @@ class TestBlowup:
         _, _, rows = read_csv(out)
         assert rows[0]["finite"] == "false" and rows[0]["check_ok"] == "true"
 
+    def test_infinite_row_beyond_the_step_cap_verifies(self, tmp_path, capsys):
+        # 2.8e6 steps to t = 1e6, above 2^20: the pass begins, since H2 has a
+        # strictly dominant eigenvalue, and stops certified in its first block
+        out = tmp_path / "b.csv"
+        assert run_cli(["blowup", "--ka=-3.9", "--kb=1.71", "--tmax", "1e6", "--verify", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows[0]["finite"] == "false" and rows[0]["check_ok"] == "true"
+
     def test_out_of_reach_row_is_unverifiable(self, tmp_path, capsys):
         # tbar = 3.1e150 is beyond the wedge route: undecided, not FAILED
         out = tmp_path / "b.csv"

@@ -8,10 +8,12 @@ solution that every quantity here is checked against:
 so det N = t^4/12 and V = M N^{-1} = [[12/t^3, -6/t^2], [-6/t^2, 4/t]].
 """
 
+import importlib
 import math
 import time
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from fatcomp import riccati
+from fatcomp import checks, riccati
 from fatcomp.hopf import _qhf_pairs, _qhf_system
 from fatcomp.models import DomainError, blowup_time_kab, finiteness_predicate
 from fatcomp.riccati import (
@@ -886,11 +888,13 @@ WEDGE_BITS = [
     (-8.999999872840394, 9.999999957613465, '0x1.91cc0b01f4ad2p+1'),
 ]
 # (count, closest approach) of wedge_det_sign_changes to t = 1000 on the
-# first three infinite blowup-verify rows of seed 1.
+# first three infinite blowup-verify rows of seed 1, and the closest approach
+# of the pass to t = 1000 without the certificate of riccati._Tail, which the
+# certified pass may undercut by at most 1e-12.
 WEDGE_COUNT_BITS = [
-    (-3.9763567505994866, -3.415893839456775, 0, '0x1.1ff348f4d51e9p+1'),
-    (-4.711680774560732, -1.752250921437927, 0, '0x1.1846eefe6aaaap+1'),
-    (-4.376337095979029, -0.9611225850457066, 0, '0x1.15f350cfe9bc3p+1'),
+    (-3.9763567505994866, -3.415893839456775, 0, '0x1.1ff348f4d5099p+1', '0x1.1ff348f4d51e9p+1'),
+    (-4.711680774560732, -1.752250921437927, 0, '0x1.1846eefe6aa40p+1', '0x1.1846eefe6aaaap+1'),
+    (-4.376337095979029, -0.9611225850457066, 0, '0x1.15f350cfe9b59p+1', '0x1.15f350cfe9bc3p+1'),
 ]
 
 
@@ -915,10 +919,184 @@ class TestFrozenWedgeBits:
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
         assert wedge_first_zero(*_qhf_pairs(v)[1], t_max).time.hex() == "0x1.e25b10fb5dcc0p+0"
 
-    @pytest.mark.parametrize("ka,kb,zeros,bits", WEDGE_COUNT_BITS)
-    def test_sign_changes(self, ka, kb, zeros, bits):
+    @pytest.mark.parametrize("ka,kb,zeros,bits,full", WEDGE_COUNT_BITS)
+    def test_sign_changes(self, ka, kb, zeros, bits, full):
         count, closest = wedge_det_sign_changes(A_STEP, B_STEP, np.diag([ka, kb]), 1000.0)
         assert (count, closest.hex()) == (zeros, bits)
+        assert 0.0 <= float.fromhex(full) - closest <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# Test Class: the certificate that stops a 2x2 pass on L+
+# ----------------------------------------------------------------------
+
+def _benchmark_rows(seed):
+    """The (kappa_a, kappa_b) rows of the blowup-verify benchmark workload of a seed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        return importlib.import_module("workloads").blowup_rows(seed)
+
+
+def _full_pass(A, B, Q, t_max, first=False):
+    """``riccati._wedge_pass`` with the certificate off: every step to t_max."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riccati._Tail, "stop", lambda self, W, K, last: None)
+        return riccati._wedge_pass(A, B, Q, t_max, first)
+
+
+def _traced_pass(A, B, Q, t_max, first=False):
+    """(``riccati._wedge_pass`` result, runs of the sweep it read, calls of np.linalg.eig,
+    whether it stopped on the certificate)."""
+    runs, eigs, stops = [], [], []
+    sweep, stop, eig = riccati._sweep, riccati._Tail.stop, np.linalg.eig
+
+    def counted_sweep(*args):
+        for run in sweep(*args):
+            runs.append(run[0])
+            yield run
+
+    def traced_stop(self, *args):
+        stops.append(stop(self, *args))
+        return stops[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riccati, "_sweep", counted_sweep)
+        mp.setattr(riccati._Tail, "stop", traced_stop)
+        mp.setattr(np.linalg, "eig", lambda X: eigs.append(X) or eig(X))
+        result = riccati._wedge_pass(A, B, Q, t_max, first)
+    return result, len(runs), len(eigs), any(x is not None for x in stops)
+
+
+def _same_as_the_full_pass(A, B, Q, t_max):
+    """Whether the certified pass stopped; asserts that it counts the zeros of the full pass
+    and undercuts its closest approach by at most 1e-12, and only where it stopped."""
+    (zeros, near, _), _, _, stopped = _traced_pass(A, B, Q, t_max)
+    full_zeros, full_near, _ = _full_pass(A, B, Q, t_max)
+    where = f"Q={Q.tolist()} t_max={t_max!r}"
+    assert zeros == full_zeros, where
+    assert 0.0 <= full_near - near <= 1e-12 if stopped else near == full_near, where
+    return stopped
+
+
+def _turned_modes(theta, d=(1.0, 2.0)):
+    """(A, B, Q, Pluecker vector of L+) of two decoupled modes [[-d_j, 0], [0, d_j]] turned by
+    the symplectic rotation of angle theta_j in (-pi/2, 0): A_j = d_j cos 2theta_j, B_j = -Q_j
+    = -d_j sin 2theta_j >= 0, and L+ the vertical turned to the phases pi/2 + theta_j. The
+    balancing leaves them as they are, since |B_j| = |Q_j|."""
+    theta, d = np.asarray(theta), np.asarray(d)
+    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    turned = np.zeros((4, 2))  # columns (-sin theta_j, cos theta_j) in the (m_j, n_j) plane
+    turned[[0, 1, 2, 3], [0, 1, 0, 1]] = np.concatenate((-np.sin(theta), np.cos(theta)))
+    return np.diag(d * c), np.diag(-d * s), np.diag(d * s), _pluecker(turned)
+
+
+class TestTailCertificate:
+    """The pass stops at the first block end where its plane is certified on L+, and counts
+    the zeros of the full pass."""
+
+    def test_benchmark_rows_keep_their_zeros_and_stop_in_their_first_block(self):
+        rows = first_block = 0
+        for seed in range(1, 11):
+            for ka, kb in _benchmark_rows(seed):
+                if blowup_time_kab(ka, kb).is_finite:
+                    continue
+                Q = np.diag([ka, kb])
+                _same_as_the_full_pass(A_STEP, B_STEP, Q, 1000.0)
+                (zeros, _, _), runs, eigs, stopped = _traced_pass(A_STEP, B_STEP, Q, 1000.0)
+                rows += 1
+                first_block += runs == 1 and stopped
+                assert zeros == 0 and eigs == 1
+        # of the other 6, two rows with cond(V) ~ 90 stop at their second block
+        # end and one with a spectral gap of 3% at its third; 3 rows next to a
+        # double eigenvalue of H have cond(V) of 5e3-2e4, whose rounding term
+        # alone keeps their margin above 2^-40, and take every step
+        assert rows == 125 and first_block >= 119
+
+    def test_scalar_vs_jacobi_pairs_keep_their_zeros(self):
+        # the non-star pairs of seeds 1-20, read off the check as it runs
+        index, seen = checks.check_names().index("scalar-vs-jacobi"), []
+
+        def recorded(A, B, Q, t_max):
+            seen.append((A, B, Q, t_max))
+            return wedge_det_sign_changes(A, B, Q, t_max)
+
+        stopped = 0
+        for seed in range(1, 21):
+            seen.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(checks, "wedge_det_sign_changes", recorded)
+                assert checks.run_check(index, seed).passed
+            assert len(seen) == 20
+            for A, B, Q, t_max in seen:
+                stopped += _same_as_the_full_pass(A, B, Q, t_max)
+            # the check prints min(closest) as .3e: the same with and without the certificate
+            nears = [[fn(A, B, Q, t_max, False)[1] for A, B, Q, t_max in seen] for fn in (riccati._wedge_pass, _full_pass)]
+            assert f"{min(nears[0]):.3e}" == f"{min(nears[1]):.3e}"
+        assert stopped >= 350
+
+    def test_hermitian_hyperbolic_pairs_keep_their_zeros(self):
+        rng, stopped = np.random.default_rng(5), 0
+        for _ in range(60):
+            ka, kb = -rng.uniform(0.5, 5.0, 2)
+            c = complex(*rng.normal(size=2))
+            Q = np.array([[ka, c], [c.conjugate(), kb]])
+            stopped += _same_as_the_full_pass(A_STEP, B_STEP, Q, float(rng.uniform(50.0, 1000.0)))
+        assert stopped >= 30
+
+    def test_l_plus_near_the_cut_fails_the_certificate(self):
+        # |v+_23| = cos(theta_1) cos(theta_2): with a phase of L+ 1e-15 above the cut
+        # no end is certified, not even L+ itself; with phases pi/4 and pi/6 it is
+        w0 = np.eye(6)[0]
+        for theta, certified in (((-0.5 * math.pi + 1e-15, -math.pi / 3.0), False), ((-0.25 * math.pi, -math.pi / 3.0), True)):
+            A, B, Q, v = _turned_modes(theta)
+            H2 = riccati._COMPOUND.dot(riccati._jacobi_system(A, B, Q)[3].reshape(16)).reshape(6, 6)
+            tail = riccati._Tail(H2)
+            assert tail.basis is not None
+            got = tail.stop(np.array([w0, v / np.abs(v).max()]), 1, 2)
+            assert (got is not None) == certified
+            if certified:
+                assert got[0] == 1 and 0.0 < math.pi - np.sort(np.pi / 2.0 + np.array(theta))[-1] - got[1] <= 1e-12
+
+    def test_l_plus_near_the_cut_keeps_the_bits_of_the_full_pass(self):
+        # its small phase is below 1e-12 after the first step, which both passes reject
+        A, B, Q, _ = _turned_modes((-0.5 * math.pi + 1e-15, -math.pi / 3.0))
+        for fn in (riccati._wedge_pass, _full_pass):
+            with pytest.raises(UnverifiableError, match="stays at 0"):
+                fn(A, B, Q, 1000.0, False)
+        # a phase of L+ 1e-9 above the cut: certified, with the zeros of the full pass
+        A, B, Q, _ = _turned_modes((-0.5 * math.pi + 1e-9, -math.pi / 3.0))
+        assert _same_as_the_full_pass(A, B, Q, 1000.0)
+
+    def test_no_eig_on_a_pass_that_returns_in_its_first_block(self):
+        # a first zero in the first block of a longer horizon, and a horizon of one block
+        Q = np.diag([-3.492973782650387, 4.230238855365464])
+        (_, _, hit), runs, eigs, _ = _traced_pass(A_STEP, B_STEP, Q, 1000.0, first=True)
+        assert hit.is_finite and runs == 1 and eigs == 0
+        (zeros, _, _), runs, eigs, _ = _traced_pass(A_STEP, B_STEP, Q, 5.0)
+        assert zeros == 0 and runs == 1 and eigs == 0
+        # H2's basis is built once a pass, here read at three block ends
+        (zeros, _, _), runs, eigs, stopped = _traced_pass(A_STEP, B_STEP, np.diag([-0.004264802429251091, -4.177300276739809]), 1000.0)
+        assert zeros == 0 and runs == 2 and eigs == 1 and stopped
+
+    def test_a_pass_beyond_the_step_cap_may_begin(self):
+        # 2.8e6 steps: certified at its first block end
+        (zeros, _, _), runs, eigs, stopped = _traced_pass(A_STEP, B_STEP, np.diag([-3.9, 1.71]), 1e6)
+        assert zeros == 0 and runs == 1 and eigs == 1 and stopped
+        # 1.27e6 steps: the slow mode (Re lambda ~ 1e-4) is not certified by 2^20 steps
+        with pytest.raises(UnverifiableError, match=r"needs 1\.273e\+06 steps, above 1048576"):
+            wedge_det_sign_changes(A_STEP, B_STEP, np.diag([-1.0, -1e8]), 1000.0)
+
+    def test_a_pass_beyond_the_step_cap_without_a_dominant_eigenvalue_takes_no_step(self):
+        # H has imaginary eigenvalues: the cap raises before the sweep begins
+        for Q, t_max in ((np.diag([1.0, 1e4]), 1e7), (np.diag([1e-300, -1.0]), 3.3e150)):
+            with pytest.raises(UnverifiableError, match="steps, above"):
+                _traced_pass(A_STEP, B_STEP, Q, t_max)
+            runs = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(riccati, "_sweep", lambda *args: runs.append(args) or iter(()))
+                with pytest.raises(UnverifiableError):
+                    riccati._wedge_pass(A_STEP, B_STEP, Q, t_max, False)
+            assert runs == []
 
 
 class TestTwoPhaseCut:

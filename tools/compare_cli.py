@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 30 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 33 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -47,6 +47,11 @@ CALLS = [
     ["blowup", "--ka", "1.4325205914417532e118", "--kb=-2.82884475485708e278", "--verify"],
     # S_u of the balancing overflows before its eigenvalues: unverifiable, exit 3
     ["blowup", "--ka", "3.7615057244563964e-230", "--kb", "4.687033938596471e280", "--verify"],
+    # infinite rows whose 2x2 pass stops certified on L+, but for (-1, -2) on a double eigenvalue of H,
+    # and (-1, -1e5), whose slow mode (Re lambda = 3e-3) does not converge by t = 1000: both take every step
+    ["blowup", "--sweep=-5:-0.5:19", "--kb=-2", "--verify"],
+    ["blowup", "--ka=-3.9", "--kb", "1.71", "--tmax", "1e5", "--verify"],
+    ["blowup", "--ka=-1", "--kb=-1e5", "--verify"],
     ["conjugate", "--d", "1", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "2", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "16", "--sweep", "0:3:30", "--verify"],
