@@ -25,7 +25,8 @@ keeps the plane through hyperbolic growth, with its two phases in closed form.
 Where H has no imaginary eigenvalue the plane converges to the unstable subspace
 L+ (Laub, "A Schur method for solving algebraic Riccati equations", IEEE TAC 24,
 1979), and the 2x2 pass stops at the first block end where ``_Tail`` certifies
-from H2's eigenbasis that det N keeps its sign for the rest of the horizon.
+from H2's eigenbasis, to first order in its rounding, that det N keeps its sign
+for the rest of the horizon.
 ``finite_blowup_constant`` tells whether det N vanishes at all, from the Jordan
 structure of H on its imaginary spectrum. Every zero is refined by ``_refine``,
 ``models._brentq`` to ``_XTOL`` = 1e-12 in t, relative below t_max = 1.
@@ -281,8 +282,9 @@ def _sweep(X: np.ndarray, h: float, steps: int, y: np.ndarray, log_growth: float
     rescaled and moved by a Newton step onto the quadric p01 p23 - p02 p13 + p03 p12 = 0 of
     2-planes, off which E amplifies rounding that the phases misread (2e-9 at (-2.57, 3.22),
     t = 55). The first run of a Pluecker vector is one block, so its length is K + 1 (or steps
-    + 1), and a 2x2 pass that stops at its first block end computes no more. ``UnverifiableError``
-    unless E is finite."""
+    + 1), and a 2x2 pass that stops at its first block end computes no more. A frame's first run
+    is a full one: ``first_blowup`` pays a batched QR and eigvals a run, and a one-block first
+    run made the scalar-vs-jacobi check 4-8% slower. ``UnverifiableError`` unless E is finite."""
     with np.errstate(all="ignore"):
         E = _expm(h * X)
         norm = float(np.abs(E).sum(axis=1).max())
@@ -448,39 +450,46 @@ _CERT_EPS, _NEAR_SLACK = 16.0 * np.finfo(float).eps, 2.0**-40
 
 @dataclass
 class _Tail:
-    """The certificate that det N keeps its sign from a block end of a 2x2 pass to any horizon.
+    """The certificate that det N keeps its sign from a block end of a 2x2 pass to the horizon,
+    to first order in the rounding of H2's eigenbasis.
 
     Where H2 = V diag(lam) V^-1 has a simple eigenvalue lam+ of strictly largest real part, its
     eigenvector v+ is the Pluecker vector of the unstable subspace L+, and a state w = V r flows
     to w(s) = r+ e^(lam+ s) (v+ + sum_i (r_i / r+) e^((lam_i - lam+) s) v_i), i != +, whose
     off-v+ terms never grow. So p23 = det N cannot vanish on s >= 0 where
-    sum_i |r_i / r+| |v_i,23| + rho < |v+_23|, rho = 16 eps cond_1(V) covering the rounding of V
-    and r. The unit vectors v_i keep w(s) within eps_w = sum_i |r_i / r+| + rho of v+ in direction,
-    which moves an eigenphase by at most sqrt(2) eps_w (1 + O(eps_w)), so by margin = 2 eps_w: the
-    tail's closest approach to pi is at least pi - max phase(v+) - margin, a bound the pass takes
-    only where margin < 2^-40 and v+'s phases are farther than margin from 0 and pi."""
+    sum_i |r_i / r+| |v_i,23| + rho < |v+_23|. rho = eps cond_1(V) (16 + ||H2||_1 / gap) covers
+    the rounding of r and, to first order, the error of the computed v+, which grows as the gap
+    between Re lam+ and the next real part shrinks. The unit vectors v_i keep w(s) within
+    eps_w = sum_i |r_i / r+| + rho of v+ in direction, which moves an eigenphase by at most
+    sqrt(2) eps_w (1 + O(eps_w)), so by margin = 2 eps_w: the tail's closest approach to pi is at
+    least pi - max phase(v+) - margin, a bound the pass takes only where margin < 2^-40 and v+'s
+    phases are farther than margin from 0 and pi. What eig solves exactly is H2 plus a rounding
+    term; the tests compare the zeros and closest approach of stopped passes with those of the
+    full pass on seeded sets."""
 
     H2: np.ndarray
 
     @functools.cached_property
     def basis(self):
         """(index of lam+, V^-1, |V[5]|, rho, v+'s phases in order), or None where H2 has no eigenvalue
-        of strictly largest real part by more than the rounding rho ||H2||_1 of the eigenvalues."""
+        of strictly largest real part by more than 16 eps cond_1(V) ||H2||_1, the rounding of the eigenvalues."""
         try:
             lam, V = np.linalg.eig(self.H2)
             Vi = np.linalg.inv(V)
         except np.linalg.LinAlgError:  # a basis that is not finite, or not one
             return None
         p, re = int(lam.real.argmax()), lam.real
-        rho = _CERT_EPS * float(np.abs(V).sum(axis=0).max() * np.abs(Vi).sum(axis=0).max())
-        if not re[p] - np.delete(re, p).max() > rho * float(np.abs(self.H2).sum(axis=0).max()):
+        gap, norm = re[p] - np.delete(re, p).max(), float(np.abs(self.H2).sum(axis=0).max())
+        cond = float(np.abs(V).sum(axis=0).max() * np.abs(Vi).sum(axis=0).max())
+        if not gap > _CERT_EPS * cond * norm:
             return None
+        rho = cond * (_CERT_EPS + np.finfo(float).eps * norm / gap)
         v = V[:, p] if np.iscomplexobj(self.H2) else V[:, p].real  # lam+ of a real H2 is real
         return p, Vi, np.abs(V[5]), rho, np.sort(_wedge_phases(v[:, None])[:, 0])
 
     def stop(self, W: np.ndarray, K: int, last: int):
-        """(index, tail's closest approach) of the first certified block end of the run W, at
-        the indices K, 2K, ... below ``last``, or None; H2's basis is built at the first end read."""
+        """The tail's closest approach from the first certified block end of the run W, at the
+        indices K, 2K, ... below ``last``, or None; H2's basis is built at the first end read."""
         ends = np.arange(K, min(len(W), last), K)
         if not ends.size or self.basis is None:
             return None
@@ -491,28 +500,28 @@ class _Tail:
         off[:, p] = 0.0
         margin = 2.0 * (off.sum(axis=1) + rho)
         ok = np.nonzero((off.dot(v5) + rho < v5[p]) & (margin < min(_NEAR_SLACK, lo, math.pi - hi)))[0]
-        return (int(ends[ok[0]]), math.pi - hi - float(margin[ok[0]])) if ok.size else None
+        return math.pi - hi - float(margin[ok[0]]) if ok.size else None
 
 
 def _wedge_pass(A, B, Q, t_max: float, first: bool):
-    """(zeros, closest approach, first zero) of det N for the two wedge functions. The pass stops at
-    the first block end k K that ``_Tail`` certifies, the closest approach joined with the tail's bound;
-    a pass over the step cap begins only where H2's basis is one for the certificate, and raises the
-    cap's ``UnverifiableError`` once it has taken 2^20 steps without a certificate."""
+    """(zeros, closest approach, first zero) of det N for the two wedge functions. Once a run's zeros
+    are read, the pass stops if ``_Tail`` certifies one of its block ends k K, the closest approach
+    joined with the tail's bound; a pass over the step cap begins only where its step count is finite
+    and H2's basis is one for the certificate, and raises the cap's ``UnverifiableError`` once it has
+    taken 2^20 steps without a certificate."""
     Hc, rate = _balanced(_jacobi_system(A, B, Q, t_max, n=2, hermitian=True)[3])
     tail, over = _Tail(_COMPOUND.dot(Hc.reshape(16)).reshape(6, 6)), None
     try:
         steps = _step_count(t_max, rate)
     except UnverifiableError as exc:
-        if not (t_max * rate < math.inf and tail.basis is not None):
+        n = t_max * rate / _TURN
+        if not (n < math.inf and tail.basis is not None):
             raise
-        steps, over = math.ceil(t_max * rate / _TURN), exc
+        steps, over = math.ceil(n), exc
     h, zeros, near, K, swept = t_max / steps, 0, math.inf, 0, min(steps, _MAX_STEPS)
     w0, block = np.eye(1, 6, dtype=tail.H2.dtype)[0], _WEDGE_BLOCK * (1 if first else 2)
     for k0, W in _sweep(tail.H2, h, swept, w0, _WEDGE_LOG_GROWTH, block):
         K = K or len(W) - 1  # the first run is one block
-        stop = tail.stop(W, K, swept - k0) if k0 else None  # past the first block, ends are read before any phase
-        W = W if stop is None else W[: stop[0] + 1]
         phi = _wedge_phases(np.ascontiguousarray(W.T))
         cut = _cut(phi[:, :-1])[0]
         m, turn, drops = _turns(phi[:, :-1], phi[:, 1:], cut, k0 * h, h, first)
@@ -522,10 +531,9 @@ def _wedge_pass(A, B, Q, t_max: float, first: bool):
         elif drops.size:
             j = int(drops[0])
             return 0, near, BlowUpTime.finite((k0 + j) * h + _wedge_refine(tail.H2, W[j], cut[j], int(m[j]), h, t_max))
-        if stop is None and not k0:
-            stop = tail.stop(W, K, swept)  # the first block's end, once its zeros are read
-        if stop is not None:
-            return zeros, min(near, stop[1]) if steps > int(1.0 / h) else near, BlowUpTime.infinite()
+        bound = tail.stop(W, K, swept - k0)  # once the run's zeros are read
+        if bound is not None:
+            return zeros, min(near, bound) if steps > int(1.0 / h) else near, BlowUpTime.infinite()
     if over:
         raise over
     return zeros, near, BlowUpTime.infinite()

@@ -241,6 +241,8 @@ class TestBlowup:
         assert run_cli(["blowup", "--ka=-3.9", "--kb=1.71", "--tmax", "1e6", "--verify", "--out", str(out)]) == 0
         _, _, rows = read_csv(out)
         assert rows[0]["finite"] == "false" and rows[0]["check_ok"] == "true"
+        # to t = 7e307 the step count overflows: unverifiable, as before the pass could begin
+        assert run_cli(["blowup", "--ka=-3.9", "--kb=1.71", "--tmax", "7e307", "--verify", "--out", str(out)]) == 3
 
     def test_out_of_reach_row_is_unverifiable(self, tmp_path, capsys):
         # tbar = 3.1e150 is beyond the wedge route: undecided, not FAILED

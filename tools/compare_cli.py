@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 33 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 34 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -52,6 +52,8 @@ CALLS = [
     ["blowup", "--sweep=-5:-0.5:19", "--kb=-2", "--verify"],
     ["blowup", "--ka=-3.9", "--kb", "1.71", "--tmax", "1e5", "--verify"],
     ["blowup", "--ka=-1", "--kb=-1e5", "--verify"],
+    # a step count that overflows: unverifiable, exit 3
+    ["blowup", "--ka=-3.9", "--kb=1.71", "--tmax", "7e307", "--verify"],
     ["conjugate", "--d", "1", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "2", "--sweep", "0:3:30", "--verify"],
     ["conjugate", "--d", "16", "--sweep", "0:3:30", "--verify"],
