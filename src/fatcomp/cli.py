@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .checks import map_tasks, run_all
-from .hopf import conjugate_time, sublaplacian_along
+from .hopf import _sublaplacian, conjugate_time, sublaplacian_along
 from .models import DomainError, blowup_time_kab, blowup_time_kc, upper_bound_kab
 from .riccati import UnverifiableError, first_blowup, integrate_jacobi, wedge_det_sign_changes, wedge_first_zero
 from .structure import typeI_pair
@@ -376,11 +376,11 @@ def cmd_conjugate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def cmd_laplacian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _positive("--tol", args.tol)
     v = np.array(_given_momentum(args))
-    r_grid = args.rgrid
-    if r_grid is None:
-        t_star = conjugate_time(args.d, v).t_star
-        r_grid = np.linspace(t_star / 30.0, 0.95 * t_star, 20)
-    rep = sublaplacian_along(args.d, v, r_grid)
+    if args.rgrid is None:  # the default grid is finite and nonempty: solve t_star once
+        conj = conjugate_time(args.d, v)
+        rep = _sublaplacian(conj, np.linspace(conj.t_star / 30.0, 0.95 * conj.t_star, 20))
+    else:
+        rep = sublaplacian_along(args.d, v, args.rgrid)
     rows = [
         {
             "index": i,

@@ -62,7 +62,7 @@ def _momentum(v) -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
     if v.shape != (3,):
         raise ValueError(f"v must have three components, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not all(map(math.isfinite, v.tolist())):
         raise DomainError(f"v must be finite, got {v}")
     return v
 
@@ -115,16 +115,18 @@ def ricci_scalars(v, rho_a: float, d: int) -> tuple[float, float, float]:
     the b trace 3*(4 + 5*s), and the c trace (4d - 4)*(1 + s) (the motion
     direction carries no curvature). All are constant along the extremal.
     d is checked by ``_check_d`` and v by ``_momentum``; a non-finite rho_a
-    is a ``DomainError``.
+    or a trace that overflows is a ``DomainError``.
     """
     _check_d(d)
     v = _momentum(v)
     if not math.isfinite(rho_a):
         raise DomainError(f"rho_a must be finite, got {rho_a}")
-    s = float(v @ v)
+    s = float(v @ v) if max(map(abs, v.tolist())) < 1e153 else math.inf  # v @ v warns where it overflows
     ric_a = 3.0 * (0.75 * rho_a - 3.5 * s - 1.875 * s * s)
     ric_b = 3.0 * (4.0 + 5.0 * s)
     ric_c = (4.0 * d - 4.0) * (1.0 + s)
+    if not math.isfinite(ric_a):
+        raise DomainError(f"the a trace overflows at |v|^2 = {s}, rho_a = {rho_a}")
     return ric_a, ric_b, ric_c
 
 

@@ -90,6 +90,7 @@ _J4_K = np.array(
         [1.0, 0.0, 0.0, 0.0],
     ]
 )
+_TYPE_I = tuple(np.frombuffer(X.tobytes()).reshape(X.shape) for X in typeI_pair())  # (A_I, B_I) of _qhf_pairs, read-only
 
 @lru_cache(maxsize=8, typed=True)
 def reeb_generators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,11 +266,14 @@ def qhf_kappas(v) -> tuple[float, float, float]:
 
     With s = |v|^2 and unit ambient sectional curvature:
     kappa_a = s (-2 - 1.875 s), kappa_b = 4 + 5 s, kappa_c = 1 + s.
-    Raises ``DomainError`` on a non-finite v.
+    Raises ``DomainError`` on a non-finite v, and where |v|^2 or |v|^4 overflows.
     """
     v = _momentum(v)
-    s = float(v @ v)
-    return s * (-2.0 - 1.875 * s), 4.0 + 5.0 * s, 1.0 + s
+    s = float(v @ v) if max(map(abs, v.tolist())) < 1e153 else math.inf  # v @ v warns where it overflows
+    kappa_a = s * (-2.0 - 1.875 * s)
+    if not math.isfinite(kappa_a):
+        raise DomainError(f"|v|^4 overflows: kappa_a is not finite at |v|^2 = {s}")
+    return kappa_a, 4.0 + 5.0 * s, 1.0 + s
 
 
 @dataclass(frozen=True)
@@ -317,9 +321,8 @@ def _qhf_pairs(v: np.ndarray):
     """
     s = float(v @ v)
     b, c = _b_sign(), 1j * (2.0 + 1.5 * s) * math.sqrt(s)
-    A_I, B_I = typeI_pair()
     Q_c = np.array([[-s * (3.0 + 2.8125 * s), -c], [c, b * (4.0 + 5.5 * s)]])
-    return (A_I, B_I, np.diag([0.0, b * (4.0 + 4.0 * s)])), (A_I, B_I, Q_c)
+    return (*_TYPE_I, np.array([[0.0, 0.0], [0.0, b * (4.0 + 4.0 * s)]])), (*_TYPE_I, Q_c)
 
 
 def conjugate_time(d: int, v) -> ConjugateResult:
@@ -327,12 +330,12 @@ def conjugate_time(d: int, v) -> ConjugateResult:
 
     t_star is the smallest of the ``wedge_first_zero`` times (the phase rule
     of ``first_blowup`` on the compound sweep) of the real and the complex
-    type-I pair of ``_qhf_pairs``, scanned to 10% beyond the
-    smaller model bound, and, for d >= 2, pi/sqrt(kappa_c), exact for the c
-    block's N = sin(sqrt(kappa_c) t) / sqrt(kappa_c) I. Every block is built
-    in closed form from v, so the cost does not depend on d. No zero within
-    that horizon contradicts the bounds and raises RuntimeError. Raises
-    ``DomainError`` on a non-finite v and a d that is not an integer >= 1.
+    type-I pair of ``_qhf_pairs``, scanned to 10% beyond the smaller model
+    bound, and, for d >= 2, pi/sqrt(kappa_c), exact for the c block's N =
+    sin(sqrt(kappa_c) t) / sqrt(kappa_c) I. Every block is built in closed
+    form from v, so the cost does not depend on d. No zero within that horizon
+    contradicts the bounds and raises RuntimeError. Raises ``DomainError`` as
+    ``qhf_kappas`` does, and on a d that is not an integer >= 1.
     """
     _check_d(d)
     v = _momentum(v)

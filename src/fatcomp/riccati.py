@@ -10,18 +10,18 @@ initial datum. Blow-up of V is a zero of det N, and every comparison
 statement in this package reduces to locating or excluding such zeros.
 Every system the package builds has constant coefficients (the Hopf system
 in the frame rotating with its curvature, see ``fatcomp.hopf``), so [M; N](t)
-is the first n columns of exp(tH), by the products-only ``_expm``.
+is the first n columns of exp(tH), by the products-only ``_expm`` (one buffer).
 
 One zero rule serves every n and every multiplicity (the Maslov view): det N
 vanishes when an eigenphase of the Lagrangian plane [M; N] reaches pi, and
 with B >= 0 the first zero is the first time the largest does (Beck & Malham,
 "Computing the Maslov index for large systems", Proc. AMS 143, 2015). Both
-passes step H, scaled by ``_balanced``, in the blocks of one sweep, ``_sweep``,
-and read the phases a block at a time with ``_cut`` and ``_turns``:
-``first_blowup`` on an orthonormal frame, re-anchored by QR, and
+passes step H, scaled by ``_balanced`` (one fit, or two), in the blocks of one
+sweep, ``_sweep``, and read the phases a block at a time with ``_cut`` and
+``_turns``: ``first_blowup`` on an orthonormal frame, re-anchored by QR, and
 ``wedge_first_zero`` and ``wedge_det_sign_changes`` (2x2, Q real or Hermitian)
-on the Pluecker vector under expm(h H2), H2 the additive compound of H, which
-keeps the plane through hyperbolic growth, with its two phases in closed form.
+on the Pluecker vector under expm(h H2), its first run read off the powers, H2
+the additive compound of H, with its two phases in closed form.
 Where H has no imaginary eigenvalue the plane converges to the unstable subspace
 L+ (Laub, "A Schur method for solving algebraic Riccati equations", IEEE TAC 24,
 1979), and the 2x2 pass stops at the first block end where ``_Tail`` certifies
@@ -35,6 +35,7 @@ structure of H on its imaginary spectrum. Every zero is refined by ``_refine``,
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -69,7 +70,7 @@ def _jacobi_system(A, B, Q, t_max: float | None = None, n: int | None = None, he
     H[:n, :n], H[:n, n:], H[n:, :n], H[n:, n:] = -A.T, -Q, B, A
     if not np.isfinite(H).all():
         raise DomainError("the Jacobi system needs finite A, B and Q")
-    if np.abs(Q - Q.T.conj()).max() > 1e-10 * max(1.0, np.abs(Q).max()):
+    if (Q != Q.T.conj()).any() and np.abs(Q - Q.T.conj()).max() > 1e-10 * max(1.0, np.abs(Q).max()):
         raise ValueError(f"Q is not {'Hermitian' if np.iscomplexobj(Q) else 'symmetric'} to 1e-10")
     return A, B, Q, H
 
@@ -84,17 +85,17 @@ _TAYLOR = np.array([[1.0 / math.factorial(4 * j + i) * (4 * j + i <= 16) for i i
 
 def _expm(X: np.ndarray) -> np.ndarray:
     """exp(X) of a small matrix by products alone: degree-16 Taylor (Paterson-Stockmeyer)
-    on X / 2^s with ||X / 2^s||_1 <= 1/2, then s squarings; NaN if ||X|| is not finite.
-    scipy.linalg.expm solves through a LAPACK call that OpenBLAS threads even at 6x6,
-    and while the other core is busy each call waits a scheduler tick for its helper
-    thread (4 ms instead of 25 us on a 2-vCPU VM)."""
+    on X / 2^s with ||X / 2^s||_1 <= 1/2, then s squarings; NaN if ||X|| is not finite. I and
+    X..X^3 fill one buffer, whose product with ``_TAYLOR`` is the Horner coefficients. scipy's
+    expm solves through a LAPACK call that OpenBLAS threads even at 6x6, and while the other core
+    is busy each call waits a scheduler tick for its helper thread (4 ms, not 25 us, on 2 vCPUs)."""
     norm = float(np.abs(X).sum(axis=0).max())
     if not math.isfinite(norm):
         return np.full_like(X, np.nan)
-    s = max(0, math.frexp(norm)[1] + 1)
-    X = X * math.ldexp(1.0, -s)
-    X2 = X.dot(X)  # ndarray.dot: the BLAS call of @, less its set-up; np.array: np.stack, less its own
-    B = _TAYLOR.dot(np.array((np.eye(len(X)), X, X2, X2.dot(X))).reshape(4, -1)).reshape(5, *X.shape)
+    s, P = max(0, math.frexp(norm)[1] + 1), np.zeros((4, *X.shape), X.dtype)
+    P.reshape(4, -1)[0, :: len(X) + 1], X = 1.0, np.multiply(X, math.ldexp(1.0, -s), out=P[1])
+    np.dot(np.dot(X, X, out=P[2]), X, out=P[3])  # np.dot: the BLAS call of @, less its set-up
+    B, X2 = _TAYLOR.dot(P.reshape(4, -1)).reshape(5, *X.shape), P[2]
     X4, E = X2.dot(X2), B[4]
     for j in (3, 2, 1, 0):
         E = B[j] + X4.dot(E)
@@ -167,8 +168,8 @@ _TURN = 0.25 * math.pi
 _XTOL = 1e-12
 #: Most steps a phase pass may take.
 _MAX_STEPS = 2**20
-#: How far below the level of the fit of _balanced, in log scale, a diagonal of Q may drag it.
-_FAR_BELOW = math.log(10.0)
+#: How far below the fit level of _balanced, in log scale, a diagonal of Q may drag it; the largest log its scaling may reach.
+_FAR_BELOW, _LOG_HUGE = math.log(10.0), math.log(np.finfo(float).max) - 1e-9
 #: Most steps in a block of ``_sweep`` (twice that where a 2x2 pass only counts), most log growth of a block of a
 #: Pluecker vector and of a frame, whose QR needs columns far from parallel, most numbers in a run (4096 vectors).
 _WEDGE_BLOCK, _WEDGE_LOG_GROWTH, _FRAME_LOG_GROWTH, _CHUNK = 128, 300.0, 6.0, 6 * 4096
@@ -179,13 +180,13 @@ class UnverifiableError(FloatingPointError):
 
 
 @functools.lru_cache(maxsize=256)
-def _fit(pattern: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(fitted entries: all of A, the diagonals of B and Q; design; pseudo-inverse; diagonals of Q) of ``_balanced`` for one pattern of S != 0."""
+def _fit(pattern: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(fitted entries: all of A, the diagonals of B and Q; design; minus its pseudo-inverse; diagonals of Q; map of a fit (u, mu) to log g = (u, -u)) of ``_balanced`` for one pattern of S != 0."""
     n = math.isqrt(len(pattern)) // 2
     keep = np.frombuffer(pattern, bool).reshape(2 * n, 2 * n) & ~np.kron(np.eye(2, dtype=bool), ~np.eye(n, dtype=bool))
     x = np.hstack((np.vstack((np.eye(n), -np.eye(n))), np.full((2 * n, 1), -0.5)))  # (u, mu) in x_i - mu/2
     r, c = np.nonzero(keep)
-    return keep, x[r] + x[c], np.linalg.pinv(x[r] + x[c]), (r == c) & (r >= n)
+    return keep, x[r] + x[c], -np.linalg.pinv(x[r] + x[c]), (r == c) & (r >= n), x * (np.arange(n + 1) < n)
 
 
 @functools.lru_cache(maxsize=32)
@@ -198,31 +199,38 @@ def _check_b(data: bytes, shape: tuple[int, ...], dtype: str) -> None:
 
 
 def _balanced(H: np.ndarray) -> tuple[np.ndarray, float]:
-    """(H_u, rate): H conjugated by the symplectic diag(e^-u, e^u), which keeps every zero of det N,
-    and the top eigenvalue of S_u = J^T H_u = [[B_u, A_u], [A_u^T, Q_u]], which bounds the forward
-    speed of the phases when B >= 0 (else ``ValueError``; ``_check_b`` runs once per B). u is the
-    least-squares fit of the diagonals of B and Q and the nonzero entries of A to one level mu in
-    log scale; small off-diagonals would drive it, and so does a diagonal of Q far below mu (1e-45
-    next to 1): a refit without the diagonals of Q ``_FAR_BELOW`` below mu wins if its rate is lower."""
+    """(H_u, rate): H conjugated by the symplectic diag(e^-u, e^u), which keeps every zero of det N, and the top
+    eigenvalue of S_u = J^T H_u = [[B_u, A_u], [A_u^T, Q_u]], which bounds the forward speed of the phases when
+    B >= 0 (else ``ValueError``; ``_check_b`` runs once per B). u is the least-squares fit of the diagonals of B
+    and Q and the nonzero entries of A to one level mu in log scale; small off-diagonals would drive it, and so
+    does a diagonal of Q far below mu (1e-45 next to 1): only there a refit without those wins if its rate is lower.
+    An S_u or g g^T that would overflow (read in log scale first), or eigenvalues that do not converge, is ``UnverifiableError``."""
     n = len(H) // 2
     _check_b(H[n:, :n].tobytes(), (n, n), H.dtype.str)
     S = np.concatenate((H[n:], -H[:n]))  # S_u = S * outer(g, g), log g = (u, -u)
-    keep, design, fit, q = _fit((S != 0).tobytes())
-    log = np.log(np.abs(S[keep]))
-    fits = [fit.dot(-log)]
-    r = log + design.dot(fits[0])  # log size over mu
-    below = (r < -_FAR_BELOW) & q
+    A, (keep, design, fit, q, split) = np.abs(S), _fit((S != 0).tobytes())
+    log = np.log(A[keep])
+    z = fit.dot(log)
+    r = log + design.dot(z)  # log size over mu
+    below, fits, rate = (r < -_FAR_BELOW) & q, (z,), None
     if below.any():
         refit = keep.copy()
         refit[keep] = ~below
-        fits.append(fits[0] - _fit(refit.tobytes())[2].dot(r[~below]))  # the least change: scale-free
-    gs = [np.exp(np.concatenate((z[:n], -z[:n]))) for z in fits]
-    try:
-        rates = [float(np.linalg.eigvalsh(S * (g[:, None] * g))[-1]) for g in gs]
-    except np.linalg.LinAlgError:  # S_u overflows
-        raise UnverifiableError("the balancing of H is not finite") from None
-    i = rates.index(min(rates))
-    return H * ((1.0 / gs[i])[:, None] * gs[i]), rates[i]
+        fits = z, z + _fit(refit.tobytes())[2].dot(r[~below])  # the least change: scale-free
+    for z in fits:
+        log_g = split.dot(z)
+        big = 2.0 * max(log_g.tolist())  # log|S_u| = log|S| + log g_i + log g_j <= big + log max|S|
+        if not big + math.log(max(1.0, A.max())) < _LOG_HUGE:
+            if not (big < _LOG_HUGE and (np.log(A[A > 0.0]) + (log_g[:, None] + log_g)[A > 0.0]).max() < _LOG_HUGE):
+                raise UnverifiableError("the balancing of H is not finite")
+        g1 = np.exp(log_g)
+        try:
+            rate1 = float(np.linalg.eigvalsh(S * (g1[:, None] * g1))[-1])
+        except np.linalg.LinAlgError:  # eigenvalues that do not converge
+            raise UnverifiableError("the balancing of H is not finite") from None
+        if rate is None or rate1 < rate:  # a tie keeps the first fit
+            g, rate = g1, rate1
+    return H * ((1.0 / g)[:, None] * g), rate
 
 
 def _step_count(t_max: float, rate: float) -> int:
@@ -254,11 +262,11 @@ def _turns(phi: np.ndarray, phi1: np.ndarray, cut, t: float, h: float, first: bo
     of det N in the step, drops the steps with a zero. ``UnverifiableError`` if a phase
     stays at 0 after the first step or moves back through pi, up to the first zero where
     ``first``."""
-    m = (phi >= cut).sum(axis=0)
-    turn = (phi1 >= cut).sum(axis=0) - m
-    drops = np.nonzero(turn < 0)[0]
-    back = np.nonzero(turn[: drops[0] + 1 if first and drops.size else None] > 0)[0]
-    if back.size or (t == 0.0 and np.minimum(phi1[:, 0], math.pi - phi1[:, 0]).min() <= _XTOL):
+    m = np.add.reduce(phi >= cut, 0)  # ndarray.sum, less its wrapper; np.nonzero likewise
+    turn = np.add.reduce(phi1 >= cut, 0) - m
+    drops = (turn < 0).nonzero()[0]
+    back = (turn[: drops[0] + 1 if first and drops.size else None] > 0).nonzero()[0]
+    if back.size or (t == 0.0 and min(min(x, math.pi - x) for x in phi1[:, 0].tolist()) <= _XTOL):  # finite phases
         t += h * int(back[0] if back.size else 0)
         raise UnverifiableError(f"an eigenphase stays at 0 or moves back through pi on [{t:.17g}, {t + h:.17g}]")
     return m, turn, drops
@@ -281,11 +289,11 @@ def _sweep(X: np.ndarray, h: float, steps: int, y: np.ndarray, log_growth: float
     its start, and its last state starts the next, re-anchored: a frame by QR, a Pluecker vector
     rescaled and moved by a Newton step onto the quadric p01 p23 - p02 p13 + p03 p12 = 0 of
     2-planes, off which E amplifies rounding that the phases misread (2e-9 at (-2.57, 3.22),
-    t = 55). The first run of a Pluecker vector is one block, so its length is K + 1 (or steps
-    + 1), and a 2x2 pass that stops at its first block end computes no more. A frame's first run
-    is a full one: ``first_blowup`` pays a batched QR and eigvals a run, and a one-block first
-    run made the scalar-vs-jacobi check 4-8% slower. ``UnverifiableError`` unless E is finite."""
-    with np.errstate(all="ignore"):
+    t = 55). A Pluecker vector starts at e0 (``_E0``), and its first run is one block: column 0
+    of the powers, plus 0.0 for the signed zeros of a product with e0, with no product or stack
+    transpose. A frame's first run is a full one (a one-block first run made scalar-vs-jacobi 4-8%
+    slower). ``UnverifiableError`` unless E is finite. Below n h max|X| = 512 nothing overflows: no errstate."""
+    with np.errstate(all="ignore") if h * len(X) * float(np.abs(X).max()) >= 512.0 else contextlib.nullcontext():
         E = _expm(h * X)
         norm = float(np.abs(E).sum(axis=1).max())
     if not norm < math.inf:  # NaN too
@@ -297,8 +305,6 @@ def _sweep(X: np.ndarray, h: float, steps: int, y: np.ndarray, log_growth: float
         np.matmul(powers[: min(k, K - k)], powers[k - 1], out=powers[k : 2 * k])
         k *= 2
     stacked, per, k0 = powers.reshape(K * len(E), len(E)), max(1, _CHUNK // (K * y.size)), 0
-    if y.ndim == 1:  # w @ stacked^T runs at half the cost of stacked @ w on the (6K, 6) stack
-        stacked = stacked.T.copy()
     while k0 < steps:
         n_blocks = min(per if k0 or y.ndim == 2 else 1, -(-(steps - k0) // K))
         Y = np.empty((n_blocks * K + 1, *y.shape), E.dtype)
@@ -308,13 +314,18 @@ def _sweep(X: np.ndarray, h: float, steps: int, y: np.ndarray, log_growth: float
                 np.matmul(stacked, y, out=Y[b * K + 1 : b * K + K + 1].reshape(-1, y.shape[1]))
                 Y[b * K + K] = y = np.linalg.qr(Y[b * K + K])[0]
                 continue
-            np.matmul(y, stacked, out=Y[b * K + 1 : b * K + K + 1].reshape(-1))
+            if k0:
+                np.matmul(y, stacked, out=Y[b * K + 1 : b * K + K + 1].reshape(-1))
+            else:  # the first run
+                np.add(powers[:, :, 0], 0.0, out=Y[1:])
             v = Y[b * K + K].tolist()
             top = max(map(abs, v))
             p01, p02, p03, p12, p13, p23 = v = [x / top for x in v]
             c = (p01 * p23 - p02 * p13 + p03 * p12) / sum([x * x.conjugate() for x in v]).real
             Y[b * K + K] = y = np.array([x - c * q.conjugate() for x, q in zip(v, (p23, -p13, p12, p03, -p02, p01))])
         yield k0, Y[: steps - k0 + 1]
+        if not k0 and y.ndim == 1:  # w @ stacked^T runs at half the cost of stacked @ w on the (6K, 6) stack
+            stacked = stacked.T.copy()
         k0 += n_blocks * K
 
 
@@ -411,8 +422,8 @@ def finite_blowup_constant(A, B, Q) -> bool:
 # 2x2 systems: the phase rule on the compound sweep
 # ----------------------------------------------------------------------
 
-#: 1/j! of a degree-30 Taylor polynomial, and its powers j.
-_INV_FACTORIALS, _POWERS = 1.0 / np.cumprod(np.r_[1.0, 1.0:31.0]), np.arange(31)
+#: 1/j! of a degree-30 Taylor polynomial, and its powers j, as floats: float ** float needs no cast.
+_INV_FACTORIALS, _POWERS = 1.0 / np.cumprod(np.r_[1.0, 1.0:31.0]), np.arange(31.0)
 #: Pluecker coordinates (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of 2-planes, rows (m0, m1, n0, n1).
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
 
@@ -425,23 +436,23 @@ def _additive_compound(H: np.ndarray) -> np.ndarray:
 
 
 _COMPOUND = _additive_compound(np.eye(16).reshape(16, 4, 4)).reshape(16, 36).T  # H -> H2 as one product
+_E0, _PM = tuple(np.frombuffer(np.eye(1, 6, dtype=t).tobytes(), t) for t in (float, complex)), np.array([[-1.0], [1.0]])  # e0 (N = 0), read-only; -+
 
 
 def _wedge_phases(W: np.ndarray) -> np.ndarray:
-    """Eigenphases in [0, pi), on the first axis, of the planes with Pluecker vectors W:
-    those of (M + iN)(M - iN)^-1 are ((p01 + p23) +- sqrt(4 p02 p13 - (p03 + p12)^2)) /
-    ((p01 - p23) - i (p03 - p12)), halved; for a real Q, p13 = -p02: theta +- delta."""
+    """Eigenphases in [0, pi), on the first axis, of the planes with Pluecker vectors W (6, ...):
+    those of (M + iN)(M - iN)^-1 are ((p01 + p23) -+ sqrt(4 p02 p13 - (p03 + p12)^2)) / ((p01 - p23)
+    - i (p03 - p12)), halved; for a real Q, p13 = -p02: theta -+ delta, -+ by ``_PM`` to the bit."""
     p01, p02, p03, p12, p13, p23 = W
-    if np.isrealobj(W):
+    if W.dtype.kind != "c":
         theta = np.arctan2(p03 - p12, p01 - p23)
-        delta = np.arctan2(np.sqrt((p03 + p12) ** 2 + 4.0 * p02 * p02), p01 + p23)
-        args = np.array((theta - delta, theta + delta))
+        args = theta + _PM * np.arctan2(np.sqrt((p03 + p12) ** 2 + 4.0 * p02 * p02), p01 + p23)
     else:
-        root = np.sqrt(4.0 * p02 * p13 - (p03 + p12) ** 2)
-        args = np.angle(np.array((p01 + p23 - root, p01 + p23 + root)) / ((p01 - p23) - 1j * (p03 - p12)))
+        z = (p01 + p23 + _PM * np.sqrt(4.0 * p02 * p13 - (p03 + p12) ** 2)) / ((p01 - p23) - 1j * (p03 - p12))
+        args = np.arctan2(z.imag, z.real)  # np.angle, less its wrapper
     args *= 0.5  # in (-pi, pi]: a branch is cheaper than np.remainder
     args += np.where(args < 0.0, math.pi, 0.0)
-    return args - np.where(args >= math.pi, math.pi, 0.0)
+    return (args - np.where(args >= math.pi, math.pi, 0.0)).reshape(2, *W.shape[1:])
 
 
 #: Rounding of the certificate of ``_Tail`` per unit of cond_1(V), and the most it may lower a closest approach.
@@ -478,12 +489,12 @@ class _Tail:
             Vi = np.linalg.inv(V)
         except np.linalg.LinAlgError:  # a basis that is not finite, or not one
             return None
-        p, re = int(lam.real.argmax()), lam.real
-        gap, norm = re[p] - np.delete(re, p).max(), float(np.abs(self.H2).sum(axis=0).max())
+        p, re = int(lam.real.argmax()), lam.real.tolist()
+        gap, norm = re[p] - max(re[:p] + re[p + 1 :]), float(np.abs(self.H2).sum(axis=0).max())
         cond = float(np.abs(V).sum(axis=0).max() * np.abs(Vi).sum(axis=0).max())
         if not gap > _CERT_EPS * cond * norm:
             return None
-        rho = cond * (_CERT_EPS + np.finfo(float).eps * norm / gap)
+        rho = cond * (_CERT_EPS + _CERT_EPS / 16.0 * norm / gap)  # eps norm / gap
         v = V[:, p] if np.iscomplexobj(self.H2) else V[:, p].real  # lam+ of a real H2 is real
         return p, Vi, np.abs(V[5]), rho, np.sort(_wedge_phases(v[:, None])[:, 0])
 
@@ -519,10 +530,9 @@ def _wedge_pass(A, B, Q, t_max: float, first: bool):
             raise
         steps, over = math.ceil(n), exc
     h, zeros, near, K, swept = t_max / steps, 0, math.inf, 0, min(steps, _MAX_STEPS)
-    w0, block = np.eye(1, 6, dtype=tail.H2.dtype)[0], _WEDGE_BLOCK * (1 if first else 2)
-    for k0, W in _sweep(tail.H2, h, swept, w0, _WEDGE_LOG_GROWTH, block):
+    for k0, W in _sweep(tail.H2, h, swept, _E0[tail.H2.dtype.kind == "c"], _WEDGE_LOG_GROWTH, _WEDGE_BLOCK * (1 if first else 2)):
         K = K or len(W) - 1  # the first run is one block
-        phi = _wedge_phases(np.ascontiguousarray(W.T))
+        phi = _wedge_phases(W.T)
         cut = _cut(phi[:, :-1])[0]
         m, turn, drops = _turns(phi[:, :-1], phi[:, 1:], cut, k0 * h, h, first)
         if not first:  # a first-zero pass reads neither the count nor the closest approach
@@ -530,7 +540,7 @@ def _wedge_pass(A, B, Q, t_max: float, first: bool):
             near = min(near, math.pi - float(phi[:, max(0, int(1.0 / h) + 1 - k0) :].max(initial=-math.inf)))  # t > 1
         elif drops.size:
             j = int(drops[0])
-            return 0, near, BlowUpTime.finite((k0 + j) * h + _wedge_refine(tail.H2, W[j], cut[j], int(m[j]), h, t_max))
+            return 0, near, BlowUpTime.finite((k0 + j) * h + _wedge_refine(tail.H2, W[j], float(cut[j]), int(m[j]), h, t_max))
         bound = tail.stop(W, K, swept - k0)  # once the run's zeros are read
         if bound is not None:
             return zeros, min(near, bound) if steps > int(1.0 / h) else near, BlowUpTime.infinite()
@@ -555,10 +565,10 @@ def _wedge_refine(H2: np.ndarray, w: np.ndarray, cut: float, m: int, h: float, t
         C[:, k : 2 * k], X = X.dot(C[:, :k]), X.dot(X) if k < 16 else X
     C, z = C[:, : len(_INV_FACTORIALS)] * _INV_FACTORIALS, -cut % math.pi
 
-    def past(s: float) -> float:  # the general form of _wedge_phases for one plane, by cmath
+    def past(s: float, sqrt=cmath.sqrt, phase=cmath.phase, pi=math.pi) -> float:  # _wedge_phases for one plane, by cmath
         p01, p02, p03, p12, p13, p23 = C.dot((s / h) ** _POWERS).tolist()
-        root, u, den = cmath.sqrt(4.0 * p02 * p13 - (p03 + p12) ** 2), p01 + p23, complex(p01 - p23, p12 - p03)
-        a, b = (cmath.phase((u - root) / den) / 2.0 + z) % math.pi, (cmath.phase((u + root) / den) / 2.0 + z) % math.pi
+        root, u, den = sqrt(4.0 * p02 * p13 - (p03 + p12) ** 2), p01 + p23, complex(p01 - p23, p12 - p03)
+        a, b = (phase((u - root) / den) / 2.0 + z) % pi, (phase((u + root) / den) / 2.0 + z) % pi
         return (min(a, b) if m == 1 else max(a, b)) - z
 
     return t0 + _refine(past, h, t_max)

@@ -97,6 +97,12 @@ BAD_INPUT = {
     "upper_bound_kab-kappa_b-inf": (lambda: upper_bound_kab(1.0, math.inf), "finite"),
     "finiteness_predicate-kappa_a-nan": (lambda: finiteness_predicate(math.nan, 1.0), "finite"),
     "qhf_kappas-v-nan": (lambda: qhf_kappas([math.nan, 0.0, 0.0]), "v must be finite"),
+    # these returned -inf for kappa_a and the a trace, or warned in the product |v|^2
+    "qhf_kappas-v-quartic-overflows": (lambda: qhf_kappas([1e80, 0.0, 0.0]), "|v|^4 overflows"),
+    "qhf_kappas-v-square-overflows": (lambda: qhf_kappas([0.0, 1e200, 0.0]), "|v|^4 overflows"),
+    "ricci_scalars-v-quartic-overflows": (lambda: ricci_scalars([1e80, 0.0, 0.0], 0.0, 1), "the a trace overflows"),
+    "ricci_scalars-v-square-overflows": (lambda: ricci_scalars([0.0, 0.0, -1e200], 0.0, 2), "the a trace overflows"),
+    "conjugate_time-v-overflows": (lambda: conjugate_time(1, [1e200, 0.0, 0.0]), "|v|^4 overflows"),
     "ricci_scalars-v-nan": (lambda: ricci_scalars([0.0, math.nan, 0.0], 0.0, 2), "finite"),
     "ricci_scalars-rho_a-inf": (lambda: ricci_scalars([0.0, 0.0, 0.0], math.inf, 2), "finite"),
     "initial_state-v-nan": (lambda: initial_state(2, [0.0, 0.0, math.nan]), "v must be finite"),
@@ -134,6 +140,19 @@ def test_overflowing_momentum_raises_no_warning_first():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=re.escape("rho_a must be finite, got inf")):
             qhf_curvature_inputs(1, [1e200, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [lambda: qhf_kappas([1e200, 0.0, 0.0]), lambda: ricci_scalars([1e200, 0.0, 0.0], 0.0, 1),
+                                  lambda: conjugate_time(1, [1e200, 0.0, 0.0]), lambda: qhf_kappas([1e80, 0.0, 0.0]),
+                                  lambda: ricci_scalars([1e80, 0.0, 0.0], 0.0, 1)],
+                         ids=["qhf_kappas", "ricci_scalars", "conjugate_time", "qhf_kappas-quartic", "ricci_scalars-quartic"])
+def test_overflowing_square_raises_no_warning_first(call):
+    # "overflow encountered in matmul" came first, and -W error turned the
+    # call into a RuntimeWarning; |v|^4 alone returned -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            call()
 
 
 # every entry point that takes the quaternionic dimension d

@@ -8,11 +8,12 @@ verify-all path is exercised by the acceptance suite instead.
 import argparse
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import pytest
 
-from fatcomp import checks, cli
+from fatcomp import checks, cli, hopf
 from fatcomp.cli import main
 
 
@@ -264,9 +265,11 @@ class TestBlowup:
                                        ("3.7615057244563964e-230", "4.687033938596471e280")])
     def test_non_finite_step_or_balancing_is_undecided(self, tmp_path, ka, kb):
         # a NaN step read FAILED (exit 1), and an overflowing balancing ended
-        # in a LinAlgError traceback
+        # in a LinAlgError traceback; both warned in the balancing's product
         out = tmp_path / "b.csv"
-        assert run_cli(["blowup", f"--ka={ka}", f"--kb={kb}", "--verify", "--out", str(out)]) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["blowup", f"--ka={ka}", f"--kb={kb}", "--verify", "--out", str(out)]) == 3
         assert read_csv(out)[2][0]["check_ok"] == "unverifiable"
 
     def test_underflowing_frequency_is_a_failed_computation(self, tmp_path, capsys):
@@ -299,6 +302,14 @@ class TestBlowup:
 # ----------------------------------------------------------------------
 
 class TestConjugate:
+
+    def test_overflowing_momentum_is_a_domain_error(self, tmp_path, capsys):
+        # "overflow encountered in matmul" came first, and -W error ended the
+        # call in a RuntimeWarning traceback, exit 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["conjugate", "--d", "1", "--vnorm", "1e200", "--out", str(tmp_path / "c.csv")]) == 2
+        assert "|v|^4 overflows" in capsys.readouterr().err
 
     def test_zero_momentum_row(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -392,6 +403,21 @@ class TestLaplacian:
         assert len(rows) == 20
         assert float(rows[0]["r"]) == pytest.approx(t_star / 30.0)
         assert float(rows[-1]["r"]) == pytest.approx(0.95 * t_star)
+
+    @pytest.mark.parametrize("grid", [[], ["--rgrid", "0.1:2.5:12"]], ids=["default", "rgrid"])
+    def test_conjugate_time_is_solved_once(self, grid, tmp_path, monkeypatch):
+        # the default grid solved it twice: once for the grid, once more
+        # inside sublaplacian_along
+        calls, solve = [], hopf.conjugate_time
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(hopf, "conjugate_time", counted)
+        monkeypatch.setattr(cli, "conjugate_time", counted)
+        assert run_cli(["laplacian", "--d", "2", *grid, "--verify", "--out", str(tmp_path / "l.csv")]) == 0
+        assert len(calls) == 1
 
     def test_wrong_curvature_still_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")

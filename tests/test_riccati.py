@@ -10,8 +10,10 @@ so det N = t^4/12 and V = M N^{-1} = [[12/t^3, -6/t^2], [-6/t^2, 4/t]].
 
 import importlib
 import math
+import re
 import time
 import tracemalloc
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -800,10 +802,12 @@ class TestBlockedWedgePass:
     @pytest.mark.parametrize("ka,kb", [(1e-3, -5.0), (1e-5, -20.0)])
     def test_refinement_on_halved_steps(self, ka, kb):
         # ||h H2||_2 is 2.8 and 7.0: the Taylor polynomial is taken on a half
-        # and a quarter of the step holding the zero
+        # and a quarter of the step holding the zero; the zero is frozen as
+        # float.hex, which the refinement may reach more cheaply, never differently
         tbar = blowup_time_kab(ka, kb).time
         hit = wedge_first_zero(A_STEP, B_STEP, np.diag([ka, kb]), 1.05 * tbar + 0.1)
         assert abs(hit.time - tbar) < 1e-12 * tbar
+        assert hit.time.hex() == {-5.0: "0x1.be160262a188fp+7", -20.0: "0x1.15b548876df00p+12"}[kb]
 
     def test_growth_guard_lowers_the_block(self):
         # log ||E2||_inf ~ 4.2 per step: 128 steps would reach exp(540)
@@ -845,14 +849,26 @@ class TestNonFiniteSteps:
     }
 
     @pytest.mark.parametrize("route", ROUTES)
+    def test_overflowing_step_is_unverifiable(self, route):
+        # the balanced rate reads 0 here, so one step spans the horizon of
+        # 1000 and exp(h H) is not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnverifiableError, match=re.escape("exp(h H) is not finite")):
+                self.ROUTES[route](np.diag([-6.740859759928954e-113, -1.0467181425533764e46]), 1000.0)
+
+    @pytest.mark.parametrize("route", ROUTES)
     def test_nan_step_is_unverifiable(self, route):
-        # the balanced rate reads 0 here, so one step spans the horizon and
-        # exp(h H) is NaN; a guard on log(max(e, norm)) let it through, and
-        # the 2x2 pass found no zero before tbar = 4.4e80
+        # the balanced rate read 0 here, so one step spanned the horizon and
+        # exp(h H) was NaN; a guard on log(max(e, norm)) let it through, and
+        # the 2x2 pass found no zero before tbar = 4.4e80. The refit of the
+        # balancing overflows first now.
         ka, kb = 1.4325205914417532e118, -2.82884475485708e278
         t_max = 1.05 * blowup_time_kab(ka, kb).time + 0.1
-        with np.errstate(all="ignore"), pytest.raises(UnverifiableError, match="not finite"):
-            self.ROUTES[route](np.diag([ka, kb]), t_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnverifiableError, match="not finite"):
+                self.ROUTES[route](np.diag([ka, kb]), t_max)
 
     def test_overflowing_step_is_unverifiable_for_first_blowup(self):
         # the 2x2 route raised here already; first_blowup ended in LinAlgError
@@ -861,12 +877,15 @@ class TestNonFiniteSteps:
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_overflowing_balancing_is_unverifiable(self, route):
-        # S_u = S * outer(g, g) of the refit overflows to NaN, and eigvalsh
-        # does not converge
+        # S_u = S * outer(g, g) of the refit overflowed to NaN, and eigvalsh
+        # did not converge; the log-scale bound of the fit raises before the
+        # product, with no warning
         ka, kb = 3.7615057244563964e-230, 4.687033938596471e280
         t_max = 1.05 * blowup_time_kab(ka, kb).time + 0.1
-        with np.errstate(all="ignore"), pytest.raises(UnverifiableError, match="balancing"):
-            self.ROUTES[route](np.diag([ka, kb]), t_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnverifiableError, match="balancing"):
+                self.ROUTES[route](np.diag([ka, kb]), t_max)
 
 
 # ----------------------------------------------------------------------
@@ -918,6 +937,11 @@ class TestFrozenWedgeBits:
         v = np.array([1.2, 0.3, -0.5])
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
         assert wedge_first_zero(*_qhf_pairs(v)[1], t_max).time.hex() == "0x1.e25b10fb5dcc0p+0"
+
+    def test_first_zero_of_a_real_hopf_pair(self):
+        v = np.array([1.2, 0.3, -0.5])
+        t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
+        assert wedge_first_zero(*_qhf_pairs(v)[0], t_max).time.hex() == "0x1.e25b10fb5dfbfp+0"
 
     @pytest.mark.parametrize("ka,kb,zeros,bits,full", WEDGE_COUNT_BITS)
     def test_sign_changes(self, ka, kb, zeros, bits, full):

@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 34 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 39 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -71,6 +71,15 @@ CALLS = [
     ["laplacian", "--d", "2", "--v", "0.6,-0.3,0.2", "--verify"],
     # 200 rows in chunks of 25 over a pool of two
     ["conjugate", "--d", "2", "--sweep", "0:3:200", "--jobs", "2", "--verify"],
+    # the 2x2 first-zero pass of both pairs of the a/b corner, row by row
+    ["conjugate", "--d", "3", "--sweep", "0:3:30", "--verify"],
+    # ||h H2||_2 is 2.8 and 7.0: the refinement halves its step once and twice
+    ["blowup", "--ka", "1e-3", "--kb=-5", "--verify"],
+    ["blowup", "--ka", "1e-5", "--kb=-20", "--verify"],
+    # a grid of its own: t_star is solved inside sublaplacian_along
+    ["laplacian", "--d", "2", "--rgrid", "0.1:2.5:12", "--verify"],
+    # |v|^4 overflows: a domain error, exit 2
+    ["conjugate", "--d", "1", "--vnorm", "1e200"],
 ]
 
 
