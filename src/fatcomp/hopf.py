@@ -90,6 +90,7 @@ _J4_K = np.array(
         [1.0, 0.0, 0.0, 0.0],
     ]
 )
+_RADII = 4096  # most radii ``_sublaplacian`` propagates in one stack, a peak of about 55 MB
 _TYPE_I = tuple(np.frombuffer(X.tobytes()).reshape(X.shape) for X in typeI_pair())  # (A_I, B_I) of _qhf_pairs, read-only
 
 @lru_cache(maxsize=8, typed=True)
@@ -268,7 +269,11 @@ def qhf_kappas(v) -> tuple[float, float, float]:
     kappa_a = s (-2 - 1.875 s), kappa_b = 4 + 5 s, kappa_c = 1 + s.
     Raises ``DomainError`` on a non-finite v, and where |v|^2 or |v|^4 overflows.
     """
-    v = _momentum(v)
+    return _kappas(_momentum(v))
+
+
+def _kappas(v: np.ndarray) -> tuple[float, float, float]:
+    """``qhf_kappas`` of a v that ``_momentum`` has checked."""
     s = float(v @ v) if max(map(abs, v.tolist())) < 1e153 else math.inf  # v @ v warns where it overflows
     kappa_a = s * (-2.0 - 1.875 * s)
     if not math.isfinite(kappa_a):
@@ -339,7 +344,7 @@ def conjugate_time(d: int, v) -> ConjugateResult:
     """
     _check_d(d)
     v = _momentum(v)
-    kappa_a, kappa_b, kappa_c = qhf_kappas(v)
+    kappa_a, kappa_b, kappa_c = _kappas(v)
     bound_kab = blowup_time_kab(kappa_a, kappa_b)
     bound_kc = blowup_time_kc(kappa_c).time if d >= 2 else None
     t_max = 1.1 * min(bound_kab.time, bound_kc or math.inf)
@@ -387,14 +392,14 @@ class SublaplacianReport:
 def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
     """Evaluate the radial sub-Laplacian trace formula on a grid.
 
-    trace(B V) sums the blocks of ``_qhf_system``: the a/b 6x6 corner,
-    that of d = 1, by its Riccati quotient, (4d - 4) sqrt(kappa_c)
-    cot(sqrt(kappa_c) r) and the motion row's 1/r, which the formula
-    subtracts. Its cost does not depend on d. The grid must sit
-    strictly inside (0, t_star), where the distance is smooth. The
-    volume-derivative term vanishes for these structures, so no extra
-    scalar enters the comparison. Raises ``DomainError`` on an empty or
-    non-finite grid, a non-finite v and a d that is not an integer >= 1.
+    trace(B V) sums the blocks of ``_qhf_system``: the a/b 6x6 corner, that of
+    d = 1, by its Riccati quotient, in stacks of up to ``_RADII`` radii (one
+    ``_expm`` and one solve each), (4d - 4) sqrt(kappa_c) cot(sqrt(kappa_c) r)
+    and the motion row's 1/r, which the formula subtracts. Its cost does not
+    depend on d. The grid must sit strictly inside (0, t_star), where the
+    distance is smooth. The volume-derivative term vanishes for these
+    structures, so no extra scalar enters the comparison. Raises ``DomainError``
+    on an empty or non-finite grid, a non-finite v and a d not an integer >= 1.
     """
     _check_d(d)
     r = np.asarray(list(r_grid), dtype=float)
@@ -406,20 +411,20 @@ def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
 
 
 def _sublaplacian(conj: ConjugateResult, r: np.ndarray) -> SublaplacianReport:
-    """``sublaplacian_along`` on a finite, nonempty float grid r, given the
-    ``conjugate_time(d, v)`` result; ``DomainError`` where r leaves (0, t_star)."""
+    """``sublaplacian_along`` on a finite, nonempty 1-D float grid r, given ``conjugate_time(d, v)``, by one stacked
+    ``V``, product and trace per ``_RADII`` radii; ``DomainError`` where r leaves (0, t_star)."""
     d = conj.d
     if r.min() <= 0.0 or r.max() >= conj.t_star:
         raise DomainError(
             f"r_grid must lie strictly inside (0, t_star = {conj.t_star}); "
             f"got [{r.min()}, {r.max()}]"
         )
-    kappa_a, kappa_b, kappa_c = qhf_kappas(conj.v)
+    kappa_a, kappa_b, kappa_c = _kappas(conj.v)
     A, B, Q = (X[:6, :6] for X in _qhf_system(1, conj.v))
     sol = integrate_jacobi(A, B, Q, float(r.max()) * (1.0 + 1e-9))
-    lhs, rhs = np.empty_like(r), np.empty_like(r)
-    for i, ri in enumerate(r):
-        lhs[i] = float(np.trace(B @ sol.V(ri)))
+    lhs = np.concatenate([np.trace(B @ sol.V(r[i : i + _RADII]), axis1=1, axis2=2) for i in range(0, r.size, _RADII)])
+    rhs = np.empty_like(r)
+    for i, ri in enumerate(r.tolist()):  # Python floats: the bits of np.float64, less its scalar overhead
         rhs[i] = 3.0 * eval_s_kab(kappa_a, kappa_b, ri)
         if d >= 2:
             lhs[i] += (4.0 * d - 4.0) * math.sqrt(kappa_c) / math.tan(math.sqrt(kappa_c) * ri)

@@ -10,7 +10,7 @@ initial datum. Blow-up of V is a zero of det N, and every comparison
 statement in this package reduces to locating or excluding such zeros.
 Every system the package builds has constant coefficients (the Hopf system
 in the frame rotating with its curvature, see ``fatcomp.hopf``), so [M; N](t)
-is the first n columns of exp(tH), by the products-only ``_expm`` (one buffer).
+is the first n columns of exp(tH), by ``_expm`` (products only), at a t or a stack.
 
 One zero rule serves every n and every multiplicity (the Maslov view): det N
 vanishes when an eigenphase of the Lagrangian plane [M; N] reaches pi, and
@@ -84,29 +84,44 @@ _TAYLOR = np.array([[1.0 / math.factorial(4 * j + i) * (4 * j + i <= 16) for i i
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
-    """exp(X) of a small matrix by products alone: degree-16 Taylor (Paterson-Stockmeyer)
-    on X / 2^s with ||X / 2^s||_1 <= 1/2, then s squarings; NaN if ||X|| is not finite. I and
-    X..X^3 fill one buffer, whose product with ``_TAYLOR`` is the Horner coefficients. scipy's
-    expm solves through a LAPACK call that OpenBLAS threads even at 6x6, and while the other core
-    is busy each call waits a scheduler tick for its helper thread (4 ms, not 25 us, on 2 vCPUs)."""
-    norm = float(np.abs(X).sum(axis=0).max())
-    if not math.isfinite(norm):
-        return np.full_like(X, np.nan)
-    s, P = max(0, math.frexp(norm)[1] + 1), np.zeros((4, *X.shape), X.dtype)
-    P.reshape(4, -1)[0, :: len(X) + 1], X = 1.0, np.multiply(X, math.ldexp(1.0, -s), out=P[1])
-    np.dot(np.dot(X, X, out=P[2]), X, out=P[3])  # np.dot: the BLAS call of @, less its set-up
+    """exp(X) of a small matrix, or of each member of a stack (..., n, n), by products alone: degree-16
+    Taylor (Paterson-Stockmeyer) on X / 2^s with ||X / 2^s||_1 <= 1/2, then s squarings; NaN where ||X||
+    is not finite. I and X..X^3 fill one buffer, whose product with ``_TAYLOR`` is the Horner coefficients.
+    A stack sorts its members by s and squares a shrinking suffix, by ``np.matmul``: a member's bits are
+    its 2-D call's, whose ``ndarray.dot`` makes the same BLAS call at 0.4 us (6x6; @ 0.8). scipy's expm
+    threads a LAPACK call even at 6x6: 4 ms a call, not 25 us, while the other of 2 vCPUs is busy."""
+    if X.ndim > 2:
+        shape, X = X.shape, X.reshape(-1, *X.shape[-2:])
+        norm = np.abs(X).sum(axis=1).max(axis=1)
+        order = np.argsort(s := np.maximum(0, np.frexp(norm)[1] + 1))  # frexp gives a non-finite norm 0
+        s, X, dot = s[order], X[order], np.matmul
+        X[~np.isfinite(norm[order])], scale = np.nan, np.ldexp(1.0, -s)[:, None, None]  # NaN raises no flag
+    else:
+        norm = float(np.abs(X).sum(axis=0).max())
+        if not math.isfinite(norm):
+            return np.full_like(X, np.nan)
+        s, dot = max(0, math.frexp(norm)[1] + 1), np.ndarray.dot  # the BLAS call of @, less its set-up
+        scale = math.ldexp(1.0, -s)
+    n, P = X.shape[-1], np.zeros((4, *X.shape), X.dtype)
+    P.reshape(4, -1, n * n)[0, :, :: n + 1], X = 1.0, np.multiply(X, scale, out=P[1])
+    dot(dot(X, X, out=P[2]), X, out=P[3])
     B, X2 = _TAYLOR.dot(P.reshape(4, -1)).reshape(5, *X.shape), P[2]
-    X4, E = X2.dot(X2), B[4]
+    X4, E = dot(X2, X2), B[4]
     for j in (3, 2, 1, 0):
-        E = B[j] + X4.dot(E)
-    for _ in range(s):
-        E = E.dot(E)
-    return E
+        E = B[j] + dot(X4, E)
+    if X.ndim == 2:
+        for _ in range(s):
+            E = E.dot(E)
+        return E
+    for lo in np.searchsorted(s, np.arange(s.max(initial=0)), "right").tolist():
+        E[lo:] = dot(E[lo:], E[lo:])
+    E[order] = E.copy()
+    return E.reshape(shape)
 
 
 @dataclass
 class JacobiSolution:
-    """Solution [M; N](t) = exp(tH)[:, :n] of a constant Jacobi system on [0, t_max]."""
+    """Solution [M; N](t) = exp(tH)[:, :n] of a constant Jacobi system on [0, t_max]; ``V`` takes a 1-D t too."""
 
     A: np.ndarray
     B: np.ndarray
@@ -123,9 +138,9 @@ class JacobiSolution:
         """The propagator's grid: exp(tH) needs no inner steps, so just 0 and t_max."""
         return np.array([0.0, self.t_max])
 
-    def _blocks(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        Y = _expm(t * self.H)[:, : self.n]
-        return Y[: self.n], Y[self.n :]
+    def _blocks(self, t) -> tuple[np.ndarray, np.ndarray]:
+        Y = _expm(np.multiply.outer(t, self.H))[..., : self.n]
+        return Y[..., : self.n, :], Y[..., self.n :, :]
 
     def M(self, t: float) -> np.ndarray:
         return self._blocks(t)[0]
@@ -144,10 +159,10 @@ class JacobiSolution:
         M, N = self._blocks(t)
         return float(np.linalg.norm(M.T @ N - N.T @ M))
 
-    def V(self, t: float) -> np.ndarray:
-        """The Riccati quotient V = M N^{-1}."""
+    def V(self, t) -> np.ndarray:
+        """The Riccati quotient V = M N^{-1}; at a 1-D array of times, by one stacked ``_expm`` and solve."""
         M, N = self._blocks(t)
-        return np.linalg.solve(N.T, M.T).T
+        return np.linalg.solve(N.swapaxes(-1, -2), M.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def integrate_jacobi(A, B, Q, t_max: float) -> JacobiSolution:

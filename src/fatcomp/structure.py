@@ -92,6 +92,19 @@ def typeI_pair() -> tuple[np.ndarray, np.ndarray]:
 # trace inequality
 # ----------------------------------------------------------------------
 
+def _row_sums(P: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of a 2-D array, each column to the bit of ``np.sum`` along a contiguous axis: from 8 rows
+    to 128, eight running sums over stride-8 chunks, combined as a tree, then the rest; above, two halves so."""
+    n = len(P)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(P[:half]) + _row_sums(P[half:])
+    if n >= 8:
+        r = P[: n - n % 8].reshape(-1, 8, P.shape[1]).sum(axis=0)
+        P = np.vstack((((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), P[n - n % 8 :]))
+    return P.sum(axis=0)  # row after row onto 0.0, as np.sum starts, which turns -0.0 into 0.0
+
+
 def trace_inequality_check(X, Y):
     """Slack of the symmetric-pair trace inequality, and whether it holds.
 
@@ -110,32 +123,29 @@ def trace_inequality_check(X, Y):
     largest term: (float, bool) for a pair, arrays of the stack shape
     for stacks. A NaN or inf entry is a ``DomainError``.
 
-    The tolerance test runs only where Z - Z^T has a nonzero entry: an
-    exactly symmetric Z passes it, and a NaN, an inf or an overflow
-    always leaves a nonzero in Z - Z^T.
+    Each stack is copied once to coordinate-major order (m*m, K), and each
+    step runs along the K members, summed to the bit of the 2-D call by
+    ``_row_sums``. A NaN or inf entry leaves |Z|^2 not finite, which is read
+    before the mirror entries are compared (inf == inf); the symmetry
+    tolerance is tested only where they differ.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape != Y.shape or X.ndim < 2 or X.shape[-2] != X.shape[-1]:
         raise ValueError(f"X, Y must be square of equal size, got {X.shape}, {Y.shape}")
-    for Z in (X, Y):
-        # order F runs the loop along the stack, not along rows of length m; inf - inf is
-        # decided below, without a warning
-        with np.errstate(invalid="ignore"):
-            D = np.subtract(Z, np.swapaxes(Z, -1, -2), order="F")
-        if D.any():
-            if not np.isfinite(Z).all():
-                raise DomainError("X and Y must be finite, got a NaN or inf entry")
-            atol = 1e-12 * np.maximum(1.0, np.abs(Z).max(axis=(-2, -1), initial=0.0))
-            if not (np.abs(D) <= atol[..., None, None]).all():
-                raise ValueError("X and Y must be symmetric")
-    m = X.shape[-1]
-    # one-axis sums over the flattened m*m axis: the bits of a sum over (-2, -1)
-    flat = X.shape[:-2] + (m * m,)
-    nx2, ny2, ip = ((P * Q).reshape(flat).sum(axis=-1) for P, Q in ((X, X), (Y, Y), (X, Y)))
-    tx, ty = np.trace(X, axis1=-2, axis2=-1), np.trace(Y, axis1=-2, axis2=-1)
+    shape, m = X.shape[:-2], X.shape[-1]
+    X, Y = (Z.reshape(-1, m * m).T.copy() for Z in (X, Y))
+    with np.errstate(invalid="ignore"):  # a NaN or inf entry is decided below, without a warning
+        nx2, ny2, ip = (_row_sums(P * Q) for P, Q in ((X, X), (Y, Y), (X, Y)))
+    for Z, z2 in ((X, nx2), (Y, ny2)):
+        if not np.isfinite(z2).all() and not np.isfinite(Z).all():
+            raise DomainError("X and Y must be finite, got a NaN or inf entry")
+        Z, Zt = Z.reshape(m, m, -1), Z.reshape(m, m, -1).transpose(1, 0, 2)
+        if (Z != Zt).any() and not (np.abs(Z - Zt) <= 1e-12 * np.maximum(1.0, np.abs(Z).max(axis=(0, 1)))).all():
+            raise ValueError("X and Y must be symmetric")
+    tx, ty = _row_sums(X[:: m + 1]), _row_sums(Y[:: m + 1])
     lhs = nx2 * ny2 - ip * ip + (2.0 / m) * tx * ty * ip
     rhs = (ty * ty * nx2 + tx * tx * ny2) / m
     slack = lhs - rhs
     ok = slack >= -1e-9 * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
-    return (float(slack), bool(ok)) if X.ndim == 2 else (slack, ok)
+    return (float(slack[0]), bool(ok[0])) if not shape else (slack.reshape(shape), ok.reshape(shape))

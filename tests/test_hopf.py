@@ -23,7 +23,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from fatcomp import riccati
+from fatcomp import hopf, riccati
 from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
 from fatcomp.hopf import (
     DomainError,
@@ -37,7 +37,7 @@ from fatcomp.hopf import (
     reeb_generators,
     sublaplacian_along,
 )
-from fatcomp.models import blowup_time_kab, eval_s_kc
+from fatcomp.models import blowup_time_kab, eval_s_kab, eval_s_kc
 from fatcomp.riccati import first_blowup, integrate_jacobi
 from fatcomp.structure import FatDims, build_structural, typeI_pair
 
@@ -395,6 +395,13 @@ class TestConjugateTime:
     def test_frozen_bits(self, d, v, bits):
         assert conjugate_time(d, v).t_star.hex() == bits
 
+    def test_momentum_is_checked_once(self, monkeypatch):
+        # qhf_kappas checked v a second time; the order of the checks is pinned by BAD_INPUT in test_api
+        calls, check = [], hopf._momentum
+        monkeypatch.setattr(hopf, "_momentum", lambda v: calls.append(v) or check(v))
+        conjugate_time(2, [0.3, -0.1, 0.2])
+        assert len(calls) == 1
+
     def test_zero_momentum_gives_half_circle(self):
         res = conjugate_time(2, [0.0, 0.0, 0.0])
         assert abs(res.t_star - math.pi) < 1e-6, f"t* = {res.t_star}"
@@ -665,6 +672,39 @@ class TestSublaplacian:
         sol = integrate_jacobi(*_qhf_system(d, v), 2.0 * (1.0 + 1e-9))
         full = np.array([np.trace(sol.B @ sol.V(ri)) - 1.0 / ri for ri in r])
         assert np.abs(rep.lhs - full).max() <= 1e-10 * np.abs(full).max()
+
+    @staticmethod
+    def _radius_loop(conj, r):
+        """lhs and rhs radius by radius, each trace(B V) by its own 2-D exponential and solve."""
+        d, (kappa_a, kappa_b, kappa_c) = conj.d, qhf_kappas(conj.v)
+        A, B, Q = (X[:6, :6] for X in _qhf_system(1, conj.v))
+        sol = integrate_jacobi(A, B, Q, float(r.max()) * (1.0 + 1e-9))
+        lhs, rhs = np.empty_like(r), np.empty_like(r)
+        for i, ri in enumerate(r):
+            lhs[i] = float(np.trace(B @ sol.V(ri)))
+            rhs[i] = 3.0 * eval_s_kab(kappa_a, kappa_b, ri)
+            if d >= 2:
+                lhs[i] += (4.0 * d - 4.0) * math.sqrt(kappa_c) / math.tan(math.sqrt(kappa_c) * ri)
+                rhs[i] += (4.0 * d - 4.0) * eval_s_kc(kappa_c, ri)
+        return lhs, rhs
+
+    # the seed is also d; "two-stacks" spans two stacks of _RADII radii
+    @pytest.mark.parametrize("grid,seed", [(g, seed) for g in ("seeded", "single", "descending") for seed in (1, 2, 3)] + [("two-stacks", 2)])
+    def test_stacked_grid_equals_the_radius_loop_bit_for_bit(self, grid, seed):
+        rng = np.random.default_rng(seed)
+        conj = conjugate_time(seed, rng.uniform(-1.5, 1.5, 3))
+        r = {
+            "seeded": rng.uniform(0.01, 0.99, 40),
+            "single": rng.uniform(0.01, 0.99, 1),
+            "descending": np.linspace(0.95, 1.0 / 30.0, 17),
+            "two-stacks": np.linspace(0.01, 0.99, hopf._RADII + 3),
+        }[grid] * conj.t_star
+        rep = hopf._sublaplacian(conj, r)
+        lhs, rhs = self._radius_loop(conj, r)
+        assert rep.lhs.tobytes() == lhs.tobytes()
+        assert rep.rhs.tobytes() == rhs.tobytes()
+        assert rep.margin.tobytes() == (rhs - lhs).tobytes()
+        assert rep.r_times_lhs.tobytes() == (r * lhs).tobytes()
 
     def test_nonzero_momentum_margin(self):
         rep = sublaplacian_along(2, [0.5, 0.0, 0.0], np.linspace(0.3, 2.0, 5))

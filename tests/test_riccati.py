@@ -347,6 +347,57 @@ class TestRiccatiSolution:
 
 
 # ----------------------------------------------------------------------
+# Test Class: stacked propagation
+# ----------------------------------------------------------------------
+
+def _scaling_exponent(X):
+    return max(0, math.frexp(float(np.abs(X).sum(axis=0).max()))[1] + 1)
+
+
+class TestStackedPropagation:
+
+    @pytest.mark.parametrize("n,dtype", [(2, float), (6, float), (12, float), (6, complex)])
+    def test_stack_equals_the_matrix_loop_bit_for_bit(self, n, dtype):
+        # 1-norms over 2^-3..2^9: scaling exponents 0..11 in no order, and a zero matrix
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((40, n, n)).astype(dtype)
+        if dtype is complex:
+            X += 1j * rng.standard_normal((40, n, n))
+        X *= 2.0 ** rng.uniform(-3.0, 9.0, (40, 1, 1)) / np.abs(X).sum(axis=1).max(axis=1)[:, None, None]
+        X[5] = 0.0
+        s = [_scaling_exponent(x) for x in X]
+        assert len(set(s)) >= 8 and s != sorted(s) and s[5] == 1
+        E = _expm(X.reshape(4, 10, n, n))
+        assert E.shape == (4, 10, n, n) and E.dtype == X.dtype
+        for k, x in enumerate(X):
+            assert E.reshape(X.shape)[k].tobytes() == _expm(x).tobytes(), f"member {k}, s = {s[k]}"
+        assert np.array_equal(E.reshape(X.shape)[5], np.eye(n))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_member_turns_only_its_own_slot_to_nan(self, bad):
+        X = 0.7 * np.random.default_rng(1).standard_normal((7, 6, 6))
+        X[3, 2, 4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = _expm(X)
+        assert np.isnan(E[3]).all()
+        for k in (0, 1, 2, 4, 5, 6):
+            assert E[k].tobytes() == _expm(X[k]).tobytes()
+
+    @pytest.mark.parametrize("name", ["typeI", "qhf"])
+    def test_quotient_at_an_array_of_times_equals_the_time_loop(self, name):
+        sol = _system(name)
+        t = np.array([0.9, 1e-3, 0.35, 1.4, 0.05])
+        M, N = sol._blocks(t)
+        V = sol.V(t)
+        assert M.shape == N.shape == V.shape == (5, sol.n, sol.n)
+        for k, tk in enumerate(t):
+            Mk, Nk = sol._blocks(tk)
+            assert M[k].tobytes() == Mk.tobytes() and N[k].tobytes() == Nk.tobytes()
+            assert V[k].tobytes() == sol.V(tk).tobytes()
+
+
+# ----------------------------------------------------------------------
 # Test Class: constant-coefficient finiteness
 # ----------------------------------------------------------------------
 

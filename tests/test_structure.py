@@ -140,6 +140,31 @@ class TestTraceInequality:
         assert slack.ravel().tolist() == [p[0] for p in pairs]
         assert ok.ravel().tolist() == [p[1] for p in pairs]
 
+    # np.sum over each pair's entries and np.trace: the 2-D formula in numpy's own order
+    @staticmethod
+    def _pair_slack(X, Y):
+        m = len(X)
+        nx2, ny2, ip = ((P * Q).ravel().sum() for P, Q in ((X, X), (Y, Y), (X, Y)))
+        tx, ty = np.trace(X), np.trace(Y)
+        return (nx2 * ny2 - ip * ip + (2.0 / m) * tx * ty * ip) - (ty * ty * nx2 + tx * tx * ny2) / m
+
+    # m = 12: 144 entries, two halves of the pairwise sum, and a trace of 12 terms
+    @pytest.mark.parametrize("m", [2, 3, 5, 12])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed-view", "pairs"])
+    def test_coordinate_major_sums_keep_the_bits_of_numpy_sums(self, m, layout):
+        rng = np.random.default_rng(m)
+        Z = rng.standard_normal((300, 2, m, m)) * np.exp(rng.uniform(-5.0, 5.0, (300, 2, 1, 1)))
+        Z = Z + np.swapaxes(Z, -1, -2)
+        Z[7], Z[9, 0], Z[9, 1] = 0.0, -0.0, 0.0  # np.sum turns a sum of -0.0 into 0.0
+        if layout == "pairs":
+            slack, ok = np.array([trace_inequality_check(x, y) for x, y in Z]).T
+        else:
+            X, Y = Z.transpose(1, 0, 2, 3) if layout == "transposed-view" else (Z[:, 0].copy(), Z[:, 1].copy())
+            slack, ok = trace_inequality_check(X, Y)
+        expected = np.array([self._pair_slack(x, y) for x, y in Z])
+        assert slack.tobytes() == expected.tobytes()
+        assert ok.all()
+
     def test_rejects_one_asymmetric_member_of_a_stack(self):
         X = np.array([random_symmetric(np.random.default_rng(k), 3) for k in range(5)])
         X[3, 0, 1] += 0.1

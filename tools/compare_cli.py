@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 39 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 43 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -78,6 +78,11 @@ CALLS = [
     ["blowup", "--ka", "1e-5", "--kb=-20", "--verify"],
     # a grid of its own: t_star is solved inside sublaplacian_along
     ["laplacian", "--d", "2", "--rgrid", "0.1:2.5:12", "--verify"],
+    # grids of one stacked propagation: 200 radii, 40 near the origin, a descending grid, a single radius
+    ["laplacian", "--d", "3", "--v", "0.6,-0.3,0.2", "--rgrid", "0.05:2.0:200", "--verify"],
+    ["laplacian", "--d", "1", "--vnorm", "2.5", "--rgrid", "0.01:1.0:40", "--verify"],
+    ["laplacian", "--d", "2", "--rgrid", "1.5:0.1:15", "--format", "json"],
+    ["laplacian", "--d", "2", "--rgrid", "0.5:0.5:1", "--verify"],
     # |v|^4 overflows: a domain error, exit 2
     ["conjugate", "--d", "1", "--vnorm", "1e200"],
 ]
