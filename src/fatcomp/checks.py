@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import curvature_blocks, qhf_curvature_inputs, ricci_scalars, vee
-from .hopf import _qhf_system, _sublaplacian, conjugate_time, initial_state, integrate_extremal
+from .hopf import _qhf_system, conjugate_time, initial_state, integrate_extremal, sublaplacian_along
 from .models import (
     DomainError,
     blowup_time_kab,
@@ -389,7 +389,7 @@ def check_sublaplacian_margin(rng: np.random.Generator) -> CheckResult:
     res = conjugate_time(2, np.zeros(3))
     grid = np.linspace(0.1, 0.95 * res.t_star, 16)
     # the grid and the limit radius in one call: each radius's values come from exp(r H) alone
-    rep = _sublaplacian(res, np.array([*grid, 1e-3]))
+    rep = sublaplacian_along(res, [*grid, 1e-3])
     min_margin = float(rep.margin[:16].min())
     max_abs = float(np.abs(rep.margin[:16]).max())
     limit_err = abs(float(rep.r_times_lhs[16]) - 16.0)

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .checks import map_tasks, run_all
-from .hopf import _sublaplacian, conjugate_time, sublaplacian_along
+from .hopf import conjugate_time, sublaplacian_along
 from .models import DomainError, blowup_time_kab, blowup_time_kc, upper_bound_kab
 from .riccati import UnverifiableError, first_blowup, integrate_jacobi, wedge_det_sign_changes, wedge_first_zero
 from .structure import typeI_pair
@@ -376,11 +376,9 @@ def cmd_conjugate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def cmd_laplacian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _positive("--tol", args.tol)
     v = np.array(_given_momentum(args))
-    if args.rgrid is None:  # the default grid is finite and nonempty: solve t_star once
-        conj = conjugate_time(args.d, v)
-        rep = _sublaplacian(conj, np.linspace(conj.t_star / 30.0, 0.95 * conj.t_star, 20))
-    else:
-        rep = sublaplacian_along(args.d, v, args.rgrid)
+    conj = conjugate_time(args.d, v)
+    r = np.linspace(conj.t_star / 30.0, 0.95 * conj.t_star, 20) if args.rgrid is None else args.rgrid
+    rep = sublaplacian_along(conj, r)
     rows = [
         {
             "index": i,

@@ -67,6 +67,11 @@ def _momentum(v) -> np.ndarray:
     return v
 
 
+def _norm2(v: np.ndarray) -> float:
+    """|v|^2 of a v that ``_momentum`` has checked, or inf where v @ v would overflow (and warn)."""
+    return float(v @ v) if max(map(abs, v.tolist())) < 1e153 else math.inf
+
+
 def vee(v) -> np.ndarray:
     """Skew 3x3 matrix of a vertical momentum triple, or a stack of them.
 
@@ -121,7 +126,7 @@ def ricci_scalars(v, rho_a: float, d: int) -> tuple[float, float, float]:
     v = _momentum(v)
     if not math.isfinite(rho_a):
         raise DomainError(f"rho_a must be finite, got {rho_a}")
-    s = float(v @ v) if max(map(abs, v.tolist())) < 1e153 else math.inf  # v @ v warns where it overflows
+    s = _norm2(v)
     ric_a = 3.0 * (0.75 * rho_a - 3.5 * s - 1.875 * s * s)
     ric_b = 3.0 * (4.0 + 5.0 * s)
     ric_c = (4.0 * d - 4.0) * (1.0 + s)
@@ -250,9 +255,10 @@ def _b_sign() -> float:
 def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     """Place the canonical curvature blocks into R0 = R(0).
 
-    v is checked by ``_momentum``. The a/b rows and columns are functions
-    of |v|^2, vee(v), ABA and ABdotA alone, whatever d is; the b block takes
-    the sign of the FATCOMP_FAULT hook ``_b_sign``. The supplied c basis is
+    v is checked by ``_momentum``, and a |v|^2 or |v|^4 that overflows is a
+    ``DomainError``. The a/b rows and columns are functions of |v|^2, vee(v),
+    ABA and ABdotA alone, whatever d is; the b block takes the sign of the
+    FATCOMP_FAULT hook ``_b_sign``. The supplied c basis is
     rotated so the motion direction sits last, and the resulting R_cc must
     then have last row and column below 1e-8 max(1, max|R_cc|), otherwise
     the inputs are inconsistent with a curvature-free motion direction and
@@ -260,7 +266,9 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     |v|^2. The rounding that passes it is set to exactly 0.
     """
     v = _momentum(v)
-    s, V = float(v @ v), vee(v)
+    s, V = _norm2(v), vee(v)
+    if not math.isfinite((12.0 + (45.0 / 16.0) * s) * s):  # the |v|^4 scale of R0's a block
+        raise DomainError(f"|v|^4 overflows: R0 is not finite at |v|^2 = {s}")
 
     w, u = inputs.w, inputs.w.copy()
     u[-1] -= 1.0  # P = I - 2 u u^T sends w to the last axis; P = I if w is there

@@ -25,10 +25,10 @@ det of the lab-frame N. It is block diagonal, and each block follows from
 v alone: the a/b 6x6 corner, the same for every d, which the frame
 v = |v| e1 splits into a real and a complex type-I pair (``_qhf_pairs``);
 the c block, Q = kappa_c I; and the motion row. ``conjugate_time`` takes
-the first det N zero over the blocks and ``sublaplacian_along`` sums their
-trace(B V), the same in both frames, so neither cost depends on d. The
-(4d + 3)-square system is the oracle of the tests and of the qhf-conjugate
-checks.
+the first det N zero over the blocks, and ``sublaplacian_along``, given that
+result, sums their trace(B V) on a grid inside (0, t_star), the same in both
+frames, so neither cost depends on d. The (4d + 3)-square system is the
+oracle of the tests and of the qhf-conjugate checks.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import _b_sign, _check_d, _momentum, curvature_blocks, qhf_curvature_inputs
+from .curvature import _b_sign, _check_d, _momentum, _norm2, curvature_blocks, qhf_curvature_inputs
 from .models import (
     BlowUpTime,
     DomainError,
@@ -90,7 +90,7 @@ _J4_K = np.array(
         [1.0, 0.0, 0.0, 0.0],
     ]
 )
-_RADII = 4096  # most radii ``_sublaplacian`` propagates in one stack, a peak of about 55 MB
+_RADII = 4096  # most radii ``sublaplacian_along`` propagates in one stack, a peak of about 55 MB
 _TYPE_I = tuple(np.frombuffer(X.tobytes()).reshape(X.shape) for X in typeI_pair())  # (A_I, B_I) of _qhf_pairs, read-only
 
 @lru_cache(maxsize=8, typed=True)
@@ -274,7 +274,7 @@ def qhf_kappas(v) -> tuple[float, float, float]:
 
 def _kappas(v: np.ndarray) -> tuple[float, float, float]:
     """``qhf_kappas`` of a v that ``_momentum`` has checked."""
-    s = float(v @ v) if max(map(abs, v.tolist())) < 1e153 else math.inf  # v @ v warns where it overflows
+    s = _norm2(v)
     kappa_a = s * (-2.0 - 1.875 * s)
     if not math.isfinite(kappa_a):
         raise DomainError(f"|v|^4 overflows: kappa_a is not finite at |v|^2 = {s}")
@@ -389,37 +389,27 @@ class SublaplacianReport:
     r_times_lhs: np.ndarray
 
 
-def sublaplacian_along(d: int, v, r_grid) -> SublaplacianReport:
-    """Evaluate the radial sub-Laplacian trace formula on a grid.
+def sublaplacian_along(conj: ConjugateResult, r_grid) -> SublaplacianReport:
+    """Evaluate the radial sub-Laplacian trace formula on a grid, given ``conjugate_time(d, v)``.
 
     trace(B V) sums the blocks of ``_qhf_system``: the a/b 6x6 corner, that of
     d = 1, by its Riccati quotient, in stacks of up to ``_RADII`` radii (one
     ``_expm`` and one solve each), (4d - 4) sqrt(kappa_c) cot(sqrt(kappa_c) r)
     and the motion row's 1/r, which the formula subtracts. Its cost does not
-    depend on d. The grid must sit strictly inside (0, t_star), where the
+    depend on d. d and v are those of conj, which ``conjugate_time`` has
+    checked. The grid must sit strictly inside (0, t_star), where the
     distance is smooth. The volume-derivative term vanishes for these
     structures, so no extra scalar enters the comparison. Raises ``DomainError``
-    on an empty or non-finite grid, a non-finite v and a d not an integer >= 1.
+    on an empty or non-finite grid and on one that leaves (0, t_star).
     """
-    _check_d(d)
     r = np.asarray(list(r_grid), dtype=float)
     if r.size == 0:
         raise DomainError("r_grid must be nonempty")
     if not np.isfinite(r).all():
         raise DomainError(f"r_grid must be finite, got {r}")
-    return _sublaplacian(conjugate_time(d, v), r)
-
-
-def _sublaplacian(conj: ConjugateResult, r: np.ndarray) -> SublaplacianReport:
-    """``sublaplacian_along`` on a finite, nonempty 1-D float grid r, given ``conjugate_time(d, v)``, by one stacked
-    ``V``, product and trace per ``_RADII`` radii; ``DomainError`` where r leaves (0, t_star)."""
-    d = conj.d
     if r.min() <= 0.0 or r.max() >= conj.t_star:
-        raise DomainError(
-            f"r_grid must lie strictly inside (0, t_star = {conj.t_star}); "
-            f"got [{r.min()}, {r.max()}]"
-        )
-    kappa_a, kappa_b, kappa_c = _kappas(conj.v)
+        raise DomainError(f"r_grid must lie strictly inside (0, t_star = {conj.t_star}); got [{r.min()}, {r.max()}]")
+    d, (kappa_a, kappa_b, kappa_c) = conj.d, _kappas(conj.v)
     A, B, Q = (X[:6, :6] for X in _qhf_system(1, conj.v))
     sol = integrate_jacobi(A, B, Q, float(r.max()) * (1.0 + 1e-9))
     lhs = np.concatenate([np.trace(B @ sol.V(r[i : i + _RADII]), axis1=1, axis2=2) for i in range(0, r.size, _RADII)])
@@ -429,13 +419,4 @@ def _sublaplacian(conj: ConjugateResult, r: np.ndarray) -> SublaplacianReport:
         if d >= 2:
             lhs[i] += (4.0 * d - 4.0) * math.sqrt(kappa_c) / math.tan(math.sqrt(kappa_c) * ri)
             rhs[i] += (4.0 * d - 4.0) * eval_s_kc(kappa_c, ri)
-    return SublaplacianReport(
-        d=d,
-        v=conj.v,
-        t_star=conj.t_star,
-        r=r,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        r_times_lhs=r * lhs,
-    )
+    return SublaplacianReport(d=d, v=conj.v, t_star=conj.t_star, r=r, lhs=lhs, rhs=rhs, margin=rhs - lhs, r_times_lhs=r * lhs)

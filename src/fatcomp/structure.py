@@ -121,13 +121,15 @@ def trace_inequality_check(X, Y):
     member symmetric to 1e-12 of its own max(1, max|entry|). Returns
     (slack, slack >= -1e-9 * scale) with scale the magnitude of the
     largest term: (float, bool) for a pair, arrays of the stack shape
-    for stacks. A NaN or inf entry is a ``DomainError``.
+    for stacks. A NaN or inf entry, and finite entries whose squares or
+    products overflow, are a ``DomainError``.
 
     Each stack is copied once to coordinate-major order (m*m, K), and each
     step runs along the K members, summed to the bit of the 2-D call by
     ``_row_sums``. A NaN or inf entry leaves |Z|^2 not finite, which is read
     before the mirror entries are compared (inf == inf); the symmetry
-    tolerance is tested only where they differ.
+    tolerance is tested only where they differ. An overflow leaves the slack
+    not finite, which is read last.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -135,17 +137,19 @@ def trace_inequality_check(X, Y):
         raise ValueError(f"X, Y must be square of equal size, got {X.shape}, {Y.shape}")
     shape, m = X.shape[:-2], X.shape[-1]
     X, Y = (Z.reshape(-1, m * m).T.copy() for Z in (X, Y))
-    with np.errstate(invalid="ignore"):  # a NaN or inf entry is decided below, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry, or an overflow, is decided below
         nx2, ny2, ip = (_row_sums(P * Q) for P, Q in ((X, X), (Y, Y), (X, Y)))
-    for Z, z2 in ((X, nx2), (Y, ny2)):
-        if not np.isfinite(z2).all() and not np.isfinite(Z).all():
-            raise DomainError("X and Y must be finite, got a NaN or inf entry")
-        Z, Zt = Z.reshape(m, m, -1), Z.reshape(m, m, -1).transpose(1, 0, 2)
-        if (Z != Zt).any() and not (np.abs(Z - Zt) <= 1e-12 * np.maximum(1.0, np.abs(Z).max(axis=(0, 1)))).all():
-            raise ValueError("X and Y must be symmetric")
-    tx, ty = _row_sums(X[:: m + 1]), _row_sums(Y[:: m + 1])
-    lhs = nx2 * ny2 - ip * ip + (2.0 / m) * tx * ty * ip
-    rhs = (ty * ty * nx2 + tx * tx * ny2) / m
-    slack = lhs - rhs
+        for Z, z2 in ((X, nx2), (Y, ny2)):
+            if not np.isfinite(z2).all() and not np.isfinite(Z).all():
+                raise DomainError("X and Y must be finite, got a NaN or inf entry")
+            Z, Zt = Z.reshape(m, m, -1), Z.reshape(m, m, -1).transpose(1, 0, 2)
+            if (Z != Zt).any() and not (np.abs(Z - Zt) <= 1e-12 * np.maximum(1.0, np.abs(Z).max(axis=(0, 1)))).all():
+                raise ValueError("X and Y must be symmetric")
+        tx, ty = _row_sums(X[:: m + 1]), _row_sums(Y[:: m + 1])
+        lhs = nx2 * ny2 - ip * ip + (2.0 / m) * tx * ty * ip
+        rhs = (ty * ty * nx2 + tx * tx * ny2) / m
+        slack = lhs - rhs
+    if not np.isfinite(slack).all():  # an inf or NaN in any term reaches the slack
+        raise DomainError("the squares or products of X and Y overflow")
     ok = slack >= -1e-9 * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
     return (float(slack[0]), bool(ok[0])) if not shape else (slack.reshape(shape), ok.reshape(shape))

@@ -80,6 +80,11 @@ def _inputs(**bad):
     return CurvatureInputs(**{**fields, **bad})
 
 
+def _on_grid(grid):
+    """``sublaplacian_along`` at d = 2 and v = (0.5, 0, 0), where t_star = 2.81, on grid."""
+    return sublaplacian_along(conjugate_time(2, [0.5, 0.0, 0.0]), grid)
+
+
 def _overflowing_inputs():
     with np.errstate(over="ignore"):  # |v|^2 overflows in its product, which warns
         return qhf_curvature_inputs(1, [1e200, 0.0, 0.0])
@@ -103,6 +108,14 @@ BAD_INPUT = {
     "ricci_scalars-v-quartic-overflows": (lambda: ricci_scalars([1e80, 0.0, 0.0], 0.0, 1), "the a trace overflows"),
     "ricci_scalars-v-square-overflows": (lambda: ricci_scalars([0.0, 0.0, -1e200], 0.0, 2), "the a trace overflows"),
     "conjugate_time-v-overflows": (lambda: conjugate_time(1, [1e200, 0.0, 0.0]), "|v|^4 overflows"),
+    # this gave a NaN or inf R0, with only numpy's overflow warnings
+    "curvature_blocks-v-quartic-overflows": (lambda: curvature_blocks([1e80, 0.0, 0.0], qhf_curvature_inputs(1, [1.0, 0.0, 0.0])), "|v|^4 overflows"),
+    "curvature_blocks-v-square-overflows": (lambda: curvature_blocks([0.0, -1e200, 0.0], qhf_curvature_inputs(2, [1.0, 0.0, 0.0])), "|v|^4 overflows"),
+    "sublaplacian_along-r_grid-empty": (lambda: _on_grid([]), "r_grid must be nonempty"),
+    "sublaplacian_along-r_grid-nan": (lambda: _on_grid([0.1, math.nan]), "r_grid must be finite"),
+    "sublaplacian_along-r_grid-inf": (lambda: _on_grid([math.inf]), "r_grid must be finite"),
+    "sublaplacian_along-r_grid-zero": (lambda: _on_grid([0.0, 0.5]), "strictly inside (0, t_star"),
+    "sublaplacian_along-r_grid-beyond-t_star": (lambda: _on_grid([0.5, 5.0]), "strictly inside (0, t_star"),
     "ricci_scalars-v-nan": (lambda: ricci_scalars([0.0, math.nan, 0.0], 0.0, 2), "finite"),
     "ricci_scalars-rho_a-inf": (lambda: ricci_scalars([0.0, 0.0, 0.0], math.inf, 2), "finite"),
     "initial_state-v-nan": (lambda: initial_state(2, [0.0, 0.0, math.nan]), "v must be finite"),
@@ -144,8 +157,10 @@ def test_overflowing_momentum_raises_no_warning_first():
 
 @pytest.mark.parametrize("call", [lambda: qhf_kappas([1e200, 0.0, 0.0]), lambda: ricci_scalars([1e200, 0.0, 0.0], 0.0, 1),
                                   lambda: conjugate_time(1, [1e200, 0.0, 0.0]), lambda: qhf_kappas([1e80, 0.0, 0.0]),
-                                  lambda: ricci_scalars([1e80, 0.0, 0.0], 0.0, 1)],
-                         ids=["qhf_kappas", "ricci_scalars", "conjugate_time", "qhf_kappas-quartic", "ricci_scalars-quartic"])
+                                  lambda: ricci_scalars([1e80, 0.0, 0.0], 0.0, 1),
+                                  lambda: curvature_blocks([1e80, 0.0, 0.0], qhf_curvature_inputs(1, [1.0, 0.0, 0.0]))],
+                         ids=["qhf_kappas", "ricci_scalars", "conjugate_time", "qhf_kappas-quartic", "ricci_scalars-quartic",
+                              "curvature_blocks-quartic"])
 def test_overflowing_square_raises_no_warning_first(call):
     # "overflow encountered in matmul" came first, and -W error turned the
     # call into a RuntimeWarning; |v|^4 alone returned -inf
@@ -158,7 +173,8 @@ def test_overflowing_square_raises_no_warning_first(call):
 # every entry point that takes the quaternionic dimension d
 D_TAKERS = {
     "conjugate_time": lambda d: conjugate_time(d, [0.5, 0.0, 0.0]),
-    "sublaplacian_along": lambda d: sublaplacian_along(d, [0.5, 0.0, 0.0], [0.5, 1.0]),
+    # the d of sublaplacian_along is that of its conjugate_time result
+    "sublaplacian_along": lambda d: sublaplacian_along(conjugate_time(d, [0.5, 0.0, 0.0]), [0.5, 1.0]),
     "initial_state": lambda d: initial_state(d, [0.5, 0.0, 0.0]),
     "reeb_generators": reeb_generators,
     "qhf_curvature_inputs": lambda d: qhf_curvature_inputs(d, [0.5, 0.0, 0.0]),
@@ -188,7 +204,7 @@ V_TAKERS = {
     "qhf_kappas": qhf_kappas,
     "initial_state": lambda v: initial_state(1, v),
     "conjugate_time": lambda v: conjugate_time(1, v),
-    "sublaplacian_along": lambda v: sublaplacian_along(1, v, [0.5]),
+    "sublaplacian_along": lambda v: sublaplacian_along(conjugate_time(1, v), [0.5]),
 }
 
 

@@ -14,6 +14,7 @@ import operator
 import numpy as np
 import pytest
 
+from fatcomp import checks
 from fatcomp.checks import CHECKS, _child_rng, check_names, map_tasks, run_check
 
 
@@ -81,6 +82,20 @@ class TestRegistryBits:
         assert rng.calls <= MAX_CALLS[name]
         want = run_check(index, seed)
         assert (got.passed, float.hex(got.worst), got.detail) == (want.passed, float.hex(want.worst), want.detail)
+
+    def test_sublaplacian_margin_calls_the_public_entry_point(self, monkeypatch):
+        # the check went round sublaplacian_along through a private name, which
+        # a tracer wrapping the public one did not see
+        calls, evaluate = [], checks.sublaplacian_along
+
+        def counted(conj, r_grid):
+            calls.append(conj)
+            return evaluate(conj, r_grid)
+
+        monkeypatch.setattr(checks, "sublaplacian_along", counted)
+        index = check_names().index("sublaplacian-margin")
+        assert run_check(index, 1).passed
+        assert len(calls) == 1 and calls[0].d == 2
 
 
 class _SerialPool:

@@ -406,18 +406,23 @@ class TestLaplacian:
 
     @pytest.mark.parametrize("grid", [[], ["--rgrid", "0.1:2.5:12"]], ids=["default", "rgrid"])
     def test_conjugate_time_is_solved_once(self, grid, tmp_path, monkeypatch):
-        # the default grid solved it twice: once for the grid, once more
-        # inside sublaplacian_along
-        calls, solve = [], hopf.conjugate_time
+        # one conjugate_time call, whose result the one sublaplacian_along
+        # call takes, with and without --rgrid
+        calls, solve, evaluate = [], hopf.conjugate_time, hopf.sublaplacian_along
 
         def counted(*args):
-            calls.append(args)
-            return solve(*args)
+            calls.append(solve(*args))
+            return calls[-1]
+
+        def evaluated(conj, r_grid):
+            calls.append(conj)
+            return evaluate(conj, r_grid)
 
         monkeypatch.setattr(hopf, "conjugate_time", counted)
         monkeypatch.setattr(cli, "conjugate_time", counted)
+        monkeypatch.setattr(cli, "sublaplacian_along", evaluated)
         assert run_cli(["laplacian", "--d", "2", *grid, "--verify", "--out", str(tmp_path / "l.csv")]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 2 and calls[1] is calls[0]
 
     def test_wrong_curvature_still_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")

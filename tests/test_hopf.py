@@ -656,10 +656,11 @@ class TestReductionsAlongGeodesic:
 class TestSublaplacian:
 
     def test_margin_and_small_radius_limit(self):
-        rep = sublaplacian_along(2, [0.0, 0.0, 0.0], np.linspace(0.2, 2.8, 8))
+        conj = conjugate_time(2, [0.0, 0.0, 0.0])
+        rep = sublaplacian_along(conj, np.linspace(0.2, 2.8, 8))
         assert rep.margin.min() >= -1e-6, f"margin dips to {rep.margin.min()}"
         assert np.abs(rep.margin).max() < 1e-4, "comparison should be near-Exact at v=0"
-        small = sublaplacian_along(2, [0.0, 0.0, 0.0], [1e-3])
+        small = sublaplacian_along(conj, [1e-3])
         assert abs(small.r_times_lhs[0] - 16.0) < 1e-3
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -668,7 +669,7 @@ class TestSublaplacian:
         # row's 1/r, against the a/b block plus the c block in closed form
         v = np.array([0.6, -0.3, 0.2])
         r = np.linspace(0.2, 2.0, 6)
-        rep = sublaplacian_along(d, v, r)
+        rep = sublaplacian_along(conjugate_time(d, v), r)
         sol = integrate_jacobi(*_qhf_system(d, v), 2.0 * (1.0 + 1e-9))
         full = np.array([np.trace(sol.B @ sol.V(ri)) - 1.0 / ri for ri in r])
         assert np.abs(rep.lhs - full).max() <= 1e-10 * np.abs(full).max()
@@ -699,7 +700,7 @@ class TestSublaplacian:
             "descending": np.linspace(0.95, 1.0 / 30.0, 17),
             "two-stacks": np.linspace(0.01, 0.99, hopf._RADII + 3),
         }[grid] * conj.t_star
-        rep = hopf._sublaplacian(conj, r)
+        rep = sublaplacian_along(conj, r)
         lhs, rhs = self._radius_loop(conj, r)
         assert rep.lhs.tobytes() == lhs.tobytes()
         assert rep.rhs.tobytes() == rhs.tobytes()
@@ -707,17 +708,17 @@ class TestSublaplacian:
         assert rep.r_times_lhs.tobytes() == (r * lhs).tobytes()
 
     def test_nonzero_momentum_margin(self):
-        rep = sublaplacian_along(2, [0.5, 0.0, 0.0], np.linspace(0.3, 2.0, 5))
+        rep = sublaplacian_along(conjugate_time(2, [0.5, 0.0, 0.0]), np.linspace(0.3, 2.0, 5))
         assert rep.margin.min() >= -1e-6
 
     def test_domain_guards(self):
-        with pytest.raises(DomainError):
-            sublaplacian_along(2, [0, 0, 0], [])
-        with pytest.raises(DomainError):
-            sublaplacian_along(2, [0, 0, 0], [5.0])
-        with pytest.raises(DomainError):
-            sublaplacian_along(2, [0, 0, 0], [-0.5, 0.5])
-        with pytest.raises(DomainError, match="r_grid must be finite"):
-            sublaplacian_along(2, [0, 0, 0], [0.1, math.nan, 0.5])
-        with pytest.raises(DomainError, match="v must be finite"):
-            sublaplacian_along(2, [0, 0, math.nan], [0.5])
+        # d and v are checked by conjugate_time; the grid is checked here
+        conj = conjugate_time(2, [0, 0, 0])
+        with pytest.raises(DomainError, match="r_grid must be nonempty"):
+            sublaplacian_along(conj, [])
+        for grid in ([5.0], [-0.5, 0.5], [0.0, 0.5], [0.5, conj.t_star]):
+            with pytest.raises(DomainError, match=r"r_grid must lie strictly inside \(0, t_star"):
+                sublaplacian_along(conj, grid)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="r_grid must be finite"):
+                sublaplacian_along(conj, [0.1, bad, 0.5])

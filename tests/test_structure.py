@@ -6,6 +6,8 @@ Test categories:
   3. Symmetric-pair trace inequality, including its equality cases
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,3 +198,12 @@ class TestTraceInequality:
         with pytest.raises(DomainError, match="finite"):
             trace_inequality_check(X, Y)
 
+    # both returned (nan, False) with a RuntimeWarning: the inequality read as failing
+    @pytest.mark.parametrize("X,Y", [(np.eye(2) * 1e200, np.eye(2)), (np.eye(2) * 1e100, np.eye(2) * 1e100),
+                                     (np.array([np.eye(2), np.eye(2) * 1e160]), np.array([np.eye(2), np.eye(2)]))],
+                             ids=["squares", "products", "stack"])
+    def test_overflowing_terms_are_a_domain_error(self, X, Y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                trace_inequality_check(X, Y)

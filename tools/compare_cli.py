@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 43 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 46 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -76,7 +76,7 @@ CALLS = [
     # ||h H2||_2 is 2.8 and 7.0: the refinement halves its step once and twice
     ["blowup", "--ka", "1e-3", "--kb=-5", "--verify"],
     ["blowup", "--ka", "1e-5", "--kb=-20", "--verify"],
-    # a grid of its own: t_star is solved inside sublaplacian_along
+    # a grid of its own, checked against t_star by sublaplacian_along
     ["laplacian", "--d", "2", "--rgrid", "0.1:2.5:12", "--verify"],
     # grids of one stacked propagation: 200 radii, 40 near the origin, a descending grid, a single radius
     ["laplacian", "--d", "3", "--v", "0.6,-0.3,0.2", "--rgrid", "0.05:2.0:200", "--verify"],
@@ -85,6 +85,10 @@ CALLS = [
     ["laplacian", "--d", "2", "--rgrid", "0.5:0.5:1", "--verify"],
     # |v|^4 overflows: a domain error, exit 2
     ["conjugate", "--d", "1", "--vnorm", "1e200"],
+    # domain errors of laplacian, exit 2: a bad d, a NaN radius, a grid beyond t*
+    ["laplacian", "--d", "0", "--rgrid", "0.1:1:3"],
+    ["laplacian", "--rgrid=0.1:nan:3"],
+    ["laplacian", "--rgrid", "0.5:5:4"],
 ]
 
 
