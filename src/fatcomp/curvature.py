@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -142,7 +142,8 @@ class CurvatureInputs:
     w holds the coordinates of the motion direction in the supplied
     c basis; the first basis vector for the standard construction.
     ``ValueError`` on a wrong shape or a w off the unit sphere, and
-    ``DomainError`` on a NaN or inf entry or rho_a.
+    ``DomainError`` on a NaN or inf entry or rho_a. The largest |entry| of
+    each array is kept, for the overflow bound of ``curvature_blocks``.
     """
 
     d: int
@@ -153,16 +154,20 @@ class CurvatureInputs:
     w: np.ndarray
     rho_a: float
 
+    _tops: tuple = field(init=False, repr=False, compare=False)  # max |entry| of ABA, ABdotA, ABU, UBU, w
+
     def __post_init__(self) -> None:
         # every array field is stored as a float array, so no later reader converts it
-        nc = 4 * self.d - 3
+        nc, tops = 4 * self.d - 3, []
         for name, shape in (("ABA", (3, 3)), ("ABdotA", (3, 3)), ("ABU", (3, nc)), ("UBU", (nc, nc)), ("w", (nc,))):
             X = np.asarray(getattr(self, name), dtype=float)
             if X.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {X.shape}")
-            if not np.isfinite(X).all():
+            tops.append(float(np.abs(X).max()))  # NaN where an entry is NaN
+            if not tops[-1] < math.inf:
                 raise DomainError(f"{name} must be finite, got a NaN or inf entry")
             object.__setattr__(self, name, X)
+        object.__setattr__(self, "_tops", tuple(tops))
         if not math.isfinite(self.rho_a):
             raise DomainError(f"rho_a must be finite, got {self.rho_a}")
         if abs(np.linalg.norm(self.w) - 1.0) > 1e-10:
@@ -256,8 +261,10 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     """Place the canonical curvature blocks into R0 = R(0).
 
     v is checked by ``_momentum``, and a |v|^2 or |v|^4 that overflows is a
-    ``DomainError``. The a/b rows and columns are functions of |v|^2, vee(v),
-    ABA and ABdotA alone, whatever d is; the b block takes the sign of the
+    ``DomainError``; so is an R0 that a scalar bound, from |v|^2 and the largest
+    |entry| of each contraction (kept by ``CurvatureInputs``), does not keep
+    finite. The a/b rows and columns are functions of |v|^2, vee(v), ABA and
+    ABdotA alone, whatever d is; the b block takes the sign of the
     FATCOMP_FAULT hook ``_b_sign``. The supplied c basis is
     rotated so the motion direction sits last, and the resulting R_cc must
     then have last row and column below 1e-8 max(1, max|R_cc|), otherwise
@@ -267,8 +274,15 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     """
     v = _momentum(v)
     s, V = _norm2(v), vee(v)
-    if not math.isfinite((12.0 + (45.0 / 16.0) * s) * s):  # the |v|^4 scale of R0's a block
+    quartic = (12.0 + (45.0 / 16.0) * s) * s  # the |v|^4 scale of R0's a block
+    if not math.isfinite(quartic):
         raise DomainError(f"|v|^4 overflows: R0 is not finite at |v|^2 = {s}")
+    # every entry of R0, and every partial sum that builds it, is below this bound: ABA enters
+    # with |v|^2, ABdotA and ABU with |v|, UBU alone, and the reflections cost 9 (4d - 3)
+    aba, abdota, abu, ubu, _ = inputs._tops
+    linear = (1.0 + aba) * (1.0 + s) + (abdota + abu) * (1.0 + math.sqrt(s)) + ubu
+    if not math.isfinite(quartic + 64.0 * inputs.w.size * linear):
+        raise DomainError(f"R0 overflows: the contractions reach |entry| = {max(inputs._tops)} at |v|^2 = {s}")
 
     w, u = inputs.w, inputs.w.copy()
     u[-1] -= 1.0  # P = I - 2 u u^T sends w to the last axis; P = I if w is there

@@ -25,7 +25,10 @@ det of the lab-frame N. It is block diagonal, and each block follows from
 v alone: the a/b 6x6 corner, the same for every d, which the frame
 v = |v| e1 splits into a real and a complex type-I pair (``_qhf_pairs``);
 the c block, Q = kappa_c I; and the motion row. ``conjugate_time`` takes
-the first det N zero over the blocks, and ``sublaplacian_along``, given that
+the first det N zero over the blocks: the c block's pi/sqrt(kappa_c) and the
+real pair's 2 pi/sqrt(4 + 4|v|^2), the two-frequency model at kappa_a = 0, in
+closed form, and the complex pair's by one 2x2 phase pass, which may get
+cheaper, never different. ``sublaplacian_along``, given that
 result, sums their trace(B V) on a grid inside (0, t_star), the same in both
 frames, so neither cost depends on d. The (4d + 3)-square system is the
 oracle of the tests and of the qhf-conjugate checks.
@@ -333,14 +336,18 @@ def _qhf_pairs(v: np.ndarray):
 def conjugate_time(d: int, v) -> ConjugateResult:
     """First conjugate time: the first det N zero over the blocks of ``_qhf_system``.
 
-    t_star is the smallest of the ``wedge_first_zero`` times (the phase rule
-    of ``first_blowup`` on the compound sweep) of the real and the complex
-    type-I pair of ``_qhf_pairs``, scanned to 10% beyond the smaller model
-    bound, and, for d >= 2, pi/sqrt(kappa_c), exact for the c block's N =
-    sin(sqrt(kappa_c) t) / sqrt(kappa_c) I. Every block is built in closed
-    form from v, so the cost does not depend on d. No zero within that horizon
-    contradicts the bounds and raises RuntimeError. Raises ``DomainError`` as
-    ``qhf_kappas`` does, and on a d that is not an integer >= 1.
+    t_star is the smallest of three zeros. The complex type-I pair of
+    ``_qhf_pairs`` takes the one 2x2 phase pass, ``wedge_first_zero`` (the
+    phase rule of ``first_blowup`` on the compound sweep), scanned to 10% beyond
+    the smaller model bound; its bits may get cheaper, never different. The
+    real pair, Q = diag(0, 4 + 4|v|^2), is the two-frequency model at kappa_a
+    = 0, so its zero is ``blowup_time_kab`` of its Q, 2 pi/sqrt(4 + 4|v|^2),
+    infinite where the fault hook flips the sign of its b entry. For d >= 2,
+    pi/sqrt(kappa_c) is exact for the c block's N = sin(sqrt(kappa_c) t) /
+    sqrt(kappa_c) I, and equals the real pair's zero to the bit. Every block is
+    built in closed form from v, so the cost does not depend on d. No zero
+    within the horizon contradicts the bounds and raises RuntimeError. Raises
+    ``DomainError`` as ``qhf_kappas`` does, and on a d that is not an integer >= 1.
     """
     _check_d(d)
     v = _momentum(v)
@@ -348,10 +355,10 @@ def conjugate_time(d: int, v) -> ConjugateResult:
     bound_kab = blowup_time_kab(kappa_a, kappa_b)
     bound_kc = blowup_time_kc(kappa_c).time if d >= 2 else None
     t_max = 1.1 * min(bound_kab.time, bound_kc or math.inf)
-    times = [wedge_first_zero(*pair, t_max).time for pair in _qhf_pairs(v)]
+    (_, _, Q_r), cplx = _qhf_pairs(v)
+    t_star = min(wedge_first_zero(*cplx, t_max).time, blowup_time_kab(Q_r[0, 0], Q_r[1, 1]).time)
     if d >= 2:
-        times.append(math.pi / math.sqrt(kappa_c))
-    t_star = min(times)
+        t_star = min(t_star, math.pi / math.sqrt(kappa_c))
     if not t_star <= t_max:
         raise RuntimeError(f"no conjugate point found below {t_max} for d={d}, v={v}; inconsistent with the model bounds")
     return ConjugateResult(

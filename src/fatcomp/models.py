@@ -118,7 +118,8 @@ def eval_s_kc(kappa_c: float, t: float) -> float:
 
     Equals sqrt(kc)*cot(sqrt(kc)*t) for kc > 0, 1/t at kc = 0 and the
     hyperbolic cotangent branch for kc < 0; the three branches glue
-    analytically (the function is continuous in kc at 0).
+    analytically (the function is continuous in kc at 0). Where cosh(sqrt(-kc) t)
+    overflows, the real form sqrt(-kc)/tanh(sqrt(-kc) t) is taken.
     """
     if not 0.0 < t < blowup_time_kc(kappa_c).time:
         raise DomainError(f"t={t} outside (0, blow-up) for kappa_c={kappa_c}")
@@ -127,12 +128,26 @@ def eval_s_kc(kappa_c: float, t: float) -> float:
         # z*cot(z) = 1 - z^2/3 - z^4/45 + O(z^6)
         zz = z * z
         return _real((1.0 - zz / 3.0 - zz * zz / 45.0) / t, "s_kc")
-    return _real(z * cmath.cos(z) / cmath.sin(z) / t, "s_kc")
+    try:
+        zcot = z * cmath.cos(z) / cmath.sin(z)
+    except OverflowError:
+        zcot = math.nan
+    if zcot != zcot:  # kappa_c < 0 and cosh |z| overflows (|z| > 704): coth |z| is 1.0, exactly
+        return math.sqrt(-kappa_c) / math.tanh(math.sqrt(-kappa_c) * t)
+    return _real(zcot / t, "s_kc")
 
 
 # ----------------------------------------------------------------------
 # two-frequency model
 # ----------------------------------------------------------------------
+
+def _wide_disc_root(kappa_a: float, kappa_b: float) -> complex:
+    """sqrt(kappa_b**2 + 4*kappa_a) for kappa_a < 0 where the radicand overflows: the root of
+    (|kappa_b| - r)(|kappa_b| + r), r = 2 sqrt(-kappa_a), taken factor by factor. Its real part
+    is positive exactly where the radicand is; it is imaginary where that is negative."""
+    r = 2.0 * math.sqrt(-kappa_a)
+    return cmath.sqrt(abs(kappa_b) - r) * math.sqrt(abs(kappa_b) + r)
+
 
 def theta_from_kappas(kappa_a: float, kappa_b: float) -> tuple[complex, complex]:
     """(theta_plus, theta_minus) of the two-frequency model, principal branches.
@@ -140,11 +155,16 @@ def theta_from_kappas(kappa_a: float, kappa_b: float) -> tuple[complex, complex]
     With x = kappa_b/2 and y = sqrt(kappa_b**2 + 4*kappa_a)/2 (by hypot where
     kappa_a >= 0), theta_pm = (sqrt(x+y) +- sqrt(x-y))/2. Where y is real,
     (x + y)(x - y) = -kappa_a: the factor whose terms share a sign is taken
-    directly and the other from the product, free of cancellation. The map is
+    directly and the other from the product, free of cancellation. Where
+    kappa_b**2 + 4*kappa_a overflows, y is ``_wide_disc_root``/2. The map is
     inverted by kappa_b = 2*(tp**2 + tm**2) and kappa_a = -(tp**2 - tm**2)**2.
     """
     x = kappa_b / 2.0
-    y = math.hypot(kappa_b, 2.0 * math.sqrt(kappa_a)) if kappa_a >= 0.0 else cmath.sqrt(kappa_b * kappa_b + 4.0 * kappa_a)
+    if kappa_a >= 0.0:
+        y = math.hypot(kappa_b, 2.0 * math.sqrt(kappa_a))
+    else:
+        disc = kappa_b * kappa_b + 4.0 * kappa_a
+        y = cmath.sqrt(disc) if abs(disc) < math.inf else _wide_disc_root(kappa_a, kappa_b)
     y /= 2.0
     if kappa_a and not y.imag:
         y = y.real
@@ -191,10 +211,16 @@ def _check_kappas(kappa_a: float, kappa_b: float) -> None:
 
 def finiteness_predicate(kappa_a: float, kappa_b: float) -> bool:
     """Sign conditions equivalent to a finite two-frequency blow-up time;
-    ``DomainError`` when kappa_a or kappa_b is NaN or infinite."""
+    ``DomainError`` when kappa_a or kappa_b is NaN or infinite. Where the
+    discriminant kappa_b**2 + 4*kappa_a is positive, the time is finite for
+    kappa_b >= 0 or kappa_a > 0; where it is zero or negative, never. A NaN
+    discriminant (both terms overflow, so kappa_a < 0) takes its sign from
+    ``_wide_disc_root``."""
     _check_kappas(kappa_a, kappa_b)
     disc = kappa_b * kappa_b + 4.0 * kappa_a
-    return (kappa_b >= 0.0 and disc > 0.0) or (kappa_b < 0.0 and kappa_a > 0.0)
+    if disc > 0.0:
+        return kappa_b >= 0.0 or kappa_a > 0.0
+    return disc != disc and kappa_b >= 0.0 and _wide_disc_root(kappa_a, kappa_b).real > 0.0
 
 
 def _tbar_floor(kappa_a: float, kappa_b: float) -> float:
@@ -325,7 +351,7 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
             k * math.pi / w
             for w in (tp + tm, tp - tm)
             for k in range(math.ceil(start * w / math.pi), math.ceil(hi * w / math.pi))
-        )) if math.isfinite(hi) else []  # NaN where kappa_b**2 overflows
+        ))
         tol, roots = _TOUCH * hi, []
         for sign in (-1.0, 1.0):  # the first knot with |g| <= tol, else the first sign change
             vals = [math.sin(tp * t) / tp + sign * math.sin(tm * t) / tm for t in knots]
@@ -395,7 +421,8 @@ def diameter_certificate(v_norm: float, K: float) -> DiameterCertificate:
     ``_f_and_c``, -sqrt|kappa_a| pi^2 F[a, b] (F(a) + F(b)), is chi(pi) for
     kappa_a <= 0 and Im chi(pi) for kappa_a > 0 (K > 7/3 + 1.25*v^2), where
     chi is purely imaginary. It is positive before tbar and changes sign at
-    tbar: (0.25, 2.9) gives -7.73e-3 with tbar = 3.0146.
+    tbar: (0.25, 2.9) gives -7.73e-3 with tbar = 3.0146. ``DomainError`` where
+    chi(pi), which grows like exp(2 pi Im tp), overflows, as at (0.5, 1e12).
     """
     if v_norm < 0.0:
         raise DomainError("v_norm must be nonnegative")
@@ -407,4 +434,6 @@ def diameter_certificate(v_norm: float, K: float) -> DiameterCertificate:
     tbar = blowup_time_kab(kappa_a, kappa_b)
     uf, wf, _, _ = _f_and_c(kappa_a, kappa_b, math.pi)
     chi = 0.0 - 2.0 * math.sqrt(abs(kappa_a)) * math.pi**2 * uf * wf  # 0.0 - x: +0.0 at kappa_a = 0
+    if not math.isfinite(chi):
+        raise DomainError(f"chi(pi) overflows for (v_norm, K) = ({v_norm}, {K}): kappa_a = {kappa_a}")
     return DiameterCertificate(kappa_a, kappa_b, tbar, chi, passes=bool(tbar.time <= math.pi * (1.0 + 1e-12)))

@@ -29,7 +29,7 @@ from fatcomp.hopf import (
     reeb_generators,
     sublaplacian_along,
 )
-from fatcomp.models import DomainError, finiteness_predicate, upper_bound_kab
+from fatcomp.models import DomainError, diameter_certificate, finiteness_predicate, upper_bound_kab
 from fatcomp.riccati import finite_blowup_constant, integrate_jacobi, wedge_det_sign_changes, wedge_first_zero
 from fatcomp.structure import typeI_pair
 
@@ -111,6 +111,12 @@ BAD_INPUT = {
     # this gave a NaN or inf R0, with only numpy's overflow warnings
     "curvature_blocks-v-quartic-overflows": (lambda: curvature_blocks([1e80, 0.0, 0.0], qhf_curvature_inputs(1, [1.0, 0.0, 0.0])), "|v|^4 overflows"),
     "curvature_blocks-v-square-overflows": (lambda: curvature_blocks([0.0, -1e200, 0.0], qhf_curvature_inputs(2, [1.0, 0.0, 0.0])), "|v|^4 overflows"),
+    # the contractions, not v, overflowed R0: a non-finite R0 with numpy's matmul warnings
+    "curvature_blocks-ABA-overflows": (lambda: curvature_blocks([100.0, 0.0, 0.0], CurvatureInputs(
+        d=1, ABA=4e307 * np.eye(3), ABdotA=np.zeros((3, 3)), ABU=np.zeros((3, 1)), UBU=np.zeros((1, 1)), w=np.ones(1), rho_a=2e4)),
+        "R0 overflows"),
+    # chi_at_pi was NaN, with passes=True
+    "diameter_certificate-chi-overflows": (lambda: diameter_certificate(0.5, 1e12), "chi(pi) overflows"),
     "sublaplacian_along-r_grid-empty": (lambda: _on_grid([]), "r_grid must be nonempty"),
     "sublaplacian_along-r_grid-nan": (lambda: _on_grid([0.1, math.nan]), "r_grid must be finite"),
     "sublaplacian_along-r_grid-inf": (lambda: _on_grid([math.inf]), "r_grid must be finite"),

@@ -272,6 +272,24 @@ class TestBlowup:
             assert run_cli(["blowup", f"--ka={ka}", f"--kb={kb}", "--verify", "--out", str(out)]) == 3
         assert read_csv(out)[2][0]["check_ok"] == "unverifiable"
 
+    @pytest.mark.parametrize("ka,kb,tbar,upper", [
+        # upper_bound was written as nan, with exit 0: kappa_b^2 overflowed to inf
+        ("-1.301921080189521e-09", "-9.869978309892461e+276", "inf", "inf"),
+        # "computation failed", exit 1: "no root in the proven bracket (nan, nan]"
+        ("-1.0229834445816485e+166", "2.3912383905424197e+250", "4.0632021637008433e-125", "4.0632021637008433e-125"),
+    ])
+    def test_overflowing_kappa_b_square_gives_a_row(self, ka, kb, tbar, upper, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["blowup", f"--ka={ka}", f"--kb={kb}", "--out", str(out)]) == 0
+        row = read_csv(out)[2][0]
+        assert (row["tbar"], row["upper_bound"]) == (tbar, upper)
+        assert "nan" not in out.read_text()
+        # the 2x2 cross-check cannot reach these scales: undecided, exit 3
+        assert run_cli(["blowup", f"--ka={ka}", f"--kb={kb}", "--verify", "--out", str(out)]) == 3
+        assert read_csv(out)[2][0]["check_ok"] == "unverifiable"
+
     def test_underflowing_frequency_is_a_failed_computation(self, tmp_path, capsys):
         # it ended in a ZeroDivisionError traceback
         argv = ["blowup", "--ka", "1.7934847258413677e-236", "--kb=-2.1545907295567397e+115",

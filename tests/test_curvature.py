@@ -13,9 +13,11 @@ used by the package. Everything here is plain numpy on explicit
 matrices; no package internals are reused for the oracle side.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from fatcomp.curvature import (
     vee,
 )
 from fatcomp.hopf import conjugate_time
+from fatcomp.models import DomainError
 from fatcomp.structure import build_structural
 
 momentum_triple = st.tuples(
@@ -368,6 +371,23 @@ class TestCurvatureBlocks:
         assert np.abs(blocks.R_cc[-1]).max() <= 1e-8 * np.abs(blocks.R_cc).max()
         t_star = math.pi / math.sqrt(1.0 + v @ v)
         assert abs(conjugate_time(d, v).t_star - t_star) <= 3e-9 * t_star
+
+    @pytest.mark.parametrize("field", ["ABA", "ABdotA", "ABU", "UBU"])
+    def test_overflowing_contractions_are_a_domain_error(self, field):
+        # ABA = 4e307 I with the d = 1 QHF inputs at v = (100, 0, 0) gave a non-finite R0,
+        # with only numpy's "overflow encountered in matmul"; each contraction scaled to
+        # 4e307 is refused before any product, and one 1e6 times smaller still builds R0
+        v = np.array([100.0, 0.0, 0.0])
+        for d in (1, 2) if field != "UBU" else (2,):  # the d = 1 UBU is [[0]]
+            good = qhf_curvature_inputs(d, v)
+            base = getattr(good, field) if field == "UBU" else np.ones_like(getattr(good, field))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bad = dataclasses.replace(good, **{field: 4e307 * base})
+                with pytest.raises(DomainError, match="R0 overflows"):
+                    curvature_blocks(v, bad)
+                R0 = curvature_blocks(v, dataclasses.replace(good, **{field: 4e301 * base})).R0
+            assert np.isfinite(R0).all()
 
     def test_input_shape_guards(self):
         with pytest.raises(ValueError, match="unit"):

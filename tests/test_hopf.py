@@ -38,7 +38,7 @@ from fatcomp.hopf import (
     sublaplacian_along,
 )
 from fatcomp.models import blowup_time_kab, eval_s_kab, eval_s_kc
-from fatcomp.riccati import first_blowup, integrate_jacobi
+from fatcomp.riccati import first_blowup, integrate_jacobi, wedge_first_zero
 from fatcomp.structure import FatDims, build_structural, typeI_pair
 
 
@@ -375,18 +375,41 @@ class TestEffectiveConstants:
 # Test Class: conjugate time
 # ----------------------------------------------------------------------
 
-# conjugate_time(d, v).t_star, frozen as float.hex: the two 2x2 phase passes
-# behind it may get cheaper, never different.
+# conjugate_time(d, v).t_star, frozen as float.hex: the complex pair's 2x2 phase
+# pass behind it may get cheaper, never different. The real pair's zero is the
+# closed form 2 pi/sqrt(4 + 4|v|^2) of the kappa_a = 0 model; the three rows
+# that moved when it replaced the real pair's pass moved toward pi/sqrt(1 + |v|^2).
 CONJUGATE_BITS = [
     (1, (0.0, 0.0, 0.0), '0x1.921fb54442d14p+1'),
-    (1, (0.6, -0.2, 0.3), '0x1.496ec58c27dadp+1'),
+    (1, (0.6, -0.2, 0.3), '0x1.496ec58c27dbep+1'),
     (1, (1.2, 0.3, -0.5), '0x1.e25b10fb5dde6p+0'),
-    (1, (-2.1, 1.4, 0.7), '0x1.1edd9bfabd0a5p+0'),
+    (1, (-2.1, 1.4, 0.7), '0x1.1edd9bfabd0aap+0'),
     (2, (0.0, 0.0, 0.0), '0x1.921fb54442d14p+1'),
     (2, (0.6, -0.2, 0.3), '0x1.496ec58c27db8p+1'),
     (2, (1.2, 0.3, -0.5), '0x1.e25b10fb5dcc0p+0'),
-    (2, (-2.1, 1.4, 0.7), '0x1.1edd9bfabd0a7p+0'),
+    (2, (-2.1, 1.4, 0.7), '0x1.1edd9bfabd0a8p+0'),
 ]
+
+
+def _complex_pass_rows():
+    """200 seeded (d, v): d cycling through 1-3, |v| uniform on [0, 3] and, every fourth, log-uniform on [1e-3, 1e3]."""
+    rng = np.random.default_rng(31)
+    rows = []
+    for i in range(200):
+        nv = 3.0 * rng.uniform() if i % 4 else 10.0 ** rng.uniform(-3.0, 3.0)
+        rows.append((1 + i % 3, nv * random_unit(rng, 3)))
+    return rows
+
+
+def _horizon(d, v):
+    """The scan horizon of ``conjugate_time``: 10% beyond the smaller model bound."""
+    kappa_a, kappa_b, kappa_c = qhf_kappas(v)
+    return 1.1 * min(blowup_time_kab(kappa_a, kappa_b).time, math.pi / math.sqrt(kappa_c) if d >= 2 else math.inf)
+
+
+# (rows, SHA-256) of wedge_first_zero on the complex pair of _qhf_pairs over
+# _complex_pass_rows(), each line "d v_I v_J v_K t" in float.hex
+COMPLEX_PASS_ROWS, COMPLEX_PASS_DIGEST = 200, "896930d1e1ea3982d188bf302fdc0976e2bf36158b25cc8164a96b4335d32ebe"
 
 
 class TestConjugateTime:
@@ -394,6 +417,40 @@ class TestConjugateTime:
     @pytest.mark.parametrize("d,v,bits", CONJUGATE_BITS)
     def test_frozen_bits(self, d, v, bits):
         assert conjugate_time(d, v).t_star.hex() == bits
+
+    def test_complex_pass_keeps_its_bits(self):
+        lines = []
+        for d, v in _complex_pass_rows():
+            t = wedge_first_zero(*_qhf_pairs(v)[1], _horizon(d, v)).time
+            lines.append(" ".join([str(d), *(x.hex() for x in v.tolist()), t.hex()]))
+        assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (COMPLEX_PASS_ROWS, COMPLEX_PASS_DIGEST)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_real_pair_pass_agrees_with_the_model_closed_form(self, d):
+        # the real pair is the type-I pair at Q = diag(0, 4 + 4|v|^2), the two-frequency
+        # model at kappa_a = 0: its 2x2 pass, which conjugate_time no longer runs, stays
+        # within 1e-13 of 2 pi/sqrt(4 + 4|v|^2), the zero conjugate_time takes
+        rng = np.random.default_rng(60 + d)
+        for nv in [0.0, 1e-3, 1e3] + [float(x) for x in 10.0 ** rng.uniform(-3.0, 3.0, 12)]:
+            v = nv * random_unit(rng, 3)
+            closed = blowup_time_kab(0.0, 4.0 + 4.0 * float(v @ v)).time
+            t = wedge_first_zero(*_qhf_pairs(v)[0], _horizon(d, v)).time
+            assert abs(t - closed) <= 1e-13 * closed, f"|v| = {nv}: pass {t!r}, closed form {closed!r}"
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_time_is_the_least_block_zero_from_one_pass(self, d, monkeypatch):
+        # t* is the minimum of the complex pair's pass, the real pair's closed form and, for
+        # d >= 2, the c block's pi/sqrt(kappa_c), bit for bit; one 2x2 pass per call
+        calls, wedge = [], hopf.wedge_first_zero
+        monkeypatch.setattr(hopf, "wedge_first_zero", lambda *a: calls.append(a) or wedge(*a))
+        for _, v in _complex_pass_rows()[:30]:
+            s, times = float(v @ v), []
+            times.append(wedge(*_qhf_pairs(v)[1], _horizon(d, v)).time)
+            times.append(2.0 * math.pi / math.sqrt(4.0 + 4.0 * s))
+            if d >= 2:
+                times.append(math.pi / math.sqrt(1.0 + s))
+            assert conjugate_time(d, v).t_star == min(times)
+        assert len(calls) == 30
 
     def test_momentum_is_checked_once(self, monkeypatch):
         # qhf_kappas checked v a second time; the order of the checks is pinned by BAD_INPUT in test_api

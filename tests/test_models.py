@@ -22,8 +22,10 @@ S_KAB_WIDE and S_KAB_NEAR_TBAR from tools/skab_reference.py (mpmath, the
 complex sinc quotient at a precision that grows with its cancellation).
 """
 
+import cmath
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +180,20 @@ class TestSingleFrequencyModel:
         got = eval_s_kc(-1.0, 1.0)
         expected = 1.0 / math.tanh(1.0)
         assert abs(got - expected) < 1e-14, f"s_-1(1) = {got} != coth(1) = {expected}"
+
+    @pytest.mark.parametrize("kc", [-1.0, -1e6, -5.970785528861544e+191, -3.7e-200])
+    def test_hyperbolic_branch_past_overflow(self, kc):
+        # cosh |z| overflows: eval_s_kc(-5.970785528861544e+191, 5.957505190774787e-05) raised
+        # a bare OverflowError, and 704 < |z| < 710.5 gave NaN. For |z| >= 20, coth |z| =
+        # 1 + 2 e^(-2|z|) + ... rounds to 1, so s is sqrt(-kc), correctly rounded
+        ref = math.sqrt(-kc)
+        ts = [float(z) / ref for z in np.linspace(690.0, 720.0, 61)] + [1e5 / ref, 5.957505190774787e-05]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in ts:
+                got = eval_s_kc(kc, t)
+                if ref * t >= 20.0:
+                    assert abs(got - ref) <= 4.0 * 2.0**-52 * ref, f"|z| = {ref * t}: {got!r} vs {ref!r}"
 
     def test_flat_branch_is_reciprocal(self):
         for t in (0.25, 1.0, 17.0):
@@ -409,9 +425,36 @@ class TestBlowupTimeTwoFrequency:
         # identically; the touch at the window start is 2 pi/sqrt(kappa_b)
         assert blowup_time_kab(-1e-300, 1.0).time == 2.0 * math.pi
 
-    def test_frequencies_past_overflow_raise(self):
-        with pytest.raises(FloatingPointError, match="no root"):
-            blowup_time_kab(-1e300, 1e160)
+    # (kappa_a, kappa_b, tbar) with kappa_b^2 past overflow; tbar to 50 digits from
+    # tools/tbar_reference.py, which works at 60 digits plus the up to 340 that x - y cancels
+    OVERFLOW_TBAR = [
+        (-1.0229834445816485e+166, 2.3912383905424197e+250, "4.0632021637008433289807789843480261454204185833327e-125"),
+        (-1e300, 1e160, "6.2831853071795864565099367346216513886903161459125e-80"),
+        (-1e300, 1e300, "6.283185307179586311976717670315448011757052370895e-150"),
+        (-1e300, 1.7e308, "4.8189831490469534223760910379127315409545915490922e-154"),
+        (-1e308, 1e155, "2.0183566430198537673792067995444049620400716408324e-77"),  # 4 kappa_a overflows too
+    ]
+
+    @pytest.mark.parametrize("ka,kb,ref", OVERFLOW_TBAR)
+    def test_frequencies_past_overflow_are_scale_free(self, ka, kb, ref):
+        # kappa_b^2 overflowed to inf, and the bracket read (nan, nan]: a bare
+        # FloatingPointError. (|kappa_b| - r)(|kappa_b| + r), r = 2 sqrt(-kappa_a), does not
+        ref = float(ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tbar, ub = blowup_time_kab(ka, kb).time, upper_bound_kab(ka, kb)
+        assert finiteness_predicate(ka, kb)
+        assert abs(tbar - ref) <= 4.0 * 2.0**-52 * ref, f"tbar {tbar!r} vs {ref!r}"
+        assert tbar <= ub * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("ka,kb", [(-1.301921080189521e-09, -9.869978309892461e+276), (-1e308, -1e155),
+                                       (-1e308, 1e153), (-1e308, 0.0)])
+    def test_overflowing_discriminant_keeps_an_infinite_row_infinite(self, ka, kb):
+        # the frequencies and the upper bound were NaN; both slow frequencies are imaginary here
+        tp, tm = theta_from_kappas(ka, kb)
+        assert cmath.isfinite(tp) and cmath.isfinite(tm) and tm.real == 0.0
+        assert not finiteness_predicate(ka, kb)
+        assert blowup_time_kab(ka, kb).time == upper_bound_kab(ka, kb) == math.inf
 
     def test_frequency_underflow_raises(self):
         # kappa_a > 0: alpha^2 = kappa_a / sm2 underflows to 0, and pi/alpha
@@ -565,6 +608,14 @@ class TestDiameterCertificate:
         # kappa_a = 0: tp = tm and chi(pi) = 0, with the sign bit clear
         chi = diameter_certificate(0.0, K).chi_at_pi
         assert chi == 0.0 and math.copysign(1.0, chi) == 1.0
+
+    @pytest.mark.parametrize("v_norm, K", [(0.5, 1e12), (3.0, 1e300), (1e-3, 1e200)])
+    def test_overflowing_chi_is_a_domain_error(self, v_norm, K):
+        # chi(pi) grows like exp(2 pi Im tp): (0.5, 1e12) returned chi_at_pi = nan with passes=True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"chi\(pi\) overflows"):
+                diameter_certificate(v_norm, K)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -766,15 +817,23 @@ def _scalar_digest(pairs) -> tuple[int, str]:
     return len(lines) - len(pairs), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-# _scalar_digest(_scalar_pairs(SCALAR_DRAWS)), frozen from an eval_s_kab that solved
-# tbar on every call; and explicit rows of its three exceptions: alpha underflows,
-# no root in the bracket (kappa_b^2 overflows), and t at tbar (-3, 4) itself.
-SCALAR_DRAWS, SCALAR_ROWS = 25, 3559
-SCALAR_DIGEST = "d107ca419f29f09bac40604129c27501391abe6444bb7232345600883b92d277"
+# _scalar_digest over _scalar_pairs(SCALAR_DRAWS) but the SCALAR_MENDED pairs, frozen
+# from an eval_s_kab that solved tbar on every call (3544 rows of 222 pairs). The
+# three pairs kappa_a < 0 < kappa_b whose kappa_b^2 overflows were frozen on their own
+# when the overflow was mended: each of their rows had read "no root in the proven
+# bracket (nan, nan]"; now tbar is within 4 eps of tools/tbar_reference.py, and s_kab
+# within 2.6e-16 of tools/skab_reference.py where its condition is 2.5. Explicit rows:
+# two exceptions, alpha underflows and t at tbar (-3, 4) itself, and the value at a
+# pair whose kappa_b^2 overflows.
+SCALAR_DRAWS, SCALAR_ROWS = 25, 3544
+SCALAR_DIGEST = "2952739b99561f628404b307fa93d97977f0c86603f52e3bb2cde9b491925ab8"
+SCALAR_MENDED = [(-493671309315386.44, 2.8879177153462065e+178), (-3.2557440019878095e+162, 1.073196510383514e+200),
+                 (-8022.213922333807, 1.7715764618180433e+213)]
+SCALAR_MENDED_ROWS, SCALAR_MENDED_DIGEST = 75, "3278aa03ec3aba3999d0fb01bcc9a01219c0ae656b3f2cc6639a577280c137ca"
 SCALAR_EXPLICIT = [
     (1e-300, -1e300, 1.0,
      "FloatingPointError: alpha^2 = kappa_a / (16 beta^2) underflows to 0 for (1e-300, -1e+300)"),
-    (-1e300, 1e300, 1e-160, "FloatingPointError: no root in the proven bracket (nan, nan] for (-1e+300, 1e+300)"),
+    (-1e300, 1e300, 1e-160, "0x1.6c2d4256ffcc3p+533"),
     (-3.0, 4.0, 7.865647008775998,
      "DomainError: t=7.865647008775998 for (kappa_a, kappa_b)=(-3.0, 4.0) outside (0, 7.865647008775998)"),
 ]
@@ -782,11 +841,17 @@ SCALAR_EXPLICIT = [
 
 class TestScalarLayerBits:
     """tbar and s_kab on a seeded set over every branch, against the digest of an earlier,
-    tbar-for-every-call ``eval_s_kab``, and explicit rows of each exception."""
+    tbar-for-every-call ``eval_s_kab`` and, for the pairs whose kappa_b^2 overflows, one of
+    their own; and explicit rows of each exception."""
 
     def test_frozen_digest(self):
-        rows, digest = _scalar_digest(_scalar_pairs(SCALAR_DRAWS))
+        pairs = _scalar_pairs(SCALAR_DRAWS)
+        rows, digest = _scalar_digest([p for p in pairs if p not in SCALAR_MENDED])
         assert (rows, digest) == (SCALAR_ROWS, SCALAR_DIGEST)
+
+    def test_mended_digest(self):
+        assert set(SCALAR_MENDED) <= set(_scalar_pairs(SCALAR_DRAWS))
+        assert _scalar_digest(SCALAR_MENDED) == (SCALAR_MENDED_ROWS, SCALAR_MENDED_DIGEST)
 
     @pytest.mark.parametrize("ka,kb,t,outcome", SCALAR_EXPLICIT)
     def test_explicit_rows(self, ka, kb, t, outcome):

@@ -13,8 +13,9 @@ of ``fatcomp.models``: with tp, tm the complex frequencies,
 
 and at kappa_a = 0, where tp^2 = tm^2 = kappa_b/4 and the quotient is 0/0,
 its limit (8/t) F'(4a) / (2 F(a) F'(a)), F(z) = sin(sqrt z)/sqrt z and
-a = kappa_b t^2/4. The quotient cancels by about sqrt|kappa_a| t^2, so the
-working precision grows with that factor; every value is computed twice,
+a = kappa_b t^2/4. The quotient cancels by about sqrt|kappa_a| t^2, and
+kappa_b/2 -+ y by about kappa_b^2/|kappa_a|, so the working precision grows
+with those factors; every value is computed twice,
 20 digits apart, and the script stops if the two disagree in 50 digits.
 
 ``--sets SEED`` writes the two input sets the tests freeze, one row per line
@@ -58,11 +59,13 @@ def _s(ka, kb, t):
 
 
 def _lost_digits(ka, kb, t) -> int:
-    """Digits the quotient can cancel: 1/(sqrt|ka| t^2), and 1/(kb t^2)^2 at ka = 0."""
+    """Digits the quotient can cancel: 1/(sqrt|ka| t^2), and 1/(kb t^2)^2 at ka = 0; and
+    those of kb/2 -+ y, about kb^2/|ka|, hundreds where kb^2 overflows a float."""
     z = mp.mpf(abs(kb)) * t * t + mp.mpf(10) ** -300
     lost = 2 * max(0, -mp.log10(z)) + 10
     if ka != 0:
         lost += max(0, -mp.log10(mp.sqrt(abs(ka)) * t * t)) + max(0, mp.log10(1 + z))
+        lost += max(0, mp.log10(mp.mpf(kb) ** 2 / abs(mp.mpf(ka))))
     return int(lost)
 
 

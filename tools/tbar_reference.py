@@ -3,7 +3,8 @@
     python3 tools/tbar_reference.py KAPPA_A KAPPA_B [KAPPA_A KAPPA_B ...]
 
 Each argument is read as the exact binary value of the float it names, and
-everything after that is done with mpmath at 60 digits; one line per pair,
+everything after that is done with mpmath at 60 digits plus those that x -+ y
+cancels (``_lost_digits``); one line per pair,
 ``kappa_a kappa_b tbar`` with tbar to 50 digits (``inf`` where the model
 does not blow up). It is independent of ``fatcomp.models``:
 
@@ -54,7 +55,20 @@ def _first_zero(g, knots, tol):
     return None
 
 
+def _lost_digits(kappa_a: float, kappa_b: float) -> int:
+    """Digits that |x| - y, = |kappa_a| / (|x| + y), cancels: about log10(kappa_b^2 / |kappa_a|),
+    hundreds where kappa_b^2 overflows a float."""
+    if kappa_a == 0 or kappa_b == 0:
+        return 0
+    return max(0, int(mp.log10(mp.mpf(kappa_b) ** 2 / abs(mp.mpf(kappa_a))))) + 1
+
+
 def tbar(kappa_a: float, kappa_b: float):
+    with mp.workdps(60 + _lost_digits(kappa_a, kappa_b)):
+        return +_tbar(kappa_a, kappa_b)
+
+
+def _tbar(kappa_a: float, kappa_b: float):
     ka, kb = mp.mpf(kappa_a), mp.mpf(kappa_b)
     disc = kb * kb + 4 * ka
     if not ((kb >= 0 and disc > 0) or (kb < 0 and ka > 0)):
