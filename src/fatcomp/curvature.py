@@ -299,11 +299,19 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
     dims = FatDims(k=4 * inputs.d, n=4 * inputs.d + 3)
     a, b, c = dims.sl_a, dims.sl_b, dims.sl_c
     R0 = np.zeros((dims.n, dims.n))
-    ABA, ABdotA, V2 = inputs.ABA, inputs.ABdotA, V @ V
-    VA = V @ ABA
-    R0[a, a] = (0.75 * (ABdotA @ V + V.T @ ABdotA) + 0.375 * (ABA @ V2 + V2 @ ABA) + 3.0 * (VA @ V.T)
-                + (12.0 + (45.0 / 16.0) * s) * V2)
-    R0[a, b], R0[b, b] = 0.75 * (VA + ABA @ V) + (1.5 * s - 4.0) * V, _b_sign() * (ABA + 4.0 * s * _I3 - 1.5 * V2)
+    R0[:6, :6] = _ab_corner(s, V, inputs.ABA, inputs.ABdotA)
     R0[a, c], R0[b, c], R0[c, c] = 1.5 * V @ ABU_rot, ABU_rot, R_cc
-    R0[b, a], R0[c, a], R0[c, b] = R0[a, b].T, R0[a, c].T, R0[b, c].T
+    R0[c, a], R0[c, b] = R0[a, c].T, R0[b, c].T
     return CurvatureBlocks(dims=dims, v=v, R0=R0)
+
+
+def _ab_corner(s: float, V: np.ndarray, ABA: np.ndarray, ABdotA: np.ndarray) -> np.ndarray:
+    """The 6x6 a/b corner of R0, from s = |v|^2, V = vee(v), ABA and ABdotA alone: the a/b
+    rows of ``curvature_blocks`` for every d. The b block takes the sign of ``_b_sign``."""
+    V2, VA = V @ V, V @ ABA
+    R = np.empty((6, 6))
+    R[:3, :3] = (0.75 * (ABdotA @ V + V.T @ ABdotA) + 0.375 * (ABA @ V2 + V2 @ ABA) + 3.0 * (VA @ V.T)
+                 + (12.0 + (45.0 / 16.0) * s) * V2)
+    R[:3, 3:], R[3:, 3:] = 0.75 * (VA + ABA @ V) + (1.5 * s - 4.0) * V, _b_sign() * (ABA + 4.0 * s * _I3 - 1.5 * V2)
+    R[3:, :3] = R[:3, 3:].T
+    return R

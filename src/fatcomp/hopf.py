@@ -43,7 +43,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import _b_sign, _check_d, _momentum, _norm2, curvature_blocks, qhf_curvature_inputs
+from .curvature import (
+    _I3,
+    _ab_corner,
+    _b_sign,
+    _check_d,
+    _momentum,
+    _norm2,
+    curvature_blocks,
+    qhf_curvature_inputs,
+    vee,
+)
 from .models import (
     BlowUpTime,
     DomainError,
@@ -53,7 +63,7 @@ from .models import (
     eval_s_kc,
 )
 from .riccati import integrate_jacobi, wedge_first_zero
-from .structure import build_structural, typeI_pair
+from .structure import FatDims, build_structural, typeI_pair
 
 __all__ = [
     "ExtremalState",
@@ -95,6 +105,8 @@ _J4_K = np.array(
 )
 _RADII = 4096  # most radii ``sublaplacian_along`` propagates in one stack, a peak of about 55 MB
 _TYPE_I = tuple(np.frombuffer(X.tobytes()).reshape(X.shape) for X in typeI_pair())  # (A_I, B_I) of _qhf_pairs, read-only
+# the 6x6 a/b corner of the structural pair (A, B), the same for every d, read-only
+_AB_PAIR = tuple(np.frombuffer(X[:6, :6].tobytes()).reshape(6, 6) for X in build_structural(FatDims(k=4, n=7)))
 
 @lru_cache(maxsize=8, typed=True)
 def reeb_generators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,6 +329,17 @@ def _qhf_system(d: int, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A - blocks.rotation_generator, B, blocks.R0
 
 
+def _qhf_corner(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 6x6 a/b corner of ``_qhf_system``, the same for every d, built from v alone: the
+    structural pair less 1.5 vee(v) on each group, and R0's a/b rows by ``curvature._ab_corner``
+    from the constant QHF contractions ABA = 4 I and ABdotA = 0 of ``qhf_curvature_inputs``."""
+    s, V = _norm2(v), vee(v)
+    W = np.zeros((6, 6))
+    W[:3, :3] = W[3:, 3:] = 1.5 * V
+    A, B = _AB_PAIR
+    return A - W, B, _ab_corner(s, V, 4.0 * _I3, np.zeros((3, 3)))
+
+
 def _qhf_pairs(v: np.ndarray):
     """The real and the complex type-I pair of the a/b corner of ``_qhf_system``, as (A, B, Q).
 
@@ -399,10 +422,11 @@ class SublaplacianReport:
 def sublaplacian_along(conj: ConjugateResult, r_grid) -> SublaplacianReport:
     """Evaluate the radial sub-Laplacian trace formula on a grid, given ``conjugate_time(d, v)``.
 
-    trace(B V) sums the blocks of ``_qhf_system``: the a/b 6x6 corner, that of
-    d = 1, by its Riccati quotient, in stacks of up to ``_RADII`` radii (one
-    ``_expm`` and one solve each), (4d - 4) sqrt(kappa_c) cot(sqrt(kappa_c) r)
-    and the motion row's 1/r, which the formula subtracts. Its cost does not
+    trace(B V) sums the blocks of ``_qhf_system``: the a/b 6x6 corner, built
+    from v alone by ``_qhf_corner``, by its Riccati quotient, in stacks of up
+    to ``_RADII`` radii (one ``_expm`` and one solve each), (4d - 4)
+    sqrt(kappa_c) cot(sqrt(kappa_c) r) and the motion row's 1/r, which the
+    formula subtracts. Its cost does not
     depend on d. d and v are those of conj, which ``conjugate_time`` has
     checked. The grid must sit strictly inside (0, t_star), where the
     distance is smooth. The volume-derivative term vanishes for these
@@ -417,7 +441,7 @@ def sublaplacian_along(conj: ConjugateResult, r_grid) -> SublaplacianReport:
     if r.min() <= 0.0 or r.max() >= conj.t_star:
         raise DomainError(f"r_grid must lie strictly inside (0, t_star = {conj.t_star}); got [{r.min()}, {r.max()}]")
     d, (kappa_a, kappa_b, kappa_c) = conj.d, _kappas(conj.v)
-    A, B, Q = (X[:6, :6] for X in _qhf_system(1, conj.v))
+    A, B, Q = _qhf_corner(conj.v)
     sol = integrate_jacobi(A, B, Q, float(r.max()) * (1.0 + 1e-9))
     lhs = np.concatenate([np.trace(B @ sol.V(r[i : i + _RADII]), axis1=1, axis2=2) for i in range(0, r.size, _RADII)])
     rhs = np.empty_like(r)

@@ -52,6 +52,10 @@ _TOUCH = 8.0 * 2.0**-52
 _RTOL = 4.0 * 2.0**-52
 _MAXITER = 100
 _NAN = "the function value at x={} is NaN; solver cannot continue"
+# The smallest normal float: a positive x + y below it has lost bits to underflow.
+_TINY = 2.2250738585072014e-308
+# alpha at or below this makes pi/alpha, the end of the kappa_a > 0 bracket, overflow.
+_ALPHA_MIN = math.pi / 1.7976931348623157e308
 
 
 class DomainError(ValueError):
@@ -119,15 +123,21 @@ def eval_s_kc(kappa_c: float, t: float) -> float:
     Equals sqrt(kc)*cot(sqrt(kc)*t) for kc > 0, 1/t at kc = 0 and the
     hyperbolic cotangent branch for kc < 0; the three branches glue
     analytically (the function is continuous in kc at 0). Where cosh(sqrt(-kc) t)
-    overflows, the real form sqrt(-kc)/tanh(sqrt(-kc) t) is taken.
+    overflows, the real form sqrt(-kc)/tanh(sqrt(-kc) t) is taken. Both inputs
+    are taken as Python floats; ``DomainError`` outside (0, blow-up) and where
+    s, about 1/t, overflows (t below 5.6e-309).
     """
+    kappa_c, t = float(kappa_c), float(t)
     if not 0.0 < t < blowup_time_kc(kappa_c).time:
         raise DomainError(f"t={t} outside (0, blow-up) for kappa_c={kappa_c}")
     z = cmath.sqrt(complex(kappa_c)) * t
     if abs(z) < 1e-6:
         # z*cot(z) = 1 - z^2/3 - z^4/45 + O(z^6)
         zz = z * z
-        return _real((1.0 - zz / 3.0 - zz * zz / 45.0) / t, "s_kc")
+        s = _real((1.0 - zz / 3.0 - zz * zz / 45.0) / t, "s_kc")
+        if s == math.inf:
+            raise DomainError(f"s_kc, about 1/t, overflows at t={t} for kappa_c={kappa_c}")
+        return s
     try:
         zcot = z * cmath.cos(z) / cmath.sin(z)
     except OverflowError:
@@ -156,9 +166,13 @@ def theta_from_kappas(kappa_a: float, kappa_b: float) -> tuple[complex, complex]
     kappa_a >= 0), theta_pm = (sqrt(x+y) +- sqrt(x-y))/2. Where y is real,
     (x + y)(x - y) = -kappa_a: the factor whose terms share a sign is taken
     directly and the other from the product, free of cancellation. Where
-    kappa_b**2 + 4*kappa_a overflows, y is ``_wide_disc_root``/2. The map is
+    kappa_b**2 + 4*kappa_a overflows, y is ``_wide_disc_root``/2. Where kappa_a > 0
+    > kappa_b and x + y = kappa_a/(y - x) underflows, sqrt(x + y) is taken as
+    sqrt(kappa_a)/sqrt(y - x), which is at least 1.6e-316. The map is
     inverted by kappa_b = 2*(tp**2 + tm**2) and kappa_a = -(tp**2 - tm**2)**2.
+    Both inputs are taken as Python floats; ``DomainError`` unless both are finite.
     """
+    kappa_a, kappa_b = _check_kappas(kappa_a, kappa_b)
     x = kappa_b / 2.0
     if kappa_a >= 0.0:
         y = math.hypot(kappa_b, 2.0 * math.sqrt(kappa_a))
@@ -169,6 +183,9 @@ def theta_from_kappas(kappa_a: float, kappa_b: float) -> tuple[complex, complex]
     if kappa_a and not y.imag:
         y = y.real
         xp, xm = (x + y, -kappa_a / (x + y)) if x >= 0.0 else (-kappa_a / (x - y), x - y)
+        if xp < _TINY and kappa_a > 0.0:  # x < 0 and kappa_a/(y - x) underflows: its root, scale-free
+            sp, sm = math.sqrt(kappa_a) / math.sqrt(y - x), cmath.sqrt(xm)
+            return (sp + sm) / 2.0, (sp - sm) / 2.0
     else:
         xp, xm = x + y, x - y
     sp, sm = cmath.sqrt(xp), cmath.sqrt(xm)
@@ -204,9 +221,13 @@ def _f_and_c(kappa_a: float, kappa_b: float, t: float) -> tuple[float, float, fl
     return uf, wf, uc, wc
 
 
-def _check_kappas(kappa_a: float, kappa_b: float) -> None:
+def _check_kappas(kappa_a: float, kappa_b: float) -> tuple[float, float]:
+    """(kappa_a, kappa_b) as Python floats, whose arithmetic warns of nothing; ``DomainError``
+    unless both are finite."""
+    kappa_a, kappa_b = float(kappa_a), float(kappa_b)
     if not (math.isfinite(kappa_a) and math.isfinite(kappa_b)):
         raise DomainError(f"kappa_a, kappa_b must be finite, got ({kappa_a}, {kappa_b})")
+    return kappa_a, kappa_b
 
 
 def finiteness_predicate(kappa_a: float, kappa_b: float) -> bool:
@@ -216,7 +237,7 @@ def finiteness_predicate(kappa_a: float, kappa_b: float) -> bool:
     kappa_b >= 0 or kappa_a > 0; where it is zero or negative, never. A NaN
     discriminant (both terms overflow, so kappa_a < 0) takes its sign from
     ``_wide_disc_root``."""
-    _check_kappas(kappa_a, kappa_b)
+    kappa_a, kappa_b = _check_kappas(kappa_a, kappa_b)
     disc = kappa_b * kappa_b + 4.0 * kappa_a
     if disc > 0.0:
         return kappa_b >= 0.0 or kappa_a > 0.0
@@ -230,7 +251,7 @@ def _tbar_floor(kappa_a: float, kappa_b: float) -> float:
     if not (math.isfinite(kappa_a) and math.isfinite(kappa_b)) or kappa_a == 0.0 or not finiteness_predicate(kappa_a, kappa_b):
         return 0.0
     tp, tm = theta_from_kappas(kappa_a, kappa_b)
-    if not (cmath.isfinite(tp) and cmath.isfinite(tm) and tm.real > 0.0):
+    if not (cmath.isfinite(tp) and cmath.isfinite(tm) and tm.real > _ALPHA_MIN):  # alpha for kappa_a > 0
         return 0.0
     tp, tm = tp.real, tm.real  # both alpha for kappa_a > 0
     return math.pi / (2.0 * tp) if kappa_a > 0.0 else (1.0 - 2.0**-40) * max(math.pi / tp, (math.pi - math.asin(tm / tp)) / tm)
@@ -242,16 +263,25 @@ def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
     The model (2/t) (sinc(2 tm t) - sinc(2 tp t)) / (sinc(tm t)^2 - sinc(tp t)^2)
     is (8/t) F[4a, 4b] / (F[a, b] (F(a) + F(b))), a, b = (tp t)^2, (tm t)^2,
     since (F^2)[a, b] = F[a, b] (F(a) + F(b)); F(4X) = F(X) C(X) of
-    ``_f_and_c`` carries 4 F[4a, 4b]. One real route for every pair and t. tbar is
-    solved only where t is not below ``_tbar_floor``, which lies below every root,
-    since the root search of ``blowup_time_kab`` starts there. ``DomainError``
-    outside (0, tbar); ``FloatingPointError`` where the quotient is not finite, as
-    when the hyperbolic factors overflow.
+    ``_f_and_c`` carries 4 F[4a, 4b]. One real route for every pair and t, the
+    core ``_s_kab``. Its domain (0, tbar) is read from ``_tbar_floor``, which lies
+    below every root, since the root search of ``blowup_time_kab`` starts there;
+    only where t is not below the floor is tbar solved. A caller that already
+    holds the solved tbar passes it to ``_s_kab`` itself and solves nothing.
+    ``DomainError`` outside (0, tbar); ``FloatingPointError`` where the quotient
+    is not finite, as when the hyperbolic factors overflow.
     """
-    if not 0.0 < t < _tbar_floor(kappa_a, kappa_b):
+    tbar = _tbar_floor(kappa_a, kappa_b)
+    if not 0.0 < t < tbar:
         tbar = blowup_time_kab(kappa_a, kappa_b).time
-        if not 0.0 < t < tbar:
-            raise DomainError(f"t={t} for (kappa_a, kappa_b)=({kappa_a}, {kappa_b}) outside (0, {tbar})")
+    return _s_kab(kappa_a, kappa_b, t, tbar)
+
+
+def _s_kab(kappa_a: float, kappa_b: float, t: float, tbar: float) -> float:
+    """``eval_s_kab`` given tbar = ``blowup_time_kab(kappa_a, kappa_b).time`` (or a floor
+    of it that t is below): ``DomainError`` unless 0 < t < tbar, then the quotient."""
+    if not 0.0 < t < tbar:
+        raise DomainError(f"t={t} for (kappa_a, kappa_b)=({kappa_a}, {kappa_b}) outside (0, {tbar})")
     uf, wf, uc, wc = _f_and_c(kappa_a, kappa_b, t)
     num, den = uf * wc + uc * wf, t * uf * wf
     if not (math.isfinite(num) and math.isfinite(den) and den != 0.0):
@@ -336,8 +366,10 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
     evaluated in the pole-free form alpha*sin(alpha*t) + beta*cos(alpha*t)*tanh(beta*t)
     and found by ``_brentq`` to 1e-12 min(1, pi/(2*alpha)) in t, relative on
     short time scales. ``DomainError`` when kappa_a or kappa_b is NaN or
-    infinite; ``FloatingPointError`` when a frequency overflows or alpha^2 underflows.
+    infinite, and where alpha is so small that pi/alpha overflows (kappa_a < 1e-615
+    |kappa_b| or so); ``FloatingPointError`` where the bracket holds no root.
     """
+    kappa_a, kappa_b = float(kappa_a), float(kappa_b)
     if not finiteness_predicate(kappa_a, kappa_b):
         return BlowUpTime.infinite()
     if kappa_a == 0.0:
@@ -368,8 +400,8 @@ def blowup_time_kab(kappa_a: float, kappa_b: float) -> BlowUpTime:
         return BlowUpTime.finite(min(roots))
     tp = theta_from_kappas(kappa_a, kappa_b)[0]  # kappa_a > 0: alpha + i*beta, alpha, beta > 0
     alpha, beta = tp.real, tp.imag
-    if alpha == 0.0:
-        raise FloatingPointError(f"alpha^2 = kappa_a / (16 beta^2) underflows to 0 for ({kappa_a}, {kappa_b})")
+    if not alpha > _ALPHA_MIN:
+        raise DomainError(f"pi/alpha overflows at alpha = {alpha:.3e} for ({kappa_a}, {kappa_b})")
     g = lambda t: alpha * math.sin(alpha * t) + beta * math.cos(alpha * t) * math.tanh(beta * t)
     lo, hi = math.pi / (2.0 * alpha), math.pi / alpha
     # g decreases from g(lo) = alpha > 0 to g(hi) = -beta*tanh(beta*hi).
@@ -390,7 +422,7 @@ def upper_bound_kab(kappa_a: float, kappa_b: float) -> float:
     Returns +inf when the denominator vanishes. The bound is attained
     exactly when kappa_a = 0. ``DomainError`` on NaN or infinite input.
     """
-    _check_kappas(kappa_a, kappa_b)
+    kappa_a, kappa_b = _check_kappas(kappa_a, kappa_b)
     denom = 2.0 * theta_from_kappas(kappa_a, kappa_b)[1].real  # sqrt(x+y) - sqrt(x-y) = 2*theta_minus
     return math.inf if denom <= 0.0 else 2.0 * math.pi / denom
 
@@ -421,16 +453,21 @@ def diameter_certificate(v_norm: float, K: float) -> DiameterCertificate:
     ``_f_and_c``, -sqrt|kappa_a| pi^2 F[a, b] (F(a) + F(b)), is chi(pi) for
     kappa_a <= 0 and Im chi(pi) for kappa_a > 0 (K > 7/3 + 1.25*v^2), where
     chi is purely imaginary. It is positive before tbar and changes sign at
-    tbar: (0.25, 2.9) gives -7.73e-3 with tbar = 3.0146. ``DomainError`` where
+    tbar: (0.25, 2.9) gives -7.73e-3 with tbar = 3.0146. Both inputs are taken
+    as Python floats. ``DomainError``, naming (v_norm, K), on a negative or NaN
+    v_norm, a K below -1 or NaN, where kappa_a or kappa_b overflows, and where
     chi(pi), which grows like exp(2 pi Im tp), overflows, as at (0.5, 1e12).
     """
-    if v_norm < 0.0:
-        raise DomainError("v_norm must be nonnegative")
-    if K < -1.0:
-        raise DomainError("sectional curvature bound K must be >= -1")
+    v_norm, K = float(v_norm), float(K)
+    if not v_norm >= 0.0:
+        raise DomainError(f"v_norm must be a number >= 0, got (v_norm, K) = ({v_norm}, {K})")
+    if not K >= -1.0:
+        raise DomainError(f"sectional curvature bound K must be a number >= -1, got (v_norm, K) = ({v_norm}, {K})")
     s = v_norm * v_norm
     kappa_a = s * (1.5 * K - 3.5 - 1.875 * s)
     kappa_b = 4.0 + 5.0 * s
+    if not (math.isfinite(kappa_a) and math.isfinite(kappa_b)):
+        raise DomainError(f"kappa_a, kappa_b overflow for (v_norm, K) = ({v_norm}, {K}): ({kappa_a}, {kappa_b})")
     tbar = blowup_time_kab(kappa_a, kappa_b)
     uf, wf, _, _ = _f_and_c(kappa_a, kappa_b, math.pi)
     chi = 0.0 - 2.0 * math.sqrt(abs(kappa_a)) * math.pi**2 * uf * wf  # 0.0 - x: +0.0 at kappa_a = 0

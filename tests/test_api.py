@@ -176,6 +176,16 @@ def test_overflowing_square_raises_no_warning_first(call):
             call()
 
 
+
+def test_largest_momentum_gives_a_conjugate_time_with_no_warning():
+    # the real pair's Q entries reached blowup_time_kab as numpy floats, whose
+    # kappa_b^2 warned "overflow encountered in scalar multiply"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conj = conjugate_time(1, [8.5e76, 0.0, 0.0])
+    assert 0.0 < conj.t_star < math.inf
+
+
 # every entry point that takes the quaternionic dimension d
 D_TAKERS = {
     "conjugate_time": lambda d: conjugate_time(d, [0.5, 0.0, 0.0]),

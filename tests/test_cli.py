@@ -290,12 +290,25 @@ class TestBlowup:
         assert run_cli(["blowup", f"--ka={ka}", f"--kb={kb}", "--verify", "--out", str(out)]) == 3
         assert read_csv(out)[2][0]["check_ok"] == "unverifiable"
 
-    def test_underflowing_frequency_is_a_failed_computation(self, tmp_path, capsys):
-        # it ended in a ZeroDivisionError traceback
-        argv = ["blowup", "--ka", "1.7934847258413677e-236", "--kb=-2.1545907295567397e+115",
-                "--out", str(tmp_path / "b.csv")]
-        assert run_cli(argv) == 1
-        assert "computation failed" in capsys.readouterr().err
+    @pytest.mark.parametrize("ka,kb,code,tbar", [
+        # "computation failed", exit 1: alpha^2 = kappa_a/(y - x) underflowed to 0; alpha is now taken scale-free
+        ("5.761650394919591e-150", "-5.232955793209928e+277", 0, "9.467819165226643e+213"),
+        # it ended in a ZeroDivisionError traceback, then in "computation failed", exit 1
+        ("1.7934847258413677e-236", "-2.1545907295567397e+115", 0, "1.0888885346231904e+176"),
+        # alpha is below pi/max float, so pi/alpha, the end of its bracket, overflows: a domain error
+        ("5e-324", "-1e300", 2, None),
+    ])
+    def test_underflowing_alpha_squared_is_no_failure(self, ka, kb, code, tbar, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["blowup", f"--ka={ka}", f"--kb={kb}", "--out", str(out)]) == code
+        if tbar is None:
+            assert "pi/alpha overflows" in capsys.readouterr().err
+            return
+        assert read_csv(out)[2][0]["tbar"] == tbar
+        # the 2x2 cross-check cannot reach these scales: undecided, exit 3
+        assert run_cli(["blowup", f"--ka={ka}", f"--kb={kb}", "--verify", "--out", str(out)]) == 3
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -28,6 +28,7 @@ from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
 from fatcomp.hopf import (
     DomainError,
     ExtremalState,
+    _qhf_corner,
     _qhf_pairs,
     _qhf_system,
     conjugate_time,
@@ -730,6 +731,17 @@ class TestSublaplacian:
         sol = integrate_jacobi(*_qhf_system(d, v), 2.0 * (1.0 + 1e-9))
         full = np.array([np.trace(sol.B @ sol.V(ri)) - 1.0 / ri for ri in r])
         assert np.abs(rep.lhs - full).max() <= 1e-10 * np.abs(full).max()
+
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_corner_is_that_of_the_full_system_bit_for_bit(self, fault, monkeypatch):
+        # sublaplacian_along builds the 6x6 a/b corner from v alone; curvature_blocks shares its R0 rows
+        if fault:
+            monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")
+        rng = np.random.default_rng(30)
+        for d in (1, 2, 3):
+            for v in [np.zeros(3), *(rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(20))]:
+                for got, full in zip(_qhf_corner(v), _qhf_system(d, v)):
+                    assert got.tobytes() == np.ascontiguousarray(full[:6, :6]).tobytes()
 
     @staticmethod
     def _radius_loop(conj, r):

@@ -25,6 +25,7 @@ complex sinc quotient at a precision that grows with its cancellation).
 import cmath
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -456,11 +457,25 @@ class TestBlowupTimeTwoFrequency:
         assert not finiteness_predicate(ka, kb)
         assert blowup_time_kab(ka, kb).time == upper_bound_kab(ka, kb) == math.inf
 
-    def test_frequency_underflow_raises(self):
-        # kappa_a > 0: alpha^2 = kappa_a / sm2 underflows to 0, and pi/alpha
-        # divided by zero
-        with pytest.raises(FloatingPointError, match="underflows"):
-            blowup_time_kab(1.7934847258413677e-236, -2.1545907295567397e115)
+    @pytest.mark.parametrize("ka,kb,ref", [
+        # from tools/tbar_reference.py; alpha^2 = kappa_a/(y - x) underflowed to 0, a bare FloatingPointError
+        (5.761650394919591e-150, -5.232955793209928e+277, "9.4678191652266422973203901888777357414933154550672e+213"),
+        (1.7934847258413677e-236, -2.1545907295567397e115, "1.088888534623190453194557853332731397158082871933e+176"),
+        (1e-300, -1e300, "3.141592653589793281574198523839379095969352481271e+300"),
+    ])
+    def test_frequency_underflow_takes_alpha_scale_free(self, ka, kb, ref):
+        # kappa_a > 0 > kappa_b: alpha = sqrt(kappa_a)/sqrt(y - x)/2, and tbar is pi/(2 alpha) to the ulp
+        alpha = theta_from_kappas(ka, kb)[0].real
+        assert alpha == math.sqrt(ka) / math.sqrt(abs(kb)) / 2.0
+        assert math.isclose(blowup_time_kab(ka, kb).time, float(ref), rel_tol=2.0**-52)
+        assert upper_bound_kab(ka, kb) == math.pi / alpha
+
+    @pytest.mark.parametrize("ka,kb", [(5e-324, -1e300), (5e-324, -1.7e308), (1e-320, -1e300)])
+    def test_bracket_end_overflow_is_a_domain_error(self, ka, kb):
+        # alpha is below pi/max float, so the bracket (pi/(2 alpha), pi/alpha] is not representable
+        with pytest.raises(DomainError, match="pi/alpha overflows"):
+            blowup_time_kab(ka, kb)
+        assert models._tbar_floor(ka, kb) == 0.0
 
     @pytest.mark.parametrize(
         "ka,kb", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 4.0), (-3.0, math.inf)]
@@ -549,6 +564,26 @@ class TestDomainGuards:
         with pytest.raises(DomainError):
             eval_s_kab(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("kc", [-1.0, 0.0, 1.0, 1e300])
+    def test_s_kc_is_a_domain_error_where_one_over_t_overflows(self, kc):
+        # s_kc = 1/t (1 + O(z^2)) returned inf at a subnormal t; 1/t at the least normal t is finite
+        with pytest.raises(DomainError, match="overflows"):
+            eval_s_kc(kc, 2.225073858507203e-309)
+        assert eval_s_kc(kc, 2.2250738585072014e-308) == 1.0 / 2.2250738585072014e-308
+
+    @pytest.mark.parametrize("call", [
+        lambda x: blowup_time_kab(x(-1.0229834445816485e+166), x(2.3912383905424197e+250)).time,
+        lambda x: upper_bound_kab(x(-1.301921080189521e-09), x(-9.869978309892461e+276)),
+        lambda x: finiteness_predicate(x(-4.079223906971962e+264), x(-1.4912314442820698e+256)),
+        lambda x: theta_from_kappas(x(-1.7976931348623157e+308), x(-1.048993968150492e-308))[0],
+        lambda x: eval_s_kc(x(-3.0730088757720652e+147), x(7.844803359489558e+287)),
+    ])
+    def test_numpy_floats_give_the_python_float_result_with_no_warning(self, call):
+        # numpy float64 squares warned of overflow ("overflow encountered in scalar multiply")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert call(np.float64) == call(float)
+
 
 # ----------------------------------------------------------------------
 # Test Class: diameter-type certificate
@@ -622,6 +657,31 @@ class TestDiameterCertificate:
             diameter_certificate(-0.1, 1.0)
         with pytest.raises(DomainError):
             diameter_certificate(1.0, -1.5)
+
+    @pytest.mark.parametrize("v_norm, K, match", [
+        (math.nan, 1.0, r"v_norm must be a number >= 0, got \(v_norm, K\) = \(nan, 1.0\)"),
+        (1.0, math.nan, r"K must be a number >= -1, got \(v_norm, K\) = \(1.0, nan\)"),
+        (np.float64(math.nan), np.float64(0.5), r"v_norm must be a number >= 0"),
+    ])
+    def test_nan_input_is_a_domain_error(self, v_norm, K, match):
+        # a NaN passed both range checks
+        with pytest.raises(DomainError, match=match):
+            diameter_certificate(v_norm, K)
+
+    @pytest.mark.parametrize("to", [float, np.float64])
+    @pytest.mark.parametrize("v_norm, K", [(2.698802100110493e+77, 0.5), (math.inf, 0.5), (0.0, math.inf), (1e200, 1.0)])
+    def test_overflowing_kappas_name_the_input(self, v_norm, K, to):
+        # numpy floats warned "overflow encountered in scalar multiply"; Python floats named the
+        # derived kappas, "got (-inf, 3.64e+155)", in the DomainError of blowup_time_kab
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"(v_norm, K) = ({v_norm}, {K})")):
+                diameter_certificate(to(v_norm), to(K))
+
+    def test_numpy_input_keeps_the_bits(self):
+        rng = np.random.default_rng(32)
+        for v_norm, K in zip(rng.uniform(0.0, 3.0, 50), rng.uniform(-1.0, 4.0, 50)):
+            assert diameter_certificate(v_norm, K) == diameter_certificate(float(v_norm), float(K))
 
 
 # ----------------------------------------------------------------------
@@ -817,22 +877,29 @@ def _scalar_digest(pairs) -> tuple[int, str]:
     return len(lines) - len(pairs), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-# _scalar_digest over _scalar_pairs(SCALAR_DRAWS) but the SCALAR_MENDED pairs, frozen
-# from an eval_s_kab that solved tbar on every call (3544 rows of 222 pairs). The
-# three pairs kappa_a < 0 < kappa_b whose kappa_b^2 overflows were frozen on their own
-# when the overflow was mended: each of their rows had read "no root in the proven
-# bracket (nan, nan]"; now tbar is within 4 eps of tools/tbar_reference.py, and s_kab
-# within 2.6e-16 of tools/skab_reference.py where its condition is 2.5. Explicit rows:
-# two exceptions, alpha underflows and t at tbar (-3, 4) itself, and the value at a
-# pair whose kappa_b^2 overflows.
-SCALAR_DRAWS, SCALAR_ROWS = 25, 3544
-SCALAR_DIGEST = "2952739b99561f628404b307fa93d97977f0c86603f52e3bb2cde9b491925ab8"
+# _scalar_digest over _scalar_pairs(SCALAR_DRAWS) but the SCALAR_MENDED and SCALAR_ALPHA
+# pairs, frozen from an eval_s_kab that solved tbar on every call (3539 rows of 221
+# pairs). The three pairs kappa_a < 0 < kappa_b whose kappa_b^2 overflows were frozen on
+# their own when the overflow was mended: each of their rows had read "no root in the
+# proven bracket (nan, nan]"; now tbar is within 4 eps of tools/tbar_reference.py, and
+# s_kab within 2.6e-16 of tools/skab_reference.py where its condition is 2.5. So was the
+# pair kappa_a > 0 > kappa_b whose alpha^2 underflowed, when alpha was taken scale-free:
+# its 5 rows read "alpha^2 ... underflows to 0"; now tbar = 5.066458485993618e+223 is
+# within 0.1 eps of tools/tbar_reference.py, and s_kab is the quotient's overflow (the
+# open item of the F/C overflow) or a DomainError on each of its 19 rows. Explicit rows:
+# three exceptions, the quotient's overflow at a pair whose alpha^2 underflows (it read
+# "alpha^2 ... underflows to 0" before alpha was taken scale-free), pi/alpha overflowing
+# and t at tbar (-3, 4) itself, and the value at a pair whose kappa_b^2 overflows.
+SCALAR_DRAWS, SCALAR_ROWS = 25, 3539
+SCALAR_DIGEST = "2b525c84c99c7df2122eeec2b22d7aa195d637cddeea84fd77a4dcc1144d362f"
 SCALAR_MENDED = [(-493671309315386.44, 2.8879177153462065e+178), (-3.2557440019878095e+162, 1.073196510383514e+200),
                  (-8022.213922333807, 1.7715764618180433e+213)]
 SCALAR_MENDED_ROWS, SCALAR_MENDED_DIGEST = 75, "3278aa03ec3aba3999d0fb01bcc9a01219c0ae656b3f2cc6639a577280c137ca"
+SCALAR_ALPHA = [(3.1632520566428113e-251, -8.227029045207891e+195)]
+SCALAR_ALPHA_ROWS, SCALAR_ALPHA_DIGEST = 19, "884d76f073c1456757863ee054e4ff75cc0ea5fd62dba797c74b2fb4e2bbecdc"
 SCALAR_EXPLICIT = [
-    (1e-300, -1e300, 1.0,
-     "FloatingPointError: alpha^2 = kappa_a / (16 beta^2) underflows to 0 for (1e-300, -1e+300)"),
+    (1e-300, -1e300, 1.0, "FloatingPointError: s_kab is not finite at t=1.0 for (kappa_a, kappa_b)=(1e-300, -1e+300)"),
+    (5e-324, -1e300, 1.0, "DomainError: pi/alpha overflows at alpha = 1.111e-312 for (5e-324, -1e+300)"),
     (-1e300, 1e300, 1e-160, "0x1.6c2d4256ffcc3p+533"),
     (-3.0, 4.0, 7.865647008775998,
      "DomainError: t=7.865647008775998 for (kappa_a, kappa_b)=(-3.0, 4.0) outside (0, 7.865647008775998)"),
@@ -841,17 +908,21 @@ SCALAR_EXPLICIT = [
 
 class TestScalarLayerBits:
     """tbar and s_kab on a seeded set over every branch, against the digest of an earlier,
-    tbar-for-every-call ``eval_s_kab`` and, for the pairs whose kappa_b^2 overflows, one of
-    their own; and explicit rows of each exception."""
+    tbar-for-every-call ``eval_s_kab`` and, for the pairs whose kappa_b^2 overflows and the
+    pair whose alpha^2 underflowed, digests of their own; and explicit rows of each exception."""
 
     def test_frozen_digest(self):
         pairs = _scalar_pairs(SCALAR_DRAWS)
-        rows, digest = _scalar_digest([p for p in pairs if p not in SCALAR_MENDED])
+        rows, digest = _scalar_digest([p for p in pairs if p not in SCALAR_MENDED + SCALAR_ALPHA])
         assert (rows, digest) == (SCALAR_ROWS, SCALAR_DIGEST)
 
     def test_mended_digest(self):
         assert set(SCALAR_MENDED) <= set(_scalar_pairs(SCALAR_DRAWS))
         assert _scalar_digest(SCALAR_MENDED) == (SCALAR_MENDED_ROWS, SCALAR_MENDED_DIGEST)
+
+    def test_alpha_digest(self):
+        assert set(SCALAR_ALPHA) <= set(_scalar_pairs(SCALAR_DRAWS))
+        assert _scalar_digest(SCALAR_ALPHA) == (SCALAR_ALPHA_ROWS, SCALAR_ALPHA_DIGEST)
 
     @pytest.mark.parametrize("ka,kb,t,outcome", SCALAR_EXPLICIT)
     def test_explicit_rows(self, ka, kb, t, outcome):
@@ -891,6 +962,35 @@ class TestTbarFloor:
         monkeypatch.setattr(models, "_brentq", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
         assert checks.run_check(checks.check_names().index("scaling-covariance"), seed).passed
         assert len(calls) <= calls_before * 2 // 3, len(calls)
+
+    @pytest.mark.parametrize("seed,solves_before", [(1, 254), (7, 252)])
+    def test_scaling_covariance_solves_each_root_once(self, seed, solves_before, monkeypatch):
+        # solves_before: the blowup_time_kab calls of one run when the check's s_kab derived
+        # its domain again (and read the floor 200 times); one solve per pair is 200
+        calls = {"blowup_time_kab": 0, "_tbar_floor": 0}
+
+        def counted(name, fn):
+            return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+
+        solve = counted("blowup_time_kab", models.blowup_time_kab)
+        monkeypatch.setattr(models, "blowup_time_kab", solve)
+        monkeypatch.setattr(checks, "blowup_time_kab", solve)
+        monkeypatch.setattr(models, "_tbar_floor", counted("_tbar_floor", models._tbar_floor))
+        assert checks.run_check(checks.check_names().index("scaling-covariance"), seed).passed
+        assert calls == {"blowup_time_kab": 200, "_tbar_floor": 0} and solves_before > 200
+
+    def test_core_given_tbar_is_eval_s_kab(self):
+        # the outcome of eval_s_kab, exceptions included, is that of _s_kab given the solved tbar
+        rows = 0
+        for ka, kb in _scalar_pairs(SCALAR_DRAWS):
+            try:
+                tbar = blowup_time_kab(ka, kb).time
+            except (ValueError, FloatingPointError):
+                continue
+            for t in _scalar_times(ka, kb):
+                assert _scalar_outcome(models._s_kab, ka, kb, t, tbar) == _scalar_outcome(eval_s_kab, ka, kb, t)
+                rows += 1
+        assert rows > 3000
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
@@ -165,10 +165,7 @@ class TestFirstBlowup:
     def test_is_scale_free(self, ka, kb, p):
         # s t(s^4 kappa_a, s^2 kappa_b) = t(kappa_a, kappa_b): the balanced H
         # of the scaled system is s times that of the first
-        try:
-            tbar = blowup_time_kab(ka, kb)
-        except FloatingPointError:  # alpha^2 underflows: (5e-324, -2)
-            reject()
+        tbar = blowup_time_kab(ka, kb)
         assume(tbar.is_finite and tbar.time < 100.0)
         s, t_max = 10.0**p, 1.05 * tbar.time + 0.1
         want = first_blowup(integrate_jacobi(A_STEP, B_STEP, np.diag([ka, kb]), t_max)).time

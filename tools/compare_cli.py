@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 49 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 50 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -92,6 +92,8 @@ CALLS = [
     # kappa_b^2 overflows: upper_bound was nan with exit 0, and the bracket (nan, nan] exited 1
     ["blowup", "--ka=-1.301921080189521e-09", "--kb=-9.869978309892461e+276"],
     ["blowup", "--ka=-1.0229834445816485e+166", "--kb=2.3912383905424197e+250"],
+    # alpha^2 = kappa_a/(y - x) underflowed to 0: "computation failed", exit 1; alpha is now taken scale-free
+    ["blowup", "--ka=5.761650394919591e-150", "--kb=-5.232955793209928e+277"],
     # the real pair's zero in closed form, the complex pair's by its pass, 200 rows at d = 1
     ["conjugate", "--d", "1", "--sweep", "0:3:200", "--verify"],
 ]
