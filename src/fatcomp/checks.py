@@ -345,33 +345,41 @@ def check_vertical_identities(rng: np.random.Generator) -> CheckResult:
 
 
 def check_ricci_traces(rng: np.random.Generator) -> CheckResult:
-    """Block traces of the curvature against the closed-form scalars."""
-    # five draws a case: v, then t1 and t2
-    uniform = _uniforms(rng, 45)
-    worst = 0.0
+    """The curvature R0 that every Hopf route computes with, on 9 seeded v, d in {1, 2, 3}.
+
+    Its block traces must match the closed-form scalars of ``ricci_scalars`` to
+    1e-10 relative (``worst``), and R0 must commute with the rotation generator
+    W = ``rotation_generator``: |[W, R0]| <= 1e-14 max(1, max|W|) max(1, max|R0|),
+    reported in ``detail`` (the rounding of W R0 grows with max|W| max|R0|). That
+    commutator is what makes R(t) = exp(tW) R0 exp(tW)^T equal R0 at every t, so
+    the check reads R0 and turns it by no ``assemble``: a rotation moves no trace.
+    """
+    # three draws a case: v
+    uniform = _uniforms(rng, 27)
+    worst = comm = 0.0
     cases = 0
     for d in (1, 2, 3):
         for _ in range(3):
             v = np.array([uniform(-1.5, 1.5) for _ in range(3)])
             inputs = qhf_curvature_inputs(d, v)
             blocks = curvature_blocks(v, inputs)
-            dims = blocks.dims
-            ric_a, ric_b, ric_c = ricci_scalars(v, inputs.rho_a, d)
-            t1, t2 = uniform(0.05, 4.0), uniform(0.05, 4.0)
-            R1, R2 = blocks.assemble(t1), blocks.assemble(t2)
-            for expected, sl in ((ric_a, dims.sl_a), (ric_b, dims.sl_b), (ric_c, dims.sl_c)):
-                tr1 = float(R1[sl, sl].trace())
-                tr2 = float(R2[sl, sl].trace())
-                scale = max(1.0, abs(expected))
-                worst = max(worst, abs(tr1 - expected) / scale, abs(tr1 - tr2) / scale)
+            R0, dims = blocks.R0, blocks.dims
+            for expected, sl in zip(ricci_scalars(v, inputs.rho_a, d), (dims.sl_a, dims.sl_b, dims.sl_c)):
+                worst = max(worst, abs(float(R0[sl, sl].trace()) - expected) / max(1.0, abs(expected)))
+            W = blocks.rotation_generator
+            scale = max(1.0, float(np.abs(W).max())) * max(1.0, float(np.abs(R0).max()))
+            comm = max(comm, float(np.abs(W @ R0 - R0 @ W).max()) / scale)
             cases += 1
     return CheckResult(
         name="ricci-traces",
-        passed=bool(worst < 1e-10),
+        passed=bool(worst < 1e-10 and comm <= 1e-14),
         worst=worst,
         tol=1e-10,
         n_cases=cases,
-        detail="max relative trace error and time dependence, d in {1, 2, 3}",
+        detail=(
+            f"max relative trace error of R0, d in {{1, 2, 3}}; max |[W, R0]| / "
+            f"(max(1, max|W|) max(1, max|R0|)) {comm:.3e} (tol 1e-14)"
+        ),
     )
 
 

@@ -17,18 +17,23 @@ block re-expressed in a basis with the motion direction last (the
 convention the rest of the package relies on). The curvature at time t
 is R(t) = exp(tW) R0 exp(tW)^T with W = ``CurvatureBlocks.rotation_generator``,
 which turns the a and b groups by E(t) = exp(1.5 t vee(v)) and fixes c:
-in the frame rotating with exp(tW) the curvature is the constant R0. For
-the quaternionic Hopf fibration the contractions take the constant values
-produced by ``qhf_curvature_inputs``, and the three Ricci traces have the
-closed forms in ``ricci_scalars``.
+in the frame rotating with exp(tW) the curvature is the constant R0, and
+the Hopf routes integrate the Jacobi system in that frame, so they read R0
+and turn it by nothing. For the quaternionic Hopf fibration the
+contractions take the constant values produced by ``qhf_curvature_inputs``,
+R0 commutes with W (so R(t) = R0 at every t), and the three Ricci traces
+have the closed forms in ``ricci_scalars``. ``CurvatureBlocks.assemble``,
+the lab-frame R(t), has no caller in the package; it stays public, for
+callers and tests that want the curvature off the rotating frame.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,19 +98,36 @@ def rodrigues(W: np.ndarray, s: float) -> np.ndarray:
 
     Uses W^3 = -omega^2 W with omega^2 = |w|^2 half the squared Frobenius
     norm; the omega -> 0 limit is the quadratic Taylor polynomial, exact
-    there since W^3 = 0.
+    there since W^3 = 0. Where omega^2 would overflow or underflow, W is
+    scaled by its largest |entry| c first: expm(s W) = expm((c s) (W / c)).
+    ``DomainError`` where an entry of W, s or the angle omega s is not finite.
     """
-    return _rodrigues(_skew_powers(np.asarray(W, dtype=float)), s)
+    return _rodrigues(_skew_powers(np.asarray(W, dtype=float)), float(s))
 
 
-def _skew_powers(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(W, W @ W, omega^2, omega): the part of ``rodrigues`` that does not depend on s."""
-    omega2 = 0.5 * float(np.sum(W * W))
-    return W, W @ W, omega2, math.sqrt(omega2)
+def _skew_powers(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """(K, K @ K, omega^2, omega, c) of K = W / c: the part of ``rodrigues`` that does not
+    depend on s. c is 1, unless omega^2 of W overflows or underflows; then c = max|entry|."""
+    top = float(np.abs(W).max())  # NaN where an entry is NaN
+    if not top < math.inf:
+        raise DomainError(f"W must be finite, got max |entry| {top}")
+    c = 1.0
+    if top < 1e153:  # else W * W would overflow
+        omega2 = 0.5 * float(np.sum(W * W))
+    if top >= 1e153 or 0.0 < top and omega2 < sys.float_info.min:  # or omega^2, and with it the angle, underflows
+        c = top
+        W = W / c
+        omega2 = 0.5 * float(np.sum(W * W))
+    return W, W @ W, omega2, math.sqrt(omega2), c
 
 
-def _rodrigues(powers: tuple[np.ndarray, np.ndarray, float, float], s: float) -> np.ndarray:
-    W, W2, omega2, omega = powers
+def _rodrigues(powers: tuple[np.ndarray, np.ndarray, float, float, float], s: float) -> np.ndarray:
+    W, W2, omega2, omega, c = powers
+    s *= c
+    if not math.isfinite(omega * s):  # and s itself, since omega is finite
+        raise DomainError(f"the angle omega s is not finite at omega = {omega}, s = {s}")
+    if omega == 0.0:  # W = 0; the Taylor polynomial would read 0 * inf where s^2 overflows
+        return _I3.copy()
     if omega * abs(s) < 1e-8:
         return _I3 + s * W + 0.5 * s * s * W2
     a = math.sin(omega * s) / omega
@@ -123,7 +145,7 @@ def ricci_scalars(v, rho_a: float, d: int) -> tuple[float, float, float]:
     or a trace that overflows is a ``DomainError``.
     """
     _check_d(d)
-    v = _momentum(v)
+    v, rho_a = _momentum(v), float(rho_a)  # a numpy rho_a would warn where the a trace overflows
     if not math.isfinite(rho_a):
         raise DomainError(f"rho_a must be finite, got {rho_a}")
     s = _norm2(v)
@@ -187,9 +209,17 @@ def qhf_curvature_inputs(d: int, v) -> CurvatureInputs:
     nc = 4 * d - 3
     w, UBU = np.zeros(nc), np.eye(nc)
     w[0], UBU[0, 0] = 1.0, 0.0  # I - w w^T
-    with np.errstate(over="ignore"):  # an |v|^2 that overflows is the DomainError of CurvatureInputs on rho_a
-        s = float(v @ v)
+    s = _norm2(v)
+    if s == math.inf:  # some |v_i| >= 1e153: v @ v may still be finite, and one that overflows is
+        with np.errstate(over="ignore"):  # the DomainError of CurvatureInputs on rho_a
+            s = float(v @ v)
     return CurvatureInputs(d=d, ABA=4.0 * _I3, ABdotA=np.zeros((3, 3)), ABU=np.zeros((3, nc)), UBU=UBU, w=w, rho_a=2.0 * s)
+
+
+@lru_cache(maxsize=8, typed=True)
+def _fat_dims(d: int) -> FatDims:
+    """The dimensions (k, n) = (4d, 4d + 3) of quaternionic dimension d, built once per d."""
+    return FatDims(k=4 * d, n=4 * d + 3)
 
 
 def _reflect(X: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -229,7 +259,7 @@ class CurvatureBlocks:
         return W
 
     @cached_property
-    def _turn(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+    def _turn(self) -> tuple[np.ndarray, np.ndarray, float, float, float]:
         return _skew_powers(vee(self.v))
 
     def assemble(self, t: float) -> np.ndarray:
@@ -239,9 +269,10 @@ class CurvatureBlocks:
         once per blocks object. The a/b blocks are turned as one stack, E X E^T,
         and the a/c and b/c blocks as another, E X, by the same 3x3 products a
         loop over blocks makes; those below the diagonal are then mirrored.
-        At t = 0, E is the identity and R(t) = R0.
+        At t = 0, E is the identity and R(t) = R0. No route of the package calls
+        it: they work in the frame rotating with exp(tW), where the curvature is R0.
         """
-        E = _rodrigues(self._turn, 1.5 * t)
+        E = _rodrigues(self._turn, 1.5 * float(t))
         R = self.R0.copy()
         ab, ac = R[:6, :6].reshape(2, 3, 2, 3).swapaxes(1, 2), R[:6, 6:].reshape(2, 3, -1)
         ab[...], ac[...] = E @ ab @ E.T, E @ ac
@@ -296,7 +327,7 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
         raise ValueError(f"motion direction carries curvature (residual {edge:.3e}); inputs are inconsistent")
     R_cc[-1, :] = R_cc[:, -1] = 0.0
     ABU_rot = _reflect(inputs.ABU, u)
-    dims = FatDims(k=4 * inputs.d, n=4 * inputs.d + 3)
+    dims = _fat_dims(inputs.d)
     a, b, c = dims.sl_a, dims.sl_b, dims.sl_c
     R0 = np.zeros((dims.n, dims.n))
     R0[:6, :6] = _ab_corner(s, V, inputs.ABA, inputs.ABdotA)

@@ -57,9 +57,9 @@ from .curvature import (
 from .models import (
     BlowUpTime,
     DomainError,
+    _s_kab,
     blowup_time_kab,
     blowup_time_kc,
-    eval_s_kab,
     eval_s_kc,
 )
 from .riccati import integrate_jacobi, wedge_first_zero
@@ -445,8 +445,9 @@ def sublaplacian_along(conj: ConjugateResult, r_grid) -> SublaplacianReport:
     sol = integrate_jacobi(A, B, Q, float(r.max()) * (1.0 + 1e-9))
     lhs = np.concatenate([np.trace(B @ sol.V(r[i : i + _RADII]), axis1=1, axis2=2) for i in range(0, r.size, _RADII)])
     rhs = np.empty_like(r)
+    tbar = conj.bound_kab.time  # blowup_time_kab(kappa_a, kappa_b), solved once by conjugate_time
     for i, ri in enumerate(r.tolist()):  # Python floats: the bits of np.float64, less its scalar overhead
-        rhs[i] = 3.0 * eval_s_kab(kappa_a, kappa_b, ri)
+        rhs[i] = 3.0 * _s_kab(kappa_a, kappa_b, ri, tbar)
         if d >= 2:
             lhs[i] += (4.0 * d - 4.0) * math.sqrt(kappa_c) / math.tan(math.sqrt(kappa_c) * ri)
             rhs[i] += (4.0 * d - 4.0) * eval_s_kc(kappa_c, ri)

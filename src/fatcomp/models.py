@@ -268,8 +268,9 @@ def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
     below every root, since the root search of ``blowup_time_kab`` starts there;
     only where t is not below the floor is tbar solved. A caller that already
     holds the solved tbar passes it to ``_s_kab`` itself and solves nothing.
-    ``DomainError`` outside (0, tbar); ``FloatingPointError`` where the quotient
-    is not finite, as when the hyperbolic factors overflow.
+    ``DomainError`` outside (0, tbar) and where the quotient, about 1/t,
+    overflows (t below about 2.2e-308); ``FloatingPointError`` where its
+    numerator or denominator is not finite, as when the hyperbolic factors overflow.
     """
     tbar = _tbar_floor(kappa_a, kappa_b)
     if not 0.0 < t < tbar:
@@ -279,14 +280,18 @@ def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
 
 def _s_kab(kappa_a: float, kappa_b: float, t: float, tbar: float) -> float:
     """``eval_s_kab`` given tbar = ``blowup_time_kab(kappa_a, kappa_b).time`` (or a floor
-    of it that t is below): ``DomainError`` unless 0 < t < tbar, then the quotient."""
+    of it that t is below): ``DomainError`` unless 0 < t < tbar, then the quotient;
+    ``DomainError`` also where the quotient, about 1/t, overflows (t below about 2.2e-308)."""
     if not 0.0 < t < tbar:
         raise DomainError(f"t={t} for (kappa_a, kappa_b)=({kappa_a}, {kappa_b}) outside (0, {tbar})")
     uf, wf, uc, wc = _f_and_c(kappa_a, kappa_b, t)
     num, den = uf * wc + uc * wf, t * uf * wf
     if not (math.isfinite(num) and math.isfinite(den) and den != 0.0):
         raise FloatingPointError(f"s_kab is not finite at t={t} for (kappa_a, kappa_b)=({kappa_a}, {kappa_b})")
-    return num / den
+    s = num / den
+    if not math.isfinite(s):
+        raise DomainError(f"s_kab, about 1/t, overflows at t={t} for (kappa_a, kappa_b)=({kappa_a}, {kappa_b})")
+    return s
 
 
 def _brentq(f, a: float, b: float, xtol: float) -> float:

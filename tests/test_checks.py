@@ -14,7 +14,7 @@ import operator
 import numpy as np
 import pytest
 
-from fatcomp import checks
+from fatcomp import checks, curvature
 from fatcomp.checks import CHECKS, _child_rng, check_names, map_tasks, run_check
 
 
@@ -31,8 +31,10 @@ def _registry_digest() -> str:
 # scalar generator call, and taken again when conjugate_time took the real
 # pair's zero from its closed form: only the qhf-conjugate-d1 detail moved
 # ("split blocks vs full-system scan" 3.118e-13 -> 3.149e-13 at seed 1,
-# 3.169e-13 -> 3.171e-13 at seed 7)
-REGISTRY_DIGEST = "002877412970472703930db23366efb91895c9487cad5d5b5f68a406810c0a79"
+# 3.169e-13 -> 3.171e-13 at seed 7), and again when ricci-traces read the traces of R0
+# and its commutator with W instead of two rotations R(t1), R(t2): only its worst
+# (4.427e-16 -> 2.460e-16 at seed 1, 4.789e-16 -> 3.136e-16 at seed 7) and detail moved
+REGISTRY_DIGEST = "b5be84b81796c855b7a67354dc55098d2418f10a1e9286409fc1b77a392f4ba4"
 
 
 class _CountingGenerator:
@@ -135,3 +137,52 @@ class TestMapTasks:
         tasks = [(i, 1) for i in range(n_tasks)]
         assert map_tasks(operator.add, tasks, jobs) == list(range(1, n_tasks + 1))
         assert _SerialPool.chunksizes == [chunksize]
+
+
+def _ricci_traces_by_rotation(seed: int) -> float:
+    """The largest relative error of the traces of R(t1) and R(t2) = ``assemble`` at two
+    seeded times, against ``ricci_scalars`` and each other, on the 9 cases of ricci-traces:
+    a check of the rotated curvature that reads traces alone."""
+    rng, worst = np.random.default_rng(seed), 0.0
+    for d in (1, 2, 3):
+        for _ in range(3):
+            v = rng.uniform(-1.5, 1.5, 3)
+            inputs = checks.qhf_curvature_inputs(d, v)
+            blocks = checks.curvature_blocks(v, inputs)
+            dims = blocks.dims
+            R1, R2 = blocks.assemble(rng.uniform(0.05, 4.0)), blocks.assemble(rng.uniform(0.05, 4.0))
+            for expected, sl in zip(checks.ricci_scalars(v, inputs.rho_a, d), (dims.sl_a, dims.sl_b, dims.sl_c)):
+                tr1, tr2 = float(R1[sl, sl].trace()), float(R2[sl, sl].trace())
+                worst = max(worst, abs(tr1 - expected) / max(1.0, abs(expected)), abs(tr1 - tr2) / max(1.0, abs(expected)))
+    return worst
+
+
+class TestRicciTraces:
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_commutator_sees_a_traceless_fault(self, seed, monkeypatch):
+        # eps (E01 + E10) in the a block is symmetric and traceless, so no trace moves,
+        # rotated or not; it does not commute with vee(v), and [W, R0] sees it
+        corner = curvature._ab_corner
+
+        def faulty(*args):
+            R = corner(*args)
+            # max|corner| is max|R0| for the QHF inputs: ABU = 0 and R_cc <= 1 + |v|^2
+            eps = 1e-12 * float(np.abs(R).max())
+            R[0, 1] += eps
+            R[1, 0] += eps
+            return R
+
+        index = check_names().index("ricci-traces")
+        assert run_check(index, seed).passed
+        monkeypatch.setattr(curvature, "_ab_corner", faulty)
+        r = run_check(index, seed)
+        assert not r.passed and r.worst < 1e-10, r.detail
+        assert _ricci_traces_by_rotation(seed) < 1e-10
+
+    def test_sign_fault_fails_through_the_b_trace(self, monkeypatch):
+        # -R_bb still commutes with vee(v): the fault shows in the traces alone
+        monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")
+        r = run_check(check_names().index("ricci-traces"), 7)
+        assert not r.passed and r.worst > 1.0
+        assert float(r.detail.split("|R0|)) ")[1].split()[0]) <= 1e-14, r.detail

@@ -1,6 +1,6 @@
-"""The input contract of the scalar layer, fuzzed.
+"""The input contract of the scalar and curvature layers, fuzzed.
 
-Each public scalar function either returns a value with no NaN in it, finite
+Each public scalar or curvature function either returns a value with no NaN in it, finite
 wherever the function does not document inf, or raises ``DomainError``,
 ``UnverifiableError`` or ``ValueError``; and it warns of nothing, which is
 checked with warnings turned into errors. A bare ``FloatingPointError``,
@@ -16,10 +16,17 @@ example, so 1,000 single draws a function would take seconds. A failing batch
 is reported as drawn, with its first breaches, and not shrunk. An explicit
 batch holds the reproducers of breaches that were mended.
 
+The curvature layer (``vee``, ``ricci_scalars``, ``qhf_curvature_inputs``,
+``curvature_blocks``, ``rodrigues`` and ``CurvatureBlocks.assemble``) draws rows
+of four such numbers, a momentum v and one scalar x (rho_a, the scale of the
+contractions, or a time), with d in {1, 2, 3, 16}. Its mended reproducers are
+rows of their own.
+
 ``eval_s_kab`` is left out, the open item: its F and C factors overflow for
 pairs far apart in scale, where it raises a bare ``FloatingPointError`` or
 warns (662 of 3,000 such draws of (kappa_a, kappa_b, t) in one seeded run).
-ROADMAP item 4 lists it.
+ROADMAP item 4 lists it. Where t is so small that s, about 1/t, overflows, it
+raises ``DomainError`` (it returned inf).
 """
 
 import cmath
@@ -27,9 +34,11 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
+from fatcomp.curvature import CurvatureInputs, curvature_blocks, qhf_curvature_inputs, ricci_scalars, rodrigues, vee
 from fatcomp.models import (
     BlowUpTime,
     DiameterCertificate,
@@ -112,3 +121,77 @@ def test_scalar_layer_keeps_its_contract(triples):
                 for fn, pick, keeps in CONTRACT
                 if (what := _breach(fn, args := pick(a, b, c), keeps)) is not None]
     assert not breaches, breaches[:5]
+
+
+# ----------------------------------------------------------------------
+# the curvature layer
+# ----------------------------------------------------------------------
+
+def _finite(*arrays):
+    return all(np.isfinite(np.asarray(x, dtype=float)).all() for x in arrays)
+
+
+def _blocks(v, x, d):
+    """``curvature_blocks`` at v on contractions of the QHF form with ABA, ABdotA and ABU
+    scaled by x: R0 has entries of about |x| |v|^2, so a large x or v reaches its overflow
+    bound. Building the ``CurvatureInputs`` is part of the call."""
+    nc = 4 * d - 3
+    w, UBU = np.zeros(nc), np.eye(nc)
+    w[0], UBU[0, 0] = 1.0, 0.0
+    inputs = CurvatureInputs(d=d, ABA=x * np.eye(3), ABdotA=x * vee([1.0, -0.5, 0.25]), ABU=np.full((3, nc), x),
+                             UBU=UBU, w=w, rho_a=0.0)
+    return curvature_blocks(v, inputs)
+
+
+def _turned(v, t, d):
+    """R(t) of the QHF blocks at v, its largest |v_i| brought to at most 1e76, where R0 is
+    finite, so that most draws reach ``assemble`` itself."""
+    top = max(map(abs, v))
+    v = [vi * (1e76 / top) for vi in v] if top > 1e76 else v
+    return curvature_blocks(v, qhf_curvature_inputs(d, v)).assemble(t)
+
+
+# function, its arguments from a row (v, x, d), and whether a value it returns keeps the contract
+CURVATURE_CONTRACT = [
+    (vee, lambda v, x, d: (v,), _finite),
+    (ricci_scalars, lambda v, x, d: (v, x, d), lambda r: len(r) == 3 and _finite(r)),
+    (qhf_curvature_inputs, lambda v, x, d: (d, v), lambda i: _finite(i.rho_a, i.ABA, i.UBU)),
+    (_blocks, lambda v, x, d: (v, x, d), lambda b: _finite(b.R0)),  # curvature_blocks
+    (rodrigues, lambda v, x, d: (vee(v), x), _finite),
+    (_turned, lambda v, x, d: (v, x, d), _finite),  # CurvatureBlocks.assemble
+]
+
+
+@settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate], suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.lists(number, min_size=4 * BATCH, max_size=4 * BATCH))  # a flat list draws faster than 4-tuples
+def test_curvature_layer_keeps_its_contract(numbers):
+    # rows of four numbers: v is a row's first three and x its fourth; d runs through 1, 2, 3 and 16 by row
+    breaches = [(fn.__name__, [float(y) for y in v], float(x), d, what)
+                for i, (*v, x) in enumerate(zip(*[iter(numbers)] * 4))
+                for d in [(1, 2, 3, 16)[i % 4]]
+                for fn, pick, keeps in CURVATURE_CONTRACT
+                if (what := _breach(fn, pick(v, x, d), keeps)) is not None]
+    assert not breaches, breaches[:5]
+
+
+# (v, x, d) rows whose calls once broke the contract
+CURVATURE_MENDED = [
+    # rodrigues: W * W overflowed, with a warning
+    ([-1.4169195198104736e-280, 1.7976931348623157e308, -6.716365504858978e-121], -3.715060577591268e-226, 1),
+    # a numpy t: 1.5 t and omega t overflowed, with a warning
+    ([1.940509030594193e-293, -4.236567592936239e+87, -5.482714803154605e-309], np.float64(1.6365796583465295e+295), 2),
+    # omega^2 underflowed to 0, and the Taylor polynomial read 0 * inf
+    ([1.992368459927211e-308, -0.0, 0.0], -1.9987480639990585e+184, 2),
+    # 1.5 t overflowed at an omega^2 that underflowed: a bare ZeroDivisionError
+    ([-8.52913968717337e-309, -6.376818042785354e-293, -9.69949892133655e-309], 1.7976931348623157e308, 3),
+    # ricci_scalars: a numpy rho_a, and the a trace overflowed with a warning
+    ([-4.049243230678101e-12, 306.31029359916374, 2.0211911328026003e-308], np.float64(1.7976931348623157e308), 1),
+]
+
+
+@pytest.mark.parametrize("v,x,d", CURVATURE_MENDED)
+def test_curvature_reproducers_keep_the_contract(v, x, d):
+    breaches = [(fn.__name__, what) for fn, pick, keeps in CURVATURE_CONTRACT
+                if (what := _breach(fn, pick(v, x, d), keeps)) is not None]
+    assert not breaches

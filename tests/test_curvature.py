@@ -330,6 +330,19 @@ class TestCurvatureBlocks:
             R = blocks.assemble(t)
             assert np.abs(R - P @ blocks.R0 @ P.T).max() < 1e-12 * np.abs(R).max()
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_generator_commutes_with_R0(self, d):
+        # [W, R0] = 0 makes R(t) = R0 at every t for the QHF inputs; the rounding of W R0
+        # grows with max|W| max|R0|, and max|W| alone reaches 1.5e3 here
+        rng = np.random.default_rng(100 + d)
+        for _ in range(200):
+            v = rng.standard_normal(3)
+            v *= 10.0 ** rng.uniform(-3.0, 3.0) / np.linalg.norm(v)
+            blocks = curvature_blocks(v, qhf_curvature_inputs(d, v))
+            R0, W = blocks.R0, blocks.rotation_generator
+            scale = max(1.0, np.abs(W).max()) * max(1.0, np.abs(R0).max())
+            assert np.abs(W @ R0 - R0 @ W).max() <= 1e-14 * scale
+
     @pytest.mark.parametrize("d", range(1, 9))
     def test_rank_one_reflection_matches_the_dense_product(self, d):
         # the motion-last Householder reflection P is applied as rank-one

@@ -15,6 +15,7 @@ lab-frame system: both oracles are independent of the closed forms and
 the propagator the package ships.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -23,7 +24,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from fatcomp import hopf, riccati
+from fatcomp import hopf, models, riccati
 from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
 from fatcomp.hopf import (
     DomainError,
@@ -711,6 +712,24 @@ class TestReductionsAlongGeodesic:
 # Test Class: radial comparison
 # ----------------------------------------------------------------------
 
+def _sublaplacian_digest() -> tuple[int, str]:
+    """(rows, SHA-256) of every ``SublaplacianReport`` field on 300 seeded covectors, d in
+    {1, 2, 3} and |v| from 1e-3 to 3, at 17 radii across (0, t_star)."""
+    rng = np.random.default_rng(33)
+    lines = []
+    for i in range(300):
+        d, v = 1 + i % 3, rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 0.5)
+        conj = conjugate_time(d, v)
+        rep = sublaplacian_along(conj, np.linspace(0.02, 0.98, 17) * conj.t_star)
+        lines.append(" ".join(np.asarray(getattr(rep, f.name), dtype=float).tobytes().hex() for f in dataclasses.fields(rep)))
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# _sublaplacian_digest(), frozen from model terms that took their domain from eval_s_kab,
+# each radius reading the tbar floor and, below it or at v = 0, solving tbar again
+SUBLAPLACIAN_ROWS, SUBLAPLACIAN_DIGEST = 300, "dff336e5907a7a96b892bbee3cc8d5cb10d78685a61b2106927fb8b44f0083ea"
+
+
 class TestSublaplacian:
 
     def test_margin_and_small_radius_limit(self):
@@ -775,6 +794,28 @@ class TestSublaplacian:
         assert rep.rhs.tobytes() == rhs.tobytes()
         assert rep.margin.tobytes() == (rhs - lhs).tobytes()
         assert rep.r_times_lhs.tobytes() == (r * lhs).tobytes()
+
+    def test_frozen_digest(self):
+        assert _sublaplacian_digest() == (SUBLAPLACIAN_ROWS, SUBLAPLACIAN_DIGEST)
+
+    @pytest.mark.parametrize("v", [np.zeros(3), np.array([0.6, -0.3, 0.2])])
+    def test_model_terms_solve_no_root(self, v, monkeypatch):
+        # the rhs reads the tbar conjugate_time solved (conj.bound_kab); at v = 0, where the
+        # tbar floor is 0, it solved tbar again at every radius
+        conj, calls = conjugate_time(2, v), {"blowup_time_kab": 0, "_tbar_floor": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        solve = counted("blowup_time_kab", models.blowup_time_kab)
+        monkeypatch.setattr(models, "blowup_time_kab", solve)
+        monkeypatch.setattr(hopf, "blowup_time_kab", solve)
+        monkeypatch.setattr(models, "_tbar_floor", counted("_tbar_floor", models._tbar_floor))
+        sublaplacian_along(conj, np.linspace(0.02, 0.98, 17) * conj.t_star)
+        assert calls == {"blowup_time_kab": 0, "_tbar_floor": 0}
 
     def test_nonzero_momentum_margin(self):
         rep = sublaplacian_along(conjugate_time(2, [0.5, 0.0, 0.0]), np.linspace(0.3, 2.0, 5))

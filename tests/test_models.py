@@ -889,7 +889,8 @@ def _scalar_digest(pairs) -> tuple[int, str]:
 # open item of the F/C overflow) or a DomainError on each of its 19 rows. Explicit rows:
 # three exceptions, the quotient's overflow at a pair whose alpha^2 underflows (it read
 # "alpha^2 ... underflows to 0" before alpha was taken scale-free), pi/alpha overflowing
-# and t at tbar (-3, 4) itself, and the value at a pair whose kappa_b^2 overflows.
+# and t at tbar (-3, 4) itself, the value at a pair whose kappa_b^2 overflows, and the
+# DomainError where s_kab, about 1/t, overflows at a subnormal t (it returned inf).
 SCALAR_DRAWS, SCALAR_ROWS = 25, 3539
 SCALAR_DIGEST = "2b525c84c99c7df2122eeec2b22d7aa195d637cddeea84fd77a4dcc1144d362f"
 SCALAR_MENDED = [(-493671309315386.44, 2.8879177153462065e+178), (-3.2557440019878095e+162, 1.073196510383514e+200),
@@ -903,6 +904,10 @@ SCALAR_EXPLICIT = [
     (-1e300, 1e300, 1e-160, "0x1.6c2d4256ffcc3p+533"),
     (-3.0, 4.0, 7.865647008775998,
      "DomainError: t=7.865647008775998 for (kappa_a, kappa_b)=(-3.0, 4.0) outside (0, 7.865647008775998)"),
+    # the quotient, about 1/t, overflows: both returned inf
+    (0.0, -2.0538872947612094e+221, 1.092457726357477e-308,
+     "DomainError: s_kab, about 1/t, overflows at t=1.092457726357477e-308 for (kappa_a, kappa_b)=(0.0, -2.0538872947612094e+221)"),
+    (-1.0, 3.0, 1e-309, "DomainError: s_kab, about 1/t, overflows at t=1e-309 for (kappa_a, kappa_b)=(-1.0, 3.0)"),
 ]
 
 
