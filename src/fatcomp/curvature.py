@@ -33,7 +33,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -98,36 +98,33 @@ def rodrigues(W: np.ndarray, s: float) -> np.ndarray:
 
     Uses W^3 = -omega^2 W with omega^2 = |w|^2 half the squared Frobenius
     norm; the omega -> 0 limit is the quadratic Taylor polynomial, exact
-    there since W^3 = 0. Where omega^2 would overflow or underflow, W is
-    scaled by its largest |entry| c first: expm(s W) = expm((c s) (W / c)).
-    ``DomainError`` where an entry of W, s or the angle omega s is not finite.
+    there since W^3 = 0. Where omega^2 is below the least normal float
+    (W = 0, or entries below about 1e-154) E is I + s W, whose dropped
+    s^2 W^2 / 2 is below 2e-16 while |s| max|entry| < 1e-8. ``DomainError``
+    where an entry of W is not finite or reaches 1e153 (omega^2 would
+    overflow), where the angle omega s is not finite, and where omega^2
+    underflows at |s| max|entry| >= 1e-8.
     """
     return _rodrigues(_skew_powers(np.asarray(W, dtype=float)), float(s))
 
 
-def _skew_powers(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """(K, K @ K, omega^2, omega, c) of K = W / c: the part of ``rodrigues`` that does not
-    depend on s. c is 1, unless omega^2 of W overflows or underflows; then c = max|entry|."""
+def _skew_powers(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(W, W @ W, omega^2, omega): the part of ``rodrigues`` that does not depend on s."""
     top = float(np.abs(W).max())  # NaN where an entry is NaN
-    if not top < math.inf:
-        raise DomainError(f"W must be finite, got max |entry| {top}")
-    c = 1.0
-    if top < 1e153:  # else W * W would overflow
-        omega2 = 0.5 * float(np.sum(W * W))
-    if top >= 1e153 or 0.0 < top and omega2 < sys.float_info.min:  # or omega^2, and with it the angle, underflows
-        c = top
-        W = W / c
-        omega2 = 0.5 * float(np.sum(W * W))
-    return W, W @ W, omega2, math.sqrt(omega2), c
+    if not top < 1e153:  # else W * W would overflow
+        raise DomainError(f"W must be finite with entries below 1e153, got max |entry| {top}")
+    omega2 = 0.5 * float(np.sum(W * W))
+    return W, W @ W, omega2, math.sqrt(omega2)
 
 
-def _rodrigues(powers: tuple[np.ndarray, np.ndarray, float, float, float], s: float) -> np.ndarray:
-    W, W2, omega2, omega, c = powers
-    s *= c
+def _rodrigues(powers: tuple[np.ndarray, np.ndarray, float, float], s: float) -> np.ndarray:
+    W, W2, omega2, omega = powers
     if not math.isfinite(omega * s):  # and s itself, since omega is finite
         raise DomainError(f"the angle omega s is not finite at omega = {omega}, s = {s}")
-    if omega == 0.0:  # W = 0; the Taylor polynomial would read 0 * inf where s^2 overflows
-        return _I3.copy()
+    if omega2 < sys.float_info.min:  # s^2 may overflow, and 0.5 s^2 W^2 read 0 * inf
+        if abs(s) * float(np.abs(W).max()) >= 1e-8:
+            raise DomainError(f"omega^2 of W underflows at an angle up to {abs(s) * float(np.abs(W).max()):.3e}")
+        return _I3 + s * W
     if omega * abs(s) < 1e-8:
         return _I3 + s * W + 0.5 * s * s * W2
     a = math.sin(omega * s) / omega
@@ -209,17 +206,9 @@ def qhf_curvature_inputs(d: int, v) -> CurvatureInputs:
     nc = 4 * d - 3
     w, UBU = np.zeros(nc), np.eye(nc)
     w[0], UBU[0, 0] = 1.0, 0.0  # I - w w^T
-    s = _norm2(v)
-    if s == math.inf:  # some |v_i| >= 1e153: v @ v may still be finite, and one that overflows is
-        with np.errstate(over="ignore"):  # the DomainError of CurvatureInputs on rho_a
-            s = float(v @ v)
+    with np.errstate(over="ignore"):  # an |v|^2 that overflows is the DomainError of CurvatureInputs on rho_a
+        s = float(v @ v)
     return CurvatureInputs(d=d, ABA=4.0 * _I3, ABdotA=np.zeros((3, 3)), ABU=np.zeros((3, nc)), UBU=UBU, w=w, rho_a=2.0 * s)
-
-
-@lru_cache(maxsize=8, typed=True)
-def _fat_dims(d: int) -> FatDims:
-    """The dimensions (k, n) = (4d, 4d + 3) of quaternionic dimension d, built once per d."""
-    return FatDims(k=4 * d, n=4 * d + 3)
 
 
 def _reflect(X: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -259,7 +248,7 @@ class CurvatureBlocks:
         return W
 
     @cached_property
-    def _turn(self) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    def _turn(self) -> tuple[np.ndarray, np.ndarray, float, float]:
         return _skew_powers(vee(self.v))
 
     def assemble(self, t: float) -> np.ndarray:
@@ -327,7 +316,7 @@ def curvature_blocks(v, inputs: CurvatureInputs) -> CurvatureBlocks:
         raise ValueError(f"motion direction carries curvature (residual {edge:.3e}); inputs are inconsistent")
     R_cc[-1, :] = R_cc[:, -1] = 0.0
     ABU_rot = _reflect(inputs.ABU, u)
-    dims = _fat_dims(inputs.d)
+    dims = FatDims(k=4 * inputs.d, n=4 * inputs.d + 3)
     a, b, c = dims.sl_a, dims.sl_b, dims.sl_c
     R0 = np.zeros((dims.n, dims.n))
     R0[:6, :6] = _ab_corner(s, V, inputs.ABA, inputs.ABdotA)
