@@ -23,8 +23,8 @@ and turn it by nothing. For the quaternionic Hopf fibration the
 contractions take the constant values produced by ``qhf_curvature_inputs``,
 R0 commutes with W (so R(t) = R0 at every t), and the three Ricci traces
 have the closed forms in ``ricci_scalars``. ``CurvatureBlocks.assemble``,
-the lab-frame R(t), has no caller in the package; it stays public, for
-callers and tests that want the curvature off the rotating frame.
+the lab-frame R(t) by ``rodrigues``, has no caller in the package; both stay
+public, for callers and tests that want the curvature off the rotating frame.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -105,31 +104,23 @@ def rodrigues(W: np.ndarray, s: float) -> np.ndarray:
     overflow), where the angle omega s is not finite, and where omega^2
     underflows at |s| max|entry| >= 1e-8.
     """
-    return _rodrigues(_skew_powers(np.asarray(W, dtype=float)), float(s))
-
-
-def _skew_powers(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(W, W @ W, omega^2, omega): the part of ``rodrigues`` that does not depend on s."""
+    W, s = np.asarray(W, dtype=float), float(s)
     top = float(np.abs(W).max())  # NaN where an entry is NaN
     if not top < 1e153:  # else W * W would overflow
         raise DomainError(f"W must be finite with entries below 1e153, got max |entry| {top}")
     omega2 = 0.5 * float(np.sum(W * W))
-    return W, W @ W, omega2, math.sqrt(omega2)
-
-
-def _rodrigues(powers: tuple[np.ndarray, np.ndarray, float, float], s: float) -> np.ndarray:
-    W, W2, omega2, omega = powers
+    omega = math.sqrt(omega2)
     if not math.isfinite(omega * s):  # and s itself, since omega is finite
         raise DomainError(f"the angle omega s is not finite at omega = {omega}, s = {s}")
     if omega2 < sys.float_info.min:  # s^2 may overflow, and 0.5 s^2 W^2 read 0 * inf
-        if abs(s) * float(np.abs(W).max()) >= 1e-8:
-            raise DomainError(f"omega^2 of W underflows at an angle up to {abs(s) * float(np.abs(W).max()):.3e}")
+        if abs(s) * top >= 1e-8:
+            raise DomainError(f"omega^2 of W underflows at an angle up to {abs(s) * top:.3e}")
         return _I3 + s * W
     if omega * abs(s) < 1e-8:
-        return _I3 + s * W + 0.5 * s * s * W2
+        return _I3 + s * W + 0.5 * s * s * (W @ W)
     a = math.sin(omega * s) / omega
     b = (1.0 - math.cos(omega * s)) / omega2
-    return _I3 + a * W + b * W2
+    return _I3 + a * W + b * (W @ W)
 
 
 def ricci_scalars(v, rho_a: float, d: int) -> tuple[float, float, float]:
@@ -247,21 +238,16 @@ class CurvatureBlocks:
         W[dims.sl_a, dims.sl_a] = W[dims.sl_b, dims.sl_b] = 1.5 * vee(self.v)
         return W
 
-    @cached_property
-    def _turn(self) -> tuple[np.ndarray, np.ndarray, float, float]:
-        return _skew_powers(vee(self.v))
-
     def assemble(self, t: float) -> np.ndarray:
-        """R(t): the a and b rows and columns of R0 turned by E(t) = exp(1.5 t vee(v)).
+        """R(t): the a and b rows and columns of R0 turned by E(t) = ``rodrigues(vee(v), 1.5 t)``.
 
-        E(t) is ``rodrigues(vee(v), 1.5 t)``, its vee(v), W @ W and omega^2 built
-        once per blocks object. The a/b blocks are turned as one stack, E X E^T,
-        and the a/c and b/c blocks as another, E X, by the same 3x3 products a
-        loop over blocks makes; those below the diagonal are then mirrored.
-        At t = 0, E is the identity and R(t) = R0. No route of the package calls
-        it: they work in the frame rotating with exp(tW), where the curvature is R0.
+        The a/b blocks are turned as one stack, E X E^T, and the a/c and b/c
+        blocks as another, E X, by the same 3x3 products a loop over blocks
+        makes; those below the diagonal are then mirrored. At t = 0, E is the
+        identity and R(t) = R0. No route of the package calls it: they work in
+        the frame rotating with exp(tW), where the curvature is R0.
         """
-        E = _rodrigues(self._turn, 1.5 * float(t))
+        E = rodrigues(vee(self.v), 1.5 * float(t))
         R = self.R0.copy()
         ab, ac = R[:6, :6].reshape(2, 3, 2, 3).swapaxes(1, 2), R[:6, 6:].reshape(2, 3, -1)
         ab[...], ac[...] = E @ ab @ E.T, E @ ac

@@ -23,12 +23,12 @@ structural pair (A, B). So (P^T M, P^T N) solve the constant system
 (A - W, B, R0) of ``_qhf_system``, whose N has the singular values and
 det of the lab-frame N. It is block diagonal, and each block follows from
 v alone: the a/b 6x6 corner, the same for every d, which the frame
-v = |v| e1 splits into a real and a complex type-I pair (``_qhf_pairs``);
-the c block, Q = kappa_c I; and the motion row. ``conjugate_time`` takes
-the first det N zero over the blocks: the c block's pi/sqrt(kappa_c) and the
-real pair's 2 pi/sqrt(4 + 4|v|^2), the two-frequency model at kappa_a = 0, in
-closed form, and the complex pair's by one 2x2 phase pass, which may get
-cheaper, never different. ``sublaplacian_along``, given that
+v = |v| e1 splits into a real and a complex type-I pair; the c block,
+Q = kappa_c I; and the motion row. ``conjugate_time`` takes the first det N
+zero over the blocks: the c block's pi/sqrt(kappa_c) and the real pair's
+2 pi/sqrt(4 + 4|v|^2), the two-frequency model at kappa_a = 0, in closed
+form, and the complex pair's (``_qhf_complex_pair``) by one 2x2 phase pass,
+which may get cheaper, never different. ``sublaplacian_along``, given that
 result, sums their trace(B V) on a grid inside (0, t_star), the same in both
 frames, so neither cost depends on d. The (4d + 3)-square system is the
 oracle of the tests and of the qhf-conjugate checks.
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,7 +105,7 @@ _J4_K = np.array(
     ]
 )
 _RADII = 4096  # most radii ``sublaplacian_along`` propagates in one stack, a peak of about 55 MB
-_TYPE_I = tuple(np.frombuffer(X.tobytes()).reshape(X.shape) for X in typeI_pair())  # (A_I, B_I) of _qhf_pairs, read-only
+_TYPE_I = tuple(np.frombuffer(X.tobytes()).reshape(X.shape) for X in typeI_pair())  # (A_I, B_I) of _qhf_complex_pair, read-only
 # the 6x6 a/b corner of the structural pair (A, B), the same for every d, read-only
 _AB_PAIR = tuple(np.frombuffer(X[:6, :6].tobytes()).reshape(6, 6) for X in build_structural(FatDims(k=4, n=7)))
 
@@ -160,11 +161,13 @@ def initial_state(d: int, v, q=None, seed_direction=None) -> ExtremalState:
     resulting state has H = 1/2 exactly up to roundoff; the vertical
     momenta come out as requested because the Reeb frame is orthonormal.
     Raises ``DomainError`` on a d that is not an integer >= 1, a non-finite
-    v, a q off the unit sphere or a seed without horizontal component, and
-    ``ValueError`` on a q of the wrong length.
+    v or one whose |v|^2 overflows, a q off the unit sphere or a seed without
+    horizontal component, and ``ValueError`` on a q of the wrong length.
     """
     _check_d(d)
     v = _momentum(v)
+    if _norm2(v) == math.inf:
+        raise DomainError(f"|v|^2 overflows at v = {v}")
     dim = 4 * (d + 1)
     if q is None:
         q = np.zeros(dim)
@@ -221,11 +224,14 @@ def integrate_extremal(state0: ExtremalState, t_max: float, n_samples: int = 257
     rounding error only. It is taken over all samples at once and is bit for
     bit the drift of each ``ExtremalState(d, q[i], p[i])``'s own H and v.
     Raises ``DomainError`` unless t_max is finite positive, n_samples >= 1
-    and state0 has H = 1/2, |q| = 1 and <p, q> = 0.
+    and state0 has H = 1/2, |q| = 1 and <p, q> = 0, and where an entry of p
+    reaches 1e150 (|p|^2 may overflow) or 2 |p| t_max overflows.
     """
     if not (0.0 < t_max < math.inf and n_samples >= 1):
         raise DomainError(f"t_max must be finite positive and n_samples >= 1, got {t_max}, {n_samples}")
     d, q0, p0 = state0.d, _check_unit(state0.q), state0.p
+    if not (top := float(np.abs(p0).max())) < 1e150:  # else p0 @ p0 may overflow; NaN fails too
+        raise DomainError(f"|p| must be finite with |p|^2 representable, got max |p_i| = {top}")
     pq0 = float(p0 @ q0)
     if not abs(pq0) <= 1e-10:
         raise DomainError(f"state0 must satisfy <p, q> = 0, got {pq0}")
@@ -236,7 +242,10 @@ def integrate_extremal(state0: ExtremalState, t_max: float, n_samples: int = 257
     if not abs(H0 - 0.5) <= 1e-10:
         raise DomainError(f"state0 must be a unit covector, H = {H0}")
     K_v = sum(v_a * K for v_a, K in zip(v0, Ks))
-    c, w = math.sqrt(pp0), math.sqrt(vv0)
+    # where |v|^2 underflows, w = sqrt(v @ v) would read 0 (or lose bits) and sin(wt)/w become t
+    c, w = math.sqrt(pp0), math.sqrt(vv0) if vv0 >= sys.float_info.min else math.hypot(*v0.tolist())
+    if not math.isfinite(2.0 * c * float(t_max)):  # c t, and the pi (w t / pi) of np.sinc, with room for rounding
+        raise DomainError(f"the phase |p| t_max overflows at |p| = {c}, t_max = {t_max}")
     ts = np.arange(operator.index(n_samples), dtype=float)  # np.linspace(0.0, t_max, n_samples), bit for bit
     if n_samples > 1:
         step = t_max / (n_samples - 1)
@@ -340,32 +349,31 @@ def _qhf_corner(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A - W, B, _ab_corner(s, V, 4.0 * _I3, np.zeros((3, 3)))
 
 
-def _qhf_pairs(v: np.ndarray):
-    """The real and the complex type-I pair of the a/b corner of ``_qhf_system``, as (A, B, Q).
+def _qhf_complex_pair(v: np.ndarray):
+    """The complex type-I pair of the a/b corner of ``_qhf_system``, as (A, B, Q).
 
     In the frame where v = |v| e1, and with s = |v|^2, the a/b system splits
-    into the real pair on (a1, b1), Q = diag(0, 4 + 4s), and the complex pair
+    into a real pair on (a1, b1), Q = diag(0, 4 + 4s), and the complex pair
     (A_I + 1.5 i |v| I, B_I, Q_c) on (a2 + i a3, b2 + i b3), with
     Q_c = [[-s (3 + 2.8125 s), -i c], [i c, 4 + 5.5 s]], c = (2 + 1.5 s) |v|.
     The shift only turns det N by exp(3 i |v| t) and is dropped. The b
-    entries take the sign of the fault hook ``_b_sign``, as in ``curvature_blocks``.
+    entry takes the sign of the fault hook ``_b_sign``, as in ``curvature_blocks``.
     """
     s = float(v @ v)
-    b, c = _b_sign(), 1j * (2.0 + 1.5 * s) * math.sqrt(s)
-    Q_c = np.array([[-s * (3.0 + 2.8125 * s), -c], [c, b * (4.0 + 5.5 * s)]])
-    return (*_TYPE_I, np.array([[0.0, 0.0], [0.0, b * (4.0 + 4.0 * s)]])), (*_TYPE_I, Q_c)
+    c = 1j * (2.0 + 1.5 * s) * math.sqrt(s)
+    return (*_TYPE_I, np.array([[-s * (3.0 + 2.8125 * s), -c], [c, _b_sign() * (4.0 + 5.5 * s)]]))
 
 
 def conjugate_time(d: int, v) -> ConjugateResult:
     """First conjugate time: the first det N zero over the blocks of ``_qhf_system``.
 
     t_star is the smallest of three zeros. The complex type-I pair of
-    ``_qhf_pairs`` takes the one 2x2 phase pass, ``wedge_first_zero`` (the
+    ``_qhf_complex_pair`` takes the one 2x2 phase pass, ``wedge_first_zero`` (the
     phase rule of ``first_blowup`` on the compound sweep), scanned to 10% beyond
     the smaller model bound; its bits may get cheaper, never different. The
     real pair, Q = diag(0, 4 + 4|v|^2), is the two-frequency model at kappa_a
-    = 0, so its zero is ``blowup_time_kab`` of its Q, 2 pi/sqrt(4 + 4|v|^2),
-    infinite where the fault hook flips the sign of its b entry. For d >= 2,
+    = 0: its zero is ``blowup_time_kab(0, b (4 + 4|v|^2))``, b = ``_b_sign()``,
+    infinite where the fault hook flips b; no matrix of it is built. For d >= 2,
     pi/sqrt(kappa_c) is exact for the c block's N = sin(sqrt(kappa_c) t) /
     sqrt(kappa_c) I, and equals the real pair's zero to the bit. Every block is
     built in closed form from v, so the cost does not depend on d. No zero
@@ -378,8 +386,8 @@ def conjugate_time(d: int, v) -> ConjugateResult:
     bound_kab = blowup_time_kab(kappa_a, kappa_b)
     bound_kc = blowup_time_kc(kappa_c).time if d >= 2 else None
     t_max = 1.1 * min(bound_kab.time, bound_kc or math.inf)
-    (_, _, Q_r), cplx = _qhf_pairs(v)
-    t_star = min(wedge_first_zero(*cplx, t_max).time, blowup_time_kab(Q_r[0, 0], Q_r[1, 1]).time)
+    real = blowup_time_kab(0.0, _b_sign() * (4.0 + 4.0 * _norm2(v))).time
+    t_star = min(wedge_first_zero(*_qhf_complex_pair(v), t_max).time, real)
     if d >= 2:
         t_star = min(t_star, math.pi / math.sqrt(kappa_c))
     if not t_star <= t_max:

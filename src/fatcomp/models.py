@@ -244,44 +244,25 @@ def finiteness_predicate(kappa_a: float, kappa_b: float) -> bool:
     return disc != disc and kappa_b >= 0.0 and _wide_disc_root(kappa_a, kappa_b).real > 0.0
 
 
-def _tbar_floor(kappa_a: float, kappa_b: float) -> float:
-    """A floor of tbar where ``blowup_time_kab`` neither raises nor returns the infinite
-    marker or the closed form, else 0: (1 - 2^-40) max(pi/tp, (pi - asin(tm/tp))/tm),
-    the first knot up to the rounding of k pi/w, for kappa_a < 0; pi/(2 alpha) for kappa_a > 0."""
-    if not (math.isfinite(kappa_a) and math.isfinite(kappa_b)) or kappa_a == 0.0 or not finiteness_predicate(kappa_a, kappa_b):
-        return 0.0
-    tp, tm = theta_from_kappas(kappa_a, kappa_b)
-    if not (cmath.isfinite(tp) and cmath.isfinite(tm) and tm.real > _ALPHA_MIN):  # alpha for kappa_a > 0
-        return 0.0
-    tp, tm = tp.real, tm.real  # both alpha for kappa_a > 0
-    return math.pi / (2.0 * tp) if kappa_a > 0.0 else (1.0 - 2.0**-40) * max(math.pi / tp, (math.pi - math.asin(tm / tp)) / tm)
-
-
 def eval_s_kab(kappa_a: float, kappa_b: float, t: float) -> float:
     """Evaluate the two-frequency model at time t.
 
     The model (2/t) (sinc(2 tm t) - sinc(2 tp t)) / (sinc(tm t)^2 - sinc(tp t)^2)
     is (8/t) F[4a, 4b] / (F[a, b] (F(a) + F(b))), a, b = (tp t)^2, (tm t)^2,
     since (F^2)[a, b] = F[a, b] (F(a) + F(b)); F(4X) = F(X) C(X) of
-    ``_f_and_c`` carries 4 F[4a, 4b]. One real route for every pair and t, the
-    core ``_s_kab``. Its domain (0, tbar) is read from ``_tbar_floor``, which lies
-    below every root, since the root search of ``blowup_time_kab`` starts there;
-    only where t is not below the floor is tbar solved. A caller that already
-    holds the solved tbar passes it to ``_s_kab`` itself and solves nothing.
+    ``_f_and_c`` carries 4 F[4a, 4b]. One real route for every pair and t: tbar
+    is solved by ``blowup_time_kab``, then the core ``_s_kab`` evaluates; a
+    caller that already holds tbar calls the core itself and solves nothing.
     ``DomainError`` outside (0, tbar) and where the quotient, about 1/t,
     overflows (t below about 2.2e-308); ``FloatingPointError`` where its
     numerator or denominator is not finite, as when the hyperbolic factors overflow.
     """
-    tbar = _tbar_floor(kappa_a, kappa_b)
-    if not 0.0 < t < tbar:
-        tbar = blowup_time_kab(kappa_a, kappa_b).time
-    return _s_kab(kappa_a, kappa_b, t, tbar)
+    return _s_kab(kappa_a, kappa_b, t, blowup_time_kab(kappa_a, kappa_b).time)
 
 
 def _s_kab(kappa_a: float, kappa_b: float, t: float, tbar: float) -> float:
-    """``eval_s_kab`` given tbar = ``blowup_time_kab(kappa_a, kappa_b).time`` (or a floor
-    of it that t is below): ``DomainError`` unless 0 < t < tbar, then the quotient;
-    ``DomainError`` also where the quotient, about 1/t, overflows (t below about 2.2e-308)."""
+    """``eval_s_kab`` given tbar = ``blowup_time_kab(kappa_a, kappa_b).time``: ``DomainError`` unless
+    0 < t < tbar, and where the quotient, about 1/t, overflows (t below about 2.2e-308)."""
     if not 0.0 < t < tbar:
         raise DomainError(f"t={t} for (kappa_a, kappa_b)=({kappa_a}, {kappa_b}) outside (0, {tbar})")
     uf, wf, uc, wc = _f_and_c(kappa_a, kappa_b, t)

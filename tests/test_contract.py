@@ -1,4 +1,4 @@
-"""The input contract of the scalar and curvature layers, fuzzed.
+"""The input contract of the scalar, curvature and hopf layers and of the CLI, fuzzed.
 
 Each public scalar or curvature function either returns a value with no NaN in it, finite
 wherever the function does not document inf, or raises ``DomainError``,
@@ -20,7 +20,13 @@ The curvature layer (``vee``, ``ricci_scalars``, ``qhf_curvature_inputs``,
 ``curvature_blocks``, ``rodrigues`` and ``CurvatureBlocks.assemble``) draws rows
 of four such numbers, a momentum v and one scalar x (rho_a, the scale of the
 contractions, or a time), with d in {1, 2, 3, 16}. Its mended reproducers are
-rows of their own.
+rows of their own. The hopf layer (``qhf_kappas``, ``initial_state`` followed by
+``integrate_extremal`` to t_max = x, and ``conjugate_time``) draws the same rows.
+
+``sublaplacian_along`` is left out: on a grid inside (0, t*) whose smallest
+radius is below about 1e-102 (1e-80 at |v| = 1e75) its trace(B V) reads NaN,
+with an "invalid value" warning, or ``np.linalg.solve`` finds N singular: the a
+rows of N grow like r^3 and underflow. ROADMAP item 11 lists it.
 
 ``eval_s_kab`` is left out, the open item: its F and C factors overflow for
 pairs far apart in scale, where it raises a bare ``FloatingPointError`` or
@@ -30,7 +36,11 @@ raises ``DomainError`` (it returned inf).
 """
 
 import cmath
+import contextlib
+import io
 import math
+import pathlib
+import tempfile
 import warnings
 
 import numpy as np
@@ -38,7 +48,9 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
+from fatcomp import cli
 from fatcomp.curvature import CurvatureInputs, curvature_blocks, qhf_curvature_inputs, ricci_scalars, rodrigues, vee
+from fatcomp.hopf import ConjugateResult, conjugate_time, initial_state, integrate_extremal, qhf_kappas
 from fatcomp.models import (
     BlowUpTime,
     DiameterCertificate,
@@ -54,6 +66,7 @@ from fatcomp.models import (
 from fatcomp.riccati import UnverifiableError
 
 BATCH, EXAMPLES = 40, 25  # 1,000 draws for each function
+CLI_BATCH = 24  # 600 blowup and 300 conjugate rows
 
 _sign = st.sampled_from([-1.0, 1.0])
 _wide = st.builds(lambda s, e: s * 10.0**e, _sign, st.floats(-300.0, 300.0))
@@ -195,3 +208,93 @@ def test_curvature_reproducers_keep_the_contract(v, x, d):
     breaches = [(fn.__name__, what) for fn, pick, keeps in CURVATURE_CONTRACT
                 if (what := _breach(fn, pick(v, x, d), keeps)) is not None]
     assert not breaches
+
+
+# ----------------------------------------------------------------------
+# the hopf layer
+# ----------------------------------------------------------------------
+
+def _flow(v, t_max, d):
+    """The extremal flow from ``initial_state(d, v)`` (q and the seed direction at their
+    defaults) over [0, t_max]: building the state is part of the call."""
+    return integrate_extremal(initial_state(d, v), t_max)
+
+
+def _conjugate_ok(c):
+    return (isinstance(c, ConjugateResult) and _no_nan(c.t_star, *c.margins) and c.t_star > 0.0
+            and _tbar_ok(c.bound_kab))
+
+
+# function, its arguments from a row (v, x, d), and whether a value it returns keeps the contract
+HOPF_CONTRACT = [
+    (qhf_kappas, lambda v, x, d: (v,), lambda k: len(k) == 3 and _no_nan(*k)),
+    (_flow, lambda v, x, d: (v, x, d),  # initial_state, then integrate_extremal
+     lambda g: _finite(g.ts, g.q, g.p, g.h_drift, g.v_drift, g.norm_drift, g.gauge_drift)),
+    (conjugate_time, lambda v, x, d: (d, v), _conjugate_ok),
+]
+
+
+@settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate], suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.lists(number, min_size=4 * BATCH, max_size=4 * BATCH))
+def test_hopf_layer_keeps_its_contract(numbers):
+    # rows of four numbers as for the curvature layer: x is t_max of the flow
+    breaches = [(fn.__name__, [float(y) for y in v], float(x), d, what)
+                for i, (*v, x) in enumerate(zip(*[iter(numbers)] * 4))
+                for d in [(1, 2, 3, 16)[i % 4]]
+                for fn, pick, keeps in HOPF_CONTRACT
+                if (what := _breach(fn, pick(v, x, d), keeps)) is not None]
+    assert not breaches, breaches[:5]
+
+
+# (v, x, d) rows whose calls once broke the contract
+HOPF_MENDED = [
+    # |v|^2 overflowed: p0 @ p0 warned, then "H = nan"
+    ([1e160, 0.0, 0.0], 1.0, 1),
+    # the phase |p| t_max overflowed: cos(inf), with a warning
+    ([-1.0, -1.0793531744239997e-308, 0.0], 1.7976931348623157e308, 1),
+    # |v|^2 underflowed to 0, so sin(wt)/w read t: q grew to 1e90 and <p, q>^2 overflowed, with a warning
+    ([5e-324, -1.9814950549116493e-169, -5.86165392270972e-309], np.float64(4.142878956041829e+258), 1),
+]
+
+
+@pytest.mark.parametrize("v,x,d", HOPF_MENDED)
+def test_hopf_reproducers_keep_the_contract(v, x, d):
+    breaches = [(fn.__name__, what) for fn, pick, keeps in HOPF_CONTRACT
+                if (what := _breach(fn, pick(v, x, d), keeps)) is not None]
+    assert not breaches
+
+
+# ----------------------------------------------------------------------
+# the CLI
+# ----------------------------------------------------------------------
+
+def _exit_code(argv, out):
+    """(exit code, text of the output file or ""): ``cli.main`` in process, its prints
+    swallowed and any warning an error."""
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        code = cli.main([*argv, "--out", str(out)])
+    text = out.read_text() if out.exists() else ""
+    out.unlink(missing_ok=True)
+    return code, text
+
+
+@settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate], suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.lists(number, min_size=3 * CLI_BATCH, max_size=3 * CLI_BATCH))
+def test_cli_exits_0_2_or_3(numbers):
+    # rows of three numbers: (--ka, --kb, --kc) of blowup, and --v of conjugate --verify with d
+    # running through 1, 2, 3 and 16 by row; an exit of 1 would be a failed computation or check
+    wrong = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "rows.csv"
+        for i, (a, b, c) in enumerate(zip(*[iter(map(float, numbers))] * 3)):
+            calls = [(["blowup", f"--ka={a!r}", f"--kb={b!r}", f"--kc={c!r}"], (0, 2))]
+            if i < CLI_BATCH // 2:  # a conjugate row takes a 2x2 pass, so half as many
+                calls.append((["conjugate", "--d", str((1, 2, 3, 16)[i % 4]), f"--v={a!r},{b!r},{c!r}", "--verify"], (0, 2, 3)))
+            for argv, codes in calls:
+                code, text = _exit_code(argv, out)
+                if code not in codes or "nan" in text:
+                    wrong.append((argv, code, "nan" in text))
+    assert not wrong, wrong[:5]

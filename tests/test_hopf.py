@@ -18,6 +18,7 @@ the propagator the package ships.
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,12 +26,12 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from fatcomp import hopf, models, riccati
-from fatcomp.curvature import curvature_blocks, qhf_curvature_inputs
+from fatcomp.curvature import _b_sign, curvature_blocks, qhf_curvature_inputs
 from fatcomp.hopf import (
     DomainError,
     ExtremalState,
     _qhf_corner,
-    _qhf_pairs,
+    _qhf_complex_pair,
     _qhf_system,
     conjugate_time,
     initial_state,
@@ -111,6 +112,14 @@ def split_full_system(d, v):
         cplx.append(Xc[0::2, 0::2] + 1j * Xc[1::2, 0::2])
     residual = max(residual, np.abs(cplx[0].imag - cplx[0].imag[0, 0] * np.eye(2)).max())
     return residual, np.abs(Q).max(), tuple(real), tuple(cplx), kappa_c
+
+
+def real_hopf_pair(v):
+    """The real type-I pair of the a/b corner of ``_qhf_system`` in the frame v = |v| e1, as
+    (A, B, Q): Q = diag(0, 4 + 4|v|^2), its b entry signed by the fault hook. ``conjugate_time``
+    takes its zero in closed form, 2 pi/sqrt(4 + 4|v|^2), and builds no matrix of it."""
+    A_I, B_I = typeI_pair()
+    return A_I, B_I, np.diag([0.0, _b_sign() * (4.0 + 4.0 * float(v @ v))])
 
 
 def dop853_extremal(state0, ts):
@@ -244,6 +253,15 @@ class TestInitialState:
         with pytest.raises(DomainError):
             initial_state(1, [0, 0, 0], q=q0, seed_direction=q0)
 
+    def test_overflowing_momentum_is_a_domain_error(self):
+        # |v|^2 overflows: the state was built, and integrate_extremal warned of an overflow in
+        # p0 @ p0 before its "H = nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"\|v\|\^2 overflows"):
+                initial_state(1, [1e160, 0.0, 0.0])
+            assert initial_state(1, [1e152, 0.0, 0.0]).p[1] == -1e152
+
 
 # ----------------------------------------------------------------------
 # Test Class: extremal flow
@@ -285,6 +303,32 @@ class TestExtremalFlow:
         bad = type(st0)(d=st0.d, q=st0.q, p=2.0 * st0.p)
         with pytest.raises(DomainError):
             integrate_extremal(bad, 1.0)
+
+    def test_huge_covector_is_refused_before_any_product(self):
+        # p0 @ p0 overflowed with a warning, then "H = nan"
+        q, p = np.eye(8)[0], np.eye(8)[4] + 1e160 * np.eye(8)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"\|p\| must be finite with \|p\|\^2 representable"):
+                integrate_extremal(ExtremalState(1, q, p), 1.0)
+
+    def test_overflowing_phase_is_a_domain_error(self):
+        # c t_max = sqrt(2) t_max overflowed, and cos(inf) warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"the phase \|p\| t_max overflows"):
+                integrate_extremal(initial_state(1, [-1.0, 0.0, 0.0]), 1.7976931348623157e308)
+
+    def test_underflowing_momentum_square_keeps_the_rotation(self):
+        # |v|^2 = 1e-320 is subnormal: w = sqrt(v @ v) was 5.7e-6 relative low, and where it
+        # underflowed to 0, sin(wt)/w read t. q(t) = exp(-t K_v) (cos(ct) q0 + sin(ct)/c p0)
+        st0 = initial_state(1, [0.0, 1e-160, 0.0])
+        t = 1.5e160  # w t = 1.5
+        res = integrate_extremal(st0, t, n_samples=2)
+        K_v = 1e-160 * reeb_generators(1)[1]
+        c = math.sqrt(float(st0.p @ st0.p))
+        want = expm(-t * K_v) @ (math.cos(c * t) * st0.q + math.sin(c * t) / c * st0.p)
+        assert np.abs(res.q[-1] - want).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_closed_form_matches_dop853_oracle(self, d):
@@ -409,7 +453,7 @@ def _horizon(d, v):
     return 1.1 * min(blowup_time_kab(kappa_a, kappa_b).time, math.pi / math.sqrt(kappa_c) if d >= 2 else math.inf)
 
 
-# (rows, SHA-256) of wedge_first_zero on the complex pair of _qhf_pairs over
+# (rows, SHA-256) of wedge_first_zero on _qhf_complex_pair over
 # _complex_pass_rows(), each line "d v_I v_J v_K t" in float.hex
 COMPLEX_PASS_ROWS, COMPLEX_PASS_DIGEST = 200, "896930d1e1ea3982d188bf302fdc0976e2bf36158b25cc8164a96b4335d32ebe"
 
@@ -423,7 +467,7 @@ class TestConjugateTime:
     def test_complex_pass_keeps_its_bits(self):
         lines = []
         for d, v in _complex_pass_rows():
-            t = wedge_first_zero(*_qhf_pairs(v)[1], _horizon(d, v)).time
+            t = wedge_first_zero(*_qhf_complex_pair(v), _horizon(d, v)).time
             lines.append(" ".join([str(d), *(x.hex() for x in v.tolist()), t.hex()]))
         assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (COMPLEX_PASS_ROWS, COMPLEX_PASS_DIGEST)
 
@@ -436,7 +480,7 @@ class TestConjugateTime:
         for nv in [0.0, 1e-3, 1e3] + [float(x) for x in 10.0 ** rng.uniform(-3.0, 3.0, 12)]:
             v = nv * random_unit(rng, 3)
             closed = blowup_time_kab(0.0, 4.0 + 4.0 * float(v @ v)).time
-            t = wedge_first_zero(*_qhf_pairs(v)[0], _horizon(d, v)).time
+            t = wedge_first_zero(*real_hopf_pair(v), _horizon(d, v)).time
             assert abs(t - closed) <= 1e-13 * closed, f"|v| = {nv}: pass {t!r}, closed form {closed!r}"
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -447,7 +491,7 @@ class TestConjugateTime:
         monkeypatch.setattr(hopf, "wedge_first_zero", lambda *a: calls.append(a) or wedge(*a))
         for _, v in _complex_pass_rows()[:30]:
             s, times = float(v @ v), []
-            times.append(wedge(*_qhf_pairs(v)[1], _horizon(d, v)).time)
+            times.append(wedge(*_qhf_complex_pair(v), _horizon(d, v)).time)
             times.append(2.0 * math.pi / math.sqrt(4.0 + 4.0 * s))
             if d >= 2:
                 times.append(math.pi / math.sqrt(1.0 + s))
@@ -524,7 +568,7 @@ class TestConjugateTime:
         # det N = det N_real |det N_c|^2 (sin(sqrt(kc) t)/sqrt(kc))^(4d-4) t,
         # the motion row contributing t
         v = np.array([0.6, -0.3, 0.2]) * d
-        pairs, kappa_c = _qhf_pairs(v), qhf_kappas(v)[2]
+        pairs, kappa_c = (real_hopf_pair(v), _qhf_complex_pair(v)), qhf_kappas(v)[2]
         full = integrate_jacobi(*_qhf_system(d, v), 3.0)
         Hs = [np.block([[-A.T, -Q], [B, A]]) for A, B, Q in pairs]
         for t in (0.4, 1.1, 1.9, 2.6):
@@ -546,7 +590,7 @@ class TestConjugateTime:
         for v in vs:
             residual, scale, (A_r, Q_r), (A_c, Q_c), kappa_c = split_full_system(d, v)
             assert residual <= 1e-12 * scale, f"|v| = {np.linalg.norm(v)}: split residual {residual:.3e}"
-            real, cplx = _qhf_pairs(v)
+            real, cplx = real_hopf_pair(v), _qhf_complex_pair(v)
             A_I, B_I = typeI_pair()
             assert all(np.array_equal(P[0], A_I) and np.array_equal(P[1], B_I) for P in (real, cplx))
             if A_c.imag[0, 0] < 0.0:  # R e1 = -v/|v|: the frame of the conjugate pair
@@ -567,7 +611,7 @@ class TestConjugateTime:
         for nv in (0.0, 1e-3, 0.5, 1.0, 3.0, 1e2, 1e3):
             v = nv * random_unit(rng, 3)
             Q = _qhf_system(1, [np.linalg.norm(v), 0.0, 0.0])[2][:6, :6]
-            real, cplx = _qhf_pairs(v)
+            real, cplx = real_hopf_pair(v), _qhf_complex_pair(v)
             scale = max(1.0, np.abs(Q).max())
             assert np.abs(real[2] - Q[np.ix_([0, 3], [0, 3])]).max() <= 1e-15 * scale
             assert np.abs(cplx[2] - (Q[np.ix_([1, 4], [1, 4])] + 1j * Q[np.ix_([2, 5], [1, 4])])).max() <= 1e-15 * scale
@@ -584,9 +628,9 @@ class TestConjugateTime:
         # FATCOMP_FAULT=curvature-sign flips the b block of the pairs as it
         # does in curvature_blocks: the faulted pairs are the faulted split
         v = np.array([0.3, -0.7, 1.1])
-        clean = _qhf_pairs(v)
+        clean = real_hopf_pair(v), _qhf_complex_pair(v)
         monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")
-        faulted = _qhf_pairs(v)
+        faulted = real_hopf_pair(v), _qhf_complex_pair(v)
         assert faulted[0][2][1, 1] == -clean[0][2][1, 1] and faulted[1][2][1, 1] == -clean[1][2][1, 1]
         residual, scale, (_, Q_r), (_, Q_c), _ = split_full_system(2, v)
         assert residual <= 1e-12 * scale
@@ -800,9 +844,9 @@ class TestSublaplacian:
 
     @pytest.mark.parametrize("v", [np.zeros(3), np.array([0.6, -0.3, 0.2])])
     def test_model_terms_solve_no_root(self, v, monkeypatch):
-        # the rhs reads the tbar conjugate_time solved (conj.bound_kab); at v = 0, where the
-        # tbar floor is 0, it solved tbar again at every radius
-        conj, calls = conjugate_time(2, v), {"blowup_time_kab": 0, "_tbar_floor": 0}
+        # the rhs reads the tbar conjugate_time solved (conj.bound_kab); through eval_s_kab
+        # it solved tbar again at every radius
+        conj, calls = conjugate_time(2, v), {"blowup_time_kab": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -813,9 +857,8 @@ class TestSublaplacian:
         solve = counted("blowup_time_kab", models.blowup_time_kab)
         monkeypatch.setattr(models, "blowup_time_kab", solve)
         monkeypatch.setattr(hopf, "blowup_time_kab", solve)
-        monkeypatch.setattr(models, "_tbar_floor", counted("_tbar_floor", models._tbar_floor))
         sublaplacian_along(conj, np.linspace(0.02, 0.98, 17) * conj.t_star)
-        assert calls == {"blowup_time_kab": 0, "_tbar_floor": 0}
+        assert calls == {"blowup_time_kab": 0}
 
     def test_nonzero_momentum_margin(self):
         rep = sublaplacian_along(conjugate_time(2, [0.5, 0.0, 0.0]), np.linspace(0.3, 2.0, 5))

@@ -9,8 +9,8 @@ Test categories:
   6. Scaling covariance
   7. Diameter-type certificate
   8. The Brent root finder against scipy.optimize.brentq, bit for bit
-  9. Frozen bits of tbar and s_kab over every branch, and the floor of tbar
-     below which s_kab solves no root
+  9. Frozen bits of tbar and s_kab over every branch, and how often tbar
+     is solved
 
 Frozen reference values were computed from formulas independent of this
 package: pi/sqrt(k) for the single-frequency zero, and the first zero of
@@ -475,7 +475,6 @@ class TestBlowupTimeTwoFrequency:
         # alpha is below pi/max float, so the bracket (pi/(2 alpha), pi/alpha] is not representable
         with pytest.raises(DomainError, match="pi/alpha overflows"):
             blowup_time_kab(ka, kb)
-        assert models._tbar_floor(ka, kb) == 0.0
 
     @pytest.mark.parametrize(
         "ka,kb", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 4.0), (-3.0, math.inf)]
@@ -806,7 +805,7 @@ class TestBrentPort:
 
 
 # ----------------------------------------------------------------------
-# Test Class: frozen bits of the scalar layer, and the floor of tbar
+# Test Class: frozen bits of the scalar layer, and the solves of tbar
 # ----------------------------------------------------------------------
 
 def _scalar_pairs(n: int, seed: int = 22) -> list[tuple[float, float]]:
@@ -935,30 +934,7 @@ class TestScalarLayerBits:
 
 
 class TestTbarFloor:
-    """``eval_s_kab`` solves tbar only where t is not below ``models._tbar_floor``."""
-
-    def test_floor_is_below_tbar(self):
-        finite = 0
-        for ka, kb in _scalar_pairs(SCALAR_DRAWS):
-            try:
-                tbar = blowup_time_kab(ka, kb).time
-            except (ValueError, FloatingPointError):
-                continue
-            floor = models._tbar_floor(ka, kb)
-            assert floor <= tbar, (ka, kb, floor, tbar)
-            finite += math.isfinite(tbar) and floor > 0.0
-        assert finite > 100
-
-    def test_no_solve_below_the_floor(self, monkeypatch):
-        rows = [(ka, kb, t) for ka, kb in _scalar_pairs(40) if (floor := models._tbar_floor(ka, kb)) > 0.0
-                for t in (0.5 * floor, math.nextafter(floor, 0.0))]
-        want = [_scalar_outcome(eval_s_kab, *row) for row in rows]
-
-        def solve(*args, **kwargs):
-            raise AssertionError("_brentq called below the floor")
-
-        monkeypatch.setattr(models, "_brentq", solve)
-        assert len(rows) > 100 and [_scalar_outcome(eval_s_kab, *row) for row in rows] == want
+    """How often ``eval_s_kab`` and the checks solve tbar, and that the core given tbar is ``eval_s_kab``."""
 
     @pytest.mark.parametrize("seed,calls_before", [(1, 284), (7, 268)])
     def test_scaling_covariance_solves_two_thirds(self, seed, calls_before, monkeypatch):
@@ -971,8 +947,8 @@ class TestTbarFloor:
     @pytest.mark.parametrize("seed,solves_before", [(1, 254), (7, 252)])
     def test_scaling_covariance_solves_each_root_once(self, seed, solves_before, monkeypatch):
         # solves_before: the blowup_time_kab calls of one run when the check's s_kab derived
-        # its domain again (and read the floor 200 times); one solve per pair is 200
-        calls = {"blowup_time_kab": 0, "_tbar_floor": 0}
+        # its domain again; one solve per pair is 200
+        calls = {"blowup_time_kab": 0}
 
         def counted(name, fn):
             return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
@@ -980,9 +956,8 @@ class TestTbarFloor:
         solve = counted("blowup_time_kab", models.blowup_time_kab)
         monkeypatch.setattr(models, "blowup_time_kab", solve)
         monkeypatch.setattr(checks, "blowup_time_kab", solve)
-        monkeypatch.setattr(models, "_tbar_floor", counted("_tbar_floor", models._tbar_floor))
         assert checks.run_check(checks.check_names().index("scaling-covariance"), seed).passed
-        assert calls == {"blowup_time_kab": 200, "_tbar_floor": 0} and solves_before > 200
+        assert calls == {"blowup_time_kab": 200} and solves_before > 200
 
     def test_core_given_tbar_is_eval_s_kab(self):
         # the outcome of eval_s_kab, exceptions included, is that of _s_kab given the solved tbar

@@ -25,7 +25,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from fatcomp import checks, riccati
-from fatcomp.hopf import _qhf_pairs, _qhf_system
+from fatcomp.hopf import _qhf_complex_pair, _qhf_system
 from fatcomp.models import DomainError, blowup_time_kab, finiteness_predicate
 from fatcomp.riccati import (
     JacobiSolution,
@@ -984,12 +984,14 @@ class TestFrozenWedgeBits:
     def test_first_zero_of_a_hermitian_hopf_pair(self):
         v = np.array([1.2, 0.3, -0.5])
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
-        assert wedge_first_zero(*_qhf_pairs(v)[1], t_max).time.hex() == "0x1.e25b10fb5dcc0p+0"
+        assert wedge_first_zero(*_qhf_complex_pair(v), t_max).time.hex() == "0x1.e25b10fb5dcc0p+0"
 
     def test_first_zero_of_a_real_hopf_pair(self):
+        # the real pair of the Hopf a/b corner in the frame v = |v| e1: Q = diag(0, 4 + 4|v|^2)
         v = np.array([1.2, 0.3, -0.5])
         t_max = 1.1 * math.pi / math.sqrt(1.0 + v @ v)
-        assert wedge_first_zero(*_qhf_pairs(v)[0], t_max).time.hex() == "0x1.e25b10fb5dfbfp+0"
+        Q = np.diag([0.0, 4.0 + 4.0 * float(v @ v)])
+        assert wedge_first_zero(A_STEP, B_STEP, Q, t_max).time.hex() == "0x1.e25b10fb5dfbfp+0"
 
     @pytest.mark.parametrize("ka,kb,zeros,bits,full", WEDGE_COUNT_BITS)
     def test_sign_changes(self, ka, kb, zeros, bits, full):

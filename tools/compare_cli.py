@@ -71,7 +71,7 @@ CALLS = [
     ["laplacian", "--d", "2", "--v", "0.6,-0.3,0.2", "--verify"],
     # 200 rows in chunks of 25 over a pool of two
     ["conjugate", "--d", "2", "--sweep", "0:3:200", "--jobs", "2", "--verify"],
-    # the 2x2 first-zero pass of both pairs of the a/b corner, row by row
+    # the 2x2 first-zero pass of the complex pair of the a/b corner, row by row
     ["conjugate", "--d", "3", "--sweep", "0:3:30", "--verify"],
     # ||h H2||_2 is 2.8 and 7.0: the refinement halves its step once and twice
     ["blowup", "--ka", "1e-3", "--kb=-5", "--verify"],
