@@ -18,7 +18,7 @@ with B >= 0 the first zero is the first time the largest does (Beck & Malham,
 "Computing the Maslov index for large systems", Proc. AMS 143, 2015). Both
 passes step H, scaled by ``_balanced`` (one fit, or two), in the blocks of one
 sweep, ``_sweep``, and read the phases a block at a time with ``_cut`` and
-``_turns``: ``first_blowup`` on an orthonormal frame, re-anchored by QR, and
+``_turns``: ``first_blowup`` on orthonormal frames, one stacked QR a block, and
 ``wedge_first_zero`` and ``wedge_det_sign_changes`` (2x2, Q real or Hermitian)
 on the Pluecker vector under expm(h H2), its first run read off the powers, H2
 the additive compound of H, with its two phases in closed form.
@@ -287,27 +287,27 @@ def _turns(phi: np.ndarray, phi1: np.ndarray, cut, t: float, h: float, first: bo
     return m, turn, drops
 
 
-def _phases(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(orthonormal frames [M; N], eigenphases phi_j in [0, pi) on the first axis) of the planes of the
-    frames F, of shape (..., 2n, n): W = M + iN is unitary, W W^T has the eigenvalues exp(2i phi_j),
-    and det N = 0 exactly when a phi_j is 0."""
-    F = np.linalg.qr(F)[0]
+def _phases(F: np.ndarray) -> np.ndarray:
+    """Eigenphases phi_j in [0, pi), on the first axis, of the planes of the orthonormal frames
+    F = [M; N], of shape (..., 2n, n): W = M + iN is unitary, W W^T has the eigenvalues exp(2i phi_j),
+    and det N = 0 exactly when a phi_j is 0. F is read as given; ``_sweep`` made it orthonormal."""
     n = F.shape[-1]
     W = F[..., :n, :] + 1j * F[..., n:, :]
-    return F, (np.angle(np.linalg.eigvals(W @ np.swapaxes(W, -1, -2))) / 2.0 % math.pi).T
+    return (np.angle(np.linalg.eigvals(W @ np.swapaxes(W, -1, -2))) / 2.0 % math.pi).T
 
 
 def _sweep(X: np.ndarray, h: float, steps: int, y: np.ndarray, log_growth: float, block: int):
     """Yield (k0, Y), Y[i] the state y, a Pluecker vector (6,) or a frame (2n, n), after k0 + i
     steps of E = exp(hX), in runs of at most ``_CHUNK`` numbers that share their ends. A block
     is one product of E^1..E^K (by doubling; K <= block, ||E^K||_inf <= exp(log_growth)) with
-    its start, and its last state starts the next, re-anchored: a frame by QR, a Pluecker vector
-    rescaled and moved by a Newton step onto the quadric p01 p23 - p02 p13 + p03 p12 = 0 of
-    2-planes, off which E amplifies rounding that the phases misread (2e-9 at (-2.57, 3.22),
-    t = 55). A Pluecker vector starts at e0 (``_E0``), and its first run is one block: column 0
-    of the powers, plus 0.0 for the signed zeros of a product with e0, with no product or stack
-    transpose. A frame's first run is a full one (a one-block first run made scalar-vs-jacobi 4-8%
-    slower). ``UnverifiableError`` unless E is finite. Below n h max|X| = 512 nothing overflows: no errstate."""
+    its start, and its last state starts the next: a frame's after one stacked QR of the K new
+    frames, the one QR a frame of a pass gets; a Pluecker vector's rescaled and moved by a Newton
+    step onto the quadric p01 p23 - p02 p13 + p03 p12 = 0 of 2-planes, off which E amplifies
+    rounding that the phases misread (2e-9 at (-2.57, 3.22), t = 55). A Pluecker vector starts at
+    e0 (``_E0``), and its first run is one block: column 0 of the powers, plus 0.0 for the signed
+    zeros of a product with e0, with no product or stack transpose. A frame's first run is a full
+    one (a one-block first run made scalar-vs-jacobi 4-8% slower). ``UnverifiableError`` unless E
+    is finite. Below n h max|X| = 512 nothing overflows: no errstate."""
     with np.errstate(all="ignore") if h * len(X) * float(np.abs(X).max()) >= 512.0 else contextlib.nullcontext():
         E = _expm(h * X)
         norm = float(np.abs(E).sum(axis=1).max())
@@ -326,8 +326,8 @@ def _sweep(X: np.ndarray, h: float, steps: int, y: np.ndarray, log_growth: float
         Y[0] = y
         for b in range(n_blocks):
             if y.ndim == 2:
-                np.matmul(stacked, y, out=Y[b * K + 1 : b * K + K + 1].reshape(-1, y.shape[1]))
-                Y[b * K + K] = y = np.linalg.qr(Y[b * K + K])[0]
+                Y[b * K + 1 : b * K + K + 1] = np.linalg.qr(np.matmul(stacked, y).reshape(K, *y.shape))[0]
+                y = Y[b * K + K]
                 continue
             if k0:
                 np.matmul(y, stacked, out=Y[b * K + 1 : b * K + K + 1].reshape(-1))
@@ -355,19 +355,19 @@ def _refine(past, h: float, t_max: float) -> float:
 
 def first_blowup(sol: JacobiSolution) -> BlowUpTime:
     """First zero of det N on (0, t_max], or the infinite marker: the first time the largest
-    eigenphase of [M; N] reaches pi, on frames stepped by ``_sweep``, read a block at a time.
-    From the first step whose phases leave no gap wider than 2 h rate the pass goes on at h/2
-    from that step's frame, which ends: n phases leave a gap of pi/n. The zero is refined by
-    ``_refine``, with the pass's own values at both ends of the step. ``ValueError`` unless
-    B >= 0; ``UnverifiableError`` if a phase stays at 0 after the first step (det N vanishes to
-    working precision) or moves back through pi, if the phases leave no gap, if H_u or a step is
-    not finite, or beyond 2^20 steps."""
+    eigenphase of [M; N] reaches pi, on the orthonormal frames of ``_sweep``, read a block at a
+    time. From the first step whose phases leave no gap wider than 2 h rate the pass goes on at
+    h/2 from that step's frame as read (n phases leave a gap of pi/n, so this ends). ``_refine``
+    reads the pass's phases at the step's ends, and inside it a QR of exp(s H_u) on its frame.
+    ``ValueError`` unless B >= 0; ``UnverifiableError`` if a phase stays at 0 after the first step
+    (det N vanishes to working precision) or moves back through pi, if the phases leave no gap,
+    if H_u or a step is not finite, or beyond 2^20 steps."""
     Hc, rate = _balanced(sol.H)
     n, steps = sol.n, _step_count(sol.t_max, rate)
     u, h, Y = 0, sol.t_max / steps, np.eye(2 * n, n)  # u: steps of h taken
     while True:
         for k0, F in _sweep(Hc, h, steps - u, Y, _FRAME_LOG_GROWTH, _WEDGE_BLOCK):
-            (F, phi), t = _phases(F), (u + k0) * h
+            phi, t = _phases(F), (u + k0) * h
             cut, gap = _cut(phi[:, :-1])
             j = int(np.append(gap > 2.0 * h * rate, False).argmin())  # the first step without a gap, or len(gap)
             if j < len(gap) and 2.0 * h * rate < math.pi / n:  # n phases always leave a gap of pi/n
@@ -376,7 +376,7 @@ def first_blowup(sol: JacobiSolution) -> BlowUpTime:
             if drops.size:
                 i = int(drops[0])
                 z, m, Y, phi = -cut[i] % math.pi, int(m[i]), F[i], phi[:, i : i + 2]  # z: pi seen from the cut
-                past = lambda s: np.sort(((phi[:, 0] if s == 0.0 else phi[:, 1] if s == h else _phases(_expm(s * Hc) @ Y)[1]) + z) % math.pi)[m - 1] - z
+                past = lambda s: np.sort(((phi[:, 0] if s == 0.0 else phi[:, 1] if s == h else _phases(np.linalg.qr(_expm(s * Hc) @ Y)[0])) + z) % math.pi)[m - 1] - z
                 return BlowUpTime.finite((u + k0 + i) * h + _refine(past, h, sol.t_max))
             if j < len(gap):  # on at h/2 from the frame of step j
                 u, h, steps, Y = 2 * (u + k0 + j), 0.5 * h, 2 * steps, F[j]

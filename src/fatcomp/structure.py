@@ -92,19 +92,6 @@ def typeI_pair() -> tuple[np.ndarray, np.ndarray]:
 # trace inequality
 # ----------------------------------------------------------------------
 
-def _row_sums(P: np.ndarray) -> np.ndarray:
-    """Sums over axis 0 of a 2-D array, each column to the bit of ``np.sum`` along a contiguous axis: from 8 rows
-    to 128, eight running sums over stride-8 chunks, combined as a tree, then the rest; above, two halves so."""
-    n = len(P)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sums(P[:half]) + _row_sums(P[half:])
-    if n >= 8:
-        r = P[: n - n % 8].reshape(-1, 8, P.shape[1]).sum(axis=0)
-        P = np.vstack((((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), P[n - n % 8 :]))
-    return P.sum(axis=0)  # row after row onto 0.0, as np.sum starts, which turns -0.0 into 0.0
-
-
 def trace_inequality_check(X, Y):
     """Slack of the symmetric-pair trace inequality, and whether it holds.
 
@@ -125,9 +112,11 @@ def trace_inequality_check(X, Y):
     products overflow, are a ``DomainError``.
 
     Each stack is copied once to coordinate-major order (m*m, K), and each
-    step runs along the K members, summed to the bit of the 2-D call by
-    ``_row_sums``. A NaN or inf entry leaves |Z|^2 not finite, which is read
-    before the mirror entries are compared (inf == inf); the symmetry
+    step runs along the K members. A sum over a pair's entries adds them
+    left to right onto 0, by Python's ``sum`` over the rows, for every K, so
+    a member keeps the bits of its 2-D call (``.sum(axis=0)`` would sum a
+    lone column pairwise). A NaN or inf entry leaves |Z|^2 not finite, which
+    is read before the mirror entries are compared (inf == inf); the symmetry
     tolerance is tested only where they differ. An overflow leaves the slack
     not finite, which is read last.
     """
@@ -138,14 +127,14 @@ def trace_inequality_check(X, Y):
     shape, m = X.shape[:-2], X.shape[-1]
     X, Y = (Z.reshape(-1, m * m).T.copy() for Z in (X, Y))
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry, or an overflow, is decided below
-        nx2, ny2, ip = (_row_sums(P * Q) for P, Q in ((X, X), (Y, Y), (X, Y)))
+        nx2, ny2, ip = (sum(P * Q) for P, Q in ((X, X), (Y, Y), (X, Y)))
         for Z, z2 in ((X, nx2), (Y, ny2)):
             if not np.isfinite(z2).all() and not np.isfinite(Z).all():
                 raise DomainError("X and Y must be finite, got a NaN or inf entry")
             Z, Zt = Z.reshape(m, m, -1), Z.reshape(m, m, -1).transpose(1, 0, 2)
             if (Z != Zt).any() and not (np.abs(Z - Zt) <= 1e-12 * np.maximum(1.0, np.abs(Z).max(axis=(0, 1)))).all():
                 raise ValueError("X and Y must be symmetric")
-        tx, ty = _row_sums(X[:: m + 1]), _row_sums(Y[:: m + 1])
+        tx, ty = sum(X[:: m + 1]), sum(Y[:: m + 1])
         lhs = nx2 * ny2 - ip * ip + (2.0 / m) * tx * ty * ip
         rhs = (ty * ty * nx2 + tx * tx * ny2) / m
         slack = lhs - rhs

@@ -106,8 +106,11 @@ class TestUsageErrors:
             (["conjugate", "--d", "0"], "d must be an integer >= 1"),
             (["laplacian", "--d", "0"], "d must be an integer >= 1"),
             (["laplacian", "--d", "0", "--rgrid", "0.1:1:3"], "d must be an integer >= 1"),
+            # N's a rows underflow: trace(B V) read nan, written with exit 0 under --verify
+            (["laplacian", "--d", "2", "--rgrid", "1e-150:0.5:3", "--verify"], "smallest radius 1e-150"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_hopf_input_is_a_domain_error(self, argv, name, tmp_path, capsys):
         code = run_cli(argv + ["--out", str(tmp_path / "x.csv")])
         assert code == 2, f"{argv} gave exit code {code}"

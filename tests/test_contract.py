@@ -21,12 +21,12 @@ The curvature layer (``vee``, ``ricci_scalars``, ``qhf_curvature_inputs``,
 of four such numbers, a momentum v and one scalar x (rho_a, the scale of the
 contractions, or a time), with d in {1, 2, 3, 16}. Its mended reproducers are
 rows of their own. The hopf layer (``qhf_kappas``, ``initial_state`` followed by
-``integrate_extremal`` to t_max = x, and ``conjugate_time``) draws the same rows.
-
-``sublaplacian_along`` is left out: on a grid inside (0, t*) whose smallest
-radius is below about 1e-102 (1e-80 at |v| = 1e75) its trace(B V) reads NaN,
-with an "invalid value" warning, or ``np.linalg.solve`` finds N singular: the a
-rows of N grow like r^3 and underflow. ROADMAP item 11 lists it.
+``integrate_extremal`` to t_max = x, ``conjugate_time``, and ``conjugate_time``
+followed by ``sublaplacian_along`` on the grid t* (u, 1/2, 1 - 2^-20), u =
+|x| / (1 + |x|)) draws the same rows. Below a smallest radius of about 1e-102
+the a rows of N, which grow like r^3, underflow: ``sublaplacian_along`` raises
+``DomainError`` there, where it returned NaN or let ``np.linalg.solve`` raise
+``LinAlgError``, which is a ``ValueError`` but breaks the contract all the same.
 
 ``eval_s_kab`` is left out, the open item: its F and C factors overflow for
 pairs far apart in scale, where it raises a bare ``FloatingPointError`` or
@@ -50,7 +50,7 @@ from hypothesis import strategies as st
 
 from fatcomp import cli
 from fatcomp.curvature import CurvatureInputs, curvature_blocks, qhf_curvature_inputs, ricci_scalars, rodrigues, vee
-from fatcomp.hopf import ConjugateResult, conjugate_time, initial_state, integrate_extremal, qhf_kappas
+from fatcomp.hopf import ConjugateResult, conjugate_time, initial_state, integrate_extremal, qhf_kappas, sublaplacian_along
 from fatcomp.models import (
     BlowUpTime,
     DiameterCertificate,
@@ -103,6 +103,8 @@ def _breach(fn, args, keeps):
         warnings.simplefilter("error")
         try:
             value = fn(*args)
+        except np.linalg.LinAlgError as err:  # a ValueError from inside, not an input check
+            return f"raised LinAlgError: {err}"
         except (DomainError, UnverifiableError, ValueError):
             return None
         except Exception as err:  # every other class, and a warning, breaks the contract
@@ -220,6 +222,14 @@ def _flow(v, t_max, d):
     return integrate_extremal(initial_state(d, v), t_max)
 
 
+def _laplacian(v, x, d):
+    """``sublaplacian_along`` after ``conjugate_time(d, v)``, on the grid t* (u, 1/2, 1 - 2^-20),
+    u = |x| / (1 + |x|): x from 1e-300 to 1e300 puts the smallest radius anywhere in (0, t*]."""
+    conj = conjugate_time(d, v)
+    u = abs(float(x)) / (1.0 + abs(float(x)))
+    return sublaplacian_along(conj, conj.t_star * np.array([u, 0.5, 1.0 - 2.0**-20]))
+
+
 def _conjugate_ok(c):
     return (isinstance(c, ConjugateResult) and _no_nan(c.t_star, *c.margins) and c.t_star > 0.0
             and _tbar_ok(c.bound_kab))
@@ -231,6 +241,7 @@ HOPF_CONTRACT = [
     (_flow, lambda v, x, d: (v, x, d),  # initial_state, then integrate_extremal
      lambda g: _finite(g.ts, g.q, g.p, g.h_drift, g.v_drift, g.norm_drift, g.gauge_drift)),
     (conjugate_time, lambda v, x, d: (d, v), _conjugate_ok),
+    (_laplacian, lambda v, x, d: (v, x, d), lambda rep: _finite(rep.lhs, rep.rhs, rep.margin, rep.r_times_lhs)),
 ]
 
 

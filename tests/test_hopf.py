@@ -283,6 +283,14 @@ class TestExtremalFlow:
         assert res.norm_drift < 1e-8
         assert res.gauge_drift < 1e-8
 
+    @pytest.mark.parametrize("t_max", [1e4, 1e8, 1e12])
+    def test_norm_drift_grows_like_the_vertical_phase(self, t_max):
+        # sin(wt)/w is taken as t sinc(wt/pi), whose sine reads pi (wt/pi), not the wt
+        # that cos(wt) reads: |q| drifts from 1 by about |v| t eps (0.16-0.27 of it here)
+        v = np.array([1.0, 0.0, 0.0])
+        res = integrate_extremal(initial_state(1, v), t_max)
+        assert res.norm_drift <= np.finfo(float).eps * (1.0 + np.linalg.norm(v) * t_max)
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_drifts_match_the_sampled_states(self, d):
         rng = np.random.default_rng(d)
@@ -864,6 +872,7 @@ class TestSublaplacian:
         rep = sublaplacian_along(conjugate_time(2, [0.5, 0.0, 0.0]), np.linspace(0.3, 2.0, 5))
         assert rep.margin.min() >= -1e-6
 
+    @pytest.mark.filterwarnings("error")
     def test_domain_guards(self):
         # d and v are checked by conjugate_time; the grid is checked here
         conj = conjugate_time(2, [0, 0, 0])
@@ -875,3 +884,8 @@ class TestSublaplacian:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="r_grid must be finite"):
                 sublaplacian_along(conj, [0.1, bad, 0.5])
+        # N's a rows grow like r^3 and underflow below about 1e-102: trace(B V)
+        # read NaN with an "invalid value" warning, or solve found N singular
+        for r0 in (1e-150, 1e-110, 5e-324):
+            with pytest.raises(DomainError, match=f"smallest radius {r0!r}"):
+                sublaplacian_along(conj, [r0, 0.25, 0.5])

@@ -243,7 +243,7 @@ class TestFirstBlowup:
         # smaller than that before it passes pi/n, the widest gap n phases
         # must leave
         spread = np.arange(64) * math.pi / 64
-        monkeypatch.setattr(riccati, "_phases", lambda F: (np.linalg.qr(F)[0], np.repeat(spread[:, None], len(F), axis=1)))
+        monkeypatch.setattr(riccati, "_phases", lambda F: np.repeat(spread[:, None], len(F), axis=1))
         sol = integrate_jacobi(np.zeros((2, 2)), np.eye(2), np.eye(2), t_max=4.0)
         with pytest.raises(UnverifiableError, match="leave no gap"):
             first_blowup(sol)
@@ -261,6 +261,47 @@ class TestFirstBlowup:
             hit = first_blowup(integrate_jacobi(np.zeros((n, n)), np.eye(n), Q, t_max=1.0))
         assert abs(hit.time - math.pi / n) <= 1e-12 * math.pi / n
         assert len(sweeps) - 1 >= math.log2(n) - 1, f"{len(sweeps) - 1} halvings"
+
+    # a zero on the end of step 8, the first step whose phases leave no gap: the
+    # pass reads the top phase there just below pi, and the h/2 restart from
+    # that frame must read it so too, not re-orthonormalised to just past 0
+    DEFECT_1 = (
+        [[0.6009960173717591, 0.7619147006665744, -0.3285122755625122],
+         [0.08089831782236491, -0.3234765502883555, -0.9943100447529591],
+         [0.9787975283114312, 1.693751142684247, -0.09787397030822083]],
+        [[1.0720360172260013, -0.5706222330009272, -0.0019997410646483606],
+         [-0.5706222330009272, 1.1035504843618917, -0.37136847414021307],
+         [-0.0019997410646483606, -0.37136847414021307, 0.7759998772857116]],
+        [[4.177554242108237, -0.5503599343744583, 0.09814191711850959],
+         [-0.5503599343744583, 3.514983802328635, -0.02321892165776876],
+         [0.09814191711850959, -0.02321892165776876, 2.433093651326309]],
+    )
+
+    @classmethod
+    def _defect_1(cls, t_max):
+        A, B, Q = map(np.array, cls.DEFECT_1)
+        b = 0.0001288044214787731
+        return integrate_jacobi(A, b * B, Q / b, t_max)
+
+    def test_zero_where_the_pass_restarts_is_found(self):
+        assert first_blowup(self._defect_1(20.0)).time == 1.173648423741214
+        assert first_blowup(self._defect_1(1.760472635611821)).time == 1.173648423741214
+
+    def test_restart_reads_the_frame_as_the_pass_read_it(self, monkeypatch):
+        # each _phases call is recorded with its frames; the restart's first
+        # frame is the pass's frame of the step without a gap, and its phases
+        # are the pass's reading of that frame, bit for bit
+        calls, phases, starts, sweep = [], riccati._phases, [], riccati._sweep
+        monkeypatch.setattr(riccati, "_phases", lambda F: calls.append((F.copy(), phases(F))) or calls[-1][1])
+        monkeypatch.setattr(riccati, "_sweep", lambda X, h, steps, y, *a: starts.append(y.copy()) or sweep(X, h, steps, y, *a))
+        first_blowup(self._defect_1(1.760472635611821))
+        assert len(starts) == 2, "one restart at h/2"
+        (F, phi), (F1, phi1) = calls[0], calls[1]
+        j = next((j for j in range(len(F)) if F[j].tobytes() == starts[1].tobytes()), None)
+        assert j is not None, "the restart starts from a frame the pass did not read"
+        assert F1[0].tobytes() == F[j].tobytes()
+        assert phi1[:, 0].tobytes() == phi[:, j].tobytes()
+        assert phi[:, j].max() > 3.0, "the pass reads the top phase just below pi"
 
     @pytest.mark.parametrize("system", ["typeI", "qhf-d2"])
     def test_phase_motion_stays_below_the_turn(self, system):
@@ -296,7 +337,8 @@ class TestSteppedScan:
         steps = riccati._step_count(sol.t_max, rate)
         h = sol.t_max / steps
         for k0, F in riccati._sweep(Hc, h, steps, np.eye(2 * sol.n, sol.n), riccati._FRAME_LOG_GROWTH, riccati._WEDGE_BLOCK):
-            for t, Y in zip((k0 + np.arange(len(F))) * h, riccati._phases(F)[0]):
+            for t, Y in zip((k0 + np.arange(len(F))) * h, F):  # the frames as the pass reads them
+                assert np.abs(Y.T @ Y - np.eye(sol.n)).max() <= 1e-14, f"frame at t = {t} is not orthonormal"
                 X = np.linalg.qr(D @ np.vstack([sol.M(t), sol.N(t)]))[0]
                 assert np.abs(Y @ Y.T - X @ X.T).max() <= 1e-12, f"frame at t = {t}"
 

@@ -6,6 +6,7 @@ Test categories:
   3. Symmetric-pair trace inequality, including its equality cases
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -142,22 +143,23 @@ class TestTraceInequality:
         assert slack.ravel().tolist() == [p[0] for p in pairs]
         assert ok.ravel().tolist() == [p[1] for p in pairs]
 
-    # np.sum over each pair's entries and np.trace: the 2-D formula in numpy's own order
+    # each pair's entries and diagonal summed left to right onto 0.0, in float64: the
+    # 2-D formula in the order of the coordinate-major rows, whatever the stack's size
     @staticmethod
     def _pair_slack(X, Y):
         m = len(X)
-        nx2, ny2, ip = ((P * Q).ravel().sum() for P, Q in ((X, X), (Y, Y), (X, Y)))
-        tx, ty = np.trace(X), np.trace(Y)
+        nx2, ny2, ip = (functools.reduce(np.add, (P * Q).ravel(), 0.0) for P, Q in ((X, X), (Y, Y), (X, Y)))
+        tx, ty = (functools.reduce(np.add, np.diag(Z), 0.0) for Z in (X, Y))
         return (nx2 * ny2 - ip * ip + (2.0 / m) * tx * ty * ip) - (ty * ty * nx2 + tx * tx * ny2) / m
 
-    # m = 12: 144 entries, two halves of the pairwise sum, and a trace of 12 terms
+    # m = 12: 144 entries and a trace of 12 terms, which numpy's pairwise sum would order otherwise
     @pytest.mark.parametrize("m", [2, 3, 5, 12])
     @pytest.mark.parametrize("layout", ["contiguous", "transposed-view", "pairs"])
     def test_coordinate_major_sums_keep_the_bits_of_numpy_sums(self, m, layout):
         rng = np.random.default_rng(m)
         Z = rng.standard_normal((300, 2, m, m)) * np.exp(rng.uniform(-5.0, 5.0, (300, 2, 1, 1)))
         Z = Z + np.swapaxes(Z, -1, -2)
-        Z[7], Z[9, 0], Z[9, 1] = 0.0, -0.0, 0.0  # np.sum turns a sum of -0.0 into 0.0
+        Z[7], Z[9, 0], Z[9, 1] = 0.0, -0.0, 0.0  # a sum onto 0 turns a sum of -0.0 into 0.0
         if layout == "pairs":
             slack, ok = np.array([trace_inequality_check(x, y) for x, y in Z]).T
         else:

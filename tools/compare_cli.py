@@ -96,6 +96,10 @@ CALLS = [
     ["blowup", "--ka=5.761650394919591e-150", "--kb=-5.232955793209928e+277"],
     # the real pair's zero in closed form, the complex pair's by its pass, 200 rows at d = 1
     ["conjugate", "--d", "1", "--sweep", "0:3:200", "--verify"],
+    # kappa_c < 0: the frame pass of first_blowup runs to its horizon and returns the infinite marker
+    ["blowup", "--kc", "-4", "--verify"],
+    # N's a rows underflow at r = 1e-150: trace(B V) read nan, with exit 0; a domain error, exit 2
+    ["laplacian", "--d", "2", "--rgrid", "1e-150:0.5:3", "--verify"],
 ]
 
 
