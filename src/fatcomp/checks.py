@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import curvature_blocks, qhf_curvature_inputs, ricci_scalars, vee
+from .curvature import _b_sign, curvature_blocks, qhf_curvature_inputs, ricci_scalars, vee
 from .hopf import _qhf_system, conjugate_time, initial_state, integrate_extremal, sublaplacian_along
 from .models import (
     DomainError,
@@ -43,6 +43,7 @@ from .riccati import (
 from .structure import trace_inequality_check, typeI_pair
 
 __all__ = ["CheckResult", "CHECKS", "check_names", "run_check", "run_all", "map_tasks"]
+_TYPE_I = tuple(np.frombuffer(X.tobytes()).reshape(X.shape) for X in typeI_pair())  # (A_I, B_I) of _qhf_complex_pair, read-only
 
 
 @dataclass(frozen=True)
@@ -259,18 +260,33 @@ def check_isotropic_conjugate(rng: np.random.Generator) -> CheckResult:
 # quaternionic Hopf fibration checks
 # ----------------------------------------------------------------------
 
+def _qhf_complex_pair(v: np.ndarray):
+    """The complex type-I pair of the a/b corner of ``hopf._qhf_system``, as (A, B, Q).
+
+    In the frame where v = |v| e1, and with s = |v|^2, the a/b system splits into a real
+    pair on (a1, b1), Q = diag(0, 4 + 4s), and the complex pair (A_I + 1.5 i |v| I, B_I,
+    Q_c) on (a2 + i a3, b2 + i b3), Q_c = [[-s (3 + 2.8125 s), -i c], [i c, 4 + 5.5 s]],
+    c = (2 + 1.5 s) |v|. The shift only turns det N by exp(3 i |v| t) and is dropped. The b
+    entry takes the sign of the fault hook ``_b_sign``, as in ``curvature_blocks``.
+    """
+    s = float(v @ v)
+    c = 1j * (2.0 + 1.5 * s) * math.sqrt(s)
+    return (*_TYPE_I, np.array([[-s * (3.0 + 2.8125 * s), -c], [c, _b_sign() * (4.0 + 5.5 * s)]]))
+
+
 def check_qhf_conjugate(d: int, rng: np.random.Generator) -> CheckResult:
-    """Conjugate times at |v| = 0 and 29 seeded norms, one in each 29th of
-    (0, 3], against the model bounds and the full-system scan. For d >= 2 the
-    c block proves t* = bound_kc: |margin_kc| <= 1e-10 and margin_kab >=
-    -1e-6. For d = 1, with an empty c block: margin_kab and pi - t* >= -1e-6."""
-    results, gap = [], 0.0
+    """Conjugate times at |v| = 0 and 29 seeded norms, one in each 29th of (0, 3], against
+    the model bounds and two oracles: the full-system scan, to 1e-10, and the complex pair's
+    2x2 pass, to 1e-12 relative. For d >= 2 the c block proves t* = bound_kc: |margin_kc|
+    <= 1e-10 and margin_kab >= -1e-6. For d = 1: margin_kab and pi - t* >= -1e-6."""
+    results, gap, gap_c = [], 0.0, 0.0
     norms = np.concatenate(([0.0], 3.0 * (np.arange(29) + rng.uniform(size=29)) / 29))
     for nv, x in zip(norms, rng.standard_normal((30, 3))):
         v = nv * _unit(x)
         res = conjugate_time(d, v)
         t_max = 1.1 * min(res.bound_kab.time, res.bound_kc or math.inf)
         gap = max(gap, abs(res.t_star - first_blowup(integrate_jacobi(*_qhf_system(d, v), t_max)).time))
+        gap_c = max(gap_c, abs(wedge_first_zero(*_qhf_complex_pair(v), t_max).time - res.t_star) / res.t_star)
         results.append(res)
     pi_err, margin_kab = abs(results[0].t_star - math.pi), min(r.margin_kab for r in results)
     if d >= 2:
@@ -283,11 +299,12 @@ def check_qhf_conjugate(d: int, rng: np.random.Generator) -> CheckResult:
         ok, margin = worst >= -tol, "min margin over |v| on [0, 3] (pi bound and two-frequency bound)"
     return CheckResult(
         name=f"qhf-conjugate-d{d}",
-        passed=bool(ok and pi_err < 1e-6 and gap <= 1e-10),
+        passed=bool(ok and pi_err < 1e-6 and gap <= 1e-10 and gap_c <= 1e-12),
         worst=worst,
         tol=tol,
         n_cases=30,
-        detail=f"{margin}; v=0 conjugate time off pi by {pi_err:.3e}; split blocks vs full-system scan {gap:.3e}",
+        detail=(f"{margin}; v=0 conjugate time off pi by {pi_err:.3e}; split blocks vs full-system scan {gap:.3e}, "
+                f"vs complex-pair pass {gap_c:.3e} relative"),
     )
 
 

@@ -25,13 +25,14 @@ det of the lab-frame N. It is block diagonal, and each block follows from
 v alone: the a/b 6x6 corner, the same for every d, which the frame
 v = |v| e1 splits into a real and a complex type-I pair; the c block,
 Q = kappa_c I; and the motion row. ``conjugate_time`` takes the first det N
-zero over the blocks: the c block's pi/sqrt(kappa_c) and the real pair's
-2 pi/sqrt(4 + 4|v|^2), the two-frequency model at kappa_a = 0, in closed
-form, and the complex pair's (``_qhf_complex_pair``) by one 2x2 phase pass,
-which may get cheaper, never different. ``sublaplacian_along``, given that
-result, sums their trace(B V) on a grid inside (0, t_star), the same in both
-frames, so neither cost depends on d. The (4d + 3)-square system is the
-oracle of the tests and of the qhf-conjugate checks.
+zero over the blocks in closed form: the c block's pi/sqrt(kappa_c) and the
+real pair's 2 pi/sqrt(4 + 4|v|^2). The complex pair never sets it (Riccati
+comparison): its det N is sin(sqrt(1 + |v|^2) t) times a factor without zero
+up to there, and under the sign fault its Q is negative semidefinite, so det N
+has no zero. ``sublaplacian_along``, given that result, sums their trace(B V)
+on a grid inside (0, t_star), the same in both frames, so neither cost depends
+on d. The (4d + 3)-square system and the complex pair's 2x2 pass
+(``checks._qhf_complex_pair``) are the oracles of the qhf-conjugate checks.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from .models import (
     blowup_time_kc,
     eval_s_kc,
 )
-from .riccati import integrate_jacobi, wedge_first_zero
-from .structure import FatDims, build_structural, typeI_pair
+from .riccati import integrate_jacobi
+from .structure import FatDims, build_structural
 
 __all__ = [
     "ExtremalState",
@@ -105,7 +106,6 @@ _J4_K = np.array(
     ]
 )
 _RADII = 4096  # most radii ``sublaplacian_along`` propagates in one stack, a peak of about 55 MB
-_TYPE_I = tuple(np.frombuffer(X.tobytes()).reshape(X.shape) for X in typeI_pair())  # (A_I, B_I) of _qhf_complex_pair, read-only
 # the 6x6 a/b corner of the structural pair (A, B), the same for every d, read-only
 _AB_PAIR = tuple(np.frombuffer(X[:6, :6].tobytes()).reshape(6, 6) for X in build_structural(FatDims(k=4, n=7)))
 
@@ -313,7 +313,7 @@ class ConjugateResult:
     bound_kc = pi/sqrt(1 + |v|^2) is the single-frequency bound, absent
     for d = 1 where the reduced c block is empty; bound_kab is the
     two-frequency blow-up time for the exact constants. Margins are
-    bound minus t_star, expected nonnegative up to refinement error.
+    bound minus t_star: margin_kc is 0, margin_kab expected nonnegative.
     """
 
     d: int
@@ -350,36 +350,19 @@ def _qhf_corner(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A - W, B, _ab_corner(s, V, 4.0 * _I3, np.zeros((3, 3)))
 
 
-def _qhf_complex_pair(v: np.ndarray):
-    """The complex type-I pair of the a/b corner of ``_qhf_system``, as (A, B, Q).
-
-    In the frame where v = |v| e1, and with s = |v|^2, the a/b system splits
-    into a real pair on (a1, b1), Q = diag(0, 4 + 4s), and the complex pair
-    (A_I + 1.5 i |v| I, B_I, Q_c) on (a2 + i a3, b2 + i b3), with
-    Q_c = [[-s (3 + 2.8125 s), -i c], [i c, 4 + 5.5 s]], c = (2 + 1.5 s) |v|.
-    The shift only turns det N by exp(3 i |v| t) and is dropped. The b
-    entry takes the sign of the fault hook ``_b_sign``, as in ``curvature_blocks``.
-    """
-    s = float(v @ v)
-    c = 1j * (2.0 + 1.5 * s) * math.sqrt(s)
-    return (*_TYPE_I, np.array([[-s * (3.0 + 2.8125 * s), -c], [c, _b_sign() * (4.0 + 5.5 * s)]]))
-
-
 def conjugate_time(d: int, v) -> ConjugateResult:
     """First conjugate time: the first det N zero over the blocks of ``_qhf_system``.
 
-    t_star is the smallest of three zeros. The complex type-I pair of
-    ``_qhf_complex_pair`` takes the one 2x2 phase pass, ``wedge_first_zero`` (the
-    phase rule of ``first_blowup`` on the compound sweep), scanned to 10% beyond
-    the smaller model bound; its bits may get cheaper, never different. The
-    real pair, Q = diag(0, 4 + 4|v|^2), is the two-frequency model at kappa_a
-    = 0: its zero is ``blowup_time_kab(0, b (4 + 4|v|^2))``, b = ``_b_sign()``,
-    infinite where the fault hook flips b; no matrix of it is built. For d >= 2,
-    pi/sqrt(kappa_c) is exact for the c block's N = sin(sqrt(kappa_c) t) /
-    sqrt(kappa_c) I, and equals the real pair's zero to the bit. Every block is
-    built in closed form from v, so the cost does not depend on d. No zero
-    within the horizon contradicts the bounds and raises RuntimeError. Raises
-    ``DomainError`` as ``qhf_kappas`` does, and on a d that is not an integer >= 1.
+    t_star is the smaller of two zeros in closed form. The real type-I pair,
+    Q = diag(0, 4 kappa_c), is the two-frequency model at kappa_a = 0: its zero
+    is ``blowup_time_kab(0, 4 b kappa_c)``, b = ``_b_sign()``, pi/sqrt(kappa_c)
+    to the bit, and infinite where the fault hook flips b. For d >= 2 the c
+    block's N = sin(sqrt(kappa_c) t) / sqrt(kappa_c) I vanishes at
+    pi/sqrt(kappa_c). The complex type-I pair takes no pass: its first zero is
+    the real pair's, and under the fault it has none. No matrix is built, so
+    the cost does not depend on d. No zero within 10% beyond the smaller model
+    bound raises RuntimeError; ``DomainError`` as ``qhf_kappas``, and on a d
+    that is not an integer >= 1.
     """
     _check_d(d)
     v = _momentum(v)
@@ -387,8 +370,7 @@ def conjugate_time(d: int, v) -> ConjugateResult:
     bound_kab = blowup_time_kab(kappa_a, kappa_b)
     bound_kc = blowup_time_kc(kappa_c).time if d >= 2 else None
     t_max = 1.1 * min(bound_kab.time, bound_kc or math.inf)
-    real = blowup_time_kab(0.0, _b_sign() * (4.0 + 4.0 * _norm2(v))).time
-    t_star = min(wedge_first_zero(*_qhf_complex_pair(v), t_max).time, real)
+    t_star = blowup_time_kab(0.0, _b_sign() * 4.0 * kappa_c).time
     if d >= 2:
         t_star = min(t_star, math.pi / math.sqrt(kappa_c))
     if not t_star <= t_max:

@@ -33,8 +33,12 @@ def _registry_digest() -> str:
 # ("split blocks vs full-system scan" 3.118e-13 -> 3.149e-13 at seed 1,
 # 3.169e-13 -> 3.171e-13 at seed 7), and again when ricci-traces read the traces of R0
 # and its commutator with W instead of two rotations R(t1), R(t2): only its worst
-# (4.427e-16 -> 2.460e-16 at seed 1, 4.789e-16 -> 3.136e-16 at seed 7) and detail moved
-REGISTRY_DIGEST = "b5be84b81796c855b7a67354dc55098d2418f10a1e9286409fc1b77a392f4ba4"
+# (4.427e-16 -> 2.460e-16 at seed 1, 4.789e-16 -> 3.136e-16 at seed 7) and detail moved;
+# and again when conjugate_time dropped the complex pair's pass, t* being the closed form
+# pi/sqrt(1 + |v|^2): qhf-conjugate-d1/d2 moved toward exact (worst 0x1.ff0p-43 -> 0 at d = 2
+# seed 1; v=0 off pi 1.776e-15 -> 0) and gained the pass as an oracle in their detail, and
+# sublaplacian-margin's max |margin| moved 1.847e-13 -> 1.066e-13 on its t*-scaled grid
+REGISTRY_DIGEST = "bf8f606a7dc9232869531cec7dee8d7d6ed8cd113e8ec822123f2fc3ea88a323"
 
 
 class _CountingGenerator:

@@ -40,6 +40,7 @@ import contextlib
 import io
 import math
 import pathlib
+import sys
 import tempfile
 import warnings
 
@@ -231,8 +232,10 @@ def _laplacian(v, x, d):
 
 
 def _conjugate_ok(c):
+    # t* is the closed form pi/sqrt(1 + |v|^2), to 4 eps relative
+    exact = math.pi / math.sqrt(1.0 + float(c.v @ c.v))
     return (isinstance(c, ConjugateResult) and _no_nan(c.t_star, *c.margins) and c.t_star > 0.0
-            and _tbar_ok(c.bound_kab))
+            and abs(c.t_star - exact) <= 4.0 * sys.float_info.epsilon * exact and _tbar_ok(c.bound_kab))
 
 
 # function, its arguments from a row (v, x, d), and whether a value it returns keeps the contract

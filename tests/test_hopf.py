@@ -26,12 +26,12 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from fatcomp import hopf, models, riccati
+from fatcomp.checks import _qhf_complex_pair
 from fatcomp.curvature import _b_sign, curvature_blocks, qhf_curvature_inputs
 from fatcomp.hopf import (
     DomainError,
     ExtremalState,
     _qhf_corner,
-    _qhf_complex_pair,
     _qhf_system,
     conjugate_time,
     initial_state,
@@ -429,19 +429,20 @@ class TestEffectiveConstants:
 # Test Class: conjugate time
 # ----------------------------------------------------------------------
 
-# conjugate_time(d, v).t_star, frozen as float.hex: the complex pair's 2x2 phase
-# pass behind it may get cheaper, never different. The real pair's zero is the
-# closed form 2 pi/sqrt(4 + 4|v|^2) of the kappa_a = 0 model; the three rows
-# that moved when it replaced the real pair's pass moved toward pi/sqrt(1 + |v|^2).
+# conjugate_time(d, v).t_star, frozen as float.hex: the closed form 2 pi/sqrt(4 + 4|v|^2)
+# of the real pair, the kappa_a = 0 model, with no pass behind it. The six rows that moved
+# when the complex pair's 2x2 pass left conjugate_time moved toward pi/sqrt(1 + |v|^2): at
+# (2, (1.2, 0.3, -0.5)) from 0x1.e25b10fb5dcc0p+0 (-9.1e-14 relative against 50 digits)
+# to -1.0e-16, and at v = 0 from 4 ulps below pi to pi.
 CONJUGATE_BITS = [
-    (1, (0.0, 0.0, 0.0), '0x1.921fb54442d14p+1'),
+    (1, (0.0, 0.0, 0.0), '0x1.921fb54442d18p+1'),
     (1, (0.6, -0.2, 0.3), '0x1.496ec58c27dbep+1'),
-    (1, (1.2, 0.3, -0.5), '0x1.e25b10fb5dde6p+0'),
+    (1, (1.2, 0.3, -0.5), '0x1.e25b10fb5dfc3p+0'),
     (1, (-2.1, 1.4, 0.7), '0x1.1edd9bfabd0aap+0'),
-    (2, (0.0, 0.0, 0.0), '0x1.921fb54442d14p+1'),
-    (2, (0.6, -0.2, 0.3), '0x1.496ec58c27db8p+1'),
-    (2, (1.2, 0.3, -0.5), '0x1.e25b10fb5dcc0p+0'),
-    (2, (-2.1, 1.4, 0.7), '0x1.1edd9bfabd0a8p+0'),
+    (2, (0.0, 0.0, 0.0), '0x1.921fb54442d18p+1'),
+    (2, (0.6, -0.2, 0.3), '0x1.496ec58c27dbep+1'),
+    (2, (1.2, 0.3, -0.5), '0x1.e25b10fb5dfc3p+0'),
+    (2, (-2.1, 1.4, 0.7), '0x1.1edd9bfabd0aap+0'),
 ]
 
 
@@ -492,19 +493,62 @@ class TestConjugateTime:
             assert abs(t - closed) <= 1e-13 * closed, f"|v| = {nv}: pass {t!r}, closed form {closed!r}"
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_time_is_the_least_block_zero_from_one_pass(self, d, monkeypatch):
-        # t* is the minimum of the complex pair's pass, the real pair's closed form and, for
-        # d >= 2, the c block's pi/sqrt(kappa_c), bit for bit; one 2x2 pass per call
-        calls, wedge = [], hopf.wedge_first_zero
-        monkeypatch.setattr(hopf, "wedge_first_zero", lambda *a: calls.append(a) or wedge(*a))
-        for _, v in _complex_pass_rows()[:30]:
-            s, times = float(v @ v), []
-            times.append(wedge(*_qhf_complex_pair(v), _horizon(d, v)).time)
-            times.append(2.0 * math.pi / math.sqrt(4.0 + 4.0 * s))
+    def test_time_is_the_least_closed_form_zero_without_a_pass(self, d, monkeypatch):
+        # t* is the real pair's closed form and, for d >= 2, the c block's pi/sqrt(kappa_c),
+        # bit for bit; conjugate_time runs no 2x2 pass, and no exponential at all
+        calls, expm_ = [], riccati._expm
+        monkeypatch.setattr(riccati, "_expm", lambda X: calls.append(X) or expm_(X))
+        assert not hasattr(hopf, "wedge_first_zero")
+        for _, v in _complex_pass_rows():
+            s = float(v @ v)
+            times = [2.0 * math.pi / math.sqrt(4.0 + 4.0 * s)]
             if d >= 2:
                 times.append(math.pi / math.sqrt(1.0 + s))
             assert conjugate_time(d, v).t_star == min(times)
-        assert len(calls) == 30
+        assert not calls
+        wedge_first_zero(*_qhf_complex_pair(v), _horizon(d, v))  # the spy sees a pass
+        assert calls
+
+    def test_complex_pair_never_sets_the_time(self, monkeypatch):
+        # the Riccati comparison behind the closed form, both halves, on seeded |v| in [0, 1e4]
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(36)
+        vs = [nv * random_unit(rng, 3) for nv in [0.0, 1e4, *10.0 ** rng.uniform(-3.0, 4.0, 10)]]
+        for v in vs:
+            # unfaulted: det N of the pair, with its entries taken exactly from s = |v|^2 at 60
+            # digits, is real, vanishes at pi/r, r = sqrt(1 + s), and det N / sin(r t) keeps its
+            # sign on (0, pi/r]: the complex pair turns conjugate with the real pair, not before
+            A, B, Q_float = _qhf_complex_pair(v)
+            with mp.workdps(60):
+                s = mp.mpf(float(v @ v))
+                c = (2 + mp.mpf(1.5) * s) * mp.sqrt(s)
+                Q = mp.matrix([[-s * (3 + mp.mpf(2.8125) * s), -1j * c], [1j * c, 4 + mp.mpf(5.5) * s]])
+                assert all(abs(complex(Q[i, j]) - Q_float[i, j]) <= 4e-16 * abs(Q_float[i, j]) for i in (0, 1) for j in (0, 1))
+                H = mp.matrix(4, 4)  # [[-A^T, -Q], [B, A]]
+                for i in (0, 1):
+                    for j in (0, 1):
+                        H[i, j], H[i, 2 + j], H[2 + i, j], H[2 + i, 2 + j] = -A[j, i], -Q[i, j], B[i, j], A[i, j]
+                E, X = mp.eig(H)
+                Xi = X**-1
+
+                def det_N(t):
+                    e = [mp.exp(lam * t) for lam in E]
+                    N = [[mp.fsum(X[2 + i, k] * e[k] * Xi[k, j] for k in range(4)) for j in (0, 1)] for i in (0, 1)]
+                    return N[0][0] * N[1][1] - N[0][1] * N[1][0]
+
+                r = mp.sqrt(1 + s)
+                ts = [mp.pi / r * k / 64 for k in range(1, 64)] + [mp.pi / r * (1 - mp.mpf(10) ** -30)]
+                dets = [det_N(t) for t in ts]
+                scale = max(abs(x) for x in dets)
+                assert abs(det_N(mp.pi / r)) <= 1e-40 * scale, f"|v| = {np.linalg.norm(v)}"
+                assert all(abs(mp.im(x)) <= 1e-40 * scale for x in dets)
+                assert all(mp.re(x) / mp.sin(r * t) > 0 for x, t in zip(dets, ts)), f"|v| = {np.linalg.norm(v)}"
+        monkeypatch.setenv("FATCOMP_FAULT", "curvature-sign")
+        for v in vs:
+            # faulted: Q_c <= 0, so det N >= t^4/12 and the 2x2 pass finds no zero
+            pair = _qhf_complex_pair(v)
+            assert np.linalg.eigvalsh(pair[2]).max() <= 0.0, f"|v| = {np.linalg.norm(v)}"
+            assert not wedge_first_zero(*pair, _horizon(1, v)).is_finite
 
     def test_momentum_is_checked_once(self, monkeypatch):
         # qhf_kappas checked v a second time; the order of the checks is pinned by BAD_INPUT in test_api
@@ -515,17 +559,17 @@ class TestConjugateTime:
 
     def test_zero_momentum_gives_half_circle(self):
         res = conjugate_time(2, [0.0, 0.0, 0.0])
-        assert abs(res.t_star - math.pi) < 1e-6, f"t* = {res.t_star}"
+        assert res.t_star == math.pi, f"t* = {res.t_star}"
         assert res.margin_kc is not None and res.margin_kc >= -1e-6
         assert res.margin_kab >= -1e-6
 
     def test_decoupled_pair_saturates_the_bound(self):
         # for d >= 2 the conjugate point comes from the single-frequency
-        # pair, so t* equals pi/sqrt(1 + |v|^2) up to solver tolerance
+        # pair, so t* equals pi/sqrt(1 + |v|^2) to 2 ulps
         v = [0.8, -0.1, 0.3]
         res = conjugate_time(2, v)
         s = float(np.dot(v, v))
-        assert abs(res.t_star - math.pi / math.sqrt(1.0 + s)) < 1e-6
+        assert abs(res.t_star - math.pi / math.sqrt(1.0 + s)) <= 2.0 * math.ulp(res.t_star)
         assert res.bound_kc == pytest.approx(math.pi / math.sqrt(1.0 + s))
 
     def test_minimal_dimension_has_no_single_frequency_bound(self):
@@ -778,8 +822,11 @@ def _sublaplacian_digest() -> tuple[int, str]:
 
 
 # _sublaplacian_digest(), frozen from model terms that took their domain from eval_s_kab,
-# each radius reading the tbar floor and, below it or at v = 0, solving tbar again
-SUBLAPLACIAN_ROWS, SUBLAPLACIAN_DIGEST = 300, "dff336e5907a7a96b892bbee3cc8d5cb10d78685a61b2106927fb8b44f0083ea"
+# each radius reading the tbar floor and, below it or at v = 0, solving tbar again; taken
+# again when t* became the closed form with no complex-pair pass: 116 of 300 rows moved with
+# t* (by up to 9.8e-14 relative; its error against 50 digits from [-9.8e-14, 1.5e-16] to
+# [-2.1e-16, 1.5e-16]) and the grid it scales, each margin by at most 3.4e-10
+SUBLAPLACIAN_ROWS, SUBLAPLACIAN_DIGEST = 300, "445feede6d8d63fe7b1a198279ab2127b13e10887b4e9cd224f41284ad484c68"
 
 
 class TestSublaplacian:

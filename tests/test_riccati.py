@@ -25,7 +25,8 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from fatcomp import checks, riccati
-from fatcomp.hopf import _qhf_complex_pair, _qhf_system
+from fatcomp.checks import _qhf_complex_pair
+from fatcomp.hopf import _qhf_system
 from fatcomp.models import DomainError, blowup_time_kab, finiteness_predicate
 from fatcomp.riccati import (
     JacobiSolution,

@@ -1,4 +1,4 @@
-"""Compare the output files and exit codes of 50 CLI calls in two checkouts.
+"""Compare the output files and exit codes of 52 CLI calls in two checkouts.
 
     python3 tools/compare_cli.py --parent DIR --change DIR
 
@@ -9,14 +9,17 @@ is removed afterwards. The script prints every call whose exit code or
 output files differ between the two sides, and says for each file whether
 its rows differ or only its metadata does: rows are the CSV lines not
 starting with ``#`` or the JSON ``"rows"``, metadata the ``#`` lines or the
-JSON ``"meta"``. Then it prints how many calls differ; it exits 1 if any
-call differs, else 0.
+JSON ``"meta"``. Where rows differ, it names each column that moved, in how
+many rows, and its largest relative change |new - old| / |old|. Then it
+prints how many calls differ; it exits 1 if any call differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,7 +74,7 @@ CALLS = [
     ["laplacian", "--d", "2", "--v", "0.6,-0.3,0.2", "--verify"],
     # 200 rows in chunks of 25 over a pool of two
     ["conjugate", "--d", "2", "--sweep", "0:3:200", "--jobs", "2", "--verify"],
-    # the 2x2 first-zero pass of the complex pair of the a/b corner, row by row
+    # d = 3, row by row: t* in closed form, the bits of d = 2
     ["conjugate", "--d", "3", "--sweep", "0:3:30", "--verify"],
     # ||h H2||_2 is 2.8 and 7.0: the refinement halves its step once and twice
     ["blowup", "--ka", "1e-3", "--kb=-5", "--verify"],
@@ -94,7 +97,7 @@ CALLS = [
     ["blowup", "--ka=-1.0229834445816485e+166", "--kb=2.3912383905424197e+250"],
     # alpha^2 = kappa_a/(y - x) underflowed to 0: "computation failed", exit 1; alpha is now taken scale-free
     ["blowup", "--ka=5.761650394919591e-150", "--kb=-5.232955793209928e+277"],
-    # the real pair's zero in closed form, the complex pair's by its pass, 200 rows at d = 1
+    # the real pair's zero in closed form, 200 rows at d = 1, where the c block is empty
     ["conjugate", "--d", "1", "--sweep", "0:3:200", "--verify"],
     # kappa_c < 0: the frame pass of first_blowup runs to its horizon and returns the infinite marker
     ["blowup", "--kc", "-4", "--verify"],
@@ -127,10 +130,42 @@ def split(name: str, data: bytes | None) -> tuple:
     return [x for x in lines if x.startswith(b"#")], [x for x in lines if not x.startswith(b"#")]
 
 
+def records(name: str, rows: list) -> list[dict]:
+    """The rows of an output file as column -> value, the CSV header read off its first row."""
+    return rows if name.endswith(".json") else list(csv.DictReader(x.decode() for x in rows))
+
+
+def relative_change(old, new) -> float:
+    """|new - old| / |old| of two numbers or numeric texts; NaN where either is not a number."""
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return math.nan
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def moved_columns(name: str, rows0: list | None, rows1: list | None) -> str:
+    """'column in n rows (max rel x)' for each column whose values differ between the sides."""
+    if rows0 is None or rows1 is None:
+        return "absent on one side"
+    t0, t1 = records(name, rows0), records(name, rows1)
+    if len(t0) != len(t1) or any(r0.keys() != r1.keys() for r0, r1 in zip(t0, t1)):
+        return f"{len(t0)} -> {len(t1)} rows, or their columns differ"
+    moved: dict[str, tuple[int, float]] = {}
+    for r0, r1 in zip(t0, t1):
+        for col in r0:
+            if r0[col] != r1[col]:
+                n, rel = moved.get(col, (0, 0.0))
+                moved[col] = n + 1, max(rel, relative_change(r0[col], r1[col]))
+    return ", ".join(f"{col} in {n} rows (max rel {rel:.1e})" for col, (n, rel) in moved.items())
+
+
 def what_differs(name: str, old: bytes | None, new: bytes | None) -> str:
     (meta0, rows0), (meta1, rows1) = split(name, old), split(name, new)
     if rows0 != rows1:
-        return f"{name}: rows differ"
+        return f"{name}: rows differ: {moved_columns(name, rows0, rows1)}"
     return f"{name}: metadata differs only" if meta0 != meta1 else f"{name}: bytes differ only"
 
 
